@@ -39,8 +39,7 @@ def main() -> int:
     print(f"tuple: k={args.k} dim={args.dim} margins={[f'{m:.3f}' for m in tup.margins]}")
     print(f"template: t={tuple(round(v, 3) for v in template.t)} r={template.r:.3f}")
     print("\nhypothesis members:")
-    params0 = chains.placeholder_params(args.k, t=template.t, r=template.r)
-    for chain in chains.hypothesis_set(params0):
+    for chain in chains.hypothesis_set(args.k):
         print(f"  {dsl.pretty_print(chain)}")
 
     print("\nadjacent order:", [v.relation.value for v in check_conclusion(tup)])

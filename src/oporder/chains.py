@@ -141,43 +141,6 @@ class ChainInequality:
     direction: Direction
 
 
-@dataclass(frozen=True)
-class ParamSet:
-    """Scalar parameters of a size-k chain: n, k, t_1..t_n, p_1..p_2n, r,
-    w_1..w_(k-1), with the range constraints checked at construction."""
-
-    n: int
-    k: int
-    t: tuple[float, ...]
-    p: tuple[float, ...]
-    r: float
-    w: tuple[float, ...]
-
-    def __post_init__(self):
-        n, k = self.n, self.k
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if k not in (2 * n, 2 * n + 1):
-            raise ValueError(f"k must be 2n or 2n+1 for n={n}, got {k}")
-        object.__setattr__(self, "t", tuple(float(v) for v in self.t))
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        object.__setattr__(self, "w", tuple(float(v) for v in self.w))
-        if len(self.t) != n:
-            raise ValueError(f"expected {n} t-values, got {len(self.t)}")
-        if len(self.p) != 2 * n:
-            raise ValueError(f"expected {2 * n} p-values, got {len(self.p)}")
-        if len(self.w) != k - 1:
-            raise ValueError(f"expected {k - 1} w-values, got {len(self.w)}")
-        if any(not 0.0 <= v <= 1.0 for v in self.t):
-            raise ValueError(f"every t must lie in [0, 1], got {self.t}")
-        if any(v < 1.0 for v in self.p):
-            raise ValueError(f"every p must be >= 1, got {self.p}")
-        if any(not 0.0 <= v <= 1.0 for v in self.w):
-            raise ValueError(f"every w must lie in [0, 1], got {self.w}")
-        if not self.r > self.t[-1]:
-            raise ValueError(f"r must exceed t_n = {self.t[-1]}, got r = {self.r}")
-
-
 def chain_exponent(t, p) -> float:
     """Aggregate exponent of the fully nested chain word.
 
@@ -215,16 +178,17 @@ def necessity_weight_from(t, p, r: float) -> float:
     return (r - t_n) / denom
 
 
-def necessity_weight(params: ParamSet) -> float:
-    return necessity_weight_from(params.t, params.p, params.r)
+def _levels(k: int) -> int:
+    """n for a chain of k operators (k = 2n or 2n + 1)."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    return k // 2
 
 
 def ascending_index(member: int, layer: int, k: int) -> int:
     """Operator index at ``layer`` of ascending member ``member``; layer 0
     is the innermost base symbol.  Indices saturate at k."""
-    n = k // 2
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    n = _levels(k)
     if not 1 <= member <= n:
         raise ValueError(f"ascending member must be in 1..{n}, got {member}")
     if not 0 <= layer <= 2 * n - 1:
@@ -235,7 +199,7 @@ def ascending_index(member: int, layer: int, k: int) -> int:
 def descending_index(member: int, layer: int, k: int) -> int:
     """Operator index at ``layer`` of descending member ``member``; the
     innermost base sits at n+1+member and indices floor at 1."""
-    n = k // 2
+    n = _levels(k)
     q_max = n if k == 2 * n + 1 else n - 1
     if not 1 <= member <= q_max:
         raise ValueError(f"descending member must be in 1..{q_max}, got {member}")
@@ -262,14 +226,15 @@ def weight_index(family: Family, member: int, n: int) -> int:
     return member if family is Family.ASCENDING else n + member
 
 
-def build_chain(family: Family, member: int, params: ParamSet) -> ChainInequality:
-    """Construct one hypothesis inequality as a symbolic word pair.
+def build_chain(family: Family, member: int, k: int) -> ChainInequality:
+    """Construct one hypothesis inequality of the size-k chain as a
+    symbolic word pair.
 
     The core starts as the base symbol to the p1, then gains one sandwich
     layer per step, each raised to the next p; the outer sandwich uses
     r/2 and is raised to the member's weight.
     """
-    n, k = params.n, params.k
+    n = _levels(k)
     if family is Family.ASCENDING:
         index_at = lambda j: ascending_index(member, j, k)
         outer = k
@@ -293,13 +258,13 @@ def build_chain(family: Family, member: int, params: ParamSet) -> ChainInequalit
     return ChainInequality(family, member, lhs, rhs, direction)
 
 
-def hypothesis_set(params: ParamSet) -> list[ChainInequality]:
-    """All hypothesis inequalities for the chain: n ascending members plus
-    n descending for odd k, n - 1 descending for even k."""
-    n, k = params.n, params.k
-    members = [build_chain(Family.ASCENDING, m, params) for m in range(1, n + 1)]
+def hypothesis_set(k: int) -> list[ChainInequality]:
+    """All hypothesis inequalities for the size-k chain: n ascending members
+    plus n descending for odd k, n - 1 descending for even k."""
+    n = _levels(k)
+    members = [build_chain(Family.ASCENDING, m, k) for m in range(1, n + 1)]
     q_max = n if k == 2 * n + 1 else n - 1
-    members += [build_chain(Family.DESCENDING, q, params) for q in range(1, q_max + 1)]
+    members += [build_chain(Family.DESCENDING, q, k) for q in range(1, q_max + 1)]
     return members
 
 
@@ -311,14 +276,3 @@ def hypothesis_core(chain: ChainInequality) -> OperatorWord:
             or len(rhs.base.factors) != 3:
         raise ValueError("not a sandwich-shaped chain right-hand side")
     return rhs.base.factors[1]
-
-
-def placeholder_params(k: int, t=None, r: float | None = None) -> ParamSet:
-    """A valid ParamSet for purely structural uses (printing, word shape);
-    p and w values are irrelevant placeholders."""
-    n = k // 2
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    tv = tuple(t) if t is not None else (0.5,) * n
-    rv = float(r) if r is not None else float(tv[-1]) + 1.0
-    return ParamSet(n=n, k=k, t=tv, p=(1.0,) * (2 * n), r=rv, w=(0.5,) * (k - 1))

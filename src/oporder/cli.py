@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import chains, dsl, verify
 from .chains import Family
+from .spectral import TOL_REL
 from .verify import (
+    SUITE_TOL_REL,
     CampaignReport,
     ParamTemplate,
     PGrid,
@@ -44,10 +45,9 @@ _CHECK_DEFAULTS = {
     "count": 10,
     "p_grid": "1,1.5,2,4",
     "s_grid": "1,10,100,1000,10000",
-    "tol_rel": 1e-9,
-    "suite_tol_rel": 1e-7,
+    "tol_rel": TOL_REL,
+    "suite_tol_rel": SUITE_TOL_REL,
     "weights": "necessity",
-    "jobs": 1,
     "field": "real",
     "t": None,
     "r": None,
@@ -65,7 +65,6 @@ _SEARCH_DEFAULTS = {
     "weights": None,
     "findings": None,
     "emit_stats": False,
-    "tol_rel": 1e-9,
     "field": "real",
 }
 
@@ -130,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--scalar-fixture",
                        help="csv scalars for a 1x1 fixture tuple (contrapositive mode)")
     p_chk.add_argument("--report", help="write campaign rows to this CSV path")
-    p_chk.add_argument("--jobs", type=int)
     p_chk.add_argument("--field", choices=["real", "complex"])
     p_chk.add_argument("--config", help="JSON config file; flags override its entries")
     p_chk.add_argument("--dump-config", action="store_true",
@@ -146,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_s.add_argument("--findings", help="write findings JSON to this path")
     p_s.add_argument("--emit-stats", dest="emit_stats", action="store_true",
                      default=None)
-    p_s.add_argument("--tol-rel", dest="tol_rel", type=float)
     p_s.add_argument("--field", choices=["real", "complex"])
     p_s.add_argument("--config", help="JSON config file; flags override its entries")
     p_s.add_argument("--dump-config", action="store_true")
@@ -192,13 +189,12 @@ def _cmd_exponent(args) -> int:
 
 def _cmd_print_chain(args) -> int:
     try:
-        params = chains.placeholder_params(args.k)
         if args.all:
-            for chain in chains.hypothesis_set(params):
+            for chain in chains.hypothesis_set(args.k):
                 print(dsl.pretty_print(chain))
             return EXIT_OK
         family = Family.ASCENDING if args.family == "asc" else Family.DESCENDING
-        chain = chains.build_chain(family, args.member, params)
+        chain = chains.build_chain(family, args.member, args.k)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     print(dsl.pretty_print(chain))
@@ -216,17 +212,6 @@ def _sample_template(cfg, rng, n: int) -> ParamTemplate:
     if not r > t[-1]:
         raise UsageError(f"--r must exceed t_n = {t[-1]}, got {r}")
     return ParamTemplate(t=t, r=r)
-
-
-def _check_instances(cfg) -> list[int]:
-    return list(range(int(cfg["count"])))
-
-
-def _run_parallel(jobs: int, work, indices):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, indices))
-    return [work(i) for i in indices]
 
 
 def _campaign_grid(cfg) -> PGrid:
@@ -248,6 +233,7 @@ def _cmd_check(args) -> int:
     grid = _campaign_grid(cfg)
     policy = WeightPolicy.parse(cfg["weights"])
     seed = int(cfg["seed"])
+    count = int(cfg["count"])
     n = int(cfg["k"]) // 2
     suite_tol = float(cfg["suite_tol_rel"])
 
@@ -257,8 +243,7 @@ def _cmd_check(args) -> int:
     if mode in ("necessity", "contrapositive"):
         fixture = cfg["scalar_fixture"]
 
-        def make_instance(idx: int):
-            rng = verify._rng(seed, idx, 99)
+        def run_instance(idx: int):
             if fixture is not None:
                 tup = scalar_tuple(_csv_floats(fixture))
                 if tup.k != cfg["k"]:
@@ -271,22 +256,20 @@ def _cmd_check(args) -> int:
             else:
                 tup = gen_unordered_tuple(cfg["k"], cfg["dim"], [seed, idx],
                                           field_kind=cfg["field"])
-            return tup, _sample_template(cfg, rng, n)
-
-        def run_instance(idx: int):
-            tup, template = make_instance(idx)
+            template = _sample_template(cfg, verify._rng(seed, idx, 99), n)
             report = check_hypotheses(
                 tup, template, grid, policy,
                 tol_rel=float(cfg["tol_rel"]), instance_id=str(idx),
                 master_seed=seed, instance_index=idx, suite_tol_rel=suite_tol,
             )
-            return idx, tup, template, report
+            return tup, template, report
 
-        count = 1 if fixture is not None else int(cfg["count"])
-        instances = _run_parallel(int(cfg["jobs"]), run_instance, range(count))
-        reports = [rep for _, _, _, rep in instances]
-        for idx, tup, template, rep in instances:
-            bad = rep.violations(suite_tol)
+        if fixture is not None:
+            count = 1
+        instances = [run_instance(idx) for idx in range(count)]
+        reports = [rep for _, _, rep in instances]
+        for idx, (tup, template, rep) in enumerate(instances):
+            bad = rep.violations()
             if mode == "necessity":
                 for row in bad:
                     violations.append(
@@ -335,7 +318,7 @@ def _cmd_check(args) -> int:
                 master_seed=seed, instance_index=idx, instance_id=str(idx),
             )
 
-        results = _run_parallel(int(cfg["jobs"]), run_instance, _check_instances(cfg))
+        results = [run_instance(idx) for idx in range(count)]
         for idx, rep in enumerate(results):
             if not rep.premise_pass:
                 violations.append(f"instance {idx}: premise member failed on the grid")
@@ -359,13 +342,12 @@ def _cmd_check(args) -> int:
             template = _sample_template(cfg, rng, n)
             limit_t = (1.0,) + template.t[1:]
             interior = reduction_scalar_interior(tup, limit_t, (1.0,) * (2 * n), n)
-            rep = limit_probe(
+            return limit_probe(
                 tup.matrices[0], tup.matrices[1], c=max(1.0, interior),
                 p2_values=p2_values, tol_rel=float(cfg["tol_rel"]),
             )
-            return rep
 
-        results = _run_parallel(int(cfg["jobs"]), run_instance, _check_instances(cfg))
+        results = [run_instance(idx) for idx in range(count)]
         for idx, rep in enumerate(results):
             if not rep.monotone_nonincreasing:
                 violations.append(f"instance {idx}: bound sequence is not monotone")
@@ -378,7 +360,7 @@ def _cmd_check(args) -> int:
                   f"consistent={rep.order_consistent}")
 
     if cfg["report"] and reports:
-        merged = merge_reports(reports, {k: v for k, v in cfg.items()}, seed)
+        merged = merge_reports(reports, dict(cfg), seed, suite_tol)
         merged.write_csv(cfg["report"])
 
     if violations:

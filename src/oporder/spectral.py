@@ -9,6 +9,7 @@ matrices travel through the same code paths.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -244,13 +245,16 @@ def congruence(x, h: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix(out)
 
 
-def comparison_tol(p: HermitianMatrix, q: HermitianMatrix, tol_rel: float = TOL_REL) -> float:
-    return tol_rel * max(1.0, operator_norm(p), operator_norm(q))
+def margin_holds(margin: float, scale: float, tol_rel: float) -> bool:
+    """The pass criterion every check shares: a finite margin at or above
+    -tol_rel * scale.  A NaN margin (an evaluation error) fails."""
+    return math.isfinite(margin) and margin >= -tol_rel * scale
 
 
-def classify_margins(ge_margin: float, le_margin: float, tol: float) -> Relation:
-    ge = ge_margin >= -tol
-    le = le_margin >= -tol
+def classify_margins(ge_margin: float, le_margin: float, scale: float,
+                     tol_rel: float) -> Relation:
+    ge = margin_holds(ge_margin, scale, tol_rel)
+    le = margin_holds(le_margin, scale, tol_rel)
     if ge and le:
         return Relation.EQ
     if ge:
@@ -260,27 +264,35 @@ def classify_margins(ge_margin: float, le_margin: float, tol: float) -> Relation
     return Relation.INCOMPARABLE
 
 
+def directional_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float]:
+    """(lambda_min(P - Q), lambda_min(Q - P)) from a single solve."""
+    if p.dim != q.dim:
+        raise DimensionMismatchError(f"cannot compare dims {p.dim} and {q.dim}")
+    evs = np.linalg.eigvalsh(p.entries - q.entries)
+    return float(evs[0]), float(-evs[-1])
+
+
+def scaled_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float, float]:
+    """Both directional margins plus the comparison scale max(1, |P|, |Q|)
+    (spectral norms) that every tolerance is relative to."""
+    ge_margin, le_margin = directional_margins(p, q)
+    return ge_margin, le_margin, max(1.0, operator_norm(p), operator_norm(q))
+
+
 def loewner_compare(
     p: HermitianMatrix,
     q: HermitianMatrix,
-    tol: float | None = None,
     tol_rel: float = TOL_REL,
 ) -> Verdict:
     """Compare P and Q in the Loewner order.
 
     GE is reported iff lambda_min(P - Q) >= -tol, LE iff the reversed
-    difference passes, EQ iff both and INCOMPARABLE iff neither.  The
-    comparison is symmetric: swapping arguments swaps GE and LE while
-    keeping margins identical.
+    difference passes, EQ iff both and INCOMPARABLE iff neither, with
+    tol = tol_rel * max(1, |P|, |Q|).  The comparison is symmetric:
+    swapping arguments swaps GE and LE while keeping margins identical.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"cannot compare dims {p.dim} and {q.dim}")
-    if tol is None:
-        tol = comparison_tol(p, q, tol_rel)
-    evs = np.linalg.eigvalsh(p.entries - q.entries)
-    ge_margin = float(evs[0])
-    le_margin = float(-evs[-1])
-    relation = classify_margins(ge_margin, le_margin, tol)
+    ge_margin, le_margin, scale = scaled_margins(p, q)
+    relation = classify_margins(ge_margin, le_margin, scale, tol_rel)
     if relation is Relation.GE:
         margin = ge_margin
     elif relation is Relation.LE:
@@ -289,15 +301,7 @@ def loewner_compare(
         margin = min(ge_margin, le_margin)
     else:
         margin = max(ge_margin, le_margin)
-    return Verdict(relation=relation, margin=margin, tol=tol)
-
-
-def directional_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float]:
-    """(lambda_min(P - Q), lambda_min(Q - P)) from a single solve."""
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"cannot compare dims {p.dim} and {q.dim}")
-    evs = np.linalg.eigvalsh(p.entries - q.entries)
-    return float(evs[0]), float(-evs[-1])
+    return Verdict(relation=relation, margin=margin, tol=tol_rel * scale)
 
 
 # JSON matrix format shared with every downstream module:

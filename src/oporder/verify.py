@@ -29,14 +29,15 @@ from .spectral import (
     Verdict,
     classify_margins,
     congruence,
-    directional_margins,
     identity,
     loewner_compare,
+    margin_holds,
     matrix_power,
     matrix_to_json,
     operator_norm,
     pd_gate,
     positivity_margin,
+    scaled_margins,
 )
 
 # Slack used by suite-level expectations (necessity, reduction chain);
@@ -332,18 +333,10 @@ class CampaignRow:
     scale: float = 1.0
     error: str | None = None
 
-    @property
-    def satisfied(self) -> bool:
-        """Verdict meets the expected relation at verdict tolerance."""
-        if self.error is not None:
-            return False
-        if self.relation == Direction.GE.value:
-            return self.verdict in (Relation.GE.value, Relation.EQ.value)
-        return self.verdict in (Relation.LE.value, Relation.EQ.value)
-
-    def holds_within(self, tol_rel: float = SUITE_TOL_REL) -> bool:
-        """Margin test at suite slack, the criterion campaigns assert."""
-        return self.error is None and self.margin >= -tol_rel * self.scale
+    def holds(self, tol_rel: float = SUITE_TOL_REL) -> bool:
+        """The margin passes at tol_rel; error rows carry a NaN margin and
+        fail.  The verdict column is informational, at verdict tolerance."""
+        return margin_holds(self.margin, self.scale, tol_rel)
 
 
 _CSV_COLUMNS = ("instance_id", "k", "dim", "family", "member", "p_vector",
@@ -352,31 +345,32 @@ _CSV_COLUMNS = ("instance_id", "k", "dim", "family", "member", "p_vector",
 
 @dataclass
 class CampaignReport:
+    """Campaign rows judged at the suite slack tol_rel: violations(), the
+    pass/fail summary and the CLI exit code all use it."""
+
     rows: list[CampaignRow]
     config: dict
     master_seed: int
+    tol_rel: float = SUITE_TOL_REL
+
+    def violations(self) -> list[CampaignRow]:
+        return [r for r in self.rows if not r.holds(self.tol_rel)]
 
     @property
     def pass_count(self) -> int:
-        return sum(1 for r in self.rows if r.satisfied)
-
-    @property
-    def fail_count(self) -> int:
-        return len(self.rows) - self.pass_count
+        return len(self.rows) - len(self.violations())
 
     @property
     def worst_margin(self) -> float:
         finite = [r.margin for r in self.rows if r.error is None]
         return min(finite) if finite else float("nan")
 
-    def violations(self, tol_rel: float = SUITE_TOL_REL) -> list[CampaignRow]:
-        return [r for r in self.rows if not r.holds_within(tol_rel)]
-
     def summary(self) -> dict:
+        passed = self.pass_count
         return {
             "rows": len(self.rows),
-            "pass": self.pass_count,
-            "fail": self.fail_count,
+            "pass": passed,
+            "fail": len(self.rows) - passed,
             "worst_margin": self.worst_margin,
         }
 
@@ -403,11 +397,12 @@ class CampaignReport:
         Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-def merge_reports(reports, config: dict, master_seed: int) -> CampaignReport:
+def merge_reports(reports, config: dict, master_seed: int,
+                  tol_rel: float = SUITE_TOL_REL) -> CampaignReport:
     rows: list[CampaignRow] = []
     for rep in reports:
         rows.extend(rep.rows)
-    return CampaignReport(rows=rows, config=config, master_seed=master_seed)
+    return CampaignReport(rows, config, master_seed, tol_rel)
 
 
 def _tuple_environment(tup: OperatorTuple) -> dict[int, HermitianMatrix]:
@@ -449,8 +444,7 @@ def check_hypotheses(
     n = k // 2
     if template.n != n:
         raise ValueError(f"template has {template.n} t-values, tuple needs {n}")
-    params0 = chains.placeholder_params(k, t=template.t, r=template.r)
-    chain_list = chains.hypothesis_set(params0)
+    chain_list = chains.hypothesis_set(k)
     if members is not None:
         wanted = set(members)
         chain_list = [c for c in chain_list if (c.family, c.member) in wanted]
@@ -474,10 +468,9 @@ def check_hypotheses(
                     matrices=matrices,
                 )
                 rhs_val = dsl.evaluate(chain.rhs, env)
-                ge_m, le_m = directional_margins(lhs_val, rhs_val)
+                ge_m, le_m, scale = scaled_margins(lhs_val, rhs_val)
                 margin = ge_m if chain.direction is Direction.GE else le_m
-                scale = max(1.0, operator_norm(lhs_val), operator_norm(rhs_val))
-                verdict = classify_margins(ge_m, le_m, tol_rel * scale)
+                verdict = classify_margins(ge_m, le_m, scale, tol_rel)
                 row = CampaignRow(
                     instance_id=instance_id, k=k, dim=tup.dim,
                     family=chain.family.value, member=chain.member,
@@ -499,9 +492,10 @@ def check_hypotheses(
             rows.append(row)
             # error rows are indeterminate, not violations; keep scanning
             if stop_on_violation and row.error is None \
-                    and not row.holds_within(suite_tol_rel):
-                return CampaignReport(rows, {"stopped_early": True}, master_seed)
-    return CampaignReport(rows, {}, master_seed)
+                    and not row.holds(suite_tol_rel):
+                return CampaignReport(rows, {"stopped_early": True}, master_seed,
+                                      suite_tol_rel)
+    return CampaignReport(rows, {}, master_seed, suite_tol_rel)
 
 
 def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdict]:
@@ -528,12 +522,9 @@ class MonotonePowerReport:
     precondition_ok: bool
     rows: list[AlphaRow]
 
-    def all_hold(self, tol_rel: float = 1e-8) -> bool:
+    def all_hold(self, tol_rel: float = TOL_REL) -> bool:
         return self.precondition_ok and all(
-            r.error is None
-            and r.verdict in (Relation.GE.value, Relation.EQ.value)
-            and r.margin >= -tol_rel * r.scale
-            for r in self.rows
+            margin_holds(r.margin, r.scale, tol_rel) for r in self.rows
         )
 
 
@@ -550,7 +541,7 @@ def probe_loewner_heinz(
     allowed to break, which is what the fixed witness pair demonstrates.
     """
     base = loewner_compare(p, q, tol_rel=tol_rel)
-    q_psd = positivity_margin(q) >= -tol_rel * max(1.0, operator_norm(q))
+    q_psd = margin_holds(positivity_margin(q), max(1.0, operator_norm(q)), tol_rel)
     if not (base.ge and q_psd):
         return MonotonePowerReport(precondition_ok=False, rows=[])
     rows: list[AlphaRow] = []
@@ -558,10 +549,9 @@ def probe_loewner_heinz(
         try:
             pa = matrix_power(p, alpha)
             qa = matrix_power(q, alpha)
-            ge_m, _ = directional_margins(pa, qa)
-            scale = max(1.0, operator_norm(pa), operator_norm(qa))
-            verdict = loewner_compare(pa, qa, tol_rel=tol_rel)
-            rows.append(AlphaRow(float(alpha), verdict.relation.value, ge_m, scale))
+            ge_m, le_m, scale = scaled_margins(pa, qa)
+            verdict = classify_margins(ge_m, le_m, scale, tol_rel)
+            rows.append(AlphaRow(float(alpha), verdict.value, ge_m, scale))
         except SpectralError as exc:
             rows.append(AlphaRow(float(alpha), "ERROR", float("nan"), 1.0, str(exc)))
     return MonotonePowerReport(precondition_ok=True, rows=rows)
@@ -620,10 +610,8 @@ def probe_contraction_criterion(
 
     def hyp_margin(s: float) -> tuple[str, float]:
         rhs = matrix_power(congruence(p_half, matrix_power(q, s)), w)
-        ge_m, le_m = directional_margins(lhs, rhs)
-        scale = max(1.0, operator_norm(lhs), operator_norm(rhs))
-        verdict = classify_margins(ge_m, le_m, tol_rel * scale)
-        return verdict.value, ge_m
+        ge_m, le_m, scale = scaled_margins(lhs, rhs)
+        return classify_margins(ge_m, le_m, scale, tol_rel).value, ge_m
 
     rows = []
     failure_s = None
@@ -728,12 +716,11 @@ class ReductionRow:
     error: str | None = None
 
     def holds(self, tol_rel: float = SUITE_TOL_REL) -> tuple[bool, bool, bool]:
-        if self.error is not None:
-            return (False, False, False)
+        """(core, peel, scalar) pass flags; error rows carry NaN margins."""
         return (
-            self.margin_core >= -tol_rel * self.scale_core,
-            self.margin_peel >= -tol_rel * self.scale_peel,
-            self.margin_scalar >= -tol_rel * self.scale_scalar,
+            margin_holds(self.margin_core, self.scale_core, tol_rel),
+            margin_holds(self.margin_peel, self.scale_peel, tol_rel),
+            margin_holds(self.margin_scalar, self.scale_scalar, tol_rel),
         )
 
 
@@ -785,11 +772,11 @@ def check_reduction_chain(
         tup, template, grid, policy,
         tol_rel=tol_rel, master_seed=master_seed, instance_index=instance_index,
         instance_id=instance_id, members=((Family.ASCENDING, 1),),
+        suite_tol_rel=suite_tol_rel,
     )
-    premise_pass = all(r.holds_within(suite_tol_rel) for r in premise.rows)
+    premise_pass = not premise.violations()
 
-    params0 = chains.placeholder_params(k, t=template.t, r=template.r)
-    w_word = chains.hypothesis_core(chains.build_chain(Family.ASCENDING, 1, params0))
+    w_word = chains.hypothesis_core(chains.build_chain(Family.ASCENDING, 1, k))
     matrices = _tuple_environment(tup)
     ident = identity(tup.dim)
     sample_rng = _rng(master_seed, instance_index, 2)
@@ -802,20 +789,17 @@ def check_reduction_chain(
                 matrices=matrices,
             )
             w_val = dsl.evaluate(w_word, env)
-            margin_core, _ = directional_margins(ident, w_val)
-            scale_core = max(1.0, operator_norm(w_val))
+            margin_core, _, scale_core = scaled_margins(ident, w_val)
 
             x2 = matrix_power(tup.matrices[1], -template.t[0] / 2.0)
             base = congruence(x2, matrix_power(tup.matrices[0], float(p_vec[0])))
             bound = reduction_bound_matrix(tup, template.t, p_vec, n)
-            margin_peel, _ = directional_margins(bound, base)
-            scale_peel = max(1.0, operator_norm(bound), operator_norm(base))
+            margin_peel, _, scale_peel = scaled_margins(bound, base)
 
             interior = reduction_scalar_interior(tup, template.t, p_vec, n)
             c_total = interior ** (1.0 / float(p_vec[1]))
             c_matrix = HermitianMatrix(c_total * np.eye(tup.dim))
-            margin_scalar, _ = directional_margins(c_matrix, base)
-            scale_scalar = max(1.0, c_total, operator_norm(base))
+            margin_scalar, _, scale_scalar = scaled_margins(c_matrix, base)
             row = ReductionRow(
                 p_vector=tuple(float(v) for v in p_vec),
                 margin_core=margin_core, scale_core=scale_core,
@@ -884,7 +868,7 @@ def limit_probe(
     monotone = all(seq[i + 1] <= seq[i] + 1e-12 * max(1.0, seq[i]) for i in range(len(seq) - 1))
     inferred = min(seq)
     scale = max(1.0, lam)
-    bound_ok = lam <= inferred + tol_rel * scale
+    bound_ok = margin_holds(inferred - lam, scale, tol_rel)
     consistent = inferred <= 1.0 + 1e-6 or lam <= 1.0 + 1e-6
     return LimitReport(
         c=c, p2_values=p2s, sequence=seq,
@@ -971,8 +955,7 @@ def implied_core_violation(
         t_variants.append(ones)
     for t_vec in t_variants:
         var_template = ParamTemplate(t=t_vec, r=float(t_vec[-1]) + 1.0)
-        params0 = chains.placeholder_params(k, t=t_vec, r=var_template.r)
-        for chain in chains.hypothesis_set(params0):
+        for chain in chains.hypothesis_set(k):
             word = chains.hypothesis_core(chain)
             for p_vec in p_vectors:
                 env = dsl.Environment(
@@ -983,12 +966,12 @@ def implied_core_violation(
                     w_val = dsl.evaluate(word, env)
                 except (SpectralError, dsl.EvaluationError):
                     continue
+                # ascending cores must stay below I, descending ones above
                 if chain.direction is Direction.GE:
-                    margin, _ = directional_margins(ident, w_val)
+                    margin, _, scale = scaled_margins(ident, w_val)
                 else:
-                    margin, _ = directional_margins(w_val, ident)
-                scale = max(1.0, operator_norm(w_val))
-                if margin < -suite_tol_rel * scale:
+                    margin, _, scale = scaled_margins(w_val, ident)
+                if not margin_holds(margin, scale, suite_tol_rel):
                     return {
                         "family": chain.family.value,
                         "member": chain.member,
@@ -1043,10 +1026,7 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
                 instance_id=str(idx), stop_on_violation=True,
                 suite_tol_rel=config.suite_tol_rel,
             )
-            genuine = [
-                r for r in report.rows
-                if r.error is None and not r.holds_within(config.suite_tol_rel)
-            ]
+            genuine = [r for r in report.violations() if r.error is None]
             if genuine:
                 violation_row = genuine[0]
                 break

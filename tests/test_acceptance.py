@@ -12,7 +12,7 @@ import pytest
 
 from oporder import chains, dsl
 from oporder.cli import EXIT_OK, main
-from oporder.spectral import HermitianMatrix, diagonal
+from oporder.spectral import TOL_REL, HermitianMatrix, diagonal
 from oporder.verify import (
     ParamTemplate,
     PGrid,
@@ -166,7 +166,7 @@ class TestCriterion5ContrapositiveFixture:
         ok = (
             asc.p_vector == (1.0, 1.0)
             and abs(asc.margin - expected) <= 1e-6
-            and not asc.satisfied
+            and not asc.holds(TOL_REL)
         )
         _report(
             "criterion 5: scalar contrapositive fixture violates as computed",

@@ -9,7 +9,6 @@ from oporder import dsl
 from oporder.chains import (
     Direction,
     Family,
-    ParamSet,
     Power,
     Product,
     ScalarExpr,
@@ -21,9 +20,7 @@ from oporder.chains import (
     hypothesis_core,
     hypothesis_set,
     layer_exponent,
-    necessity_weight,
     necessity_weight_from,
-    placeholder_params,
     weight_index,
 )
 from util import GOLDEN_DIR
@@ -123,10 +120,6 @@ class TestNecessityWeight:
         with pytest.raises(ValueError):
             necessity_weight_from((0.5,), (1.0, 1.0), 0.5)
 
-    def test_paramset_front_end(self):
-        params = ParamSet(n=1, k=3, t=(1.0,), p=(1.0, 1.0), r=2.0, w=(0.1, 0.1))
-        assert necessity_weight(params) == pytest.approx(0.5)
-
     def test_in_unit_interval_on_samples(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -197,27 +190,9 @@ class TestIndexSchedules:
             layer_exponent(2 * n, n)
 
 
-class TestParamSet:
-    def test_valid(self):
-        ParamSet(n=2, k=5, t=(0.5, 0.5), p=(1, 2, 3, 4), r=1.0, w=(0.5,) * 4)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(n=2, k=6, t=(0.5, 0.5), p=(1, 1, 1, 1), r=1.0, w=(0.5,) * 5),
-        dict(n=2, k=5, t=(0.5,), p=(1, 1, 1, 1), r=1.0, w=(0.5,) * 4),
-        dict(n=2, k=5, t=(0.5, 0.5), p=(1, 1, 1), r=1.0, w=(0.5,) * 4),
-        dict(n=2, k=5, t=(0.5, 0.5), p=(1, 1, 1, 0.5), r=1.0, w=(0.5,) * 4),
-        dict(n=2, k=5, t=(0.5, 1.5), p=(1, 1, 1, 1), r=2.0, w=(0.5,) * 4),
-        dict(n=2, k=5, t=(0.5, 0.5), p=(1, 1, 1, 1), r=0.5, w=(0.5,) * 4),
-        dict(n=2, k=5, t=(0.5, 0.5), p=(1, 1, 1, 1), r=1.0, w=(0.5,) * 3),
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            ParamSet(**kwargs)
-
-
 class TestBuildChain:
     def test_smallest_ascending_structure(self):
-        chain = build_chain(Family.ASCENDING, 1, placeholder_params(3))
+        chain = build_chain(Family.ASCENDING, 1, 3)
         t_half = ScalarExpr.variable("t1", Fraction(-1, 2))
         inner = Symbol(2, t_half)
         expected_rhs = Power(
@@ -234,33 +209,32 @@ class TestBuildChain:
         assert chain.direction is Direction.GE
 
     def test_descending_orientation(self):
-        chain = build_chain(Family.DESCENDING, 1, placeholder_params(3))
+        chain = build_chain(Family.DESCENDING, 1, 3)
         assert chain.direction is Direction.LE
         assert chain.lhs.index == 1
         assert chain.rhs.base.factors[0].index == 1
 
     def test_even_cap_saturates_at_k(self):
-        chain = build_chain(Family.ASCENDING, 2, placeholder_params(4))
+        chain = build_chain(Family.ASCENDING, 2, 4)
         text = dsl.pretty_print(chain)
         assert "A5" not in text
         assert "A4^{-t2/2}" in text
 
     def test_member_out_of_range(self):
         with pytest.raises(ValueError):
-            build_chain(Family.DESCENDING, 2, placeholder_params(4))
+            build_chain(Family.DESCENDING, 2, 4)
         with pytest.raises(ValueError):
-            build_chain(Family.ASCENDING, 3, placeholder_params(5))
+            build_chain(Family.ASCENDING, 3, 5)
 
     def test_weight_indices(self):
-        params = placeholder_params(5)
-        asc = build_chain(Family.ASCENDING, 2, params)
-        desc = build_chain(Family.DESCENDING, 2, params)
+        asc = build_chain(Family.ASCENDING, 2, 5)
+        desc = build_chain(Family.DESCENDING, 2, 5)
         assert asc.rhs.exponent == ScalarExpr.variable("w2")
         assert desc.rhs.exponent == ScalarExpr.variable("w4")
         assert weight_index(Family.DESCENDING, 1, 2) == 3
 
     def test_hypothesis_core_shape(self):
-        chain = build_chain(Family.ASCENDING, 1, placeholder_params(5))
+        chain = build_chain(Family.ASCENDING, 1, 5)
         core = hypothesis_core(chain)
         assert isinstance(core, Power)
         assert core.exponent == ScalarExpr.variable("p4")
@@ -269,10 +243,10 @@ class TestBuildChain:
 class TestHypothesisSet:
     @pytest.mark.parametrize("k,count", [(3, 2), (5, 4), (4, 3), (7, 6), (6, 5), (2, 1)])
     def test_member_counts(self, k, count):
-        assert len(hypothesis_set(placeholder_params(k))) == count
+        assert len(hypothesis_set(k)) == count
 
     def test_families_in_order(self):
-        members = hypothesis_set(placeholder_params(5))
+        members = hypothesis_set(5)
         assert [(c.family, c.member) for c in members] == [
             (Family.ASCENDING, 1), (Family.ASCENDING, 2),
             (Family.DESCENDING, 1), (Family.DESCENDING, 2),
@@ -294,13 +268,13 @@ class TestGoldenChains:
         golden = normalized_lines((GOLDEN_DIR / name).read_text())
         printed = [
             " ".join(dsl.pretty_print(c).split())
-            for c in hypothesis_set(placeholder_params(k))
+            for c in hypothesis_set(k)
         ]
         assert printed == golden
 
     def test_golden_reparses_to_same_ast(self):
         for name, k in [("chains_k5.txt", 5), ("chains_k4.txt", 4)]:
-            built = hypothesis_set(placeholder_params(k))
+            built = hypothesis_set(k)
             parsed = dsl.parse_lines((GOLDEN_DIR / name).read_text())
             assert len(parsed) == len(built)
             for have, want in zip(parsed, built):

@@ -139,16 +139,6 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert "consistent=True" in out
 
-    def test_jobs_parallel_matches_serial(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        base = ["check", "--mode", "necessity", "--k", "3", "--dim", "2",
-                "--seed", "11", "--count", "4"]
-        assert main(base + ["--report", str(a)]) == EXIT_OK
-        assert main(base + ["--jobs", "3", "--report", str(b)]) == EXIT_OK
-        capsys.readouterr()
-        strip = lambda p: [",".join(l.split(",")[:-1]) for l in p.read_text().splitlines()]
-        assert strip(a) == strip(b)
-
     def test_dump_config_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check", "--mode", "necessity", "--k", "3",
                            "--dim", "2", "--seed", "13", "--count", "2",
@@ -216,6 +206,10 @@ class TestSearchCommand:
 
     def test_bad_k_exits_2(self, capsys):
         code, _, _ = run(capsys, "search", "--k", "2", "--budget", "1")
+        assert code == EXIT_USAGE
+
+    def test_tol_rel_is_not_a_search_flag(self, capsys):
+        code, _, _ = run(capsys, "search", "--tol-rel", "1e-3", "--budget", "1")
         assert code == EXIT_USAGE
 
 

@@ -13,7 +13,6 @@ from oporder.chains import (
     ScalarExpr,
     Symbol,
     build_chain,
-    placeholder_params,
 )
 from oporder.dsl import (
     Environment,
@@ -70,7 +69,7 @@ class TestParse:
             if line.strip() and not line.startswith("#")
         )
         parsed = parse(first)
-        built = build_chain(Family.ASCENDING, 1, placeholder_params(5))
+        built = build_chain(Family.ASCENDING, 1, 5)
         assert parsed.rhs == built.rhs
         assert parsed.lhs == built.lhs
         assert parsed.direction == built.direction
@@ -139,7 +138,7 @@ class TestPrettyPrint:
         assert parse(pretty_print(word)) == word
 
     def test_chain_text(self):
-        chain = build_chain(Family.ASCENDING, 1, placeholder_params(3))
+        chain = build_chain(Family.ASCENDING, 1, 3)
         assert pretty_print(chain) == (
             "A3^{r-t1} >= "
             "(A3^{r/2} (A2^{-t1/2} A1^{p1} A2^{-t1/2})^{p2} A3^{r/2})^{w1}"
@@ -193,7 +192,7 @@ class TestEvaluate:
         assert out.entries[0, 0] == pytest.approx(8.0)
 
     def test_identity_absorbs_everything(self):
-        chain = build_chain(Family.ASCENDING, 1, placeholder_params(3))
+        chain = build_chain(Family.ASCENDING, 1, 3)
         env = Environment(
             scalars={"t1": 0.73, "r": 1.9, "p1": 2.0, "p2": 3.5, "w1": 0.4, "w2": 0.4},
             matrices={i: identity(3) for i in (1, 2, 3)},
@@ -201,7 +200,7 @@ class TestEvaluate:
         assert np.allclose(evaluate(chain.rhs, env).entries, np.eye(3))
 
     def test_scalar_chain_value(self):
-        chain = build_chain(Family.ASCENDING, 1, placeholder_params(3))
+        chain = build_chain(Family.ASCENDING, 1, 3)
         env = diag_env(
             {"t1": 0.5, "r": 1.0, "p1": 1.0, "p2": 1.0, "w1": 0.5, "w2": 0.5},
             {1: [2.0], 2: [1.0], 3: [3.0]},

@@ -18,12 +18,14 @@ from oporder.spectral import (
     directional_margins,
     identity,
     loewner_compare,
+    margin_holds,
     matrix_from_json,
     matrix_power,
     matrix_to_json,
     operator_norm,
     positivity_margin,
     read_matrix,
+    scaled_margins,
     spectral_decompose,
     write_matrix,
 )
@@ -205,6 +207,19 @@ class TestLoewnerCompare:
         ge_m, le_m = directional_margins(p, q)
         assert ge_m == pytest.approx(float(np.linalg.eigvalsh(p.entries - q.entries)[0]))
         assert le_m == pytest.approx(float(np.linalg.eigvalsh(q.entries - p.entries)[0]))
+
+    def test_scaled_margins_scale_and_verdict(self):
+        p, q = diagonal([3.0, 1.0]), diagonal([2.0, 0.5])
+        ge_m, le_m, scale = scaled_margins(p, q)
+        assert (ge_m, le_m, scale) == (0.5, -1.0, 3.0)
+        v = loewner_compare(p, q)
+        assert v.relation is Relation.GE and v.margin == ge_m and v.tol == 1e-9 * scale
+
+    def test_margin_holds_boundary_and_nan(self):
+        assert margin_holds(-2e-7, 2.0, 1e-7)
+        assert not margin_holds(-2.1e-7, 2.0, 1e-7)
+        assert not margin_holds(float("nan"), 1.0, 1e-7)
+        assert not margin_holds(float("-inf"), 1.0, 1e-7)
 
 
 class TestLoewnerHeinzLaw:

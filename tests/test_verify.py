@@ -7,6 +7,7 @@ import pytest
 from oporder import chains
 from oporder.chains import Family
 from oporder.spectral import (
+    TOL_REL,
     HermitianMatrix,
     NearSingularError,
     Relation,
@@ -15,6 +16,8 @@ from oporder.spectral import (
     operator_norm,
 )
 from oporder.verify import (
+    CampaignReport,
+    CampaignRow,
     OperatorTuple,
     ParamTemplate,
     PGrid,
@@ -148,6 +151,25 @@ class TestPGrid:
         assert vectors == again
 
 
+class TestParamTemplate:
+    def test_valid(self):
+        template = ParamTemplate(t=(0.5, 1), r=1.5)
+        assert template.t == (0.5, 1.0) and template.n == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(t=(), r=1.0),
+        dict(t=(-0.1,), r=1.0),
+        dict(t=(1.5,), r=2.0),
+        dict(t=(0.5, 1.5), r=2.0),
+        dict(t=(0.5, 0.5), r=0.5),
+        dict(t=(0.5, 0.8), r=0.6),
+        dict(t=(0.5,), r=float("nan")),
+    ])
+    def test_invalid(self, kwargs):
+        with pytest.raises(ValueError):
+            ParamTemplate(**kwargs)
+
+
 class TestWeightPolicy:
     def test_parse_round_trip(self):
         fixed = WeightPolicy.parse("fixed:0.5,0.25")
@@ -195,7 +217,7 @@ class TestCheckHypotheses:
         )
         asc = next(r for r in rep.rows if r.family == "ascending")
         assert asc.margin == pytest.approx(3 ** 0.5 - 6 ** 0.5, abs=1e-12)
-        assert not asc.satisfied
+        assert not asc.holds(TOL_REL)
         report_viols = rep.violations()
         assert len(report_viols) == 1
 
@@ -236,10 +258,9 @@ class TestCheckHypotheses:
         template = ParamTemplate(t=(0.6,), r=1.1)
         grid = PGrid(values=(1.0, 2.0))
         rep = check_hypotheses(tup, template, grid, WeightPolicy.necessity())
-        params0 = chains.placeholder_params(3, t=template.t, r=template.r)
         for row in rep.rows:
             family = Family(row.family)
-            chain = chains.build_chain(family, row.member, params0)
+            chain = chains.build_chain(family, row.member, 3)
             scalars = {
                 "t1": 0.6, "r": 1.1,
                 "p1": row.p_vector[0], "p2": row.p_vector[1],
@@ -259,12 +280,10 @@ class TestPrintParseEvaluateRoundTrip:
         from oporder import dsl
 
         tup = gen_suite_tuple(3, 3, seed=31)
-        template = ParamTemplate(t=(0.6,), r=1.3)
-        params0 = chains.placeholder_params(3, t=template.t, r=template.r)
         matrices = {i + 1: m for i, m in enumerate(tup.matrices)}
         scalars = {"t1": 0.6, "r": 1.3, "p1": 2.0, "p2": 1.5, "w1": 0.4, "w2": 0.4}
         env = dsl.Environment(scalars=scalars, matrices=matrices)
-        for chain in chains.hypothesis_set(params0):
+        for chain in chains.hypothesis_set(3):
             reparsed = dsl.parse(dsl.pretty_print(chain))
             direct = dsl.evaluate(chain.rhs, env).entries
             via_text = dsl.evaluate(reparsed.rhs, env).entries
@@ -277,7 +296,7 @@ class TestPrintParseEvaluateRoundTrip:
             WeightPolicy.necessity(),
         )
         assert all(r.error is None for r in rep.rows)
-        assert all(r.holds_within() for r in rep.rows)
+        assert all(r.holds() for r in rep.rows)
 
 
 class TestCheckConclusion:
@@ -525,6 +544,21 @@ class TestCampaignReport:
             ",".join(line.split(",")[:-1]) for line in text.splitlines()
         ]
         assert strip(a.csv_text()) == strip(b.csv_text())
+
+    def test_summary_uses_suite_slack(self):
+        # -1e-8 * scale is INCOMPARABLE at the 1e-9 verdict tolerance but
+        # within the 1e-7 suite slack that decides the CLI exit code
+        row = CampaignRow(
+            instance_id="0", k=3, dim=2, family="ascending", member=1,
+            p_vector=(1.0, 1.0), w=0.5, relation=">=", margin=-2e-8,
+            verdict="INCOMPARABLE", seconds=0.0, scale=2.0,
+        )
+        rep = CampaignReport([row], {}, 0)
+        assert rep.violations() == []
+        assert rep.summary()["pass"] == 1 and rep.summary()["fail"] == 0
+        strict = CampaignReport([row], {}, 0, tol_rel=1e-9)
+        assert strict.violations() == [row]
+        assert strict.summary()["fail"] == 1
 
     def test_summary_counts(self):
         rep = self.make_report()
