@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 
@@ -70,10 +71,15 @@ class ScalarExpr:
     def free_names(self) -> frozenset[str]:
         return frozenset(n for n, _ in self.terms)
 
-    def evaluate(self, bindings) -> float:
+    def evaluate(self, bindings):
+        """Value under ``bindings``.  A bound value may also be a numpy
+        array, which evaluates elementwise with the same arithmetic."""
         total = float(self.const)
         for name, coeff in self.terms:
-            total += float(coeff) * float(bindings[name])
+            value = bindings[name]
+            if not hasattr(value, "shape"):
+                value = float(value)
+            total = total + float(coeff) * value
         return total
 
     def render(self) -> str:
@@ -258,14 +264,16 @@ def build_chain(family: Family, member: int, k: int) -> ChainInequality:
     return ChainInequality(family, member, lhs, rhs, direction)
 
 
-def hypothesis_set(k: int) -> list[ChainInequality]:
+@lru_cache(maxsize=None)
+def hypothesis_set(k: int) -> tuple[ChainInequality, ...]:
     """All hypothesis inequalities for the size-k chain: n ascending members
-    plus n descending for odd k, n - 1 descending for even k."""
+    plus n descending for odd k, n - 1 descending for even k.  The words are
+    immutable, so each k is built once."""
     n = _levels(k)
     members = [build_chain(Family.ASCENDING, m, k) for m in range(1, n + 1)]
     q_max = n if k == 2 * n + 1 else n - 1
     members += [build_chain(Family.DESCENDING, q, k) for q in range(1, q_max + 1)]
-    return members
+    return tuple(members)
 
 
 def hypothesis_core(chain: ChainInequality) -> OperatorWord:

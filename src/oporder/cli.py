@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import chains, dsl, verify
 from .chains import Family
-from .spectral import TOL_REL
+from .spectral import TOL_REL, SpectralError
 from .verify import (
     SUITE_TOL_REL,
     CampaignReport,
@@ -229,6 +229,8 @@ def _cmd_check(args) -> int:
         raise UsageError(f"--k must be at least 2, got {cfg['k']}")
     if cfg["k"] == 2 and cfg["mode"] in ("necessity", "contrapositive", "proof-steps"):
         raise UsageError("chain campaigns need k >= 3")
+    if cfg["dim"] < 1:
+        raise UsageError(f"--dim must be at least 1, got {cfg['dim']}")
     mode = cfg["mode"]
     grid = _campaign_grid(cfg)
     policy = WeightPolicy.parse(cfg["weights"])
@@ -245,7 +247,12 @@ def _cmd_check(args) -> int:
 
         def run_instance(idx: int):
             if fixture is not None:
-                tup = scalar_tuple(_csv_floats(fixture))
+                try:
+                    tup = scalar_tuple(_csv_floats(fixture))
+                except SpectralError as exc:
+                    raise UsageError(
+                        f"--scalar-fixture values must be finite and positive: {exc}"
+                    ) from exc
                 if tup.k != cfg["k"]:
                     raise UsageError(
                         f"fixture has {tup.k} scalars but --k is {cfg['k']}"
@@ -380,11 +387,14 @@ def _cmd_search(args) -> int:
         raise UsageError(f"--budget must be nonnegative, got {cfg['budget']}")
     if cfg["k"] < 3:
         raise UsageError(f"--k must be at least 3, got {cfg['k']}")
+    dims = _csv_ints(cfg["dim"])
+    if min(dims) < 1:
+        raise UsageError(f"--dim values must be at least 1, got {cfg['dim']}")
     policy = WeightPolicy.parse(cfg["weights"]) if cfg["weights"] else None
     config = SearchConfig(
         budget=int(cfg["budget"]),
         k=int(cfg["k"]),
-        dims=_csv_ints(cfg["dim"]),
+        dims=dims,
         master_seed=int(cfg["seed"]),
         grid=PGrid(values=_csv_floats(cfg["p_grid"])),
         policy=policy,

@@ -17,9 +17,9 @@ A3^{r/2})^{w1}``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import ChainMap
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -35,7 +35,18 @@ from .chains import (
     ScalarExpr,
     Symbol,
 )
-from .spectral import HermitianMatrix, matrix_power
+from .spectral import (
+    HermitianMatrix,
+    NonFiniteError,
+    SpectralError,
+    decompose_stack,
+    first_errors,
+    flag_errors,
+    healthy,
+    hermitian_part,
+    no_errors,
+    power_stack,
+)
 
 # A product of symbol powers is generally not Hermitian; intermediate
 # results are plain arrays and only coerced back at power nodes and at the
@@ -310,11 +321,14 @@ class Environment:
     """Immutable binding of scalar names and matrix symbols.
 
     All bound matrices must share one dimension; any name or index a word
-    mentions must be bound before evaluation.
+    mentions must be bound before evaluation.  Powers of bound matrices at
+    constant exponents are cached here, so an environment built once per
+    instance computes each of them once.
     """
 
     scalars: Mapping[str, float]
     matrices: Mapping[int, HermitianMatrix]
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scalars", MappingProxyType(dict(self.scalars)))
@@ -335,41 +349,274 @@ class Environment:
         except KeyError:
             raise UnboundNameError(f"matrix symbol A{index} is not bound") from None
 
-    def scalar_value(self, expr: ScalarExpr) -> float:
+
+def _scalar(expr: ScalarExpr, bindings):
+    try:
+        return expr.evaluate(bindings)
+    except KeyError as exc:
+        raise UnboundNameError(f"scalar name {exc.args[0]!r} is not bound") from None
+
+
+def _not_hermitian(what: str, resid: float, scale: float) -> NonHermitianResultError:
+    return NonHermitianResultError(
+        f"{what} is not Hermitian (residual {resid:.3e} at scale {scale:.3e}); "
+        f"only palindromic sandwich words evaluate to Hermitian matrices"
+    )
+
+
+def _hermitize(values, errors, what: str):
+    """Symmetrize a stack, failing the rows whose Hermiticity residual
+    exceeds HERMITIZE_RTOL * max(1, ||X||_F)."""
+    sym, too_far, resid, scale = hermitian_part(values, HERMITIZE_RTOL)
+    return sym, flag_errors(errors, too_far,
+                            lambda i: _not_hermitian(what, resid[i], scale[i]))
+
+
+@dataclass(frozen=True, eq=False)
+class WordBatch:
+    """A word's value under N scalar bindings.
+
+    ``values[i]`` is the Hermitian value under binding i, or the identity
+    where that binding failed; ``errors[i]`` is None or the exception of the
+    first node that failed for it in depth-first, left-to-right order, the
+    one ``evaluate`` raises for the same binding.
+    """
+
+    values: np.ndarray
+    errors: np.ndarray
+
+    @property
+    def error_mask(self) -> np.ndarray:
+        return ~healthy(self.errors)
+
+    def error_text(self, i: int) -> str | None:
+        err = self.errors[i]
+        return None if err is None else str(err)
+
+
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """The distinct bindings of some per-row names: rows that agree on them
+    share one evaluation.  ``first[m]`` is a row carrying binding m,
+    ``inverse[i]`` the binding of row i, ``columns`` the names' values per
+    binding."""
+
+    first: np.ndarray
+    inverse: np.ndarray
+    columns: dict
+
+
+def _fit(errors, m: int):
+    """Row errors stretched to m rows (a single row is shared by all)."""
+    if errors is None or len(errors) == m:
+        return errors
+    return np.broadcast_to(errors, (m,)).copy()
+
+
+@dataclass(frozen=True, eq=False)
+class _Part:
+    """A node's values and errors, one per binding of ``group`` (one shared
+    by every row when ``group`` is None); errors is None while no binding
+    has failed."""
+
+    values: np.ndarray
+    errors: np.ndarray
+    group: _Group | None
+
+
+class _BatchRun:
+    """One evaluation of a word under a batch of bindings.
+
+    Each node is evaluated once per distinct binding of the per-row names
+    its subtree mentions: a node without any is evaluated once, and a layer
+    of a nested sandwich on the distinct prefixes of the exponents it
+    depends on.  A power decomposes its base once per binding of the base
+    and raises it to each of its own exponents.
+    """
+
+    def __init__(self, env: Environment, rows: Mapping[str, np.ndarray]):
+        self.env = env
+        self.scalars = env.scalars
+        columns = {name: np.asarray(col, dtype=np.float64).reshape(-1)
+                   for name, col in rows.items()}
+        sizes = {len(col) for col in columns.values()}
+        if len(sizes) > 1:
+            raise ValueError(f"binding columns differ in length: {sorted(sizes)}")
+        self.size = sizes.pop() if sizes else 1
+        if self.size == 1:
+            # a single binding: every node is evaluated once, no grouping
+            self.scalars = {**env.scalars,
+                            **{name: float(col[0]) for name, col in columns.items()}}
+            columns = {}
+        self.columns = columns
+        self._names: dict[int, frozenset] = {}
+        self._groups: dict[frozenset, _Group] = {}
+        self._parts: dict[int, _Part] = {}
+
+    @property
+    def dim(self) -> int:
+        return self.env.dim if self.env.matrices else 1
+
+    def names(self, word: OperatorWord) -> frozenset:
+        """The per-row names the subtree of ``word`` depends on."""
+        got = self._names.get(id(word))
+        if got is None:
+            if isinstance(word, Symbol):
+                got = self._row_names(word.exponent)
+            elif isinstance(word, Product):
+                got = frozenset().union(*(self.names(f) for f in word.factors))
+            elif isinstance(word, Power):
+                got = self.names(word.base) | self._row_names(word.exponent)
+            else:
+                raise TypeError(f"not an evaluable node: {word!r}")
+            self._names[id(word)] = got
+        return got
+
+    def _row_names(self, expr: ScalarExpr) -> frozenset:
+        return frozenset(n for n in expr.free_names() if n in self.columns)
+
+    def group_of(self, word: OperatorWord) -> _Group | None:
+        """The group a node is evaluated on (None: once for every row)."""
+        return self.group(self.names(word)) if self.columns else None
+
+    def group(self, names: frozenset) -> _Group | None:
+        if not names:
+            return None
+        got = self._groups.get(names)
+        if got is None:
+            last = max(names)
+            rest = self.group(names - {last})
+            values, codes = np.unique(self.columns[last], return_inverse=True)
+            key = codes if rest is None else rest.inverse * len(values) + codes
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            got = _Group(first, inverse,
+                         {name: self.columns[name][first] for name in names})
+            self._groups[names] = got
+        return got
+
+    def exponent(self, expr: ScalarExpr, group: _Group | None):
+        if group is None:
+            return _scalar(expr, self.scalars)
+        return _scalar(expr, ChainMap(group.columns, self.scalars))
+
+    def failed(self, group: _Group | None, exc: Exception) -> _Part:
+        m = 1 if group is None else len(group.first)
+        errors = no_errors(m)
+        errors[:] = [exc] * m
+        return _Part(np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)),
+                     errors, group)
+
+    def part(self, word: OperatorWord) -> _Part:
+        got = self._parts.get(id(word))
+        if got is None:
+            if isinstance(word, Symbol):
+                got = self._symbol(word)
+            elif isinstance(word, Product):
+                got = self._product(word)
+            elif isinstance(word, Power):
+                got = self._power(word)
+            else:
+                raise TypeError(f"not an evaluable node: {word!r}")
+            self._parts[id(word)] = got
+        return got
+
+    def aligned(self, part: _Part, group: _Group | None):
+        """A part's values and errors per binding of ``group`` (a superset
+        of the part's names)."""
+        if part.group is None or part.group is group:
+            return part.values, part.errors
+        idx = part.group.inverse[group.first]
+        return part.values[idx], None if part.errors is None else part.errors[idx]
+
+    def _symbol(self, word: Symbol) -> _Part:
+        group = self.group_of(word)
         try:
-            return expr.evaluate(self.scalars)
-        except KeyError as exc:
-            raise UnboundNameError(f"scalar name {exc.args[0]!r} is not bound") from None
+            base = self.env.matrix(word.index)
+            alpha = self.exponent(word.exponent, group)
+        except UnboundNameError as exc:
+            return self.failed(group, exc)
+        if group is None:
+            cached = self.env._powers.get((word.index, alpha))
+            if cached is not None:
+                return _Part(cached, None, None)
+        try:
+            dec = base.decomposition()
+        except SpectralError as exc:
+            return self.failed(group, exc)
+        values, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
+                                     alpha, None)
+        if group is None and errors is None:
+            values.setflags(write=False)
+            self.env._powers[(word.index, alpha)] = values
+        return _Part(values, errors, group)
+
+    def _product(self, word: Product) -> _Part:
+        group = self.group_of(word)
+        values, errors = self.aligned(self.part(word.factors[0]), group)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for factor in word.factors[1:]:
+                factor_values, factor_errors = self.aligned(self.part(factor), group)
+                values = values @ factor_values
+                errors = first_errors(errors, factor_errors)
+        if not np.isfinite(values).all():
+            errors = flag_errors(errors, ~np.isfinite(values).all(axis=(-2, -1)),
+                                 lambda i: NonFiniteError("product"))
+        return _Part(values, _fit(errors, len(values)), group)
+
+    def _power(self, word: Power) -> _Part:
+        base = self.part(word.base)
+        group = self.group_of(word)
+        sym, errors = _hermitize(base.values, base.errors, "power base")
+        try:
+            alpha = self.exponent(word.exponent, group)
+        except UnboundNameError as exc:
+            return _Part(sym, flag_errors(errors, np.ones(len(sym), dtype=bool),
+                                          lambda i: exc), base.group)
+        lam, u, errors = decompose_stack(sym, errors)
+        if base.group is not None and base.group is not group:
+            idx = base.group.inverse[group.first]
+            lam, u = lam[idx], u[idx]
+            errors = None if errors is None else errors[idx]
+        values, errors = power_stack(lam, u, alpha, errors)
+        return _Part(values, _fit(errors, len(values)), group)
 
 
-def _coerce_hermitian(arr: np.ndarray, what: str) -> HermitianMatrix:
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    resid = float(np.linalg.norm(arr - arr.conj().T))
-    if resid > HERMITIZE_RTOL * scale:
-        raise NonHermitianResultError(
-            f"{what} is not Hermitian (residual {resid:.3e} at scale {scale:.3e}); "
-            f"only palindromic sandwich words evaluate to Hermitian matrices"
-        )
-    return HermitianMatrix(0.5 * (arr + arr.conj().T))
+def evaluate_batch(word: OperatorWord, env: Environment,
+                   rows: Mapping[str, np.ndarray] | None = None) -> WordBatch:
+    """Evaluate a word under N bindings at once.
 
-
-def _eval_raw(word: OperatorWord, env: Environment) -> np.ndarray:
-    if isinstance(word, Symbol):
-        base = env.matrix(word.index)
-        return matrix_power(base, env.scalar_value(word.exponent)).entries
-    if isinstance(word, Product):
-        return reduce(np.matmul, (_eval_raw(f, env) for f in word.factors))
-    if isinstance(word, Power):
-        inner = _coerce_hermitian(_eval_raw(word.base, env), "power base")
-        return matrix_power(inner, env.scalar_value(word.exponent)).entries
-    raise TypeError(f"not an evaluable node: {word!r}")
+    ``env`` binds the matrices and the scalars shared by every row;
+    ``rows`` maps further scalar names to (N,) columns, one entry per
+    binding (N = 1 without it).  Products multiply left to right; powers go
+    through the spectral calculus of the coerced Hermitian base, stacked
+    over the distinct bindings of each node.  A binding that fails a guard
+    (pd gate, eigensolver residuals, Hermiticity, a non-finite value)
+    becomes an error row without affecting the others.
+    """
+    run = _BatchRun(env, rows or {})
+    part = run.part(word)
+    values, errors = _hermitize(part.values, part.errors, "word value")
+    n, dim = run.size, values.shape[-1]
+    if part.group is not None:
+        values = values[part.group.inverse]
+        errors = None if errors is None else errors[part.group.inverse]
+    elif n > 1:
+        values = np.broadcast_to(values, (n, dim, dim)).copy()
+    if errors is None:
+        return WordBatch(values, no_errors(n))
+    errors = np.broadcast_to(errors, (n,)).copy()
+    values[~healthy(errors)] = np.eye(dim)
+    return WordBatch(values, errors)
 
 
 def evaluate(word: OperatorWord, env: Environment) -> HermitianMatrix:
-    """Evaluate a word against an environment.
+    """Evaluate a word against an environment: the single-binding case of
+    ``evaluate_batch``, raising the error of the first failing node.
 
-    Products multiply left to right; powers go through the spectral
-    calculus of the coerced Hermitian base and so require strictly positive
-    intermediates for fractional or negative exponents.
+    Powers require strictly positive intermediates for fractional or
+    negative exponents.
     """
-    return _coerce_hermitian(_eval_raw(word, env), "word value")
+    batch = evaluate_batch(word, env)
+    if batch.errors[0] is not None:
+        raise batch.errors[0]
+    return HermitianMatrix.trusted(batch.values[0])

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +64,16 @@ class EigenSolverError(SpectralError):
         self.cond_estimate = cond_estimate
 
 
+class NonFiniteError(SpectralError):
+    """A matrix or margin that must be finite is not (an overflowed power or
+    product, say).  Raised instead of handing inf or NaN entries to LAPACK,
+    whose eigensolvers can return finite garbage for them."""
+
+    def __init__(self, what: str):
+        super().__init__(f"{what} is not finite")
+        self.what = what
+
+
 class Relation(Enum):
     GE = "GE"
     LE = "LE"
@@ -98,6 +108,16 @@ class HermitianMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
+    @classmethod
+    def trusted(cls, arr: np.ndarray) -> "HermitianMatrix":
+        """Wrap an array that is Hermitian by construction (symmetrized by
+        the caller) without recomputing its residual."""
+        obj = cls.__new__(cls)
+        arr = np.array(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
+        arr.setflags(write=False)
+        object.__setattr__(obj, "entries", arr)
+        return obj
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -121,17 +141,11 @@ class HermitianMatrix:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues in ascending order plus orthonormal eigenvector columns."""
+    """Eigenvalues in ascending order plus orthonormal eigenvector columns,
+    as checked by ``decompose_stack``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        u = self.eigenvectors
-        gram = u.conj().T @ u
-        ortho_resid = float(np.abs(gram - np.eye(u.shape[1])).max())
-        if ortho_resid > ORTHO_TOL:
-            raise EigenSolverError(u.shape[0], ortho_resid / max(ORTHO_TOL, 1e-300))
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
@@ -175,23 +189,243 @@ def _cond_estimate(arr: np.ndarray) -> float:
         return float("inf")
 
 
+# Stacked primitives.  Each takes (M, d, d) arrays plus the row errors so
+# far: None when every row is healthy, else an (M,) object array holding
+# None or the exception of each row.  It returns the errors with those of its
+# own guards merged in: a row keeps the first error it met, and a row that
+# entered in error is skipped (its entries are replaced by the identity
+# before any solve).  The scalar functions below are their M = 1 case, so
+# every guard is written once, here.
+
+def no_errors(m: int) -> np.ndarray:
+    return np.full(m, None, dtype=object)
+
+
+def healthy(errors: np.ndarray) -> np.ndarray:
+    """Mask of the rows without an error."""
+    return np.equal(errors, None)
+
+
+def first_errors(errors, later):
+    """Row-wise first error of two row-error arrays (``errors`` wins);
+    either may be None or a single row broadcast against the other."""
+    if later is None:
+        return errors
+    if errors is None:
+        return later
+    return np.where(healthy(errors), later, errors)
+
+
+def flag_errors(errors, fails: np.ndarray, make):
+    """Give each healthy row where ``fails`` holds the error ``make(row)``;
+    ``fails`` has one entry per row."""
+    if not fails.any():
+        return errors
+    if errors is None:
+        errors = no_errors(len(fails))
+    else:
+        rows = max(len(errors), len(fails))
+        errors = np.broadcast_to(errors, (rows,)).copy()
+        fails = np.broadcast_to(fails, (rows,))
+    for i in np.flatnonzero(fails & healthy(errors)):
+        errors[i] = make(int(i))
+    return errors
+
+
+def _raise_first(errors) -> None:
+    if errors is not None and errors[0] is not None:
+        raise errors[0]
+
+
+def _adjoint(arrs: np.ndarray) -> np.ndarray:
+    if np.iscomplexobj(arrs):
+        return arrs.conj().swapaxes(-1, -2)
+    return arrs.swapaxes(-1, -2)
+
+
+@lru_cache(maxsize=None)
+def _eye(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
+def _solve_stack(solver, arrs: np.ndarray, errors):
+    """Run a stacked LAPACK solver on the healthy rows; returns (result,
+    errors, the stack that was solved).
+
+    Rows with non-finite entries become NonFiniteError rows, and every
+    unhealthy row is solved as the identity.  If LAPACK still fails on the
+    stack, the rows are solved one by one and each failing one becomes an
+    EigenSolverError row."""
+    dim = arrs.shape[-1]
+    if not np.isfinite(arrs).all():
+        errors = flag_errors(errors, ~np.isfinite(arrs).all(axis=(-2, -1)),
+                             lambda i: NonFiniteError("eigensolver input"))
+    work = arrs
+    if errors is not None:
+        ok = healthy(errors)
+        if not ok.all():
+            work = np.where(ok[:, None, None], arrs, _eye(dim))
+    try:
+        return solver(work), errors, work
+    except np.linalg.LinAlgError:
+        pass
+    ident = solver(_eye(dim))
+    parts = []
+    for i, arr in enumerate(work):
+        try:
+            parts.append(solver(arr))
+        except np.linalg.LinAlgError:
+            errors = flag_errors(errors, np.arange(len(work)) == i,
+                                 lambda j: EigenSolverError(dim, _cond_estimate(arrs[j])))
+            parts.append(ident)
+    if isinstance(ident, np.ndarray):
+        return np.stack(parts), errors, work
+    return tuple(np.stack(p) for p in zip(*parts)), errors, work
+
+
+def decompose_stack(arrs: np.ndarray, errors=None):
+    """Guarded eigendecomposition of a stack of Hermitian matrices.
+
+    Returns (eigenvalues (M, d) ascending, eigenvectors (M, d, d), errors).
+    A row fails with NonFiniteError when an entry is inf or NaN, and with
+    EigenSolverError when LAPACK does not converge, when its eigenvectors
+    are not orthonormal within ORTHO_TOL, or when they do not reconstruct
+    the input within RECON_RTOL * max(1, |lambda|max)."""
+    dim = arrs.shape[-1]
+    (lam, u), errors, work = _solve_stack(np.linalg.eigh, arrs, errors)
+    uh = _adjoint(u)
+    ortho = np.abs(uh @ u - _eye(dim)).max(axis=(-2, -1))
+    recon = np.abs((u * lam[:, None, :]) @ uh - work).max(axis=(-2, -1))
+    bad_ortho = ortho > ORTHO_TOL
+    bad_recon = recon > RECON_RTOL * np.maximum(1.0, np.abs(lam).max(axis=-1))
+    if bad_ortho.any() or bad_recon.any():
+        errors = flag_errors(errors, bad_ortho, lambda i: EigenSolverError(
+            dim, ortho[i] / max(ORTHO_TOL, 1e-300)))
+        errors = flag_errors(errors, bad_recon, lambda i: EigenSolverError(
+            dim, _cond_estimate(arrs[i])))
+    return lam, u, errors
+
+
+def _norms(lam: np.ndarray):
+    """Spectral norms from ascending eigenvalues (the last axis)."""
+    return np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
+
+
+def _gate(lam: np.ndarray):
+    """(fails, gate) per row of ascending eigenvalues: the strict-positivity
+    gate EPS_PD_REL * max(1, |H|) and whether lambda_min sits at or below it."""
+    gate = EPS_PD_REL * np.maximum(1.0, _norms(lam))
+    return lam[..., 0] <= gate, gate
+
+
+# numpy raises an array to a scalar 2, 0.5 or -1 through square, sqrt and
+# reciprocal, which can differ from pow() in the last bit; per-row exponents
+# take the same paths, so a stacked power equals the scalar one bit for bit
+_SCALAR_POWER_PATHS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
+
+
+def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
+    """Real powers rebuilt on the eigenvectors: row m is U diag(lam^alpha)
+    U*, symmetrized.  ``alpha`` is one exponent for every row or an (M,)
+    array; lam, u and errors broadcast against it.
+
+    A fractional or negative exponent fails with NearSingularError where
+    lambda_min is at or below the pd gate; a power that overflows fails
+    with NonFiniteError."""
+    per_row = isinstance(alpha, np.ndarray) and alpha.ndim > 0
+    if per_row:
+        alpha = np.asarray(alpha, dtype=np.float64)
+        fractional = (alpha < 0) | ~np.isfinite(alpha) | (alpha != np.floor(alpha))
+        if len(lam) != len(alpha):
+            lam = np.broadcast_to(lam, (len(alpha),) + lam.shape[1:])
+        gated = fractional.any()
+    else:
+        alpha = float(alpha)
+        gated = alpha < 0 or not alpha.is_integer()
+    if gated:
+        low, gate = _gate(lam)
+        errors = flag_errors(errors, low & fractional if per_row else low,
+                             lambda i: NearSingularError(float(lam[i, 0]), float(gate[i])))
+    with np.errstate(all="ignore"):
+        if per_row:
+            powered = lam ** alpha[:, None]
+            for value, fast_path in _SCALAR_POWER_PATHS:
+                rows = alpha == value
+                if rows.any():
+                    powered[rows] = fast_path(lam[rows])
+        else:
+            powered = lam ** alpha
+        out = (u * powered[:, None, :]) @ _adjoint(u)
+        out = 0.5 * (out + _adjoint(out))
+    if not np.isfinite(out).all():
+        errors = flag_errors(errors, ~np.isfinite(out).all(axis=(-2, -1)),
+                             lambda i: NonFiniteError("matrix power"))
+    return out, errors
+
+
+def hermitian_part(arrs: np.ndarray, rtol: float):
+    """(0.5 (X + X*), too_far, residual, scale) for a stack: the residual is
+    ||X - X*||_F, the scale max(1, ||X||_F), and too_far marks the rows whose
+    residual exceeds rtol * scale."""
+    adj = _adjoint(arrs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.maximum(1.0, np.linalg.norm(arrs, axis=(-2, -1)))
+        resid = np.linalg.norm(arrs - adj, axis=(-2, -1))
+        return 0.5 * (arrs + adj), resid > rtol * scale, resid, scale
+
+
+def margins_stack(p: np.ndarray, q: np.ndarray, errors):
+    """(lambda_min(P - Q), lambda_min(Q - P), errors) per row from one
+    eigvalsh solve of the (broadcast) difference."""
+    if p.shape[-1] != q.shape[-1]:
+        raise DimensionMismatchError(f"cannot compare dims {p.shape[-1]} and {q.shape[-1]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = p - q
+    evs, errors, _ = _solve_stack(np.linalg.eigvalsh, diff, errors)
+    return evs[:, 0], -evs[:, -1], errors
+
+
+def _as_stack(side) -> np.ndarray:
+    return side.entries[None] if isinstance(side, HermitianMatrix) else side
+
+
+def _side_norms(side, errors, rows: int):
+    if isinstance(side, HermitianMatrix):
+        try:
+            return operator_norm(side), errors
+        except SpectralError as exc:
+            return 1.0, flag_errors(errors, np.ones(rows, dtype=bool), lambda i: exc)
+    lam, _, errors = decompose_stack(side, errors)
+    return _norms(lam), errors
+
+
+def scaled_margins_stack(p, q, errors=None):
+    """Stacked ``scaled_margins``: (ge, le, scale, errors) per row.  Each of
+    p and q is an (M, d, d) stack or one HermitianMatrix compared with every
+    row (whose cached decomposition gives its norm).  A margin that comes
+    out non-finite fails with NonFiniteError."""
+    ge, le, errors = margins_stack(_as_stack(p), _as_stack(q), errors)
+    scale = np.ones(len(ge))
+    for side in (p, q):
+        norm, errors = _side_norms(side, errors, len(ge))
+        scale = np.maximum(scale, norm)
+    finite = np.isfinite(ge) & np.isfinite(le)
+    if not finite.all():
+        errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("comparison margin"))
+    return ge, le, scale, errors
+
+
 def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
     """Full symmetric/Hermitian eigendecomposition of ``h``.
 
-    Raises EigenSolverError (with dimension and a condition estimate) if
-    LAPACK fails to converge, and verifies the reconstruction residual
-    against RECON_RTOL before returning.
-    """
-    try:
-        lam, u = np.linalg.eigh(h.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(h.dim, _cond_estimate(h.entries)) from exc
-    dec = SpectralDecomposition(eigenvalues=lam, eigenvectors=u)
-    scale = max(1.0, float(np.abs(lam).max()))
-    resid = float(np.abs(dec.reconstruct() - h.entries).max())
-    if resid > RECON_RTOL * scale:
-        raise EigenSolverError(h.dim, _cond_estimate(h.entries))
-    return dec
+    Raises NonFiniteError for non-finite entries and EigenSolverError (with
+    dimension and a condition estimate) if LAPACK fails to converge or the
+    orthogonality or reconstruction residual is out of tolerance."""
+    lam, u, errors = decompose_stack(h.entries[None])
+    _raise_first(errors)
+    return SpectralDecomposition(eigenvalues=lam[0], eigenvectors=u[0])
 
 
 def operator_norm(h: HermitianMatrix) -> float:
@@ -207,7 +441,15 @@ def positivity_margin(h: HermitianMatrix) -> float:
 
 def pd_gate(h: HermitianMatrix) -> float:
     """Strict-positivity threshold below which fractional powers error out."""
-    return EPS_PD_REL * max(1.0, operator_norm(h))
+    return float(_gate(h.decomposition().eigenvalues)[1])
+
+
+def require_strictly_positive(h: HermitianMatrix) -> None:
+    """Raise NearSingularError unless lambda_min(h) clears the pd gate."""
+    lam = h.decomposition().eigenvalues
+    low, gate = _gate(lam)
+    if low:
+        raise NearSingularError(float(lam[0]), float(gate))
 
 
 def matrix_power(h: HermitianMatrix, alpha: float) -> HermitianMatrix:
@@ -215,20 +457,14 @@ def matrix_power(h: HermitianMatrix, alpha: float) -> HermitianMatrix:
 
     Non-negative integer powers are defined for any Hermitian input; every
     other exponent requires lambda_min above the pd gate and raises
-    NearSingularError otherwise.
+    NearSingularError otherwise.  An overflowing power raises
+    NonFiniteError.
     """
-    alpha = float(alpha)
     dec = h.decomposition()
-    lam = dec.eigenvalues
-    if alpha < 0 or not alpha.is_integer():
-        gate = pd_gate(h)
-        if lam[0] <= gate:
-            raise NearSingularError(float(lam[0]), gate)
-    powered = lam ** alpha
-    u = dec.eigenvectors
-    out = (u * powered) @ u.conj().T
-    out = 0.5 * (out + out.conj().T)
-    return HermitianMatrix(out)
+    out, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
+                              float(alpha), None)
+    _raise_first(errors)
+    return HermitianMatrix.trusted(out[0])
 
 
 def congruence(x, h: HermitianMatrix) -> HermitianMatrix:
@@ -266,17 +502,17 @@ def classify_margins(ge_margin: float, le_margin: float, scale: float,
 
 def directional_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float]:
     """(lambda_min(P - Q), lambda_min(Q - P)) from a single solve."""
-    if p.dim != q.dim:
-        raise DimensionMismatchError(f"cannot compare dims {p.dim} and {q.dim}")
-    evs = np.linalg.eigvalsh(p.entries - q.entries)
-    return float(evs[0]), float(-evs[-1])
+    ge, le, errors = margins_stack(p.entries[None], q.entries[None], None)
+    _raise_first(errors)
+    return float(ge[0]), float(le[0])
 
 
 def scaled_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float, float]:
     """Both directional margins plus the comparison scale max(1, |P|, |Q|)
     (spectral norms) that every tolerance is relative to."""
-    ge_margin, le_margin = directional_margins(p, q)
-    return ge_margin, le_margin, max(1.0, operator_norm(p), operator_norm(q))
+    ge, le, scale, errors = scaled_margins_stack(p, q)
+    _raise_first(errors)
+    return float(ge[0]), float(le[0]), float(scale[0])
 
 
 def loewner_compare(

@@ -23,7 +23,7 @@ from .chains import Direction, Family
 from .spectral import (
     TOL_REL,
     HermitianMatrix,
-    NearSingularError,
+    NonFiniteError,
     Relation,
     SpectralError,
     Verdict,
@@ -35,9 +35,10 @@ from .spectral import (
     matrix_power,
     matrix_to_json,
     operator_norm,
-    pd_gate,
     positivity_margin,
+    require_strictly_positive,
     scaled_margins,
+    scaled_margins_stack,
 )
 
 # Slack used by suite-level expectations (necessity, reduction chain);
@@ -45,6 +46,14 @@ from .spectral import (
 SUITE_TOL_REL = 1e-7
 
 GRID_POINT_CAP = 10_000
+
+# Rows evaluated together are capped so that one batch holds at most about
+# this many bytes of stacked (d, d) intermediates, whatever the grid size.
+BATCH_BYTES = 2 << 20
+# peak bytes per row and matrix entry while a k=5 member word is evaluated
+# and compared: 75-125 for real matrices under tracemalloc, twice that for
+# complex ones
+_ROW_BYTES_PER_ENTRY = 256
 
 
 def _rng(*seed_parts) -> np.random.Generator:
@@ -66,10 +75,8 @@ class OperatorTuple:
         dims = {m.dim for m in mats}
         if len(dims) != 1:
             raise ValueError(f"matrices disagree on dimension: {sorted(dims)}")
-        for i, m in enumerate(mats):
-            margin = positivity_margin(m)
-            if margin <= pd_gate(m):
-                raise NearSingularError(margin, pd_gate(m))
+        for m in mats:
+            require_strictly_positive(m)
 
     @property
     def k(self) -> int:
@@ -224,8 +231,8 @@ class PGrid:
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", vals)
-        if not vals or any(v < 1.0 for v in vals):
-            raise ValueError(f"grid values must be >= 1, got {vals}")
+        if not vals or any(not (1.0 <= v < math.inf) for v in vals):
+            raise ValueError(f"grid values must be finite and >= 1, got {vals}")
         if list(vals) != sorted(vals):
             raise ValueError(f"grid values must ascend, got {vals}")
         if self.growth <= 1.0:
@@ -405,19 +412,31 @@ def merge_reports(reports, config: dict, master_seed: int,
     return CampaignReport(rows, config, master_seed, tol_rel)
 
 
-def _tuple_environment(tup: OperatorTuple) -> dict[int, HermitianMatrix]:
-    return {i + 1: m for i, m in enumerate(tup.matrices)}
+def _environment(tup: OperatorTuple, template: ParamTemplate,
+                 weights=()) -> dsl.Environment:
+    """The bindings shared by every row: the tuple's matrices, r, the t
+    values and any weights that do not vary with p."""
+    scalars = {"r": template.r}
+    scalars.update((f"t{i}", tv) for i, tv in enumerate(template.t, 1))
+    scalars.update((f"w{i}", float(wv)) for i, wv in enumerate(weights, 1))
+    matrices = {i + 1: m for i, m in enumerate(tup.matrices)}
+    return dsl.Environment(scalars=scalars, matrices=matrices)
 
 
-def _scalar_bindings(template: ParamTemplate, p_vec, w_vals) -> dict[str, float]:
-    bindings = {"r": template.r}
-    for i, tv in enumerate(template.t, 1):
-        bindings[f"t{i}"] = tv
-    for i, pv in enumerate(p_vec, 1):
-        bindings[f"p{i}"] = float(pv)
-    for i, wv in enumerate(w_vals, 1):
-        bindings[f"w{i}"] = float(wv)
-    return bindings
+def _p_columns(p_table: np.ndarray, lo: int, hi: int) -> dict[str, np.ndarray]:
+    return {f"p{j + 1}": p_table[lo:hi, j] for j in range(p_table.shape[1])}
+
+
+def _batches(total: int, dim: int, early_exit: bool):
+    """(lo, hi) row ranges to evaluate together: as many as BATCH_BYTES
+    allows, or, when the caller stops at its first failing row, doubling
+    ranges of 1, 1, 2, 4, ... rows under the same cap."""
+    cap = max(1, BATCH_BYTES // (_ROW_BYTES_PER_ENTRY * dim * dim))
+    lo = 0
+    while lo < total:
+        step = min(cap, max(1, lo)) if early_exit else cap
+        yield lo, min(total, lo + step)
+        lo += step
 
 
 def check_hypotheses(
@@ -438,7 +457,10 @@ def check_hypotheses(
 
     Rows record the verdict of the expected relation together with its
     directional margin; evaluation errors are recorded per row and never
-    abort the campaign.
+    abort the campaign.  Each member is evaluated over the p-vectors in
+    batches (``dsl.evaluate_batch``); with stop_on_violation the batches
+    grow from a single row, and the rows end at the first violating one, as
+    in a row-by-row scan.
     """
     k = tup.k
     n = k // 2
@@ -448,53 +470,56 @@ def check_hypotheses(
     if members is not None:
         wanted = set(members)
         chain_list = [c for c in chain_list if (c.family, c.member) in wanted]
-    matrices = _tuple_environment(tup)
+    env = _environment(tup, template)
     lhs_cache: dict[int, HermitianMatrix] = {}
     rexp = template.r - template.t[-1]
     sample_rng = _rng(master_seed, instance_index, 1)
     p_vectors = grid.vectors(2 * n, rng=sample_rng)
+    p_table = np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
+    # weights depend on the p-vector only: computed once per p-vector, on demand
+    weights: list[tuple[float, ...] | None] = [None] * len(p_vectors)
+
+    def weights_at(i: int) -> tuple[float, ...]:
+        if weights[i] is None:
+            weights[i] = policy.weights(template.t, p_vectors[i], template.r, count=k - 1)
+        return weights[i]
+
     rows: list[CampaignRow] = []
     for chain in chain_list:
         outer = chain.lhs.index
         if outer not in lhs_cache:
             lhs_cache[outer] = matrix_power(tup.matrices[outer - 1], rexp)
         lhs_val = lhs_cache[outer]
-        for p_vec in p_vectors:
+        w_index = chains.weight_index(chain.family, chain.member, n)
+        for lo, hi in _batches(len(p_vectors), tup.dim, stop_on_violation):
             start = time.perf_counter()
-            try:
-                w_vals = policy.weights(template.t, p_vec, template.r, count=k - 1)
-                env = dsl.Environment(
-                    scalars=_scalar_bindings(template, p_vec, w_vals),
-                    matrices=matrices,
-                )
-                rhs_val = dsl.evaluate(chain.rhs, env)
-                ge_m, le_m, scale = scaled_margins(lhs_val, rhs_val)
-                margin = ge_m if chain.direction is Direction.GE else le_m
-                verdict = classify_margins(ge_m, le_m, scale, tol_rel)
+            w_col = [weights_at(i)[w_index - 1] for i in range(lo, hi)]
+            columns = _p_columns(p_table, lo, hi)
+            columns[f"w{w_index}"] = np.asarray(w_col, dtype=np.float64)
+            batch = dsl.evaluate_batch(chain.rhs, env, columns)
+            ge, le, scale, errors = scaled_margins_stack(lhs_val, batch.values, batch.errors)
+            seconds = (time.perf_counter() - start) / (hi - lo)
+            for i, (g, l_, sc, err) in enumerate(zip(ge.tolist(), le.tolist(),
+                                                     scale.tolist(), errors)):
+                ok = err is None
                 row = CampaignRow(
                     instance_id=instance_id, k=k, dim=tup.dim,
                     family=chain.family.value, member=chain.member,
-                    p_vector=tuple(p_vec),
-                    w=w_vals[chains.weight_index(chain.family, chain.member, n) - 1],
-                    relation=chain.direction.value, margin=margin,
-                    verdict=verdict.value,
-                    seconds=time.perf_counter() - start, scale=scale,
+                    p_vector=tuple(p_vectors[lo + i]),
+                    w=w_col[i] if ok else float("nan"),
+                    relation=chain.direction.value,
+                    margin=(g if chain.direction is Direction.GE else l_)
+                    if ok else float("nan"),
+                    verdict=classify_margins(g, l_, sc, tol_rel).value if ok else "ERROR",
+                    seconds=seconds, scale=sc if ok else 1.0,
+                    error=None if ok else str(err),
                 )
-            except (SpectralError, dsl.EvaluationError) as exc:
-                row = CampaignRow(
-                    instance_id=instance_id, k=k, dim=tup.dim,
-                    family=chain.family.value, member=chain.member,
-                    p_vector=tuple(p_vec), w=float("nan"),
-                    relation=chain.direction.value, margin=float("nan"),
-                    verdict="ERROR", seconds=time.perf_counter() - start,
-                    scale=1.0, error=str(exc),
-                )
-            rows.append(row)
-            # error rows are indeterminate, not violations; keep scanning
-            if stop_on_violation and row.error is None \
-                    and not row.holds(suite_tol_rel):
-                return CampaignReport(rows, {"stopped_early": True}, master_seed,
-                                      suite_tol_rel)
+                rows.append(row)
+                # error rows are indeterminate, not violations; keep scanning
+                if stop_on_violation and row.error is None \
+                        and not row.holds(suite_tol_rel):
+                    return CampaignReport(rows, {"stopped_early": True}, master_seed,
+                                          suite_tol_rel)
     return CampaignReport(rows, {}, master_seed, suite_tol_rel)
 
 
@@ -603,8 +628,7 @@ def probe_contraction_criterion(
     if any(s <= 1.0 for s in s_values):
         raise ValueError(f"every s must exceed 1, got {tuple(s_values)}")
     for m in (p, q):
-        if positivity_margin(m) <= pd_gate(m):
-            raise NearSingularError(positivity_margin(m), pd_gate(m))
+        require_strictly_positive(m)
     lhs = matrix_power(p, r + delta)
     p_half = matrix_power(p, r / 2.0)
 
@@ -777,31 +801,45 @@ def check_reduction_chain(
     premise_pass = not premise.violations()
 
     w_word = chains.hypothesis_core(chains.build_chain(Family.ASCENDING, 1, k))
-    matrices = _tuple_environment(tup)
+    env = _environment(tup, template, (0.5,) * (k - 1))
     ident = identity(tup.dim)
     sample_rng = _rng(master_seed, instance_index, 2)
+    p_vectors = grid.vectors(2 * n, rng=sample_rng)
+    p_table = np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
+    cores = []  # (margin, scale, error) of the core W per p-vector
+    for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
+        batch = dsl.evaluate_batch(w_word, env, _p_columns(p_table, lo, hi))
+        ge, _, scale, errors = scaled_margins_stack(ident, batch.values, batch.errors)
+        cores.extend(zip(ge.tolist(), scale.tolist(), errors))
+    # the innermost sandwich depends on p1 only and the peeled bound on
+    # p2 .. p(2n-1), so both are shared between the rows that agree on those
+    bases: dict[float, HermitianMatrix] = {}
+    bounds: dict[tuple[float, ...], HermitianMatrix] = {}
     rows: list[ReductionRow] = []
     red_flags: list[str] = []
-    for p_vec in grid.vectors(2 * n, rng=sample_rng):
+    for p_vec, (margin_core, scale_core, core_error) in zip(p_vectors, cores):
+        p_vec = tuple(float(v) for v in p_vec)
         try:
-            env = dsl.Environment(
-                scalars=_scalar_bindings(template, p_vec, (0.5,) * (k - 1)),
-                matrices=matrices,
-            )
-            w_val = dsl.evaluate(w_word, env)
-            margin_core, _, scale_core = scaled_margins(ident, w_val)
+            if core_error is not None:
+                raise core_error
+            if p_vec[0] not in bases:
+                x2 = matrix_power(tup.matrices[1], -template.t[0] / 2.0)
+                bases[p_vec[0]] = congruence(x2, matrix_power(tup.matrices[0], p_vec[0]))
+            base = bases[p_vec[0]]
+            key = p_vec[1:2 * n - 1]
+            if key not in bounds:
+                bounds[key] = reduction_bound_matrix(tup, template.t, p_vec, n)
+            margin_peel, _, scale_peel = scaled_margins(bounds[key], base)
 
-            x2 = matrix_power(tup.matrices[1], -template.t[0] / 2.0)
-            base = congruence(x2, matrix_power(tup.matrices[0], float(p_vec[0])))
-            bound = reduction_bound_matrix(tup, template.t, p_vec, n)
-            margin_peel, _, scale_peel = scaled_margins(bound, base)
-
+            # the scalar bound c * I compares against lambda_max(base) directly
             interior = reduction_scalar_interior(tup, template.t, p_vec, n)
-            c_total = interior ** (1.0 / float(p_vec[1]))
-            c_matrix = HermitianMatrix(c_total * np.eye(tup.dim))
-            margin_scalar, _, scale_scalar = scaled_margins(c_matrix, base)
+            c_total = interior ** (1.0 / p_vec[1])
+            margin_scalar = c_total - float(base.decomposition().eigenvalues[-1])
+            scale_scalar = max(1.0, abs(c_total), operator_norm(base))
+            if not all(map(math.isfinite, (margin_peel, margin_scalar, scale_scalar))):
+                raise NonFiniteError("reduction margin")
             row = ReductionRow(
-                p_vector=tuple(float(v) for v in p_vec),
+                p_vector=p_vec,
                 margin_core=margin_core, scale_core=scale_core,
                 margin_peel=margin_peel, scale_peel=scale_peel,
                 margin_scalar=margin_scalar, scale_scalar=scale_scalar,
@@ -809,7 +847,7 @@ def check_reduction_chain(
             )
         except (SpectralError, dsl.EvaluationError) as exc:
             row = ReductionRow(
-                p_vector=tuple(float(v) for v in p_vec),
+                p_vector=p_vec,
                 margin_core=float("nan"), scale_core=1.0,
                 margin_peel=float("nan"), scale_peel=1.0,
                 margin_scalar=float("nan"), scale_scalar=1.0,
@@ -945,40 +983,38 @@ def implied_core_violation(
     """
     k = tup.k
     n = k // 2
-    matrices = _tuple_environment(tup)
     ident = identity(tup.dim)
     rng = _rng(master_seed, instance_index, 3)
     p_vectors = grid.vectors(2 * n, rng=rng)
+    p_table = np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
     t_variants = [template.t]
     ones = (1.0,) * n
     if template.t != ones:
         t_variants.append(ones)
     for t_vec in t_variants:
         var_template = ParamTemplate(t=t_vec, r=float(t_vec[-1]) + 1.0)
+        env = _environment(tup, var_template, (0.5,) * (k - 1))
         for chain in chains.hypothesis_set(k):
             word = chains.hypothesis_core(chain)
-            for p_vec in p_vectors:
-                env = dsl.Environment(
-                    scalars=_scalar_bindings(var_template, p_vec, (0.5,) * (k - 1)),
-                    matrices=matrices,
-                )
-                try:
-                    w_val = dsl.evaluate(word, env)
-                except (SpectralError, dsl.EvaluationError):
-                    continue
-                # ascending cores must stay below I, descending ones above
+            for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=True):
+                batch = dsl.evaluate_batch(word, env, _p_columns(p_table, lo, hi))
+                # ascending cores must stay below I, descending ones above;
+                # rows that fail to evaluate are skipped
                 if chain.direction is Direction.GE:
-                    margin, _, scale = scaled_margins(ident, w_val)
+                    pair = (ident, batch.values)
                 else:
-                    margin, _, scale = scaled_margins(w_val, ident)
-                if not margin_holds(margin, scale, suite_tol_rel):
-                    return {
-                        "family": chain.family.value,
-                        "member": chain.member,
-                        "t": list(t_vec),
-                        "p_vector": list(p_vec),
-                        "core_margin": margin,
-                    }
+                    pair = (batch.values, ident)
+                margins, _, scales, errors = scaled_margins_stack(*pair, batch.errors)
+                for i, (margin, scale, err) in enumerate(
+                        zip(margins.tolist(), scales.tolist(), errors)):
+                    if err is None and not margin_holds(margin, scale, suite_tol_rel):
+                        return {
+                            "family": chain.family.value,
+                            "member": chain.member,
+                            "t": list(t_vec),
+                            "p_vector": list(p_vectors[lo + i]),
+                            "core_margin": margin,
+                        }
     return None
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oporder.cli import EXIT_OK, EXIT_USAGE, main
 from util import GOLDEN_DIR
 
@@ -102,6 +104,19 @@ class TestCheckCommand:
         code, _, _ = run(capsys, "check", "--mode", "necessity", "--k", "1")
         assert code == EXIT_USAGE
 
+    def test_non_finite_grid_exits_2(self, capsys):
+        code, out, err = run(capsys, "check", "--mode", "necessity", "--k", "3",
+                             "--dim", "2", "--count", "1", "--p-grid", "1,inf")
+        assert code == EXIT_USAGE
+        assert "error:" in err and "finite" in err
+        assert "Traceback" not in err and "VIOLATION" not in err
+
+    def test_dim_zero_exits_2(self, capsys):
+        code, _, err = run(capsys, "check", "--mode", "necessity", "--k", "3",
+                           "--dim", "0", "--count", "1")
+        assert code == EXIT_USAGE
+        assert "error:" in err and "--dim" in err
+
     def test_missing_mode_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "--k", "3")
         assert code == EXIT_USAGE
@@ -120,6 +135,14 @@ class TestCheckCommand:
                            "--dim", "2", "--seed", "7", "--count", "4")
         assert code == EXIT_OK
         assert out.count("hypothesis-failure") == 4
+
+    @pytest.mark.parametrize("fixture", ["nan,1,3", "0,1,3"])
+    def test_bad_fixture_exits_2(self, capsys, fixture):
+        code, out, err = run(capsys, "check", "--mode", "contrapositive", "--k", "3",
+                             "--scalar-fixture", fixture, "--t", "0.5", "--r", "1")
+        assert code == EXIT_USAGE
+        assert "error:" in err and "--scalar-fixture" in err
+        assert "hypothesis-failure" not in out
 
     def test_fixture_k_mismatch(self, capsys):
         code, _, _ = run(capsys, "check", "--mode", "contrapositive", "--k", "4",
@@ -176,6 +199,12 @@ class TestSearchCommand:
         payload = json.loads(findings.read_text())
         assert payload["findings"] == []
         assert json.loads(out)["findings"] == 0
+
+    def test_dim_zero_exits_2(self, capsys):
+        code, out, err = run(capsys, "search", "--budget", "3", "--dim", "2,0")
+        assert code == EXIT_USAGE
+        assert "error:" in err and "--dim" in err
+        assert out == ""
 
     def test_default_seed_small_budget(self, capsys):
         code, out, _ = run(capsys, "search", "--budget", "15", "--seed", "0")

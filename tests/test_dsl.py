@@ -16,17 +16,31 @@ from oporder.chains import (
 )
 from oporder.dsl import (
     Environment,
+    EvaluationError,
     NonHermitianResultError,
     ParseError,
     UnboundNameError,
     evaluate,
+    evaluate_batch,
     parse,
     parse_lines,
     parse_word,
     pretty_print,
 )
-from oporder.spectral import HermitianMatrix, NearSingularError, diagonal, identity
-from util import GOLDEN_DIR, random_spd_array, random_word, scalar_word_value
+from oporder.spectral import (
+    HermitianMatrix,
+    NearSingularError,
+    SpectralError,
+    diagonal,
+    identity,
+)
+from util import (
+    GOLDEN_DIR,
+    random_scalar_expr,
+    random_spd_array,
+    random_word,
+    scalar_word_value,
+)
 
 
 class TestParse:
@@ -285,3 +299,62 @@ def _symbols(word):
             yield from _symbols(f)
     elif isinstance(word, Power):
         yield from _symbols(word.base)
+
+
+def random_palindrome(rng: np.random.Generator, depth: int = 0):
+    """A word whose products read the same both ways, so every value is
+    Hermitian: a symbol, or a palindromic product, often raised to a power."""
+    if depth >= 2 or rng.random() < 0.35:
+        return Symbol(int(rng.integers(1, 5)), random_scalar_expr(rng))
+    half = [random_palindrome(rng, depth + 1) for _ in range(int(rng.integers(1, 3)))]
+    middle = [random_palindrome(rng, depth + 1)] if rng.random() < 0.5 else []
+    word = Product(tuple(half + middle + half[::-1]))
+    return Power(word, random_scalar_expr(rng)) if rng.random() < 0.7 else word
+
+
+def _rotated(rng: np.random.Generator, eigenvalues) -> HermitianMatrix:
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    arr = (q * np.asarray(eigenvalues)) @ q.T
+    return HermitianMatrix(0.5 * (arr + arr.T))
+
+
+class TestEvaluateBatch:
+    _ROW_VALUES = (-0.5, 0.5, 1.0, 1.5, 2.0, 4.0, 8.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_rows_match_single_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        word = random_palindrome(rng)
+        matrices = {
+            1: HermitianMatrix(random_spd_array(rng, 3)),
+            2: HermitianMatrix(random_spd_array(rng, 3, ridge=0.5)),
+            3: _rotated(rng, (1e-13, 0.5, 1.5)),   # trips the pd gate
+            4: _rotated(rng, (1.0, 1e30, 1e60)),   # overflows at large powers
+        }
+        constants = {"r": 1.7, "t1": 0.3, "t2": 0.8, "t3": 0.5,
+                     "p1": 2.0, "p2": 1.5, "p3": 3.0, "p4": 1.25, "w1": 0.4, "w2": 0.9}
+        count = int(rng.integers(1, 9))
+        per_row = [name for name in constants if rng.random() < 0.5] or ["p1"]
+        rows = {name: rng.choice(self._ROW_VALUES, count) for name in per_row}
+        batch = evaluate_batch(word, Environment(scalars=constants, matrices=matrices), rows)
+        assert batch.values.shape == (count, 3, 3)
+        for i in range(count):
+            scalars = dict(constants, **{name: float(col[i]) for name, col in rows.items()})
+            try:
+                want = evaluate(word, Environment(scalars=scalars, matrices=matrices)).entries
+            except (SpectralError, EvaluationError) as exc:
+                assert type(batch.errors[i]) is type(exc)
+                assert batch.error_text(i) == str(exc)
+                continue
+            assert batch.errors[i] is None
+            scale = max(1.0, float(np.abs(want).max()))
+            assert np.abs(batch.values[i] - want).max() <= 1e-12 * scale
+
+    def test_error_rows_are_identity_and_masked(self):
+        env = diag_env({}, {1: [0.0, 1.0]})
+        batch = evaluate_batch(parse("A1^{p1}"), env, {"p1": np.array([2.0, 0.5, 2.0])})
+        assert batch.error_mask.tolist() == [False, True, False]
+        assert isinstance(batch.errors[1], NearSingularError)
+        assert np.array_equal(batch.values[1], np.eye(2))
+        assert np.allclose(batch.values[0], np.diag([0.0, 1.0]))

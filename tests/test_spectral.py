@@ -9,8 +9,10 @@ from oporder.spectral import (
     EPS_PD_REL,
     RECON_RTOL,
     DimensionMismatchError,
+    EigenSolverError,
     HermitianMatrix,
     NearSingularError,
+    NonFiniteError,
     NotHermitianError,
     Relation,
     congruence,
@@ -19,11 +21,13 @@ from oporder.spectral import (
     identity,
     loewner_compare,
     margin_holds,
+    margins_stack,
     matrix_from_json,
     matrix_power,
     matrix_to_json,
     operator_norm,
     positivity_margin,
+    power_stack,
     read_matrix,
     scaled_margins,
     spectral_decompose,
@@ -220,6 +224,47 @@ class TestLoewnerCompare:
         assert not margin_holds(-2.1e-7, 2.0, 1e-7)
         assert not margin_holds(float("nan"), 1.0, 1e-7)
         assert not margin_holds(float("-inf"), 1.0, 1e-7)
+
+
+class TestStackedGuards:
+    def test_non_finite_input_is_an_error_not_a_margin(self):
+        # LAPACK returns finite eigenvalues for some NaN input
+        for bad in (math.inf, math.nan):
+            with np.errstate(invalid="ignore"):
+                p = HermitianMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+            with pytest.raises(NonFiniteError):
+                directional_margins(p, identity(2))
+            with pytest.raises(NonFiniteError):
+                spectral_decompose(p)
+
+    def test_overflowing_power_raises(self):
+        with np.errstate(over="ignore"):
+            big = diagonal([1e200, 1.0])
+        with pytest.raises(NonFiniteError):
+            matrix_power(big, 2.0)
+
+    def test_lapack_failure_is_confined_to_its_row(self, monkeypatch):
+        real = np.linalg.eigvalsh
+
+        def failing(arr):
+            if np.any(np.asarray(arr)[..., 0, 0] == 7.0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(arr)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        p = np.stack([2.0 * np.eye(2), np.diag([7.0, 1.0]), 3.0 * np.eye(2)])
+        ge, le, errors = margins_stack(p, np.zeros((1, 2, 2)), None)
+        assert isinstance(errors[1], EigenSolverError)
+        assert errors[0] is None and errors[2] is None
+        assert (ge[0], le[0], ge[2], le[2]) == (2.0, -2.0, 3.0, -3.0)
+
+    def test_gate_is_per_row(self):
+        dec = diagonal([1e-13, 1.0]).decomposition()
+        out, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
+                                  np.array([2.0, 0.5, 1.0]), None)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], NearSingularError)
+        assert np.allclose(out[0], np.diag([1e-26, 1.0]))
 
 
 class TestLoewnerHeinzLaw:

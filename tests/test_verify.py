@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -38,6 +39,7 @@ from oporder.verify import (
     scalar_tuple,
     search_counterexample,
 )
+from oporder import verify
 from util import scalar_word_value
 
 
@@ -273,6 +275,63 @@ class TestCheckHypotheses:
                 r - l for l, r in zip(lhs, rhs)
             )
             assert row.margin == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+def _row_fields(row: CampaignRow) -> tuple:
+    """Every column but the timing; floats by repr so NaN compares equal."""
+    return tuple(repr(v) if isinstance(v, float) else v
+                 for f, v in dataclasses.asdict(row).items() if f != "seconds")
+
+
+class TestBatchedCampaign:
+    def test_overflow_is_an_error_row_for_its_p_vector_only(self):
+        # A1^(p1 p2) overflows only at p = (2, 2): 1e100 ** 4
+        diags = {1: (1e100, 2e100), 2: (1.0, 1.0), 3: (1.0, 1.0)}
+        tup = OperatorTuple(tuple(diagonal(diags[i]) for i in (1, 2, 3)))
+        template = ParamTemplate(t=(0.5,), r=1.0)
+        rep = check_hypotheses(tup, template, PGrid(values=(1.0, 2.0)),
+                               WeightPolicy.fixed([0.5, 0.5]))
+        assert len(rep.rows) == 8
+        errors = [r for r in rep.rows if r.error is not None]
+        assert [(r.family, r.p_vector) for r in errors] == [("ascending", (2.0, 2.0))]
+        assert "not finite" in errors[0].error and errors[0].verdict == "ERROR"
+        for row in rep.rows:
+            if row.error is not None:
+                continue
+            assert math.isfinite(row.margin) and math.isfinite(row.scale)
+            chain = chains.build_chain(Family(row.family), row.member, 3)
+            scalars = {"t1": 0.5, "r": 1.0, "p1": row.p_vector[0],
+                       "p2": row.p_vector[1], "w1": 0.5, "w2": 0.5}
+            lhs = scalar_word_value(chain.lhs, scalars, diags)
+            rhs = scalar_word_value(chain.rhs, scalars, diags)
+            if chain.direction is chains.Direction.GE:
+                expected = min(a - b for a, b in zip(lhs, rhs))
+            else:
+                expected = min(b - a for a, b in zip(lhs, rhs))
+            assert abs(row.margin - expected) <= 1e-12 * row.scale
+
+    @pytest.mark.parametrize("generator,k,idx", [
+        (gen_suite_tuple, 3, 0),       # no violation: every row returned
+        (gen_suite_tuple, 3, 3),       # first violation in the second member
+        (gen_suite_tuple, 5, 2),       # deciding row inside a doubled chunk
+        (gen_unordered_tuple, 3, 58),  # an error row before the deciding row
+        (gen_unordered_tuple, 5, 12),  # a member of error rows, then the cut
+    ])
+    def test_stop_on_violation_is_the_full_run_cut(self, generator, k, idx):
+        rng = verify._rng(7, idx)
+        tup = generator(k, 2, [7, idx] if generator is gen_suite_tuple else [7, idx, 10])
+        n = k // 2
+        t = tuple(rng.uniform(0.05, 0.95) for _ in range(n))
+        template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.1, 2.0))
+        policy = WeightPolicy.fixed(rng.uniform(0.2, 0.95) for _ in range(k - 1))
+        grid = PGrid(values=(1.0, 1.5, 2.0, 4.0))
+        full = check_hypotheses(tup, template, grid, policy)
+        cut = check_hypotheses(tup, template, grid, policy, stop_on_violation=True)
+        deciding = next((i for i, r in enumerate(full.rows)
+                         if r.error is None and not r.holds()), None)
+        end = len(full.rows) if deciding is None else deciding + 1
+        assert [_row_fields(r) for r in cut.rows] == [_row_fields(r) for r in full.rows[:end]]
+        assert cut.config.get("stopped_early", False) is (deciding is not None)
 
 
 class TestPrintParseEvaluateRoundTrip:
