@@ -9,6 +9,7 @@ evaluation lives in the DSL and the verifier.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -152,7 +153,8 @@ def chain_exponent(t, p) -> float:
 
     Defined by the recurrence b_0 = 1, b_j = (b_(j-1) * p_(2j-1) - t_j) *
     p_(2j) + t_j, returning b_n.  Computed in exact rational arithmetic so
-    the all-ones telescoping case returns exactly 1.0.
+    the all-ones telescoping case returns exactly 1.0; a b_n beyond the
+    float range rounds to inf.
     """
     t = tuple(t)
     p = tuple(p)
@@ -166,7 +168,10 @@ def chain_exponent(t, p) -> float:
     for j, tj in enumerate(t):
         tf = Fraction(tj)
         b = (b * Fraction(p[2 * j]) - tf) * Fraction(p[2 * j + 1]) + tf
-    return float(b)
+    try:
+        return float(b)
+    except OverflowError:
+        return math.inf  # b_n >= 1 whenever p >= 1 and t lies in [0, 1]
 
 
 def necessity_weight_from(t, p, r: float) -> float:
@@ -232,6 +237,13 @@ def weight_index(family: Family, member: int, n: int) -> int:
     return member if family is Family.ASCENDING else n + member
 
 
+def _sandwich(index: int, exponent: ScalarExpr, inner: OperatorWord,
+              power: str) -> Power:
+    """(A_index^exponent inner A_index^exponent)^power."""
+    wrap = Symbol(index, exponent)
+    return Power(Product((wrap, inner, wrap)), ScalarExpr.variable(power))
+
+
 def build_chain(family: Family, member: int, k: int) -> ChainInequality:
     """Construct one hypothesis inequality of the size-k chain as a
     symbolic word pair.
@@ -252,14 +264,9 @@ def build_chain(family: Family, member: int, k: int) -> ChainInequality:
 
     core: OperatorWord = Symbol(index_at(0), ScalarExpr.variable("p1"))
     for j in range(1, 2 * n):
-        wrap = Symbol(index_at(j), layer_exponent(j, n))
-        core = Power(
-            Product((wrap, core, wrap)), ScalarExpr.variable(f"p{j + 1}")
-        )
-    r_half = ScalarExpr.variable("r", Fraction(1, 2))
-    outer_sym = Symbol(outer, r_half)
-    w_name = f"w{weight_index(family, member, n)}"
-    rhs = Power(Product((outer_sym, core, outer_sym)), ScalarExpr.variable(w_name))
+        core = _sandwich(index_at(j), layer_exponent(j, n), core, f"p{j + 1}")
+    rhs = _sandwich(outer, ScalarExpr.variable("r", Fraction(1, 2)), core,
+                    f"w{weight_index(family, member, n)}")
     lhs = Symbol(outer, ScalarExpr.variable("r") - ScalarExpr.variable(f"t{n}"))
     return ChainInequality(family, member, lhs, rhs, direction)
 
@@ -274,6 +281,34 @@ def hypothesis_set(k: int) -> tuple[ChainInequality, ...]:
     q_max = n if k == 2 * n + 1 else n - 1
     members += [build_chain(Family.DESCENDING, q, k) for q in range(1, q_max + 1)]
     return tuple(members)
+
+
+@lru_cache(maxsize=None)
+def reduction_words(k: int) -> tuple[Product, Power | None]:
+    """The innermost sandwich A2^{-t1/2} A1^{p1} A2^{-t1/2} of the first
+    ascending member and its peeled bound: the member's layers 2n-2 .. 2
+    around A_2n with flipped signs, evaluated under ``peeled_bindings``;
+    for k = 7 (A3^{-t1/2} (A4^{t2/2} (A5^{-t2/2} A6^{p5} A5^{-t2/2})^{p4}
+    A4^{t2/2})^{p3} A3^{-t1/2})^{p2}.  For n = 1 the bound is I (None)."""
+    n = _levels(k)
+    index_at = lambda j: ascending_index(1, j, k)
+    wrap = Symbol(index_at(1), layer_exponent(1, n))
+    base = Product((wrap, Symbol(index_at(0), ScalarExpr.variable("p1")), wrap))
+    if n == 1:
+        return base, None
+    bound: OperatorWord = Symbol(index_at(2 * n - 1), ScalarExpr.variable(f"p{2 * n - 1}"))
+    for layer in range(2 * n - 2, 1, -1):
+        bound = _sandwich(index_at(layer), -layer_exponent(layer, n), bound, f"p{layer}")
+    return base, bound
+
+
+def peeled_bindings(t, p) -> dict:
+    """The peeled bound's binding for sampled p_1 .. p_2n (numbers or batch
+    columns): p_j -> 1/p_j for j = 2 .. 2n-2, p_(2n-1) -> t_n / p_(2n-1)."""
+    n = len(t)
+    names = {f"p{j}": 1.0 / p[j - 1] for j in range(2, 2 * n - 1)}
+    names[f"p{2 * n - 1}"] = float(t[-1]) / p[2 * n - 2]
+    return names
 
 
 def hypothesis_core(chain: ChainInequality) -> OperatorWord:

@@ -214,10 +214,6 @@ def _sample_template(cfg, rng, n: int) -> ParamTemplate:
     return ParamTemplate(t=t, r=r)
 
 
-def _campaign_grid(cfg) -> PGrid:
-    return PGrid(values=_csv_floats(cfg["p_grid"]))
-
-
 def _cmd_check(args) -> int:
     cfg = _effective_config(args, _CHECK_DEFAULTS)
     if args.dump_config:
@@ -232,7 +228,7 @@ def _cmd_check(args) -> int:
     if cfg["dim"] < 1:
         raise UsageError(f"--dim must be at least 1, got {cfg['dim']}")
     mode = cfg["mode"]
-    grid = _campaign_grid(cfg)
+    grid = PGrid(values=_csv_floats(cfg["p_grid"]))
     policy = WeightPolicy.parse(cfg["weights"])
     seed = int(cfg["seed"])
     count = int(cfg["count"])
@@ -340,7 +336,7 @@ def _cmd_check(args) -> int:
                     )
 
     elif mode == "limit":
-        p2_values = _csv_floats(cfg["s_grid"])
+        p2_values = PGrid(values=_csv_floats(cfg["s_grid"])).values
 
         def run_instance(idx: int):
             rng = verify._rng(seed, idx, 99)

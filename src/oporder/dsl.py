@@ -49,8 +49,8 @@ from .spectral import (
 )
 
 # A product of symbol powers is generally not Hermitian; intermediate
-# results are plain arrays and only coerced back at power nodes and at the
-# top level, where palindromic words must land within this residual.
+# results are plain arrays and only coerced back at power nodes and at a
+# top-level product, where palindromic words must land within this residual.
 HERMITIZE_RTOL = 1e-8
 
 _NAME_RE = re.compile(r"^(r|[tpw][0-9]+)$")
@@ -595,13 +595,15 @@ def evaluate_batch(word: OperatorWord, env: Environment,
     """
     run = _BatchRun(env, rows or {})
     part = run.part(word)
-    values, errors = _hermitize(part.values, part.errors, "word value")
+    values, errors = part.values, part.errors
+    if isinstance(word, Product):  # power values are symmetrized already
+        values, errors = _hermitize(values, errors, "word value")
     n, dim = run.size, values.shape[-1]
     if part.group is not None:
         values = values[part.group.inverse]
         errors = None if errors is None else errors[part.group.inverse]
-    elif n > 1:
-        values = np.broadcast_to(values, (n, dim, dim)).copy()
+    else:
+        values = np.repeat(values, n, axis=0)
     if errors is None:
         return WordBatch(values, no_errors(n))
     errors = np.broadcast_to(errors, (n,)).copy()

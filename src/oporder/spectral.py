@@ -85,9 +85,9 @@ class Relation(Enum):
 class HermitianMatrix:
     """Dense self-adjoint matrix; immutable once constructed.
 
-    Construction rejects entries whose Hermiticity residual exceeds
-    1e-12 times the Frobenius norm, so every instance can be fed to the
-    eigensolver without further checking.
+    Construction rejects inf or NaN entries and entries whose Hermiticity
+    residual exceeds 1e-12 times the Frobenius norm, so every instance can
+    be fed to the eigensolver without further checking.
     """
 
     entries: np.ndarray
@@ -98,6 +98,8 @@ class HermitianMatrix:
             raise NotHermitianError(f"expected a square matrix, got shape {arr.shape}")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = arr.astype(dtype, copy=True)
+        if not np.isfinite(arr).all():
+            raise NonFiniteError("matrix")
         fro = float(np.linalg.norm(arr))
         resid = float(np.linalg.norm(arr - arr.conj().T))
         if resid > HERMITICITY_RTOL * fro:
@@ -308,7 +310,7 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     return lam, u, errors
 
 
-def _norms(lam: np.ndarray):
+def spectral_norms(lam: np.ndarray):
     """Spectral norms from ascending eigenvalues (the last axis)."""
     return np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
 
@@ -316,7 +318,7 @@ def _norms(lam: np.ndarray):
 def _gate(lam: np.ndarray):
     """(fails, gate) per row of ascending eigenvalues: the strict-positivity
     gate EPS_PD_REL * max(1, |H|) and whether lambda_min sits at or below it."""
-    gate = EPS_PD_REL * np.maximum(1.0, _norms(lam))
+    gate = EPS_PD_REL * np.maximum(1.0, spectral_norms(lam))
     return lam[..., 0] <= gate, gate
 
 
@@ -398,7 +400,7 @@ def _side_norms(side, errors, rows: int):
         except SpectralError as exc:
             return 1.0, flag_errors(errors, np.ones(rows, dtype=bool), lambda i: exc)
     lam, _, errors = decompose_stack(side, errors)
-    return _norms(lam), errors
+    return spectral_norms(lam), errors
 
 
 def scaled_margins_stack(p, q, errors=None):

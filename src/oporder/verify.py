@@ -29,6 +29,10 @@ from .spectral import (
     Verdict,
     classify_margins,
     congruence,
+    decompose_stack,
+    first_errors,
+    flag_errors,
+    healthy,
     identity,
     loewner_compare,
     margin_holds,
@@ -39,6 +43,7 @@ from .spectral import (
     require_strictly_positive,
     scaled_margins,
     scaled_margins_stack,
+    spectral_norms,
 )
 
 # Slack used by suite-level expectations (necessity, reduction chain);
@@ -423,6 +428,14 @@ def _environment(tup: OperatorTuple, template: ParamTemplate,
     return dsl.Environment(scalars=scalars, matrices=matrices)
 
 
+def _p_samples(grid: PGrid, n: int, master_seed: int, instance_index: int,
+               stream: int) -> tuple[list[tuple[float, ...]], np.ndarray]:
+    """The grid's 2n-vectors as a list and an (N, 2n) table; ``stream``
+    picks the caller's rng for a subsampled grid product."""
+    p_vectors = grid.vectors(2 * n, rng=_rng(master_seed, instance_index, stream))
+    return p_vectors, np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
+
+
 def _p_columns(p_table: np.ndarray, lo: int, hi: int) -> dict[str, np.ndarray]:
     return {f"p{j + 1}": p_table[lo:hi, j] for j in range(p_table.shape[1])}
 
@@ -471,11 +484,7 @@ def check_hypotheses(
         wanted = set(members)
         chain_list = [c for c in chain_list if (c.family, c.member) in wanted]
     env = _environment(tup, template)
-    lhs_cache: dict[int, HermitianMatrix] = {}
-    rexp = template.r - template.t[-1]
-    sample_rng = _rng(master_seed, instance_index, 1)
-    p_vectors = grid.vectors(2 * n, rng=sample_rng)
-    p_table = np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
+    p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 1)
     # weights depend on the p-vector only: computed once per p-vector, on demand
     weights: list[tuple[float, ...] | None] = [None] * len(p_vectors)
 
@@ -485,19 +494,23 @@ def check_hypotheses(
         return weights[i]
 
     rows: list[CampaignRow] = []
+    lhs_values: dict[int, HermitianMatrix] = {}
     for chain in chain_list:
-        outer = chain.lhs.index
-        if outer not in lhs_cache:
-            lhs_cache[outer] = matrix_power(tup.matrices[outer - 1], rexp)
-        lhs_val = lhs_cache[outer]
+        outer = chain.lhs.index  # every member's left side is A_outer^(r - t_n)
+        if outer not in lhs_values:
+            lhs_values[outer] = dsl.evaluate(chain.lhs, env)
         w_index = chains.weight_index(chain.family, chain.member, n)
         for lo, hi in _batches(len(p_vectors), tup.dim, stop_on_violation):
             start = time.perf_counter()
             w_col = [weights_at(i)[w_index - 1] for i in range(lo, hi)]
             columns = _p_columns(p_table, lo, hi)
-            columns[f"w{w_index}"] = np.asarray(w_col, dtype=np.float64)
+            w_arr = columns[f"w{w_index}"] = np.asarray(w_col, dtype=np.float64)
             batch = dsl.evaluate_batch(chain.rhs, env, columns)
-            ge, le, scale, errors = scaled_margins_stack(lhs_val, batch.values, batch.errors)
+            errors = batch.errors
+            if min(w_col) <= 0:  # w = 0 (from an overflowed chain exponent) makes the rhs I
+                errors = flag_errors(errors, w_arr <= 0, lambda i: dsl.EvaluationError(
+                    f"weight w{w_index} = {w_col[i]!r} is not positive"))
+            ge, le, scale, errors = scaled_margins_stack(lhs_values[outer], batch.values, errors)
             seconds = (time.perf_counter() - start) / (hi - lo)
             for i, (g, l_, sc, err) in enumerate(zip(ge.tolist(), le.tolist(),
                                                      scale.tolist(), errors)):
@@ -679,52 +692,27 @@ def probe_contraction_criterion(
     )
 
 
-def _layer_tvalue(t: tuple[float, ...], layer: int) -> float:
-    i = (layer + 1) // 2 if layer % 2 else layer // 2
-    return t[i - 1]
-
-
-def reduction_bound_matrix(tup: OperatorTuple, t, p, n: int) -> HermitianMatrix:
-    """Peeled upper bound for the innermost sandwich: outer layers of the
-    first ascending member reappear with flipped exponent signs and
-    reciprocal bracket powers around the A_2n core.  Degenerates to the
-    identity when n = 1."""
-    mats = tup.matrices
-    t = tuple(float(v) for v in t)
-    p = tuple(float(v) for v in p)
-    if n == 1:
-        return identity(tup.dim)
-    core = matrix_power(mats[2 * n - 1], t[n - 1] / p[2 * n - 2])
-    for layer in range(2 * n - 2, 1, -1):
-        idx = layer + 1
-        tv = _layer_tvalue(t, layer)
-        sign = 1.0 if layer % 2 else -1.0  # flipped relative to the hypothesis word
-        x = matrix_power(mats[idx - 1], sign * tv / 2.0)
-        core = matrix_power(congruence(x, core), 1.0 / p[layer - 1])
-    return core
-
-
 def reduction_scalar_interior(tup: OperatorTuple, t, p, n: int) -> float:
-    """Scalar interior of the coarsest bound: norm factors for the layers
-    that flip positive, reciprocal-margin factors for those that flip
-    negative, folded with the same reciprocal powers; independent of p_2.
-    Equals 1 when n = 1."""
-    t = tuple(float(v) for v in t)
-    p = tuple(float(v) for v in p)
-    if n == 1:
+    """Scalar interior of the coarsest bound, independent of p_2: the peeled
+    bound word under its binding with every A^e replaced by its norm (a
+    sandwich factor by |A|^(2e) for e > 0, (1/lambda_min(A))^(-2e) for
+    e < 0) and the outermost power 1/p_2 left off.  Equals 1 when n = 1."""
+    _, bound = chains.reduction_words(2 * n)
+    if bound is None:
         return 1.0
-    mats = tup.matrices
-    s = operator_norm(mats[2 * n - 1]) ** (t[n - 1] / p[2 * n - 2])
-    for layer in range(2 * n - 2, 1, -1):
-        idx = layer + 1
-        tv = _layer_tvalue(t, layer)
-        if layer % 2:
-            s *= operator_norm(mats[idx - 1]) ** tv
-        else:
-            s *= (1.0 / positivity_margin(mats[idx - 1])) ** tv
-        if layer > 2:
-            s = s ** (1.0 / p[layer - 1])
-    return s
+    scalars = {f"t{i}": tv for i, tv in enumerate(t, 1)}
+    scalars.update(chains.peeled_bindings(t, tuple(float(v) for v in p)))
+
+    def interior(sandwich: chains.Power) -> float:
+        wrap, inner, _ = sandwich.base.factors
+        s = interior(inner) if isinstance(inner, chains.Power) \
+            else operator_norm(tup.matrices[inner.index - 1])
+        s = s ** inner.exponent.evaluate(scalars)
+        e = 2.0 * wrap.exponent.evaluate(scalars)
+        m = tup.matrices[wrap.index - 1]
+        return s * (operator_norm(m) ** e if e > 0 else (1.0 / positivity_margin(m)) ** -e)
+
+    return interior(bound)
 
 
 @dataclass(frozen=True)
@@ -800,66 +788,44 @@ def check_reduction_chain(
     )
     premise_pass = not premise.violations()
 
-    w_word = chains.hypothesis_core(chains.build_chain(Family.ASCENDING, 1, k))
+    core_word = chains.hypothesis_core(chains.build_chain(Family.ASCENDING, 1, k))
+    base_word, bound_word = chains.reduction_words(k)
     env = _environment(tup, template, (0.5,) * (k - 1))
     ident = identity(tup.dim)
-    sample_rng = _rng(master_seed, instance_index, 2)
-    p_vectors = grid.vectors(2 * n, rng=sample_rng)
-    p_table = np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
-    cores = []  # (margin, scale, error) of the core W per p-vector
-    for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
-        batch = dsl.evaluate_batch(w_word, env, _p_columns(p_table, lo, hi))
-        ge, _, scale, errors = scaled_margins_stack(ident, batch.values, batch.errors)
-        cores.extend(zip(ge.tolist(), scale.tolist(), errors))
-    # the innermost sandwich depends on p1 only and the peeled bound on
-    # p2 .. p(2n-1), so both are shared between the rows that agree on those
-    bases: dict[float, HermitianMatrix] = {}
-    bounds: dict[tuple[float, ...], HermitianMatrix] = {}
+    p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 2)
     rows: list[ReductionRow] = []
     red_flags: list[str] = []
-    for p_vec, (margin_core, scale_core, core_error) in zip(p_vectors, cores):
-        p_vec = tuple(float(v) for v in p_vec)
-        try:
-            if core_error is not None:
-                raise core_error
-            if p_vec[0] not in bases:
-                x2 = matrix_power(tup.matrices[1], -template.t[0] / 2.0)
-                bases[p_vec[0]] = congruence(x2, matrix_power(tup.matrices[0], p_vec[0]))
-            base = bases[p_vec[0]]
-            key = p_vec[1:2 * n - 1]
-            if key not in bounds:
-                bounds[key] = reduction_bound_matrix(tup, template.t, p_vec, n)
-            margin_peel, _, scale_peel = scaled_margins(bounds[key], base)
-
-            # the scalar bound c * I compares against lambda_max(base) directly
-            interior = reduction_scalar_interior(tup, template.t, p_vec, n)
-            c_total = interior ** (1.0 / p_vec[1])
-            margin_scalar = c_total - float(base.decomposition().eigenvalues[-1])
-            scale_scalar = max(1.0, abs(c_total), operator_norm(base))
-            if not all(map(math.isfinite, (margin_peel, margin_scalar, scale_scalar))):
-                raise NonFiniteError("reduction margin")
-            row = ReductionRow(
-                p_vector=p_vec,
-                margin_core=margin_core, scale_core=scale_core,
-                margin_peel=margin_peel, scale_peel=scale_peel,
-                margin_scalar=margin_scalar, scale_scalar=scale_scalar,
-                c_total=c_total,
-            )
-        except (SpectralError, dsl.EvaluationError) as exc:
-            row = ReductionRow(
-                p_vector=p_vec,
-                margin_core=float("nan"), scale_core=1.0,
-                margin_peel=float("nan"), scale_peel=1.0,
-                margin_scalar=float("nan"), scale_scalar=1.0,
-                c_total=float("nan"), error=str(exc),
-            )
-        rows.append(row)
-        holds_core, holds_peel, holds_scalar = row.holds(suite_tol_rel)
-        if premise_pass and holds_core and not (holds_peel and holds_scalar):
-            red_flags.append(
-                f"instance {instance_id} p={row.p_vector}: core bound holds but "
-                f"peel={row.margin_peel:.3e} scalar={row.margin_scalar:.3e}"
-            )
+    for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
+        columns = _p_columns(p_table, lo, hi)
+        core = dsl.evaluate_batch(core_word, env, columns)
+        margin_core, _, scale_core, errors = scaled_margins_stack(ident, core.values, core.errors)
+        base = dsl.evaluate_batch(base_word, env, columns)
+        errors = first_errors(errors, base.errors)
+        bound = ident
+        if bound_word is not None:
+            peeled = dsl.evaluate_batch(
+                bound_word, env, chains.peeled_bindings(template.t, p_table[lo:hi].T))
+            bound, errors = peeled.values, first_errors(errors, peeled.errors)
+        margin_peel, _, scale_peel, errors = scaled_margins_stack(bound, base.values, errors)
+        # the scalar bound c * I compares against lambda_max(base) directly
+        lam, _, errors = decompose_stack(base.values, errors)
+        c_total = np.array([reduction_scalar_interior(tup, template.t, p_vec, n)
+                            ** (1.0 / p_vec[1]) for p_vec in p_vectors[lo:hi]])
+        values = np.stack([margin_core, scale_core, margin_peel, scale_peel, c_total - lam[:, -1],
+                           np.maximum(np.maximum(1.0, np.abs(c_total)), spectral_norms(lam)),
+                           c_total], axis=1)
+        errors = flag_errors(errors, ~np.isfinite(values[:, [2, 4, 5]]).all(axis=1),
+                             lambda i: NonFiniteError("reduction margin"))
+        values[~healthy(errors)] = (math.nan, 1.0) * 3 + (math.nan,)
+        for p_vec, vals, err in zip(p_vectors[lo:hi], values.tolist(), errors):
+            row = ReductionRow(tuple(p_vec), *vals, error=None if err is None else str(err))
+            rows.append(row)
+            holds_core, holds_peel, holds_scalar = row.holds(suite_tol_rel)
+            if premise_pass and holds_core and not (holds_peel and holds_scalar):
+                red_flags.append(
+                    f"instance {instance_id} p={row.p_vector}: core bound holds but "
+                    f"peel={row.margin_peel:.3e} scalar={row.margin_scalar:.3e}"
+                )
     return ReductionReport(instance_id, premise_pass, rows, red_flags)
 
 
@@ -984,9 +950,7 @@ def implied_core_violation(
     k = tup.k
     n = k // 2
     ident = identity(tup.dim)
-    rng = _rng(master_seed, instance_index, 3)
-    p_vectors = grid.vectors(2 * n, rng=rng)
-    p_table = np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
+    p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 3)
     t_variants = [template.t]
     ones = (1.0,) * n
     if template.t != ones:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from oporder.chains import (
     hypothesis_set,
     layer_exponent,
     necessity_weight_from,
+    peeled_bindings,
+    reduction_words,
     weight_index,
 )
 from util import GOLDEN_DIR
@@ -71,6 +74,12 @@ class TestChainExponent:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             chain_exponent((0.5,), (1.0, 2.0, 3.0))
+
+    def test_beyond_float_range_is_inf(self):
+        assert chain_exponent((0.5,), (1e300, 1e300)) == math.inf
+        assert necessity_weight_from((0.5,), (1e300, 1e300), 1.0) == 0.0
+        # the largest exponent that still fits is unchanged
+        assert chain_exponent((0.5,), (1e300, 1.0)) == 1e300
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -238,6 +247,33 @@ class TestBuildChain:
         core = hypothesis_core(chain)
         assert isinstance(core, Power)
         assert core.exponent == ScalarExpr.variable("p4")
+
+
+class TestReductionWords:
+    def test_k7_words(self):
+        base, bound = reduction_words(7)
+        assert dsl.pretty_print(base) == "A2^{-t1/2} A1^{p1} A2^{-t1/2}"
+        assert dsl.pretty_print(bound) == (
+            "(A3^{-t1/2} (A4^{t2/2} (A5^{-t2/2} A6^{p5} A5^{-t2/2})^{p4} "
+            "A4^{t2/2})^{p3} A3^{-t1/2})^{p2}"
+        )
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_base_is_the_innermost_sandwich_of_the_first_member(self, k):
+        word = hypothesis_core(build_chain(Family.ASCENDING, 1, k))
+        while isinstance(word.base.factors[1], Power):
+            word = word.base.factors[1]
+        assert reduction_words(k)[0] == word.base
+
+    def test_single_level_bound_is_the_identity(self):
+        assert reduction_words(3)[1] is None
+        assert dsl.pretty_print(reduction_words(5)[1]) == "(A3^{-t1/2} A4^{p3} A3^{-t1/2})^{p2}"
+
+    def test_peeled_bindings(self):
+        assert peeled_bindings((0.8, 0.3), (1.0, 2.0, 4.0, 8.0)) == {"p2": 0.5, "p3": 0.3 / 4.0}
+        got = peeled_bindings((0.8, 0.3, 0.6), np.array([[1.0, 2.0, 4.0, 8.0, 5.0, 1.0]]).T)
+        assert {name: float(col[0]) for name, col in got.items()} == \
+            {"p2": 0.5, "p3": 0.25, "p4": 0.125, "p5": 0.6 / 5.0}
 
 
 class TestHypothesisSet:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oporder.cli import EXIT_OK, EXIT_USAGE, main
+from oporder.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from util import GOLDEN_DIR
 
 
@@ -45,6 +45,12 @@ class TestExponentCommand:
     def test_malformed_list_exits_2(self, capsys):
         code, _, _ = run(capsys, "exponent", "--t", "0.5;0.5", "--p", "1,1")
         assert code == EXIT_USAGE
+
+    def test_exponent_beyond_float_range(self, capsys):
+        code, out, _ = run(capsys, "exponent", "--t", "0.5", "--p", "1e300,1e300",
+                           "--r", "1")
+        assert code == EXIT_OK
+        assert "chain_exponent = inf" in out and "necessity_weight = 0" in out
 
 
 class TestPrintChainCommand:
@@ -161,6 +167,23 @@ class TestCheckCommand:
                            "--dim", "2", "--seed", "3", "--count", "2")
         assert code == EXIT_OK
         assert "consistent=True" in out
+
+    @pytest.mark.parametrize("s_grid", ["0", "-1", "nan", "10,1"])
+    def test_limit_bad_s_grid_exits_2(self, capsys, s_grid):
+        code, out, err = run(capsys, "check", "--mode", "limit", "--k", "3",
+                             "--dim", "2", "--count", "1", "--s-grid", s_grid)
+        assert code == EXIT_USAGE
+        assert "error:" in err and "expectations met" not in out
+
+    def test_overflowing_necessity_weight_is_an_error_row(self, capsys):
+        argv = ["check", "--mode", "necessity", "--k", "3", "--dim", "2",
+                "--count", "1", "--p-grid", "1e300"]
+        code, _, err = run(capsys, *argv)
+        fixed_code, _, fixed_err = run(capsys, *argv, "--weights", "fixed:0.5,0.5")
+        assert code == fixed_code == EXIT_VIOLATION
+        lines = err.splitlines()
+        assert len(lines) == len(fixed_err.splitlines()) == 2
+        assert all("margin nan (weight w" in line for line in lines)
 
     def test_dump_config_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check", "--mode", "necessity", "--k", "3",

@@ -489,6 +489,17 @@ class TestReductionChain:
         expected = (0.8 ** (0.3 / 2.0)) * ((1 / 0.7) ** 0.8)
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_scalar_interior_three_level_hand_value(self):
+        # diag(lo, hi): norm hi, margin lo; layer 3 flips positive (a norm
+        # factor), layers 4 and 2 negative (reciprocal-margin factors)
+        spectra = [(0.4, 0.5), (0.5, 0.6), (0.6, 0.7), (0.7, 0.8), (0.8, 0.9),
+                   (0.9, 0.95), (0.95, 0.99)]
+        tup = OperatorTuple(tuple(diagonal(s) for s in spectra))
+        got = reduction_scalar_interior(tup, (0.8, 0.3, 0.6), (1.0, 2.0, 3.0, 4.0, 5.0, 1.0), 3)
+        inner = (0.95 ** (0.6 / 5.0) * (1 / 0.8) ** 0.3) ** (1 / 4.0)
+        expected = (inner * 0.8 ** 0.3) ** (1 / 3.0) * (1 / 0.6) ** 0.8
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_red_flag_on_tampered_tolerance(self):
         # force an impossible scalar bound by shrinking the interior
         tup = gen_suite_tuple(5, 2, seed=16)
