@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+import numpy as np
+
 
 class Family(Enum):
     ASCENDING = "ascending"
@@ -148,45 +150,90 @@ class ChainInequality:
     direction: Direction
 
 
-def chain_exponent(t, p) -> float:
-    """Aggregate exponent of the fully nested chain word.
+def _dyadic(x: float) -> tuple[int, int]:
+    """x as (m, s) with x = m / 2**s exactly; every float is dyadic."""
+    m, d = float(x).as_integer_ratio()
+    return m, d.bit_length() - 1
+
+
+def _dyadic_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    (am, ash), (bm, bsh) = a, b
+    s = max(ash, bsh)
+    return (am << (s - ash)) + (bm << (s - bsh)), s
+
+
+def chain_exponents(t, p_table) -> np.ndarray:
+    """Aggregate exponent psi of the fully nested chain word, one per row of
+    an (N, 2n) table of p-vectors.
 
     Defined by the recurrence b_0 = 1, b_j = (b_(j-1) * p_(2j-1) - t_j) *
-    p_(2j) + t_j, returning b_n.  Computed in exact rational arithmetic so
-    the all-ones telescoping case returns exactly 1.0; a b_n beyond the
-    float range rounds to inf.
+    p_(2j) + t_j, returning b_n.  Each b_j is computed once per distinct
+    prefix p_1 .. p_2j, in exact arithmetic on integers over powers of two,
+    so the all-ones telescoping case returns exactly 1.0.  Each b_n is then
+    rounded once to the nearest float (CPython's int / int division rounds
+    correctly, as ``float(Fraction)`` does); beyond the float range it is
+    inf.
     """
-    t = tuple(t)
-    p = tuple(p)
-    if len(p) != 2 * len(t):
-        raise ValueError(f"need twice as many p as t values, got {len(p)} and {len(t)}")
-    if any(not 0.0 <= float(v) <= 1.0 for v in t):
+    t = tuple(float(v) for v in t)
+    table = np.asarray(p_table, dtype=np.float64)
+    n = len(t)
+    if table.ndim != 2 or table.shape[1] != 2 * n:
+        raise ValueError(f"need twice as many p as t values, got {table.shape[-1]} and {n}")
+    if any(not 0.0 <= v <= 1.0 for v in t):
         raise ValueError(f"every t must lie in [0, 1], got {t}")
-    if any(float(v) < 1.0 for v in p):
-        raise ValueError(f"every p must be >= 1, got {p}")
-    b = Fraction(1)
-    for j, tj in enumerate(t):
-        tf = Fraction(tj)
-        b = (b * Fraction(p[2 * j]) - tf) * Fraction(p[2 * j + 1]) + tf
-    try:
-        return float(b)
-    except OverflowError:
-        return math.inf  # b_n >= 1 whenever p >= 1 and t lies in [0, 1]
+    bad = ~(np.isfinite(table) & (table >= 1.0))
+    if bad.any():
+        first = tuple(table[bad.any(axis=1)][0].tolist())
+        raise ValueError(f"every p must be finite and >= 1, got {first}")
+    t_exact = [_dyadic(v) for v in t]
+    neg_t = [(-m, s) for m, s in t_exact]
+    rows = table.tolist()
+    exact = {v: _dyadic(v) for v in set(table.ravel().tolist())}
+    levels: dict[tuple, tuple[int, int]] = {(): (1, 0)}
+
+    def level(prefix: tuple) -> tuple[int, int]:
+        b = levels.get(prefix)
+        if b is None:
+            j = len(prefix) // 2 - 1
+            (bm, bs), (pm, ps), (qm, qs) = level(prefix[:-2]), exact[prefix[-2]], exact[prefix[-1]]
+            xm, xs = _dyadic_add((bm * pm, bs + ps), neg_t[j])
+            b = levels[prefix] = _dyadic_add((xm * qm, xs + qs), t_exact[j])
+        return b
+
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        m, s = level(tuple(row))
+        try:
+            out[i] = m / (1 << s)
+        except OverflowError:
+            out[i] = math.inf  # b_n >= 1 whenever p >= 1 and t lies in [0, 1]
+    return out
 
 
-def necessity_weight_from(t, p, r: float) -> float:
-    """Weight (r - t_n) / (psi - t_n + r) at which the hypothesis family is
-    expected to be equivalent to the operator order."""
+def necessity_weights(t, p_table, r: float) -> np.ndarray:
+    """Weight (r - t_n) / (psi - t_n + r) per row of an (N, 2n) p-table, at
+    which the hypothesis family is expected to be equivalent to the operator
+    order; float64 arithmetic, the same IEEE operations as on one float."""
     t = tuple(t)
-    psi = chain_exponent(t, p)
+    psi = chain_exponents(t, p_table)
     t_n = float(t[-1])
     if not r > t_n:
         raise ValueError(f"r must exceed t_n = {t_n}, got r = {r}")
     denom = psi - t_n + r
-    if denom <= 0.0:
+    if not (denom > 0.0).all():
         # unreachable when p >= 1 and t in [0, 1]; guarded anyway
-        raise ValueError(f"degenerate weight denominator {denom}")
+        raise ValueError(f"degenerate weight denominator {float(denom.min())}")
     return (r - t_n) / denom
+
+
+def chain_exponent(t, p) -> float:
+    """``chain_exponents`` of one p-vector."""
+    return float(chain_exponents(t, [tuple(p)])[0])
+
+
+def necessity_weight_from(t, p, r: float) -> float:
+    """``necessity_weights`` of one p-vector."""
+    return float(necessity_weights(t, [tuple(p)], r)[0])
 
 
 def _levels(k: int) -> int:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import chains, dsl, verify
@@ -201,6 +203,21 @@ def _cmd_print_chain(args) -> int:
     return EXIT_OK
 
 
+def _number(cfg: dict, key: str, kind):
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"--{key.replace('_', '-')} must be a number, got {cfg[key]!r}") from exc
+
+
+def _tolerance(cfg: dict, key: str) -> float:
+    """A relative tolerance: finite and positive."""
+    value = _number(cfg, key, float)
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"--{key.replace('_', '-')} must be finite and positive, got {value}")
+    return value
+
+
 def _sample_template(cfg, rng, n: int) -> ParamTemplate:
     if cfg["t"] is not None:
         t = _csv_floats(cfg["t"])
@@ -231,9 +248,12 @@ def _cmd_check(args) -> int:
     grid = PGrid(values=_csv_floats(cfg["p_grid"]))
     policy = WeightPolicy.parse(cfg["weights"])
     seed = int(cfg["seed"])
-    count = int(cfg["count"])
+    count = _number(cfg, "count", int)
+    if count < 1:
+        raise UsageError(f"--count must be at least 1, got {count}")
     n = int(cfg["k"]) // 2
-    suite_tol = float(cfg["suite_tol_rel"])
+    tol = _tolerance(cfg, "tol_rel")
+    suite_tol = _tolerance(cfg, "suite_tol_rel")
 
     violations: list[str] = []
     reports: list[CampaignReport] = []
@@ -262,7 +282,7 @@ def _cmd_check(args) -> int:
             template = _sample_template(cfg, verify._rng(seed, idx, 99), n)
             report = check_hypotheses(
                 tup, template, grid, policy,
-                tol_rel=float(cfg["tol_rel"]), instance_id=str(idx),
+                tol_rel=tol, instance_id=str(idx),
                 master_seed=seed, instance_index=idx, suite_tol_rel=suite_tol,
             )
             return tup, template, report
@@ -317,7 +337,7 @@ def _cmd_check(args) -> int:
                 template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
             return check_reduction_chain(
                 tup, template, grid, policy=policy,
-                tol_rel=float(cfg["tol_rel"]), suite_tol_rel=suite_tol,
+                tol_rel=tol, suite_tol_rel=suite_tol,
                 master_seed=seed, instance_index=idx, instance_id=str(idx),
             )
 
@@ -347,7 +367,7 @@ def _cmd_check(args) -> int:
             interior = reduction_scalar_interior(tup, limit_t, (1.0,) * (2 * n), n)
             return limit_probe(
                 tup.matrices[0], tup.matrices[1], c=max(1.0, interior),
-                p2_values=p2_values, tol_rel=float(cfg["tol_rel"]),
+                p2_values=p2_values, tol_rel=tol,
             )
 
         results = [run_instance(idx) for idx in range(count)]
@@ -410,8 +430,14 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state in the parser, so one per process serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

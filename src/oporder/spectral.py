@@ -489,6 +489,11 @@ def margin_holds(margin: float, scale: float, tol_rel: float) -> bool:
     return math.isfinite(margin) and margin >= -tol_rel * scale
 
 
+def margins_hold(margin: np.ndarray, scale: np.ndarray, tol_rel: float) -> np.ndarray:
+    """``margin_holds`` elementwise over arrays of margins and scales."""
+    return np.isfinite(margin) & (margin >= -tol_rel * scale)
+
+
 def classify_margins(ge_margin: float, le_margin: float, scale: float,
                      tol_rel: float) -> Relation:
     ge = margin_holds(ge_margin, scale, tol_rel)
@@ -500,6 +505,16 @@ def classify_margins(ge_margin: float, le_margin: float, scale: float,
     if le:
         return Relation.LE
     return Relation.INCOMPARABLE
+
+
+# codes of classify_stack: 2 * (the GE margin holds) + (the LE margin holds)
+STACK_RELATIONS = (Relation.INCOMPARABLE, Relation.LE, Relation.GE, Relation.EQ)
+
+
+def classify_stack(ge: np.ndarray, le: np.ndarray, scale: np.ndarray,
+                   tol_rel: float) -> np.ndarray:
+    """``classify_margins`` row-wise, as indices into STACK_RELATIONS."""
+    return 2 * margins_hold(ge, scale, tol_rel) + margins_hold(le, scale, tol_rel)
 
 
 def directional_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float]:

@@ -12,15 +12,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import chains, dsl
 from .chains import Direction, Family
 from .spectral import (
+    STACK_RELATIONS,
     TOL_REL,
     HermitianMatrix,
     NonFiniteError,
@@ -28,6 +32,7 @@ from .spectral import (
     SpectralError,
     Verdict,
     classify_margins,
+    classify_stack,
     congruence,
     decompose_stack,
     first_errors,
@@ -36,6 +41,7 @@ from .spectral import (
     identity,
     loewner_compare,
     margin_holds,
+    margins_hold,
     matrix_power,
     matrix_to_json,
     operator_norm,
@@ -296,15 +302,17 @@ class WeightPolicy:
             return "fixed:" + ",".join(repr(v) for v in self.values)
         return self.kind
 
-    def weights(self, t, p, r: float, count: int) -> tuple[float, ...]:
+    def weights(self, t, p_table, r: float, count: int) -> np.ndarray:
+        """The (N, count) weights w1 .. w_count for each row of an (N, 2n)
+        p-table."""
         if self.kind == "fixed":
             if len(self.values) != count:
                 raise ValueError(
                     f"fixed policy carries {len(self.values)} weights, need {count}"
                 )
-            return self.values
-        w = chains.necessity_weight_from(t, p, r)
-        return (w,) * count
+            return np.tile(np.asarray(self.values, dtype=np.float64), (len(p_table), 1))
+        w = chains.necessity_weights(t, p_table, r)
+        return np.repeat(w[:, None], count, axis=1)
 
 
 @dataclass(frozen=True)
@@ -331,6 +339,9 @@ class ParamTemplate:
 
 @dataclass(frozen=True)
 class CampaignRow:
+    """One campaign row as a record; ``CampaignReport.rows`` builds them
+    from the report's columns when they are read."""
+
     instance_id: str
     k: int
     dim: int
@@ -351,31 +362,83 @@ class CampaignRow:
         return margin_holds(self.margin, self.scale, tol_rel)
 
 
+@dataclass(frozen=True)
+class CampaignMember:
+    """What the rows of one hypothesis member on one instance share: the
+    instance id, the tuple's k and dim, the member and its relation, and
+    the sampled p-vectors that the rows' p_index column points into."""
+
+    instance_id: str
+    k: int
+    dim: int
+    family: str
+    member: int
+    relation: str
+    p_vectors: Sequence[tuple[float, ...]]
+
+
+# verdict column codes: those of classify_stack, then ERROR
+VERDICTS = tuple(rel.value for rel in STACK_RELATIONS) + ("ERROR",)
+ERROR_CODE = len(VERDICTS) - 1
+
+# the per-row columns of a CampaignReport and their types, in the argument
+# order of CampaignReport._record
+COLUMNS = {"member": np.intp, "p_index": np.intp, "w": np.float64, "margin": np.float64,
+           "scale": np.float64, "verdict": np.intp, "seconds": np.float64}
+
 _CSV_COLUMNS = ("instance_id", "k", "dim", "family", "member", "p_vector",
                 "w", "relation", "margin", "verdict", "seconds")
 
 
-@dataclass
+@dataclass(eq=False)
 class CampaignReport:
-    """Campaign rows judged at the suite slack tol_rel: violations(), the
-    pass/fail summary and the CLI exit code all use it."""
+    """Campaign rows as one columnar table, judged at the suite slack
+    tol_rel: holds(), violations(), the pass/fail summary and the CLI exit
+    code all use it.
 
-    rows: list[CampaignRow]
+    ``columns`` maps each name of COLUMNS to an array with one entry per
+    row.  ``member`` indexes ``members``; ``p_index`` indexes that
+    member's p-vectors; ``verdict`` indexes VERDICTS.  ``errors`` maps each
+    ERROR row to its error text; such a row has NaN w and margin and
+    scale 1.
+    """
+
+    members: tuple[CampaignMember, ...]
+    columns: dict[str, np.ndarray]
+    errors: dict[int, str]
     config: dict
     master_seed: int
     tol_rel: float = SUITE_TOL_REL
 
+    @property
+    def rows(self) -> "CampaignRows":
+        return CampaignRows(self)
+
+    def _record(self, i, member, p_index, w, margin, scale, verdict, seconds) -> CampaignRow:
+        m = self.members[member]
+        return CampaignRow(
+            instance_id=m.instance_id, k=m.k, dim=m.dim, family=m.family, member=m.member,
+            p_vector=tuple(m.p_vectors[p_index]), w=w, relation=m.relation, margin=margin,
+            verdict=VERDICTS[verdict], seconds=seconds, scale=scale, error=self.errors.get(i),
+        )
+
+    def holds(self, tol_rel: float | None = None) -> np.ndarray:
+        """Per-row pass mask at tol_rel (default: the report's slack)."""
+        tol = self.tol_rel if tol_rel is None else tol_rel
+        return margins_hold(self.columns["margin"], self.columns["scale"], tol)
+
     def violations(self) -> list[CampaignRow]:
-        return [r for r in self.rows if not r.holds(self.tol_rel)]
+        rows = self.rows
+        return [rows[i] for i in np.flatnonzero(~self.holds()).tolist()]
 
     @property
     def pass_count(self) -> int:
-        return len(self.rows) - len(self.violations())
+        return int(np.count_nonzero(self.holds()))
 
     @property
     def worst_margin(self) -> float:
-        finite = [r.margin for r in self.rows if r.error is None]
-        return min(finite) if finite else float("nan")
+        finite = self.columns["margin"][self.columns["verdict"] != ERROR_CODE]
+        return min(finite.tolist()) if len(finite) else float("nan")
 
     def summary(self) -> dict:
         passed = self.pass_count
@@ -387,13 +450,24 @@ class CampaignReport:
         }
 
     def csv_text(self) -> str:
+        heads = [f"{m.instance_id},{m.k},{m.dim},{m.family},{m.member},"
+                 for m in self.members]
+        # p-vector texts per p-vector list, shared by the members of an instance
+        p_texts: dict[int, list[str]] = {}
+        names = ("member", "p_index", "w", "margin", "verdict", "seconds")
+        cols = [self.columns[name].tolist() for name in names]
+        # w repeats across members and seconds across a batch: format each once
+        w_texts = {w: repr(w) for w in set(cols[2])}
+        s_texts = {s: f"{s:.6f}" for s in set(cols[5])}
         lines = [",".join(_CSV_COLUMNS)]
-        for r in self.rows:
-            lines.append(",".join([
-                r.instance_id, str(r.k), str(r.dim), r.family, str(r.member),
-                ";".join(repr(v) for v in r.p_vector), repr(r.w), r.relation,
-                repr(r.margin), r.verdict, f"{r.seconds:.6f}",
-            ]))
+        for member, p_index, w, margin, verdict, seconds in zip(*cols):
+            m = self.members[member]
+            texts = p_texts.get(id(m.p_vectors))
+            if texts is None:
+                texts = p_texts[id(m.p_vectors)] = [";".join(repr(v) for v in p_vec)
+                                                    for p_vec in m.p_vectors]
+            lines.append(f"{heads[member]}{texts[p_index]},{w_texts[w]},{m.relation},"
+                         f"{margin!r},{VERDICTS[verdict]},{s_texts[seconds]}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -409,12 +483,51 @@ class CampaignReport:
         Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+class CampaignRows(Sequence):
+    """A report's rows as CampaignRow records, built when read."""
+
+    def __init__(self, report: CampaignReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.columns["margin"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"row {index} out of range for {len(self)} rows")
+        cols = self._report.columns
+        return self._report._record(i, *(cols[name][i].item() for name in COLUMNS))
+
+    def __iter__(self):
+        cols = self._report.columns
+        for i, fields in enumerate(zip(*(cols[name].tolist() for name in COLUMNS))):
+            yield self._report._record(i, *fields)
+
+
+def _concat_columns(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    return {name: np.concatenate([np.zeros(0, dtype)] + [p[name] for p in parts])
+            for name, dtype in COLUMNS.items()}
+
+
 def merge_reports(reports, config: dict, master_seed: int,
                   tol_rel: float = SUITE_TOL_REL) -> CampaignReport:
-    rows: list[CampaignRow] = []
+    """One report holding the rows of ``reports`` in order."""
+    members: list[CampaignMember] = []
+    parts: list[dict[str, np.ndarray]] = []
+    errors: dict[int, str] = {}
+    rows = 0
     for rep in reports:
-        rows.extend(rep.rows)
-    return CampaignReport(rows, config, master_seed, tol_rel)
+        parts.append({**rep.columns, "member": rep.columns["member"] + len(members)})
+        errors.update((rows + i, text) for i, text in rep.errors.items())
+        rows += len(rep.rows)
+        members.extend(rep.members)
+    return CampaignReport(tuple(members), _concat_columns(parts), errors, config,
+                          master_seed, tol_rel)
 
 
 def _environment(tup: OperatorTuple, template: ParamTemplate,
@@ -485,55 +598,83 @@ def check_hypotheses(
         chain_list = [c for c in chain_list if (c.family, c.member) in wanted]
     env = _environment(tup, template)
     p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 1)
-    # weights depend on the p-vector only: computed once per p-vector, on demand
-    weights: list[tuple[float, ...] | None] = [None] * len(p_vectors)
+    weights = policy.weights(template.t, p_table, template.r, count=k - 1)
 
-    def weights_at(i: int) -> tuple[float, ...]:
-        if weights[i] is None:
-            weights[i] = policy.weights(template.t, p_vectors[i], template.r, count=k - 1)
-        return weights[i]
-
-    rows: list[CampaignRow] = []
+    batches: list[_Batch] = []
+    stopped = False
     lhs_values: dict[int, HermitianMatrix] = {}
-    for chain in chain_list:
+    for code, chain in enumerate(chain_list):
         outer = chain.lhs.index  # every member's left side is A_outer^(r - t_n)
         if outer not in lhs_values:
             lhs_values[outer] = dsl.evaluate(chain.lhs, env)
         w_index = chains.weight_index(chain.family, chain.member, n)
         for lo, hi in _batches(len(p_vectors), tup.dim, stop_on_violation):
             start = time.perf_counter()
-            w_col = [weights_at(i)[w_index - 1] for i in range(lo, hi)]
             columns = _p_columns(p_table, lo, hi)
-            w_arr = columns[f"w{w_index}"] = np.asarray(w_col, dtype=np.float64)
+            w = columns[f"w{w_index}"] = weights[lo:hi, w_index - 1]
             batch = dsl.evaluate_batch(chain.rhs, env, columns)
-            errors = batch.errors
-            if min(w_col) <= 0:  # w = 0 (from an overflowed chain exponent) makes the rhs I
-                errors = flag_errors(errors, w_arr <= 0, lambda i: dsl.EvaluationError(
-                    f"weight w{w_index} = {w_col[i]!r} is not positive"))
+            # w = 0 (from an overflowed chain exponent) makes the rhs I
+            errors = flag_errors(batch.errors, w <= 0, lambda i: dsl.EvaluationError(
+                f"weight w{w_index} = {float(w[i])!r} is not positive"))
             ge, le, scale, errors = scaled_margins_stack(lhs_values[outer], batch.values, errors)
             seconds = (time.perf_counter() - start) / (hi - lo)
-            for i, (g, l_, sc, err) in enumerate(zip(ge.tolist(), le.tolist(),
-                                                     scale.tolist(), errors)):
-                ok = err is None
-                row = CampaignRow(
-                    instance_id=instance_id, k=k, dim=tup.dim,
-                    family=chain.family.value, member=chain.member,
-                    p_vector=tuple(p_vectors[lo + i]),
-                    w=w_col[i] if ok else float("nan"),
-                    relation=chain.direction.value,
-                    margin=(g if chain.direction is Direction.GE else l_)
-                    if ok else float("nan"),
-                    verdict=classify_margins(g, l_, sc, tol_rel).value if ok else "ERROR",
-                    seconds=seconds, scale=sc if ok else 1.0,
-                    error=None if ok else str(err),
-                )
-                rows.append(row)
+            end = hi - lo
+            if stop_on_violation:
                 # error rows are indeterminate, not violations; keep scanning
-                if stop_on_violation and row.error is None \
-                        and not row.holds(suite_tol_rel):
-                    return CampaignReport(rows, {"stopped_early": True}, master_seed,
-                                          suite_tol_rel)
-    return CampaignReport(rows, {}, master_seed, suite_tol_rel)
+                fails = ~margins_hold(ge if chain.direction is Direction.GE else le,
+                                      scale, suite_tol_rel) & healthy(errors)
+                if fails.any():
+                    end, stopped = int(fails.argmax()) + 1, True
+            batches.append(_Batch(code, lo, w[:end], ge[:end], le[:end], scale[:end],
+                                  errors[:end], seconds))
+            if stopped:
+                break
+        if stopped:
+            break
+    columns, errors = _campaign_columns(batches, chain_list, tol_rel)
+    members_table = tuple(CampaignMember(instance_id, k, tup.dim, c.family.value, c.member,
+                                         c.direction.value, p_vectors) for c in chain_list)
+    return CampaignReport(members_table, columns, errors,
+                          {"stopped_early": True} if stopped else {}, master_seed,
+                          suite_tol_rel)
+
+
+class _Batch(NamedTuple):
+    """The rows lo, lo + 1, ... of one member that check_hypotheses kept
+    from one evaluate_batch call."""
+
+    member: int
+    lo: int
+    w: np.ndarray
+    ge: np.ndarray
+    le: np.ndarray
+    scale: np.ndarray
+    errors: np.ndarray
+    seconds: float  # per row
+
+
+def _campaign_columns(batches: list[_Batch], chain_list, tol_rel: float):
+    """The report columns and error texts of check_hypotheses' batches;
+    the margin is the member's directional one, the verdict is judged at
+    the verdict tolerance tol_rel."""
+    if not batches:
+        return _concat_columns([]), {}
+    counts = [len(b.w) for b in batches]
+    member = np.repeat([b.member for b in batches], counts)
+    w, ge, le, scale, errs = (np.concatenate(cols) for cols in
+                              zip(*((b.w, b.ge, b.le, b.scale, b.errors) for b in batches)))
+    is_ge = np.array([c.direction is Direction.GE for c in chain_list])
+    margin = np.where(is_ge[member], ge, le)
+    verdict = classify_stack(ge, le, scale, tol_rel)
+    bad = np.flatnonzero(~healthy(errs))
+    verdict[bad], w[bad], margin[bad], scale[bad] = ERROR_CODE, math.nan, math.nan, 1.0
+    columns = {
+        "member": member,
+        "p_index": np.concatenate([np.arange(b.lo, b.lo + c) for b, c in zip(batches, counts)]),
+        "w": w, "margin": margin, "scale": scale, "verdict": verdict,
+        "seconds": np.repeat([b.seconds for b in batches], counts),
+    }
+    return columns, {i: str(errs[i]) for i in bad.tolist()}
 
 
 def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdict]:
@@ -793,6 +934,16 @@ def check_reduction_chain(
     env = _environment(tup, template, (0.5,) * (k - 1))
     ident = identity(tup.dim)
     p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 2)
+    # c_total depends on p_2 .. p_(2n-1) only: computed once per distinct prefix
+    interiors: dict[tuple[float, ...], float] = {}
+
+    def c_total_at(p_vec) -> float:
+        key = tuple(p_vec[1:2 * n - 1])
+        if key not in interiors:
+            interiors[key] = reduction_scalar_interior(tup, template.t, p_vec, n) \
+                ** (1.0 / p_vec[1])
+        return interiors[key]
+
     rows: list[ReductionRow] = []
     red_flags: list[str] = []
     for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
@@ -809,8 +960,7 @@ def check_reduction_chain(
         margin_peel, _, scale_peel, errors = scaled_margins_stack(bound, base.values, errors)
         # the scalar bound c * I compares against lambda_max(base) directly
         lam, _, errors = decompose_stack(base.values, errors)
-        c_total = np.array([reduction_scalar_interior(tup, template.t, p_vec, n)
-                            ** (1.0 / p_vec[1]) for p_vec in p_vectors[lo:hi]])
+        c_total = np.array([c_total_at(p_vec) for p_vec in p_vectors[lo:hi]])
         values = np.stack([margin_core, scale_core, margin_peel, scale_peel, c_total - lam[:, -1],
                            np.maximum(np.maximum(1.0, np.abs(c_total)), spectral_norms(lam)),
                            c_total], axis=1)
@@ -1030,7 +1180,7 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
             if genuine:
                 violation_row = genuine[0]
                 break
-            if any(r.error is not None for r in report.rows):
+            if report.errors:
                 # ill-conditioned beyond the pd gate: indeterminate instance
                 saw_error = True
                 break

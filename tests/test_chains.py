@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oporder import dsl
@@ -17,11 +17,13 @@ from oporder.chains import (
     ascending_index,
     build_chain,
     chain_exponent,
+    chain_exponents,
     descending_index,
     hypothesis_core,
     hypothesis_set,
     layer_exponent,
     necessity_weight_from,
+    necessity_weights,
     peeled_bindings,
     reduction_words,
     weight_index,
@@ -110,6 +112,59 @@ class TestChainExponent:
         if n == 0:
             return
         assert chain_exponent(tuple(t[:n]), tuple(p[: 2 * n])) >= 1.0 - 1e-12
+
+
+def fraction_chain_exponent(t, p) -> float:
+    """Independent oracle: the recurrence in Fraction arithmetic, rounded once."""
+    b = Fraction(1)
+    for j, tj in enumerate(t):
+        b = (b * Fraction(p[2 * j]) - Fraction(tj)) * Fraction(p[2 * j + 1]) + Fraction(tj)
+    try:
+        return float(b)
+    except OverflowError:
+        return math.inf
+
+
+@st.composite
+def weight_tables(draw):
+    """(t, p-table, r): n = 1..3, t in [0, 1] with its ends, rows drawn from a
+    small grid of floats >= 1 that may hold 1e300."""
+    n = draw(st.integers(1, 3))
+    t = tuple(draw(st.one_of(st.sampled_from([0.0, 1.0]), t_floats)) for _ in range(n))
+    grid = draw(st.lists(st.one_of(st.sampled_from([1.0, 1e300]), st.floats(1.0, 64.0)),
+                         min_size=1, max_size=3, unique=True))
+    table = [tuple(draw(st.sampled_from(grid)) for _ in range(2 * n))
+             for _ in range(draw(st.integers(1, 12)))]
+    return t, table, t[-1] + draw(st.floats(1e-3, 3.0))
+
+
+class TestWeightColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(case=weight_tables())
+    @example(case=((0.3, 1.0), [(1.0,) * 4, (1e300, 1.0, 1.0, 1.0)], 1.5))
+    @example(case=((0.0,), [(1e300, 1e300), (1.0, 1.0)], 0.5))
+    def test_columns_match_one_row_case_and_exact_oracle_bit_for_bit(self, case):
+        t, table, r = case
+        psi = chain_exponents(t, table)
+        w = necessity_weights(t, table, r)
+        assert psi.shape == w.shape == (len(table),)
+        for i, p in enumerate(table):
+            exact = fraction_chain_exponent(t, p)
+            weight = (r - t[-1]) / (exact - t[-1] + r)
+            assert float(psi[i]).hex() == chain_exponent(t, p).hex() == exact.hex()
+            assert float(w[i]).hex() == necessity_weight_from(t, p, r).hex() == weight.hex()
+
+    def test_all_ones_is_exactly_one_and_overflow_is_inf(self):
+        t = (0.3, 0.7)
+        psi = chain_exponents(t, [(1.0,) * 4, (1e300,) * 4])
+        assert psi.tolist() == [1.0, math.inf]
+        assert necessity_weights(t, [(1e300,) * 4], 1.5).tolist() == [0.0]
+
+    @pytest.mark.parametrize("table", [[(1.0, 0.5)], [(1.0, math.inf)], [(1.0, math.nan)],
+                                       [(1.0, 1.0, 1.0)]])
+    def test_rejects_bad_tables(self, table):
+        with pytest.raises(ValueError):
+            chain_exponents((0.5,), table)
 
 
 class TestNecessityWeight:

@@ -212,6 +212,42 @@ class TestCheckCommand:
         assert code == EXIT_USAGE
         assert "bogus" in err
 
+    SMALL_NECESSITY = ("check", "--mode", "necessity", "--k", "3", "--dim", "2",
+                       "--p-grid", "1,2")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--suite-tol-rel", "nan"),
+        ("--suite-tol-rel", "-1"),
+        ("--suite-tol-rel", "0"),
+        ("--suite-tol-rel", "inf"),
+        ("--tol-rel", "nan"),
+        ("--tol-rel", "-0.001"),
+        ("--tol-rel", "inf"),
+        ("--count", "0"),
+        ("--count", "-2"),
+    ])
+    def test_bad_tolerance_or_count_flag_exits_2(self, capsys, flag, value):
+        code, out, err = run(capsys, *self.SMALL_NECESSITY, "--count", "1", flag, value)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and flag in err
+        assert "all expectations met" not in out
+
+    @pytest.mark.parametrize("entry", [
+        '"suite_tol_rel": NaN',
+        '"suite_tol_rel": -1',
+        '"tol_rel": Infinity',
+        '"tol_rel": 0',
+        '"count": 0',
+        '"count": "many"',
+    ])
+    def test_bad_tolerance_or_count_in_config_exits_2(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mode": "necessity", "k": 3, "dim": 2, "p_grid": "1,2", ' + entry + "}")
+        code, out, err = run(capsys, "check", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and entry.split('"')[1].replace("_", "-") in err
+        assert "all expectations met" not in out
+
 
 class TestSearchCommand:
     def test_zero_budget_empty_findings(self, capsys, tmp_path):

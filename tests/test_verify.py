@@ -183,11 +183,12 @@ class TestWeightPolicy:
 
     def test_fixed_length_checked(self):
         with pytest.raises(ValueError):
-            WeightPolicy.fixed([0.5]).weights((0.5,), (1.0, 1.0), 1.0, count=2)
+            WeightPolicy.fixed([0.5]).weights((0.5,), [(1.0, 1.0)], 1.0, count=2)
 
     def test_necessity_weights_equal(self):
-        w = WeightPolicy.necessity().weights((1.0,), (1.0, 1.0), 2.0, count=2)
-        assert w == pytest.approx((0.5, 0.5))
+        w = WeightPolicy.necessity().weights((1.0,), [(1.0, 1.0)], 2.0, count=2)
+        assert w.shape == (1, 2)
+        assert tuple(w[0]) == pytest.approx((0.5, 0.5))
 
 
 class TestCheckHypotheses:
@@ -623,10 +624,21 @@ class TestCampaignReport:
             p_vector=(1.0, 1.0), w=0.5, relation=">=", margin=-2e-8,
             verdict="INCOMPARABLE", seconds=0.0, scale=2.0,
         )
-        rep = CampaignReport([row], {}, 0)
+
+        def report(**kwargs):
+            columns = {"member": [0], "p_index": [0], "w": [0.5], "margin": [-2e-8],
+                       "scale": [2.0], "verdict": [verify.VERDICTS.index("INCOMPARABLE")],
+                       "seconds": [0.0]}
+            return CampaignReport(
+                (verify.CampaignMember("0", 3, 2, "ascending", 1, ">=", [(1.0, 1.0)]),),
+                {name: np.asarray(col, dtype=verify.COLUMNS[name])
+                 for name, col in columns.items()},
+                {}, {}, 0, **kwargs)
+
+        rep = report()
         assert rep.violations() == []
         assert rep.summary()["pass"] == 1 and rep.summary()["fail"] == 0
-        strict = CampaignReport([row], {}, 0, tol_rel=1e-9)
+        strict = report(tol_rel=1e-9)
         assert strict.violations() == [row]
         assert strict.summary()["fail"] == 1
 
