@@ -1,10 +1,15 @@
 """Command-line front end: campaign orchestration and report emission.
 
 Exit codes: 0 when every expectation of the requested suite holds, 1 when a
-mathematical expectation is violated (a potential finding), 2 for usage or
-configuration errors.  Every command is deterministic given its full flag
-set including --seed; --dump-config emits the effective configuration as
-JSON and --config reads one back, with explicit flags taking precedence.
+mathematical expectation is violated by a computed, finite margin (a
+potential finding; every such violation prints a ``VIOLATION:`` line), 2
+for usage or configuration errors, and 3 when ``check`` finds no violation
+but some rows could not be evaluated (numerical failures, each printed as
+an ``ERROR:`` line), so the suite is indeterminate.  ``search`` exits 0 or
+1 only: its instances with evaluation errors are counted, not judged.
+Every command is deterministic given its full flag set including --seed;
+--dump-config emits the effective configuration as JSON and --config reads
+one back, with explicit flags taking precedence.
 """
 from __future__ import annotations
 
@@ -39,6 +44,7 @@ from .verify import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INDETERMINATE = 3
 
 _CHECK_DEFAULTS = {
     "k": 3,
@@ -256,6 +262,9 @@ def _cmd_check(args) -> int:
     suite_tol = _tolerance(cfg, "suite_tol_rel")
 
     violations: list[str] = []
+    # rows that were not evaluated: one line each, and how many rows in all
+    unevaluated: list[str] = []
+    unevaluated_rows = 0
     reports: list[CampaignReport] = []
 
     if mode in ("necessity", "contrapositive"):
@@ -295,11 +304,12 @@ def _cmd_check(args) -> int:
             bad = rep.violations()
             if mode == "necessity":
                 for row in bad:
-                    violations.append(
+                    (unevaluated if row.error else violations).append(
                         f"instance {idx}: {row.family} member {row.member} at "
                         f"p={row.p_vector} margin {row.margin:.6e} "
                         f"({row.error or row.verdict})"
                     )
+                unevaluated_rows += len(rep.errors)
             else:
                 genuine = [r for r in bad if r.error is None]
                 if genuine:
@@ -343,17 +353,23 @@ def _cmd_check(args) -> int:
 
         results = [run_instance(idx) for idx in range(count)]
         for idx, rep in enumerate(results):
-            if not rep.premise_pass:
+            if rep.premise_failures:
                 violations.append(f"instance {idx}: premise member failed on the grid")
+            elif rep.premise_errors:
+                # a premise that fails only through error rows is indeterminate
+                unevaluated.append(f"instance {idx}: premise member has "
+                                   f"{rep.premise_errors} rows not evaluated")
+                unevaluated_rows += rep.premise_errors
             violations.extend(rep.red_flags)
             for row in rep.rows:
                 if not all(row.holds(suite_tol)):
-                    violations.append(
+                    (unevaluated if row.error else violations).append(
                         f"instance {idx}: reduction margins "
                         f"({row.margin_core:.3e}, {row.margin_peel:.3e}, "
                         f"{row.margin_scalar:.3e}) at p={row.p_vector}"
                         + (f" [{row.error}]" if row.error else "")
                     )
+                    unevaluated_rows += row.error is not None
 
     elif mode == "limit":
         p2_values = PGrid(values=_csv_floats(cfg["s_grid"])).values
@@ -386,10 +402,16 @@ def _cmd_check(args) -> int:
         merged = merge_reports(reports, dict(cfg), seed, suite_tol)
         merged.write_csv(cfg["report"])
 
+    for line in violations:
+        print(f"VIOLATION: {line}", file=sys.stderr)
+    for line in unevaluated:
+        print(f"ERROR: {line}", file=sys.stderr)
     if violations:
-        for line in violations:
-            print(f"VIOLATION: {line}", file=sys.stderr)
         return EXIT_VIOLATION
+    if unevaluated_rows:
+        print(f"indeterminate: no finite violation, but {unevaluated_rows} rows "
+              f"were not evaluated")
+        return EXIT_INDETERMINATE
     print("all expectations met")
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .chains import (
 from .spectral import (
     HermitianMatrix,
     NonFiniteError,
+    SpectralDecomposition,
     SpectralError,
     decompose_stack,
     first_errors,
@@ -424,34 +425,68 @@ class _Part:
     group: _Group | None
 
 
+# The per-row name that picks each row's environment when a batch binds
+# several.  It sorts before every scalar name, so every group refines the
+# grouping by instance.
+_INSTANCE = "#instance"
+
+
 class _BatchRun:
     """One evaluation of a word under a batch of bindings.
 
     Each node is evaluated once per distinct binding of the per-row names
     its subtree mentions: a node without any is evaluated once, and a layer
     of a nested sandwich on the distinct prefixes of the exponents it
-    depends on.  A power decomposes its base once per binding of the base
+    depends on.  Under several environments every matrix symbol depends on
+    the row's instance, so each node is evaluated once per (instance,
+    prefix).  A power decomposes its base once per binding of the base
     and raises it to each of its own exponents.
     """
 
-    def __init__(self, env: Environment, rows: Mapping[str, np.ndarray]):
-        self.env = env
-        self.scalars = env.scalars
+    def __init__(self, env, rows: Mapping[str, np.ndarray], instance=None):
         columns = {name: np.asarray(col, dtype=np.float64).reshape(-1)
                    for name, col in rows.items()}
         sizes = {len(col) for col in columns.values()}
+        envs = (env,) if isinstance(env, Environment) else tuple(env)
+        if instance is not None or len(envs) > 1:
+            if instance is None:
+                raise ValueError("several environments need an instance column")
+            inst = np.asarray(instance, dtype=np.intp).reshape(-1)
+            if not (len(inst) and 0 <= inst.min() and inst.max() < len(envs)):
+                raise ValueError(f"instance column must index the {len(envs)} environments")
+            if len({m.dim for e in envs for m in e.matrices.values()}) > 1 \
+                    or len({frozenset(e.scalars) for e in envs}) > 1:
+                raise ValueError("environments must bind the same scalar names "
+                                 "and one matrix dimension")
+            sizes.add(len(inst))
+            if inst.min() == inst.max():
+                envs = (envs[int(inst[0])],)  # one instance: its environment alone
+            else:
+                columns[_INSTANCE] = inst
         if len(sizes) > 1:
             raise ValueError(f"binding columns differ in length: {sorted(sizes)}")
+        self.env = envs[0]
+        self.envs = envs
+        self.scalars = self.env.scalars
         self.size = sizes.pop() if sizes else 1
-        if self.size == 1:
+        # with several environments, their scalars become per-instance columns
+        self.multi = _INSTANCE in columns
+        self.env_columns = {}
+        if self.multi:
+            self.scalars = {}
+            self.env_columns = {name: np.array([e.scalars[name] for e in envs], dtype=np.float64)
+                                for name in self.env.scalars if name not in columns}
+        elif self.size == 1:
             # a single binding: every node is evaluated once, no grouping
-            self.scalars = {**env.scalars,
+            self.scalars = {**self.env.scalars,
                             **{name: float(col[0]) for name, col in columns.items()}}
             columns = {}
         self.columns = columns
+        self._symbol_names = frozenset({_INSTANCE}) if self.multi else frozenset()
         self._names: dict[int, frozenset] = {}
         self._groups: dict[frozenset, _Group] = {}
         self._parts: dict[int, _Part] = {}
+        self._decompositions: dict[int, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -462,7 +497,7 @@ class _BatchRun:
         got = self._names.get(id(word))
         if got is None:
             if isinstance(word, Symbol):
-                got = self._row_names(word.exponent)
+                got = self._row_names(word.exponent) | self._symbol_names
             elif isinstance(word, Product):
                 got = frozenset().union(*(self.names(f) for f in word.factors))
             elif isinstance(word, Power):
@@ -486,11 +521,18 @@ class _BatchRun:
         if got is None:
             last = max(names)
             rest = self.group(names - {last})
-            values, codes = np.unique(self.columns[last], return_inverse=True)
-            key = codes if rest is None else rest.inverse * len(values) + codes
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            got = _Group(first, inverse,
-                         {name: self.columns[name][first] for name in names})
+            if rest is not None and len(rest.first) == self.size:
+                # every row is a binding of its own already
+                first, inverse = rest.first, rest.inverse
+            else:
+                values, codes = np.unique(self.columns[last], return_inverse=True)
+                key = codes if rest is None else rest.inverse * len(values) + codes
+                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            columns = {name: self.columns[name][first] for name in names}
+            if _INSTANCE in names:
+                inst = columns[_INSTANCE]
+                columns.update((name, table[inst]) for name, table in self.env_columns.items())
+            got = _Group(first, inverse, columns)
             self._groups[names] = got
         return got
 
@@ -530,6 +572,8 @@ class _BatchRun:
 
     def _symbol(self, word: Symbol) -> _Part:
         group = self.group_of(word)
+        if self.multi:
+            return self._instance_symbol(word, group)
         try:
             base = self.env.matrix(word.index)
             alpha = self.exponent(word.exponent, group)
@@ -549,6 +593,38 @@ class _BatchRun:
             values.setflags(write=False)
             self.env._powers[(word.index, alpha)] = values
         return _Part(values, errors, group)
+
+    def _instance_symbol(self, word: Symbol, group: _Group) -> _Part:
+        """A symbol under several environments: each binding raises its
+        instance's matrix, through that matrix's own decomposition."""
+        try:
+            alpha = self.exponent(word.exponent, group)
+        except UnboundNameError as exc:
+            return self.failed(group, exc)
+        lam, u, env_errors = self.decomposition(word.index)
+        inst = group.columns[_INSTANCE]
+        errors = None if env_errors is None else env_errors[inst]
+        values, errors = power_stack(lam[inst], u[inst], alpha, errors)
+        return _Part(values, _fit(errors, len(values)), group)
+
+    def decomposition(self, index: int):
+        """Eigenvalues, eigenvectors and errors of A_index per environment;
+        an environment whose A_index is unbound or fails to decompose gets
+        the identity's and its error."""
+        got = self._decompositions.get(index)
+        if got is None:
+            count = len(self.envs)
+            decs, errors = [], None
+            for i, env in enumerate(self.envs):
+                try:
+                    decs.append(env.matrix(index).decomposition())
+                except (UnboundNameError, SpectralError) as exc:
+                    errors = flag_errors(errors, np.arange(count) == i, lambda _: exc)
+                    decs.append(SpectralDecomposition(np.ones(self.dim), np.eye(self.dim)))
+            got = self._decompositions[index] = (
+                np.stack([d.eigenvalues for d in decs]),
+                np.stack([d.eigenvectors for d in decs]), errors)
+        return got
 
     def _product(self, word: Product) -> _Part:
         group = self.group_of(word)
@@ -570,8 +646,13 @@ class _BatchRun:
         try:
             alpha = self.exponent(word.exponent, group)
         except UnboundNameError as exc:
-            return _Part(sym, flag_errors(errors, np.ones(len(sym), dtype=bool),
-                                          lambda i: exc), base.group)
+            # one row per binding of this node, whose names may be more than
+            # its base's; the base's errors come first
+            sym, errors = self.aligned(_Part(sym, errors, base.group), group)
+            m = 1 if group is None else len(group.first)
+            sym = np.broadcast_to(sym, (m,) + sym.shape[1:])
+            return _Part(sym, flag_errors(_fit(errors, m), np.ones(m, dtype=bool),
+                                          lambda i: exc), group)
         lam, u, errors = decompose_stack(sym, errors)
         if base.group is not None and base.group is not group:
             idx = base.group.inverse[group.first]
@@ -581,19 +662,24 @@ class _BatchRun:
         return _Part(values, _fit(errors, len(values)), group)
 
 
-def evaluate_batch(word: OperatorWord, env: Environment,
-                   rows: Mapping[str, np.ndarray] | None = None) -> WordBatch:
+def evaluate_batch(word: OperatorWord, env: Environment | Sequence[Environment],
+                   rows: Mapping[str, np.ndarray] | None = None,
+                   instance=None) -> WordBatch:
     """Evaluate a word under N bindings at once.
 
     ``env`` binds the matrices and the scalars shared by every row;
     ``rows`` maps further scalar names to (N,) columns, one entry per
-    binding (N = 1 without it).  Products multiply left to right; powers go
-    through the spectral calculus of the coerced Hermitian base, stacked
-    over the distinct bindings of each node.  A binding that fails a guard
-    (pd gate, eigensolver residuals, Hermiticity, a non-finite value)
-    becomes an error row without affecting the others.
+    binding (N = 1 without it).  ``env`` may also be a sequence of
+    environments binding the same names at one dimension, with
+    ``instance`` an (N,) column of indices into it: row i then takes its
+    matrices and its other scalars from ``env[instance[i]]``.  Products
+    multiply left to right; powers go through the spectral calculus of the
+    coerced Hermitian base, stacked over the distinct bindings of each
+    node.  A binding that fails a guard (pd gate, eigensolver residuals,
+    Hermiticity, a non-finite value) becomes an error row without affecting
+    the others.
     """
-    run = _BatchRun(env, rows or {})
+    run = _BatchRun(env, rows or {}, instance)
     part = run.part(word)
     values, errors = part.values, part.errors
     if isinstance(word, Product):  # power values are symmetrized already

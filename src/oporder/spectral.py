@@ -390,24 +390,43 @@ def margins_stack(p: np.ndarray, q: np.ndarray, errors):
 
 
 def _as_stack(side) -> np.ndarray:
-    return side.entries[None] if isinstance(side, HermitianMatrix) else side
+    if isinstance(side, HermitianMatrix):
+        return side.entries[None]
+    if isinstance(side, tuple):
+        matrices, rows = side
+        stack = np.stack([m.entries for m in matrices])
+        return stack if len(matrices) == 1 else stack[rows]
+    return side
 
 
 def _side_norms(side, errors, rows: int):
-    if isinstance(side, HermitianMatrix):
+    """Spectral norms of one side of ``scaled_margins_stack``, per row."""
+    if not isinstance(side, (HermitianMatrix, tuple)):
+        lam, _, errors = decompose_stack(side, errors)
+        return spectral_norms(lam), errors
+    matrices, which = ((side,), None) if isinstance(side, HermitianMatrix) else side
+    if len(matrices) == 1:
+        which = np.zeros(rows, dtype=np.intp)
+    norms = np.ones(len(matrices))
+    failures: dict[int, SpectralError] = {}
+    for i, m in enumerate(matrices):
         try:
-            return operator_norm(side), errors
+            norms[i] = operator_norm(m)
         except SpectralError as exc:
-            return 1.0, flag_errors(errors, np.ones(rows, dtype=bool), lambda i: exc)
-    lam, _, errors = decompose_stack(side, errors)
-    return spectral_norms(lam), errors
+            failures[i] = exc
+    if failures:
+        errors = flag_errors(errors, np.isin(which, list(failures)),
+                             lambda i: failures[int(which[i])])
+    return norms[which], errors
 
 
 def scaled_margins_stack(p, q, errors=None):
     """Stacked ``scaled_margins``: (ge, le, scale, errors) per row.  Each of
-    p and q is an (M, d, d) stack or one HermitianMatrix compared with every
-    row (whose cached decomposition gives its norm).  A margin that comes
-    out non-finite fails with NonFiniteError."""
+    p and q is an (M, d, d) stack, one HermitianMatrix compared with every
+    row, or a pair (matrices, rows) of HermitianMatrix objects and the (M,)
+    index of the one compared with each row.  A HermitianMatrix side takes
+    its norm from its cached decomposition.  A margin that comes out
+    non-finite fails with NonFiniteError."""
     ge, le, errors = margins_stack(_as_stack(p), _as_stack(q), errors)
     scale = np.ones(len(ge))
     for side in (p, q):
@@ -417,6 +436,20 @@ def scaled_margins_stack(p, q, errors=None):
     if not finite.all():
         errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("comparison margin"))
     return ge, le, scale, errors
+
+
+def decompose_matrices(matrices) -> None:
+    """Decompose HermitianMatrix objects of one dimension with one stacked
+    ``decompose_stack`` and cache each result on its matrix, where
+    ``decomposition()`` returns it; a matrix that fails keeps no cache and
+    raises its own error when it is decomposed."""
+    pending = [m for m in matrices if "_decomposition" not in vars(m)]
+    if not pending:
+        return
+    lam, u, errors = decompose_stack(np.stack([m.entries for m in pending]))
+    for i, m in enumerate(pending):
+        if errors is None or errors[i] is None:
+            vars(m)["_decomposition"] = SpectralDecomposition(lam[i], u[i])
 
 
 def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:

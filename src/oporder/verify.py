@@ -16,6 +16,7 @@ import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,6 +35,7 @@ from .spectral import (
     classify_margins,
     classify_stack,
     congruence,
+    decompose_matrices,
     decompose_stack,
     first_errors,
     flag_errors,
@@ -115,17 +117,27 @@ def scalar_tuple(values) -> OperatorTuple:
     return OperatorTuple(tuple(HermitianMatrix(np.array([[float(v)]])) for v in values))
 
 
-def _random_factor(rng: np.random.Generator, dim: int, field_kind: str) -> np.ndarray:
-    g = rng.standard_normal((dim, dim))
+def _random_factor(rng: np.random.Generator, dim: int, field_kind: str,
+                   count: int | None = None) -> np.ndarray:
+    """A (dim, dim) Gaussian factor, or a (count, dim, dim) stack of them
+    drawn in the order of count single draws."""
+    lead = () if count is None else (count,)
     if field_kind == "complex":
-        g = (g + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    return g
+        g = rng.standard_normal(lead + (2, dim, dim))
+        return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0)
+    return rng.standard_normal(lead + (dim, dim))
+
+
+def _random_spds(rng, dim, count, field_kind="real", ridge=0.1) -> np.ndarray:
+    """count strictly positive (dim, dim) arrays G*G + ridge I, symmetrized,
+    drawn in the order of count single draws."""
+    g = _random_factor(rng, dim, field_kind, count)
+    a = g.conj().swapaxes(-1, -2) @ g + ridge * np.eye(dim)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def _random_spd(rng, dim, field_kind="real", ridge=0.1) -> HermitianMatrix:
-    g = _random_factor(rng, dim, field_kind)
-    a = g.conj().T @ g + ridge * np.eye(dim)
-    return HermitianMatrix(0.5 * (a + a.conj().T))
+    return HermitianMatrix(_random_spds(rng, dim, 1, field_kind, ridge)[0])
 
 
 def gen_ordered_tuple(
@@ -169,16 +181,58 @@ def gen_unordered_tuple(
     tol_rel: float = TOL_REL,
 ) -> OperatorTuple:
     """Strictly positive tuple with at least one adjacent pair that is not
-    GE; regenerates until such a violation exists."""
-    rng = _rng(seed) if isinstance(seed, int) else np.random.default_rng(seed)
+    GE; regenerates until such a violation exists.  The one-instance case
+    of ``gen_unordered_tuples``."""
+    return gen_unordered_tuples(k, [(dim, seed)], field_kind, max_attempts, tol_rel)[0]
+
+
+def gen_unordered_tuples(
+    k: int,
+    instances,
+    field_kind: str = "real",
+    max_attempts: int = 200,
+    tol_rel: float = TOL_REL,
+) -> list[OperatorTuple]:
+    """``gen_unordered_tuple`` for a sequence of (dim, seed) instances: entry
+    i is the tuple that ``gen_unordered_tuple(k, dim_i, seed_i)`` returns.
+
+    Each instance draws its candidates from its own rng stream.  A round
+    screens the current candidate of every undecided instance together, per
+    dim: one stacked decomposition of all their matrices, each result kept
+    on its matrix for the pd gate and later powers, and one stacked
+    comparison of all their adjacent pairs.
+    """
+    instances = [(int(dim), seed) for dim, seed in instances]
+    if any(dim < 1 for dim, _ in instances):
+        raise ValueError(f"need dim >= 1, got {sorted({d for d, _ in instances})}")
+    rngs = [_rng(seed) if isinstance(seed, int) else np.random.default_rng(seed)
+            for _, seed in instances]
+    found: list[OperatorTuple | None] = [None] * len(instances)
+    todo = list(range(len(instances)))
     for _ in range(max_attempts):
-        tup = OperatorTuple(tuple(_random_spd(rng, dim, field_kind) for _ in range(k)))
-        if any(not v.ge for v in check_conclusion(tup, tol_rel=tol_rel)):
-            return tup
-    raise RuntimeError(
-        f"no adjacent-order violation found in {max_attempts} attempts "
-        f"(k={k}, dim={dim})"
-    )
+        if not todo:
+            break
+        for dim in sorted({instances[i][0] for i in todo}):
+            group = [i for i in todo if instances[i][0] == dim]
+            mats = [HermitianMatrix.trusted(a) for i in group
+                    for a in _random_spds(rngs[i], dim, k, field_kind)]
+            decompose_matrices(mats)
+            tuples = [OperatorTuple(tuple(mats[j * k:(j + 1) * k])) for j in range(len(group))]
+            upper = np.array([j * k + a for j in range(len(group)) for a in range(1, k)])
+            ge, _, scale, errors = scaled_margins_stack((mats, upper), (mats, upper - 1))
+            if errors is not None and not healthy(errors).all():
+                raise errors[np.flatnonzero(~healthy(errors))[0]]
+            ordered = margins_hold(ge, scale, tol_rel).reshape(len(group), k - 1).all(axis=1)
+            for i, tup, done in zip(group, tuples, ordered.tolist()):
+                if not done:
+                    found[i] = tup
+        todo = [i for i in todo if found[i] is None]
+    if todo:
+        raise RuntimeError(
+            f"no adjacent-order violation found in {max_attempts} attempts "
+            f"(k={k}, dim={instances[todo[0]][0]})"
+        )
+    return found
 
 
 def gen_contractive_tuple(
@@ -255,13 +309,21 @@ class PGrid:
             return None
         return PGrid(self.values + (nxt,), self.growth, self.cap)
 
+    def product(self, m: int, point_cap: int = GRID_POINT_CAP):
+        """The full Cartesian power as (vectors, (N, m) table), built once per
+        (values, m) and shared read-only: a tuple of tuples and a
+        non-writeable array.  None when the product exceeds point_cap."""
+        if len(self.values) ** m > point_cap:
+            return None
+        return _grid_product(self.values, m)
+
     def vectors(self, m: int, rng: np.random.Generator | None = None,
-                point_cap: int = GRID_POINT_CAP) -> list[tuple[float, ...]]:
+                point_cap: int = GRID_POINT_CAP) -> Sequence[tuple[float, ...]]:
         """Cartesian power of the grid, Latin-hypercube subsampled once the
         full product exceeds point_cap."""
-        total = len(self.values) ** m
-        if total <= point_cap:
-            return list(itertools.product(self.values, repeat=m))
+        full = self.product(m, point_cap)
+        if full is not None:
+            return full[0]
         if rng is None:
             raise ValueError("subsampling a large grid product needs an rng")
         cols = []
@@ -271,6 +333,16 @@ class PGrid:
                              len(self.values) - 1)
             cols.append(np.asarray(self.values)[idx])
         return [tuple(float(c[i]) for c in cols) for i in range(point_cap)]
+
+
+# a full product holds at most GRID_POINT_CAP vectors; keep the few grids a
+# process escalates through, not every grid it ever sampled
+@lru_cache(maxsize=32)
+def _grid_product(values: tuple[float, ...], m: int):
+    vectors = tuple(itertools.product(values, repeat=m))
+    table = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), m)
+    table.setflags(write=False)
+    return vectors, table
 
 
 @dataclass(frozen=True)
@@ -542,27 +614,46 @@ def _environment(tup: OperatorTuple, template: ParamTemplate,
 
 
 def _p_samples(grid: PGrid, n: int, master_seed: int, instance_index: int,
-               stream: int) -> tuple[list[tuple[float, ...]], np.ndarray]:
-    """The grid's 2n-vectors as a list and an (N, 2n) table; ``stream``
-    picks the caller's rng for a subsampled grid product."""
+               stream: int) -> tuple[Sequence[tuple[float, ...]], np.ndarray]:
+    """The grid's 2n-vectors and their (N, 2n) table: the shared full
+    product, or a subsample drawn from the rng that ``stream`` picks."""
+    full = grid.product(2 * n)
+    if full is not None:
+        return full
     p_vectors = grid.vectors(2 * n, rng=_rng(master_seed, instance_index, stream))
     return p_vectors, np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
 
 
-def _p_columns(p_table: np.ndarray, lo: int, hi: int) -> dict[str, np.ndarray]:
-    return {f"p{j + 1}": p_table[lo:hi, j] for j in range(p_table.shape[1])}
+def _p_columns(p_table: np.ndarray) -> dict[str, np.ndarray]:
+    return {f"p{j + 1}": p_table[:, j] for j in range(p_table.shape[1])}
+
+
+def _batch_rows(dim: int) -> int:
+    """Rows one evaluation holds under BATCH_BYTES."""
+    return max(1, BATCH_BYTES // (_ROW_BYTES_PER_ENTRY * dim * dim))
 
 
 def _batches(total: int, dim: int, early_exit: bool):
     """(lo, hi) row ranges to evaluate together: as many as BATCH_BYTES
     allows, or, when the caller stops at its first failing row, doubling
     ranges of 1, 1, 2, 4, ... rows under the same cap."""
-    cap = max(1, BATCH_BYTES // (_ROW_BYTES_PER_ENTRY * dim * dim))
+    cap = _batch_rows(dim)
     lo = 0
     while lo < total:
         step = min(cap, max(1, lo)) if early_exit else cap
         yield lo, min(total, lo + step)
         lo += step
+
+
+class Instance(NamedTuple):
+    """One instance of a campaign: its tuple, parameter template and weight
+    policy, the index that seeds its p-vector sampling, and its id."""
+
+    tup: OperatorTuple
+    template: ParamTemplate
+    policy: WeightPolicy
+    index: int = 0
+    id: str = "0"
 
 
 def check_hypotheses(
@@ -578,6 +669,7 @@ def check_hypotheses(
     members: tuple[tuple[Family, int], ...] | None = None,
     stop_on_violation: bool = False,
     suite_tol_rel: float = SUITE_TOL_REL,
+    batch: Sequence[Instance] = (),
 ) -> CampaignReport:
     """Evaluate every hypothesis member at every sampled p-vector.
 
@@ -587,53 +679,95 @@ def check_hypotheses(
     batches (``dsl.evaluate_batch``); with stop_on_violation the batches
     grow from a single row, and the rows end at the first violating one, as
     in a row-by-row scan.
+
+    ``batch`` adds further instances of the same k and dim, scanned in the
+    same ``evaluate_batch`` calls as the first: each keeps its own p-vectors
+    and its own doubling scan, and stops at its own violating row.  The
+    report holds the instances' rows in turn, as ``merge_reports`` of one
+    call per instance does.
     """
-    k = tup.k
+    instances = (Instance(tup, template, policy, instance_index, instance_id), *batch)
+    k, dim = tup.k, tup.dim
     n = k // 2
-    if template.n != n:
-        raise ValueError(f"template has {template.n} t-values, tuple needs {n}")
+    for inst in instances:
+        if (inst.tup.k, inst.tup.dim) != (k, dim):
+            raise ValueError(f"batched instances need k={k} and dim={dim}, "
+                             f"got k={inst.tup.k} and dim={inst.tup.dim}")
+        if inst.template.n != n:
+            raise ValueError(f"template has {inst.template.n} t-values, tuple needs {n}")
     chain_list = chains.hypothesis_set(k)
     if members is not None:
         wanted = set(members)
         chain_list = [c for c in chain_list if (c.family, c.member) in wanted]
-    env = _environment(tup, template)
-    p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 1)
-    weights = policy.weights(template.t, p_table, template.r, count=k - 1)
+    envs = [_environment(inst.tup, inst.template) for inst in instances]
+    samples = [_p_samples(grid, n, master_seed, inst.index, 1) for inst in instances]
+    weights = [inst.policy.weights(inst.template.t, table, inst.template.r, count=k - 1)
+               for inst, (_, table) in zip(instances, samples)]
+    lhs_values: dict[tuple[int, int], HermitianMatrix] = {}
 
-    batches: list[_Batch] = []
-    stopped = False
-    lhs_values: dict[int, HermitianMatrix] = {}
+    def lhs(part: list[int], word: chains.Symbol) -> list[HermitianMatrix]:
+        """The left side A_outer^(r - t_n) of each instance in ``part``,
+        evaluated together the first time it is needed; its decomposition,
+        kept on it, gives the comparison scale."""
+        missing = [j for j in part if (j, word.index) not in lhs_values]
+        if missing:
+            values = dsl.evaluate_batch(word, [envs[j] for j in missing],
+                                        instance=np.arange(len(missing)))
+            for j, value, err in zip(missing, values.values, values.errors):
+                if err is not None:
+                    raise err
+                lhs_values[j, word.index] = HermitianMatrix.trusted(value)
+            decompose_matrices([lhs_values[j, word.index] for j in missing])
+        return [lhs_values[j, word.index] for j in part]
+
+    batches: list[list[_Batch]] = [[] for _ in instances]
+    stopped: set[int] = set()
+    active = list(range(len(instances)))
     for code, chain in enumerate(chain_list):
-        outer = chain.lhs.index  # every member's left side is A_outer^(r - t_n)
-        if outer not in lhs_values:
-            lhs_values[outer] = dsl.evaluate(chain.lhs, env)
         w_index = chains.weight_index(chain.family, chain.member, n)
-        for lo, hi in _batches(len(p_vectors), tup.dim, stop_on_violation):
-            start = time.perf_counter()
-            columns = _p_columns(p_table, lo, hi)
-            w = columns[f"w{w_index}"] = weights[lo:hi, w_index - 1]
-            batch = dsl.evaluate_batch(chain.rhs, env, columns)
-            # w = 0 (from an overflowed chain exponent) makes the rhs I
-            errors = flag_errors(batch.errors, w <= 0, lambda i: dsl.EvaluationError(
-                f"weight w{w_index} = {float(w[i])!r} is not positive"))
-            ge, le, scale, errors = scaled_margins_stack(lhs_values[outer], batch.values, errors)
-            seconds = (time.perf_counter() - start) / (hi - lo)
-            end = hi - lo
-            if stop_on_violation:
+        for lo, hi in _batches(len(samples[0][0]), dim, stop_on_violation):
+            size = hi - lo
+            per_call = max(1, _batch_rows(dim) // size)
+            for first in range(0, len(active), per_call):
+                part = active[first:first + per_call]
+                start = time.perf_counter()
+                which = np.repeat(np.arange(len(part)), size)
+                columns = _p_columns(np.concatenate([samples[j][1][lo:hi] for j in part]))
+                w = columns[f"w{w_index}"] = np.concatenate(
+                    [weights[j][lo:hi, w_index - 1] for j in part])
+                values = dsl.evaluate_batch(chain.rhs, [envs[j] for j in part], columns, which)
+                # w = 0 (from an overflowed chain exponent) makes the rhs I
+                errors = flag_errors(values.errors, w <= 0, lambda i: dsl.EvaluationError(
+                    f"weight w{w_index} = {float(w[i])!r} is not positive"))
+                ge, le, scale, errors = scaled_margins_stack(
+                    (lhs(part, chain.lhs), which), values.values, errors)
+                seconds = (time.perf_counter() - start) / len(which)
                 # error rows are indeterminate, not violations; keep scanning
-                fails = ~margins_hold(ge if chain.direction is Direction.GE else le,
-                                      scale, suite_tol_rel) & healthy(errors)
-                if fails.any():
-                    end, stopped = int(fails.argmax()) + 1, True
-            batches.append(_Batch(code, lo, w[:end], ge[:end], le[:end], scale[:end],
-                                  errors[:end], seconds))
-            if stopped:
+                fails = (~margins_hold(ge if chain.direction is Direction.GE else le,
+                                       scale, suite_tol_rel) & healthy(errors)
+                         if stop_on_violation else np.zeros(len(which), dtype=bool))
+                for slot, j in enumerate(part):
+                    first_row, end = slot * size, size
+                    if fails[first_row:first_row + size].any():
+                        end = int(fails[first_row:first_row + size].argmax()) + 1
+                        stopped.add(j)
+                    kept = slice(first_row, first_row + end)
+                    batches[j].append(_Batch(code, lo, w[kept], ge[kept], le[kept],
+                                             scale[kept], errors[kept], seconds))
+            active = [j for j in active if j not in stopped]
+            if not active:
                 break
-        if stopped:
+        if not active:
             break
-    columns, errors = _campaign_columns(batches, chain_list, tol_rel)
-    members_table = tuple(CampaignMember(instance_id, k, tup.dim, c.family.value, c.member,
-                                         c.direction.value, p_vectors) for c in chain_list)
+    # the instances' rows in turn; member codes index the members of all
+    members_table = tuple(CampaignMember(inst.id, k, dim, c.family.value, c.member,
+                                         c.direction.value, p_vectors)
+                          for inst, (p_vectors, _) in zip(instances, samples)
+                          for c in chain_list)
+    columns, errors = _campaign_columns(
+        [b._replace(member=b.member + j * len(chain_list))
+         for j, kept in enumerate(batches) for b in kept],
+        chain_list * len(instances), tol_rel)
     return CampaignReport(members_table, columns, errors,
                           {"stopped_early": True} if stopped else {}, master_seed,
                           suite_tol_rel)
@@ -880,9 +1014,15 @@ class ReductionRow:
 @dataclass
 class ReductionReport:
     instance_id: str
-    premise_pass: bool
+    # premise rows whose computed margin failed, and premise ERROR rows
+    premise_failures: int
+    premise_errors: int
     rows: list[ReductionRow]
     red_flags: list[str]
+
+    @property
+    def premise_pass(self) -> bool:
+        return not (self.premise_failures or self.premise_errors)
 
     def all_hold(self, tol_rel: float = SUITE_TOL_REL) -> bool:
         return self.premise_pass and not self.red_flags and all(
@@ -927,7 +1067,9 @@ def check_reduction_chain(
         instance_id=instance_id, members=((Family.ASCENDING, 1),),
         suite_tol_rel=suite_tol_rel,
     )
-    premise_pass = not premise.violations()
+    premise_errors = len(premise.errors)
+    premise_failures = len(premise.rows) - premise.pass_count - premise_errors
+    premise_pass = not (premise_failures or premise_errors)
 
     core_word = chains.hypothesis_core(chains.build_chain(Family.ASCENDING, 1, k))
     base_word, bound_word = chains.reduction_words(k)
@@ -947,7 +1089,7 @@ def check_reduction_chain(
     rows: list[ReductionRow] = []
     red_flags: list[str] = []
     for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
-        columns = _p_columns(p_table, lo, hi)
+        columns = _p_columns(p_table[lo:hi])
         core = dsl.evaluate_batch(core_word, env, columns)
         margin_core, _, scale_core, errors = scaled_margins_stack(ident, core.values, core.errors)
         base = dsl.evaluate_batch(base_word, env, columns)
@@ -976,7 +1118,7 @@ def check_reduction_chain(
                     f"instance {instance_id} p={row.p_vector}: core bound holds but "
                     f"peel={row.margin_peel:.3e} scalar={row.margin_scalar:.3e}"
                 )
-    return ReductionReport(instance_id, premise_pass, rows, red_flags)
+    return ReductionReport(instance_id, premise_failures, premise_errors, rows, red_flags)
 
 
 @dataclass
@@ -1111,7 +1253,7 @@ def implied_core_violation(
         for chain in chains.hypothesis_set(k):
             word = chains.hypothesis_core(chain)
             for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=True):
-                batch = dsl.evaluate_batch(word, env, _p_columns(p_table, lo, hi))
+                batch = dsl.evaluate_batch(word, env, _p_columns(p_table[lo:hi]))
                 # ascending cores must stay below I, descending ones above;
                 # rows that fail to evaluate are skipped
                 if chain.direction is Direction.GE:
@@ -1132,6 +1274,11 @@ def implied_core_violation(
     return None
 
 
+# instances that one search campaign call evaluates together hold at most
+# about this many sampled p-vectors between them
+SEARCH_GROUP_POINTS = GRID_POINT_CAP
+
+
 def search_counterexample(config: SearchConfig) -> SearchReport:
     """Randomized hunt for instances whose sampled hypotheses all pass yet
     whose conclusion fails.
@@ -1139,6 +1286,14 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
     Passing every sampled grid point never certifies the universal
     hypothesis, so candidates are additionally screened through the core
     check above before being emitted; everything else lands in statistics.
+
+    Each instance draws its dim, t, r and weights from its own rng, and its
+    tuple from a stream of its own; the budget's tuples come from one
+    ``gen_unordered_tuples`` screen.  Instances that share a dim and a grid
+    are scanned together, in ``check_hypotheses`` calls of several
+    instances; those that pass their whole grid are regrouped on their
+    escalated grids.  Every counter and finding is that of scanning the
+    instances one by one.
     """
     findings: list[dict] = []
     counters = {
@@ -1152,51 +1307,63 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
     }
     worst_margins: list[float] = []
     n = config.k // 2
+    dims, drawn = [], []
     for idx in range(config.budget):
-        counters["instances"] += 1
         rng = _rng(config.master_seed, idx)
-        dim = int(rng.choice(np.asarray(config.dims)))
-        tup = gen_unordered_tuple(
-            config.k, dim, [config.master_seed, idx, 10], field_kind=config.field_kind
-        )
+        dims.append(int(rng.choice(np.asarray(config.dims))))
         t = tuple(rng.uniform(*config.t_range) for _ in range(n))
         r = t[-1] + rng.uniform(*config.r_gap)
-        template = ParamTemplate(t=t, r=r)
         policy = config.policy or WeightPolicy.fixed(
             rng.uniform(*config.w_range) for _ in range(config.k - 1)
         )
-        grid = config.grid
-        escalations = 0
-        violation_row = None
-        saw_error = False
-        while True:
-            report = check_hypotheses(
-                tup, template, grid, policy,
-                master_seed=config.master_seed, instance_index=idx,
-                instance_id=str(idx), stop_on_violation=True,
-                suite_tol_rel=config.suite_tol_rel,
-            )
-            genuine = [r for r in report.violations() if r.error is None]
-            if genuine:
-                violation_row = genuine[0]
-                break
-            if report.errors:
-                # ill-conditioned beyond the pd gate: indeterminate instance
-                saw_error = True
-                break
-            nxt = grid.escalate()
-            if nxt is None:
-                break
-            grid = nxt
-            escalations += 1
-        if violation_row is not None:
-            key = "hypothesis_failed_after_escalation" if escalations else "hypothesis_failed"
+        drawn.append((ParamTemplate(t=t, r=r), policy))
+    tuples = gen_unordered_tuples(
+        config.k, [(dim, [config.master_seed, idx, 10]) for idx, dim in enumerate(dims)],
+        field_kind=config.field_kind,
+    )
+    instances = [Instance(tup, template, policy, idx, str(idx))
+                 for idx, (tup, (template, policy)) in enumerate(zip(tuples, drawn))]
+    grids = [config.grid] * config.budget
+    escalations = [0] * config.budget
+    # per instance: ("failed", margin of its violating row), ("error", None)
+    # or ("passed", None) once its grid cannot escalate further
+    outcomes: list[tuple[str, float | None]] = [("passed", None)] * config.budget
+    pending = list(range(config.budget))
+    while pending:
+        groups: dict[tuple[int, PGrid], list[int]] = {}
+        for idx in pending:
+            groups.setdefault((dims[idx], grids[idx]), []).append(idx)
+        pending = []
+        for (_, grid), members in groups.items():
+            size = max(1, SEARCH_GROUP_POINTS // len(grid.values) ** (2 * n))
+            for first in range(0, len(members), size):
+                group = [instances[idx] for idx in members[first:first + size]]
+                report = check_hypotheses(
+                    group[0].tup, group[0].template, grid, group[0].policy,
+                    master_seed=config.master_seed, instance_index=group[0].index,
+                    instance_id=group[0].id, stop_on_violation=True,
+                    suite_tol_rel=config.suite_tol_rel, batch=group[1:],
+                )
+                for idx, outcome in _search_outcomes(report).items():
+                    nxt = grids[idx].escalate() if outcome[0] == "passed" else None
+                    if nxt is None:
+                        outcomes[idx] = outcome
+                    else:
+                        grids[idx] = nxt
+                        escalations[idx] += 1
+                        pending.append(idx)
+    for idx, (tup, template, policy, _, _) in enumerate(instances):
+        counters["instances"] += 1
+        outcome, margin = outcomes[idx]
+        if outcome == "failed":
+            key = "hypothesis_failed_after_escalation" if escalations[idx] else "hypothesis_failed"
             counters[key] += 1
-            worst_margins.append(violation_row.margin)
+            worst_margins.append(margin)
             continue
-        if saw_error:
+        if outcome == "error":
             counters["evaluation_error"] += 1
             continue
+        grid = grids[idx]
         conclusion = check_conclusion(tup)
         if all(v.ge for v in conclusion):
             counters["conclusion_held"] += 1
@@ -1213,9 +1380,9 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
         findings.append({
             "instance_index": idx,
             "k": config.k,
-            "dim": dim,
-            "t": list(t),
-            "r": r,
+            "dim": dims[idx],
+            "t": list(template.t),
+            "r": template.r,
             "weights": list(policy.values) if policy.values else policy.describe(),
             "grid": list(grid.values),
             "conclusion_margins": [v.margin for v in conclusion],
@@ -1237,3 +1404,24 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
         findings=findings, stats=stats,
         config=config.to_json(), master_seed=config.master_seed,
     )
+
+
+def _search_outcomes(report: CampaignReport) -> dict[int, tuple[str, float | None]]:
+    """Per instance of a search campaign report, by index: ("failed", the
+    margin of its first violating row with a computed margin), ("error",
+    None) when it has error rows and no such violation, else ("passed",
+    None)."""
+    cols = report.columns
+    index = np.array([int(m.instance_id) for m in report.members])[cols["member"]]
+    genuine = ~report.holds() & (cols["verdict"] != ERROR_CODE)
+    outcomes = {}
+    for idx in dict.fromkeys(index.tolist()):
+        rows = index == idx
+        if genuine[rows].any():
+            outcomes[idx] = ("failed", float(cols["margin"][rows][genuine[rows].argmax()]))
+        elif (cols["verdict"][rows] == ERROR_CODE).any():
+            # ill-conditioned beyond the pd gate: indeterminate instance
+            outcomes[idx] = ("error", None)
+        else:
+            outcomes[idx] = ("passed", None)
+    return outcomes

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oporder.cli import EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from oporder.cli import EXIT_INDETERMINATE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from util import GOLDEN_DIR
 
 
@@ -180,10 +180,36 @@ class TestCheckCommand:
                 "--count", "1", "--p-grid", "1e300"]
         code, _, err = run(capsys, *argv)
         fixed_code, _, fixed_err = run(capsys, *argv, "--weights", "fixed:0.5,0.5")
-        assert code == fixed_code == EXIT_VIOLATION
+        assert code == fixed_code == EXIT_INDETERMINATE
         lines = err.splitlines()
         assert len(lines) == len(fixed_err.splitlines()) == 2
         assert all("margin nan (weight w" in line for line in lines)
+
+    def test_error_rows_alone_are_indeterminate(self, capsys):
+        code, out, err = run(capsys, "check", "--mode", "necessity", "--k", "3", "--dim", "2",
+                             "--count", "1", "--p-grid", "1e300")
+        assert code == EXIT_INDETERMINATE
+        assert "VIOLATION" not in err
+        assert all(line.startswith("ERROR: ") for line in err.splitlines())
+        assert "2 rows were not evaluated" in out
+
+    def test_premise_failing_through_error_rows_is_indeterminate(self, capsys):
+        code, out, err = run(capsys, "check", "--mode", "proof-steps", "--k", "6", "--dim", "2",
+                             "--seed", "0", "--count", "2", "--p-grid", "1,1.5,4")
+        assert code == EXIT_INDETERMINATE
+        assert "VIOLATION" not in err
+        assert "premise member has 22 rows not evaluated" in err
+        assert "rows were not evaluated" in out
+
+    def test_finite_violation_exits_1_beside_error_rows(self, capsys):
+        # the ascending member fails at p = (1, 1); p = 1e300 overflows
+        code, _, err = run(capsys, "check", "--mode", "necessity", "--k", "3",
+                           "--scalar-fixture", "4,1,2", "--t", "0.5", "--r", "1",
+                           "--p-grid", "1,1e300")
+        assert code == EXIT_VIOLATION
+        violations = [line for line in err.splitlines() if line.startswith("VIOLATION: ")]
+        assert violations and all("margin nan" not in line for line in violations)
+        assert any(line.startswith("ERROR: ") for line in err.splitlines())
 
     def test_dump_config_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check", "--mode", "necessity", "--k", "3",

@@ -351,6 +351,64 @@ class TestEvaluateBatch:
             scale = max(1.0, float(np.abs(want).max()))
             assert np.abs(batch.values[i] - want).max() <= 1e-12 * scale
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_per_row_environments_match_one_environment_each(self, seed):
+        rng = np.random.default_rng(seed)
+        word = random_palindrome(rng)
+        envs = []
+        for _ in range(int(rng.integers(2, 5))):
+            matrices = {
+                1: HermitianMatrix(random_spd_array(rng, 3)),
+                2: HermitianMatrix(random_spd_array(rng, 3, ridge=0.5)),
+                3: _rotated(rng, (1e-13, 0.5, 1.5)),   # trips the pd gate
+                4: _rotated(rng, (1.0, 1e30, 1e60)),   # overflows at large powers
+            }
+            scalars = {name: float(rng.choice(self._ROW_VALUES))
+                       for name in ("r", "t1", "t2", "t3", "p3", "p4", "w1", "w2")}
+            envs.append(Environment(scalars=scalars, matrices=matrices))
+        count = int(rng.integers(1, 12))
+        instance = rng.integers(0, len(envs), count)
+        per_row = [name for name in ("p1", "p2", "w1") if rng.random() < 0.6] or ["p1"]
+        rows = {name: rng.choice(self._ROW_VALUES, count) for name in per_row}
+        batch = evaluate_batch(word, envs, rows, instance)
+        assert batch.values.shape == (count, 3, 3)
+        for j, env in enumerate(envs):
+            mine = np.flatnonzero(instance == j)
+            if not len(mine):
+                continue
+            alone = evaluate_batch(word, env, {name: col[mine] for name, col in rows.items()})
+            assert batch.values[mine].tobytes() == alone.values.tobytes()
+            assert [batch.error_text(i) for i in mine] == \
+                [alone.error_text(i) for i in range(len(mine))]
+            assert [type(batch.errors[i]) for i in mine] == [type(e) for e in alone.errors]
+
+    def test_per_row_environments_are_checked(self):
+        one = diag_env({"r": 1.0}, {1: [1.0, 2.0]})
+        with pytest.raises(ValueError, match="instance column"):
+            evaluate_batch(parse("A1"), [one, one])
+        with pytest.raises(ValueError, match="instance column"):
+            evaluate_batch(parse("A1"), [one, one], instance=[0, 2])
+        with pytest.raises(ValueError, match="same scalar names"):
+            evaluate_batch(parse("A1"), [one, diag_env({}, {1: [1.0, 2.0]})], instance=[0, 1])
+        with pytest.raises(ValueError, match="same scalar names"):
+            evaluate_batch(parse("A1"), [one, diag_env({"r": 1.0}, {1: [1.0]})], instance=[0, 1])
+
+    def test_unbound_exponent_name_fails_every_row(self):
+        env = diag_env({}, {1: [1.0, 2.0], 2: [3.0, 1.0]})
+        word = parse("A2 (A1 A1)^{p1+p2} A2")
+        batch = evaluate_batch(word, env, {"p1": np.array([1.0, 4.0, 1.0])})
+        assert batch.values.shape == (3, 2, 2)
+        assert all(isinstance(e, UnboundNameError) for e in batch.errors)
+
+    def test_one_instance_takes_the_single_environment_path(self):
+        env = diag_env({"r": 0.5}, {1: [4.0, 9.0]})
+        other = diag_env({"r": 1.0}, {1: [1.0, 1.0]})
+        batch = evaluate_batch(parse("A1^{r}"), [other, env], instance=[1])
+        assert np.array_equal(batch.values[0], np.diag([2.0, 3.0]))
+        # the constant power landed in that environment's cache
+        assert list(env._powers) == [(1, 0.5)] and not other._powers
+
     def test_error_rows_are_identity_and_masked(self):
         env = diag_env({}, {1: [0.0, 1.0]})
         batch = evaluate_batch(parse("A1^{p1}"), env, {"p1": np.array([2.0, 0.5, 2.0])})

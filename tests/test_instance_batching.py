@@ -1,0 +1,189 @@
+"""Batching across instances reproduces one-instance work bit for bit.
+
+Multi-instance ``check_hypotheses`` against ``merge_reports`` of one call
+per instance, the many-instance generator against ``gen_unordered_tuple``
+per seed, and the shared full grid product against ``itertools.product``.
+Floats are compared through ``float.hex``, never within a tolerance.
+"""
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oporder import verify
+from oporder.chains import Family
+from oporder.spectral import spectral_decompose
+from oporder.verify import (
+    Instance,
+    ParamTemplate,
+    PGrid,
+    WeightPolicy,
+    check_hypotheses,
+    gen_suite_tuple,
+    gen_unordered_tuple,
+    gen_unordered_tuples,
+    merge_reports,
+)
+
+GRID = PGrid(values=(1.0, 1.5, 2.0, 4.0))
+# 11^4 = 14,641 points exceed GRID_POINT_CAP: each instance draws its own
+# 10,000-point subsample
+WIDE_GRID = PGrid(values=tuple(1.0 + 0.25 * i for i in range(11)))
+
+
+def _instance(generator, k: int, idx: int) -> Instance:
+    """Instance idx of seed 7, drawn as the search draws its instances."""
+    rng = verify._rng(7, idx)
+    tup = generator(k, 2, [7, idx] if generator is gen_suite_tuple else [7, idx, 10])
+    n = k // 2
+    t = tuple(rng.uniform(0.05, 0.95) for _ in range(n))
+    template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.1, 2.0))
+    policy = WeightPolicy.fixed(rng.uniform(0.2, 0.95) for _ in range(k - 1))
+    return Instance(tup, template, policy, idx, str(idx))
+
+
+def _hex(values) -> list:
+    return [v.hex() if isinstance(v, float) else v for v in values.tolist()]
+
+
+def _table(report) -> tuple:
+    """Every column but the timing, the member table and the error texts."""
+    members = [(m.instance_id, m.k, m.dim, m.family, m.member, m.relation,
+                tuple(m.p_vectors)) for m in report.members]
+    columns = {name: _hex(col) for name, col in report.columns.items() if name != "seconds"}
+    return members, columns, report.errors
+
+
+def _batched_and_alone(instances, grid, **kwargs):
+    head, *rest = instances
+    batched = check_hypotheses(head.tup, head.template, grid, head.policy,
+                               instance_index=head.index, instance_id=head.id,
+                               batch=rest, **kwargs)
+    alone = [check_hypotheses(inst.tup, inst.template, grid, inst.policy,
+                              instance_index=inst.index, instance_id=inst.id, **kwargs)
+             for inst in instances]
+    return batched, alone
+
+
+# (generator, k, idx) of seed 7; see test_verify's stop_on_violation cases
+CASES = {
+    "k3": [(gen_suite_tuple, 3, 0),        # no violation: every row returned
+           (gen_suite_tuple, 3, 3),        # first violation in the second member
+           (gen_unordered_tuple, 3, 58),   # an error row before the deciding row
+           (gen_unordered_tuple, 3, 1)],
+    "k5": [(gen_suite_tuple, 5, 2),        # deciding row inside a doubled chunk
+           (gen_unordered_tuple, 5, 12),   # a member of error rows, then the cut
+           (gen_unordered_tuple, 5, 4)],
+}
+
+
+@pytest.mark.parametrize("stop_on_violation", [False, True])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batched_campaign_is_the_merge_of_single_calls(case, stop_on_violation):
+    instances = [_instance(*spec) for spec in CASES[case]]
+    batched, alone = _batched_and_alone(instances, GRID, stop_on_violation=stop_on_violation)
+    merged = merge_reports(alone, {}, 0)
+    assert _table(batched) == _table(merged)
+    assert any(rep.errors for rep in alone)
+    stopped = [rep.config.get("stopped_early", False) for rep in alone]
+    assert batched.config.get("stopped_early", False) is any(stopped)
+    if stop_on_violation:
+        # instances stop at different rows, some inside a doubled chunk
+        assert len({len(rep.rows) for rep in alone}) == len(alone)
+        assert any(len(rep.rows) > 2 and rep.columns["p_index"][-1] not in (0, 1, 3, 7, 15, 31)
+                   for rep in alone)
+
+
+@pytest.mark.parametrize("stop_on_violation", [False, True])
+def test_batched_campaign_on_subsampled_grids(stop_on_violation):
+    instances = [_instance(gen_unordered_tuple, 5, idx) for idx in (4, 5, 6)]
+    members = None if stop_on_violation else ((Family.ASCENDING, 1),)
+    batched, alone = _batched_and_alone(instances, WIDE_GRID, members=members,
+                                        stop_on_violation=stop_on_violation)
+    assert _table(batched) == _table(merge_reports(alone, {}, 0))
+    # each instance scanned its own p rows
+    first = [tuple(rep.members[0].p_vectors[:20]) for rep in alone]
+    assert len(set(first)) == len(first)
+
+
+def test_batched_campaign_checks_shapes():
+    three = _instance(gen_unordered_tuple, 3, 1)
+    five = _instance(gen_unordered_tuple, 5, 4)
+    with pytest.raises(ValueError, match="batched instances need k=3"):
+        check_hypotheses(three.tup, three.template, GRID, three.policy, batch=[five])
+
+
+def _tuple_bits(tup) -> list:
+    return [(m.entries.tobytes(), m.decomposition().eigenvalues.tobytes(),
+             m.decomposition().eigenvectors.tobytes()) for m in tup.matrices]
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 5),
+       specs=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 10**6)),
+                      min_size=1, max_size=6),
+       field_kind=st.sampled_from(["real", "complex"]))
+def test_batched_generator_matches_single_seeds(k, specs, field_kind):
+    tuples = gen_unordered_tuples(k, specs, field_kind=field_kind)
+    for (dim, seed), tup in zip(specs, tuples):
+        alone = gen_unordered_tuple(k, dim, seed, field_kind=field_kind)
+        assert _tuple_bits(tup) == _tuple_bits(alone)
+        # the decomposition kept from the stacked screen is the one computed alone
+        for m in tup.matrices:
+            fresh = spectral_decompose(m)
+            assert m.decomposition().eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+            assert m.decomposition().eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+
+
+def test_batched_generator_regenerates_rejected_candidates():
+    # at k = 2, dim = 1 half the candidates are ordered and rejected
+    specs = [(1, seed) for seed in range(8)] + [(2, seed) for seed in range(4)]
+    tuples = gen_unordered_tuples(2, specs)
+    regenerated = 0
+    for (dim, seed), tup in zip(specs, tuples):
+        first = verify._random_spds(verify._rng(seed), dim, 2)
+        regenerated += not np.array_equal(first, np.stack([m.entries for m in tup.matrices]))
+        assert _tuple_bits(tup) == _tuple_bits(gen_unordered_tuple(2, dim, seed))
+        assert not all(v.ge for v in verify.check_conclusion(tup))
+    assert regenerated > 0
+
+
+def test_generator_gives_up_per_instance():
+    # seed 4's first candidate is accepted, seed 0's is rejected
+    specs = [(1, 4), (1, 0)]
+    assert len(gen_unordered_tuples(2, specs)) == 2
+    with pytest.raises(RuntimeError, match=r"in 1 attempts \(k=2, dim=1\)"):
+        gen_unordered_tuples(2, specs, max_attempts=1)
+
+
+class TestGridProduct:
+    def test_full_product_is_cached_and_read_only(self):
+        grid = PGrid(values=(1.0, 1.5, 2.0))
+        vectors, table = grid.product(4)
+        assert vectors == tuple(itertools.product(grid.values, repeat=4))
+        assert table.tolist() == [list(v) for v in vectors]
+        assert isinstance(vectors, tuple)
+        again = PGrid(values=(1.0, 1.5, 2.0)).product(4)
+        assert again[0] is vectors and again[1] is table
+        assert grid.vectors(4) is vectors
+        with pytest.raises(ValueError):
+            table[0, 0] = 5.0
+        with pytest.raises(TypeError):
+            vectors[0] = (5.0,) * 4
+
+    def test_subsampled_product_is_not_cached(self):
+        assert WIDE_GRID.product(4) is None
+        vectors, table = verify._p_samples(WIDE_GRID, 2, 0, 3, 1)
+        assert len(vectors) == verify.GRID_POINT_CAP == len(table)
+        again, _ = verify._p_samples(WIDE_GRID, 2, 0, 3, 1)
+        assert list(vectors) == list(again) and vectors is not again
+
+    def test_full_product_draws_no_rng(self, monkeypatch):
+        def refuse(*parts):
+            raise AssertionError("a full grid product needs no rng")
+
+        monkeypatch.setattr(verify, "_rng", refuse)
+        vectors, _ = verify._p_samples(GRID, 1, 0, 0, 1)
+        assert len(vectors) == 16
