@@ -34,8 +34,9 @@ class ScalarExpr:
     """Rational linear form over parameter names plus a constant.
 
     The closed vocabulary is {t1..tn, p1..p2n, r, w1..w(k-1)} with division
-    by literals only; that is exactly the set of exponent shapes the chain
-    words use, so no general symbolic algebra is needed.
+    by literals only, plus q2..q(2n-1) in the reduction's peeled bound; that
+    is exactly the set of exponent shapes the chain words use, so no
+    general symbolic algebra is needed.
     """
 
     terms: tuple[tuple[str, Fraction], ...] = ()
@@ -333,28 +334,33 @@ def hypothesis_set(k: int) -> tuple[ChainInequality, ...]:
 @lru_cache(maxsize=None)
 def reduction_words(k: int) -> tuple[Product, Power | None]:
     """The innermost sandwich A2^{-t1/2} A1^{p1} A2^{-t1/2} of the first
-    ascending member and its peeled bound: the member's layers 2n-2 .. 2
-    around A_2n with flipped signs, evaluated under ``peeled_bindings``;
-    for k = 7 (A3^{-t1/2} (A4^{t2/2} (A5^{-t2/2} A6^{p5} A5^{-t2/2})^{p4}
-    A4^{t2/2})^{p3} A3^{-t1/2})^{p2}.  For n = 1 the bound is I (None)."""
+    ascending member and its peeled bound.
+
+    The sandwich is the very node inside ``hypothesis_set(k)[0]``, so one
+    evaluation run shares it with the member.  The bound is the member's
+    layers 2n-2 .. 2 around A_2n with flipped signs, raised to exponents
+    q2 .. q(2n-1) of its own, which ``peeled_bindings`` binds; for k = 7
+    (A3^{-t1/2} (A4^{t2/2} (A5^{-t2/2} A6^{q5} A5^{-t2/2})^{q4}
+    A4^{t2/2})^{q3} A3^{-t1/2})^{q2}.  For n = 1 the bound is I (None)."""
     n = _levels(k)
-    index_at = lambda j: ascending_index(1, j, k)
-    wrap = Symbol(index_at(1), layer_exponent(1, n))
-    base = Product((wrap, Symbol(index_at(0), ScalarExpr.variable("p1")), wrap))
+    innermost = hypothesis_core(hypothesis_set(k)[0])
+    while isinstance(innermost.base.factors[1], Power):
+        innermost = innermost.base.factors[1]
     if n == 1:
-        return base, None
-    bound: OperatorWord = Symbol(index_at(2 * n - 1), ScalarExpr.variable(f"p{2 * n - 1}"))
+        return innermost.base, None
+    index_at = lambda j: ascending_index(1, j, k)
+    bound: OperatorWord = Symbol(index_at(2 * n - 1), ScalarExpr.variable(f"q{2 * n - 1}"))
     for layer in range(2 * n - 2, 1, -1):
-        bound = _sandwich(index_at(layer), -layer_exponent(layer, n), bound, f"p{layer}")
-    return base, bound
+        bound = _sandwich(index_at(layer), -layer_exponent(layer, n), bound, f"q{layer}")
+    return innermost.base, bound
 
 
 def peeled_bindings(t, p) -> dict:
     """The peeled bound's binding for sampled p_1 .. p_2n (numbers or batch
-    columns): p_j -> 1/p_j for j = 2 .. 2n-2, p_(2n-1) -> t_n / p_(2n-1)."""
+    columns): q_j = 1/p_j for j = 2 .. 2n-2, q_(2n-1) = t_n / p_(2n-1)."""
     n = len(t)
-    names = {f"p{j}": 1.0 / p[j - 1] for j in range(2, 2 * n - 1)}
-    names[f"p{2 * n - 1}"] = float(t[-1]) / p[2 * n - 2]
+    names = {f"q{j}": 1.0 / p[j - 1] for j in range(2, 2 * n - 1)}
+    names[f"q{2 * n - 1}"] = float(t[-1]) / p[2 * n - 2]
     return names
 
 

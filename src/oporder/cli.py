@@ -20,6 +20,8 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
+
 from . import chains, dsl, verify
 from .chains import Family
 from .spectral import TOL_REL, SpectralError
@@ -361,15 +363,15 @@ def _cmd_check(args) -> int:
                                    f"{rep.premise_errors} rows not evaluated")
                 unevaluated_rows += rep.premise_errors
             violations.extend(rep.red_flags)
-            for row in rep.rows:
-                if not all(row.holds(suite_tol)):
-                    (unevaluated if row.error else violations).append(
-                        f"instance {idx}: reduction margins "
-                        f"({row.margin_core:.3e}, {row.margin_peel:.3e}, "
-                        f"{row.margin_scalar:.3e}) at p={row.p_vector}"
-                        + (f" [{row.error}]" if row.error else "")
-                    )
-                    unevaluated_rows += row.error is not None
+            for i in np.flatnonzero(~rep.holds().all(axis=1)).tolist():
+                row = rep.rows[i]
+                (unevaluated if row.error else violations).append(
+                    f"instance {idx}: reduction margins "
+                    f"({row.margin_core:.3e}, {row.margin_peel:.3e}, "
+                    f"{row.margin_scalar:.3e}) at p={row.p_vector}"
+                    + (f" [{row.error}]" if row.error else "")
+                )
+            unevaluated_rows += len(rep.errors)
 
     elif mode == "limit":
         p2_values = PGrid(values=_csv_floats(cfg["s_grid"])).values

@@ -432,15 +432,17 @@ _INSTANCE = "#instance"
 
 
 class _BatchRun:
-    """One evaluation of a word under a batch of bindings.
+    """One evaluation of one or more words under a batch of bindings.
 
-    Each node is evaluated once per distinct binding of the per-row names
-    its subtree mentions: a node without any is evaluated once, and a layer
-    of a nested sandwich on the distinct prefixes of the exponents it
-    depends on.  Under several environments every matrix symbol depends on
-    the row's instance, so each node is evaluated once per (instance,
-    prefix).  A power decomposes its base once per binding of the base
-    and raises it to each of its own exponents.
+    Node results are kept by node identity, so a node that several words
+    contain is evaluated once.  Each node is evaluated once per distinct
+    binding of the per-row names its subtree mentions: a node without any
+    is evaluated once, and a layer of a nested sandwich on the distinct
+    prefixes of the exponents it depends on.  Under several environments
+    every matrix symbol depends on the row's instance, so each node is
+    evaluated once per (instance, prefix).  A power decomposes its base
+    once per binding of the base and raises it to each of its own
+    exponents.
     """
 
     def __init__(self, env, rows: Mapping[str, np.ndarray], instance=None):
@@ -661,10 +663,29 @@ class _BatchRun:
         values, errors = power_stack(lam, u, alpha, errors)
         return _Part(values, _fit(errors, len(values)), group)
 
+    def batch(self, word: OperatorWord) -> WordBatch:
+        """The word's value per row of the run."""
+        part = self.part(word)
+        values, errors = part.values, part.errors
+        if isinstance(word, Product):  # power values are symmetrized already
+            values, errors = _hermitize(values, errors, "word value")
+        n, dim = self.size, values.shape[-1]
+        if part.group is not None:
+            values = values[part.group.inverse]
+            errors = None if errors is None else errors[part.group.inverse]
+        else:
+            values = np.repeat(values, n, axis=0)
+        if errors is None:
+            return WordBatch(values, no_errors(n))
+        errors = np.broadcast_to(errors, (n,)).copy()
+        values[~healthy(errors)] = np.eye(dim)
+        return WordBatch(values, errors)
 
-def evaluate_batch(word: OperatorWord, env: Environment | Sequence[Environment],
+
+def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
+                   env: Environment | Sequence[Environment],
                    rows: Mapping[str, np.ndarray] | None = None,
-                   instance=None) -> WordBatch:
+                   instance=None) -> WordBatch | tuple[WordBatch, ...]:
     """Evaluate a word under N bindings at once.
 
     ``env`` binds the matrices and the scalars shared by every row;
@@ -678,23 +699,17 @@ def evaluate_batch(word: OperatorWord, env: Environment | Sequence[Environment],
     node.  A binding that fails a guard (pd gate, eigensolver residuals,
     Hermiticity, a non-finite value) becomes an error row without affecting
     the others.
+
+    ``word`` may also be a tuple of words, evaluated in one run: a node
+    object that several of them contain is evaluated (and a power base
+    decomposed) once, and one WordBatch per word comes back, each equal to
+    that of evaluating the word alone.  Nodes are shared by identity, not
+    by structure.
     """
     run = _BatchRun(env, rows or {}, instance)
-    part = run.part(word)
-    values, errors = part.values, part.errors
-    if isinstance(word, Product):  # power values are symmetrized already
-        values, errors = _hermitize(values, errors, "word value")
-    n, dim = run.size, values.shape[-1]
-    if part.group is not None:
-        values = values[part.group.inverse]
-        errors = None if errors is None else errors[part.group.inverse]
-    else:
-        values = np.repeat(values, n, axis=0)
-    if errors is None:
-        return WordBatch(values, no_errors(n))
-    errors = np.broadcast_to(errors, (n,)).copy()
-    values[~healthy(errors)] = np.eye(dim)
-    return WordBatch(values, errors)
+    if isinstance(word, tuple):
+        return tuple(run.batch(w) for w in word)
+    return run.batch(word)
 
 
 def evaluate(word: OperatorWord, env: Environment) -> HermitianMatrix:

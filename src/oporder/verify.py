@@ -136,10 +136,6 @@ def _random_spds(rng, dim, count, field_kind="real", ridge=0.1) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def _random_spd(rng, dim, field_kind="real", ridge=0.1) -> HermitianMatrix:
-    return HermitianMatrix(_random_spds(rng, dim, 1, field_kind, ridge)[0])
-
-
 def gen_ordered_tuple(
     k: int,
     dim: int,
@@ -260,12 +256,13 @@ def gen_contractive_tuple(
     if not wobble < gap / 2:
         raise ValueError(f"wobble {wobble} must be below half the center gap {gap:.4f}")
     rng = _rng(seed) if isinstance(seed, int) else np.random.default_rng(seed)
-    mats = []
-    for c in centers:
-        s = _random_spd(rng, dim, field_kind, ridge=0.0).entries
-        s = s / max(float(np.linalg.eigvalsh(s)[-1]), 1e-12)
-        m = c * np.eye(dim) + wobble * s
-        mats.append(HermitianMatrix(0.5 * (m + m.conj().T)))
+    # the k perturbations in the order of k single draws, normalized and
+    # decomposed as stacks; each step equals its per-matrix form bit for bit
+    s = _random_spds(rng, dim, k, field_kind, 0.0)
+    s = s / np.maximum(np.linalg.eigvalsh(s)[:, -1], 1e-12)[:, None, None]
+    m = centers[:, None, None] * np.eye(dim) + wobble * s
+    mats = [HermitianMatrix(a) for a in 0.5 * (m + m.conj().swapaxes(-1, -2))]
+    decompose_matrices(mats)
     return OperatorTuple(tuple(mats))
 
 
@@ -483,8 +480,20 @@ class CampaignReport:
     tol_rel: float = SUITE_TOL_REL
 
     @property
-    def rows(self) -> "CampaignRows":
-        return CampaignRows(self)
+    def rows(self) -> "RowView":
+        return RowView(self)
+
+    def _row_count(self) -> int:
+        return len(self.columns["margin"])
+
+    def _row(self, i: int) -> CampaignRow:
+        cols = self.columns
+        return self._record(i, *(cols[name][i].item() for name in COLUMNS))
+
+    def _iter_rows(self):
+        cols = self.columns
+        for i, fields in enumerate(zip(*(cols[name].tolist() for name in COLUMNS))):
+            yield self._record(i, *fields)
 
     def _record(self, i, member, p_index, w, margin, scale, verdict, seconds) -> CampaignRow:
         m = self.members[member]
@@ -555,14 +564,16 @@ class CampaignReport:
         Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-class CampaignRows(Sequence):
-    """A report's rows as CampaignRow records, built when read."""
+class RowView(Sequence):
+    """A columnar report's rows as records, built when read: the report
+    counts them with ``_row_count()``, builds row i with ``_row(i)`` and
+    every row in turn with ``_iter_rows()``."""
 
-    def __init__(self, report: CampaignReport):
+    def __init__(self, report):
         self._report = report
 
     def __len__(self) -> int:
-        return len(self._report.columns["margin"])
+        return self._report._row_count()
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -572,13 +583,10 @@ class CampaignRows(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(f"row {index} out of range for {len(self)} rows")
-        cols = self._report.columns
-        return self._report._record(i, *(cols[name][i].item() for name in COLUMNS))
+        return self._report._row(i)
 
     def __iter__(self):
-        cols = self._report.columns
-        for i, fields in enumerate(zip(*(cols[name].tolist() for name in COLUMNS))):
-            yield self._report._record(i, *fields)
+        return self._report._iter_rows()
 
 
 def _concat_columns(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -706,18 +714,12 @@ def check_hypotheses(
     lhs_values: dict[tuple[int, int], HermitianMatrix] = {}
 
     def lhs(part: list[int], word: chains.Symbol) -> list[HermitianMatrix]:
-        """The left side A_outer^(r - t_n) of each instance in ``part``,
-        evaluated together the first time it is needed; its decomposition,
-        kept on it, gives the comparison scale."""
+        """The left side of each instance in ``part``, evaluated together
+        the first time it is needed."""
         missing = [j for j in part if (j, word.index) not in lhs_values]
         if missing:
-            values = dsl.evaluate_batch(word, [envs[j] for j in missing],
-                                        instance=np.arange(len(missing)))
-            for j, value, err in zip(missing, values.values, values.errors):
-                if err is not None:
-                    raise err
-                lhs_values[j, word.index] = HermitianMatrix.trusted(value)
-            decompose_matrices([lhs_values[j, word.index] for j in missing])
+            for j, value in zip(missing, _left_sides(word, [envs[j] for j in missing])):
+                lhs_values[j, word.index] = value
         return [lhs_values[j, word.index] for j in part]
 
     batches: list[list[_Batch]] = [[] for _ in instances]
@@ -736,16 +738,12 @@ def check_hypotheses(
                 w = columns[f"w{w_index}"] = np.concatenate(
                     [weights[j][lo:hi, w_index - 1] for j in part])
                 values = dsl.evaluate_batch(chain.rhs, [envs[j] for j in part], columns, which)
-                # w = 0 (from an overflowed chain exponent) makes the rhs I
-                errors = flag_errors(values.errors, w <= 0, lambda i: dsl.EvaluationError(
-                    f"weight w{w_index} = {float(w[i])!r} is not positive"))
-                ge, le, scale, errors = scaled_margins_stack(
-                    (lhs(part, chain.lhs), which), values.values, errors)
+                ge, le, scale, errors, holds = _judge_member(
+                    chain, (lhs(part, chain.lhs), which), values, w_index, w, suite_tol_rel)
                 seconds = (time.perf_counter() - start) / len(which)
                 # error rows are indeterminate, not violations; keep scanning
-                fails = (~margins_hold(ge if chain.direction is Direction.GE else le,
-                                       scale, suite_tol_rel) & healthy(errors)
-                         if stop_on_violation else np.zeros(len(which), dtype=bool))
+                fails = (~holds & healthy(errors) if stop_on_violation
+                         else np.zeros(len(which), dtype=bool))
                 for slot, j in enumerate(part):
                     first_row, end = slot * size, size
                     if fails[first_row:first_row + size].any():
@@ -771,6 +769,35 @@ def check_hypotheses(
     return CampaignReport(members_table, columns, errors,
                           {"stopped_early": True} if stopped else {}, master_seed,
                           suite_tol_rel)
+
+
+def _left_sides(word: chains.Symbol, envs) -> list[HermitianMatrix]:
+    """A member's left side A_outer^(r - t_n) under each environment,
+    evaluated together, each with its decomposition cached on it for the
+    comparison scale.  A left side that fails to evaluate raises its
+    error: every row of the member compares against it."""
+    values = dsl.evaluate_batch(word, envs, instance=np.arange(len(envs)))
+    for err in values.errors:
+        if err is not None:
+            raise err
+    sides = [HermitianMatrix.trusted(value) for value in values.values]
+    decompose_matrices(sides)
+    return sides
+
+
+def _judge_member(chain: chains.ChainInequality, lhs, rhs: dsl.WordBatch,
+                  w_index: int, w: np.ndarray, suite_tol_rel: float):
+    """(ge, le, scale, errors, holds) per row of a hypothesis member: its
+    left side ``lhs`` (a ``scaled_margins_stack`` side) against the rhs
+    values under the weights w = w<w_index>, and whether the member's
+    directional margin passes at the suite slack.  A weight w <= 0 (from an
+    overflowed chain exponent) would make the rhs I, so its row is an
+    error row."""
+    errors = flag_errors(rhs.errors, w <= 0, lambda i: dsl.EvaluationError(
+        f"weight w{w_index} = {float(w[i])!r} is not positive"))
+    ge, le, scale, errors = scaled_margins_stack(lhs, rhs.values, errors)
+    holds = margins_hold(ge if chain.direction is Direction.GE else le, scale, suite_tol_rel)
+    return ge, le, scale, errors, holds
 
 
 class _Batch(NamedTuple):
@@ -992,6 +1019,9 @@ def reduction_scalar_interior(tup: OperatorTuple, t, p, n: int) -> float:
 
 @dataclass(frozen=True)
 class ReductionRow:
+    """One reduction row as a record; ``ReductionReport.rows`` builds them
+    from the report's table when they are read."""
+
     p_vector: tuple[float, ...]
     margin_core: float      # I - W
     scale_core: float
@@ -1011,23 +1041,83 @@ class ReductionRow:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class ReductionReport:
+    """The reduction rows of one instance as one (N, 7) float table, judged
+    at the suite slack tol_rel.  Its columns are the ReductionRow fields
+    margin_core, scale_core, margin_peel, scale_peel, margin_scalar,
+    scale_scalar and c_total.
+
+    ``p_vectors[i]`` is row i's p-vector; ``errors`` maps each ERROR row to
+    its error text, and such a row has NaN margins and c_total and unit
+    scales.  The premise counts are the premise member's rows whose
+    computed margin failed, and its ERROR rows.
+    """
+
     instance_id: str
-    # premise rows whose computed margin failed, and premise ERROR rows
     premise_failures: int
     premise_errors: int
-    rows: list[ReductionRow]
-    red_flags: list[str]
+    p_vectors: Sequence[tuple[float, ...]]
+    table: np.ndarray
+    errors: dict[int, str]
+    tol_rel: float = SUITE_TOL_REL
 
     @property
     def premise_pass(self) -> bool:
         return not (self.premise_failures or self.premise_errors)
 
-    def all_hold(self, tol_rel: float = SUITE_TOL_REL) -> bool:
-        return self.premise_pass and not self.red_flags and all(
-            all(r.holds(tol_rel)) for r in self.rows
-        )
+    @property
+    def rows(self) -> RowView:
+        return RowView(self)
+
+    def _row_count(self) -> int:
+        return len(self.table)
+
+    def _row(self, i: int) -> ReductionRow:
+        return self._record(i, self.table[i].tolist())
+
+    def _iter_rows(self):
+        for i, values in enumerate(self.table.tolist()):
+            yield self._record(i, values)
+
+    def _record(self, i: int, values) -> ReductionRow:
+        return ReductionRow(tuple(self.p_vectors[i]), *values, error=self.errors.get(i))
+
+    def holds(self, tol_rel: float | None = None) -> np.ndarray:
+        """(N, 3) pass mask of the core, peel and scalar margins at tol_rel
+        (default: the report's slack)."""
+        tol = self.tol_rel if tol_rel is None else tol_rel
+        return margins_hold(self.table[:, 0:6:2], self.table[:, 1:6:2], tol)
+
+    @property
+    def red_flags(self) -> list[str]:
+        """Rows, on a passing premise, where the core bound holds but the
+        peeled or scalar bound does not: (a) => (b) => (c) pointwise, so
+        each is a tolerance or schedule bug."""
+        if not self.premise_pass:
+            return []
+        holds = self.holds()
+        flagged = np.flatnonzero(holds[:, 0] & ~(holds[:, 1] & holds[:, 2])).tolist()
+        rows = self.rows
+        return [f"instance {self.instance_id} p={row.p_vector}: core bound holds but "
+                f"peel={row.margin_peel:.3e} scalar={row.margin_scalar:.3e}"
+                for row in (rows[i] for i in flagged)]
+
+    def all_hold(self, tol_rel: float | None = None) -> bool:
+        return self.premise_pass and not self.red_flags and bool(self.holds(tol_rel).all())
+
+
+def _c_totals(tup: OperatorTuple, t, p_vectors, p_table: np.ndarray) -> np.ndarray:
+    """The scalar bound c = interior^(1/p_2) per row.  It depends on p_2 ..
+    p_(2n-1) only, so it is computed once per distinct such prefix."""
+    n = len(t)
+    if n == 1:
+        return np.ones(len(p_table))  # the interior is 1
+    _, first, inverse = np.unique(p_table[:, 1:2 * n - 1], axis=0,
+                                  return_index=True, return_inverse=True)
+    c = [reduction_scalar_interior(tup, t, p_vectors[i], n) ** (1.0 / p_vectors[i][1])
+         for i in first.tolist()]
+    return np.asarray(c, dtype=np.float64)[inverse.reshape(-1)]
 
 
 def check_reduction_chain(
@@ -1052,8 +1142,14 @@ def check_reduction_chain(
 
     Implications run (a) => (b) => (c) pointwise, so any sample where (a)
     holds but (b) or (c) fails is flagged as a tolerance or schedule bug.
-    The premise is that the instance passes the first ascending member on
-    the grid, checked with the supplied weight policy.
+    The premise is that the instance passes the first ascending member,
+    under the supplied weight policy, on the same sampled rows.
+
+    Each chunk of rows is one ``dsl.evaluate_batch`` run of the member's
+    right side, its core, the innermost sandwich and the peeled bound: the
+    member contains the core and the sandwich, so each of their nodes is
+    evaluated once.  Everything is judged at suite_tol_rel; tol_rel, the
+    verdict tolerance of campaign reports, labels nothing here.
     """
     if policy is None:
         policy = WeightPolicy.necessity()
@@ -1061,64 +1157,51 @@ def check_reduction_chain(
     n = k // 2
     if template.n != n:
         raise ValueError(f"template has {template.n} t-values, tuple needs {n}")
-    premise = check_hypotheses(
-        tup, template, grid, policy,
-        tol_rel=tol_rel, master_seed=master_seed, instance_index=instance_index,
-        instance_id=instance_id, members=((Family.ASCENDING, 1),),
-        suite_tol_rel=suite_tol_rel,
-    )
-    premise_errors = len(premise.errors)
-    premise_failures = len(premise.rows) - premise.pass_count - premise_errors
-    premise_pass = not (premise_failures or premise_errors)
-
-    core_word = chains.hypothesis_core(chains.build_chain(Family.ASCENDING, 1, k))
+    premise = chains.hypothesis_set(k)[0]
     base_word, bound_word = chains.reduction_words(k)
-    env = _environment(tup, template, (0.5,) * (k - 1))
+    words = (premise.rhs, chains.hypothesis_core(premise), base_word) \
+        + ((bound_word,) if bound_word is not None else ())
+    env = _environment(tup, template)
+    (lhs,) = _left_sides(premise.lhs, [env])
     ident = identity(tup.dim)
     p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 2)
-    # c_total depends on p_2 .. p_(2n-1) only: computed once per distinct prefix
-    interiors: dict[tuple[float, ...], float] = {}
+    w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
+    c_total = _c_totals(tup, template.t, p_vectors, p_table)
 
-    def c_total_at(p_vec) -> float:
-        key = tuple(p_vec[1:2 * n - 1])
-        if key not in interiors:
-            interiors[key] = reduction_scalar_interior(tup, template.t, p_vec, n) \
-                ** (1.0 / p_vec[1])
-        return interiors[key]
-
-    rows: list[ReductionRow] = []
-    red_flags: list[str] = []
+    premise_failures = premise_errors = 0
+    chunks: list[np.ndarray] = []
+    errors_by_row: dict[int, str] = {}
     for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
         columns = _p_columns(p_table[lo:hi])
-        core = dsl.evaluate_batch(core_word, env, columns)
+        columns["w1"] = w[lo:hi]
+        if bound_word is not None:
+            columns.update(chains.peeled_bindings(template.t, p_table[lo:hi].T))
+        rhs, core, base, *peeled = dsl.evaluate_batch(words, env, columns)
+        _, _, _, errors, holds = _judge_member(premise, lhs, rhs, 1, w[lo:hi], suite_tol_rel)
+        evaluated = healthy(errors)
+        premise_errors += int(np.count_nonzero(~evaluated))
+        premise_failures += int(np.count_nonzero(evaluated & ~holds))
+
         margin_core, _, scale_core, errors = scaled_margins_stack(ident, core.values, core.errors)
-        base = dsl.evaluate_batch(base_word, env, columns)
         errors = first_errors(errors, base.errors)
         bound = ident
-        if bound_word is not None:
-            peeled = dsl.evaluate_batch(
-                bound_word, env, chains.peeled_bindings(template.t, p_table[lo:hi].T))
-            bound, errors = peeled.values, first_errors(errors, peeled.errors)
+        if peeled:
+            bound, errors = peeled[0].values, first_errors(errors, peeled[0].errors)
         margin_peel, _, scale_peel, errors = scaled_margins_stack(bound, base.values, errors)
         # the scalar bound c * I compares against lambda_max(base) directly
         lam, _, errors = decompose_stack(base.values, errors)
-        c_total = np.array([c_total_at(p_vec) for p_vec in p_vectors[lo:hi]])
-        values = np.stack([margin_core, scale_core, margin_peel, scale_peel, c_total - lam[:, -1],
-                           np.maximum(np.maximum(1.0, np.abs(c_total)), spectral_norms(lam)),
-                           c_total], axis=1)
+        c = c_total[lo:hi]
+        values = np.stack([margin_core, scale_core, margin_peel, scale_peel, c - lam[:, -1],
+                           np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam)), c],
+                          axis=1)
         errors = flag_errors(errors, ~np.isfinite(values[:, [2, 4, 5]]).all(axis=1),
                              lambda i: NonFiniteError("reduction margin"))
-        values[~healthy(errors)] = (math.nan, 1.0) * 3 + (math.nan,)
-        for p_vec, vals, err in zip(p_vectors[lo:hi], values.tolist(), errors):
-            row = ReductionRow(tuple(p_vec), *vals, error=None if err is None else str(err))
-            rows.append(row)
-            holds_core, holds_peel, holds_scalar = row.holds(suite_tol_rel)
-            if premise_pass and holds_core and not (holds_peel and holds_scalar):
-                red_flags.append(
-                    f"instance {instance_id} p={row.p_vector}: core bound holds but "
-                    f"peel={row.margin_peel:.3e} scalar={row.margin_scalar:.3e}"
-                )
-    return ReductionReport(instance_id, premise_failures, premise_errors, rows, red_flags)
+        bad = np.flatnonzero(~healthy(errors))
+        values[bad] = (math.nan, 1.0) * 3 + (math.nan,)
+        errors_by_row.update((lo + i, str(errors[i])) for i in bad.tolist())
+        chunks.append(values)
+    return ReductionReport(instance_id, premise_failures, premise_errors, p_vectors,
+                           np.concatenate(chunks), errors_by_row, suite_tol_rel)
 
 
 @dataclass

@@ -309,8 +309,8 @@ class TestReductionWords:
         base, bound = reduction_words(7)
         assert dsl.pretty_print(base) == "A2^{-t1/2} A1^{p1} A2^{-t1/2}"
         assert dsl.pretty_print(bound) == (
-            "(A3^{-t1/2} (A4^{t2/2} (A5^{-t2/2} A6^{p5} A5^{-t2/2})^{p4} "
-            "A4^{t2/2})^{p3} A3^{-t1/2})^{p2}"
+            "(A3^{-t1/2} (A4^{t2/2} (A5^{-t2/2} A6^{q5} A5^{-t2/2})^{q4} "
+            "A4^{t2/2})^{q3} A3^{-t1/2})^{q2}"
         )
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
@@ -320,15 +320,35 @@ class TestReductionWords:
             word = word.base.factors[1]
         assert reduction_words(k)[0] == word.base
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_base_is_the_very_node_inside_the_first_member(self, k):
+        # identity, not equality: one evaluation run then shares the node
+        word = hypothesis_core(hypothesis_set(k)[0])
+        while isinstance(word.base.factors[1], Power):
+            word = word.base.factors[1]
+        assert reduction_words(k)[0] is word.base
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7])
+    def test_bound_names_are_its_own(self, k):
+        # the q names let the bound share a run with the sampled p columns
+        n = k // 2
+        names = set()
+        word = reduction_words(k)[1]
+        while isinstance(word, Power):
+            names |= word.exponent.free_names()
+            word = word.base.factors[1]
+        names |= word.exponent.free_names()
+        assert names == {f"q{j}" for j in range(2, 2 * n)}
+
     def test_single_level_bound_is_the_identity(self):
         assert reduction_words(3)[1] is None
-        assert dsl.pretty_print(reduction_words(5)[1]) == "(A3^{-t1/2} A4^{p3} A3^{-t1/2})^{p2}"
+        assert dsl.pretty_print(reduction_words(5)[1]) == "(A3^{-t1/2} A4^{q3} A3^{-t1/2})^{q2}"
 
     def test_peeled_bindings(self):
-        assert peeled_bindings((0.8, 0.3), (1.0, 2.0, 4.0, 8.0)) == {"p2": 0.5, "p3": 0.3 / 4.0}
+        assert peeled_bindings((0.8, 0.3), (1.0, 2.0, 4.0, 8.0)) == {"q2": 0.5, "q3": 0.3 / 4.0}
         got = peeled_bindings((0.8, 0.3, 0.6), np.array([[1.0, 2.0, 4.0, 8.0, 5.0, 1.0]]).T)
         assert {name: float(col[0]) for name, col in got.items()} == \
-            {"p2": 0.5, "p3": 0.25, "p4": 0.125, "p5": 0.6 / 5.0}
+            {"q2": 0.5, "q3": 0.25, "q4": 0.125, "q5": 0.6 / 5.0}
 
 
 class TestHypothesisSet:

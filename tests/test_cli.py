@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oporder.cli import EXIT_INDETERMINATE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 from util import GOLDEN_DIR
@@ -336,3 +340,67 @@ class TestArgparseBehaviour:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+
+def _captured_main(argv):
+    """Exit code, stdout and stderr of ``main(argv)``; an exception that
+    escapes ``main`` propagates, as a traceback would end the process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+# each field's values in and out of its domain: small grids, p = 1e300
+# (whose necessity weight overflows to 0), weights of 0 and below (error
+# rows) and of 1e300, tolerances of every size
+_FUZZ_FIELDS = {
+    "k": (("3", "4", "5"), ("2", "1")),
+    "dim": (("1", "2", "3"), ("0",)),
+    "count": (("1", "2"), ("0",)),
+    "p-grid": (("1", "1,2", "1,1.5,4", "1,1e300", "1e300"),
+               ("4,1", "0.5,1", "1,nan", "1,inf", "x")),
+    "tol-rel": (("1e-12", "1e-7", "1e-2", "1e300"), ("0", "-1e-7", "nan", "inf", "x")),
+    "suite-tol-rel": (("1e-12", "1e-7", "1e-2", "1e300"), ("0", "-1e-7", "nan", "inf", "x")),
+    "weights": (("necessity", "0.01", "0.5", "0.9", "1e300", "0", "-1"),
+                ("fixed:x", "fixed:0.5", "bogus")),
+}
+
+
+@st.composite
+def _check_argv(draw):
+    """``check --mode necessity|proof-steps`` argv with at most one field
+    out of its domain."""
+    broken = draw(st.sampled_from((None, None, None) + tuple(_FUZZ_FIELDS)))
+    values = {name: draw(st.sampled_from(bad if name == broken else good))
+              for name, (good, bad) in _FUZZ_FIELDS.items()}
+    if values["weights"][0].isdigit() or values["weights"][0] == "-":
+        # one fixed weight for each of the k - 1 members
+        k = max(int(values["k"]), 2)
+        values["weights"] = "fixed:" + ",".join([values["weights"]] * (k - 1))
+    argv = ["check", "--mode", draw(st.sampled_from(("necessity", "proof-steps"))),
+            "--seed", str(draw(st.integers(0, 3)))]
+    for name, value in values.items():
+        argv += [f"--{name}", value]
+    return argv
+
+
+class TestExitCodeContract:
+    @settings(max_examples=50, deadline=None)
+    @given(argv=_check_argv())
+    def test_exit_code_matches_printed_outcome(self, argv):
+        code, out, err = _captured_main(argv)
+        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INDETERMINATE)
+        assert "Traceback" not in out + err
+        lines = err.splitlines()
+        violations = [line for line in lines if line.startswith("VIOLATION: ")]
+        errors = [line for line in lines if line.startswith("ERROR: ")]
+        if code == EXIT_VIOLATION:
+            # a finite computed margin failed: no VIOLATION line rests on a NaN
+            assert violations and not any("nan" in line for line in violations)
+        elif code == EXIT_INDETERMINATE:
+            assert errors and not violations and "rows were not evaluated" in out
+        elif code == EXIT_OK:
+            assert not violations and not errors and "all expectations met" in out
+        else:
+            assert err.startswith("error: ") or err.startswith("usage: ")

@@ -20,6 +20,7 @@ from oporder.dsl import (
     NonHermitianResultError,
     ParseError,
     UnboundNameError,
+    WordBatch,
     evaluate,
     evaluate_batch,
     parse,
@@ -31,6 +32,7 @@ from oporder.spectral import (
     HermitianMatrix,
     NearSingularError,
     SpectralError,
+    decompose_stack,
     diagonal,
     identity,
 )
@@ -416,3 +418,88 @@ class TestEvaluateBatch:
         assert isinstance(batch.errors[1], NearSingularError)
         assert np.array_equal(batch.values[1], np.eye(2))
         assert np.allclose(batch.values[0], np.diag([0.0, 1.0]))
+
+
+def _power_nodes(word) -> set[int]:
+    """The ids of the distinct Power nodes of a word."""
+    if isinstance(word, Symbol):
+        return set()
+    if isinstance(word, Power):
+        return {id(word)} | _power_nodes(word.base)
+    return set().union(*(_power_nodes(f) for f in word.factors))
+
+
+class TestSeveralWordsPerRun:
+    _ROW_VALUES = TestEvaluateBatch._ROW_VALUES
+
+    @staticmethod
+    def _matrices(rng):
+        return {
+            1: HermitianMatrix(random_spd_array(rng, 3)),
+            2: HermitianMatrix(random_spd_array(rng, 3, ridge=0.5)),
+            3: _rotated(rng, (1e-13, 0.5, 1.5)),   # trips the pd gate
+            4: _rotated(rng, (1.0, 1e30, 1e60)),   # overflows at large powers
+        }
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), several_envs=st.booleans())
+    def test_tuple_of_words_matches_separate_calls(self, seed, several_envs):
+        rng = np.random.default_rng(seed)
+        a, b = random_palindrome(rng), random_palindrome(rng)
+        # words sharing subtrees by identity, and a product of two different
+        # palindromes, whose rows are mostly not Hermitian (error rows)
+        words = (Product((b, a, b)), a, Power(a, random_scalar_expr(rng)), b, Product((a, b)))
+        constants = {"r": 1.7, "t1": 0.3, "t2": 0.8, "t3": 0.5,
+                     "p1": 2.0, "p2": 1.5, "p3": 3.0, "p4": 1.25, "w1": 0.4, "w2": 0.9}
+        count = int(rng.integers(1, 9))
+        per_row = [name for name in constants if rng.random() < 0.5] or ["p1"]
+        rows = {name: rng.choice(self._ROW_VALUES, count) for name in per_row}
+        if several_envs:
+            matrices = [self._matrices(rng) for _ in range(3)]
+            instance = rng.integers(0, 3, count)
+            env = lambda: [Environment(scalars=constants, matrices=m) for m in matrices]
+        else:
+            matrices, instance = self._matrices(rng), None
+            env = lambda: Environment(scalars=constants, matrices=matrices)
+        together = evaluate_batch(words, env(), rows, instance)
+        assert isinstance(together, tuple) and len(together) == len(words)
+        for word, got in zip(words, together):
+            alone = evaluate_batch(word, env(), rows, instance)
+            assert got.values.tobytes() == alone.values.tobytes()
+            assert [type(e) for e in got.errors] == [type(e) for e in alone.errors]
+            assert [got.error_text(i) for i in range(count)] == \
+                [alone.error_text(i) for i in range(count)]
+
+    def test_single_word_keeps_its_return_type(self):
+        env = diag_env({}, {1: [1.0, 2.0]})
+        assert isinstance(evaluate_batch(parse("A1"), env), WordBatch)
+        (one,) = evaluate_batch((parse("A1"),), env)
+        assert isinstance(one, WordBatch)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_shared_powers_are_decomposed_once(self, k, monkeypatch):
+        from oporder import chains, dsl
+
+        member = chains.hypothesis_set(k)[0]
+        core = chains.hypothesis_core(member)
+        base, _ = chains.reduction_words(k)
+        rng = np.random.default_rng(k)
+        matrices = {i: HermitianMatrix(random_spd_array(rng, 2)) for i in range(1, k + 1)}
+        for m in matrices.values():
+            m.decomposition()  # symbols raise their cached decomposition
+        scalars = {"r": 1.5, "w1": 0.5, **{f"t{i}": 0.5 for i in range(1, k // 2 + 1)}}
+        rows = {f"p{j}": np.array([1.0, 2.0, 4.0]) for j in range(1, 2 * (k // 2) + 1)}
+        calls = []
+
+        def counting(arrs, errors=None):
+            calls.append(len(arrs))
+            return decompose_stack(arrs, errors)
+
+        monkeypatch.setattr(dsl, "decompose_stack", counting)
+        evaluate_batch((member.rhs, core, base), Environment(scalars, matrices), rows)
+        # one stacked eigh per power of the member; the core and the base,
+        # nodes of the member, add none
+        assert len(calls) == len(_power_nodes(member.rhs)) == 2 * (k // 2)
+        calls.clear()
+        evaluate_batch(core, Environment(scalars, matrices), rows)
+        assert len(calls) == len(_power_nodes(core))

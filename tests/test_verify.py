@@ -501,6 +501,31 @@ class TestReductionChain:
         expected = (inner * 0.8 ** 0.3) ** (1 / 3.0) * (1 / 0.6) ** 0.8
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_subsampled_premise_is_judged_on_the_reduction_rows(self):
+        # 101 ** 2 grid points exceed GRID_POINT_CAP, so the rows are a
+        # subsample; the premise member is judged on those very rows
+        tup = scalar_tuple([0.9, 0.5, 0.95])
+        t1, r, w = 0.8, 1.2, 0.5
+        grid = PGrid(values=tuple(np.geomspace(1.0, 8.0, 101).tolist()))
+        rep = check_reduction_chain(tup, ParamTemplate(t=(t1,), r=r), grid,
+                                    policy=WeightPolicy.fixed((w, w)), master_seed=3,
+                                    instance_index=1)
+        assert len(rep.rows) == verify.GRID_POINT_CAP
+        assert rep.p_vectors == verify._p_samples(grid, 1, 3, 1, 2)[0]
+
+        def premise_margins(p_vectors):
+            # A3^(r-t1) - (A3^(r/2) (A2^(-t1/2) A1^p1 A2^(-t1/2))^p2 A3^(r/2))^w
+            p = np.asarray(p_vectors)
+            return 0.95 ** (r - t1) - (0.95 ** r * (0.9 ** p[:, 0] * 0.5 ** -t1) ** p[:, 1]) ** w
+
+        margins = premise_margins(rep.p_vectors)
+        assert not rep.premise_errors
+        assert np.count_nonzero(margins < -1e-9) <= rep.premise_failures \
+            <= np.count_nonzero(margins < 1e-9)
+        # the premise's own stream of samples would count differently
+        other = premise_margins(verify._p_samples(grid, 1, 3, 1, 1)[0])
+        assert np.count_nonzero(other < 0) != rep.premise_failures
+
     def test_red_flag_on_tampered_tolerance(self):
         # force an impossible scalar bound by shrinking the interior
         tup = gen_suite_tuple(5, 2, seed=16)
