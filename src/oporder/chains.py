@@ -34,9 +34,9 @@ class ScalarExpr:
     """Rational linear form over parameter names plus a constant.
 
     The closed vocabulary is {t1..tn, p1..p2n, r, w1..w(k-1)} with division
-    by literals only, plus q2..q(2n-1) in the reduction's peeled bound; that
-    is exactly the set of exponent shapes the chain words use, so no
-    general symbolic algebra is needed.
+    by literals only, plus q2..q(2n-1) in the reduction's peeled bound and
+    a, s and d in the probes' words (``verify``); that is exactly the set of
+    exponent shapes the words use, so no general symbolic algebra is needed.
     """
 
     terms: tuple[tuple[str, Fraction], ...] = ()
@@ -285,8 +285,8 @@ def weight_index(family: Family, member: int, n: int) -> int:
     return member if family is Family.ASCENDING else n + member
 
 
-def _sandwich(index: int, exponent: ScalarExpr, inner: OperatorWord,
-              power: str) -> Power:
+def sandwich(index: int, exponent: ScalarExpr, inner: OperatorWord,
+             power: str) -> Power:
     """(A_index^exponent inner A_index^exponent)^power."""
     wrap = Symbol(index, exponent)
     return Power(Product((wrap, inner, wrap)), ScalarExpr.variable(power))
@@ -312,9 +312,9 @@ def build_chain(family: Family, member: int, k: int) -> ChainInequality:
 
     core: OperatorWord = Symbol(index_at(0), ScalarExpr.variable("p1"))
     for j in range(1, 2 * n):
-        core = _sandwich(index_at(j), layer_exponent(j, n), core, f"p{j + 1}")
-    rhs = _sandwich(outer, ScalarExpr.variable("r", Fraction(1, 2)), core,
-                    f"w{weight_index(family, member, n)}")
+        core = sandwich(index_at(j), layer_exponent(j, n), core, f"p{j + 1}")
+    rhs = sandwich(outer, ScalarExpr.variable("r", Fraction(1, 2)), core,
+                   f"w{weight_index(family, member, n)}")
     lhs = Symbol(outer, ScalarExpr.variable("r") - ScalarExpr.variable(f"t{n}"))
     return ChainInequality(family, member, lhs, rhs, direction)
 
@@ -351,7 +351,7 @@ def reduction_words(k: int) -> tuple[Product, Power | None]:
     index_at = lambda j: ascending_index(1, j, k)
     bound: OperatorWord = Symbol(index_at(2 * n - 1), ScalarExpr.variable(f"q{2 * n - 1}"))
     for layer in range(2 * n - 2, 1, -1):
-        bound = _sandwich(index_at(layer), -layer_exponent(layer, n), bound, f"q{layer}")
+        bound = sandwich(index_at(layer), -layer_exponent(layer, n), bound, f"q{layer}")
     return innermost.base, bound
 
 

@@ -303,37 +303,40 @@ def _cmd_check(args) -> int:
         instances = [run_instance(idx) for idx in range(count)]
         reports = [rep for _, _, rep in instances]
         for idx, (tup, template, rep) in enumerate(instances):
-            bad = rep.violations()
             if mode == "necessity":
-                for row in bad:
+                for row in rep.violations():
                     (unevaluated if row.error else violations).append(
                         f"instance {idx}: {row.family} member {row.member} at "
                         f"p={row.p_vector} margin {row.margin:.6e} "
                         f"({row.error or row.verdict})"
                     )
                 unevaluated_rows += len(rep.errors)
+                continue
+            # error rows are never hypothesis failures
+            genuine = ~rep.holds() & (rep.columns["verdict"] != verify.ERROR_CODE)
+            if genuine.any():
+                print(f"instance {idx}: hypothesis-failure found "
+                      f"(margin {rep.columns['margin'][genuine].min():.6f})")
+                continue
+            # nothing failed on the sampled grid; the violation may hide
+            # beyond it, so probe the member cores (including t = 1)
+            implied, core_errors = verify.implied_core_violation(
+                tup, template, grid,
+                master_seed=seed, instance_index=idx, suite_tol_rel=suite_tol,
+            )
+            if implied is not None:
+                print(f"instance {idx}: hypothesis-failure implied "
+                      f"(core margin {implied['core_margin']:.6f} at "
+                      f"t={implied['t']})")
+            elif rep.errors or core_errors:
+                # the failure may hide in the rows that were not evaluated
+                unevaluated.append(f"instance {idx}: no hypothesis violation found, but "
+                                   f"{len(rep.errors)} campaign rows and {core_errors} "
+                                   f"core rows were not evaluated")
+                unevaluated_rows += len(rep.errors) + core_errors
             else:
-                genuine = [r for r in bad if r.error is None]
-                if genuine:
-                    worst = min(genuine, key=lambda r: r.margin)
-                    print(f"instance {idx}: hypothesis-failure found "
-                          f"(margin {worst.margin:.6f})")
-                    continue
-                # nothing failed on the sampled grid; the violation may hide
-                # beyond it, so probe the member cores (including t = 1)
-                implied = verify.implied_core_violation(
-                    tup, template, grid,
-                    master_seed=seed, instance_index=idx, suite_tol_rel=suite_tol,
-                )
-                if implied is not None:
-                    print(f"instance {idx}: hypothesis-failure implied "
-                          f"(core margin {implied['core_margin']:.6f} at "
-                          f"t={implied['t']})")
-                else:
-                    violations.append(
-                        f"instance {idx}: no hypothesis violation found on or "
-                        f"beyond the sampled grid"
-                    )
+                violations.append(f"instance {idx}: no hypothesis violation found on or "
+                                  f"beyond the sampled grid")
 
     elif mode == "proof-steps":
         def run_instance(idx: int):
@@ -348,8 +351,7 @@ def _cmd_check(args) -> int:
                 )
                 template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
             return check_reduction_chain(
-                tup, template, grid, policy=policy,
-                tol_rel=tol, suite_tol_rel=suite_tol,
+                tup, template, grid, policy=policy, suite_tol_rel=suite_tol,
                 master_seed=seed, instance_index=idx, instance_id=str(idx),
             )
 

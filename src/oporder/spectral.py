@@ -523,21 +523,10 @@ def margin_holds(margin: float, scale: float, tol_rel: float) -> bool:
 
 
 def margins_hold(margin: np.ndarray, scale: np.ndarray, tol_rel: float) -> np.ndarray:
-    """``margin_holds`` elementwise over arrays of margins and scales."""
-    return np.isfinite(margin) & (margin >= -tol_rel * scale)
-
-
-def classify_margins(ge_margin: float, le_margin: float, scale: float,
-                     tol_rel: float) -> Relation:
-    ge = margin_holds(ge_margin, scale, tol_rel)
-    le = margin_holds(le_margin, scale, tol_rel)
-    if ge and le:
-        return Relation.EQ
-    if ge:
-        return Relation.GE
-    if le:
-        return Relation.LE
-    return Relation.INCOMPARABLE
+    """``margin_holds`` elementwise over arrays of margins and scales; a
+    slack that overflows to inf passes every finite margin, unwarned."""
+    with np.errstate(over="ignore"):
+        return np.isfinite(margin) & (margin >= -tol_rel * scale)
 
 
 # codes of classify_stack: 2 * (the GE margin holds) + (the LE margin holds)
@@ -546,7 +535,8 @@ STACK_RELATIONS = (Relation.INCOMPARABLE, Relation.LE, Relation.GE, Relation.EQ)
 
 def classify_stack(ge: np.ndarray, le: np.ndarray, scale: np.ndarray,
                    tol_rel: float) -> np.ndarray:
-    """``classify_margins`` row-wise, as indices into STACK_RELATIONS."""
+    """Each row's relation, as an index into STACK_RELATIONS: GE, LE, both
+    (EQ) or neither (INCOMPARABLE) of its margins pass at tol_rel."""
     return 2 * margins_hold(ge, scale, tol_rel) + margins_hold(le, scale, tol_rel)
 
 
@@ -578,16 +568,10 @@ def loewner_compare(
     swapping arguments swaps GE and LE while keeping margins identical.
     """
     ge_margin, le_margin, scale = scaled_margins(p, q)
-    relation = classify_margins(ge_margin, le_margin, scale, tol_rel)
-    if relation is Relation.GE:
-        margin = ge_margin
-    elif relation is Relation.LE:
-        margin = le_margin
-    elif relation is Relation.EQ:
-        margin = min(ge_margin, le_margin)
-    else:
-        margin = max(ge_margin, le_margin)
-    return Verdict(relation=relation, margin=margin, tol=tol_rel * scale)
+    code = int(classify_stack(ge_margin, le_margin, scale, tol_rel))
+    # the reported margin per code of STACK_RELATIONS
+    margin = (max(ge_margin, le_margin), le_margin, ge_margin, min(ge_margin, le_margin))[code]
+    return Verdict(relation=STACK_RELATIONS[code], margin=margin, tol=tol_rel * scale)
 
 
 # JSON matrix format shared with every downstream module:

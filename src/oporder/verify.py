@@ -16,6 +16,7 @@ import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -23,18 +24,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import chains, dsl
-from .chains import Direction, Family
+from .chains import Direction, Family, ScalarExpr, Symbol
 from .spectral import (
     STACK_RELATIONS,
     TOL_REL,
     HermitianMatrix,
     NonFiniteError,
-    Relation,
-    SpectralError,
     Verdict,
-    classify_margins,
     classify_stack,
-    congruence,
     decompose_matrices,
     decompose_stack,
     first_errors,
@@ -44,12 +41,10 @@ from .spectral import (
     loewner_compare,
     margin_holds,
     margins_hold,
-    matrix_power,
     matrix_to_json,
     operator_norm,
     positivity_margin,
     require_strictly_positive,
-    scaled_margins,
     scaled_margins_stack,
     spectral_norms,
 )
@@ -847,12 +842,40 @@ def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdi
 
 
 @dataclass(frozen=True)
-class AlphaRow:
-    alpha: float
+class ProbeRow:
+    """One exponent of a probe: its verdict, GE margin and scale.  An ERROR
+    row, which failed to evaluate, has a NaN margin, scale 1 and its error."""
+
+    exponent: float
     verdict: str
     margin: float
     scale: float
     error: str | None = None
+
+
+def _probe_rows(words, env: dsl.Environment, name: str, exponents,
+                tol_rel: float) -> list[ProbeRow]:
+    """One ProbeRow per exponent: the two words evaluated in one run with
+    the exponents bound to ``name``, the first against the second in one
+    stacked comparison classified at tol_rel."""
+    lhs, rhs = dsl.evaluate_batch(words, env, {name: exponents})
+    ge, le, scale, errors = scaled_margins_stack(lhs.values, rhs.values,
+                                                 first_errors(lhs.errors, rhs.errors))
+    codes = classify_stack(ge, le, scale, tol_rel)
+    return [ProbeRow(x, STACK_RELATIONS[code].value, margin, s) if err is None
+            else ProbeRow(x, "ERROR", math.nan, 1.0, str(err))
+            for x, code, margin, s, err in zip(
+                [float(x) for x in exponents], codes.tolist(), ge.tolist(), scale.tolist(),
+                errors)]
+
+
+# The probes' words, with P bound as A1 and Q as A2 and exponent names of
+# their own (a, s, d): the Loewner-Heinz pair P^a, Q^a, and the sides P^(r+d)
+# and (P^(r/2) Q^s P^(r/2))^w1 of the contraction criterion.
+_LOEWNER_HEINZ_WORDS = (Symbol(1, ScalarExpr.variable("a")), Symbol(2, ScalarExpr.variable("a")))
+_CONTRACTION_WORDS = (Symbol(1, ScalarExpr.variable("r") + ScalarExpr.variable("d")),
+                      chains.sandwich(1, ScalarExpr.variable("r", Fraction(1, 2)),
+                                      Symbol(2, ScalarExpr.variable("s")), "w1"))
 
 
 @dataclass
@@ -860,7 +883,7 @@ class MonotonePowerReport:
     """Per-exponent outcome of pushing an ordered pair through powers."""
 
     precondition_ok: bool
-    rows: list[AlphaRow]
+    rows: list[ProbeRow]
 
     def all_hold(self, tol_rel: float = TOL_REL) -> bool:
         return self.precondition_ok and all(
@@ -884,35 +907,25 @@ def probe_loewner_heinz(
     q_psd = margin_holds(positivity_margin(q), max(1.0, operator_norm(q)), tol_rel)
     if not (base.ge and q_psd):
         return MonotonePowerReport(precondition_ok=False, rows=[])
-    rows: list[AlphaRow] = []
-    for alpha in alphas:
-        try:
-            pa = matrix_power(p, alpha)
-            qa = matrix_power(q, alpha)
-            ge_m, le_m, scale = scaled_margins(pa, qa)
-            verdict = classify_margins(ge_m, le_m, scale, tol_rel)
-            rows.append(AlphaRow(float(alpha), verdict.value, ge_m, scale))
-        except SpectralError as exc:
-            rows.append(AlphaRow(float(alpha), "ERROR", float("nan"), 1.0, str(exc)))
-    return MonotonePowerReport(precondition_ok=True, rows=rows)
-
-
-@dataclass(frozen=True)
-class SRow:
-    s: float
-    verdict: str
-    margin: float
+    env = dsl.Environment(scalars={}, matrices={1: p, 2: q})
+    return MonotonePowerReport(precondition_ok=True,
+                               rows=_probe_rows(_LOEWNER_HEINZ_WORDS, env, "a", alphas, tol_rel))
 
 
 @dataclass
 class ContractionProbeReport:
-    rows: list[SRow]
+    rows: list[ProbeRow]
     hypothesis_holds: bool
     conclusion: Verdict                 # Q vs I, expected LE
-    implication_status: str             # confirmed | hypothesis_fails | violation_witness
+    implication_status: str  # confirmed|hypothesis_fails|violation_witness|indeterminate
     cross_check_required: bool
     cross_check_ok: bool | None
     failure_s: float | None
+
+
+# the contraction probe's escalation past its s grid: factor and cap
+S_GROWTH = 2.0
+S_CAP = 1e6
 
 
 def probe_contraction_criterion(
@@ -923,18 +936,19 @@ def probe_contraction_criterion(
     w: float,
     s_values=(1.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     *,
-    growth: float = 2.0,
-    s_cap: float = 1e6,
     tol_rel: float = TOL_REL,
 ) -> ContractionProbeReport:
     """Probe the implication: P^(r+delta) >= (P^(r/2) Q^s P^(r/2))^w for
     every s > 1 forces Q <= I.
 
-    The hypothesis is sampled on the s grid.  When Q has an eigenvalue
-    above 1 + 1e-6 the hypothesis must eventually fail because Q^s grows
-    geometrically, so the grid is escalated past its end until a failing s
-    is found (or s_cap is hit, which is reported as a cross-check failure).
-    w = 0 makes the hypothesis vacuous and is rejected.
+    The hypothesis is sampled on the s grid in one evaluation run.  When Q
+    has an eigenvalue above 1 + 1e-6 the hypothesis must eventually fail
+    because Q^s grows geometrically, so without a failing s on the grid,
+    s_last * S_GROWTH^j up to S_CAP are evaluated in one more run and kept
+    up to the first failing s (none is a cross-check failure).  An ERROR
+    row is never a failing s; with none, one on the grid makes the status
+    "indeterminate" and one escalated leaves the cross-check undecided
+    (None).  w = 0 makes the hypothesis vacuous and is rejected.
     """
     if not (r > 0 and r + delta > 0):
         raise ValueError(f"need r > 0 and r + delta > 0, got r={r}, delta={delta}")
@@ -944,48 +958,45 @@ def probe_contraction_criterion(
         raise ValueError(f"every s must exceed 1, got {tuple(s_values)}")
     for m in (p, q):
         require_strictly_positive(m)
-    lhs = matrix_power(p, r + delta)
-    p_half = matrix_power(p, r / 2.0)
+    env = dsl.Environment(scalars={"r": r, "d": delta, "w1": w}, matrices={1: p, 2: q})
 
-    def hyp_margin(s: float) -> tuple[str, float]:
-        rhs = matrix_power(congruence(p_half, matrix_power(q, s)), w)
-        ge_m, le_m, scale = scaled_margins(lhs, rhs)
-        return classify_margins(ge_m, le_m, scale, tol_rel).value, ge_m
+    def sample(s_column) -> tuple[list[ProbeRow], int | None]:
+        """The rows of s_column and the index of the first failing s."""
+        rows = _probe_rows(_CONTRACTION_WORDS, env, "s", s_column, tol_rel)
+        return rows, next((i for i, row in enumerate(rows) if row.error is None
+                           and not margin_holds(row.margin, row.scale, tol_rel)), None)
 
-    rows = []
-    failure_s = None
-    for s in s_values:
-        verdict, margin = hyp_margin(float(s))
-        rows.append(SRow(float(s), verdict, margin))
-        if failure_s is None and verdict not in (Relation.GE.value, Relation.EQ.value):
-            failure_s = float(s)
-    hypothesis_holds = failure_s is None
+    rows, first = sample(s_values)
+    grid_error = any(row.error for row in rows)
+    failure_s = None if first is None else rows[first].exponent
     conclusion = loewner_compare(q, identity(q.dim), tol_rel=tol_rel)
 
-    needs_cross = operator_norm(q) > 1.0 + 1e-6 and positivity_margin(q) > 0
-    cross_ok: bool | None = None
+    needs_cross = operator_norm(q) > 1.0 + 1e-6
+    cross_ok = (failure_s is not None) if needs_cross else None
     if needs_cross and failure_s is None:
-        s = float(s_values[-1]) * growth
-        while s <= s_cap:
-            verdict, margin = hyp_margin(s)
-            rows.append(SRow(s, verdict, margin))
-            if verdict not in (Relation.GE.value, Relation.EQ.value):
-                failure_s = s
-                break
-            s *= growth
-        cross_ok = failure_s is not None
-    elif needs_cross:
-        cross_ok = True
+        escalated = []
+        s = float(s_values[-1]) * S_GROWTH
+        while s <= S_CAP:
+            escalated.append(s)
+            s *= S_GROWTH
+        more, stop = sample(escalated)
+        if stop is not None:
+            more, failure_s, cross_ok = more[:stop + 1], more[stop].exponent, True
+        elif any(row.error for row in more):
+            cross_ok = None
+        rows += more
 
-    if not hypothesis_holds:
+    if first is not None:
         status = "hypothesis_fails"
+    elif grid_error:
+        status = "indeterminate"
     elif conclusion.le:
         status = "confirmed"
     else:
         status = "violation_witness"
     return ContractionProbeReport(
         rows=rows,
-        hypothesis_holds=hypothesis_holds,
+        hypothesis_holds=first is None and not grid_error,
         conclusion=conclusion,
         implication_status=status,
         cross_check_required=needs_cross,
@@ -1126,7 +1137,6 @@ def check_reduction_chain(
     grid: PGrid,
     *,
     policy: WeightPolicy | None = None,
-    tol_rel: float = TOL_REL,
     suite_tol_rel: float = SUITE_TOL_REL,
     master_seed: int = 0,
     instance_index: int = 0,
@@ -1148,8 +1158,7 @@ def check_reduction_chain(
     Each chunk of rows is one ``dsl.evaluate_batch`` run of the member's
     right side, its core, the innermost sandwich and the peeled bound: the
     member contains the core and the sandwich, so each of their nodes is
-    evaluated once.  Everything is judged at suite_tol_rel; tol_rel, the
-    verdict tolerance of campaign reports, labels nothing here.
+    evaluated once.  Everything is judged at suite_tol_rel.
     """
     if policy is None:
         policy = WeightPolicy.necessity()
@@ -1230,16 +1239,16 @@ def limit_probe(
     A2^(-1/2) A1 A2^(-1/2) by c^(1/p2), and letting p2 grow drives the
     bound to 1, i.e. to A2 >= A1.
 
-    c defaults to max(1, lambda_max(core)), the sharpest constant for which
-    the bound family is valid on the sampled points.  The declaration
-    threshold 1 + 1e-6 matches the probe's resolution, not a proof.
+    The core is the reduction's base sandwich (``chains.reduction_words(3)``)
+    at t1 = p1 = 1; one that fails to evaluate raises its error.  c defaults
+    to max(1, lambda_max(core)), the sharpest constant for which the bound
+    family is valid on the sampled points.  The declaration threshold
+    1 + 1e-6 matches the probe's resolution, not a proof.
     """
-    inv_half = matrix_power(a2, -0.5)
-    core = congruence(inv_half, a1)
+    env = dsl.Environment(scalars={"t1": 1.0, "p1": 1.0}, matrices={1: a1, 2: a2})
+    core = dsl.evaluate(chains.reduction_words(3)[0], env)
     lam = float(core.decomposition().eigenvalues[-1])
-    if c is None:
-        c = max(1.0, lam)
-    c = float(c)
+    c = max(1.0, lam) if c is None else float(c)
     if c < 0:
         raise ValueError(f"bound constant must be nonnegative, got {c}")
     p2s = tuple(float(v) for v in p2_values)
@@ -1311,7 +1320,7 @@ def implied_core_violation(
     tup: OperatorTuple, template: ParamTemplate, grid: PGrid,
     master_seed: int = 0, instance_index: int = 0,
     suite_tol_rel: float = SUITE_TOL_REL,
-) -> dict | None:
+) -> tuple[dict | None, int]:
     """Check the bracketed core of every member against the identity, at
     the instance's own t values and with every t pinned to 1.
 
@@ -1321,6 +1330,9 @@ def implied_core_violation(
     the family at t = 1.  A violated core therefore certifies that an
     escalated or t-shifted sample would expose a hypothesis failure even
     when the capped grid did not.
+
+    Returns the first violated core, or None, and the number of core rows
+    up to it that could not be evaluated (never violations).
     """
     k = tup.k
     n = k // 2
@@ -1330,6 +1342,7 @@ def implied_core_violation(
     ones = (1.0,) * n
     if template.t != ones:
         t_variants.append(ones)
+    unevaluated = 0
     for t_vec in t_variants:
         var_template = ParamTemplate(t=t_vec, r=float(t_vec[-1]) + 1.0)
         env = _environment(tup, var_template, (0.5,) * (k - 1))
@@ -1337,24 +1350,23 @@ def implied_core_violation(
             word = chains.hypothesis_core(chain)
             for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=True):
                 batch = dsl.evaluate_batch(word, env, _p_columns(p_table[lo:hi]))
-                # ascending cores must stay below I, descending ones above;
-                # rows that fail to evaluate are skipped
-                if chain.direction is Direction.GE:
-                    pair = (ident, batch.values)
-                else:
-                    pair = (batch.values, ident)
+                # ascending cores must stay below I, descending ones above
+                pair = ((ident, batch.values) if chain.direction is Direction.GE
+                        else (batch.values, ident))
                 margins, _, scales, errors = scaled_margins_stack(*pair, batch.errors)
-                for i, (margin, scale, err) in enumerate(
-                        zip(margins.tolist(), scales.tolist(), errors)):
-                    if err is None and not margin_holds(margin, scale, suite_tol_rel):
-                        return {
-                            "family": chain.family.value,
-                            "member": chain.member,
-                            "t": list(t_vec),
-                            "p_vector": list(p_vectors[lo + i]),
-                            "core_margin": margin,
-                        }
-    return None
+                failed = ~healthy(errors)
+                fails = np.flatnonzero(~failed & ~margins_hold(margins, scales, suite_tol_rel))
+                end = int(fails[0]) + 1 if len(fails) else len(failed)
+                unevaluated += int(np.count_nonzero(failed[:end]))
+                if len(fails):
+                    return {
+                        "family": chain.family.value,
+                        "member": chain.member,
+                        "t": list(t_vec),
+                        "p_vector": list(p_vectors[lo + end - 1]),
+                        "core_margin": float(margins[end - 1]),
+                    }, unevaluated
+    return None, unevaluated
 
 
 # instances that one search campaign call evaluates together hold at most
@@ -1451,7 +1463,7 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
         if all(v.ge for v in conclusion):
             counters["conclusion_held"] += 1
             continue
-        implied = implied_core_violation(
+        implied, _ = implied_core_violation(
             tup, template, grid,
             master_seed=config.master_seed, instance_index=idx,
             suite_tol_rel=config.suite_tol_rel,

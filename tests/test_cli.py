@@ -353,7 +353,7 @@ def _captured_main(argv):
 
 # each field's values in and out of its domain: small grids, p = 1e300
 # (whose necessity weight overflows to 0), weights of 0 and below (error
-# rows) and of 1e300, tolerances of every size
+# rows) and of 1e300, tolerances of every size, limit sequences out to 1e300
 _FUZZ_FIELDS = {
     "k": (("3", "4", "5"), ("2", "1")),
     "dim": (("1", "2", "3"), ("0",)),
@@ -364,13 +364,14 @@ _FUZZ_FIELDS = {
     "suite-tol-rel": (("1e-12", "1e-7", "1e-2", "1e300"), ("0", "-1e-7", "nan", "inf", "x")),
     "weights": (("necessity", "0.01", "0.5", "0.9", "1e300", "0", "-1"),
                 ("fixed:x", "fixed:0.5", "bogus")),
+    "s-grid": (("1", "1,10,100", "1,1e300", "1e300"), ("0", "10,1", "1,nan", "x")),
 }
 
 
 @st.composite
 def _check_argv(draw):
-    """``check --mode necessity|proof-steps`` argv with at most one field
-    out of its domain."""
+    """``check --mode necessity|contrapositive|proof-steps|limit`` argv with
+    at most one field out of its domain."""
     broken = draw(st.sampled_from((None, None, None) + tuple(_FUZZ_FIELDS)))
     values = {name: draw(st.sampled_from(bad if name == broken else good))
               for name, (good, bad) in _FUZZ_FIELDS.items()}
@@ -378,7 +379,8 @@ def _check_argv(draw):
         # one fixed weight for each of the k - 1 members
         k = max(int(values["k"]), 2)
         values["weights"] = "fixed:" + ",".join([values["weights"]] * (k - 1))
-    argv = ["check", "--mode", draw(st.sampled_from(("necessity", "proof-steps"))),
+    modes = ("necessity", "contrapositive", "proof-steps", "limit")
+    argv = ["check", "--mode", draw(st.sampled_from(modes)),
             "--seed", str(draw(st.integers(0, 3)))]
     for name, value in values.items():
         argv += [f"--{name}", value]

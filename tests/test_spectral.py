@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from oporder.spectral import (
     identity,
     loewner_compare,
     margin_holds,
+    margins_hold,
     margins_stack,
     matrix_from_json,
     matrix_power,
@@ -341,6 +343,15 @@ class TestScalars:
         h = diagonal([1.0, 1e6])
         from oporder.spectral import pd_gate
         assert pd_gate(h) == pytest.approx(EPS_PD_REL * 1e6)
+
+    def test_overflowing_tolerance_passes_silently(self):
+        # tol_rel * scale overflows to inf: every finite margin passes, and
+        # no RuntimeWarning reaches the command line's stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            held = margins_hold(np.array([-1.0, np.nan]), np.array([1e10, 1e10]), 1e300)
+        assert held.tolist() == [True, False]
+        assert margin_holds(-1.0, 1e10, 1e300)
 
 
 class TestJsonFormat:

@@ -438,6 +438,52 @@ class TestContractionProbe:
         assert rep.cross_check_ok
         assert rep.failure_s is not None
 
+    def test_gate_rejected_s_is_an_error_row(self):
+        # (Q^8)^(1/2) needs a root of 0.01^8, below the strict-positivity gate
+        rep = probe_contraction_criterion(
+            identity(2), diagonal([0.5, 0.01]), r=1.0, delta=0.0, w=0.5
+        )
+        assert [row.verdict for row in rep.rows] == ["GE"] * 3 + ["ERROR"] * 4
+        assert all(math.isnan(row.margin) and row.error for row in rep.rows[3:])
+        assert rep.failure_s is None
+        assert not rep.hypothesis_holds
+        assert rep.implication_status == "indeterminate"
+        assert rep.conclusion.le
+
+    def test_error_rows_after_a_finite_failure(self):
+        rep = probe_contraction_criterion(
+            identity(2), diagonal([2.0, 0.01]), r=1.0, delta=0.0, w=0.5
+        )
+        assert rep.rows[0].verdict == "INCOMPARABLE" and rep.rows[0].margin < 0
+        assert "ERROR" in [row.verdict for row in rep.rows]
+        assert rep.failure_s == 1.5
+        assert rep.implication_status == "hypothesis_fails"
+        assert rep.cross_check_required and rep.cross_check_ok
+
+    def test_cross_check_meeting_error_rows_is_undecided(self):
+        # from s = 64 on, the root of 4 * 0.5^s falls below the gate, long
+        # before 1.001^s would break the hypothesis (s > 2772)
+        rep = probe_contraction_criterion(
+            HermitianMatrix(4.0 * np.eye(2)), diagonal([1.001, 0.5]), r=1.0, delta=0.5,
+            w=0.5, s_values=(1.5, 2.0),
+        )
+        assert rep.hypothesis_holds and rep.cross_check_required
+        assert [row.exponent for row in rep.rows][:6] == [1.5, 2.0, 4.0, 8.0, 16.0, 32.0]
+        assert {row.verdict for row in rep.rows[6:]} == {"ERROR"}
+        assert rep.failure_s is None
+        assert rep.cross_check_ok is None
+        assert rep.implication_status == "violation_witness"
+
+    def test_cross_check_without_failure_or_error_fails(self):
+        rep = probe_contraction_criterion(
+            HermitianMatrix(4.0 * np.eye(2)), diagonal([1.0 + 2e-6, 0.5]), r=1.0, delta=2.0,
+            w=1.0, s_values=(2.0,),
+        )
+        assert rep.cross_check_required
+        assert rep.failure_s is None
+        assert "ERROR" not in [row.verdict for row in rep.rows]
+        assert rep.cross_check_ok is False
+
     def test_degenerate_weight_rejected(self):
         with pytest.raises(ValueError):
             probe_contraction_criterion(identity(2), identity(2), 1.0, 0.0, 0.0)
@@ -572,14 +618,14 @@ class TestImpliedCoreViolation:
         tup = scalar_tuple([0.7, 0.5, 2.0])
         template = ParamTemplate(t=(0.3,), r=1.0)
         grid = PGrid(values=(1.0, 2.0, 4.0))
-        hit = implied_core_violation(tup, template, grid)
-        assert hit is not None
+        hit, unevaluated = implied_core_violation(tup, template, grid)
+        assert hit is not None and unevaluated == 0
         assert hit["t"] == [1.0]
 
     def test_ordered_tuple_clean(self):
         tup = gen_suite_tuple(3, 2, seed=19)
         template = ParamTemplate(t=(0.5,), r=1.0)
-        assert implied_core_violation(tup, template, PGrid(values=(1.0, 2.0))) is None
+        assert implied_core_violation(tup, template, PGrid(values=(1.0, 2.0))) == (None, 0)
 
 
 class TestSearch:
