@@ -157,20 +157,15 @@ def _dyadic(x: float) -> tuple[int, int]:
     return m, d.bit_length() - 1
 
 
-def _dyadic_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    (am, ash), (bm, bsh) = a, b
-    s = max(ash, bsh)
-    return (am << (s - ash)) + (bm << (s - bsh)), s
-
-
 def chain_exponents(t, p_table) -> np.ndarray:
     """Aggregate exponent psi of the fully nested chain word, one per row of
     an (N, 2n) table of p-vectors.
 
     Defined by the recurrence b_0 = 1, b_j = (b_(j-1) * p_(2j-1) - t_j) *
-    p_(2j) + t_j, returning b_n.  Each b_j is computed once per distinct
-    prefix p_1 .. p_2j, in exact arithmetic on integers over powers of two,
-    so the all-ones telescoping case returns exactly 1.0.  Each b_n is then
+    p_(2j) + t_j, returning b_n.  Each b_j with j < n is computed once per
+    distinct prefix p_1 .. p_2j, and b_n once per row, in exact arithmetic
+    on integers over powers of two, so the all-ones telescoping case
+    returns exactly 1.0.  Each b_n is then
     rounded once to the nearest float (CPython's int / int division rounds
     correctly, as ``float(Fraction)`` does); beyond the float range it is
     inf.
@@ -186,24 +181,32 @@ def chain_exponents(t, p_table) -> np.ndarray:
     if bad.any():
         first = tuple(table[bad.any(axis=1)][0].tolist())
         raise ValueError(f"every p must be finite and >= 1, got {first}")
-    t_exact = [_dyadic(v) for v in t]
-    neg_t = [(-m, s) for m, s in t_exact]
-    rows = table.tolist()
     exact = {v: _dyadic(v) for v in set(table.ravel().tolist())}
+    rows = [tuple(row) for row in table.tolist()]
+    # b per distinct prefix p_1 .. p_2j, level by level (the last level once
+    # per row): x = b * p_(2j-1) - t_j, then b' = x * p_(2j) + t_j, each sum
+    # taken over the larger power of two
     levels: dict[tuple, tuple[int, int]] = {(): (1, 0)}
-
-    def level(prefix: tuple) -> tuple[int, int]:
-        b = levels.get(prefix)
-        if b is None:
-            j = len(prefix) // 2 - 1
-            (bm, bs), (pm, ps), (qm, qs) = level(prefix[:-2]), exact[prefix[-2]], exact[prefix[-1]]
-            xm, xs = _dyadic_add((bm * pm, bs + ps), neg_t[j])
-            b = levels[prefix] = _dyadic_add((xm * qm, xs + qs), t_exact[j])
-        return b
-
+    for j, tj in enumerate(t):
+        tm, ts = _dyadic(tj)
+        width = 2 * j + 2
+        for prefix in rows if width == table.shape[1] else \
+                dict.fromkeys(row[:width] for row in rows):
+            bm, bs = levels[prefix[:-2]]
+            (pm, ps), (qm, qs) = exact[prefix[-2]], exact[prefix[-1]]
+            xm, xs = bm * pm, bs + ps
+            if xs >= ts:
+                xm -= tm << (xs - ts)
+            else:
+                xm, xs = (xm << (ts - xs)) - tm, ts
+            ym, ys = xm * qm, xs + qs
+            if ys >= ts:
+                levels[prefix] = ym + (tm << (ys - ts)), ys
+            else:
+                levels[prefix] = (ym << (ts - ys)) + tm, ts
     out = np.empty(len(rows))
     for i, row in enumerate(rows):
-        m, s = level(tuple(row))
+        m, s = levels[row]
         try:
             out[i] = m / (1 << s)
         except OverflowError:

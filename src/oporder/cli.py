@@ -392,6 +392,10 @@ def _cmd_check(args) -> int:
 
         results = [run_instance(idx) for idx in range(count)]
         for idx, rep in enumerate(results):
+            if rep.error:
+                unevaluated.append(f"instance {idx}: limit core not evaluated [{rep.error}]")
+                unevaluated_rows += 1
+                continue
             if not rep.monotone_nonincreasing:
                 violations.append(f"instance {idx}: bound sequence is not monotone")
             if rep.order_consistent != rep.conclusion.ge:

@@ -20,6 +20,7 @@ import re
 from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -381,10 +382,15 @@ class WordBatch:
     where that binding failed; ``errors[i]`` is None or the exception of the
     first node that failed for it in depth-first, left-to-right order, the
     one ``evaluate`` raises for the same binding.
+
+    ``distinct`` is (first, inverse): the rows ``first`` hold the
+    distinct values, and row i holds that of ``values[first[inverse[i]]]``.
+    ``spectrum`` decomposes each distinct value once, for comparisons.
     """
 
     values: np.ndarray
     errors: np.ndarray
+    distinct: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @property
     def error_mask(self) -> np.ndarray:
@@ -393,6 +399,16 @@ class WordBatch:
     def error_text(self, i: int) -> str | None:
         err = self.errors[i]
         return None if err is None else str(err)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(eigenvalues (N, d) ascending, errors) of the rows' values: what
+        ``decompose_stack(values)`` returns of them, errors None on the
+        rows that decomposed cleanly (an error row's value is the identity).
+        Computed once per distinct value."""
+        first, inverse = self.distinct
+        lam, _, errors = decompose_stack(self.values[first])
+        return lam[inverse], None if errors is None else errors[inverse]
 
 
 @dataclass(frozen=True, eq=False)
@@ -664,22 +680,22 @@ class _BatchRun:
         return _Part(values, _fit(errors, len(values)), group)
 
     def batch(self, word: OperatorWord) -> WordBatch:
-        """The word's value per row of the run."""
+        """The word's value per row of the run, with its distinct values."""
         part = self.part(word)
         values, errors = part.values, part.errors
         if isinstance(word, Product):  # power values are symmetrized already
             values, errors = _hermitize(values, errors, "word value")
         n, dim = self.size, values.shape[-1]
-        if part.group is not None:
-            values = values[part.group.inverse]
-            errors = None if errors is None else errors[part.group.inverse]
+        if part.group is None:
+            first, inverse = np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp)
         else:
-            values = np.repeat(values, n, axis=0)
-        if errors is None:
-            return WordBatch(values, no_errors(n))
-        errors = np.broadcast_to(errors, (n,)).copy()
-        values[~healthy(errors)] = np.eye(dim)
-        return WordBatch(values, errors)
+            first, inverse = part.group.first, part.group.inverse
+        if errors is not None:
+            errors = _fit(errors, len(values))
+            values = np.where(healthy(errors)[:, None, None], values, np.eye(dim))
+            errors = errors[inverse]
+        return WordBatch(values[inverse], no_errors(n) if errors is None else errors,
+                         (first, inverse))
 
 
 def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
@@ -705,6 +721,9 @@ def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
     decomposed) once, and one WordBatch per word comes back, each equal to
     that of evaluating the word alone.  Nodes are shared by identity, not
     by structure.
+
+    Every batch knows its distinct values, so a comparison against it
+    decomposes each of them once (``WordBatch.spectrum``).
     """
     run = _BatchRun(env, rows or {}, instance)
     if isinstance(word, tuple):

@@ -390,20 +390,30 @@ def margins_stack(p: np.ndarray, q: np.ndarray, errors):
 
 
 def _as_stack(side) -> np.ndarray:
+    if isinstance(side, np.ndarray):
+        return side
     if isinstance(side, HermitianMatrix):
         return side.entries[None]
     if isinstance(side, tuple):
         matrices, rows = side
         stack = np.stack([m.entries for m in matrices])
         return stack if len(matrices) == 1 else stack[rows]
-    return side
+    return side.values
 
 
 def _side_norms(side, errors, rows: int):
     """Spectral norms of one side of ``scaled_margins_stack``, per row."""
-    if not isinstance(side, (HermitianMatrix, tuple)):
+    if isinstance(side, np.ndarray):
         lam, _, errors = decompose_stack(side, errors)
         return spectral_norms(lam), errors
+    if not isinstance(side, (HermitianMatrix, tuple)):
+        # a batch's spectrum, merged as decompose_stack(side.values, errors)
+        # merges its own: a row that failed already counts as the identity
+        lam, side_errors = side.spectrum
+        norms = spectral_norms(lam)
+        if errors is not None:
+            norms = np.where(healthy(errors), norms, 1.0)
+        return norms, first_errors(errors, side_errors)
     matrices, which = ((side,), None) if isinstance(side, HermitianMatrix) else side
     if len(matrices) == 1:
         which = np.zeros(rows, dtype=np.intp)
@@ -423,10 +433,15 @@ def _side_norms(side, errors, rows: int):
 def scaled_margins_stack(p, q, errors=None):
     """Stacked ``scaled_margins``: (ge, le, scale, errors) per row.  Each of
     p and q is an (M, d, d) stack, one HermitianMatrix compared with every
-    row, or a pair (matrices, rows) of HermitianMatrix objects and the (M,)
-    index of the one compared with each row.  A HermitianMatrix side takes
-    its norm from its cached decomposition.  A margin that comes out
-    non-finite fails with NonFiniteError."""
+    row, a pair (matrices, rows) of HermitianMatrix objects and the (M,)
+    index of the one compared with each row, or a batch of M rows with
+    ``values`` and ``spectrum`` (a ``dsl.WordBatch``).
+
+    Each side's norm comes from its eigenvalues: a HermitianMatrix's
+    cached decomposition, a batch's spectrum (one decomposition per
+    distinct value), a stack's own decomposition.
+    Its errors merge in the same place whichever form the side takes.  A
+    margin that comes out non-finite fails with NonFiniteError."""
     ge, le, errors = margins_stack(_as_stack(p), _as_stack(q), errors)
     scale = np.ones(len(ge))
     for side in (p, q):

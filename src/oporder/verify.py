@@ -33,7 +33,6 @@ from .spectral import (
     Verdict,
     classify_stack,
     decompose_matrices,
-    decompose_stack,
     first_errors,
     flag_errors,
     healthy,
@@ -706,17 +705,6 @@ def check_hypotheses(
     samples = [_p_samples(grid, n, master_seed, inst.index, 1) for inst in instances]
     weights = [inst.policy.weights(inst.template.t, table, inst.template.r, count=k - 1)
                for inst, (_, table) in zip(instances, samples)]
-    lhs_values: dict[tuple[int, int], HermitianMatrix] = {}
-
-    def lhs(part: list[int], word: chains.Symbol) -> list[HermitianMatrix]:
-        """The left side of each instance in ``part``, evaluated together
-        the first time it is needed."""
-        missing = [j for j in part if (j, word.index) not in lhs_values]
-        if missing:
-            for j, value in zip(missing, _left_sides(word, [envs[j] for j in missing])):
-                lhs_values[j, word.index] = value
-        return [lhs_values[j, word.index] for j in part]
-
     batches: list[list[_Batch]] = [[] for _ in instances]
     stopped: set[int] = set()
     active = list(range(len(instances)))
@@ -732,9 +720,10 @@ def check_hypotheses(
                 columns = _p_columns(np.concatenate([samples[j][1][lo:hi] for j in part]))
                 w = columns[f"w{w_index}"] = np.concatenate(
                     [weights[j][lo:hi, w_index - 1] for j in part])
-                values = dsl.evaluate_batch(chain.rhs, [envs[j] for j in part], columns, which)
-                ge, le, scale, errors, holds = _judge_member(
-                    chain, (lhs(part, chain.lhs), which), values, w_index, w, suite_tol_rel)
+                rhs, lhs = dsl.evaluate_batch((chain.rhs, chain.lhs), [envs[j] for j in part],
+                                              columns, which)
+                ge, le, scale, errors, holds = _judge_member(chain, lhs, rhs, w_index, w,
+                                                             suite_tol_rel)
                 seconds = (time.perf_counter() - start) / len(which)
                 # error rows are indeterminate, not violations; keep scanning
                 fails = (~holds & healthy(errors) if stop_on_violation
@@ -766,31 +755,21 @@ def check_hypotheses(
                           suite_tol_rel)
 
 
-def _left_sides(word: chains.Symbol, envs) -> list[HermitianMatrix]:
-    """A member's left side A_outer^(r - t_n) under each environment,
-    evaluated together, each with its decomposition cached on it for the
-    comparison scale.  A left side that fails to evaluate raises its
-    error: every row of the member compares against it."""
-    values = dsl.evaluate_batch(word, envs, instance=np.arange(len(envs)))
-    for err in values.errors:
-        if err is not None:
-            raise err
-    sides = [HermitianMatrix.trusted(value) for value in values.values]
-    decompose_matrices(sides)
-    return sides
-
-
-def _judge_member(chain: chains.ChainInequality, lhs, rhs: dsl.WordBatch,
+def _judge_member(chain: chains.ChainInequality, lhs: dsl.WordBatch, rhs: dsl.WordBatch,
                   w_index: int, w: np.ndarray, suite_tol_rel: float):
     """(ge, le, scale, errors, holds) per row of a hypothesis member: its
-    left side ``lhs`` (a ``scaled_margins_stack`` side) against the rhs
-    values under the weights w = w<w_index>, and whether the member's
-    directional margin passes at the suite slack.  A weight w <= 0 (from an
-    overflowed chain exponent) would make the rhs I, so its row is an
-    error row."""
+    left side A_outer^(r - t_n) against its right side under the weights
+    w = w<w_index>, both evaluated in one run, and whether the member's
+    directional margin passes at the suite slack.  Every row compares
+    against the left side, so one that fails to evaluate raises its error.
+    A weight w <= 0 (from an overflowed chain exponent) would make the rhs
+    I, so its row is an error row."""
+    failed = np.flatnonzero(lhs.error_mask)
+    if len(failed):
+        raise lhs.errors[failed[0]]
     errors = flag_errors(rhs.errors, w <= 0, lambda i: dsl.EvaluationError(
         f"weight w{w_index} = {float(w[i])!r} is not positive"))
-    ge, le, scale, errors = scaled_margins_stack(lhs, rhs.values, errors)
+    ge, le, scale, errors = scaled_margins_stack(lhs, rhs, errors)
     holds = margins_hold(ge if chain.direction is Direction.GE else le, scale, suite_tol_rel)
     return ge, le, scale, errors, holds
 
@@ -1118,17 +1097,21 @@ class ReductionReport:
         return self.premise_pass and not self.red_flags and bool(self.holds(tol_rel).all())
 
 
-def _c_totals(tup: OperatorTuple, t, p_vectors, p_table: np.ndarray) -> np.ndarray:
+def _c_totals(tup: OperatorTuple, t, p_vectors) -> np.ndarray:
     """The scalar bound c = interior^(1/p_2) per row.  It depends on p_2 ..
     p_(2n-1) only, so it is computed once per distinct such prefix."""
     n = len(t)
     if n == 1:
-        return np.ones(len(p_table))  # the interior is 1
-    _, first, inverse = np.unique(p_table[:, 1:2 * n - 1], axis=0,
-                                  return_index=True, return_inverse=True)
-    c = [reduction_scalar_interior(tup, t, p_vectors[i], n) ** (1.0 / p_vectors[i][1])
-         for i in first.tolist()]
-    return np.asarray(c, dtype=np.float64)[inverse.reshape(-1)]
+        return np.ones(len(p_vectors))  # the interior is 1
+    codes: dict[tuple, int] = {}
+    firsts, inverse = [], []
+    for p in p_vectors:
+        code = codes.setdefault(tuple(p[1:2 * n - 1]), len(codes))
+        if code == len(firsts):
+            firsts.append(p)
+        inverse.append(code)
+    c = [reduction_scalar_interior(tup, t, p, n) ** (1.0 / p[1]) for p in firsts]
+    return np.asarray(c, dtype=np.float64)[inverse]
 
 
 def check_reduction_chain(
@@ -1156,9 +1139,14 @@ def check_reduction_chain(
     under the supplied weight policy, on the same sampled rows.
 
     Each chunk of rows is one ``dsl.evaluate_batch`` run of the member's
-    right side, its core, the innermost sandwich and the peeled bound: the
-    member contains the core and the sandwich, so each of their nodes is
-    evaluated once.  Everything is judged at suite_tol_rel.
+    right and left sides, its core, the innermost sandwich and the peeled
+    bound: the member contains the core and the sandwich, so each of their
+    nodes is evaluated once.  The sandwich depends on p1 alone, so its
+    spectrum is one decomposition per distinct p1 (``WordBatch.spectrum``),
+    which serves both its norm in the peel comparison and its lambda_max
+    against the scalar bound.  A left side that fails to evaluate raises
+    its error.
+    Everything is judged at suite_tol_rel.
     """
     if policy is None:
         policy = WeightPolicy.necessity()
@@ -1168,14 +1156,13 @@ def check_reduction_chain(
         raise ValueError(f"template has {template.n} t-values, tuple needs {n}")
     premise = chains.hypothesis_set(k)[0]
     base_word, bound_word = chains.reduction_words(k)
-    words = (premise.rhs, chains.hypothesis_core(premise), base_word) \
+    words = (premise.rhs, premise.lhs, chains.hypothesis_core(premise), base_word) \
         + ((bound_word,) if bound_word is not None else ())
     env = _environment(tup, template)
-    (lhs,) = _left_sides(premise.lhs, [env])
     ident = identity(tup.dim)
     p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 2)
     w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
-    c_total = _c_totals(tup, template.t, p_vectors, p_table)
+    c_total = _c_totals(tup, template.t, p_vectors)
 
     premise_failures = premise_errors = 0
     chunks: list[np.ndarray] = []
@@ -1185,20 +1172,22 @@ def check_reduction_chain(
         columns["w1"] = w[lo:hi]
         if bound_word is not None:
             columns.update(chains.peeled_bindings(template.t, p_table[lo:hi].T))
-        rhs, core, base, *peeled = dsl.evaluate_batch(words, env, columns)
+        rhs, lhs, core, base, *peeled = dsl.evaluate_batch(words, env, columns)
         _, _, _, errors, holds = _judge_member(premise, lhs, rhs, 1, w[lo:hi], suite_tol_rel)
         evaluated = healthy(errors)
         premise_errors += int(np.count_nonzero(~evaluated))
         premise_failures += int(np.count_nonzero(evaluated & ~holds))
 
-        margin_core, _, scale_core, errors = scaled_margins_stack(ident, core.values, core.errors)
+        margin_core, _, scale_core, errors = scaled_margins_stack(ident, core, core.errors)
         errors = first_errors(errors, base.errors)
         bound = ident
         if peeled:
-            bound, errors = peeled[0].values, first_errors(errors, peeled[0].errors)
-        margin_peel, _, scale_peel, errors = scaled_margins_stack(bound, base.values, errors)
+            bound, errors = peeled[0], first_errors(errors, peeled[0].errors)
+        # the peel comparison decomposes the base's distinct values and
+        # merges their errors; lambda_max below reuses that spectrum
+        margin_peel, _, scale_peel, errors = scaled_margins_stack(bound, base, errors)
         # the scalar bound c * I compares against lambda_max(base) directly
-        lam, _, errors = decompose_stack(base.values, errors)
+        lam = base.spectrum[0]
         c = c_total[lo:hi]
         values = np.stack([margin_core, scale_core, margin_peel, scale_peel, c - lam[:, -1],
                            np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam)), c],
@@ -1225,6 +1214,7 @@ class LimitReport:
     bound_consistent: bool              # lambda_max <= inferred bound (+tol)
     order_consistent: bool              # declared: A2 >= A1 plausible
     conclusion: Verdict                 # direct A2 vs A1 comparison
+    error: str | None = None            # why the core was not evaluated
 
 
 def limit_probe(
@@ -1240,24 +1230,33 @@ def limit_probe(
     bound to 1, i.e. to A2 >= A1.
 
     The core is the reduction's base sandwich (``chains.reduction_words(3)``)
-    at t1 = p1 = 1; one that fails to evaluate raises its error.  c defaults
-    to max(1, lambda_max(core)), the sharpest constant for which the bound
-    family is valid on the sampled points.  The declaration threshold
+    at t1 = p1 = 1.  c defaults to max(1, lambda_max(core)), the sharpest
+    constant for which the bound family is valid on the sampled points; a
+    given c must be a nonnegative number.  The declaration threshold
     1 + 1e-6 matches the probe's resolution, not a proof.
+
+    A core that fails to evaluate or to decompose gives an ERROR outcome:
+    ``error`` holds its text, lambda_max_core is NaN (and so is c unless
+    given), and neither consistency flag holds.
     """
-    env = dsl.Environment(scalars={"t1": 1.0, "p1": 1.0}, matrices={1: a1, 2: a2})
-    core = dsl.evaluate(chains.reduction_words(3)[0], env)
-    lam = float(core.decomposition().eigenvalues[-1])
-    c = max(1.0, lam) if c is None else float(c)
-    if c < 0:
+    if c is not None and not float(c) >= 0:
         raise ValueError(f"bound constant must be nonnegative, got {c}")
+    env = dsl.Environment(scalars={"t1": 1.0, "p1": 1.0}, matrices={1: a1, 2: a2})
+    core = dsl.evaluate_batch(chains.reduction_words(3)[0], env)
+    lam_stack, errors = core.spectrum
+    failure = first_errors(core.errors, errors)[0]
+    error = None if failure is None else str(failure)
+    lam = math.nan if error else float(lam_stack[0, -1])
+    if c is None:
+        c = math.nan if error else max(1.0, lam)
+    c = float(c)
     p2s = tuple(float(v) for v in p2_values)
     seq = tuple(c ** (1.0 / v) for v in p2s)
     monotone = all(seq[i + 1] <= seq[i] + 1e-12 * max(1.0, seq[i]) for i in range(len(seq) - 1))
     inferred = min(seq)
     scale = max(1.0, lam)
     bound_ok = margin_holds(inferred - lam, scale, tol_rel)
-    consistent = inferred <= 1.0 + 1e-6 or lam <= 1.0 + 1e-6
+    consistent = not error and (inferred <= 1.0 + 1e-6 or lam <= 1.0 + 1e-6)
     return LimitReport(
         c=c, p2_values=p2s, sequence=seq,
         monotone_nonincreasing=monotone,
@@ -1267,6 +1266,7 @@ def limit_probe(
         bound_consistent=bound_ok,
         order_consistent=consistent,
         conclusion=loewner_compare(a2, a1, tol_rel=tol_rel),
+        error=error,
     )
 
 
@@ -1397,7 +1397,6 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
         "hypothesis_failed_after_escalation": 0,
         "evaluation_error": 0,
         "implied_hypothesis_failure": 0,
-        "conclusion_held": 0,
         "emitted": 0,
     }
     worst_margins: list[float] = []
@@ -1459,10 +1458,8 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
             counters["evaluation_error"] += 1
             continue
         grid = grids[idx]
+        # the generator only returns tuples whose adjacent conclusion fails
         conclusion = check_conclusion(tup)
-        if all(v.ge for v in conclusion):
-            counters["conclusion_held"] += 1
-            continue
         implied, _ = implied_core_violation(
             tup, template, grid,
             master_seed=config.master_seed, instance_index=idx,

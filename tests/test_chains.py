@@ -138,6 +138,22 @@ def weight_tables(draw):
     return t, table, t[-1] + draw(st.floats(1e-3, 3.0))
 
 
+@st.composite
+def prefix_tables(draw):
+    """(t, p-table): n = 1..4, rows that share prefixes of every length and
+    repeat, with entries from a small grid that may hold 1.0 and 1e300."""
+    n = draw(st.integers(1, 4))
+    t = tuple(draw(st.one_of(st.sampled_from([0.0, 1.0]), t_floats)) for _ in range(n))
+    grid = draw(st.lists(st.one_of(st.sampled_from([1.0, 1e300]), st.floats(1.0, 64.0)),
+                         min_size=1, max_size=3, unique=True))
+    table = [tuple(draw(st.sampled_from(grid)) for _ in range(2 * n))]
+    for _ in range(draw(st.integers(0, 15))):
+        keep = 2 * draw(st.integers(0, n))  # a prefix of an earlier row, or all of it
+        table.append(draw(st.sampled_from(table))[:keep]
+                     + tuple(draw(st.sampled_from(grid)) for _ in range(2 * n - keep)))
+    return t, table
+
+
 class TestWeightColumns:
     @settings(max_examples=150, deadline=None)
     @given(case=weight_tables())
@@ -153,6 +169,21 @@ class TestWeightColumns:
             weight = (r - t[-1]) / (exact - t[-1] + r)
             assert float(psi[i]).hex() == chain_exponent(t, p).hex() == exact.hex()
             assert float(w[i]).hex() == necessity_weight_from(t, p, r).hex() == weight.hex()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=prefix_tables())
+    @example(case=((0.3, 0.7, 1.0), [(1.0,) * 6, (1.0,) * 6, (1e300,) * 6, (1.0,) * 4 + (1e300, 1.0)]))
+    @example(case=((1.0, 0.0, 0.5, 0.25), [(1.0,) * 8, (1e300,) + (1.0,) * 7]))
+    def test_shared_prefixes_match_exact_oracle_bit_for_bit(self, case):
+        t, table = case
+        psi = chain_exponents(t, table)
+        assert [float(v).hex() for v in psi] == \
+            [fraction_chain_exponent(t, p).hex() for p in table]
+        for p, value in zip(table, psi.tolist()):
+            if all(v == 1.0 for v in p):
+                assert value == 1.0
+            if p[0] == p[1] == 1e300:
+                assert value == math.inf
 
     def test_all_ones_is_exactly_one_and_overflow_is_inf(self):
         t = (0.3, 0.7)

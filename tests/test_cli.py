@@ -172,6 +172,25 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert "consistent=True" in out
 
+    def test_limit_core_that_fails_to_evaluate_exits_3(self, capsys, monkeypatch):
+        # the suite's tuples keep A2 above the pd gate; this pair does not
+        from types import SimpleNamespace
+
+        from oporder import cli
+        from oporder.spectral import diagonal, identity
+
+        pair = SimpleNamespace(matrices=(identity(2), diagonal([1e-12, 1.0]), identity(2)))
+        monkeypatch.setattr(cli, "gen_suite_tuple", lambda *args, **kwargs: pair)
+        code, out, err = run(capsys, "check", "--mode", "limit", "--k", "3",
+                             "--dim", "2", "--count", "2")
+        assert code == EXIT_INDETERMINATE
+        lines = err.splitlines()
+        assert len(lines) == 2 and all(
+            line.startswith(f"ERROR: instance {i}: limit core not evaluated [matrix is "
+                            f"numerically singular") for i, line in enumerate(lines))
+        assert "VIOLATION" not in err
+        assert "indeterminate: no finite violation, but 2 rows were not evaluated" in out
+
     @pytest.mark.parametrize("s_grid", ["0", "-1", "nan", "10,1"])
     def test_limit_bad_s_grid_exits_2(self, capsys, s_grid):
         code, out, err = run(capsys, "check", "--mode", "limit", "--k", "3",

@@ -31,10 +31,13 @@ from oporder.dsl import (
 from oporder.spectral import (
     HermitianMatrix,
     NearSingularError,
+    NonFiniteError,
     SpectralError,
     decompose_stack,
     diagonal,
     identity,
+    no_errors,
+    scaled_margins_stack,
 )
 from util import (
     GOLDEN_DIR,
@@ -503,3 +506,111 @@ class TestSeveralWordsPerRun:
         calls.clear()
         evaluate_batch(core, Environment(scalars, matrices), rows)
         assert len(calls) == len(_power_nodes(core))
+
+
+def _power_bases(word) -> list:
+    """The base of each Power node of a word, each node object once."""
+    if isinstance(word, Symbol):
+        return []
+    if isinstance(word, Power):
+        return [word.base] + _power_bases(word.base)
+    found = []
+    for f in word.factors:
+        found += [b for b in _power_bases(f) if all(b is not g for g in found)]
+    return found
+
+
+def _error_rows(errors, count: int) -> list:
+    """Type and text of each row's error (errors None: no row failed)."""
+    if errors is None:
+        return [None] * count
+    return [None if e is None else (type(e), str(e)) for e in errors]
+
+
+class TestBatchSpectrum:
+    _ROW_VALUES = TestEvaluateBatch._ROW_VALUES
+    _matrices = staticmethod(TestSeveralWordsPerRun._matrices)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), several_envs=st.booleans())
+    def test_comparison_from_batch_spectrum_equals_decomposing_values(self, seed, several_envs):
+        rng = np.random.default_rng(seed)
+        inner = random_palindrome(rng)
+        word = Product((inner, Symbol(2, random_scalar_expr(rng)), inner))
+        outer = Power(word, random_scalar_expr(rng))
+        # power bases, an outer power and a product of two palindromes
+        # (mostly ERROR rows)
+        words = (outer, word, *_power_bases(inner), Product((inner, outer)))
+        constants = {"r": 1.7, "t1": 0.3, "t2": 0.8, "t3": 0.5,
+                     "p1": 2.0, "p2": 1.5, "p3": 3.0, "p4": 1.25, "w1": 0.4, "w2": 0.9}
+        count = int(rng.integers(1, 9))
+        per_row = [name for name in constants if rng.random() < 0.5] or ["p1"]
+        rows = {name: rng.choice(self._ROW_VALUES, count) for name in per_row}
+        if several_envs:
+            env = [Environment(constants, self._matrices(rng)) for _ in range(3)]
+            instance = rng.integers(0, 3, count)
+        else:
+            env, instance = Environment(constants, self._matrices(rng)), None
+        batches = evaluate_batch(words, env, rows, instance)
+        incoming = no_errors(count)
+        for i in np.flatnonzero(rng.random(count) < 0.3):
+            incoming[i] = EvaluationError(f"row {i} failed earlier")
+        for batch in batches:
+            lam, errors = batch.spectrum
+            want_lam, _, want_errors = decompose_stack(batch.values)
+            assert lam.tobytes() == want_lam.tobytes()
+            assert _error_rows(errors, count) == _error_rows(want_errors, count)
+            for other in (identity(3), batches[0].values):
+                for before in (None, batch.errors, incoming):
+                    for got, want in (
+                            (scaled_margins_stack(other, batch, before),
+                             scaled_margins_stack(other, batch.values, before)),
+                            (scaled_margins_stack(batch, other, before),
+                             scaled_margins_stack(batch.values, other, before))):
+                        for a, b in zip(got[:3], want[:3]):
+                            assert a.tobytes() == b.tobytes()
+                        assert _error_rows(got[3], count) == _error_rows(want[3], count)
+
+    def test_power_base_spectrum_decomposes_each_p1_once_and_is_kept(self, monkeypatch):
+        from oporder import dsl
+
+        env = diag_env({"t1": 0.5}, {1: [1.0, 2.0], 2: [3.0, 1.0]})
+        base = parse("A2^{-t1/2} A1^{p1} A2^{-t1/2}")
+        outer = Power(base, ScalarExpr.variable("p2"))
+        rows = {"p1": np.array([1.0, 2.0, 1.0, 2.0]), "p2": np.array([1.0, 1.0, 2.0, 4.0])}
+        _, got = evaluate_batch((outer, base), env, rows)
+        calls = []
+        monkeypatch.setattr(dsl, "decompose_stack",
+                            lambda arrs, errors=None: calls.append(len(arrs))
+                            or decompose_stack(arrs, errors))
+        lam, errors = got.spectrum
+        assert got.spectrum[0] is lam
+        assert calls == [2] and errors is None
+        assert lam.tobytes() == decompose_stack(got.values)[0].tobytes()
+
+    def test_other_words_decompose_each_distinct_value_once(self, monkeypatch):
+        from oporder import dsl
+
+        env = diag_env({}, {1: [1.0, 2.0]})
+        batch = evaluate_batch(parse("A1^{p1}"), env, {"p1": np.array([2.0, 3.0, 2.0, 2.0])})
+        calls = []
+        monkeypatch.setattr(dsl, "decompose_stack",
+                            lambda arrs, errors=None: calls.append(len(arrs))
+                            or decompose_stack(arrs, errors))
+        lam, _ = batch.spectrum
+        assert calls == [2]
+        assert lam.tolist() == [[1.0, 4.0], [1.0, 8.0], [1.0, 4.0], [1.0, 4.0]]
+
+    def test_spectrum_carries_decomposition_errors(self):
+        # A1 A1 is finite, but hermitizing it overflows: decomposing the
+        # batch's distinct value fails, as decompose_stack of its rows does
+        env = diag_env({}, {1: [1.2e154, 1.0]})
+        base = parse("A1 A1")
+        rows = {"p1": np.array([1.0, 2.0])}
+        _, got = evaluate_batch((Power(base, ScalarExpr.variable("p1")), base), env, rows)
+        assert not got.error_mask.any()
+        lam, errors = got.spectrum
+        want_lam, _, want_errors = decompose_stack(got.values)
+        assert lam.tobytes() == want_lam.tobytes()
+        assert _error_rows(errors, 2) == _error_rows(want_errors, 2) == \
+            [(NonFiniteError, "eigensolver input is not finite")] * 2

@@ -1,0 +1,82 @@
+"""Reduction tables reproduced bit for bit against a frozen reference.
+
+``tests/data/reduction_hex_reference.json`` holds, for the proof-steps
+instances k in 3..6, dim in 2..3, seeds 0 and 1 (instance 0 of each) on
+the grids {1, 1.5, 4} and {1, 2, 8}, the premise counts, the error text of
+each ERROR row and every entry of the ``ReductionReport`` table as
+``float.hex``, one line of seven per row.  Everything is compared exactly;
+``tests/test_reduction_reference.py`` checks the same margins to within
+1e-12 * scale on a smaller set.  Regenerate the file (only when a change
+to the margins is intended) with
+
+    PYTHONPATH=src python tests/test_reduction_hex_reference.py > tests/data/reduction_hex_reference.json
+"""
+import json
+import sys
+from functools import lru_cache
+
+import pytest
+
+from oporder.verify import (
+    ParamTemplate,
+    PGrid,
+    _rng,
+    check_reduction_chain,
+    gen_suite_tuple,
+)
+from util import REPO_ROOT
+
+REFERENCE = REPO_ROOT / "tests" / "data" / "reduction_hex_reference.json"
+GRIDS = ((1.0, 1.5, 4.0), (1.0, 2.0, 8.0))
+SHAPES = [(k, dim, seed, grid) for k in (3, 4, 5, 6) for dim in (2, 3) for seed in (0, 1)
+          for grid in GRIDS]
+
+
+def reduction_entry(k: int, dim: int, seed: int, grid) -> dict:
+    """What the reference keeps of ``check --mode proof-steps --k K --dim D
+    --seed S --count 1 --p-grid G``: the same tuple, template and p-samples."""
+    n = k // 2
+    tup = gen_suite_tuple(k, dim, [seed, 0])
+    rng = _rng(seed, 0, 99)
+    t = (rng.uniform(0.75, 0.95),) + tuple(rng.uniform(0.05, 0.15) for _ in range(n - 1))
+    template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
+    report = check_reduction_chain(tup, template, PGrid(values=grid), master_seed=seed)
+    return {
+        "k": k, "dim": dim, "seed": seed, "grid": list(grid),
+        "premise_failures": report.premise_failures,
+        "premise_errors": report.premise_errors,
+        "errors": {str(i): text for i, text in sorted(report.errors.items())},
+        "table": [" ".join(float(v).hex() for v in row) for row in report.table.tolist()],
+    }
+
+
+@lru_cache(maxsize=None)
+def reference() -> dict:
+    return {(e["k"], e["dim"], e["seed"], tuple(e["grid"])): e
+            for e in json.loads(REFERENCE.read_text())["instances"]}
+
+
+@pytest.mark.parametrize("k,dim,seed,grid", SHAPES)
+def test_reduction_table_matches_reference_bit_for_bit(k, dim, seed, grid):
+    got = reduction_entry(k, dim, seed, grid)
+    want = reference()[(k, dim, seed, grid)]
+    assert (got["premise_failures"], got["premise_errors"]) == \
+        (want["premise_failures"], want["premise_errors"])
+    assert got["errors"] == want["errors"]
+    assert len(got["table"]) == len(want["table"])
+    for i, (row, ref) in enumerate(zip(got["table"], want["table"])):
+        assert row == ref, i
+
+
+def test_reference_holds_error_rows():
+    assert any(entry["errors"] for entry in reference().values())
+
+
+def write_reference(out) -> None:
+    doc = {"regenerate": __doc__.strip().splitlines()[-1].strip(),
+           "instances": [reduction_entry(*shape) for shape in SHAPES]}
+    out.write(json.dumps(doc, indent=0) + "\n")
+
+
+if __name__ == "__main__":
+    write_reference(sys.stdout)

@@ -11,6 +11,7 @@ from oporder.spectral import (
     TOL_REL,
     HermitianMatrix,
     NearSingularError,
+    NonFiniteError,
     Relation,
     diagonal,
     identity,
@@ -276,6 +277,16 @@ class TestCheckHypotheses:
                 r - l for l, r in zip(lhs, rhs)
             )
             assert row.margin == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_left_side_that_fails_to_evaluate_raises(self, batched):
+        # every row compares against A3^(r - t1) = 4^1999.5, which overflows
+        healthy = verify.Instance(scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=1.5),
+                                  WeightPolicy.fixed([0.5, 0.5]), 1, "1")
+        tup, template = scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=2000.0)
+        with pytest.raises(NonFiniteError, match="matrix power is not finite"):
+            check_hypotheses(tup, template, PGrid(values=(1.0, 2.0)),
+                             WeightPolicy.fixed([0.5, 0.5]), batch=[healthy] if batched else ())
 
 
 def _row_fields(row: CampaignRow) -> tuple:
@@ -547,6 +558,40 @@ class TestReductionChain:
         expected = (inner * 0.8 ** 0.3) ** (1 / 3.0) * (1 / 0.6) ** 0.8
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_left_side_that_fails_to_evaluate_raises(self):
+        tup, template = scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=2000.0)
+        with pytest.raises(NonFiniteError, match="matrix power is not finite"):
+            check_reduction_chain(tup, template, PGrid(values=(1.0, 2.0)),
+                                  policy=WeightPolicy.fixed([0.5, 0.5]))
+
+    def test_one_run_per_chunk_and_the_base_decomposed_once_per_p1(self, monkeypatch):
+        from oporder import dsl, spectral
+
+        tup = gen_suite_tuple(5, 2, seed=[0, 0])
+        template = ParamTemplate(t=(0.85, 0.1), r=0.7)
+        calls = {"evaluate_batch": 0, "decompose_stack": []}
+        evaluate_batch, decompose_stack = dsl.evaluate_batch, spectral.decompose_stack
+
+        def counting_evaluate(*args, **kwargs):
+            calls["evaluate_batch"] += 1
+            return evaluate_batch(*args, **kwargs)
+
+        def counting_decompose(arrs, errors=None):
+            calls["decompose_stack"].append(len(arrs))
+            return decompose_stack(arrs, errors)
+
+        monkeypatch.setattr(dsl, "evaluate_batch", counting_evaluate)
+        for module in (dsl, spectral):
+            monkeypatch.setattr(module, "decompose_stack", counting_decompose)
+        check_reduction_chain(tup, template, PGrid(values=(1.0, 1.5, 4.0)))
+        # 81 rows in one run: its five powers decompose 3, 9, 27 and 81
+        # distinct bases and the peeled bound's 3; the comparisons decompose
+        # the identity, the left side, the 81 cores, the 9 distinct peeled
+        # bounds, the 81 right sides and the base sandwich's 3 distinct
+        # values, once for both its norm and its lambda_max
+        assert calls["evaluate_batch"] == 1
+        assert sorted(calls["decompose_stack"]) == [1, 1, 3, 3, 3, 9, 9, 27, 81, 81, 81]
+
     def test_subsampled_premise_is_judged_on_the_reduction_rows(self):
         # 101 ** 2 grid points exceed GRID_POINT_CAP, so the rows are a
         # subsample; the premise member is judged on those very rows
@@ -610,6 +655,27 @@ class TestLimitProbe:
         assert rep.lambda_max_core == pytest.approx(2.0)
         assert not rep.order_consistent
         assert not rep.conclusion.ge
+
+    @pytest.mark.parametrize("c", [None, 4.0])
+    def test_core_that_fails_to_evaluate_is_an_error_outcome(self, c):
+        # A2^(-1/2) trips the pd gate; the direct comparison still runs
+        rep = limit_probe(identity(2), diagonal([1e-12, 1.0]), c=c)
+        assert rep.error.startswith("matrix is numerically singular")
+        assert math.isnan(rep.lambda_max_core)
+        assert not rep.order_consistent and not rep.bound_consistent
+        assert rep.conclusion.relation.value == "LE"
+        if c is None:
+            assert math.isnan(rep.c) and all(math.isnan(v) for v in rep.sequence)
+        else:
+            assert rep.c == 4.0 and rep.monotone_nonincreasing
+
+    def test_healthy_core_has_no_error(self):
+        assert limit_probe(identity(2), identity(2)).error is None
+
+    @pytest.mark.parametrize("c", [-1.0, float("nan")])
+    def test_bound_constant_must_be_a_nonnegative_number(self, c):
+        with pytest.raises(ValueError, match="bound constant"):
+            limit_probe(identity(2), identity(2), c=c)
 
 
 class TestImpliedCoreViolation:
