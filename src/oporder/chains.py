@@ -34,8 +34,9 @@ class ScalarExpr:
     """Rational linear form over parameter names plus a constant.
 
     The closed vocabulary is {t1..tn, p1..p2n, r, w1..w(k-1)} with division
-    by literals only, plus q2..q(2n-1) in the reduction's peeled bound and
-    a, s and d in the probes' words (``verify``); that is exactly the set of
+    by literals only, plus the weight w of the slot words (``slot_words``),
+    q2..q(2n-1) in the reduction's peeled bound and a, s and d in the
+    probes' words (``verify``); that is exactly the set of
     exponent shapes the words use, so no general symbolic algebra is needed.
     """
 
@@ -295,30 +296,71 @@ def sandwich(index: int, exponent: ScalarExpr, inner: OperatorWord,
     return Power(Product((wrap, inner, wrap)), ScalarExpr.variable(power))
 
 
-def build_chain(family: Family, member: int, k: int) -> ChainInequality:
-    """Construct one hypothesis inequality of the size-k chain as a
-    symbolic word pair.
+@lru_cache(maxsize=None)
+def slot_words(k: int) -> tuple[OperatorWord, OperatorWord]:
+    """The member-independent (lhs, rhs) of the size-k hypothesis family over
+    slot symbols: layer j of the core is slot j + 1 (the base A_1^{p1} is
+    layer 0), the outer sandwich and the left side are slot 2n + 1, and the
+    weight is named w.
 
     The core starts as the base symbol to the p1, then gains one sandwich
-    layer per step, each raised to the next p; the outer sandwich uses
-    r/2 and is raised to the member's weight.
+    layer per step, each raised to the next p; the outer sandwich uses r/2
+    and is raised to the weight.  Every member is this pair with its
+    operators at the slots (``member_slots``) and its own weight name.
     """
     n = _levels(k)
-    if family is Family.ASCENDING:
-        index_at = lambda j: ascending_index(member, j, k)
-        outer = k
-        direction = Direction.GE
-    else:
-        index_at = lambda j: descending_index(member, j, k)
-        outer = 1
-        direction = Direction.LE
-
-    core: OperatorWord = Symbol(index_at(0), ScalarExpr.variable("p1"))
+    core: OperatorWord = Symbol(1, ScalarExpr.variable("p1"))
     for j in range(1, 2 * n):
-        core = sandwich(index_at(j), layer_exponent(j, n), core, f"p{j + 1}")
-    rhs = sandwich(outer, ScalarExpr.variable("r", Fraction(1, 2)), core,
-                   f"w{weight_index(family, member, n)}")
+        core = sandwich(j + 1, layer_exponent(j, n), core, f"p{j + 1}")
+    outer = 2 * n + 1
+    rhs = sandwich(outer, ScalarExpr.variable("r", Fraction(1, 2)), core, "w")
     lhs = Symbol(outer, ScalarExpr.variable("r") - ScalarExpr.variable(f"t{n}"))
+    return lhs, rhs
+
+
+@lru_cache(maxsize=None)
+def member_slots(family: Family, member: int, k: int) -> tuple[int, ...]:
+    """The operator index at each slot 1 .. 2n+1 of ``slot_words(k)`` for one
+    member: its layers 0 .. 2n-1, then its outer operator (A_k ascending,
+    A_1 descending)."""
+    n = _levels(k)
+    if family is Family.ASCENDING:
+        index_at, outer = (lambda j: ascending_index(member, j, k)), k
+    else:
+        index_at, outer = (lambda j: descending_index(member, j, k)), 1
+    return tuple(index_at(j) for j in range(2 * n)) + (outer,)
+
+
+def _relabel(word: OperatorWord, slots: tuple[int, ...], names: dict,
+             done: dict) -> OperatorWord:
+    """``word`` with symbol s replaced by A_slots[s-1] and the exponent names
+    renamed by ``names``; a node shared inside ``word`` stays shared."""
+    got = done.get(id(word))
+    if got is None:
+        if isinstance(word, Symbol):
+            got = Symbol(slots[word.index - 1], word.exponent)
+        elif isinstance(word, Product):
+            got = Product(tuple(_relabel(f, slots, names, done) for f in word.factors))
+        else:
+            exponent = ScalarExpr(tuple((names.get(name, name), c)
+                                        for name, c in word.exponent.terms),
+                                  word.exponent.const)
+            got = Power(_relabel(word.base, slots, names, done), exponent)
+        done[id(word)] = got
+    return got
+
+
+def build_chain(family: Family, member: int, k: int) -> ChainInequality:
+    """Construct one hypothesis inequality of the size-k chain as a
+    symbolic word pair: ``slot_words(k)`` with the member's operators at
+    its slots (``member_slots``) and its weight w<weight_index> for w.
+    Ascending members are GE, descending members LE.
+    """
+    slots = member_slots(family, member, k)
+    names = {"w": f"w{weight_index(family, member, _levels(k))}"}
+    done: dict = {}
+    lhs, rhs = (_relabel(word, slots, names, done) for word in slot_words(k))
+    direction = Direction.GE if family is Family.ASCENDING else Direction.LE
     return ChainInequality(family, member, lhs, rhs, direction)
 
 

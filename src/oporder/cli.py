@@ -253,6 +253,11 @@ def _cmd_check(args) -> int:
     if cfg["dim"] < 1:
         raise UsageError(f"--dim must be at least 1, got {cfg['dim']}")
     mode = cfg["mode"]
+    if mode in ("proof-steps", "limit"):
+        for key in ("scalar_fixture", "report"):
+            if cfg[key] is not None:
+                raise UsageError(f"--{key.replace('_', '-')} applies to the necessity and "
+                                 f"contrapositive modes only, not to --mode {mode}")
     grid = PGrid(values=_csv_floats(cfg["p_grid"]))
     policy = WeightPolicy.parse(cfg["weights"])
     seed = int(cfg["seed"])

@@ -57,9 +57,10 @@ GRID_POINT_CAP = 10_000
 # Rows evaluated together are capped so that one batch holds at most about
 # this many bytes of stacked (d, d) intermediates, whatever the grid size.
 BATCH_BYTES = 2 << 20
-# peak bytes per row and matrix entry while a k=5 member word is evaluated
-# and compared: 75-125 for real matrices under tracemalloc, twice that for
-# complex ones
+# peak bytes per row and matrix entry while a campaign's largest call
+# evaluates the slot words of all members, one environment per (instance,
+# member) pair, and compares them (tracemalloc, k = 5 and 7, dims 2-4):
+# 83-157 for real matrices and 161-237 for complex ones
 _ROW_BYTES_PER_ENTRY = 256
 
 
@@ -605,13 +606,15 @@ def merge_reports(reports, config: dict, master_seed: int,
 
 
 def _environment(tup: OperatorTuple, template: ParamTemplate,
-                 weights=()) -> dsl.Environment:
+                 weights=(), slots=None) -> dsl.Environment:
     """The bindings shared by every row: the tuple's matrices, r, the t
-    values and any weights that do not vary with p."""
+    values and any weights that do not vary with p.  Symbol s binds A_s, or
+    A_slots[s-1] when ``slots`` is given (``chains.member_slots``)."""
     scalars = {"r": template.r}
     scalars.update((f"t{i}", tv) for i, tv in enumerate(template.t, 1))
     scalars.update((f"w{i}", float(wv)) for i, wv in enumerate(weights, 1))
-    matrices = {i + 1: m for i, m in enumerate(tup.matrices)}
+    indices = range(1, tup.k + 1) if slots is None else slots
+    matrices = {s: tup.matrices[i - 1] for s, i in enumerate(indices, 1)}
     return dsl.Environment(scalars=scalars, matrices=matrices)
 
 
@@ -635,11 +638,12 @@ def _batch_rows(dim: int) -> int:
     return max(1, BATCH_BYTES // (_ROW_BYTES_PER_ENTRY * dim * dim))
 
 
-def _batches(total: int, dim: int, early_exit: bool):
+def _batches(total: int, dim: int, early_exit: bool, width: int = 1):
     """(lo, hi) row ranges to evaluate together: as many as BATCH_BYTES
-    allows, or, when the caller stops at its first failing row, doubling
-    ranges of 1, 1, 2, 4, ... rows under the same cap."""
-    cap = _batch_rows(dim)
+    allows when each row stands for ``width`` evaluated rows, or, when the
+    caller stops at its first failing row, doubling ranges of 1, 1, 2, 4,
+    ... rows under the same cap."""
+    cap = max(1, _batch_rows(dim) // width)
     lo = 0
     while lo < total:
         step = min(cap, max(1, lo)) if early_exit else cap
@@ -676,17 +680,26 @@ def check_hypotheses(
     """Evaluate every hypothesis member at every sampled p-vector.
 
     Rows record the verdict of the expected relation together with its
-    directional margin; evaluation errors are recorded per row and never
-    abort the campaign.  Each member is evaluated over the p-vectors in
-    batches (``dsl.evaluate_batch``); with stop_on_violation the batches
-    grow from a single row, and the rows end at the first violating one, as
-    in a row-by-row scan.
+    directional margin; evaluation errors, of either side or of a
+    non-positive weight, are recorded per row and never abort the campaign.
+
+    Every member is the slot word pair ``chains.slot_words(k)`` under its
+    own environment, which binds each slot to the member's operator
+    (``chains.member_slots``), so members differ in their bindings only.
+    Without stop_on_violation, every (instance, member) pair is evaluated
+    over the p-vectors in one ``dsl.evaluate_batch`` run per chunk of rows
+    under BATCH_BYTES, one environment per pair and the member's weight
+    as the per-row column w, and judged in one stacked comparison.  With
+    stop_on_violation the members are taken one at a time, each member's
+    environment built when it is reached; the chunks grow from a single
+    row, and the rows end at the first violating one, as in a row-by-row
+    scan.
 
     ``batch`` adds further instances of the same k and dim, scanned in the
     same ``evaluate_batch`` calls as the first: each keeps its own p-vectors
     and its own doubling scan, and stops at its own violating row.  The
-    report holds the instances' rows in turn, as ``merge_reports`` of one
-    call per instance does.
+    report holds the instances' rows in turn, member by member, as
+    ``merge_reports`` of one call per instance does.
     """
     instances = (Instance(tup, template, policy, instance_index, instance_id), *batch)
     k, dim = tup.k, tup.dim
@@ -701,34 +714,51 @@ def check_hypotheses(
     if members is not None:
         wanted = set(members)
         chain_list = [c for c in chain_list if (c.family, c.member) in wanted]
-    envs = [_environment(inst.tup, inst.template) for inst in instances]
+    lhs_word, rhs_word = chains.slot_words(k)
+    w_index = np.array([chains.weight_index(c.family, c.member, n) for c in chain_list],
+                       dtype=np.intp)
+    is_ge = np.array([c.direction is Direction.GE for c in chain_list])
+    envs: dict[tuple[int, int], dsl.Environment] = {}
+
+    def environment(j: int, code: int) -> dsl.Environment:
+        got = envs.get((j, code))
+        if got is None:
+            chain = chain_list[code]
+            got = envs[j, code] = _environment(
+                instances[j].tup, instances[j].template,
+                slots=chains.member_slots(chain.family, chain.member, k))
+        return got
+
     samples = [_p_samples(grid, n, master_seed, inst.index, 1) for inst in instances]
     weights = [inst.policy.weights(inst.template.t, table, inst.template.r, count=k - 1)
                for inst, (_, table) in zip(instances, samples)]
     batches: list[list[_Batch]] = [[] for _ in instances]
     stopped: set[int] = set()
     active = list(range(len(instances)))
-    for code, chain in enumerate(chain_list):
-        w_index = chains.weight_index(chain.family, chain.member, n)
-        for lo, hi in _batches(len(samples[0][0]), dim, stop_on_violation):
+    codes = range(len(chain_list))
+    # a scan that stops at its first violating row takes one member at a time
+    for group in ([[c] for c in codes] if stop_on_violation else [codes]):
+        for lo, hi in _batches(len(samples[0][0]), dim, stop_on_violation, len(group)):
             size = hi - lo
-            per_call = max(1, _batch_rows(dim) // size)
+            per_call = max(1, _batch_rows(dim) // (size * len(group)))
             for first in range(0, len(active), per_call):
-                part = active[first:first + per_call]
+                pairs = [(j, code) for j in active[first:first + per_call] for code in group]
                 start = time.perf_counter()
-                which = np.repeat(np.arange(len(part)), size)
-                columns = _p_columns(np.concatenate([samples[j][1][lo:hi] for j in part]))
-                w = columns[f"w{w_index}"] = np.concatenate(
-                    [weights[j][lo:hi, w_index - 1] for j in part])
-                rhs, lhs = dsl.evaluate_batch((chain.rhs, chain.lhs), [envs[j] for j in part],
+                which = np.repeat(np.arange(len(pairs)), size)
+                row_code = np.repeat([code for _, code in pairs], size)
+                columns = _p_columns(np.concatenate([samples[j][1][lo:hi] for j, _ in pairs]))
+                w = columns["w"] = np.concatenate(
+                    [weights[j][lo:hi, w_index[code] - 1] for j, code in pairs])
+                rhs, lhs = dsl.evaluate_batch((rhs_word, lhs_word),
+                                              [environment(j, code) for j, code in pairs],
                                               columns, which)
-                ge, le, scale, errors, holds = _judge_member(chain, lhs, rhs, w_index, w,
-                                                             suite_tol_rel)
+                ge, le, scale, errors, holds = _judge_members(
+                    lhs, rhs, w, w_index[row_code], is_ge[row_code], suite_tol_rel)
                 seconds = (time.perf_counter() - start) / len(which)
                 # error rows are indeterminate, not violations; keep scanning
                 fails = (~holds & healthy(errors) if stop_on_violation
                          else np.zeros(len(which), dtype=bool))
-                for slot, j in enumerate(part):
+                for slot, (j, code) in enumerate(pairs):
                     first_row, end = slot * size, size
                     if fails[first_row:first_row + size].any():
                         end = int(fails[first_row:first_row + size].argmax()) + 1
@@ -741,36 +771,39 @@ def check_hypotheses(
                 break
         if not active:
             break
-    # the instances' rows in turn; member codes index the members of all
+    # the instances' rows in turn, member by member; member codes index the
+    # members of all
     members_table = tuple(CampaignMember(inst.id, k, dim, c.family.value, c.member,
                                          c.direction.value, p_vectors)
                           for inst, (p_vectors, _) in zip(instances, samples)
                           for c in chain_list)
     columns, errors = _campaign_columns(
         [b._replace(member=b.member + j * len(chain_list))
-         for j, kept in enumerate(batches) for b in kept],
+         for j, kept in enumerate(batches)
+         for b in sorted(kept, key=operator.attrgetter("member", "lo"))],
         chain_list * len(instances), tol_rel)
     return CampaignReport(members_table, columns, errors,
                           {"stopped_early": True} if stopped else {}, master_seed,
                           suite_tol_rel)
 
 
-def _judge_member(chain: chains.ChainInequality, lhs: dsl.WordBatch, rhs: dsl.WordBatch,
-                  w_index: int, w: np.ndarray, suite_tol_rel: float):
-    """(ge, le, scale, errors, holds) per row of a hypothesis member: its
-    left side A_outer^(r - t_n) against its right side under the weights
-    w = w<w_index>, both evaluated in one run, and whether the member's
-    directional margin passes at the suite slack.  Every row compares
-    against the left side, so one that fails to evaluate raises its error.
-    A weight w <= 0 (from an overflowed chain exponent) would make the rhs
-    I, so its row is an error row."""
-    failed = np.flatnonzero(lhs.error_mask)
-    if len(failed):
-        raise lhs.errors[failed[0]]
-    errors = flag_errors(rhs.errors, w <= 0, lambda i: dsl.EvaluationError(
-        f"weight w{w_index} = {float(w[i])!r} is not positive"))
+def _judge_members(lhs: dsl.WordBatch, rhs: dsl.WordBatch, w: np.ndarray, w_index,
+                   is_ge, suite_tol_rel: float):
+    """(ge, le, scale, errors, holds) per row of hypothesis members: each
+    row's left side A_outer^(r - t_n) against its right side under its
+    weight w, both evaluated in one run, and whether its directional margin
+    (GE where is_ge, else LE) passes at the suite slack.  ``w_index`` names
+    each row's weight w<w_index>; is_ge holds one entry per row or one for
+    all.
+
+    A row whose left or right side fails to evaluate is an error row, with
+    the left side's error first.  A weight w <= 0 (from an overflowed
+    chain exponent) would make the rhs I, so its row is an error row too."""
+    errors = flag_errors(first_errors(lhs.errors, rhs.errors), w <= 0,
+                         lambda i: dsl.EvaluationError(
+                             f"weight w{int(w_index[i])} = {float(w[i])!r} is not positive"))
     ge, le, scale, errors = scaled_margins_stack(lhs, rhs, errors)
-    holds = margins_hold(ge if chain.direction is Direction.GE else le, scale, suite_tol_rel)
+    holds = margins_hold(np.where(is_ge, ge, le), scale, suite_tol_rel)
     return ge, le, scale, errors, holds
 
 
@@ -1144,8 +1177,8 @@ def check_reduction_chain(
     nodes is evaluated once.  The sandwich depends on p1 alone, so its
     spectrum is one decomposition per distinct p1 (``WordBatch.spectrum``),
     which serves both its norm in the peel comparison and its lambda_max
-    against the scalar bound.  A left side that fails to evaluate raises
-    its error.
+    against the scalar bound.  A premise row whose left side fails to
+    evaluate is a premise error row, as in a campaign.
     Everything is judged at suite_tol_rel.
     """
     if policy is None:
@@ -1173,7 +1206,9 @@ def check_reduction_chain(
         if bound_word is not None:
             columns.update(chains.peeled_bindings(template.t, p_table[lo:hi].T))
         rhs, lhs, core, base, *peeled = dsl.evaluate_batch(words, env, columns)
-        _, _, _, errors, holds = _judge_member(premise, lhs, rhs, 1, w[lo:hi], suite_tol_rel)
+        _, _, _, errors, holds = _judge_members(lhs, rhs, w[lo:hi], np.ones(hi - lo, np.intp),
+                                                   premise.direction is Direction.GE,
+                                                   suite_tol_rel)
         evaluated = healthy(errors)
         premise_errors += int(np.count_nonzero(~evaluated))
         premise_failures += int(np.count_nonzero(evaluated & ~holds))

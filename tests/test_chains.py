@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from oporder import dsl
 from oporder.chains import (
+    ChainInequality,
     Direction,
     Family,
     Power,
@@ -22,10 +24,12 @@ from oporder.chains import (
     hypothesis_core,
     hypothesis_set,
     layer_exponent,
+    member_slots,
     necessity_weight_from,
     necessity_weights,
     peeled_bindings,
     reduction_words,
+    slot_words,
     weight_index,
 )
 from util import GOLDEN_DIR
@@ -333,6 +337,67 @@ class TestBuildChain:
         core = hypothesis_core(chain)
         assert isinstance(core, Power)
         assert core.exponent == ScalarExpr.variable("p4")
+
+
+def _layered_chain(family: Family, member: int, k: int) -> ChainInequality:
+    """A member built layer by layer from its operator indices, with no
+    slot word in between."""
+    n = k // 2
+    if family is Family.ASCENDING:
+        index_at, outer, direction = (lambda j: ascending_index(member, j, k)), k, Direction.GE
+    else:
+        index_at, outer, direction = (lambda j: descending_index(member, j, k)), 1, Direction.LE
+    core = Symbol(index_at(0), ScalarExpr.variable("p1"))
+    for j in range(1, 2 * n):
+        wrap = Symbol(index_at(j), layer_exponent(j, n))
+        core = Power(Product((wrap, core, wrap)), ScalarExpr.variable(f"p{j + 1}"))
+    wrap = Symbol(outer, ScalarExpr.variable("r", Fraction(1, 2)))
+    rhs = Power(Product((wrap, core, wrap)),
+                ScalarExpr.variable(f"w{weight_index(family, member, n)}"))
+    lhs = Symbol(outer, ScalarExpr.variable("r") - ScalarExpr.variable(f"t{n}"))
+    return ChainInequality(family, member, lhs, rhs, direction)
+
+
+class TestSlotWords:
+    def test_k5_slot_words(self):
+        lhs, rhs = slot_words(5)
+        assert dsl.pretty_print(lhs) == "A5^{r-t2}"
+        assert dsl.pretty_print(rhs) == (
+            "(A5^{r/2} (A4^{-t2/2} (A3^{t1/2} (A2^{-t1/2} A1^{p1} A2^{-t1/2})^{p2} "
+            "A3^{t1/2})^{p3} A4^{-t2/2})^{p4} A5^{r/2})^{w}")
+
+    def test_k5_member_slots(self):
+        # slots 1 .. 4 are layers 0 .. 3, slot 5 the outer operator
+        assert member_slots(Family.ASCENDING, 1, 5) == (1, 2, 3, 4, 5)
+        assert member_slots(Family.ASCENDING, 2, 5) == (2, 3, 4, 5, 5)
+        assert member_slots(Family.DESCENDING, 1, 5) == (4, 3, 2, 1, 1)
+        assert member_slots(Family.DESCENDING, 2, 5) == (5, 4, 3, 2, 1)
+        with pytest.raises(ValueError):
+            member_slots(Family.DESCENDING, 2, 4)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_build_chain_is_the_relabelled_slot_word(self, k):
+        n = k // 2
+        slot_lhs, slot_rhs = slot_words(k)
+        for chain in hypothesis_set(k):
+            assert chain == _layered_chain(chain.family, chain.member, k)
+            # the slot words' text with A<s> read as A<slots[s-1]> and w as
+            # the member's weight
+            slots = member_slots(chain.family, chain.member, k)
+            weight = f"w{weight_index(chain.family, chain.member, n)}"
+            for slot_word, word in ((slot_lhs, chain.lhs), (slot_rhs, chain.rhs)):
+                text = re.sub(r"A(\d+)", lambda m: f"A{slots[int(m.group(1)) - 1]}",
+                              dsl.pretty_print(slot_word)).replace("^{w}", "^{%s}" % weight)
+                assert text == dsl.pretty_print(word)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_relabelled_sandwich_factors_stay_one_node(self, k):
+        for chain in hypothesis_set(k):
+            word = chain.rhs
+            while isinstance(word, Power):
+                wrap, inner, other = word.base.factors
+                assert wrap is other
+                word = inner
 
 
 class TestReductionWords:

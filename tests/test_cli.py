@@ -234,6 +234,70 @@ class TestCheckCommand:
         assert violations and all("margin nan" not in line for line in violations)
         assert any(line.startswith("ERROR: ") for line in err.splitlines())
 
+    @pytest.mark.parametrize("mode,t,r", [("necessity", "0.5", "1.9"),
+                                          ("contrapositive", "1", "2.5")])
+    def test_left_side_that_overflows_is_an_error_row(self, capsys, mode, t, r):
+        # every member's left side A^(r - t1) = (1e300)^1.4 or ^1.5 overflows;
+        # at t1 = 1 every core is I, so contrapositive implies no failure
+        code, out, err = run(capsys, "check", "--mode", mode, "--k", "3",
+                             "--scalar-fixture", "1e300,1e300,1e300", "--t", t, "--r", r,
+                             "--p-grid", "1")
+        assert code == EXIT_INDETERMINATE
+        assert "VIOLATION" not in err and "Traceback" not in err
+        lines = err.splitlines()
+        assert lines and all(line.startswith("ERROR: ") for line in lines)
+        if mode == "necessity":
+            assert len(lines) == 2 and all("(matrix power is not finite)" in line
+                                            for line in lines)
+        assert "2 rows were not evaluated" in out
+
+    @pytest.mark.parametrize("mode,expected", [("necessity", EXIT_VIOLATION),
+                                               ("contrapositive", EXIT_OK)])
+    def test_left_side_error_beside_a_finite_failure(self, capsys, mode, expected):
+        # the descending left side (1e300)^1.4 overflows; the ascending
+        # member fails with a finite margin, as the unordered tuple should
+        code, out, err = run(capsys, "check", "--mode", mode, "--k", "3",
+                             "--scalar-fixture", "1e300,2,3", "--t", "0.5", "--r", "1.9",
+                             "--p-grid", "1")
+        assert code == expected
+        if mode == "necessity":
+            violation, error = err.splitlines()
+            assert violation.startswith("VIOLATION: instance 0: ascending member 1")
+            assert error == ("ERROR: instance 0: descending member 1 at p=(1.0, 1.0) "
+                             "margin nan (matrix power is not finite)")
+        else:
+            assert "instance 0: hypothesis-failure found" in out and not err
+
+    @pytest.mark.parametrize("mode", ["proof-steps", "limit"])
+    @pytest.mark.parametrize("flag,value", [("--scalar-fixture", "1e300,2,3"),
+                                            ("--report", "rows.csv")])
+    def test_flag_the_mode_ignores_exits_2(self, capsys, tmp_path, mode, flag, value):
+        argv = ("check", "--mode", mode, "--k", "3", "--dim", "2", "--count", "1",
+                "--p-grid", "1")
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and flag in err and mode in err
+        assert "expectations met" not in out
+        assert not (tmp_path / value).exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": mode, "k": 3, "dim": 2, "count": 1, "p_grid": "1",
+                                   flag[2:].replace("-", "_"): value}))
+        code, _, err = run(capsys, "check", "--config", str(cfg))
+        assert code == EXIT_USAGE and flag in err
+
+    @pytest.mark.parametrize("mode", ["proof-steps", "limit"])
+    def test_dump_config_round_trip_without_campaign_flags(self, capsys, tmp_path, mode):
+        argv = ("check", "--mode", mode, "--k", "3", "--dim", "2", "--count", "1",
+                "--p-grid", "1")
+        code, out, _ = run(capsys, *argv, "--dump-config")
+        assert code == EXIT_OK
+        cfg = json.loads(out)
+        assert cfg["scalar_fixture"] is None and cfg["report"] is None
+        (tmp_path / "cfg.json").write_text(out)
+        direct = run(capsys, *argv)
+        via_config = run(capsys, "check", "--config", str(tmp_path / "cfg.json"))
+        assert direct == via_config and direct[0] == EXIT_OK
+
     def test_dump_config_round_trip(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check", "--mode", "necessity", "--k", "3",
                            "--dim", "2", "--seed", "13", "--count", "2",

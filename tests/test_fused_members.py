@@ -1,0 +1,227 @@
+"""All hypothesis members evaluated in one run reproduce per-member work.
+
+``check_hypotheses`` evaluates every (instance, member) pair of an
+exhaustive campaign as the slot words of ``chains.slot_words`` under one
+environment per pair.  Here each member's own words from
+``chains.hypothesis_set`` are evaluated alone, under the instance's
+operators, and compared bit for bit: ge, le, scale and w through
+``float.hex``, error texts as strings.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oporder import chains, dsl, verify
+from oporder.chains import Direction, Family
+from oporder.spectral import classify_stack, scaled_margins_stack
+from oporder.verify import (
+    ERROR_CODE,
+    VERDICTS,
+    Instance,
+    ParamTemplate,
+    PGrid,
+    WeightPolicy,
+    check_hypotheses,
+    gen_suite_tuple,
+    gen_unordered_tuple,
+)
+
+# grids whose product stays small at k = 7 (2n = 6 exponents); 1e300 makes
+# the necessity weight overflow to 0 and the powers of A_i overflow
+GRIDS = ((1.0,), (1.0, 2.0), (1.5, 4.0), (1.0, 1e300))
+
+
+def _hex(value: float) -> str:
+    return value.hex()
+
+
+def _per_member(instances, grid, chain_list, tol_rel):
+    """{(instance, member, p_index): (w, ge, le, scale, verdict, error)} from
+    each member's own words, evaluated under the instance's operators."""
+    out = {}
+    for j, inst in enumerate(instances):
+        k, n = inst.tup.k, inst.template.n
+        _, table = verify._p_samples(grid, n, 0, inst.index, 1)
+        weights = inst.policy.weights(inst.template.t, table, inst.template.r, count=k - 1)
+        scalars = {"r": inst.template.r, **{f"t{i}": v for i, v in enumerate(inst.template.t, 1)}}
+        env = dsl.Environment(scalars, {i: m for i, m in enumerate(inst.tup.matrices, 1)})
+        for code, chain in enumerate(chain_list):
+            w_index = chains.weight_index(chain.family, chain.member, n)
+            w = weights[:, w_index - 1]
+            columns = {f"p{i + 1}": table[:, i] for i in range(2 * n)}
+            columns[f"w{w_index}"] = w
+            rhs, lhs = dsl.evaluate_batch((chain.rhs, chain.lhs), env, columns)
+            errors = np.array(
+                [left if left is not None else right if right is not None
+                 else dsl.EvaluationError(f"weight w{w_index} = {wv!r} is not positive")
+                 if wv <= 0 else None
+                 for left, right, wv in zip(lhs.errors, rhs.errors, w.tolist())],
+                dtype=object)
+            ge, le, scale, errors = scaled_margins_stack(lhs, rhs, errors)
+            verdicts = classify_stack(ge, le, scale, tol_rel)
+            for i in range(len(w)):
+                error = None if errors[i] is None else str(errors[i])
+                out[j, code, i] = (w[i], ge[i], le[i], scale[i],
+                                   "ERROR" if error else VERDICTS[verdicts[i]], error)
+    return out
+
+
+def _fused(instances, grid, members, tol_rel, monkeypatch):
+    """The report of one fused call and, keyed like ``_per_member``, the
+    (w, ge, le, scale) of each row before ERROR rows are blanked."""
+    seen = []
+    campaign_columns = verify._campaign_columns
+
+    def recording(batches, chain_list, tol):
+        seen.append(batches)
+        return campaign_columns(batches, chain_list, tol)
+
+    monkeypatch.setattr(verify, "_campaign_columns", recording)
+    head, *rest = instances
+    report = check_hypotheses(head.tup, head.template, grid, head.policy, tol_rel=tol_rel,
+                              instance_index=head.index, instance_id=head.id,
+                              members=members, batch=rest)
+    monkeypatch.undo()
+    (batches,) = seen
+    per_instance = len(report.members) // len(instances)
+    raw = {}
+    for b in batches:
+        j, code = divmod(b.member, per_instance)
+        for i, row in enumerate(zip(b.w, b.ge, b.le, b.scale)):
+            raw[j, code, b.lo + i] = row
+    return report, raw
+
+
+def _instances(k, dim, field_kind, unordered, policies, seeds):
+    n = k // 2
+    out = []
+    for idx, (policy, seed) in enumerate(zip(policies, seeds)):
+        rng = np.random.default_rng([seed, idx])
+        tup = (gen_unordered_tuple if unordered else gen_suite_tuple)(
+            k, dim, [seed, idx], field_kind=field_kind)
+        t = tuple(rng.uniform(0.05, 0.95, n).tolist())
+        template = ParamTemplate(t=t, r=t[-1] + float(rng.uniform(0.1, 2.0)))
+        out.append(Instance(tup, template, policy, idx, str(idx)))
+    return out
+
+
+@st.composite
+def _campaigns(draw):
+    k = draw(st.integers(3, 7))
+    grid = draw(st.sampled_from(GRIDS))
+    count = draw(st.integers(1, 3))
+    weight = st.one_of(st.just(WeightPolicy.necessity()), st.lists(
+        st.sampled_from((0.0, 0.3, 0.5, 0.9)), min_size=k - 1, max_size=k - 1
+    ).map(WeightPolicy.fixed))
+    chain_list = chains.hypothesis_set(k)
+    members = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from([(c.family, c.member) for c in chain_list]),
+        min_size=1, unique=True).map(tuple)))
+    return dict(k=k, dim=draw(st.integers(1, 3)),
+                field_kind=draw(st.sampled_from(("real", "complex"))),
+                unordered=draw(st.booleans()),
+                policies=[draw(weight) for _ in range(count)],
+                seeds=[draw(st.integers(0, 50)) for _ in range(count)],
+                grid=PGrid(values=grid), members=members)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_campaigns())
+# p = 1e300 overflows the powers of A_i and, under the necessity policy, the
+# chain exponent, whose weight 0 is an error row; so is the fixed weight 0
+@example(case=dict(k=5, dim=2, field_kind="real", unordered=False,
+                   policies=[WeightPolicy.necessity(), WeightPolicy.fixed([0.0, 0.3, 0.5, 0.9])],
+                   seeds=[0, 1], grid=PGrid(values=(1.0, 1e300)), members=None))
+def test_fused_members_equal_per_member_evaluation(case):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_case(case, monkeypatch)
+
+
+def _check_case(case, monkeypatch):
+    grid, members, k = case["grid"], case["members"], case["k"]
+    instances = _instances(k, case["dim"], case["field_kind"], case["unordered"],
+                           case["policies"], case["seeds"])
+    chain_list = chains.hypothesis_set(k)
+    if members is not None:
+        chain_list = [c for c in chain_list if (c.family, c.member) in set(members)]
+    tol_rel = verify.TOL_REL
+    report, raw = _fused(instances, grid, members, tol_rel, monkeypatch)
+    expected = _per_member(instances, grid, chain_list, tol_rel)
+    assert sorted(raw) == sorted(expected)
+    for key, (w, ge, le, scale, verdict, error) in expected.items():
+        assert tuple(map(_hex, raw[key])) == (_hex(w), _hex(ge), _hex(le), _hex(scale))
+    # the report's rows: instance by instance, member by member, p in order
+    rows = len(grid.product(k // 2 * 2)[0])
+    assert len(report.rows) == len(instances) * len(chain_list) * rows
+    keys = [(j, code, i) for j in range(len(instances))
+            for code in range(len(chain_list)) for i in range(rows)]
+    cols = report.columns
+    for row, key in enumerate(keys):
+        w, ge, le, scale, verdict, error = expected[key]
+        j, code, i = key
+        member = report.members[cols["member"][row]]
+        assert (member.instance_id, member.family, member.member) == (
+            str(j), chain_list[code].family.value, chain_list[code].member)
+        assert cols["p_index"][row] == i
+        assert report.errors.get(row) == error
+        assert VERDICTS[cols["verdict"][row]] == verdict
+        if error is None:
+            margin = ge if chain_list[code].direction is Direction.GE else le
+            assert (_hex(float(cols["w"][row])), _hex(float(cols["margin"][row])),
+                    _hex(float(cols["scale"][row]))) == (_hex(w), _hex(margin), _hex(scale))
+        else:
+            assert cols["verdict"][row] == ERROR_CODE and math.isnan(cols["margin"][row])
+
+
+class TestEvaluationCalls:
+    """How many ``dsl.evaluate_batch`` calls a campaign makes."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        evaluate_batch = dsl.evaluate_batch
+
+        def counting(words, env, *args, **kwargs):
+            calls.append(len(env) if isinstance(env, list) else 1)
+            return evaluate_batch(words, env, *args, **kwargs)
+
+        monkeypatch.setattr(dsl, "evaluate_batch", counting)
+        return calls
+
+    @pytest.mark.parametrize("dim,expected", [(2, [4]), (4, [4, 4])])
+    def test_one_run_for_all_members_under_the_byte_cap(self, monkeypatch, dim, expected):
+        # k = 5 has 4 members of 4^4 = 256 rows: 1,024 rows fit one call at
+        # dim 2 (cap 2,048 rows) and take two at dim 4 (cap 512 rows)
+        calls = self._count(monkeypatch)
+        tup = gen_suite_tuple(5, dim, [0, 0])
+        report = check_hypotheses(tup, ParamTemplate(t=(0.3, 0.6), r=1.2),
+                                  PGrid(values=(1.0, 1.5, 2.0, 4.0)), WeightPolicy.necessity())
+        assert len(report.rows) == 1024
+        assert calls == expected  # environments per call: one per member
+
+    def test_a_scan_that_stops_in_member_1_builds_no_later_member(self, monkeypatch):
+        # instance 6 of seed 7 at k = 3 stops inside ascending member 1 at
+        # row 5 of 16: chunks of 1, 1, 2 and 4 rows
+        rng = verify._rng(7, 6)
+        tup = gen_unordered_tuple(3, 2, [7, 6, 10])
+        t = (rng.uniform(0.05, 0.95),)
+        template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.1, 2.0))
+        policy = WeightPolicy.fixed(rng.uniform(0.2, 0.95) for _ in range(2))
+        calls = self._count(monkeypatch)
+        reached = []
+        member_slots = chains.member_slots
+
+        def recording(family, member, k):
+            reached.append((family, member))
+            return member_slots(family, member, k)
+
+        monkeypatch.setattr(chains, "member_slots", recording)
+        report = check_hypotheses(tup, template, PGrid(values=(1.0, 1.5, 2.0, 4.0)), policy,
+                                  stop_on_violation=True)
+        assert reached == [(Family.ASCENDING, 1)]
+        assert {row.family for row in report.rows} == {"ascending"}
+        assert report.config == {"stopped_early": True}
+        assert calls == [1] * 4 and len(report.rows) == 5

@@ -11,7 +11,6 @@ from oporder.spectral import (
     TOL_REL,
     HermitianMatrix,
     NearSingularError,
-    NonFiniteError,
     Relation,
     diagonal,
     identity,
@@ -279,14 +278,30 @@ class TestCheckHypotheses:
             assert row.margin == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
     @pytest.mark.parametrize("batched", [False, True])
-    def test_left_side_that_fails_to_evaluate_raises(self, batched):
-        # every row compares against A3^(r - t1) = 4^1999.5, which overflows
+    def test_left_side_that_fails_to_evaluate_gives_error_rows(self, batched):
+        # every row of instance 0 compares against A3^(r - t1) = 4^1999.5 or
+        # A2^(r - t1) = 2^1999.5, which overflow; so do the right sides'
+        # outer sandwiches, but the left side's error comes first
         healthy = verify.Instance(scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=1.5),
                                   WeightPolicy.fixed([0.5, 0.5]), 1, "1")
         tup, template = scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=2000.0)
-        with pytest.raises(NonFiniteError, match="matrix power is not finite"):
-            check_hypotheses(tup, template, PGrid(values=(1.0, 2.0)),
-                             WeightPolicy.fixed([0.5, 0.5]), batch=[healthy] if batched else ())
+        rep = check_hypotheses(tup, template, PGrid(values=(1.0, 2.0)),
+                               WeightPolicy.fixed([0.5, 0.5]), batch=[healthy] if batched else ())
+        rows = rep.rows
+        assert len(rows) == (16 if batched else 8)
+        for row in rows[:8]:
+            assert row.instance_id == "0" and row.verdict == "ERROR"
+            assert row.error == "matrix power is not finite" and math.isnan(row.margin)
+        assert all(row.error is None and math.isfinite(row.margin) for row in rows[8:])
+
+    def test_left_side_error_comes_before_the_right_side_error(self):
+        # the descending left side A1^(r - t1) = (1e300)^1.4 overflows, and
+        # its right side's outer product A1^(r/2) X A1^(r/2) does too
+        rep = check_hypotheses(scalar_tuple([1e300, 2.0, 3.0]), ParamTemplate(t=(0.5,), r=1.9),
+                               PGrid(values=(1.0,)), WeightPolicy.necessity())
+        asc, desc = rep.rows
+        assert asc.error is None and asc.verdict == "LE" and not asc.holds()
+        assert desc.error == "matrix power is not finite" and desc.verdict == "ERROR"
 
 
 def _row_fields(row: CampaignRow) -> tuple:
@@ -558,11 +573,14 @@ class TestReductionChain:
         expected = (inner * 0.8 ** 0.3) ** (1 / 3.0) * (1 / 0.6) ** 0.8
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_left_side_that_fails_to_evaluate_raises(self):
+    def test_left_side_that_fails_to_evaluate_gives_premise_error_rows(self):
+        # the premise's left side A3^(r - t1) = 4^1999.5 overflows on every
+        # row; the reduction's own words do not contain it
         tup, template = scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=2000.0)
-        with pytest.raises(NonFiniteError, match="matrix power is not finite"):
-            check_reduction_chain(tup, template, PGrid(values=(1.0, 2.0)),
-                                  policy=WeightPolicy.fixed([0.5, 0.5]))
+        rep = check_reduction_chain(tup, template, PGrid(values=(1.0, 2.0)),
+                                    policy=WeightPolicy.fixed([0.5, 0.5]))
+        assert (rep.premise_failures, rep.premise_errors) == (0, 4)
+        assert not rep.premise_pass and not rep.errors
 
     def test_one_run_per_chunk_and_the_base_decomposed_once_per_p1(self, monkeypatch):
         from oporder import dsl, spectral
