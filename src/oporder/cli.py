@@ -83,6 +83,12 @@ class UsageError(Exception):
     pass
 
 
+def _margin_text(margin: float) -> str:
+    """A margin in fixed point, or in exponent form from 1e6 on, where fixed
+    point would print every digit of a huge value."""
+    return f"{margin:.6f}" if abs(margin) < 1e6 else f"{margin:.6e}"
+
+
 def _csv_floats(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in str(text).split(","))
@@ -321,7 +327,7 @@ def _cmd_check(args) -> int:
             genuine = ~rep.holds() & (rep.columns["verdict"] != verify.ERROR_CODE)
             if genuine.any():
                 print(f"instance {idx}: hypothesis-failure found "
-                      f"(margin {rep.columns['margin'][genuine].min():.6f})")
+                      f"(margin {_margin_text(rep.columns['margin'][genuine].min())})")
                 continue
             # nothing failed on the sampled grid; the violation may hide
             # beyond it, so probe the member cores (including t = 1)
@@ -331,7 +337,7 @@ def _cmd_check(args) -> int:
             )
             if implied is not None:
                 print(f"instance {idx}: hypothesis-failure implied "
-                      f"(core margin {implied['core_margin']:.6f} at "
+                      f"(core margin {_margin_text(implied['core_margin'])} at "
                       f"t={implied['t']})")
             elif rep.errors or core_errors:
                 # the failure may hide in the rows that were not evaluated

@@ -17,7 +17,6 @@ A3^{r/2})^{w1}``.
 from __future__ import annotations
 
 import re
-from collections import ChainMap
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -352,13 +351,6 @@ class Environment:
             raise UnboundNameError(f"matrix symbol A{index} is not bound") from None
 
 
-def _scalar(expr: ScalarExpr, bindings):
-    try:
-        return expr.evaluate(bindings)
-    except KeyError as exc:
-        raise UnboundNameError(f"scalar name {exc.args[0]!r} is not bound") from None
-
-
 def _not_hermitian(what: str, resid: float, scale: float) -> NonHermitianResultError:
     return NonHermitianResultError(
         f"{what} is not Hermitian (residual {resid:.3e} at scale {scale:.3e}); "
@@ -411,16 +403,114 @@ class WordBatch:
         return lam[inverse], None if errors is None else errors[inverse]
 
 
+# The per-row name that picks each row's environment when a batch binds
+# several.  It sorts before every scalar name, so every group refines the
+# grouping by instance.
+_INSTANCE = "#instance"
+
+
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """One node of a compiled plan.  ``args`` are the plan positions of a
+    product's factors or of a power's base, ``names`` the per-row names its
+    subtree depends on, and ``const`` and ``terms`` the float coefficients
+    of a symbol's or a power's exponent."""
+
+    word: OperatorWord
+    args: tuple[int, ...]
+    names: frozenset
+    const: float = 0.0
+    terms: tuple[tuple[str, float], ...] = ()
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """A tuple of words compiled for one set of per-row names: their
+    distinct nodes (by identity) with children before parents, the node of
+    each word, the symbol nodes, and the position of each matrix index the
+    symbols raise (``slot``, in order of first use).  The plan holds its
+    words, so the node ids it is cached under stay theirs."""
+
+    words: tuple
+    nodes: tuple[_Node, ...]
+    outputs: tuple[int, ...]
+    symbols: tuple[int, ...]
+    slot: dict
+
+
+def _compile(words: tuple, row_names: frozenset) -> _Plan:
+    """The plan of ``words`` when ``row_names`` are the per-row names."""
+    instance_names = row_names & {_INSTANCE}
+    position: dict[int, int] = {}
+    nodes: list[_Node] = []
+
+    def names_of(expr: ScalarExpr) -> frozenset:
+        return frozenset(n for n in expr.free_names() if n in row_names)
+
+    def visit(word) -> int:
+        got = position.get(id(word))
+        if got is not None:
+            return got
+        exponent = None
+        if isinstance(word, Symbol):
+            args, exponent = (), word.exponent
+            names = names_of(exponent) | instance_names
+        elif isinstance(word, Product):
+            args = tuple(visit(f) for f in word.factors)
+            names = frozenset().union(*(nodes[a].names for a in args))
+        elif isinstance(word, Power):
+            args, exponent = (visit(word.base),), word.exponent
+            names = nodes[args[0]].names | names_of(exponent)
+        else:
+            raise TypeError(f"not an evaluable node: {word!r}")
+        if exponent is None:
+            nodes.append(_Node(word, args, names))
+        else:
+            nodes.append(_Node(word, args, names, float(exponent.const),
+                               tuple((n, float(c)) for n, c in exponent.terms)))
+        position[id(word)] = len(nodes) - 1
+        return len(nodes) - 1
+
+    outputs = tuple(visit(w) for w in words)
+    symbols = tuple(i for i, node in enumerate(nodes) if isinstance(node.word, Symbol))
+    indices = dict.fromkeys(nodes[i].word.index for i in symbols)
+    return _Plan(words, tuple(nodes), outputs, symbols,
+                 {index: j for j, index in enumerate(indices)})
+
+
+class _PlanCache:
+    """Compiled plans by (node ids of the words, per-row names); at most
+    ``size`` of them, the oldest dropped first."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.plans: dict = {}
+
+    def get(self, words: tuple, row_names: frozenset) -> _Plan:
+        key = (tuple(map(id, words)), row_names)
+        plan = self.plans.get(key)
+        if plan is None:
+            plan = _compile(words, row_names)
+            if len(self.plans) >= self.size:
+                self.plans.pop(next(iter(self.plans)))
+            self.plans[key] = plan
+        return plan
+
+
+_PLANS = _PlanCache(64)
+
+
 @dataclass(frozen=True, eq=False)
 class _Group:
     """The distinct bindings of some per-row names: rows that agree on them
     share one evaluation.  ``first[m]`` is a row carrying binding m,
-    ``inverse[i]`` the binding of row i, ``columns`` the names' values per
-    binding."""
+    ``inverse[i]`` the binding of row i; ``columns`` holds the names'
+    values per binding as far as they have been read."""
 
+    names: frozenset
     first: np.ndarray
     inverse: np.ndarray
-    columns: dict
+    columns: dict = field(default_factory=dict)
 
 
 def _fit(errors, m: int):
@@ -428,6 +518,11 @@ def _fit(errors, m: int):
     if errors is None or len(errors) == m:
         return errors
     return np.broadcast_to(errors, (m,)).copy()
+
+
+def _some(errors):
+    """None for row errors of which none is set."""
+    return None if errors is None or healthy(errors).all() else errors
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,24 +536,19 @@ class _Part:
     group: _Group | None
 
 
-# The per-row name that picks each row's environment when a batch binds
-# several.  It sorts before every scalar name, so every group refines the
-# grouping by instance.
-_INSTANCE = "#instance"
-
-
 class _BatchRun:
     """One evaluation of one or more words under a batch of bindings.
 
-    Node results are kept by node identity, so a node that several words
-    contain is evaluated once.  Each node is evaluated once per distinct
+    The words run from a plan compiled once per word tuple and set of
+    per-row names (``_PLANS``).  Each node is evaluated once per distinct
     binding of the per-row names its subtree mentions: a node without any
     is evaluated once, and a layer of a nested sandwich on the distinct
     prefixes of the exponents it depends on.  Under several environments
     every matrix symbol depends on the row's instance, so each node is
-    evaluated once per (instance, prefix).  A power decomposes its base
-    once per binding of the base and raises it to each of its own
-    exponents.
+    evaluated once per (instance, prefix).  Every symbol node is raised in
+    one stacked power, through the cached decompositions of the bound
+    matrices; a power decomposes its base once per binding of the base and
+    raises it to each of its own exponents.
     """
 
     def __init__(self, env, rows: Mapping[str, np.ndarray], instance=None):
@@ -500,37 +590,15 @@ class _BatchRun:
                             **{name: float(col[0]) for name, col in columns.items()}}
             columns = {}
         self.columns = columns
-        self._symbol_names = frozenset({_INSTANCE}) if self.multi else frozenset()
-        self._names: dict[int, frozenset] = {}
         self._groups: dict[frozenset, _Group] = {}
-        self._parts: dict[int, _Part] = {}
-        self._decompositions: dict[int, tuple] = {}
 
     @property
     def dim(self) -> int:
         return self.env.dim if self.env.matrices else 1
 
-    def names(self, word: OperatorWord) -> frozenset:
-        """The per-row names the subtree of ``word`` depends on."""
-        got = self._names.get(id(word))
-        if got is None:
-            if isinstance(word, Symbol):
-                got = self._row_names(word.exponent) | self._symbol_names
-            elif isinstance(word, Product):
-                got = frozenset().union(*(self.names(f) for f in word.factors))
-            elif isinstance(word, Power):
-                got = self.names(word.base) | self._row_names(word.exponent)
-            else:
-                raise TypeError(f"not an evaluable node: {word!r}")
-            self._names[id(word)] = got
-        return got
-
-    def _row_names(self, expr: ScalarExpr) -> frozenset:
-        return frozenset(n for n in expr.free_names() if n in self.columns)
-
-    def group_of(self, word: OperatorWord) -> _Group | None:
+    def group_of(self, node: _Node) -> _Group | None:
         """The group a node is evaluated on (None: once for every row)."""
-        return self.group(self.names(word)) if self.columns else None
+        return self.group(node.names) if self.columns else None
 
     def group(self, names: frozenset) -> _Group | None:
         if not names:
@@ -546,39 +614,49 @@ class _BatchRun:
                 values, codes = np.unique(self.columns[last], return_inverse=True)
                 key = codes if rest is None else rest.inverse * len(values) + codes
                 _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            columns = {name: self.columns[name][first] for name in names}
-            if _INSTANCE in names:
-                inst = columns[_INSTANCE]
-                columns.update((name, table[inst]) for name, table in self.env_columns.items())
-            got = _Group(first, inverse, columns)
-            self._groups[names] = got
+            got = self._groups[names] = _Group(names, first, inverse)
         return got
 
-    def exponent(self, expr: ScalarExpr, group: _Group | None):
-        if group is None:
-            return _scalar(expr, self.scalars)
-        return _scalar(expr, ChainMap(group.columns, self.scalars))
-
-    def failed(self, group: _Group | None, exc: Exception) -> _Part:
-        m = 1 if group is None else len(group.first)
-        errors = no_errors(m)
-        errors[:] = [exc] * m
-        return _Part(np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)),
-                     errors, group)
-
-    def part(self, word: OperatorWord) -> _Part:
-        got = self._parts.get(id(word))
+    def column(self, group: _Group, name: str):
+        """The values of a per-row or per-instance name, one per binding of
+        ``group``; None for a name the environment binds for every row."""
+        got = group.columns.get(name)
         if got is None:
-            if isinstance(word, Symbol):
-                got = self._symbol(word)
-            elif isinstance(word, Product):
-                got = self._product(word)
-            elif isinstance(word, Power):
-                got = self._power(word)
+            if name in group.names:
+                got = self.columns[name][group.first]
+            elif name in self.env_columns and _INSTANCE in group.names:
+                got = self.env_columns[name][self.column(group, _INSTANCE)]
             else:
-                raise TypeError(f"not an evaluable node: {word!r}")
-            self._parts[id(word)] = got
+                return None
+            group.columns[name] = got
         return got
+
+    def exponent(self, node: _Node, group: _Group | None):
+        """A node's exponent per binding of ``group``, by the operations of
+        ``ScalarExpr.evaluate``."""
+        total = node.const
+        for name, coeff in node.terms:
+            value = None if group is None else self.column(group, name)
+            if value is None:
+                try:
+                    value = self.scalars[name]
+                except KeyError:
+                    raise UnboundNameError(f"scalar name {name!r} is not bound") from None
+                if not hasattr(value, "shape"):
+                    value = float(value)
+            total = total + coeff * value
+        return total
+
+    def batches(self, words: tuple) -> tuple[WordBatch, ...]:
+        """One WordBatch per word, from the words' plan."""
+        plan = _PLANS.get(words, frozenset(self.columns))
+        parts: list[_Part | None] = [None] * len(plan.nodes)
+        self._symbols(plan, parts)
+        for i, node in enumerate(plan.nodes):
+            if parts[i] is None:
+                parts[i] = (self._product(node, parts) if isinstance(node.word, Product)
+                            else self._power(node, parts))
+        return tuple(self.batch(plan.nodes[i], parts[i]) for i in plan.outputs)
 
     def aligned(self, part: _Part, group: _Group | None):
         """A part's values and errors per binding of ``group`` (a superset
@@ -588,68 +666,109 @@ class _BatchRun:
         idx = part.group.inverse[group.first]
         return part.values[idx], None if part.errors is None else part.errors[idx]
 
-    def _symbol(self, word: Symbol) -> _Part:
-        group = self.group_of(word)
-        if self.multi:
-            return self._instance_symbol(word, group)
-        try:
-            base = self.env.matrix(word.index)
-            alpha = self.exponent(word.exponent, group)
-        except UnboundNameError as exc:
-            return self.failed(group, exc)
-        if group is None:
-            cached = self.env._powers.get((word.index, alpha))
-            if cached is not None:
-                return _Part(cached, None, None)
-        try:
-            dec = base.decomposition()
-        except SpectralError as exc:
-            return self.failed(group, exc)
-        values, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
-                                     alpha, None)
-        if group is None and errors is None:
-            values.setflags(write=False)
-            self.env._powers[(word.index, alpha)] = values
-        return _Part(values, errors, group)
-
-    def _instance_symbol(self, word: Symbol, group: _Group) -> _Part:
-        """A symbol under several environments: each binding raises its
-        instance's matrix, through that matrix's own decomposition."""
-        try:
-            alpha = self.exponent(word.exponent, group)
-        except UnboundNameError as exc:
-            return self.failed(group, exc)
-        lam, u, env_errors = self.decomposition(word.index)
-        inst = group.columns[_INSTANCE]
-        errors = None if env_errors is None else env_errors[inst]
-        values, errors = power_stack(lam[inst], u[inst], alpha, errors)
-        return _Part(values, _fit(errors, len(values)), group)
-
-    def decomposition(self, index: int):
-        """Eigenvalues, eigenvectors and errors of A_index per environment;
-        an environment whose A_index is unbound or fails to decompose gets
-        the identity's and its error."""
-        got = self._decompositions.get(index)
-        if got is None:
-            count = len(self.envs)
-            decs, errors = [], None
-            for i, env in enumerate(self.envs):
+    def _table(self, plan: _Plan):
+        """The decompositions of every symbol index of the plan in every
+        environment: eigenvalues and eigenvectors stacked with entry
+        ``plan.slot[index] * E + e`` for environment e of E, the dtype each
+        index's eigenvectors stack to across environments, and two
+        entry-error arrays (None: no entry failed).  An environment whose
+        matrix is unbound gets the identity's decomposition and its error in
+        ``missing``; one whose matrix fails to decompose, the identity's and
+        its error in ``failed``."""
+        decs, missing, failed = [], {}, {}
+        for index in plan.slot:
+            for env in self.envs:
                 try:
                     decs.append(env.matrix(index).decomposition())
-                except (UnboundNameError, SpectralError) as exc:
-                    errors = flag_errors(errors, np.arange(count) == i, lambda _: exc)
-                    decs.append(SpectralDecomposition(np.ones(self.dim), np.eye(self.dim)))
-            got = self._decompositions[index] = (
-                np.stack([d.eigenvalues for d in decs]),
-                np.stack([d.eigenvectors for d in decs]), errors)
-        return got
+                    continue
+                except UnboundNameError as exc:
+                    missing[len(decs)] = exc
+                except SpectralError as exc:
+                    failed[len(decs)] = exc
+                decs.append(SpectralDecomposition(np.ones(self.dim), np.eye(self.dim)))
 
-    def _product(self, word: Product) -> _Part:
-        group = self.group_of(word)
-        values, errors = self.aligned(self.part(word.factors[0]), group)
+        def errors(found: dict):
+            if not found:
+                return None
+            out = no_errors(len(decs))
+            for entry, exc in found.items():
+                out[entry] = exc
+            return out
+
+        count = len(self.envs)
+        vectors = [d.eigenvectors for d in decs]
+        dtypes = [np.result_type(*vectors[j:j + count]) for j in range(0, len(decs), count)]
+        return (np.stack([d.eigenvalues for d in decs]), np.stack(vectors), dtypes,
+                errors(missing), errors(failed))
+
+    def _symbols(self, plan: _Plan, parts: list) -> None:
+        """Every symbol node of the plan, raised in one ``power_stack`` call
+        (one per eigenvector dtype) and sliced back per node.
+
+        A binding fails with its matrix's unbound error, else its
+        exponent's, else its matrix's decomposition error: the order in
+        which ``evaluate`` meets them.  A constant power of the single
+        environment comes from, or goes to, its cache."""
+        if not plan.symbols:
+            return
+        lam, u, dtypes, missing, failed = self._table(plan)
+        count = len(self.envs)
+        pending: dict = {}  # per dtype: (node position, group, table entries, alpha, errors)
+        for i in plan.symbols:
+            node = plan.nodes[i]
+            group = self.group_of(node)
+            m = 1 if group is None else len(group.first)
+            slot = plan.slot[node.word.index]
+            inst = self.column(group, _INSTANCE) if self.multi else np.zeros(m, dtype=np.intp)
+            entries = slot * count + inst
+            errors = None if missing is None else _some(missing[entries])
+            try:
+                alpha = self.exponent(node, group)
+            except UnboundNameError as exc:
+                alpha = 1.0
+                errors = flag_errors(_fit(errors, m), np.ones(m, dtype=bool), lambda _: exc)
+            errors = first_errors(errors, None if failed is None else _some(failed[entries]))
+            if errors is not None and not healthy(errors).any():
+                # no binding left to raise
+                parts[i] = _Part(np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)),
+                                 errors, group)
+                continue
+            if group is None and errors is None:
+                cached = self.env._powers.get((node.word.index, alpha))
+                if cached is not None:
+                    parts[i] = _Part(cached, None, None)
+                    continue
+            pending.setdefault(dtypes[slot], []).append((i, group, entries, alpha, errors))
+        for dtype, stacked in pending.items():
+            _, _, node_entries, alphas, node_errors = zip(*stacked)
+            entries = np.concatenate(node_entries)
+            vectors = u[entries]
+            if vectors.dtype != dtype:  # a real index among complex ones
+                vectors = np.ascontiguousarray(vectors.real)
+            errors = None
+            if any(e is not None for e in node_errors):
+                errors = np.concatenate([no_errors(len(n)) if e is None else e
+                                         for n, e in zip(node_entries, node_errors)])
+            alpha = np.concatenate([np.broadcast_to(a, (len(n),))
+                                    for a, n in zip(alphas, node_entries)])
+            values, errors = power_stack(lam[entries], vectors, alpha, errors)
+            start = 0
+            for i, group, rows, node_alpha, _ in stacked:
+                end = start + len(rows)
+                part = _Part(values[start:end],
+                             None if errors is None else _some(errors[start:end]), group)
+                if group is None and part.errors is None:
+                    part.values.setflags(write=False)
+                    self.env._powers[(plan.nodes[i].word.index, node_alpha)] = part.values
+                parts[i] = part
+                start = end
+
+    def _product(self, node: _Node, parts: list) -> _Part:
+        group = self.group_of(node)
+        values, errors = self.aligned(parts[node.args[0]], group)
         with np.errstate(over="ignore", invalid="ignore"):
-            for factor in word.factors[1:]:
-                factor_values, factor_errors = self.aligned(self.part(factor), group)
+            for arg in node.args[1:]:
+                factor_values, factor_errors = self.aligned(parts[arg], group)
                 values = values @ factor_values
                 errors = first_errors(errors, factor_errors)
         if not np.isfinite(values).all():
@@ -657,12 +776,12 @@ class _BatchRun:
                                  lambda i: NonFiniteError("product"))
         return _Part(values, _fit(errors, len(values)), group)
 
-    def _power(self, word: Power) -> _Part:
-        base = self.part(word.base)
-        group = self.group_of(word)
+    def _power(self, node: _Node, parts: list) -> _Part:
+        base = parts[node.args[0]]
+        group = self.group_of(node)
         sym, errors = _hermitize(base.values, base.errors, "power base")
         try:
-            alpha = self.exponent(word.exponent, group)
+            alpha = self.exponent(node, group)
         except UnboundNameError as exc:
             # one row per binding of this node, whose names may be more than
             # its base's; the base's errors come first
@@ -679,11 +798,10 @@ class _BatchRun:
         values, errors = power_stack(lam, u, alpha, errors)
         return _Part(values, _fit(errors, len(values)), group)
 
-    def batch(self, word: OperatorWord) -> WordBatch:
-        """The word's value per row of the run, with its distinct values."""
-        part = self.part(word)
+    def batch(self, node: _Node, part: _Part) -> WordBatch:
+        """A word's value per row of the run, with its distinct values."""
         values, errors = part.values, part.errors
-        if isinstance(word, Product):  # power values are symmetrized already
+        if isinstance(node.word, Product):  # power values are symmetrized already
             values, errors = _hermitize(values, errors, "word value")
         n, dim = self.size, values.shape[-1]
         if part.group is None:
@@ -712,7 +830,8 @@ def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
     matrices and its other scalars from ``env[instance[i]]``.  Products
     multiply left to right; powers go through the spectral calculus of the
     coerced Hermitian base, stacked over the distinct bindings of each
-    node.  A binding that fails a guard (pd gate, eigensolver residuals,
+    node, and every symbol of the run is raised in one stacked power.  A
+    binding that fails a guard (pd gate, eigensolver residuals,
     Hermiticity, a non-finite value) becomes an error row without affecting
     the others.
 
@@ -727,8 +846,8 @@ def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
     """
     run = _BatchRun(env, rows or {}, instance)
     if isinstance(word, tuple):
-        return tuple(run.batch(w) for w in word)
-    return run.batch(word)
+        return run.batches(word)
+    return run.batches((word,))[0]
 
 
 def evaluate(word: OperatorWord, env: Environment) -> HermitianMatrix:

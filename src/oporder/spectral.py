@@ -24,6 +24,8 @@ EPS_PD_REL = 1e-10
 HERMITICITY_RTOL = 1e-12
 RECON_RTOL = 1e-10
 ORTHO_TOL = 1e-10
+# entries up to this size keep their Frobenius norms' sums of squares finite
+_NORM_SAFE = 2.0 ** 500
 
 
 class SpectralError(Exception):
@@ -100,9 +102,18 @@ class HermitianMatrix:
         arr = arr.astype(dtype, copy=True)
         if not np.isfinite(arr).all():
             raise NonFiniteError("matrix")
-        fro = float(np.linalg.norm(arr))
-        resid = float(np.linalg.norm(arr - arr.conj().T))
+        # the norms' sums of squares overflow for entries near 1e154: such a
+        # matrix is scaled by an exact power of two, which scales both norms
+        # exactly and leaves their comparison as it is
+        big = float(np.abs(arr).max() if dtype is np.float64
+                    else max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
+        exp = math.frexp(big)[1] if big > _NORM_SAFE else 0
+        scaled = arr * 2.0 ** -exp if exp else arr
+        fro = float(np.linalg.norm(scaled))
+        resid = float(np.linalg.norm(scaled - scaled.conj().T))
         if resid > HERMITICITY_RTOL * fro:
+            with np.errstate(over="ignore"):
+                resid, fro = (float(np.ldexp(v, exp)) for v in (resid, fro))
             raise NotHermitianError(
                 f"entries are not self-adjoint: residual {resid:.3e} "
                 f"exceeds {HERMITICITY_RTOL:.0e} * {fro:.3e}"
@@ -111,13 +122,18 @@ class HermitianMatrix:
         object.__setattr__(self, "entries", arr)
 
     @classmethod
-    def trusted(cls, arr: np.ndarray) -> "HermitianMatrix":
+    def trusted(cls, arr: np.ndarray,
+                decomposition: "SpectralDecomposition | None" = None) -> "HermitianMatrix":
         """Wrap an array that is Hermitian by construction (symmetrized by
-        the caller) without recomputing its residual."""
+        the caller) without recomputing its residual; a decomposition the
+        caller checked with ``decompose_stack`` is kept as the one
+        ``decomposition()`` returns."""
         obj = cls.__new__(cls)
         arr = np.array(arr, dtype=np.complex128 if np.iscomplexobj(arr) else np.float64)
         arr.setflags(write=False)
         object.__setattr__(obj, "entries", arr)
+        if decomposition is not None:
+            vars(obj)["_decomposition"] = decomposition
         return obj
 
     @property
@@ -367,14 +383,21 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
     return out, errors
 
 
+def _frobenius(arrs: np.ndarray) -> np.ndarray:
+    """||X||_F per matrix of a stack, by the ufuncs that
+    ``np.linalg.norm(arrs, axis=(-2, -1))`` applies, so with its bits."""
+    squares = (arrs.conj() * arrs).real if np.iscomplexobj(arrs) else arrs * arrs
+    return np.sqrt(np.add.reduce(squares, axis=(-2, -1)))
+
+
 def hermitian_part(arrs: np.ndarray, rtol: float):
     """(0.5 (X + X*), too_far, residual, scale) for a stack: the residual is
     ||X - X*||_F, the scale max(1, ||X||_F), and too_far marks the rows whose
     residual exceeds rtol * scale."""
     adj = _adjoint(arrs)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(1.0, np.linalg.norm(arrs, axis=(-2, -1)))
-        resid = np.linalg.norm(arrs - adj, axis=(-2, -1))
+        scale = np.maximum(1.0, _frobenius(arrs))
+        resid = _frobenius(arrs - adj)
         return 0.5 * (arrs + adj), resid > rtol * scale, resid, scale
 
 
@@ -395,9 +418,7 @@ def _as_stack(side) -> np.ndarray:
     if isinstance(side, HermitianMatrix):
         return side.entries[None]
     if isinstance(side, tuple):
-        matrices, rows = side
-        stack = np.stack([m.entries for m in matrices])
-        return stack if len(matrices) == 1 else stack[rows]
+        return side[0]
     return side.values
 
 
@@ -414,32 +435,24 @@ def _side_norms(side, errors, rows: int):
         if errors is not None:
             norms = np.where(healthy(errors), norms, 1.0)
         return norms, first_errors(errors, side_errors)
-    matrices, which = ((side,), None) if isinstance(side, HermitianMatrix) else side
-    if len(matrices) == 1:
-        which = np.zeros(rows, dtype=np.intp)
-    norms = np.ones(len(matrices))
-    failures: dict[int, SpectralError] = {}
-    for i, m in enumerate(matrices):
-        try:
-            norms[i] = operator_norm(m)
-        except SpectralError as exc:
-            failures[i] = exc
-    if failures:
-        errors = flag_errors(errors, np.isin(which, list(failures)),
-                             lambda i: failures[int(which[i])])
-    return norms[which], errors
+    if isinstance(side, tuple):
+        return side[1], errors
+    try:
+        return np.full(rows, operator_norm(side)), errors
+    except SpectralError as exc:
+        return np.ones(rows), flag_errors(errors, np.ones(rows, dtype=bool), lambda _: exc)
 
 
 def scaled_margins_stack(p, q, errors=None):
     """Stacked ``scaled_margins``: (ge, le, scale, errors) per row.  Each of
     p and q is an (M, d, d) stack, one HermitianMatrix compared with every
-    row, a pair (matrices, rows) of HermitianMatrix objects and the (M,)
-    index of the one compared with each row, or a batch of M rows with
-    ``values`` and ``spectrum`` (a ``dsl.WordBatch``).
+    row, a pair (stack, norms) of an (M, d, d) stack and its rows' spectral
+    norms, or a batch of M rows with ``values`` and ``spectrum`` (a
+    ``dsl.WordBatch``).
 
     Each side's norm comes from its eigenvalues: a HermitianMatrix's
     cached decomposition, a batch's spectrum (one decomposition per
-    distinct value), a stack's own decomposition.
+    distinct value), a stack's own decomposition, or the norms given.
     Its errors merge in the same place whichever form the side takes.  A
     margin that comes out non-finite fails with NonFiniteError."""
     ge, le, errors = margins_stack(_as_stack(p), _as_stack(q), errors)
@@ -494,12 +507,17 @@ def pd_gate(h: HermitianMatrix) -> float:
     return float(_gate(h.decomposition().eigenvalues)[1])
 
 
+def gate_stack(lam: np.ndarray, errors):
+    """The pd gate on a stack of ascending eigenvalues: each healthy row
+    whose lambda_min sits at or below it gets a NearSingularError."""
+    low, gate = _gate(lam)
+    return flag_errors(errors, low,
+                       lambda i: NearSingularError(float(lam[i, 0]), float(gate[i])))
+
+
 def require_strictly_positive(h: HermitianMatrix) -> None:
     """Raise NearSingularError unless lambda_min(h) clears the pd gate."""
-    lam = h.decomposition().eigenvalues
-    low, gate = _gate(lam)
-    if low:
-        raise NearSingularError(float(lam[0]), float(gate))
+    _raise_first(gate_stack(h.decomposition().eigenvalues[None], None))
 
 
 def matrix_power(h: HermitianMatrix, alpha: float) -> HermitianMatrix:

@@ -30,11 +30,14 @@ from .spectral import (
     TOL_REL,
     HermitianMatrix,
     NonFiniteError,
+    SpectralDecomposition,
     Verdict,
     classify_stack,
     decompose_matrices,
+    decompose_stack,
     first_errors,
     flag_errors,
+    gate_stack,
     healthy,
     identity,
     loewner_compare,
@@ -68,6 +71,12 @@ def _rng(*seed_parts) -> np.random.Generator:
     return np.random.default_rng(list(int(s) for s in seed_parts))
 
 
+def _raise_first_row(errors) -> None:
+    """Raise the error of the first row that has one."""
+    if errors is not None and not healthy(errors).all():
+        raise errors[np.flatnonzero(~healthy(errors))[0]]
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorTuple:
     """k strictly positive matrices of one dimension, with their
@@ -85,6 +94,14 @@ class OperatorTuple:
             raise ValueError(f"matrices disagree on dimension: {sorted(dims)}")
         for m in mats:
             require_strictly_positive(m)
+
+    @classmethod
+    def trusted(cls, matrices) -> "OperatorTuple":
+        """Wrap at least 2 matrices of one dimension that the caller has
+        passed through the pd gate already, without checking them again."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "matrices", tuple(matrices))
+        return obj
 
     @property
     def k(self) -> int:
@@ -189,9 +206,12 @@ def gen_unordered_tuples(
 
     Each instance draws its candidates from its own rng stream.  A round
     screens the current candidate of every undecided instance together, per
-    dim: one stacked decomposition of all their matrices, each result kept
-    on its matrix for the pd gate and later powers, and one stacked
-    comparison of all their adjacent pairs.
+    dim: one stacked decomposition of all their matrices, which gives the pd
+    gate, the norms of the comparison and the decomposition kept on each
+    matrix for later powers, and one stacked comparison of all their
+    adjacent pairs.  The first matrix, in draw order, that fails to
+    decompose or the gate raises its error, and then the first pair whose
+    comparison fails.
     """
     instances = [(int(dim), seed) for dim, seed in instances]
     if any(dim < 1 for dim, _ in instances):
@@ -205,18 +225,20 @@ def gen_unordered_tuples(
             break
         for dim in sorted({instances[i][0] for i in todo}):
             group = [i for i in todo if instances[i][0] == dim]
-            mats = [HermitianMatrix.trusted(a) for i in group
-                    for a in _random_spds(rngs[i], dim, k, field_kind)]
-            decompose_matrices(mats)
-            tuples = [OperatorTuple(tuple(mats[j * k:(j + 1) * k])) for j in range(len(group))]
+            arrs = np.concatenate([_random_spds(rngs[i], dim, k, field_kind) for i in group])
+            lam, u, errors = decompose_stack(arrs)
+            _raise_first_row(gate_stack(lam, errors))
             upper = np.array([j * k + a for j in range(len(group)) for a in range(1, k)])
-            ge, _, scale, errors = scaled_margins_stack((mats, upper), (mats, upper - 1))
-            if errors is not None and not healthy(errors).all():
-                raise errors[np.flatnonzero(~healthy(errors))[0]]
+            norms = spectral_norms(lam)
+            ge, _, scale, errors = scaled_margins_stack((arrs[upper], norms[upper]),
+                                                        (arrs[upper - 1], norms[upper - 1]))
+            _raise_first_row(errors)
             ordered = margins_hold(ge, scale, tol_rel).reshape(len(group), k - 1).all(axis=1)
-            for i, tup, done in zip(group, tuples, ordered.tolist()):
+            for j, (i, done) in enumerate(zip(group, ordered.tolist())):
                 if not done:
-                    found[i] = tup
+                    found[i] = OperatorTuple.trusted(
+                        HermitianMatrix.trusted(arrs[m], SpectralDecomposition(lam[m], u[m]))
+                        for m in range(j * k, (j + 1) * k))
         todo = [i for i in todo if found[i] is None]
     if todo:
         raise RuntimeError(

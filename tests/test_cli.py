@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oporder.cli import EXIT_INDETERMINATE, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from oporder.cli import (
+    EXIT_INDETERMINATE,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATION,
+    _margin_text,
+    main,
+)
 from util import GOLDEN_DIR
 
 
@@ -267,6 +274,17 @@ class TestCheckCommand:
                              "margin nan (matrix power is not finite)")
         else:
             assert "instance 0: hypothesis-failure found" in out and not err
+
+    def test_huge_contrapositive_margin_prints_in_exponent_form(self, capsys):
+        # fixed point would print the -2.76e175 margin with all its digits
+        code, out, err = run(capsys, "check", "--mode", "contrapositive", "--k", "3",
+                             "--scalar-fixture", "1e300,2,3", "--t", "0.5", "--r", "1.9",
+                             "--p-grid", "1")
+        assert code == EXIT_OK and not err
+        assert out.splitlines()[0] == \
+            "instance 0: hypothesis-failure found (margin -2.760635e+175)"
+        assert [_margin_text(v) for v in (-999999.25, 1e6, -0.0035)] == \
+            ["-999999.250000", "1.000000e+06", "-0.003500"]
 
     @pytest.mark.parametrize("mode", ["proof-steps", "limit"])
     @pytest.mark.parametrize("flag,value", [("--scalar-fixture", "1e300,2,3"),

@@ -35,6 +35,7 @@ from oporder.spectral import (
     spectral_decompose,
     write_matrix,
 )
+from oporder.spectral import _frobenius
 from util import ordered_pair_arrays, power_iteration_norm, random_spd_array
 
 
@@ -54,6 +55,21 @@ class TestConstruction:
     def test_rejects_non_hermitian_complex(self):
         with pytest.raises(NotHermitianError):
             HermitianMatrix(np.array([[1.0, 1j], [1j, 1.0]]))
+
+    def test_rejects_non_hermitian_with_huge_entries_unwarned(self):
+        # squares of such entries overflow; the norms are taken on the matrix
+        # scaled by an exact power of two
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError, match=r"residual 1\.414e\+200 exceeds "
+                                                        r"1e-12 \* 1\.732e\+200"):
+                HermitianMatrix(np.array([[1e200, 1e200], [0.0, 1e200]]))
+            with pytest.raises(NotHermitianError, match="residual inf"):
+                HermitianMatrix(np.array([[1.0, 1.5e308 + 1.5e308j],
+                                          [1.5e308 + 1.5e308j, 1.0]]))
+            HermitianMatrix(np.array([[1e300, 2e300], [2e300, 1e300]]))
+            HermitianMatrix(np.array([[1e300, 1.5e308 + 1.5e308j],
+                                      [1.5e308 - 1.5e308j, 1e300]]))
 
     def test_accepts_complex_hermitian(self):
         h = HermitianMatrix(np.array([[2.0, 1j], [-1j, 3.0]]))
@@ -267,6 +283,21 @@ class TestStackedGuards:
         assert isinstance(errors[1], EigenSolverError)
         assert errors[0] is None and errors[2] is None
         assert (ge[0], le[0], ge[2], le[2]) == (2.0, -2.0, 3.0, -3.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), dim=st.integers(1, 4), count=st.integers(1, 5),
+           complex_field=st.booleans(), magnitude=st.sampled_from([1.0, 1e-200, 1e150, 1e300]))
+    def test_frobenius_has_the_bits_of_linalg_norm(self, seed, dim, count, complex_field,
+                                                   magnitude):
+        rng = np.random.default_rng(seed)
+        arrs = rng.standard_normal((count, dim, dim)) * magnitude
+        if complex_field:
+            arrs = arrs + 1j * rng.standard_normal((count, dim, dim)) * magnitude
+        for stack in (arrs, arrs.swapaxes(-1, -2)):
+            with np.errstate(over="ignore", under="ignore"):
+                want = np.linalg.norm(stack, axis=(-2, -1))
+                got = _frobenius(stack)
+            assert got.tobytes() == want.tobytes()
 
     def test_gate_is_per_row(self):
         dec = diagonal([1e-13, 1.0]).decomposition()
