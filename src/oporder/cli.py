@@ -35,7 +35,7 @@ from .verify import (
     check_hypotheses,
     check_reduction_chain,
     gen_suite_tuple,
-    gen_unordered_tuple,
+    gen_unordered_tuples,
     limit_probe,
     merge_reports,
     reduction_scalar_interior,
@@ -299,8 +299,7 @@ def _cmd_check(args) -> int:
                 tup = gen_suite_tuple(cfg["k"], cfg["dim"], [seed, idx],
                                       field_kind=cfg["field"])
             else:
-                tup = gen_unordered_tuple(cfg["k"], cfg["dim"], [seed, idx],
-                                          field_kind=cfg["field"])
+                tup = unordered[idx]
             template = _sample_template(cfg, verify._rng(seed, idx, 99), n)
             report = check_hypotheses(
                 tup, template, grid, policy,
@@ -311,6 +310,11 @@ def _cmd_check(args) -> int:
 
         if fixture is not None:
             count = 1
+        elif mode == "contrapositive":
+            # entry idx is gen_unordered_tuple(k, dim, [seed, idx])
+            unordered = gen_unordered_tuples(cfg["k"], [(cfg["dim"], [seed, idx])
+                                                        for idx in range(count)],
+                                             field_kind=cfg["field"])
         instances = [run_instance(idx) for idx in range(count)]
         reports = [rep for _, _, rep in instances]
         for idx, (tup, template, rep) in enumerate(instances):

@@ -378,11 +378,18 @@ class WordBatch:
     ``distinct`` is (first, inverse): the rows ``first`` hold the
     distinct values, and row i holds that of ``values[first[inverse[i]]]``.
     ``spectrum`` decomposes each distinct value once, for comparisons.
+
+    ``power_eigenvalues`` holds, when a power node made the values, the
+    eigenvalues mu = lambda^alpha that each distinct value was rebuilt
+    from as U diag(mu) U* (one row per distinct value); None for other
+    words.  ``norm_bound`` reads a bound on each distinct value's norm
+    from them.
     """
 
     values: np.ndarray
     errors: np.ndarray
     distinct: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    power_eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def error_mask(self) -> np.ndarray:
@@ -401,6 +408,18 @@ class WordBatch:
         first, inverse = self.distinct
         lam, _, errors = decompose_stack(self.values[first])
         return lam[inverse], None if errors is None else errors[inverse]
+
+    @cached_property
+    def norm_bound(self) -> np.ndarray | None:
+        """A bound on each distinct value's spectral norm when a power node
+        made the batch (None otherwise): max |mu| = max |lambda_end|^alpha
+        of the value U diag(mu) U*, which bounds eigh's norm of it up to
+        ``spectral.BOUND_SLACK_PER_DIM``.  An error row's value is the
+        identity, whose norm 1 never raises a comparison's scale; an
+        overflowed or NaN bound bounds nothing."""
+        if self.power_eigenvalues is None:
+            return None
+        return np.abs(self.power_eigenvalues).max(axis=1)
 
 
 # The per-row name that picks each row's environment when a batch binds
@@ -534,6 +553,7 @@ class _Part:
     values: np.ndarray
     errors: np.ndarray
     group: _Group | None
+    power_eigenvalues: np.ndarray | None = None  # mu of a power's U diag(mu) U*
 
 
 class _BatchRun:
@@ -751,7 +771,7 @@ class _BatchRun:
                                          for n, e in zip(node_entries, node_errors)])
             alpha = np.concatenate([np.broadcast_to(a, (len(n),))
                                     for a, n in zip(alphas, node_entries)])
-            values, errors = power_stack(lam[entries], vectors, alpha, errors)
+            values, _, errors = power_stack(lam[entries], vectors, alpha, errors)
             start = 0
             for i, group, rows, node_alpha, _ in stacked:
                 end = start + len(rows)
@@ -795,8 +815,8 @@ class _BatchRun:
             idx = base.group.inverse[group.first]
             lam, u = lam[idx], u[idx]
             errors = None if errors is None else errors[idx]
-        values, errors = power_stack(lam, u, alpha, errors)
-        return _Part(values, _fit(errors, len(values)), group)
+        values, mu, errors = power_stack(lam, u, alpha, errors)
+        return _Part(values, _fit(errors, len(values)), group, mu)
 
     def batch(self, node: _Node, part: _Part) -> WordBatch:
         """A word's value per row of the run, with its distinct values."""
@@ -813,7 +833,7 @@ class _BatchRun:
             values = np.where(healthy(errors)[:, None, None], values, np.eye(dim))
             errors = errors[inverse]
         return WordBatch(values[inverse], no_errors(n) if errors is None else errors,
-                         (first, inverse))
+                         (first, inverse), part.power_eigenvalues)
 
 
 def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],

@@ -24,6 +24,14 @@ EPS_PD_REL = 1e-10
 HERMITICITY_RTOL = 1e-12
 RECON_RTOL = 1e-10
 ORTHO_TOL = 1e-10
+# Relative slack, per dimension d, on the bound max|mu| of a power's norm.
+# A power is rebuilt as U diag(mu) U* on eigenvectors that passed ORTHO_TOL,
+# so |U*U - I| <= ORTHO_TOL entrywise, ||U||^2 = ||U*U|| <= 1 + d * ORTHO_TOL,
+# and its exact norm is at most (1 + d * ORTHO_TOL) * max|mu|.  The second
+# d * ORTHO_TOL covers the rounding of the product, its symmetrization and
+# eigh's computed eigenvalues, each a small multiple of d * 2^-52.  So
+# eigh's norm of the rebuilt value is at most max|mu| * (1 + 2 d ORTHO_TOL).
+BOUND_SLACK_PER_DIM = 2 * ORTHO_TOL
 # entries up to this size keep their Frobenius norms' sums of squares finite
 _NORM_SAFE = 2.0 ** 500
 
@@ -347,7 +355,8 @@ _SCALAR_POWER_PATHS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
 def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
     """Real powers rebuilt on the eigenvectors: row m is U diag(lam^alpha)
     U*, symmetrized.  ``alpha`` is one exponent for every row or an (M,)
-    array; lam, u and errors broadcast against it.
+    array; lam, u and errors broadcast against it.  Returns (the powers,
+    the eigenvalues lam^alpha they were rebuilt from, errors).
 
     A fractional or negative exponent fails with NearSingularError where
     lambda_min is at or below the pd gate; a power that overflows fails
@@ -380,7 +389,7 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
     if not np.isfinite(out).all():
         errors = flag_errors(errors, ~np.isfinite(out).all(axis=(-2, -1)),
                              lambda i: NonFiniteError("matrix power"))
-    return out, errors
+    return out, powered, errors
 
 
 def _frobenius(arrs: np.ndarray) -> np.ndarray:
@@ -423,43 +432,88 @@ def _as_stack(side) -> np.ndarray:
 
 
 def _side_norms(side, errors, rows: int):
-    """Spectral norms of one side of ``scaled_margins_stack``, per row."""
+    """Spectral norms of one side of ``scaled_margins_stack`` per row, and
+    the row errors of taking them; the norms of rows that ``errors`` marks
+    are left to the caller, which counts them as 1."""
     if isinstance(side, np.ndarray):
-        lam, _, errors = decompose_stack(side, errors)
-        return spectral_norms(lam), errors
-    if not isinstance(side, (HermitianMatrix, tuple)):
-        # a batch's spectrum, merged as decompose_stack(side.values, errors)
-        # merges its own: a row that failed already counts as the identity
-        lam, side_errors = side.spectrum
-        norms = spectral_norms(lam)
-        if errors is not None:
-            norms = np.where(healthy(errors), norms, 1.0)
-        return norms, first_errors(errors, side_errors)
+        # the rows in error are decomposed as the identity; the errors
+        # returned hold those of ``errors`` first
+        lam, _, side_errors = decompose_stack(side, errors)
+        return spectral_norms(lam), side_errors
     if isinstance(side, tuple):
-        return side[1], errors
-    try:
-        return np.full(rows, operator_norm(side)), errors
-    except SpectralError as exc:
-        return np.ones(rows), flag_errors(errors, np.ones(rows, dtype=bool), lambda _: exc)
+        return side[1], None
+    if isinstance(side, HermitianMatrix):
+        try:
+            return np.full(rows, operator_norm(side)), None
+        except SpectralError as exc:
+            return np.ones(rows), flag_errors(None, np.ones(rows, dtype=bool), lambda _: exc)
+    # a batch: one decomposition per distinct value
+    lam, side_errors = side.spectrum
+    return spectral_norms(lam), side_errors
+
+
+def _needed_norms(batch, need: np.ndarray):
+    """A batch side's norms at the rows of ``need`` (0 elsewhere) and their
+    errors: each distinct value that a needed row holds is decomposed once,
+    all of them through ``batch.spectrum`` when it is known or needed."""
+    if need.all() or "spectrum" in vars(batch):
+        return _side_norms(batch, None, len(need))
+    first, inverse = batch.distinct
+    wanted = np.zeros(len(first), dtype=bool)
+    wanted[inverse[need]] = True
+    norms, errors = np.zeros(len(first)), None
+    if wanted.any():
+        lam, _, found = decompose_stack(batch.values[first[wanted]])
+        norms[wanted] = spectral_norms(lam)
+        if found is not None:
+            errors = no_errors(len(first))
+            errors[wanted] = found
+    return norms[inverse], None if errors is None else errors[inverse]
 
 
 def scaled_margins_stack(p, q, errors=None):
     """Stacked ``scaled_margins``: (ge, le, scale, errors) per row.  Each of
     p and q is an (M, d, d) stack, one HermitianMatrix compared with every
     row, a pair (stack, norms) of an (M, d, d) stack and its rows' spectral
-    norms, or a batch of M rows with ``values`` and ``spectrum`` (a
-    ``dsl.WordBatch``).
+    norms, or a batch of M rows with ``values``, ``distinct``, ``spectrum``
+    and ``norm_bound`` (a ``dsl.WordBatch``).
 
     Each side's norm comes from its eigenvalues: a HermitianMatrix's
     cached decomposition, a batch's spectrum (one decomposition per
-    distinct value), a stack's own decomposition, or the norms given.
-    Its errors merge in the same place whichever form the side takes.  A
-    margin that comes out non-finite fails with NonFiniteError."""
+    distinct value), a stack's own decomposition, or the norms given.  A
+    batch with a ``norm_bound`` (a power's) facing a side without one is
+    decomposed only at the distinct values whose bound reaches max(1, the
+    other side's norm) / (1 + d * BOUND_SLACK_PER_DIM), or where the other
+    side failed: elsewhere its norm cannot raise the scale, which is bit
+    for bit the same.  With a bound on both sides, p's norm is taken in
+    full and q's is spared.  Errors merge in the same order whichever form the sides take,
+    p's before q's, and a row in error counts each norm as 1.  A margin
+    that comes out non-finite fails with NonFiniteError."""
     ge, le, errors = margins_stack(_as_stack(p), _as_stack(q), errors)
-    scale = np.ones(len(ge))
-    for side in (p, q):
-        norm, errors = _side_norms(side, errors, len(ge))
+    rows = len(ge)
+    sides = (p, q)
+    # the side a bound may spare decompositions: q's when both have one
+    gated = next((j for j in (1, 0) if getattr(sides[j], "norm_bound", None) is not None),
+                 None)
+    norms = [None if j == gated else _side_norms(side, errors, rows)
+             for j, side in enumerate(sides)]
+    if gated is not None:
+        side = sides[gated]
+        other, other_errors = norms[1 - gated]
+        reach = np.maximum(1.0, other) / (1.0 + side.values.shape[-1] * BOUND_SLACK_PER_DIM)
+        # a NaN bound or norm compares False, so its row is decomposed
+        need = ~(side.norm_bound[side.distinct[1]] < reach)
+        if other_errors is not None:
+            need |= ~healthy(other_errors)
+        if errors is not None:
+            need &= healthy(errors)
+        norms[gated] = _needed_norms(side, need)
+    scale = np.ones(rows)
+    for norm, side_errors in norms:
+        if errors is not None:
+            norm = np.where(healthy(errors), norm, 1.0)
         scale = np.maximum(scale, norm)
+        errors = first_errors(errors, side_errors)
     finite = np.isfinite(ge) & np.isfinite(le)
     if not finite.all():
         errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("comparison margin"))
@@ -529,8 +583,8 @@ def matrix_power(h: HermitianMatrix, alpha: float) -> HermitianMatrix:
     NonFiniteError.
     """
     dec = h.decomposition()
-    out, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
-                              float(alpha), None)
+    out, _, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
+                                 float(alpha), None)
     _raise_first(errors)
     return HermitianMatrix.trusted(out[0])
 

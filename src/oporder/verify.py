@@ -893,8 +893,7 @@ def _probe_rows(words, env: dsl.Environment, name: str, exponents,
     the exponents bound to ``name``, the first against the second in one
     stacked comparison classified at tol_rel."""
     lhs, rhs = dsl.evaluate_batch(words, env, {name: exponents})
-    ge, le, scale, errors = scaled_margins_stack(lhs.values, rhs.values,
-                                                 first_errors(lhs.errors, rhs.errors))
+    ge, le, scale, errors = scaled_margins_stack(lhs, rhs, first_errors(lhs.errors, rhs.errors))
     codes = classify_stack(ge, le, scale, tol_rel)
     return [ProbeRow(x, STACK_RELATIONS[code].value, margin, s) if err is None
             else ProbeRow(x, "ERROR", math.nan, 1.0, str(err))
@@ -1408,8 +1407,7 @@ def implied_core_violation(
             for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=True):
                 batch = dsl.evaluate_batch(word, env, _p_columns(p_table[lo:hi]))
                 # ascending cores must stay below I, descending ones above
-                pair = ((ident, batch.values) if chain.direction is Direction.GE
-                        else (batch.values, ident))
+                pair = (ident, batch) if chain.direction is Direction.GE else (batch, ident)
                 margins, _, scales, errors = scaled_margins_stack(*pair, batch.errors)
                 failed = ~healthy(errors)
                 fails = np.flatnonzero(~failed & ~margins_hold(margins, scales, suite_tol_rel))

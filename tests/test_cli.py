@@ -153,6 +153,38 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert out.count("hypothesis-failure") == 4
 
+    # the margins of instances 0 .. 4 per seed, as drawing one tuple per
+    # instance with gen_unordered_tuple printed them
+    _CONTRAPOSITIVE_MARGINS = {
+        0: ("-0.143397", "-1.368299", "-0.872341", "-0.241267", "-0.807862"),
+        1: ("-4.232720", "-9.760498", "-0.541761", "-1.563471", "-0.500159"),
+        2: ("-24.724976", "-7.778800", "-0.223120", "-0.756202", "-1.045677"),
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_contrapositive_draws_its_tuples_in_one_call(self, capsys, monkeypatch, seed):
+        from oporder import cli, verify
+
+        argv = ("check", "--mode", "contrapositive", "--k", "3", "--dim", "2",
+                "--count", "5", "--seed", str(seed))
+        calls = []
+        drawn = cli.gen_unordered_tuples
+        monkeypatch.setattr(cli, "gen_unordered_tuples",
+                            lambda *args, **kwargs: calls.append(args) or drawn(*args, **kwargs))
+        got = run(capsys, *argv)
+        assert len(calls) == 1
+        # one gen_unordered_tuple call per instance gives the same output
+        monkeypatch.setattr(cli, "gen_unordered_tuples",
+                            lambda k, instances, field_kind: [
+                                verify.gen_unordered_tuple(k, dim, s, field_kind=field_kind)
+                                for dim, s in instances])
+        assert run(capsys, *argv) == got
+        code, out, err = got
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            f"instance {i}: hypothesis-failure found (margin {m})"
+            for i, m in enumerate(self._CONTRAPOSITIVE_MARGINS[seed])] + ["all expectations met"]
+
     @pytest.mark.parametrize("fixture", ["nan,1,3", "0,1,3"])
     def test_bad_fixture_exits_2(self, capsys, fixture):
         code, out, err = run(capsys, "check", "--mode", "contrapositive", "--k", "3",

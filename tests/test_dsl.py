@@ -614,3 +614,114 @@ class TestBatchSpectrum:
         assert lam.tobytes() == want_lam.tobytes()
         assert _error_rows(errors, 2) == _error_rows(want_errors, 2) == \
             [(NonFiniteError, "eigensolver input is not finite")] * 2
+
+
+def _unitary(rng: np.random.Generator, dim: int, complex_field: bool) -> np.ndarray:
+    z = rng.standard_normal((dim, dim))
+    if complex_field:
+        z = z + 1j * rng.standard_normal((dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+class TestNormBound:
+    """A power's batch bounds its norms from its base's eigenvalues, and a
+    comparison decomposes it only where the bound reaches the scale."""
+
+    _EXPONENTS = tuple(Fraction(x) for x in ("-3/2", "-1", "-1/2", "0", "1/2", "1", "2", "3"))
+
+    @staticmethod
+    def _matrix(rng, dim, complex_field, kind) -> HermitianMatrix:
+        if kind == "identity":
+            return identity(dim)
+        if kind == "scaled identity":
+            return HermitianMatrix(float(rng.choice((0.5, 2.0))) * np.eye(dim))
+        low = 0.2 if kind == "pd" else -3.0  # else indefinite: only integer powers
+        u = _unitary(rng, dim, complex_field)
+        arr = (u * rng.uniform(low, 3.0, dim)) @ u.conj().T
+        return HermitianMatrix(0.5 * (arr + arr.conj().T))
+
+    def _exponent(self, rng) -> ScalarExpr:
+        if rng.random() < 0.4:
+            return ScalarExpr.number(self._EXPONENTS[rng.integers(0, len(self._EXPONENTS))])
+        expr = ScalarExpr.variable("x", Fraction(int(rng.choice((1, -1)))))
+        if rng.random() < 0.3:
+            expr = expr + ScalarExpr.number(Fraction(1, 2))
+        return expr
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 10**9), dim=st.integers(1, 4), complex_field=st.booleans())
+    def test_bound_gated_margins_equal_full_spectrum(self, seed, dim, complex_field):
+        import dataclasses
+
+        from oporder.spectral import BOUND_SLACK_PER_DIM, spectral_norms
+
+        rng = np.random.default_rng(seed)
+        kinds = ("pd", "indefinite", "scaled identity", "identity")
+        env = Environment({}, {i: self._matrix(rng, dim, complex_field,
+                                                kinds[rng.integers(0, len(kinds))])
+                               for i in (1, 2)})
+        one = ScalarExpr.number(1)
+        e1, e2 = self._exponent(rng), self._exponent(rng)
+        # A1^e1 against the power (A1)^e1 of the same value, and A2^e2
+        # against a sandwich power; fractional powers of indefinite bases
+        # are error rows
+        words = (Symbol(1, e1), Power(Symbol(1, one), e1), Symbol(2, e2),
+                 Power(Product((Symbol(2, one), Symbol(1, one), Symbol(2, one))), e2))
+        count = int(rng.integers(1, 9))
+        rows = {"x": rng.choice([float(x) for x in self._EXPONENTS], count)}
+        batches = evaluate_batch(words, env, rows)
+        for batch in batches[1::2]:
+            bound = batch.norm_bound
+            first, _ = batch.distinct
+            lam, _, errors = decompose_stack(batch.values[first])
+            fine = ~batch.error_mask[first] & np.equal(errors, None)
+            assert np.all(spectral_norms(lam)[fine]
+                          <= bound[fine] * (1 + dim * BOUND_SLACK_PER_DIM))
+        incoming = no_errors(count)
+        for i in np.flatnonzero(rng.random(count) < 0.3):
+            incoming[i] = EvaluationError(f"row {i} failed earlier")
+        sides = (*batches, identity(dim), batches[0].values)
+
+        def fresh(side):
+            # a new batch keeps no spectrum from an earlier comparison
+            return dataclasses.replace(side) if isinstance(side, WordBatch) else side
+
+        for p in sides:
+            for q in sides:
+                for before in (None, incoming):
+                    got = scaled_margins_stack(fresh(p), fresh(q), before)
+                    want = scaled_margins_stack(getattr(p, "values", p),
+                                                getattr(q, "values", q), before)
+                    for a, b in zip(got[:3], want[:3]):
+                        assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
+                    assert _error_rows(got[3], count) == _error_rows(want[3], count)
+
+    @pytest.mark.parametrize("c,decomposed", [(1.0, [2]), (0.5, []), (2.0, [2])])
+    def test_decomposed_where_the_bound_reaches_the_scale(self, monkeypatch, c, decomposed):
+        # c * I raised to 2 and 3: norms c^2 and c^3 against the identity's
+        # 1; at c = 1 they equal the scale and are decomposed all the same
+        from oporder import dsl, spectral
+
+        env = diag_env({}, {1: [c, c]})
+        batch = evaluate_batch(Power(Symbol(1, ScalarExpr.number(1)), ScalarExpr.variable("x")),
+                               env, {"x": np.array([2.0, 3.0, 2.0])})
+        assert batch.norm_bound.tolist() == [c ** 2, c ** 3]
+        ident = identity(2)
+        ident.decomposition()
+        calls = []
+        for module in (dsl, spectral):
+            monkeypatch.setattr(module, "decompose_stack",
+                                lambda arrs, errors=None: calls.append(len(arrs))
+                                or decompose_stack(arrs, errors))
+        _, _, scale, errors = scaled_margins_stack(ident, batch)
+        assert calls == decomposed and errors is None
+        assert scale.tolist() == [max(1.0, c ** 2), max(1.0, c ** 3), max(1.0, c ** 2)]
+
+    def test_only_power_batches_carry_a_bound(self):
+        env = diag_env({"t1": 0.5}, {1: [1.0, 2.0], 2: [3.0, 1.0]})
+        base = parse("A2^{-t1/2} A1^{p1} A2^{-t1/2}")
+        power, product, symbol = evaluate_batch(
+            (Power(base, ScalarExpr.variable("p2")), base, parse("A1^{p1}")), env,
+            {"p1": np.array([1.0, 2.0]), "p2": np.array([2.0, 2.0])})
+        assert product.norm_bound is None and symbol.norm_bound is None
+        assert power.norm_bound.shape == (2,)

@@ -301,11 +301,12 @@ class TestStackedGuards:
 
     def test_gate_is_per_row(self):
         dec = diagonal([1e-13, 1.0]).decomposition()
-        out, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
-                                  np.array([2.0, 0.5, 1.0]), None)
+        out, mu, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
+                                      np.array([2.0, 0.5, 1.0]), None)
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], NearSingularError)
         assert np.allclose(out[0], np.diag([1e-26, 1.0]))
+        assert mu[[0, 2]].tolist() == [[1e-13 * 1e-13, 1.0], [1e-13, 1.0]]
 
 
 class TestLoewnerHeinzLaw:

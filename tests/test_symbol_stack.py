@@ -48,8 +48,8 @@ def _reference(symbol: Symbol, env: Environment, scalars: dict, dtype):
         dec = matrix.decomposition()
     except (UnboundNameError, SpectralError) as exc:
         return None, exc
-    values, errors = power_stack(dec.eigenvalues[None],
-                                 dec.eigenvectors[None].astype(dtype), alpha, None)
+    values, _, errors = power_stack(dec.eigenvalues[None],
+                                    dec.eigenvectors[None].astype(dtype), alpha, None)
     return values[0], None if errors is None else errors[0]
 
 

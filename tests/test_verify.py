@@ -360,6 +360,48 @@ class TestBatchedCampaign:
         assert [_row_fields(r) for r in cut.rows] == [_row_fields(r) for r in full.rows[:end]]
         assert cut.config.get("stopped_early", False) is (deciding is not None)
 
+    def test_right_sides_decomposed_only_where_their_bound_reaches_the_scale(self, monkeypatch):
+        from oporder import dsl, spectral
+
+        # an unordered tuple: some right sides outgrow their left side
+        tup = gen_unordered_tuple(5, 3, [0, 1])
+        template = ParamTemplate(t=(0.5, 0.3), r=1.2)
+        decompose, compare = spectral.decompose_stack, verify.scaled_margins_stack
+        seen = []
+
+        def recording(lhs, rhs, errors):
+            sizes = []
+            for module in (dsl, spectral):
+                monkeypatch.setattr(module, "decompose_stack", lambda arrs, errs=None:
+                                    sizes.append(len(arrs)) or decompose(arrs, errs))
+            got = compare(lhs, rhs, errors)
+            for module in (dsl, spectral):
+                monkeypatch.setattr(module, "decompose_stack", decompose)
+            seen.append((lhs, rhs, errors, sizes, got))
+            return got
+
+        monkeypatch.setattr(verify, "scaled_margins_stack", recording)
+        check_hypotheses(tup, template, PGrid(values=(1.0, 1.5, 2.0, 4.0)),
+                         WeightPolicy.necessity())
+        assert seen
+        skipped = reached = 0
+        for lhs, rhs, errors, sizes, (ge, le, scale, got_errors) in seen:
+            lhs_norms = spectral.spectral_norms(lhs.spectrum[0])
+            slack = 1 + tup.dim * spectral.BOUND_SLACK_PER_DIM
+            inverse = rhs.distinct[1]
+            reach = (rhs.norm_bound[inverse] >= np.maximum(1.0, lhs_norms) / slack) \
+                & np.equal(errors, None)
+            # the left sides' distinct values, then the right sides' that reach
+            assert sizes == [len(lhs.distinct[0])] + (
+                [len(np.unique(inverse[reach]))] if reach.any() else [])
+            skipped += int(np.count_nonzero(~reach))
+            reached += int(np.count_nonzero(reach))
+            want = compare(lhs.values, rhs.values, errors)
+            for a, b in zip((ge, le, scale), want[:3]):
+                assert a.tobytes() == b.tobytes()
+            assert [str(e) for e in got_errors] == [str(e) for e in want[3]]
+        assert skipped > 0 and reached > 0
+
 
 class TestPrintParseEvaluateRoundTrip:
     def test_campaign_margins_survive_text_round_trip(self):
@@ -604,11 +646,13 @@ class TestReductionChain:
         check_reduction_chain(tup, template, PGrid(values=(1.0, 1.5, 4.0)))
         # 81 rows in one run: its five powers decompose 3, 9, 27 and 81
         # distinct bases and the peeled bound's 3; the comparisons decompose
-        # the identity, the left side, the 81 cores, the 9 distinct peeled
-        # bounds, the 81 right sides and the base sandwich's 3 distinct
-        # values, once for both its norm and its lambda_max
+        # the identity, the left side, the 9 distinct peeled bounds and the
+        # base sandwich's 3 distinct values, once for both its norm and its
+        # lambda_max.  The 81 cores and the 81 right sides are powers whose
+        # norm bounds stay below the identity's and the left side's norms,
+        # so no comparison decomposes them
         assert calls["evaluate_batch"] == 1
-        assert sorted(calls["decompose_stack"]) == [1, 1, 3, 3, 3, 9, 9, 27, 81, 81, 81]
+        assert sorted(calls["decompose_stack"]) == [1, 1, 3, 3, 3, 9, 9, 27, 81]
 
     def test_subsampled_premise_is_judged_on_the_reduction_rows(self):
         # 101 ** 2 grid points exceed GRID_POINT_CAP, so the rows are a
