@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
@@ -40,6 +39,7 @@ from .spectral import (
     NonFiniteError,
     SpectralDecomposition,
     SpectralError,
+    WordBatch,
     decompose_stack,
     first_errors,
     flag_errors,
@@ -322,14 +322,11 @@ class Environment:
     """Immutable binding of scalar names and matrix symbols.
 
     All bound matrices must share one dimension; any name or index a word
-    mentions must be bound before evaluation.  Powers of bound matrices at
-    constant exponents are cached here, so an environment built once per
-    instance computes each of them once.
+    mentions must be bound before evaluation.
     """
 
     scalars: Mapping[str, float]
     matrices: Mapping[int, HermitianMatrix]
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scalars", MappingProxyType(dict(self.scalars)))
@@ -364,62 +361,6 @@ def _hermitize(values, errors, what: str):
     sym, too_far, resid, scale = hermitian_part(values, HERMITIZE_RTOL)
     return sym, flag_errors(errors, too_far,
                             lambda i: _not_hermitian(what, resid[i], scale[i]))
-
-
-@dataclass(frozen=True, eq=False)
-class WordBatch:
-    """A word's value under N scalar bindings.
-
-    ``values[i]`` is the Hermitian value under binding i, or the identity
-    where that binding failed; ``errors[i]`` is None or the exception of the
-    first node that failed for it in depth-first, left-to-right order, the
-    one ``evaluate`` raises for the same binding.
-
-    ``distinct`` is (first, inverse): the rows ``first`` hold the
-    distinct values, and row i holds that of ``values[first[inverse[i]]]``.
-    ``spectrum`` decomposes each distinct value once, for comparisons.
-
-    ``power_eigenvalues`` holds, when a power node made the values, the
-    eigenvalues mu = lambda^alpha that each distinct value was rebuilt
-    from as U diag(mu) U* (one row per distinct value); None for other
-    words.  ``norm_bound`` reads a bound on each distinct value's norm
-    from them.
-    """
-
-    values: np.ndarray
-    errors: np.ndarray
-    distinct: tuple[np.ndarray, np.ndarray] = field(repr=False)
-    power_eigenvalues: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def error_mask(self) -> np.ndarray:
-        return ~healthy(self.errors)
-
-    def error_text(self, i: int) -> str | None:
-        err = self.errors[i]
-        return None if err is None else str(err)
-
-    @cached_property
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(eigenvalues (N, d) ascending, errors) of the rows' values: what
-        ``decompose_stack(values)`` returns of them, errors None on the
-        rows that decomposed cleanly (an error row's value is the identity).
-        Computed once per distinct value."""
-        first, inverse = self.distinct
-        lam, _, errors = decompose_stack(self.values[first])
-        return lam[inverse], None if errors is None else errors[inverse]
-
-    @cached_property
-    def norm_bound(self) -> np.ndarray | None:
-        """A bound on each distinct value's spectral norm when a power node
-        made the batch (None otherwise): max |mu| = max |lambda_end|^alpha
-        of the value U diag(mu) U*, which bounds eigh's norm of it up to
-        ``spectral.BOUND_SLACK_PER_DIM``.  An error row's value is the
-        identity, whose norm 1 never raises a comparison's scale; an
-        overflowed or NaN bound bounds nothing."""
-        if self.power_eigenvalues is None:
-            return None
-        return np.abs(self.power_eigenvalues).max(axis=1)
 
 
 # The per-row name that picks each row's environment when a batch binds
@@ -604,11 +545,6 @@ class _BatchRun:
             self.scalars = {}
             self.env_columns = {name: np.array([e.scalars[name] for e in envs], dtype=np.float64)
                                 for name in self.env.scalars if name not in columns}
-        elif self.size == 1:
-            # a single binding: every node is evaluated once, no grouping
-            self.scalars = {**self.env.scalars,
-                            **{name: float(col[0]) for name, col in columns.items()}}
-            columns = {}
         self.columns = columns
         self._groups: dict[frozenset, _Group] = {}
 
@@ -727,8 +663,7 @@ class _BatchRun:
 
         A binding fails with its matrix's unbound error, else its
         exponent's, else its matrix's decomposition error: the order in
-        which ``evaluate`` meets them.  A constant power of the single
-        environment comes from, or goes to, its cache."""
+        which ``evaluate`` meets them."""
         if not plan.symbols:
             return
         lam, u, dtypes, missing, failed = self._table(plan)
@@ -753,11 +688,6 @@ class _BatchRun:
                 parts[i] = _Part(np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)),
                                  errors, group)
                 continue
-            if group is None and errors is None:
-                cached = self.env._powers.get((node.word.index, alpha))
-                if cached is not None:
-                    parts[i] = _Part(cached, None, None)
-                    continue
             pending.setdefault(dtypes[slot], []).append((i, group, entries, alpha, errors))
         for dtype, stacked in pending.items():
             _, _, node_entries, alphas, node_errors = zip(*stacked)
@@ -773,14 +703,10 @@ class _BatchRun:
                                     for a, n in zip(alphas, node_entries)])
             values, _, errors = power_stack(lam[entries], vectors, alpha, errors)
             start = 0
-            for i, group, rows, node_alpha, _ in stacked:
+            for i, group, rows, _, _ in stacked:
                 end = start + len(rows)
-                part = _Part(values[start:end],
-                             None if errors is None else _some(errors[start:end]), group)
-                if group is None and part.errors is None:
-                    part.values.setflags(write=False)
-                    self.env._powers[(plan.nodes[i].word.index, node_alpha)] = part.values
-                parts[i] = part
+                parts[i] = _Part(values[start:end],
+                                 None if errors is None else _some(errors[start:end]), group)
                 start = end
 
     def _product(self, node: _Node, parts: list) -> _Part:

@@ -8,12 +8,10 @@ matrices travel through the same code paths.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -421,43 +419,85 @@ def margins_stack(p: np.ndarray, q: np.ndarray, errors):
     return evs[:, 0], -evs[:, -1], errors
 
 
-def _as_stack(side) -> np.ndarray:
-    if isinstance(side, np.ndarray):
-        return side
-    if isinstance(side, HermitianMatrix):
-        return side.entries[None]
-    if isinstance(side, tuple):
-        return side[0]
-    return side.values
+@dataclass(frozen=True, eq=False)
+class WordBatch:
+    """N Hermitian values, one per row: a word's value under N scalar
+    bindings (``dsl.evaluate_batch``), or matrices whose spectra are known
+    (``known``).  Every comparison side is one.
+
+    ``values[i]`` is the Hermitian value of row i, or the identity where
+    that row failed; ``errors[i]`` is None or the exception of the first
+    node that failed for it in depth-first, left-to-right order, the one
+    ``dsl.evaluate`` raises for the same binding.
+
+    ``distinct`` is (first, inverse): the rows ``first`` hold the
+    distinct values, and row i holds that of ``values[first[inverse[i]]]``.
+    ``spectrum`` decomposes each distinct value once, for comparisons.
+
+    ``power_eigenvalues`` holds, when a power node made the values, the
+    eigenvalues mu = lambda^alpha that each distinct value was rebuilt
+    from as U diag(mu) U* (one row per distinct value); None for other
+    words.  ``norm_bound`` reads a bound on each distinct value's norm
+    from them.
+    """
+
+    values: np.ndarray
+    errors: np.ndarray
+    distinct: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    power_eigenvalues: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def known(cls, values: np.ndarray, eigenvalues: np.ndarray) -> "WordBatch":
+        """Healthy rows ``values`` (M, d, d) whose ascending eigenvalues
+        (M, d) the caller has checked; they are the batch's spectrum."""
+        rows = np.arange(len(values))
+        batch = cls(values, no_errors(len(values)), (rows, rows))
+        vars(batch)["spectrum"] = (eigenvalues, None)
+        return batch
+
+    @property
+    def error_mask(self) -> np.ndarray:
+        return ~healthy(self.errors)
+
+    def error_text(self, i: int) -> str | None:
+        err = self.errors[i]
+        return None if err is None else str(err)
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(eigenvalues (N, d) ascending, errors) of the rows' values: what
+        ``decompose_stack(values)`` returns of them, errors None on the
+        rows that decomposed cleanly (an error row's value is the identity).
+        Computed once per distinct value."""
+        first, inverse = self.distinct
+        lam, _, errors = decompose_stack(self.values[first])
+        return lam[inverse], None if errors is None else errors[inverse]
+
+    @cached_property
+    def norm_bound(self) -> np.ndarray | None:
+        """A bound on each distinct value's spectral norm when a power node
+        made the batch (None otherwise): max |mu| = max |lambda_end|^alpha
+        of the value U diag(mu) U*, which bounds eigh's norm of it up to
+        ``BOUND_SLACK_PER_DIM``.  An error row's value is the identity,
+        whose norm 1 never raises a comparison's scale; an overflowed or
+        NaN bound bounds nothing."""
+        if self.power_eigenvalues is None:
+            return None
+        return np.abs(self.power_eigenvalues).max(axis=1)
 
 
-def _side_norms(side, errors, rows: int):
-    """Spectral norms of one side of ``scaled_margins_stack`` per row, and
-    the row errors of taking them; the norms of rows that ``errors`` marks
-    are left to the caller, which counts them as 1."""
-    if isinstance(side, np.ndarray):
-        # the rows in error are decomposed as the identity; the errors
-        # returned hold those of ``errors`` first
-        lam, _, side_errors = decompose_stack(side, errors)
-        return spectral_norms(lam), side_errors
-    if isinstance(side, tuple):
-        return side[1], None
-    if isinstance(side, HermitianMatrix):
-        try:
-            return np.full(rows, operator_norm(side)), None
-        except SpectralError as exc:
-            return np.ones(rows), flag_errors(None, np.ones(rows, dtype=bool), lambda _: exc)
-    # a batch: one decomposition per distinct value
-    lam, side_errors = side.spectrum
-    return spectral_norms(lam), side_errors
+def _norms(batch: WordBatch):
+    """A batch's spectral norms per row and the row errors of taking them."""
+    lam, errors = batch.spectrum
+    return spectral_norms(lam), errors
 
 
-def _needed_norms(batch, need: np.ndarray):
-    """A batch side's norms at the rows of ``need`` (0 elsewhere) and their
+def _needed_norms(batch: WordBatch, need: np.ndarray):
+    """A batch's norms at the rows of ``need`` (0 elsewhere) and their
     errors: each distinct value that a needed row holds is decomposed once,
     all of them through ``batch.spectrum`` when it is known or needed."""
     if need.all() or "spectrum" in vars(batch):
-        return _side_norms(batch, None, len(need))
+        return _norms(batch)
     first, inverse = batch.distinct
     wanted = np.zeros(len(first), dtype=bool)
     wanted[inverse[need]] = True
@@ -471,32 +511,25 @@ def _needed_norms(batch, need: np.ndarray):
     return norms[inverse], None if errors is None else errors[inverse]
 
 
-def scaled_margins_stack(p, q, errors=None):
-    """Stacked ``scaled_margins``: (ge, le, scale, errors) per row.  Each of
-    p and q is an (M, d, d) stack, one HermitianMatrix compared with every
-    row, a pair (stack, norms) of an (M, d, d) stack and its rows' spectral
-    norms, or a batch of M rows with ``values``, ``distinct``, ``spectrum``
-    and ``norm_bound`` (a ``dsl.WordBatch``).
+def scaled_margins_stack(p: WordBatch, q: WordBatch, errors=None):
+    """(lambda_min(P - Q), lambda_min(Q - P), max(1, |P|, |Q|), errors) per
+    row of two batches; a batch of one row is compared with every row of
+    the other.
 
-    Each side's norm comes from its eigenvalues: a HermitianMatrix's
-    cached decomposition, a batch's spectrum (one decomposition per
-    distinct value), a stack's own decomposition, or the norms given.  A
-    batch with a ``norm_bound`` (a power's) facing a side without one is
-    decomposed only at the distinct values whose bound reaches max(1, the
-    other side's norm) / (1 + d * BOUND_SLACK_PER_DIM), or where the other
-    side failed: elsewhere its norm cannot raise the scale, which is bit
-    for bit the same.  With a bound on both sides, p's norm is taken in
-    full and q's is spared.  Errors merge in the same order whichever form the sides take,
-    p's before q's, and a row in error counts each norm as 1.  A margin
-    that comes out non-finite fails with NonFiniteError."""
-    ge, le, errors = margins_stack(_as_stack(p), _as_stack(q), errors)
-    rows = len(ge)
+    Each side's norm comes from its spectrum, one decomposition per
+    distinct value.  A batch with a ``norm_bound`` (a power's) facing a
+    side without one is decomposed only at the distinct values whose bound
+    reaches max(1, the other side's norm) / (1 + d * BOUND_SLACK_PER_DIM),
+    or where the other side failed: elsewhere its norm cannot raise the
+    scale, which is bit for bit the same.  With a bound on both sides, p's
+    norm is taken in full and q's is spared.  Errors merge p's before q's,
+    and a row in error counts each norm as 1.  A margin that comes out
+    non-finite fails with NonFiniteError."""
+    ge, le, errors = margins_stack(p.values, q.values, errors)
     sides = (p, q)
     # the side a bound may spare decompositions: q's when both have one
-    gated = next((j for j in (1, 0) if getattr(sides[j], "norm_bound", None) is not None),
-                 None)
-    norms = [None if j == gated else _side_norms(side, errors, rows)
-             for j, side in enumerate(sides)]
+    gated = next((j for j in (1, 0) if sides[j].norm_bound is not None), None)
+    norms = [None if j == gated else _norms(side) for j, side in enumerate(sides)]
     if gated is not None:
         side = sides[gated]
         other, other_errors = norms[1 - gated]
@@ -508,7 +541,7 @@ def scaled_margins_stack(p, q, errors=None):
         if errors is not None:
             need &= healthy(errors)
         norms[gated] = _needed_norms(side, need)
-    scale = np.ones(rows)
+    scale = np.ones(len(ge))
     for norm, side_errors in norms:
         if errors is not None:
             norm = np.where(healthy(errors), norm, 1.0)
@@ -554,11 +587,6 @@ def operator_norm(h: HermitianMatrix) -> float:
 def positivity_margin(h: HermitianMatrix) -> float:
     """Smallest eigenvalue; positive iff the matrix is strictly positive."""
     return float(h.decomposition().eigenvalues[0])
-
-
-def pd_gate(h: HermitianMatrix) -> float:
-    """Strict-positivity threshold below which fractional powers error out."""
-    return float(_gate(h.decomposition().eigenvalues)[1])
 
 
 def gate_stack(lam: np.ndarray, errors):
@@ -634,14 +662,6 @@ def directional_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, 
     return float(ge[0]), float(le[0])
 
 
-def scaled_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float, float]:
-    """Both directional margins plus the comparison scale max(1, |P|, |Q|)
-    (spectral norms) that every tolerance is relative to."""
-    ge, le, scale, errors = scaled_margins_stack(p, q)
-    _raise_first(errors)
-    return float(ge[0]), float(le[0]), float(scale[0])
-
-
 def loewner_compare(
     p: HermitianMatrix,
     q: HermitianMatrix,
@@ -654,7 +674,11 @@ def loewner_compare(
     tol = tol_rel * max(1, |P|, |Q|).  The comparison is symmetric:
     swapping arguments swaps GE and LE while keeping margins identical.
     """
-    ge_margin, le_margin, scale = scaled_margins(p, q)
+    sides = [WordBatch.known(h.entries[None], h.decomposition().eigenvalues[None])
+             for h in (p, q)]
+    ge, le, scale, errors = scaled_margins_stack(*sides)
+    _raise_first(errors)
+    ge_margin, le_margin, scale = float(ge[0]), float(le[0]), float(scale[0])
     code = int(classify_stack(ge_margin, le_margin, scale, tol_rel))
     # the reported margin per code of STACK_RELATIONS
     margin = (max(ge_margin, le_margin), le_margin, ge_margin, min(ge_margin, le_margin))[code]
@@ -688,11 +712,3 @@ def matrix_from_json(obj: dict) -> HermitianMatrix:
     else:
         raise ValueError(f"unknown field {field!r}")
     return HermitianMatrix(arr)
-
-
-def write_matrix(path, h: HermitianMatrix) -> None:
-    Path(path).write_text(json.dumps(matrix_to_json(h)) + "\n")
-
-
-def read_matrix(path) -> HermitianMatrix:
-    return matrix_from_json(json.loads(Path(path).read_text()))

@@ -32,6 +32,7 @@ from .spectral import (
     NonFiniteError,
     SpectralDecomposition,
     Verdict,
+    WordBatch,
     classify_stack,
     decompose_matrices,
     decompose_stack,
@@ -69,6 +70,16 @@ _ROW_BYTES_PER_ENTRY = 256
 
 def _rng(*seed_parts) -> np.random.Generator:
     return np.random.default_rng(list(int(s) for s in seed_parts))
+
+
+@lru_cache(maxsize=None)
+def _identity_batch(dim: int) -> WordBatch:
+    """I as a comparison side of one row; its spectrum, all ones, is exact.
+    Every caller shares it, so its arrays are read-only."""
+    batch = WordBatch.known(np.eye(dim)[None], np.ones((1, dim)))
+    for arr in (batch.values, batch.errors, batch.spectrum[0]):
+        arr.setflags(write=False)
+    return batch
 
 
 def _raise_first_row(errors) -> None:
@@ -165,7 +176,7 @@ def gen_ordered_tuple(
     """
     if k < 2 or dim < 1:
         raise ValueError(f"need k >= 2 and dim >= 1, got k={k}, dim={dim}")
-    rng = _rng(seed) if isinstance(seed, int) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = _random_factor(rng, dim, field_kind)
     current = g.conj().T @ g + 0.1 * np.eye(dim)
     mats = [current]
@@ -216,8 +227,7 @@ def gen_unordered_tuples(
     instances = [(int(dim), seed) for dim, seed in instances]
     if any(dim < 1 for dim, _ in instances):
         raise ValueError(f"need dim >= 1, got {sorted({d for d, _ in instances})}")
-    rngs = [_rng(seed) if isinstance(seed, int) else np.random.default_rng(seed)
-            for _, seed in instances]
+    rngs = [np.random.default_rng(seed) for _, seed in instances]
     found: list[OperatorTuple | None] = [None] * len(instances)
     todo = list(range(len(instances)))
     for _ in range(max_attempts):
@@ -229,9 +239,9 @@ def gen_unordered_tuples(
             lam, u, errors = decompose_stack(arrs)
             _raise_first_row(gate_stack(lam, errors))
             upper = np.array([j * k + a for j in range(len(group)) for a in range(1, k)])
-            norms = spectral_norms(lam)
-            ge, _, scale, errors = scaled_margins_stack((arrs[upper], norms[upper]),
-                                                        (arrs[upper - 1], norms[upper - 1]))
+            ge, _, scale, errors = scaled_margins_stack(
+                WordBatch.known(arrs[upper], lam[upper]),
+                WordBatch.known(arrs[upper - 1], lam[upper - 1]))
             _raise_first_row(errors)
             ordered = margins_hold(ge, scale, tol_rel).reshape(len(group), k - 1).all(axis=1)
             for j, (i, done) in enumerate(zip(group, ordered.tolist())):
@@ -272,7 +282,7 @@ def gen_contractive_tuple(
     gap = centers[1] - centers[0]
     if not wobble < gap / 2:
         raise ValueError(f"wobble {wobble} must be below half the center gap {gap:.4f}")
-    rng = _rng(seed) if isinstance(seed, int) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     # the k perturbations in the order of k single draws, normalized and
     # decomposed as stacks; each step equals its per-matrix form bit for bit
     s = _random_spds(rng, dim, k, field_kind, 0.0)
@@ -1213,7 +1223,7 @@ def check_reduction_chain(
     words = (premise.rhs, premise.lhs, chains.hypothesis_core(premise), base_word) \
         + ((bound_word,) if bound_word is not None else ())
     env = _environment(tup, template)
-    ident = identity(tup.dim)
+    ident = _identity_batch(tup.dim)
     p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 2)
     w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
     c_total = _c_totals(tup, template.t, p_vectors)
@@ -1392,7 +1402,7 @@ def implied_core_violation(
     """
     k = tup.k
     n = k // 2
-    ident = identity(tup.dim)
+    ident = _identity_batch(tup.dim)
     p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 3)
     t_variants = [template.t]
     ones = (1.0,) * n

@@ -39,8 +39,11 @@ from oporder.spectral import (
     no_errors,
     scaled_margins_stack,
 )
+from oporder.verify import _identity_batch
 from util import (
     GOLDEN_DIR,
+    error_rows,
+    full_spectrum_margins,
     random_scalar_expr,
     random_spd_array,
     random_word,
@@ -411,8 +414,6 @@ class TestEvaluateBatch:
         other = diag_env({"r": 1.0}, {1: [1.0, 1.0]})
         batch = evaluate_batch(parse("A1^{r}"), [other, env], instance=[1])
         assert np.array_equal(batch.values[0], np.diag([2.0, 3.0]))
-        # the constant power landed in that environment's cache
-        assert list(env._powers) == [(1, 0.5)] and not other._powers
 
     def test_error_rows_are_identity_and_masked(self):
         env = diag_env({}, {1: [0.0, 1.0]})
@@ -520,13 +521,6 @@ def _power_bases(word) -> list:
     return found
 
 
-def _error_rows(errors, count: int) -> list:
-    """Type and text of each row's error (errors None: no row failed)."""
-    if errors is None:
-        return [None] * count
-    return [None if e is None else (type(e), str(e)) for e in errors]
-
-
 class TestBatchSpectrum:
     _ROW_VALUES = TestEvaluateBatch._ROW_VALUES
     _matrices = staticmethod(TestSeveralWordsPerRun._matrices)
@@ -559,20 +553,20 @@ class TestBatchSpectrum:
             lam, errors = batch.spectrum
             want_lam, _, want_errors = decompose_stack(batch.values)
             assert lam.tobytes() == want_lam.tobytes()
-            assert _error_rows(errors, count) == _error_rows(want_errors, count)
-            for other in (identity(3), batches[0].values):
+            assert error_rows(errors, count) == error_rows(want_errors, count)
+            for other in (_identity_batch(3), batches[0]):
                 for before in (None, batch.errors, incoming):
                     for got, want in (
                             (scaled_margins_stack(other, batch, before),
-                             scaled_margins_stack(other, batch.values, before)),
+                             full_spectrum_margins(other.values, batch.values, before)),
                             (scaled_margins_stack(batch, other, before),
-                             scaled_margins_stack(batch.values, other, before))):
+                             full_spectrum_margins(batch.values, other.values, before))):
                         for a, b in zip(got[:3], want[:3]):
                             assert a.tobytes() == b.tobytes()
-                        assert _error_rows(got[3], count) == _error_rows(want[3], count)
+                        assert error_rows(got[3], count) == error_rows(want[3], count)
 
     def test_power_base_spectrum_decomposes_each_p1_once_and_is_kept(self, monkeypatch):
-        from oporder import dsl
+        from oporder import spectral
 
         env = diag_env({"t1": 0.5}, {1: [1.0, 2.0], 2: [3.0, 1.0]})
         base = parse("A2^{-t1/2} A1^{p1} A2^{-t1/2}")
@@ -580,7 +574,7 @@ class TestBatchSpectrum:
         rows = {"p1": np.array([1.0, 2.0, 1.0, 2.0]), "p2": np.array([1.0, 1.0, 2.0, 4.0])}
         _, got = evaluate_batch((outer, base), env, rows)
         calls = []
-        monkeypatch.setattr(dsl, "decompose_stack",
+        monkeypatch.setattr(spectral, "decompose_stack",
                             lambda arrs, errors=None: calls.append(len(arrs))
                             or decompose_stack(arrs, errors))
         lam, errors = got.spectrum
@@ -589,12 +583,12 @@ class TestBatchSpectrum:
         assert lam.tobytes() == decompose_stack(got.values)[0].tobytes()
 
     def test_other_words_decompose_each_distinct_value_once(self, monkeypatch):
-        from oporder import dsl
+        from oporder import spectral
 
         env = diag_env({}, {1: [1.0, 2.0]})
         batch = evaluate_batch(parse("A1^{p1}"), env, {"p1": np.array([2.0, 3.0, 2.0, 2.0])})
         calls = []
-        monkeypatch.setattr(dsl, "decompose_stack",
+        monkeypatch.setattr(spectral, "decompose_stack",
                             lambda arrs, errors=None: calls.append(len(arrs))
                             or decompose_stack(arrs, errors))
         lam, _ = batch.spectrum
@@ -612,7 +606,7 @@ class TestBatchSpectrum:
         lam, errors = got.spectrum
         want_lam, _, want_errors = decompose_stack(got.values)
         assert lam.tobytes() == want_lam.tobytes()
-        assert _error_rows(errors, 2) == _error_rows(want_errors, 2) == \
+        assert error_rows(errors, 2) == error_rows(want_errors, 2) == \
             [(NonFiniteError, "eigensolver input is not finite")] * 2
 
 
@@ -680,21 +674,22 @@ class TestNormBound:
         incoming = no_errors(count)
         for i in np.flatnonzero(rng.random(count) < 0.3):
             incoming[i] = EvaluationError(f"row {i} failed earlier")
-        sides = (*batches, identity(dim), batches[0].values)
+        ident = _identity_batch(dim)
+        sides = (*batches, ident)
 
         def fresh(side):
-            # a new batch keeps no spectrum from an earlier comparison
-            return dataclasses.replace(side) if isinstance(side, WordBatch) else side
+            # a new batch keeps no spectrum from an earlier comparison; the
+            # identity's is known from the start
+            return side if side is ident else dataclasses.replace(side)
 
         for p in sides:
             for q in sides:
                 for before in (None, incoming):
                     got = scaled_margins_stack(fresh(p), fresh(q), before)
-                    want = scaled_margins_stack(getattr(p, "values", p),
-                                                getattr(q, "values", q), before)
+                    want = full_spectrum_margins(p.values, q.values, before)
                     for a, b in zip(got[:3], want[:3]):
                         assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
-                    assert _error_rows(got[3], count) == _error_rows(want[3], count)
+                    assert error_rows(got[3], count) == error_rows(want[3], count)
 
     @pytest.mark.parametrize("c,decomposed", [(1.0, [2]), (0.5, []), (2.0, [2])])
     def test_decomposed_where_the_bound_reaches_the_scale(self, monkeypatch, c, decomposed):
@@ -706,8 +701,7 @@ class TestNormBound:
         batch = evaluate_batch(Power(Symbol(1, ScalarExpr.number(1)), ScalarExpr.variable("x")),
                                env, {"x": np.array([2.0, 3.0, 2.0])})
         assert batch.norm_bound.tolist() == [c ** 2, c ** 3]
-        ident = identity(2)
-        ident.decomposition()
+        ident = _identity_batch(2)
         calls = []
         for module in (dsl, spectral):
             monkeypatch.setattr(module, "decompose_stack",

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oporder.spectral import (
-    EPS_PD_REL,
     RECON_RTOL,
     DimensionMismatchError,
     EigenSolverError,
@@ -16,7 +15,9 @@ from oporder.spectral import (
     NonFiniteError,
     NotHermitianError,
     Relation,
+    WordBatch,
     congruence,
+    decompose_stack,
     diagonal,
     directional_margins,
     identity,
@@ -27,16 +28,22 @@ from oporder.spectral import (
     matrix_from_json,
     matrix_power,
     matrix_to_json,
+    no_errors,
     operator_norm,
     positivity_margin,
     power_stack,
-    read_matrix,
-    scaled_margins,
+    scaled_margins_stack,
     spectral_decompose,
-    write_matrix,
 )
 from oporder.spectral import _frobenius
-from util import ordered_pair_arrays, power_iteration_norm, random_spd_array
+from oporder.verify import _identity_batch, _random_spds
+from util import (
+    error_rows,
+    full_spectrum_margins,
+    ordered_pair_arrays,
+    power_iteration_norm,
+    random_spd_array,
+)
 
 
 def spd(seed, dim, ridge=0.1):
@@ -240,10 +247,12 @@ class TestLoewnerCompare:
 
     def test_scaled_margins_scale_and_verdict(self):
         p, q = diagonal([3.0, 1.0]), diagonal([2.0, 0.5])
-        ge_m, le_m, scale = scaled_margins(p, q)
-        assert (ge_m, le_m, scale) == (0.5, -1.0, 3.0)
+        ge, le, scale, errors = scaled_margins_stack(
+            *(WordBatch.known(h.entries[None], h.decomposition().eigenvalues[None])
+              for h in (p, q)))
+        assert (ge.tolist(), le.tolist(), scale.tolist(), errors) == ([0.5], [-1.0], [3.0], None)
         v = loewner_compare(p, q)
-        assert v.relation is Relation.GE and v.margin == ge_m and v.tol == 1e-9 * scale
+        assert v.relation is Relation.GE and v.margin == 0.5 and v.tol == 1e-9 * 3.0
 
     def test_margin_holds_boundary_and_nan(self):
         assert margin_holds(-2e-7, 2.0, 1e-7)
@@ -309,6 +318,51 @@ class TestStackedGuards:
         assert mu[[0, 2]].tolist() == [[1e-13 * 1e-13, 1.0], [1e-13, 1.0]]
 
 
+class TestKnownSides:
+    """Batches whose spectrum is known (the generator screen's sides and
+    the cached identity) compare as decomposing every row of them does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), dim=st.integers(1, 4), k=st.integers(2, 5),
+           count=st.integers(1, 3), complex_field=st.booleans(),
+           magnitude=st.sampled_from([1e-3, 0.5, 1.0, 1e3]))
+    def test_known_sides_equal_full_spectrum(self, seed, dim, k, count, complex_field,
+                                             magnitude):
+        rng = np.random.default_rng(seed)
+        field_kind = "complex" if complex_field else "real"
+        # count candidate tuples of k matrices, stacked as the screen draws them
+        arrs = np.concatenate([_random_spds(rng, dim, k, field_kind)
+                               for _ in range(count)]) * magnitude
+        lam, _, errors = decompose_stack(arrs)
+        assert errors is None
+        upper = np.array([j * k + a for j in range(count) for a in range(1, k)])
+        everything = WordBatch.known(arrs, lam)
+        ident = _identity_batch(dim)
+        pairs = ((WordBatch.known(arrs[upper], lam[upper]),
+                  WordBatch.known(arrs[upper - 1], lam[upper - 1])),
+                 (ident, everything), (everything, ident))
+        for p, q in pairs:
+            rows = max(len(p.values), len(q.values))
+            incoming = no_errors(rows)
+            for i in np.flatnonzero(rng.random(rows) < 0.3):
+                incoming[i] = ValueError(f"row {i} failed earlier")
+            for before in (None, incoming):
+                got = scaled_margins_stack(p, q, before)
+                want = full_spectrum_margins(p.values, q.values, before)
+                for a, b in zip(got[:3], want[:3]):
+                    assert [x.hex() for x in a.tolist()] == [x.hex() for x in b.tolist()]
+                assert error_rows(got[3], rows) == error_rows(want[3], rows)
+
+    def test_identity_batch_is_cached_and_exact(self):
+        ident = _identity_batch(3)
+        assert _identity_batch(3) is ident
+        lam, errors = ident.spectrum
+        assert lam.tolist() == [[1.0, 1.0, 1.0]] and errors is None
+        assert lam.tobytes() == decompose_stack(ident.values)[0].tobytes()
+        assert not (ident.values.flags.writeable or lam.flags.writeable
+                    or ident.errors.flags.writeable)
+
+
 class TestLoewnerHeinzLaw:
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6), dim=st.integers(2, 6),
@@ -371,11 +425,6 @@ class TestScalars:
             power_iteration_norm(h.entries), rel=1e-8
         )
 
-    def test_pd_gate_relative(self):
-        h = diagonal([1.0, 1e6])
-        from oporder.spectral import pd_gate
-        assert pd_gate(h) == pytest.approx(EPS_PD_REL * 1e6)
-
     def test_overflowing_tolerance_passes_silently(self):
         # tol_rel * scale overflows to inf: every finite margin passes, and
         # no RuntimeWarning reaches the command line's stderr
@@ -387,16 +436,13 @@ class TestScalars:
 
 
 class TestJsonFormat:
-    def test_real_round_trip(self, tmp_path):
+    def test_real_round_trip(self):
         h = spd(12, 3)
         obj = matrix_to_json(h)
         assert obj["dim"] == 3 and obj["field"] == "real"
         assert len(obj["entries"]) == 9
         back = matrix_from_json(obj)
         assert np.allclose(back.entries, h.entries)
-        path = tmp_path / "m.json"
-        write_matrix(path, h)
-        assert np.allclose(read_matrix(path).entries, h.entries)
 
     def test_complex_round_trip(self):
         rng = np.random.default_rng(8)

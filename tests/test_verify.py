@@ -40,7 +40,7 @@ from oporder.verify import (
     search_counterexample,
 )
 from oporder import verify
-from util import scalar_word_value
+from util import full_spectrum_margins, scalar_word_value
 
 
 class TestOperatorTuple:
@@ -396,7 +396,7 @@ class TestBatchedCampaign:
                 [len(np.unique(inverse[reach]))] if reach.any() else [])
             skipped += int(np.count_nonzero(~reach))
             reached += int(np.count_nonzero(reach))
-            want = compare(lhs.values, rhs.values, errors)
+            want = full_spectrum_margins(lhs.values, rhs.values, errors)
             for a, b in zip((ge, le, scale), want[:3]):
                 assert a.tobytes() == b.tobytes()
             assert [str(e) for e in got_errors] == [str(e) for e in want[3]]
@@ -646,13 +646,14 @@ class TestReductionChain:
         check_reduction_chain(tup, template, PGrid(values=(1.0, 1.5, 4.0)))
         # 81 rows in one run: its five powers decompose 3, 9, 27 and 81
         # distinct bases and the peeled bound's 3; the comparisons decompose
-        # the identity, the left side, the 9 distinct peeled bounds and the
-        # base sandwich's 3 distinct values, once for both its norm and its
-        # lambda_max.  The 81 cores and the 81 right sides are powers whose
-        # norm bounds stay below the identity's and the left side's norms,
-        # so no comparison decomposes them
+        # the left side, the 9 distinct peeled bounds and the base
+        # sandwich's 3 distinct values, once for both its norm and its
+        # lambda_max.  The identity's spectrum is known.  The 81 cores and
+        # the 81 right sides are powers whose norm bounds stay below the
+        # identity's and the left side's norms, so no comparison decomposes
+        # them
         assert calls["evaluate_batch"] == 1
-        assert sorted(calls["decompose_stack"]) == [1, 1, 3, 3, 3, 9, 9, 27, 81]
+        assert sorted(calls["decompose_stack"]) == [1, 3, 3, 3, 9, 9, 27, 81]
 
     def test_subsampled_premise_is_judged_on_the_reduction_rows(self):
         # 101 ** 2 grid points exceed GRID_POINT_CAP, so the rows are a

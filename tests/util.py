@@ -1,4 +1,5 @@
-"""Shared test helpers: independent scalar oracles and seeded generators.
+"""Shared test helpers: independent scalar oracles, seeded generators and
+a full-spectrum reference for comparisons.
 
 The scalar word evaluator here is deliberately a separate implementation
 from the package's evaluator: on diagonal matrices every operation acts
@@ -13,6 +14,15 @@ from pathlib import Path
 import numpy as np
 
 from oporder.chains import Power, Product, ScalarExpr, Symbol
+from oporder.spectral import (
+    NonFiniteError,
+    decompose_stack,
+    first_errors,
+    flag_errors,
+    healthy,
+    margins_stack,
+    spectral_norms,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = REPO_ROOT / "golden" / "v1"
@@ -92,3 +102,34 @@ def power_iteration_norm(arr: np.ndarray, iterations: int = 2000) -> float:
         v = w / norm
         lam = norm
     return float(lam)
+
+
+def error_rows(errors, count: int) -> list:
+    """Type and text of each row's error (errors None: no row failed)."""
+    if errors is None:
+        return [None] * count
+    return [None if e is None else (type(e), str(e)) for e in errors]
+
+
+def full_spectrum_margins(p: np.ndarray, q: np.ndarray, errors=None):
+    """Reference for ``scaled_margins_stack`` on the values of two sides
+    ((M, d, d) stacks, or one row compared with every row): every row of
+    each side is decomposed for its norm, with the row errors so far, and
+    no bound spares any of them.  Errors merge p's before q's, and a row in
+    error counts each norm as 1."""
+    ge, le, errors = margins_stack(p, q, errors)
+    rows, dim = len(ge), p.shape[-1]
+    norms = []
+    for side in (p, q):
+        lam, _, side_errors = decompose_stack(np.broadcast_to(side, (rows, dim, dim)), errors)
+        norms.append((spectral_norms(lam), side_errors))
+    scale = np.ones(rows)
+    for norm, side_errors in norms:
+        if errors is not None:
+            norm = np.where(healthy(errors), norm, 1.0)
+        scale = np.maximum(scale, norm)
+        errors = first_errors(errors, side_errors)
+    finite = np.isfinite(ge) & np.isfinite(le)
+    if not finite.all():
+        errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("comparison margin"))
+    return ge, le, scale, errors
