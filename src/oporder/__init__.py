@@ -1,7 +1,7 @@
 """Numerical laboratory for order relations between strictly positive
 matrices under nested power-sandwich inequality chains."""
 
-from . import chains, cli, dsl, spectral, verify
+from . import chains, dsl, spectral, verify
 
-__all__ = ["chains", "cli", "dsl", "spectral", "verify"]
+__all__ = ["chains", "dsl", "spectral", "verify"]
 __version__ = "0.1.0"

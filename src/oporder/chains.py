@@ -222,8 +222,8 @@ def necessity_weights(t, p_table, r: float) -> np.ndarray:
     t = tuple(t)
     psi = chain_exponents(t, p_table)
     t_n = float(t[-1])
-    if not r > t_n:
-        raise ValueError(f"r must exceed t_n = {t_n}, got r = {r}")
+    if not (math.isfinite(r) and r > t_n):
+        raise ValueError(f"r must be finite and exceed t_n = {t_n}, got r = {r}")
     denom = psi - t_n + r
     if not (denom > 0.0).all():
         # unreachable when p >= 1 and t in [0, 1]; guarded anyway

@@ -9,7 +9,9 @@ an ``ERROR:`` line), so the suite is indeterminate.  ``search`` exits 0 or
 1 only: its instances with evaluation errors are counted, not judged.
 Every command is deterministic given its full flag set including --seed;
 --dump-config emits the effective configuration as JSON and --config reads
-one back, with explicit flags taking precedence.
+one back, with explicit flags taking precedence.  Each config entry is
+parsed as the flag of the same name, so defaults, types and choices are
+declared once, in ``build_parser``.
 """
 from __future__ import annotations
 
@@ -48,39 +50,28 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
 
-_CHECK_DEFAULTS = {
-    "k": 3,
-    "dim": 3,
-    "seed": 0,
-    "count": 10,
-    "p_grid": "1,1.5,2,4",
-    "s_grid": "1,10,100,1000,10000",
-    "tol_rel": TOL_REL,
-    "suite_tol_rel": SUITE_TOL_REL,
-    "weights": "necessity",
-    "field": "real",
-    "t": None,
-    "r": None,
-    "scalar_fixture": None,
-    "report": None,
-    "mode": None,
-}
-
-_SEARCH_DEFAULTS = {
-    "budget": 200,
-    "k": 3,
-    "dim": "2,3,4",
-    "seed": 0,
-    "p_grid": "1,1.5,2,4,8",
-    "weights": None,
-    "findings": None,
-    "emit_stats": False,
-    "field": "real",
-}
-
 
 class UsageError(Exception):
-    pass
+    """Out-of-domain input: ``main`` prints ``error: <message>``, then the
+    usage line of the parser that rejected it, if one did, and exits 2."""
+
+    def __init__(self, message: str, usage: str = ""):
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError on bad input.  A command rejects the arguments it
+    does not know itself, so its own usage line follows the message."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+    def error(self, message):
+        raise UsageError(message, self.format_usage())
 
 
 def _margin_text(margin: float) -> str:
@@ -104,7 +95,7 @@ def _csv_ints(text: str) -> tuple[int, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oporder",
         description="Numerical laboratory for operator-order chain inequalities.",
     )
@@ -126,110 +117,120 @@ def build_parser() -> argparse.ArgumentParser:
     p_pc.add_argument("--all", action="store_true",
                       help="print the whole hypothesis set, one per line")
 
+    # a command's config entries keep the order of its arguments here, in
+    # --dump-config and in the report sidecar
     p_chk = sub.add_parser("check", help="run a verification campaign")
-    p_chk.add_argument("--mode", choices=[
-        "necessity", "contrapositive", "proof-steps", "limit",
-    ])
-    p_chk.add_argument("--k", type=int)
-    p_chk.add_argument("--dim", type=int)
-    p_chk.add_argument("--seed", type=int)
-    p_chk.add_argument("--count", type=int, help="number of generated instances")
-    p_chk.add_argument("--p-grid", dest="p_grid")
-    p_chk.add_argument("--s-grid", dest="s_grid",
+    p_chk.add_argument("--k", type=int, default=3)
+    p_chk.add_argument("--dim", type=int, default=3)
+    p_chk.add_argument("--seed", type=int, default=0)
+    p_chk.add_argument("--count", type=int, default=10, help="number of generated instances")
+    p_chk.add_argument("--p-grid", dest="p_grid", default="1,1.5,2,4")
+    p_chk.add_argument("--s-grid", dest="s_grid", default="1,10,100,1000,10000",
                        help="exponent samples for the limit mode")
-    p_chk.add_argument("--tol-rel", dest="tol_rel", type=float)
-    p_chk.add_argument("--suite-tol-rel", dest="suite_tol_rel", type=float)
-    p_chk.add_argument("--weights", help="necessity | fixed:<csv>")
+    p_chk.add_argument("--tol-rel", dest="tol_rel", type=float, default=TOL_REL)
+    p_chk.add_argument("--suite-tol-rel", dest="suite_tol_rel", type=float,
+                       default=SUITE_TOL_REL)
+    p_chk.add_argument("--weights", default="necessity", help="necessity | fixed:<csv>")
+    p_chk.add_argument("--field", choices=["real", "complex"], default="real")
     p_chk.add_argument("--t", help="fixed t values (csv); sampled per instance if absent")
     p_chk.add_argument("--r", type=float)
     p_chk.add_argument("--scalar-fixture",
                        help="csv scalars for a 1x1 fixture tuple (contrapositive mode)")
     p_chk.add_argument("--report", help="write campaign rows to this CSV path")
-    p_chk.add_argument("--field", choices=["real", "complex"])
+    p_chk.add_argument("--mode", choices=[
+        "necessity", "contrapositive", "proof-steps", "limit",
+    ])
     p_chk.add_argument("--config", help="JSON config file; flags override its entries")
     p_chk.add_argument("--dump-config", action="store_true",
                        help="print the effective config as JSON and exit")
 
     p_s = sub.add_parser("search", help="randomized counterexample hunt")
-    p_s.add_argument("--budget", type=int)
-    p_s.add_argument("--k", type=int)
-    p_s.add_argument("--dim", help="comma-separated candidate dimensions")
-    p_s.add_argument("--seed", type=int)
-    p_s.add_argument("--p-grid", dest="p_grid")
+    p_s.add_argument("--budget", type=int, default=200)
+    p_s.add_argument("--k", type=int, default=3)
+    p_s.add_argument("--dim", default="2,3,4", help="comma-separated candidate dimensions")
+    p_s.add_argument("--seed", type=int, default=0)
+    p_s.add_argument("--p-grid", dest="p_grid", default="1,1.5,2,4,8")
     p_s.add_argument("--weights", help="necessity | fixed:<csv>; random fixed if absent")
     p_s.add_argument("--findings", help="write findings JSON to this path")
-    p_s.add_argument("--emit-stats", dest="emit_stats", action="store_true",
-                     default=None)
-    p_s.add_argument("--field", choices=["real", "complex"])
+    p_s.add_argument("--emit-stats", dest="emit_stats", action="store_true")
+    p_s.add_argument("--field", choices=["real", "complex"], default="real")
     p_s.add_argument("--config", help="JSON config file; flags override its entries")
     p_s.add_argument("--dump-config", action="store_true")
     return parser
 
 
-def _effective_config(args, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    config = dict(defaults)
-    path = getattr(args, "config", None)
-    if path:
-        try:
-            loaded = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config {path}: {exc}") from exc
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        config.update(loaded)
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            config[key] = flag
-    return config
+# what a parsed command holds beside its config entries
+_NOT_CONFIG = ("command", "config", "dump_config")
+
+
+def _config(args) -> dict:
+    """The effective configuration: every config entry of the command."""
+    return {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+
+
+def _config_tokens(path: str, args) -> list[str]:
+    """The entries of a JSON config file as ``--flag=value`` tokens, parsed
+    like the flags themselves; a null entry leaves the default, and a
+    switch takes true or false."""
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # the last: deep nesting
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    known = _config(args)
+    unknown = set(loaded) - set(known)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for key, value in loaded.items():
+        switch = isinstance(known[key], bool)
+        if value is None or (switch and value is False):
+            continue  # the default applies
+        flag = "--" + key.replace("_", "-")
+        if switch and value is True:
+            tokens.append(flag)
+        else:
+            # '=' keeps a value that starts with '-' a value; any other
+            # value of a switch is rejected by the parser
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
 
 
 def _cmd_exponent(args) -> int:
     t = _csv_floats(args.t)
     p = _csv_floats(args.p)
-    try:
-        psi = chains.chain_exponent(t, p)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    psi = chains.chain_exponent(t, p)
+    w = None if args.r is None else chains.necessity_weight_from(t, p, args.r)
     print(f"chain_exponent = {psi:.12g}")
-    if args.r is not None:
-        try:
-            w = chains.necessity_weight_from(t, p, args.r)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+    if w is not None:
         print(f"necessity_weight = {w:.12g}")
     return EXIT_OK
 
 
 def _cmd_print_chain(args) -> int:
-    try:
-        if args.all:
-            for chain in chains.hypothesis_set(args.k):
-                print(dsl.pretty_print(chain))
-            return EXIT_OK
-        family = Family.ASCENDING if args.family == "asc" else Family.DESCENDING
-        chain = chains.build_chain(family, args.member, args.k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    print(dsl.pretty_print(chain))
+    if args.all:
+        for chain in chains.hypothesis_set(args.k):
+            print(dsl.pretty_print(chain))
+        return EXIT_OK
+    family = Family.ASCENDING if args.family == "asc" else Family.DESCENDING
+    print(dsl.pretty_print(chains.build_chain(family, args.member, args.k)))
     return EXIT_OK
-
-
-def _number(cfg: dict, key: str, kind):
-    try:
-        return kind(cfg[key])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"--{key.replace('_', '-')} must be a number, got {cfg[key]!r}") from exc
 
 
 def _tolerance(cfg: dict, key: str) -> float:
     """A relative tolerance: finite and positive."""
-    value = _number(cfg, key, float)
+    value = cfg[key]
     if not (math.isfinite(value) and value > 0):
         raise UsageError(f"--{key.replace('_', '-')} must be finite and positive, got {value}")
     return value
+
+
+def _policy(text: str) -> WeightPolicy:
+    try:
+        return WeightPolicy.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"--weights: {exc}") from exc
 
 
 def _sample_template(cfg, rng, n: int) -> ParamTemplate:
@@ -240,16 +241,10 @@ def _sample_template(cfg, rng, n: int) -> ParamTemplate:
     else:
         t = tuple(rng.uniform(0.05, 0.95) for _ in range(n))
     r = cfg["r"] if cfg["r"] is not None else t[-1] + rng.uniform(0.1, 2.0)
-    if not r > t[-1]:
-        raise UsageError(f"--r must exceed t_n = {t[-1]}, got {r}")
     return ParamTemplate(t=t, r=r)
 
 
-def _cmd_check(args) -> int:
-    cfg = _effective_config(args, _CHECK_DEFAULTS)
-    if args.dump_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
-        return EXIT_OK
+def _cmd_check(cfg: dict) -> int:
     if not cfg["mode"]:
         raise UsageError("--mode is required (or supply it via --config)")
     if cfg["k"] < 2:
@@ -265,12 +260,12 @@ def _cmd_check(args) -> int:
                 raise UsageError(f"--{key.replace('_', '-')} applies to the necessity and "
                                  f"contrapositive modes only, not to --mode {mode}")
     grid = PGrid(values=_csv_floats(cfg["p_grid"]))
-    policy = WeightPolicy.parse(cfg["weights"])
-    seed = int(cfg["seed"])
-    count = _number(cfg, "count", int)
+    policy = _policy(cfg["weights"])
+    seed = cfg["seed"]
+    count = cfg["count"]
     if count < 1:
         raise UsageError(f"--count must be at least 1, got {count}")
-    n = int(cfg["k"]) // 2
+    n = cfg["k"] // 2
     tol = _tolerance(cfg, "tol_rel")
     suite_tol = _tolerance(cfg, "suite_tol_rel")
 
@@ -439,11 +434,7 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _cmd_search(args) -> int:
-    cfg = _effective_config(args, _SEARCH_DEFAULTS)
-    if args.dump_config:
-        print(json.dumps(cfg, indent=2, sort_keys=True))
-        return EXIT_OK
+def _cmd_search(cfg: dict) -> int:
     if cfg["budget"] < 0:
         raise UsageError(f"--budget must be nonnegative, got {cfg['budget']}")
     if cfg["k"] < 3:
@@ -451,12 +442,12 @@ def _cmd_search(args) -> int:
     dims = _csv_ints(cfg["dim"])
     if min(dims) < 1:
         raise UsageError(f"--dim values must be at least 1, got {cfg['dim']}")
-    policy = WeightPolicy.parse(cfg["weights"]) if cfg["weights"] else None
+    policy = _policy(cfg["weights"]) if cfg["weights"] else None
     config = SearchConfig(
-        budget=int(cfg["budget"]),
-        k=int(cfg["k"]),
+        budget=cfg["budget"],
+        k=cfg["k"],
         dims=dims,
-        master_seed=int(cfg["seed"]),
+        master_seed=cfg["seed"],
         grid=PGrid(values=_csv_floats(cfg["p_grid"])),
         policy=policy,
         field_kind=cfg["field"],
@@ -481,28 +472,33 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Flags, over the entries of a --config file, over the defaults."""
+    args = _parser().parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    return _parser().parse_args([args.command] + _config_tokens(args.config, args)
+                                + argv[1:])
+
+
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
-    try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         if args.command == "exponent":
             return _cmd_exponent(args)
         if args.command == "print-chain":
             return _cmd_print_chain(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "search":
-            return _cmd_search(args)
-    except UsageError as exc:
+        cfg = _config(args)
+        if args.dump_config:
+            print(json.dumps(cfg, indent=2, sort_keys=True))
+            return EXIT_OK
+        return _cmd_check(cfg) if args.command == "check" else _cmd_search(cfg)
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else EXIT_OK
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        sys.stderr.write(getattr(exc, "usage", ""))
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

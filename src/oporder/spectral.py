@@ -345,8 +345,8 @@ def _gate(lam: np.ndarray):
 
 
 # numpy raises an array to a scalar 2, 0.5 or -1 through square, sqrt and
-# reciprocal, which can differ from pow() in the last bit; per-row exponents
-# take the same paths, so a stacked power equals the scalar one bit for bit
+# reciprocal, which can differ from pow() in the last bit; every power takes
+# the same paths, so its bits match ``lam ** alpha`` for one exponent
 _SCALAR_POWER_PATHS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
 
 
@@ -359,29 +359,22 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
     A fractional or negative exponent fails with NearSingularError where
     lambda_min is at or below the pd gate; a power that overflows fails
     with NonFiniteError."""
-    per_row = isinstance(alpha, np.ndarray) and alpha.ndim > 0
-    if per_row:
-        alpha = np.asarray(alpha, dtype=np.float64)
-        fractional = (alpha < 0) | ~np.isfinite(alpha) | (alpha != np.floor(alpha))
-        if len(lam) != len(alpha):
-            lam = np.broadcast_to(lam, (len(alpha),) + lam.shape[1:])
-        gated = fractional.any()
-    else:
-        alpha = float(alpha)
-        gated = alpha < 0 or not alpha.is_integer()
-    if gated:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim == 0:
+        alpha = np.full(len(lam), alpha)
+    elif len(lam) != len(alpha):
+        lam = np.broadcast_to(lam, (len(alpha),) + lam.shape[1:])
+    fractional = (alpha < 0) | ~np.isfinite(alpha) | (alpha != np.floor(alpha))
+    if fractional.any():
         low, gate = _gate(lam)
-        errors = flag_errors(errors, low & fractional if per_row else low,
+        errors = flag_errors(errors, low & fractional,
                              lambda i: NearSingularError(float(lam[i, 0]), float(gate[i])))
     with np.errstate(all="ignore"):
-        if per_row:
-            powered = lam ** alpha[:, None]
-            for value, fast_path in _SCALAR_POWER_PATHS:
-                rows = alpha == value
-                if rows.any():
-                    powered[rows] = fast_path(lam[rows])
-        else:
-            powered = lam ** alpha
+        powered = lam ** alpha[:, None]
+        for value, fast_path in _SCALAR_POWER_PATHS:
+            rows = alpha == value
+            if rows.any():
+                powered[rows] = fast_path(lam[rows])
         out = (u * powered[:, None, :]) @ _adjoint(u)
         out = 0.5 * (out + _adjoint(out))
     if not np.isfinite(out).all():

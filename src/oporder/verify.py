@@ -425,8 +425,8 @@ class ParamTemplate:
             raise ValueError("need at least one t value")
         if any(not 0.0 <= v <= 1.0 for v in self.t):
             raise ValueError(f"every t must lie in [0, 1], got {self.t}")
-        if not self.r > self.t[-1]:
-            raise ValueError(f"r must exceed t_n = {self.t[-1]}, got {self.r}")
+        if not (math.isfinite(self.r) and self.r > self.t[-1]):
+            raise ValueError(f"r must be finite and exceed t_n = {self.t[-1]}, got {self.r}")
 
     @property
     def n(self) -> int:

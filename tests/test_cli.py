@@ -1,6 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +19,7 @@ from oporder.cli import (
     _margin_text,
     main,
 )
-from util import GOLDEN_DIR
+from util import GOLDEN_DIR, REPO_ROOT
 
 
 def run(capsys, *argv):
@@ -402,14 +407,85 @@ class TestCheckCommand:
         '"tol_rel": 0',
         '"count": 0',
         '"count": "many"',
+        '"count": 2.7',
+        '"k": 3.5',
+        '"dim": true',
+        '"weights": 5',
+        '"mode": "nope"',
+        '"field": "quaternion"',
     ])
     def test_bad_tolerance_or_count_in_config_exits_2(self, capsys, tmp_path, entry):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"mode": "necessity", "k": 3, "dim": 2, "p_grid": "1,2", ' + entry + "}")
         code, out, err = run(capsys, "check", "--config", str(cfg))
         assert code == EXIT_USAGE
-        assert err.startswith("error:") and entry.split('"')[1].replace("_", "-") in err
+        assert err.startswith("error:") and "--" + entry.split('"')[1].replace("_", "-") in err
         assert "all expectations met" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--mode", "necessity", "--k", "3", "--dim", "2", "--count", "1", "--t", "0.5"),
+        ("check", "--mode", "contrapositive", "--k", "3", "--dim", "2", "--count", "1",
+         "--t", "0.5"),
+        ("check", "--mode", "limit", "--k", "3", "--dim", "2", "--count", "1", "--t", "0.5"),
+        ("check", "--mode", "proof-steps", "--k", "3", "--dim", "2", "--count", "1",
+         "--t", "0.5"),
+        ("exponent", "--t", "0.5", "--p", "1,1"),
+    ])
+    @pytest.mark.parametrize("r", ["inf", "-inf", "nan", "0.25"])
+    def test_r_that_is_not_finite_above_t_n_exits_2(self, capsys, argv, r):
+        code, out, err = run(capsys, *argv, f"--r={r}")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: r must be finite and exceed t_n = 0.5")
+        assert out == ""
+
+    @pytest.mark.parametrize("entries,flags", [
+        ({"k": "3"}, ("--k", "3")),
+        ({"mode": "proof-steps", "t": "0.5", "r": "1"},
+         ("--mode", "proof-steps", "--t", "0.5", "--r", "1")),
+        ({"r": "-1e-300", "t": "0"}, ("--r=-1e-300", "--t", "0")),
+        ({"t": 0.5, "r": 1, "seed": 2}, ("--t", "0.5", "--r", "1", "--seed", "2")),
+    ])
+    def test_config_entries_parse_like_flags(self, capsys, tmp_path, entries, flags):
+        base = {"mode": "necessity", "dim": 2, "count": 1, "p_grid": "1,2"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, **entries}))
+        via_config = run(capsys, "check", "--config", str(cfg))
+        cfg.write_text(json.dumps(base))
+        assert via_config == run(capsys, "check", "--config", str(cfg), *flags)
+        assert via_config[0] in (EXIT_OK, EXIT_USAGE)
+
+    def test_null_entries_take_the_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "necessity", "k": None, "dim": 2, "count": 1,
+                                   "seed": None, "weights": None, "report": None}))
+        assert run(capsys, "check", "--config", str(cfg)) == run(
+            capsys, "check", "--mode", "necessity", "--dim", "2", "--count", "1")
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"mode": "necessity", "config": "other.json"}', "unknown config keys: ['config']"),
+        ('{"dump_config": true, "help": true}', "unknown config keys: ['dump_config', 'help']"),
+        ('["mode", "necessity"]', "must hold a JSON object"),
+        ('{"mode": ', "cannot read config"),
+        ("[" * 100_000 + "]" * 100_000, "cannot read config"),
+    ])
+    def test_malformed_config_file_exits_2(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "check", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--mode", "necessity", "--k", "x"),
+        ("check", "--mode", "necessity", "--bogus"),
+        ("search", "--emit-stats=yes"),
+    ])
+    def test_parse_error_prints_the_error_then_the_usage(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        first, usage = err.split("\n", 1)
+        assert first.startswith("error: ")
+        assert usage.startswith(f"usage: oporder {argv[0]} [-h]")
 
 
 class TestSearchCommand:
@@ -463,6 +539,40 @@ class TestSearchCommand:
         code, _, _ = run(capsys, "search", "--tol-rel", "1e-3", "--budget", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("entry", [
+        '"seed": 1.5',
+        '"emit_stats": "no"',
+        '"emit_stats": 1',
+        '"k": 2.5',
+        '"k": 2',
+        '"budget": "x"',
+        '"budget": -1',
+        '"dim": 0',
+        '"field": "quaternion"',
+        '"weights": "bogus"',
+    ])
+    def test_bad_entry_in_search_config_exits_2(self, capsys, tmp_path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"budget": 2, ' + entry + "}")
+        code, out, err = run(capsys, "search", "--config", str(cfg))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error:") and "--" + entry.split('"')[1].replace("_", "-") in err
+
+    @pytest.mark.parametrize("entries,flags", [
+        ({"k": "5"}, ("--k", "5")),
+        ({"emit_stats": True, "seed": "2"}, ("--emit-stats", "--seed", "2")),
+        ({"emit_stats": False, "dim": 2}, ("--dim", "2")),
+    ])
+    def test_config_entries_parse_like_flags(self, capsys, tmp_path, entries, flags):
+        cfg = tmp_path / "cfg.json"
+        findings = tmp_path / "f.json"
+        cfg.write_text(json.dumps({"budget": 3, "findings": str(findings), **entries}))
+        via_config = run(capsys, "search", "--config", str(cfg))
+        payload = findings.read_text()
+        direct = run(capsys, "search", "--budget", "3", "--findings", str(findings), *flags)
+        assert via_config == direct and direct[0] == EXIT_OK
+        assert findings.read_text() == payload
+
 
 class TestArgparseBehaviour:
     def test_no_command_exits_2(self, capsys):
@@ -473,6 +583,17 @@ class TestArgparseBehaviour:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+    def test_module_run_warns_nothing(self):
+        # importing the package must not import the module that -m runs
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "oporder.cli", "check",
+             "--help"], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: oporder check")
 
 
 def _captured_main(argv):
@@ -520,22 +641,101 @@ def _check_argv(draw):
     return argv
 
 
+def _assert_exit_code_contract(code, out, err):
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INDETERMINATE)
+    assert "Traceback" not in out + err
+    lines = err.splitlines()
+    violations = [line for line in lines if line.startswith("VIOLATION: ")]
+    errors = [line for line in lines if line.startswith("ERROR: ")]
+    if code == EXIT_VIOLATION:
+        # a finite computed margin failed: no VIOLATION line rests on a NaN
+        assert violations and not any("nan" in line for line in violations)
+    elif code == EXIT_INDETERMINATE:
+        assert errors and not violations and "rows were not evaluated" in out
+    elif code == EXIT_OK:
+        assert not violations and not errors and "all expectations met" in out
+    else:
+        assert err.startswith("error: ")
+
+
+def _json_number(text):
+    """The number that ``text`` reads as, or any number if it reads as none."""
+    for kind in (int, float):
+        with contextlib.suppress(ValueError):
+            return st.just(kind(text))
+    return st.integers(-2, 6) | st.floats()
+
+
+@st.composite
+def _check_config(draw):
+    """The fields of ``_check_argv`` as the entries of a ``check`` config,
+    each a string, except up to three written as a number, a boolean or
+    null."""
+    argv = draw(_check_argv())
+    entries = {flag[2:].replace("-", "_"): value
+               for flag, value in zip(argv[1::2], argv[2::2])}
+    for key in draw(st.sets(st.sampled_from(sorted(entries)), max_size=3)):
+        entries[key] = draw(_json_number(entries[key]) | st.booleans() | st.none())
+    return entries
+
+
+def _with_config(argv, entries):
+    """``main(argv + ["--config", <entries as JSON>])``, captured."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(entries))
+        return _captured_main([*argv, "--config", str(path)])
+
+
 class TestExitCodeContract:
     @settings(max_examples=50, deadline=None)
     @given(argv=_check_argv())
     def test_exit_code_matches_printed_outcome(self, argv):
-        code, out, err = _captured_main(argv)
-        assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INDETERMINATE)
-        assert "Traceback" not in out + err
-        lines = err.splitlines()
-        violations = [line for line in lines if line.startswith("VIOLATION: ")]
-        errors = [line for line in lines if line.startswith("ERROR: ")]
-        if code == EXIT_VIOLATION:
-            # a finite computed margin failed: no VIOLATION line rests on a NaN
-            assert violations and not any("nan" in line for line in violations)
-        elif code == EXIT_INDETERMINATE:
-            assert errors and not violations and "rows were not evaluated" in out
-        elif code == EXIT_OK:
-            assert not violations and not errors and "all expectations met" in out
-        else:
-            assert err.startswith("error: ") or err.startswith("usage: ")
+        _assert_exit_code_contract(*_captured_main(argv))
+
+    @settings(max_examples=50, deadline=None)
+    @given(entries=_check_config())
+    def test_config_file_entries_keep_the_contract(self, entries):
+        _assert_exit_code_contract(*_with_config(["check"], entries))
+
+
+@st.composite
+def _valid_argv(draw):
+    """A small, valid ``check`` or ``search`` argv; flags may be omitted."""
+    if draw(st.booleans()):
+        argv = ["check", "--mode", draw(st.sampled_from(
+            ("necessity", "contrapositive", "proof-steps", "limit")))]
+        fields = {"--k": ("3", "4"), "--dim": ("1", "2"), "--count": ("1", "2"),
+                  "--p-grid": ("1", "1,2"), "--s-grid": ("1,10",),
+                  "--tol-rel": ("1e-9", "1e-3"), "--suite-tol-rel": ("1e-7",),
+                  "--weights": ("necessity", "fixed"),
+                  "--field": ("real", "complex"), "--seed": ("0", "5")}
+        if argv[2] in ("necessity", "contrapositive", "limit") and draw(st.booleans()):
+            argv += ["--t", "0.5", "--r", draw(st.sampled_from(("1", "2.5")))]
+            fields.pop("--k")  # one t value is k = 3
+    else:
+        argv = ["search", "--budget", draw(st.sampled_from(("0", "2", "4")))]
+        fields = {"--k": ("3", "5"), "--dim": ("2", "1,2"), "--p-grid": ("1,2",),
+                  "--weights": ("necessity", "fixed"), "--seed": ("0", "3"),
+                  "--field": ("real", "complex")}
+        if draw(st.booleans()):
+            argv.append("--emit-stats")
+    for flag, values in fields.items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if "fixed" in argv:
+        # one fixed weight for each of the k - 1 members
+        k = int(argv[argv.index("--k") + 1]) if "--k" in argv else 3
+        argv[argv.index("fixed")] = "fixed:" + ",".join(["0.5"] * (k - 1))
+    return argv
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(argv=_valid_argv())
+    def test_dumped_config_reproduces_the_run(self, argv):
+        code, dumped, err = _captured_main([*argv, "--dump-config"])
+        assert (code, err) == (EXIT_OK, "")
+        entries = json.loads(dumped)
+        assert _with_config([argv[0], "--dump-config"], entries) == (EXIT_OK, dumped, "")
+        assert _with_config([argv[0]], entries) == _captured_main(argv)
