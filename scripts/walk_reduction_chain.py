@@ -10,6 +10,7 @@ import sys
 
 from oporder import chains, dsl
 from oporder.verify import (
+    CONTRACTIVE_RANGES,
     ParamTemplate,
     PGrid,
     _rng,
@@ -31,9 +32,7 @@ def main() -> int:
 
     n = args.k // 2
     tup = gen_suite_tuple(args.k, args.dim, args.seed)
-    rng = _rng(args.seed, 0, 99)
-    t = (rng.uniform(0.75, 0.95),) + tuple(rng.uniform(0.05, 0.15) for _ in range(n - 1))
-    template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
+    template = ParamTemplate.draw(_rng(args.seed, 0, 99), n, ranges=CONTRACTIVE_RANGES)
     grid = PGrid(values=tuple(float(v) for v in args.p_grid.split(",")))
 
     print(f"tuple: k={args.k} dim={args.dim} margins={[f'{m:.3f}' for m in tup.margins]}")

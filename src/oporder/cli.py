@@ -10,8 +10,8 @@ an ``ERROR:`` line), so the suite is indeterminate.  ``search`` exits 0 or
 Every command is deterministic given its full flag set including --seed;
 --dump-config emits the effective configuration as JSON and --config reads
 one back, with explicit flags taking precedence.  Each config entry is
-parsed as the flag of the same name, so defaults, types and choices are
-declared once, in ``build_parser``.
+parsed as the flag of the same name, so defaults, types, ranges and
+choices are declared once, in ``build_parser``.
 """
 from __future__ import annotations
 
@@ -28,7 +28,9 @@ from . import chains, dsl, verify
 from .chains import Family
 from .spectral import TOL_REL, SpectralError
 from .verify import (
+    CONTRACTIVE_RANGES,
     SUITE_TOL_REL,
+    TEMPLATE_RANGES,
     CampaignReport,
     ParamTemplate,
     PGrid,
@@ -94,6 +96,28 @@ def _csv_ints(text: str) -> tuple[int, ...]:
         raise UsageError(f"malformed integer list {text!r}") from exc
 
 
+def _int_at_least(low: int):
+    """An int flag of at least ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type of a malformed value
+    return parse
+
+
+def _tolerance(text: str) -> float:
+    """A relative tolerance: finite and positive."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
+    return value
+
+
+_tolerance.__name__ = "float"  # argparse names the type of a malformed value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="oporder",
@@ -120,15 +144,16 @@ def build_parser() -> argparse.ArgumentParser:
     # a command's config entries keep the order of its arguments here, in
     # --dump-config and in the report sidecar
     p_chk = sub.add_parser("check", help="run a verification campaign")
-    p_chk.add_argument("--k", type=int, default=3)
-    p_chk.add_argument("--dim", type=int, default=3)
-    p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--count", type=int, default=10, help="number of generated instances")
+    p_chk.add_argument("--k", type=_int_at_least(2), default=3)
+    p_chk.add_argument("--dim", type=_int_at_least(1), default=3)
+    p_chk.add_argument("--seed", type=_int_at_least(0), default=0)
+    p_chk.add_argument("--count", type=_int_at_least(1), default=10,
+                       help="number of generated instances")
     p_chk.add_argument("--p-grid", dest="p_grid", default="1,1.5,2,4")
     p_chk.add_argument("--s-grid", dest="s_grid", default="1,10,100,1000,10000",
                        help="exponent samples for the limit mode")
-    p_chk.add_argument("--tol-rel", dest="tol_rel", type=float, default=TOL_REL)
-    p_chk.add_argument("--suite-tol-rel", dest="suite_tol_rel", type=float,
+    p_chk.add_argument("--tol-rel", dest="tol_rel", type=_tolerance, default=TOL_REL)
+    p_chk.add_argument("--suite-tol-rel", dest="suite_tol_rel", type=_tolerance,
                        default=SUITE_TOL_REL)
     p_chk.add_argument("--weights", default="necessity", help="necessity | fixed:<csv>")
     p_chk.add_argument("--field", choices=["real", "complex"], default="real")
@@ -145,10 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the effective config as JSON and exit")
 
     p_s = sub.add_parser("search", help="randomized counterexample hunt")
-    p_s.add_argument("--budget", type=int, default=200)
-    p_s.add_argument("--k", type=int, default=3)
+    p_s.add_argument("--budget", type=_int_at_least(0), default=200)
+    p_s.add_argument("--k", type=_int_at_least(3), default=3)
     p_s.add_argument("--dim", default="2,3,4", help="comma-separated candidate dimensions")
-    p_s.add_argument("--seed", type=int, default=0)
+    p_s.add_argument("--seed", type=_int_at_least(0), default=0)
     p_s.add_argument("--p-grid", dest="p_grid", default="1,1.5,2,4,8")
     p_s.add_argument("--weights", help="necessity | fixed:<csv>; random fixed if absent")
     p_s.add_argument("--findings", help="write findings JSON to this path")
@@ -218,14 +243,6 @@ def _cmd_print_chain(args) -> int:
     return EXIT_OK
 
 
-def _tolerance(cfg: dict, key: str) -> float:
-    """A relative tolerance: finite and positive."""
-    value = cfg[key]
-    if not (math.isfinite(value) and value > 0):
-        raise UsageError(f"--{key.replace('_', '-')} must be finite and positive, got {value}")
-    return value
-
-
 def _policy(text: str) -> WeightPolicy:
     try:
         return WeightPolicy.parse(text)
@@ -233,27 +250,13 @@ def _policy(text: str) -> WeightPolicy:
         raise UsageError(f"--weights: {exc}") from exc
 
 
-def _sample_template(cfg, rng, n: int) -> ParamTemplate:
-    if cfg["t"] is not None:
-        t = _csv_floats(cfg["t"])
-        if len(t) != n:
-            raise UsageError(f"--t needs {n} values for k={cfg['k']}, got {len(t)}")
-    else:
-        t = tuple(rng.uniform(0.05, 0.95) for _ in range(n))
-    r = cfg["r"] if cfg["r"] is not None else t[-1] + rng.uniform(0.1, 2.0)
-    return ParamTemplate(t=t, r=r)
-
-
 def _cmd_check(cfg: dict) -> int:
-    if not cfg["mode"]:
-        raise UsageError("--mode is required (or supply it via --config)")
-    if cfg["k"] < 2:
-        raise UsageError(f"--k must be at least 2, got {cfg['k']}")
-    if cfg["k"] == 2 and cfg["mode"] in ("necessity", "contrapositive", "proof-steps"):
-        raise UsageError("chain campaigns need k >= 3")
-    if cfg["dim"] < 1:
-        raise UsageError(f"--dim must be at least 1, got {cfg['dim']}")
     mode = cfg["mode"]
+    if not mode:
+        raise UsageError("--mode is required (or supply it via --config)")
+    k, n, seed = cfg["k"], cfg["k"] // 2, cfg["seed"]
+    if k == 2 and mode in ("necessity", "contrapositive", "proof-steps"):
+        raise UsageError("chain campaigns need k >= 3")
     if mode in ("proof-steps", "limit"):
         for key in ("scalar_fixture", "report"):
             if cfg[key] is not None:
@@ -261,13 +264,35 @@ def _cmd_check(cfg: dict) -> int:
                                  f"contrapositive modes only, not to --mode {mode}")
     grid = PGrid(values=_csv_floats(cfg["p_grid"]))
     policy = _policy(cfg["weights"])
-    seed = cfg["seed"]
-    count = cfg["count"]
-    if count < 1:
-        raise UsageError(f"--count must be at least 1, got {count}")
-    n = cfg["k"] // 2
-    tol = _tolerance(cfg, "tol_rel")
-    suite_tol = _tolerance(cfg, "suite_tol_rel")
+    tol, suite_tol = cfg["tol_rel"], cfg["suite_tol_rel"]
+    if mode == "limit":
+        p2_values = PGrid(values=_csv_floats(cfg["s_grid"])).values
+
+    # every instance's tuple and template, in instance order
+    fixture = cfg["scalar_fixture"]
+    if fixture is not None:
+        try:
+            tuples = [scalar_tuple(_csv_floats(fixture))]
+        except SpectralError as exc:
+            raise UsageError(
+                f"--scalar-fixture values must be finite and positive: {exc}") from exc
+        if tuples[0].k != k:
+            raise UsageError(f"fixture has {tuples[0].k} scalars but --k is {k}")
+    elif mode == "contrapositive":
+        # entry idx is gen_unordered_tuple(k, dim, [seed, idx])
+        tuples = gen_unordered_tuples(k, [(cfg["dim"], [seed, idx])
+                                          for idx in range(cfg["count"])],
+                                      field_kind=cfg["field"])
+    else:
+        tuples = (gen_suite_tuple(k, cfg["dim"], [seed, idx], field_kind=cfg["field"])
+                  for idx in range(cfg["count"]))
+    t = None if cfg["t"] is None else _csv_floats(cfg["t"])
+    if t is not None and len(t) != n:
+        raise UsageError(f"--t needs {n} values for k={k}, got {len(t)}")
+    # proof-steps draws contracting t values unless they are given
+    ranges = CONTRACTIVE_RANGES if mode == "proof-steps" and t is None else TEMPLATE_RANGES
+    instances = [(tup, ParamTemplate.draw(verify._rng(seed, idx, 99), n, t, cfg["r"], ranges))
+                 for idx, tup in enumerate(tuples)]
 
     violations: list[str] = []
     # rows that were not evaluated: one line each, and how many rows in all
@@ -276,43 +301,11 @@ def _cmd_check(cfg: dict) -> int:
     reports: list[CampaignReport] = []
 
     if mode in ("necessity", "contrapositive"):
-        fixture = cfg["scalar_fixture"]
-
-        def run_instance(idx: int):
-            if fixture is not None:
-                try:
-                    tup = scalar_tuple(_csv_floats(fixture))
-                except SpectralError as exc:
-                    raise UsageError(
-                        f"--scalar-fixture values must be finite and positive: {exc}"
-                    ) from exc
-                if tup.k != cfg["k"]:
-                    raise UsageError(
-                        f"fixture has {tup.k} scalars but --k is {cfg['k']}"
-                    )
-            elif mode == "necessity":
-                tup = gen_suite_tuple(cfg["k"], cfg["dim"], [seed, idx],
-                                      field_kind=cfg["field"])
-            else:
-                tup = unordered[idx]
-            template = _sample_template(cfg, verify._rng(seed, idx, 99), n)
-            report = check_hypotheses(
-                tup, template, grid, policy,
-                tol_rel=tol, instance_id=str(idx),
-                master_seed=seed, instance_index=idx, suite_tol_rel=suite_tol,
-            )
-            return tup, template, report
-
-        if fixture is not None:
-            count = 1
-        elif mode == "contrapositive":
-            # entry idx is gen_unordered_tuple(k, dim, [seed, idx])
-            unordered = gen_unordered_tuples(cfg["k"], [(cfg["dim"], [seed, idx])
-                                                        for idx in range(count)],
-                                             field_kind=cfg["field"])
-        instances = [run_instance(idx) for idx in range(count)]
-        reports = [rep for _, _, rep in instances]
-        for idx, (tup, template, rep) in enumerate(instances):
+        reports = [check_hypotheses(tup, template, grid, policy,
+                                    tol_rel=tol, instance_id=str(idx), master_seed=seed,
+                                    instance_index=idx, suite_tol_rel=suite_tol)
+                   for idx, (tup, template) in enumerate(instances)]
+        for idx, ((tup, template), rep) in enumerate(zip(instances, reports)):
             if mode == "necessity":
                 for row in rep.violations():
                     (unevaluated if row.error else violations).append(
@@ -349,23 +342,10 @@ def _cmd_check(cfg: dict) -> int:
                                   f"beyond the sampled grid")
 
     elif mode == "proof-steps":
-        def run_instance(idx: int):
-            rng = verify._rng(seed, idx, 99)
-            tup = gen_suite_tuple(cfg["k"], cfg["dim"], [seed, idx],
-                                  field_kind=cfg["field"])
-            if cfg["t"] is not None:
-                template = _sample_template(cfg, rng, n)
-            else:
-                t = (rng.uniform(0.75, 0.95),) + tuple(
-                    rng.uniform(0.05, 0.15) for _ in range(n - 1)
-                )
-                template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
-            return check_reduction_chain(
-                tup, template, grid, policy=policy, suite_tol_rel=suite_tol,
-                master_seed=seed, instance_index=idx, instance_id=str(idx),
-            )
-
-        results = [run_instance(idx) for idx in range(count)]
+        results = [check_reduction_chain(tup, template, grid, policy=policy,
+                                         suite_tol_rel=suite_tol, master_seed=seed,
+                                         instance_index=idx, instance_id=str(idx))
+                   for idx, (tup, template) in enumerate(instances)]
         for idx, rep in enumerate(results):
             if rep.premise_failures:
                 violations.append(f"instance {idx}: premise member failed on the grid")
@@ -386,21 +366,12 @@ def _cmd_check(cfg: dict) -> int:
             unevaluated_rows += len(rep.errors)
 
     elif mode == "limit":
-        p2_values = PGrid(values=_csv_floats(cfg["s_grid"])).values
-
-        def run_instance(idx: int):
-            rng = verify._rng(seed, idx, 99)
-            tup = gen_suite_tuple(cfg["k"], cfg["dim"], [seed, idx],
-                                  field_kind=cfg["field"])
-            template = _sample_template(cfg, rng, n)
-            limit_t = (1.0,) + template.t[1:]
-            interior = reduction_scalar_interior(tup, limit_t, (1.0,) * (2 * n), n)
-            return limit_probe(
-                tup.matrices[0], tup.matrices[1], c=max(1.0, interior),
-                p2_values=p2_values, tol_rel=tol,
-            )
-
-        results = [run_instance(idx) for idx in range(count)]
+        results = []
+        for tup, template in instances:
+            interior = reduction_scalar_interior(tup, (1.0,) + template.t[1:],
+                                                 (1.0,) * (2 * n), n)
+            results.append(limit_probe(tup.matrices[0], tup.matrices[1], c=max(1.0, interior),
+                                       p2_values=p2_values, tol_rel=tol))
         for idx, rep in enumerate(results):
             if rep.error:
                 unevaluated.append(f"instance {idx}: limit core not evaluated [{rep.error}]")
@@ -435,10 +406,6 @@ def _cmd_check(cfg: dict) -> int:
 
 
 def _cmd_search(cfg: dict) -> int:
-    if cfg["budget"] < 0:
-        raise UsageError(f"--budget must be nonnegative, got {cfg['budget']}")
-    if cfg["k"] < 3:
-        raise UsageError(f"--k must be at least 3, got {cfg['k']}")
     dims = _csv_ints(cfg["dim"])
     if min(dims) < 1:
         raise UsageError(f"--dim values must be at least 1, got {cfg['dim']}")

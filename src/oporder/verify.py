@@ -377,6 +377,10 @@ class WeightPolicy:
     kind: str
     values: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.kind == "fixed" and not all(math.isfinite(v) and v > 0 for v in self.values):
+            raise ValueError(f"fixed weights must be finite and positive, got {self.values}")
+
     @staticmethod
     def fixed(values) -> "WeightPolicy":
         return WeightPolicy("fixed", tuple(float(v) for v in values))
@@ -411,6 +415,12 @@ class WeightPolicy:
         return np.repeat(w[:, None], count, axis=1)
 
 
+# the ranges a template is drawn from: t_1, each later t, and r - t_n
+TEMPLATE_RANGES = ((0.05, 0.95), (0.05, 0.95), (0.1, 2.0))
+# t_1 near 1 and the later t small, so the reduction's contraction holds
+CONTRACTIVE_RANGES = ((0.75, 0.95), (0.05, 0.15), (0.3, 1.2))
+
+
 @dataclass(frozen=True)
 class ParamTemplate:
     """The per-instance scalars that stay fixed while p is sampled."""
@@ -431,6 +441,19 @@ class ParamTemplate:
     @property
     def n(self) -> int:
         return len(self.t)
+
+    @classmethod
+    def draw(cls, rng: np.random.Generator, n: int, t=None, r=None,
+             ranges=TEMPLATE_RANGES) -> "ParamTemplate":
+        """A template of n t values: one uniform draw per t position in
+        order, then one for r's gap above t_n; a given t or r is taken as
+        it is, and its draws are skipped."""
+        first, rest, gap = ranges
+        if t is None:
+            t = tuple(rng.uniform(*(rest if i else first)) for i in range(n))
+        if r is None:
+            r = t[-1] + rng.uniform(*gap)
+        return cls(t=t, r=r)
 
 
 @dataclass(frozen=True)
@@ -1336,6 +1359,10 @@ def limit_probe(
     )
 
 
+# the range of search's random fixed weights
+SEARCH_W_RANGE = (0.2, 0.95)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     budget: int = 200
@@ -1344,9 +1371,6 @@ class SearchConfig:
     master_seed: int = 0
     grid: PGrid = PGrid()
     policy: WeightPolicy | None = None   # None: fresh random fixed weights per instance
-    t_range: tuple[float, float] = (0.05, 0.95)
-    r_gap: tuple[float, float] = (0.1, 2.0)
-    w_range: tuple[float, float] = (0.2, 0.95)
     field_kind: str = "real"
     suite_tol_rel: float = SUITE_TOL_REL
 
@@ -1357,8 +1381,8 @@ class SearchConfig:
             "grid": list(self.grid.values),
             "grid_growth": self.grid.growth, "grid_cap": self.grid.cap,
             "policy": self.policy.describe() if self.policy else "fixed-random",
-            "t_range": list(self.t_range), "r_gap": list(self.r_gap),
-            "w_range": list(self.w_range), "field": self.field_kind,
+            "t_range": list(TEMPLATE_RANGES[1]), "r_gap": list(TEMPLATE_RANGES[2]),
+            "w_range": list(SEARCH_W_RANGE), "field": self.field_kind,
             "suite_tol_rel": self.suite_tol_rel,
         }
 
@@ -1470,12 +1494,11 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
     for idx in range(config.budget):
         rng = _rng(config.master_seed, idx)
         dims.append(int(rng.choice(np.asarray(config.dims))))
-        t = tuple(rng.uniform(*config.t_range) for _ in range(n))
-        r = t[-1] + rng.uniform(*config.r_gap)
+        template = ParamTemplate.draw(rng, n)
         policy = config.policy or WeightPolicy.fixed(
-            rng.uniform(*config.w_range) for _ in range(config.k - 1)
+            rng.uniform(*SEARCH_W_RANGE) for _ in range(config.k - 1)
         )
-        drawn.append((ParamTemplate(t=t, r=r), policy))
+        drawn.append((template, policy))
     tuples = gen_unordered_tuples(
         config.k, [(dim, [config.master_seed, idx, 10]) for idx, dim in enumerate(dims)],
         field_kind=config.field_kind,

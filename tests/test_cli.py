@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oporder import cli
 from oporder.cli import (
     EXIT_INDETERMINATE,
     EXIT_OK,
@@ -393,6 +394,7 @@ class TestCheckCommand:
         ("--tol-rel", "inf"),
         ("--count", "0"),
         ("--count", "-2"),
+        ("--seed", "-1"),
     ])
     def test_bad_tolerance_or_count_flag_exits_2(self, capsys, flag, value):
         code, out, err = run(capsys, *self.SMALL_NECESSITY, "--count", "1", flag, value)
@@ -437,6 +439,28 @@ class TestCheckCommand:
         assert code == EXIT_USAGE
         assert err.startswith("error: r must be finite and exceed t_n = 0.5")
         assert out == ""
+
+    def test_proof_steps_rejects_r_out_of_domain_without_t(self, capsys):
+        code, out, err = run(capsys, "check", "--mode", "proof-steps", "--k", "3",
+                             "--dim", "2", "--count", "1", "--r=inf")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: r must be finite")
+
+    def test_proof_steps_applies_r_without_t(self, capsys, monkeypatch):
+        templates = []
+        original = cli.check_reduction_chain
+
+        def spy(tup, template, *args, **kwargs):
+            templates.append(template)
+            return original(tup, template, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_reduction_chain", spy)
+        code, _, _ = run(capsys, "check", "--mode", "proof-steps", "--k", "3",
+                         "--dim", "2", "--count", "2", "--r", "1.7")
+        assert code == EXIT_OK
+        assert [template.r for template in templates] == [1.7, 1.7]
+        # t is still drawn from the contracting range
+        assert all(0.75 <= template.t[0] <= 0.95 for template in templates)
 
     @pytest.mark.parametrize("entries,flags", [
         ({"k": "3"}, ("--k", "3")),
@@ -486,6 +510,23 @@ class TestCheckCommand:
         first, usage = err.split("\n", 1)
         assert first.startswith("error: ")
         assert usage.startswith(f"usage: oporder {argv[0]} [-h]")
+
+
+class TestFixedWeights:
+    @pytest.mark.parametrize("argv", [
+        ("check", "--mode", "necessity", "--k", "3", "--dim", "2", "--count", "1",
+         "--p-grid", "1,2"),
+        ("check", "--mode", "proof-steps", "--k", "3", "--dim", "2", "--count", "1"),
+        ("search", "--budget", "3", "--k", "3"),
+    ])
+    @pytest.mark.parametrize("weights", [
+        "fixed:inf,0.01", "fixed:-1,0.01", "fixed:nan,0.01", "fixed:0,0.01", "fixed:0.5,inf",
+        "fixed:inf,inf",
+    ])
+    def test_out_of_domain_fixed_weights_exit_2(self, capsys, argv, weights):
+        code, out, err = run(capsys, *argv, "--weights", weights)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: --weights: fixed weights must be finite and positive")
 
 
 class TestSearchCommand:
@@ -541,6 +582,7 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize("entry", [
         '"seed": 1.5',
+        '"seed": -1',
         '"emit_stats": "no"',
         '"emit_stats": 1',
         '"k": 2.5',
@@ -606,8 +648,9 @@ def _captured_main(argv):
 
 
 # each field's values in and out of its domain: small grids, p = 1e300
-# (whose necessity weight overflows to 0), weights of 0 and below (error
-# rows) and of 1e300, tolerances of every size, limit sequences out to 1e300
+# (whose necessity weight overflows to 0, an error row), weights of 1e300,
+# tolerances of every size, limit sequences out to 1e300; a number as the
+# weights is one fixed weight for each of the k - 1 members
 _FUZZ_FIELDS = {
     "k": (("3", "4", "5"), ("2", "1")),
     "dim": (("1", "2", "3"), ("0",)),
@@ -616,34 +659,64 @@ _FUZZ_FIELDS = {
                ("4,1", "0.5,1", "1,nan", "1,inf", "x")),
     "tol-rel": (("1e-12", "1e-7", "1e-2", "1e300"), ("0", "-1e-7", "nan", "inf", "x")),
     "suite-tol-rel": (("1e-12", "1e-7", "1e-2", "1e300"), ("0", "-1e-7", "nan", "inf", "x")),
-    "weights": (("necessity", "0.01", "0.5", "0.9", "1e300", "0", "-1"),
-                ("fixed:x", "fixed:0.5", "bogus")),
+    "weights": (("necessity", "0.01", "0.5", "0.9", "1e300"),
+                ("fixed:x", "fixed:0.5", "bogus", "0", "-1", "inf", "nan")),
     "s-grid": (("1", "1,10,100", "1,1e300", "1e300"), ("0", "10,1", "1,nan", "x")),
 }
+
+
+# search's fields the same way; its budget stays small
+_SEARCH_FUZZ_FIELDS = {
+    "k": (("3", "4", "5"), ("2", "0")),
+    "budget": (("0", "2", "4"), ("-1",)),
+    "dim": (("1", "2", "1,3"), ("0", "2,0", "x")),
+    "weights": _FUZZ_FIELDS["weights"],
+}
+
+
+def _reads_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _fuzz_flags(draw, fields):
+    """``--field value`` pairs with at most one field out of its domain."""
+    broken = draw(st.sampled_from((None, None, None) + tuple(fields)))
+    values = {name: draw(st.sampled_from(bad if name == broken else good))
+              for name, (good, bad) in fields.items()}
+    if _reads_as_float(values["weights"]):
+        k = max(int(values["k"]), 2)
+        values["weights"] = "fixed:" + ",".join([values["weights"]] * (k - 1))
+    return [token for name, value in values.items() for token in (f"--{name}", value)]
 
 
 @st.composite
 def _check_argv(draw):
     """``check --mode necessity|contrapositive|proof-steps|limit`` argv with
     at most one field out of its domain."""
-    broken = draw(st.sampled_from((None, None, None) + tuple(_FUZZ_FIELDS)))
-    values = {name: draw(st.sampled_from(bad if name == broken else good))
-              for name, (good, bad) in _FUZZ_FIELDS.items()}
-    if values["weights"][0].isdigit() or values["weights"][0] == "-":
-        # one fixed weight for each of the k - 1 members
-        k = max(int(values["k"]), 2)
-        values["weights"] = "fixed:" + ",".join([values["weights"]] * (k - 1))
     modes = ("necessity", "contrapositive", "proof-steps", "limit")
-    argv = ["check", "--mode", draw(st.sampled_from(modes)),
-            "--seed", str(draw(st.integers(0, 3)))]
-    for name, value in values.items():
-        argv += [f"--{name}", value]
-    return argv
+    return ["check", "--mode", draw(st.sampled_from(modes)),
+            "--seed", str(draw(st.integers(0, 3)))] + _fuzz_flags(draw, _FUZZ_FIELDS)
 
 
-def _assert_exit_code_contract(code, out, err):
+@st.composite
+def _search_argv(draw):
+    """``search`` argv on a small grid with at most one field out of its
+    domain."""
+    return ["search", "--p-grid", "1,2",
+            "--seed", str(draw(st.integers(0, 3)))] + _fuzz_flags(draw, _SEARCH_FUZZ_FIELDS)
+
+
+def _assert_exit_code_contract(code, out, err, command="check"):
     assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INDETERMINATE)
     assert "Traceback" not in out + err
+    if command == "search" and code != EXIT_USAGE:
+        # a JSON summary, and exit 1 exactly when it holds findings
+        assert (code == EXIT_VIOLATION) == (json.loads(out)["findings"] > 0)
+        return
     lines = err.splitlines()
     violations = [line for line in lines if line.startswith("VIOLATION: ")]
     errors = [line for line in lines if line.startswith("ERROR: ")]
@@ -667,11 +740,11 @@ def _json_number(text):
 
 
 @st.composite
-def _check_config(draw):
-    """The fields of ``_check_argv`` as the entries of a ``check`` config,
-    each a string, except up to three written as a number, a boolean or
-    null."""
-    argv = draw(_check_argv())
+def _config_entries(draw, argv_strategy):
+    """The fields of an argv that ``argv_strategy`` draws as the entries of
+    a config, each a string, except up to three written as a number, a
+    boolean or null."""
+    argv = draw(argv_strategy)
     entries = {flag[2:].replace("-", "_"): value
                for flag, value in zip(argv[1::2], argv[2::2])}
     for key in draw(st.sets(st.sampled_from(sorted(entries)), max_size=3)):
@@ -694,9 +767,19 @@ class TestExitCodeContract:
         _assert_exit_code_contract(*_captured_main(argv))
 
     @settings(max_examples=50, deadline=None)
-    @given(entries=_check_config())
+    @given(entries=_config_entries(_check_argv()))
     def test_config_file_entries_keep_the_contract(self, entries):
         _assert_exit_code_contract(*_with_config(["check"], entries))
+
+    @settings(max_examples=30, deadline=None)
+    @given(argv=_search_argv())
+    def test_search_exit_code_matches_printed_outcome(self, argv):
+        _assert_exit_code_contract(*_captured_main(argv), command="search")
+
+    @settings(max_examples=30, deadline=None)
+    @given(entries=_config_entries(_search_argv()))
+    def test_search_config_file_entries_keep_the_contract(self, entries):
+        _assert_exit_code_contract(*_with_config(["search"], entries), command="search")
 
 
 @st.composite

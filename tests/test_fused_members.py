@@ -114,7 +114,7 @@ def _campaigns(draw):
     grid = draw(st.sampled_from(GRIDS))
     count = draw(st.integers(1, 3))
     weight = st.one_of(st.just(WeightPolicy.necessity()), st.lists(
-        st.sampled_from((0.0, 0.3, 0.5, 0.9)), min_size=k - 1, max_size=k - 1
+        st.sampled_from((0.1, 0.3, 0.5, 0.9)), min_size=k - 1, max_size=k - 1
     ).map(WeightPolicy.fixed))
     chain_list = chains.hypothesis_set(k)
     members = draw(st.one_of(st.none(), st.lists(
@@ -131,9 +131,9 @@ def _campaigns(draw):
 @settings(max_examples=40, deadline=None)
 @given(case=_campaigns())
 # p = 1e300 overflows the powers of A_i and, under the necessity policy, the
-# chain exponent, whose weight 0 is an error row; so is the fixed weight 0
+# chain exponent, whose weight 0 is an error row
 @example(case=dict(k=5, dim=2, field_kind="real", unordered=False,
-                   policies=[WeightPolicy.necessity(), WeightPolicy.fixed([0.0, 0.3, 0.5, 0.9])],
+                   policies=[WeightPolicy.necessity(), WeightPolicy.fixed([0.1, 0.3, 0.5, 0.9])],
                    seeds=[0, 1], grid=PGrid(values=(1.0, 1e300)), members=None))
 def test_fused_members_equal_per_member_evaluation(case):
     with pytest.MonkeyPatch.context() as monkeypatch:

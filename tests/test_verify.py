@@ -171,6 +171,30 @@ class TestParamTemplate:
         with pytest.raises(ValueError):
             ParamTemplate(**kwargs)
 
+    def test_draw_takes_one_uniform_per_t_then_the_gap(self):
+        ranges = ((0.7, 0.8), (0.1, 0.2), (0.3, 0.4))
+        rng = np.random.default_rng(5)
+        t = (rng.uniform(0.7, 0.8), rng.uniform(0.1, 0.2), rng.uniform(0.1, 0.2))
+        expected = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 0.4))
+        assert ParamTemplate.draw(np.random.default_rng(5), 3, ranges=ranges) == expected
+
+    def test_draw_skips_the_draws_of_given_values(self):
+        rng = np.random.default_rng(5)
+        gap = rng.uniform(0.1, 2.0)
+        assert ParamTemplate.draw(np.random.default_rng(5), 1, t=(0.5,)) == ParamTemplate(
+            t=(0.5,), r=0.5 + gap)
+        rng = np.random.default_rng(5)
+        t = tuple(rng.uniform(0.05, 0.95) for _ in range(2))
+        drawn = ParamTemplate.draw(np.random.default_rng(5), 2, r=1.7)
+        assert drawn == ParamTemplate(t=t, r=1.7)
+        rng = np.random.default_rng(5)
+        assert ParamTemplate.draw(rng, 1, t=(0.5,), r=1.0) == ParamTemplate(t=(0.5,), r=1.0)
+        assert rng.uniform() == np.random.default_rng(5).uniform()  # nothing drawn
+
+    def test_draw_checks_a_given_r(self):
+        with pytest.raises(ValueError, match="r must be finite"):
+            ParamTemplate.draw(np.random.default_rng(0), 2, r=math.inf)
+
 
 class TestWeightPolicy:
     def test_parse_round_trip(self):
@@ -180,6 +204,15 @@ class TestWeightPolicy:
         assert WeightPolicy.parse("necessity").kind == "necessity"
         with pytest.raises(ValueError):
             WeightPolicy.parse("uniform")
+
+    @pytest.mark.parametrize("values", [
+        (math.inf, 0.5), (0.5, -math.inf), (math.nan, 0.5), (0.0, 0.5), (-1.0, 0.5),
+    ])
+    def test_fixed_weights_must_be_finite_and_positive(self, values):
+        with pytest.raises(ValueError, match="finite and positive"):
+            WeightPolicy.fixed(values)
+        with pytest.raises(ValueError, match="finite and positive"):
+            WeightPolicy.parse("fixed:" + ",".join(map(str, values)))
 
     def test_fixed_length_checked(self):
         with pytest.raises(ValueError):
