@@ -319,7 +319,11 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     the input within RECON_RTOL * max(1, |lambda|max)."""
     dim = arrs.shape[-1]
     (lam, u), errors, work = _solve_stack(np.linalg.eigh, arrs, errors)
-    uh = _adjoint(u)
+    # a stacked matmul by a contiguous copy of the adjoint runs 3-4x faster
+    # than one by the strided view for d = 2-4, with the same bits (but for
+    # the sign of a NaN, which only a row in error holds); so does the
+    # product in power_stack
+    uh = np.ascontiguousarray(_adjoint(u))
     ortho = np.abs(uh @ u - _eye(dim)).max(axis=(-2, -1))
     recon = np.abs((u * lam[:, None, :]) @ uh - work).max(axis=(-2, -1))
     bad_ortho = ortho > ORTHO_TOL
@@ -375,7 +379,7 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
             rows = alpha == value
             if rows.any():
                 powered[rows] = fast_path(lam[rows])
-        out = (u * powered[:, None, :]) @ _adjoint(u)
+        out = (u * powered[:, None, :]) @ np.ascontiguousarray(_adjoint(u))
         out = 0.5 * (out + _adjoint(out))
     if not np.isfinite(out).all():
         errors = flag_errors(errors, ~np.isfinite(out).all(axis=(-2, -1)),
@@ -544,20 +548,6 @@ def scaled_margins_stack(p: WordBatch, q: WordBatch, errors=None):
     if not finite.all():
         errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("comparison margin"))
     return ge, le, scale, errors
-
-
-def decompose_matrices(matrices) -> None:
-    """Decompose HermitianMatrix objects of one dimension with one stacked
-    ``decompose_stack`` and cache each result on its matrix, where
-    ``decomposition()`` returns it; a matrix that fails keeps no cache and
-    raises its own error when it is decomposed."""
-    pending = [m for m in matrices if "_decomposition" not in vars(m)]
-    if not pending:
-        return
-    lam, u, errors = decompose_stack(np.stack([m.entries for m in pending]))
-    for i, m in enumerate(pending):
-        if errors is None or errors[i] is None:
-            vars(m)["_decomposition"] = SpectralDecomposition(lam[i], u[i])
 
 
 def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:

@@ -13,12 +13,12 @@ import itertools
 import json
 import math
 import operator
+import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +34,6 @@ from .spectral import (
     Verdict,
     WordBatch,
     classify_stack,
-    decompose_matrices,
     decompose_stack,
     first_errors,
     flag_errors,
@@ -288,9 +287,14 @@ def gen_contractive_tuple(
     s = _random_spds(rng, dim, k, field_kind, 0.0)
     s = s / np.maximum(np.linalg.eigvalsh(s)[:, -1], 1e-12)[:, None, None]
     m = centers[:, None, None] * np.eye(dim) + wobble * s
-    mats = [HermitianMatrix(a) for a in 0.5 * (m + m.conj().swapaxes(-1, -2))]
-    decompose_matrices(mats)
-    return OperatorTuple(tuple(mats))
+    # one checked decomposition of the symmetrized stack, kept on each
+    # matrix for later powers; the first matrix that fails to decompose or
+    # the pd gate raises its error
+    arrs = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    lam, u, errors = decompose_stack(arrs)
+    _raise_first_row(gate_stack(lam, errors))
+    return OperatorTuple.trusted(
+        HermitianMatrix.trusted(arrs[i], SpectralDecomposition(lam[i], u[i])) for i in range(k))
 
 
 def gen_suite_tuple(k: int, dim: int, seed, field_kind: str = "real") -> OperatorTuple:
@@ -509,6 +513,29 @@ _CSV_COLUMNS = ("instance_id", "k", "dim", "family", "member", "p_vector",
                 "w", "relation", "margin", "verdict", "seconds")
 
 
+# a shared grid product (a tuple, see PGrid.product) is formatted once per
+# process, like the product itself
+@lru_cache(maxsize=32)
+def _p_vector_texts(p_vectors) -> tuple[str, ...]:
+    """The CSV p_vector text of each p-vector."""
+    return tuple(";".join(repr(v) for v in p_vec) for p_vec in p_vectors)
+
+
+def _rewrite(path, text: str) -> None:
+    """Write ``text`` to ``path`` over the bytes already there, then cut the
+    file to the new length: a missing file is created, an existing one (or
+    a symlink's target) keeps its inode and mode.  Rewriting a report this
+    way costs a fraction of truncating it first, which a file system such
+    as ext4 answers by flushing the old blocks at close.  A write that dies
+    midway may leave the old file's tail behind the new bytes."""
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        old_size = os.fstat(fh.fileno()).st_size  # 0 for a pipe or terminal
+        fh.write(data)
+        if old_size > len(data):
+            fh.truncate()
+
+
 @dataclass(eq=False)
 class CampaignReport:
     """Campaign rows as one columnar table, judged at the suite slack
@@ -584,7 +611,7 @@ class CampaignReport:
         heads = [f"{m.instance_id},{m.k},{m.dim},{m.family},{m.member},"
                  for m in self.members]
         # p-vector texts per p-vector list, shared by the members of an instance
-        p_texts: dict[int, list[str]] = {}
+        p_texts: dict[int, tuple[str, ...]] = {}
         names = ("member", "p_index", "w", "margin", "verdict", "seconds")
         cols = [self.columns[name].tolist() for name in names]
         # w repeats across members and seconds across a batch: format each once
@@ -595,23 +622,24 @@ class CampaignReport:
             m = self.members[member]
             texts = p_texts.get(id(m.p_vectors))
             if texts is None:
-                texts = p_texts[id(m.p_vectors)] = [";".join(repr(v) for v in p_vec)
-                                                    for p_vec in m.p_vectors]
+                texts = p_texts[id(m.p_vectors)] = (
+                    _p_vector_texts(m.p_vectors) if isinstance(m.p_vectors, tuple)
+                    else _p_vector_texts.__wrapped__(m.p_vectors))  # a subsample
             lines.append(f"{heads[member]}{texts[p_index]},{w_texts[w]},{m.relation},"
                          f"{margin!r},{VERDICTS[verdict]},{s_texts[seconds]}")
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
         """CSV report plus a <path>.json sidecar carrying the full config
-        and master seed needed to reproduce every row."""
-        path = Path(path)
-        path.write_text(self.csv_text())
+        and master seed needed to reproduce every row; both are rewritten
+        in place."""
+        _rewrite(path, self.csv_text())
         sidecar = {
             "config": self.config,
             "master_seed": self.master_seed,
             "summary": self.summary(),
         }
-        Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+        _rewrite(f"{os.fspath(path)}.json", json.dumps(sidecar, indent=2) + "\n")
 
 
 class RowView(Sequence):
@@ -1403,7 +1431,7 @@ class SearchReport:
         }
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
+        _rewrite(path, json.dumps(self.to_json(), indent=2) + "\n")
 
 
 def implied_core_violation(

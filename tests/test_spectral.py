@@ -35,6 +35,7 @@ from oporder.spectral import (
     scaled_margins_stack,
     spectral_decompose,
 )
+from oporder import spectral
 from oporder.spectral import _frobenius
 from oporder.verify import _identity_batch, _random_spds
 from util import (
@@ -316,6 +317,66 @@ class TestStackedGuards:
         assert isinstance(errors[1], NearSingularError)
         assert np.allclose(out[0], np.diag([1e-26, 1.0]))
         assert mu[[0, 2]].tolist() == [[1e-13 * 1e-13, 1.0], [1e-13, 1.0]]
+
+
+def _strided_adjoint(arrs):
+    """The adjoint as numpy's strided view; the stacked primitives
+    multiply by a contiguous copy of it."""
+    return arrs.conj().swapaxes(-1, -2)
+
+
+class TestContiguousAdjoint:
+    """The checks of ``decompose_stack`` and the products of ``power_stack``
+    multiply by a contiguous copy of the adjoint; a reference that
+    multiplies by the strided view gives the same bits."""
+
+    @staticmethod
+    def stack(seed, dim, count, complex_field, magnitude):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((count, dim, dim))
+        if complex_field:
+            g = g + 1j * rng.standard_normal((count, dim, dim))
+        a = _strided_adjoint(g) @ g + 0.1 * np.eye(dim)
+        return 0.5 * (a + _strided_adjoint(a)) * magnitude
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), dim=st.integers(1, 6), count=st.integers(1, 64),
+           complex_field=st.booleans(), magnitude=st.sampled_from([1.0, 1e-3, 1e3, 1e-100]))
+    def test_decompose_stack_checks(self, seed, dim, count, complex_field, magnitude):
+        arrs = self.stack(seed, dim, count, complex_field, magnitude)
+        lam, u = np.linalg.eigh(arrs)
+        uh = _strided_adjoint(u)
+        ortho = np.abs(uh @ u - np.eye(dim)).max(axis=(-2, -1))
+        recon = np.abs((u * lam[:, None, :]) @ uh - arrs).max(axis=(-2, -1))
+        recon_scale = np.maximum(1.0, np.abs(lam).max(axis=-1))
+        # the check products show only in the rows they flag: with each
+        # tolerance at the reference's median residual, a product one ulp
+        # off would move a row across it
+        ortho_tol = float(np.median(ortho))
+        recon_rtol = float(np.median(recon / recon_scale))
+        want = (ortho > ortho_tol) | (recon > recon_rtol * recon_scale)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "ORTHO_TOL", ortho_tol)
+            patch.setattr(spectral, "RECON_RTOL", recon_rtol)
+            got_lam, got_u, errors = decompose_stack(arrs)
+        assert got_lam.tobytes() == lam.tobytes()
+        assert got_u.tobytes() == u.tobytes()
+        flagged = np.zeros(count, dtype=bool) if errors is None else ~spectral.healthy(errors)
+        assert flagged.tolist() == want.tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), dim=st.integers(1, 6), count=st.integers(1, 64),
+           complex_field=st.booleans(), magnitude=st.sampled_from([1.0, 1e-3, 1e3, 1e-100]),
+           alpha=st.one_of(st.sampled_from([2.0, 0.5, -1.0, 1.0, 3.0]),
+                           st.floats(-2.0, 4.0), st.just("per-row")))
+    def test_power_stack_products(self, seed, dim, count, complex_field, magnitude, alpha):
+        lam, u, _ = decompose_stack(self.stack(seed, dim, count, complex_field, magnitude))
+        if alpha == "per-row":
+            alpha = np.random.default_rng(seed).choice([2.0, 0.5, -1.0, 0.3, -0.7, 1.5], count)
+        out, mu, _ = power_stack(lam, u, alpha, None)
+        want = (u * mu[:, None, :]) @ _strided_adjoint(u)
+        want = 0.5 * (want + _strided_adjoint(want))
+        assert out.tobytes() == want.tobytes()
 
 
 class TestKnownSides:

@@ -23,6 +23,7 @@ from oporder.verify import (
     ParamTemplate,
     PGrid,
     SearchConfig,
+    SearchReport,
     WeightPolicy,
     check_conclusion,
     check_hypotheses,
@@ -120,6 +121,40 @@ class TestGenerators:
         tup = gen_ordered_tuple(3, 2, seed=3, field_kind="complex")
         assert tup.matrices[0].scalar_field == "complex"
         assert all(v.ge for v in check_conclusion(tup))
+
+
+def _validated_suite_tuple(k, dim, seed, field_kind):
+    """``gen_suite_tuple`` built by the validating constructors, each matrix
+    decomposed on its own."""
+    band, wobble = ((0.45, 0.97), 0.01) if k <= 3 else ((0.95, 0.992), 0.002)
+    rng = np.random.default_rng(seed)
+    s = verify._random_spds(rng, dim, k, field_kind, 0.0)
+    s = s / np.maximum(np.linalg.eigvalsh(s)[:, -1], 1e-12)[:, None, None]
+    m = np.linspace(*band, k)[:, None, None] * np.eye(dim) + wobble * s
+    return OperatorTuple(tuple(HermitianMatrix(a) for a in 0.5 * (m + m.conj().swapaxes(-1, -2))))
+
+
+class TestSuiteTupleConstruction:
+    """gen_suite_tuple wraps one checked stacked decomposition; the tuple
+    and the decompositions it keeps have the bits of the validating
+    construction."""
+
+    @pytest.mark.parametrize("field_kind", ["real", "complex"])
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_matches_the_validating_construction(self, k, field_kind):
+        for dim in range(1, 5):
+            for seed in range(3):
+                got = gen_suite_tuple(k, dim, seed, field_kind)
+                want = _validated_suite_tuple(k, dim, seed, field_kind)
+                assert got.k == want.k == k
+                for a, b in zip(got.matrices, want.matrices):
+                    assert "_decomposition" in vars(a)
+                    assert a.entries.dtype == b.entries.dtype
+                    assert a.entries.tobytes() == b.entries.tobytes()
+                    assert not a.entries.flags.writeable
+                    da, db = a.decomposition(), b.decomposition()
+                    assert da.eigenvalues.tobytes() == db.eigenvalues.tobytes()
+                    assert da.eigenvectors.tobytes() == db.eigenvectors.tobytes()
 
 
 class TestPGrid:
@@ -841,6 +876,48 @@ class TestCampaignReport:
         sidecar = json.loads((tmp_path / "report.csv.json").read_text())
         assert sidecar["config"] == {"purpose": "test"}
         assert "summary" in sidecar
+
+    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+        long_report = check_hypotheses(
+            gen_suite_tuple(3, 2, seed=23), ParamTemplate(t=(0.5,), r=1.0),
+            PGrid(values=(1.0, 1.5, 2.0, 4.0)), WeightPolicy.necessity(), instance_id="7")
+        long_report.config = {"purpose": "a longer config than the second one"}
+        short_report = self.make_report()
+        short_report.config = {}
+        long_findings = SearchReport([{"instance_id": i} for i in range(50)], {}, {}, 0)
+        short_findings = SearchReport([], {}, {}, 0)
+        path, findings = tmp_path / "report.csv", tmp_path / "findings.json"
+        long_report.write_csv(path)
+        long_findings.write_json(findings)
+        sidecar = tmp_path / "report.csv.json"
+        sizes = [p.stat().st_size for p in (path, sidecar, findings)]
+        short_report.write_csv(str(path))
+        short_findings.write_json(str(findings))
+        assert path.read_bytes() == short_report.csv_text().encode()
+        assert sidecar.read_bytes() == (json.dumps(
+            {"config": {}, "master_seed": 0, "summary": short_report.summary()},
+            indent=2) + "\n").encode()
+        assert findings.read_bytes() == (
+            json.dumps(short_findings.to_json(), indent=2) + "\n").encode()
+        assert all(p.stat().st_size < size
+                   for p, size in zip((path, sidecar, findings), sizes))
+
+    def test_rewrite_through_a_symlink_keeps_the_link_and_the_mode(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 10_000)
+        target.chmod(0o640)
+        link.symlink_to(target)
+        report = SearchReport([], {}, {}, 0)
+        report.write_json(link)
+        assert link.is_symlink()
+        assert target.read_bytes() == (json.dumps(report.to_json(), indent=2) + "\n").encode()
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    def test_rewrite_creates_a_new_file(self, tmp_path):
+        path = tmp_path / "new.json"
+        report = SearchReport([], {"rows": 1}, {}, 3)
+        report.write_json(path)
+        assert json.loads(path.read_text()) == report.to_json()
 
     def test_mathematical_columns_deterministic(self):
         a, b = self.make_report(), self.make_report()
