@@ -163,13 +163,12 @@ def chain_exponents(t, p_table) -> np.ndarray:
     an (N, 2n) table of p-vectors.
 
     Defined by the recurrence b_0 = 1, b_j = (b_(j-1) * p_(2j-1) - t_j) *
-    p_(2j) + t_j, returning b_n.  Each b_j with j < n is computed once per
-    distinct prefix p_1 .. p_2j, and b_n once per row, in exact arithmetic
-    on integers over powers of two, so the all-ones telescoping case
-    returns exactly 1.0.  Each b_n is then
-    rounded once to the nearest float (CPython's int / int division rounds
-    correctly, as ``float(Fraction)`` does); beyond the float range it is
-    inf.
+    p_(2j) + t_j, returning b_n.  Each level is computed for every row at
+    once in exact arithmetic: object arrays of Python integers over one
+    power of two per level, so the all-ones telescoping case returns
+    exactly 1.0.  Each b_n is then rounded once to the nearest float
+    (CPython's int / int division rounds correctly, as ``float(Fraction)``
+    does); beyond the float range it is inf.
     """
     t = tuple(float(v) for v in t)
     table = np.asarray(p_table, dtype=np.float64)
@@ -182,34 +181,29 @@ def chain_exponents(t, p_table) -> np.ndarray:
     if bad.any():
         first = tuple(table[bad.any(axis=1)][0].tolist())
         raise ValueError(f"every p must be finite and >= 1, got {first}")
-    exact = {v: _dyadic(v) for v in set(table.ravel().tolist())}
-    rows = [tuple(row) for row in table.tolist()]
-    # b per distinct prefix p_1 .. p_2j, level by level (the last level once
-    # per row): x = b * p_(2j-1) - t_j, then b' = x * p_(2j) + t_j, each sum
-    # taken over the larger power of two
-    levels: dict[tuple, tuple[int, int]] = {(): (1, 0)}
+    # every p as an integer over the one power of two 2**ps
+    values, codes = np.unique(table, return_inverse=True)
+    exact = [_dyadic(v) for v in values.tolist()]
+    ps = max((s for _, s in exact), default=0)
+    p_int = np.array([m << (ps - s) for m, s in exact], dtype=object)
+    p_int = p_int[codes.reshape(table.shape)]
+    # b over 2**bs; x = b * p_(2j-1) - t_j over 2**xs, then b' = x * p_(2j)
+    # + t_j, each sum taken over the larger power of two
+    b, bs = np.ones(len(table), dtype=object), 0
     for j, tj in enumerate(t):
         tm, ts = _dyadic(tj)
-        width = 2 * j + 2
-        for prefix in rows if width == table.shape[1] else \
-                dict.fromkeys(row[:width] for row in rows):
-            bm, bs = levels[prefix[:-2]]
-            (pm, ps), (qm, qs) = exact[prefix[-2]], exact[prefix[-1]]
-            xm, xs = bm * pm, bs + ps
-            if xs >= ts:
-                xm -= tm << (xs - ts)
-            else:
-                xm, xs = (xm << (ts - xs)) - tm, ts
-            ym, ys = xm * qm, xs + qs
-            if ys >= ts:
-                levels[prefix] = ym + (tm << (ys - ts)), ys
-            else:
-                levels[prefix] = (ym << (ts - ys)) + tm, ts
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        m, s = levels[row]
+        xs = max(bs + ps, ts)
+        x = ((b * p_int[:, 2 * j]) << (xs - bs - ps)) - (tm << (xs - ts))
+        bs = max(xs + ps, ts)
+        b = ((x * p_int[:, 2 * j + 1]) << (bs - xs - ps)) + (tm << (bs - ts))
+    try:
+        return (b / (1 << bs)).astype(np.float64)
+    except OverflowError:
+        pass
+    out = np.empty(len(table))
+    for i, m in enumerate(b.tolist()):
         try:
-            out[i] = m / (1 << s)
+            out[i] = m / (1 << bs)
         except OverflowError:
             out[i] = math.inf  # b_n >= 1 whenever p >= 1 and t lies in [0, 1]
     return out

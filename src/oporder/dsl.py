@@ -563,12 +563,16 @@ class _BatchRun:
         if got is None:
             last = max(names)
             rest = self.group(names - {last})
-            if rest is not None and len(rest.first) == self.size:
+            if rest is None:
+                # return_index sorts stably, so first holds first occurrences
+                _, first, inverse = np.unique(self.columns[last], return_index=True,
+                                              return_inverse=True)
+            elif len(rest.first) == self.size:
                 # every row is a binding of its own already
                 first, inverse = rest.first, rest.inverse
             else:
                 values, codes = np.unique(self.columns[last], return_inverse=True)
-                key = codes if rest is None else rest.inverse * len(values) + codes
+                key = rest.inverse * len(values) + codes
                 _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
             got = self._groups[names] = _Group(names, first, inverse)
         return got

@@ -320,9 +320,10 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     dim = arrs.shape[-1]
     (lam, u), errors, work = _solve_stack(np.linalg.eigh, arrs, errors)
     # a stacked matmul by a contiguous copy of the adjoint runs 3-4x faster
-    # than one by the strided view for d = 2-4, with the same bits (but for
-    # the sign of a NaN, which only a row in error holds); so does the
-    # product in power_stack
+    # than one by the strided view for d = 2-4; so does the product in
+    # power_stack.  The two gave identical bits for d <= 8 with OpenBLAS
+    # (but for the sign of a NaN, which only a row in error holds); a
+    # larger d or another BLAS may round differently
     uh = np.ascontiguousarray(_adjoint(u))
     ortho = np.abs(uh @ u - _eye(dim)).max(axis=(-2, -1))
     recon = np.abs((u * lam[:, None, :]) @ uh - work).max(axis=(-2, -1))

@@ -13,12 +13,12 @@ import itertools
 import json
 import math
 import operator
-import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -513,29 +513,6 @@ _CSV_COLUMNS = ("instance_id", "k", "dim", "family", "member", "p_vector",
                 "w", "relation", "margin", "verdict", "seconds")
 
 
-# a shared grid product (a tuple, see PGrid.product) is formatted once per
-# process, like the product itself
-@lru_cache(maxsize=32)
-def _p_vector_texts(p_vectors) -> tuple[str, ...]:
-    """The CSV p_vector text of each p-vector."""
-    return tuple(";".join(repr(v) for v in p_vec) for p_vec in p_vectors)
-
-
-def _rewrite(path, text: str) -> None:
-    """Write ``text`` to ``path`` over the bytes already there, then cut the
-    file to the new length: a missing file is created, an existing one (or
-    a symlink's target) keeps its inode and mode.  Rewriting a report this
-    way costs a fraction of truncating it first, which a file system such
-    as ext4 answers by flushing the old blocks at close.  A write that dies
-    midway may leave the old file's tail behind the new bytes."""
-    data = text.encode()
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        old_size = os.fstat(fh.fileno()).st_size  # 0 for a pipe or terminal
-        fh.write(data)
-        if old_size > len(data):
-            fh.truncate()
-
-
 @dataclass(eq=False)
 class CampaignReport:
     """Campaign rows as one columnar table, judged at the suite slack
@@ -608,38 +585,40 @@ class CampaignReport:
         }
 
     def csv_text(self) -> str:
-        heads = [f"{m.instance_id},{m.k},{m.dim},{m.family},{m.member},"
-                 for m in self.members]
-        # p-vector texts per p-vector list, shared by the members of an instance
-        p_texts: dict[int, tuple[str, ...]] = {}
+        # p-vector texts per p-vector list, shared by the members of an
+        # instance; each distinct p value (a float >= 1, see PGrid) is
+        # formatted once, and a grid product holds few
+        p_texts: dict[int, list[str]] = {}
+        for m in self.members:
+            if id(m.p_vectors) not in p_texts:
+                value_texts = {v: repr(v) for v in set(itertools.chain.from_iterable(m.p_vectors))}
+                p_texts[id(m.p_vectors)] = [";".join(map(value_texts.__getitem__, p_vec))
+                                            for p_vec in m.p_vectors]
+        heads = [f"{m.instance_id},{m.k},{m.dim},{m.family},{m.member}," for m in self.members]
+        member_p_texts = [p_texts[id(m.p_vectors)] for m in self.members]
+        relations = [m.relation for m in self.members]
         names = ("member", "p_index", "w", "margin", "verdict", "seconds")
         cols = [self.columns[name].tolist() for name in names]
         # w repeats across members and seconds across a batch: format each once
         w_texts = {w: repr(w) for w in set(cols[2])}
         s_texts = {s: f"{s:.6f}" for s in set(cols[5])}
         lines = [",".join(_CSV_COLUMNS)]
-        for member, p_index, w, margin, verdict, seconds in zip(*cols):
-            m = self.members[member]
-            texts = p_texts.get(id(m.p_vectors))
-            if texts is None:
-                texts = p_texts[id(m.p_vectors)] = (
-                    _p_vector_texts(m.p_vectors) if isinstance(m.p_vectors, tuple)
-                    else _p_vector_texts.__wrapped__(m.p_vectors))  # a subsample
-            lines.append(f"{heads[member]}{texts[p_index]},{w_texts[w]},{m.relation},"
-                         f"{margin!r},{VERDICTS[verdict]},{s_texts[seconds]}")
+        lines += [f"{heads[member]}{member_p_texts[member][p_index]},{w_texts[w]},"
+                  f"{relations[member]},{margin!r},{VERDICTS[verdict]},{s_texts[seconds]}"
+                  for member, p_index, w, margin, verdict, seconds in zip(*cols)]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
         """CSV report plus a <path>.json sidecar carrying the full config
-        and master seed needed to reproduce every row; both are rewritten
-        in place."""
-        _rewrite(path, self.csv_text())
+        and master seed needed to reproduce every row."""
+        path = Path(path)
+        path.write_text(self.csv_text())
         sidecar = {
             "config": self.config,
             "master_seed": self.master_seed,
             "summary": self.summary(),
         }
-        _rewrite(f"{os.fspath(path)}.json", json.dumps(sidecar, indent=2) + "\n")
+        Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
 class RowView(Sequence):
@@ -1431,7 +1410,7 @@ class SearchReport:
         }
 
     def write_json(self, path) -> None:
-        _rewrite(path, json.dumps(self.to_json(), indent=2) + "\n")
+        Path(path).write_text(json.dumps(self.to_json(), indent=2) + "\n")
 
 
 def implied_core_violation(

@@ -877,7 +877,7 @@ class TestCampaignReport:
         assert sidecar["config"] == {"purpose": "test"}
         assert "summary" in sidecar
 
-    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path):
+    def test_shorter_report_at_the_same_path_leaves_only_its_bytes(self, tmp_path):
         long_report = check_hypotheses(
             gen_suite_tuple(3, 2, seed=23), ParamTemplate(t=(0.5,), r=1.0),
             PGrid(values=(1.0, 1.5, 2.0, 4.0)), WeightPolicy.necessity(), instance_id="7")
@@ -902,7 +902,7 @@ class TestCampaignReport:
         assert all(p.stat().st_size < size
                    for p, size in zip((path, sidecar, findings), sizes))
 
-    def test_rewrite_through_a_symlink_keeps_the_link_and_the_mode(self, tmp_path):
+    def test_write_through_a_symlink_keeps_the_link_and_the_mode(self, tmp_path):
         target, link = tmp_path / "target.json", tmp_path / "link.json"
         target.write_text("x" * 10_000)
         target.chmod(0o640)
@@ -913,7 +913,7 @@ class TestCampaignReport:
         assert target.read_bytes() == (json.dumps(report.to_json(), indent=2) + "\n").encode()
         assert target.stat().st_mode & 0o777 == 0o640
 
-    def test_rewrite_creates_a_new_file(self, tmp_path):
+    def test_write_creates_a_new_file(self, tmp_path):
         path = tmp_path / "new.json"
         report = SearchReport([], {"rows": 1}, {}, 3)
         report.write_json(path)
