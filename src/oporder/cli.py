@@ -11,7 +11,8 @@ Every command is deterministic given its full flag set including --seed;
 --dump-config emits the effective configuration as JSON and --config reads
 one back, with explicit flags taking precedence.  Each config entry is
 parsed as the flag of the same name, so defaults, types, ranges and
-choices are declared once, in ``build_parser``.
+choices are declared once, in ``build_parser``.  ``check --mode M`` is
+parsed by mode M's own parser, which declares only the flags M reads.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from .verify import (
     CONTRACTIVE_RANGES,
     SUITE_TOL_REL,
     TEMPLATE_RANGES,
-    CampaignReport,
     ParamTemplate,
     PGrid,
     SearchConfig,
@@ -51,6 +51,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INDETERMINATE = 3
+
+CAMPAIGN_MODES = ("necessity", "contrapositive")
+CHAIN_MODES = CAMPAIGN_MODES + ("proof-steps",)
+MODES = CHAIN_MODES + ("limit",)
 
 
 class UsageError(Exception):
@@ -82,18 +86,22 @@ def _margin_text(margin: float) -> str:
     return f"{margin:.6f}" if abs(margin) < 1e6 else f"{margin:.6e}"
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise UsageError(f"malformed number list {text!r}") from exc
+class _Given(str):
+    """A list flag's text as given, which --dump-config and the report
+    sidecar print; ``value`` holds what it parses to."""
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in str(text).split(","))
-    except ValueError as exc:
-        raise UsageError(f"malformed integer list {text!r}") from exc
+def _parsed(parse):
+    """An argparse type keeping the text; a ValueError or SpectralError of
+    ``parse`` is the message after ``argument --flag:``."""
+    def convert(text: str) -> _Given:
+        given = _Given(text)
+        try:
+            given.value = parse(text)
+        except (ValueError, SpectralError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return given
+    return convert
 
 
 def _int_at_least(low: int):
@@ -117,20 +125,55 @@ def _tolerance(text: str) -> float:
 
 _tolerance.__name__ = "float"  # argparse names the type of a malformed value
 
+_FLOATS = _parsed(lambda text: tuple(map(float, text.split(","))))
+_GRID = _parsed(lambda text: PGrid(values=text.split(",")))
+_WEIGHTS = _parsed(WeightPolicy.parse)
+_DIMS = _parsed(lambda text: tuple(map(_int_at_least(1), text.split(","))))
+_FIXTURE = _parsed(lambda text: scalar_tuple(text.split(",")))
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="oporder",
-        description="Numerical laboratory for operator-order chain inequalities.",
-    )
+
+# every check flag, the modes that read it and its add_argument keywords; a
+# mode's config entries keep this order, in --dump-config and the sidecar
+_CHECK_FLAGS = (
+    ("--k", CHAIN_MODES, dict(type=_int_at_least(3), default=3)),
+    ("--k", ("limit",), dict(type=_int_at_least(2), default=3)),
+    ("--dim", MODES, dict(type=_int_at_least(1), default=3)),
+    ("--seed", MODES, dict(type=_int_at_least(0), default=0)),
+    ("--count", MODES, dict(type=_int_at_least(1), default=10,
+                            help="number of generated instances")),
+    ("--p-grid", CHAIN_MODES, dict(type=_GRID, default="1,1.5,2,4")),
+    ("--s-grid", ("limit",), dict(type=_GRID, default="1,10,100,1000,10000",
+                                  help="exponent samples of the limit sequence")),
+    ("--tol-rel", CAMPAIGN_MODES + ("limit",), dict(type=_tolerance, default=TOL_REL)),
+    ("--suite-tol-rel", CHAIN_MODES, dict(type=_tolerance, default=SUITE_TOL_REL)),
+    ("--weights", CHAIN_MODES, dict(type=_WEIGHTS, default="necessity",
+                                    help="necessity | fixed:<csv>")),
+    ("--field", MODES, dict(choices=["real", "complex"], default="real")),
+    ("--t", MODES, dict(type=_FLOATS,
+                        help="fixed t values (csv); sampled per instance if absent")),
+    ("--r", CHAIN_MODES, dict(type=float)),
+    ("--scalar-fixture", CAMPAIGN_MODES, dict(type=_FIXTURE,
+                                              help="csv scalars for a 1x1 fixture tuple")),
+    ("--report", CAMPAIGN_MODES, dict(help="write campaign rows to this CSV path")),
+    # no help line: the usage line's prog names the mode
+    ("--mode", MODES, dict(choices=MODES, help=argparse.SUPPRESS)),
+    ("--config", MODES, dict(help="JSON config file; flags override its entries")),
+    ("--dump-config", MODES, dict(action="store_true",
+                                  help="print the effective config as JSON and exit")),
+)
+
+
+def build_parser(mode: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; its ``check`` takes the flags of ``mode``,
+    or only --mode when no mode is known, and then rejects every argv."""
+    parser = _Parser(prog="oporder",
+                     description="Numerical laboratory for operator-order chain inequalities.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exp = sub.add_parser(
-        "exponent",
-        help="aggregate chain exponent and the necessity weight for given t, p, r",
-    )
-    p_exp.add_argument("--t", required=True, help="comma-separated t values")
-    p_exp.add_argument("--p", required=True, help="comma-separated p values")
+        "exponent", help="aggregate chain exponent and the necessity weight for given t, p, r")
+    p_exp.add_argument("--t", required=True, type=_FLOATS, help="comma-separated t values")
+    p_exp.add_argument("--p", required=True, type=_FLOATS, help="comma-separated p values")
     p_exp.add_argument("--r", type=float, default=None,
                        help="also print the necessity weight for this r")
 
@@ -141,43 +184,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_pc.add_argument("--all", action="store_true",
                       help="print the whole hypothesis set, one per line")
 
-    # a command's config entries keep the order of its arguments here, in
-    # --dump-config and in the report sidecar
-    p_chk = sub.add_parser("check", help="run a verification campaign")
-    p_chk.add_argument("--k", type=_int_at_least(2), default=3)
-    p_chk.add_argument("--dim", type=_int_at_least(1), default=3)
-    p_chk.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_chk.add_argument("--count", type=_int_at_least(1), default=10,
-                       help="number of generated instances")
-    p_chk.add_argument("--p-grid", dest="p_grid", default="1,1.5,2,4")
-    p_chk.add_argument("--s-grid", dest="s_grid", default="1,10,100,1000,10000",
-                       help="exponent samples for the limit mode")
-    p_chk.add_argument("--tol-rel", dest="tol_rel", type=_tolerance, default=TOL_REL)
-    p_chk.add_argument("--suite-tol-rel", dest="suite_tol_rel", type=_tolerance,
-                       default=SUITE_TOL_REL)
-    p_chk.add_argument("--weights", default="necessity", help="necessity | fixed:<csv>")
-    p_chk.add_argument("--field", choices=["real", "complex"], default="real")
-    p_chk.add_argument("--t", help="fixed t values (csv); sampled per instance if absent")
-    p_chk.add_argument("--r", type=float)
-    p_chk.add_argument("--scalar-fixture",
-                       help="csv scalars for a 1x1 fixture tuple (contrapositive mode)")
-    p_chk.add_argument("--report", help="write campaign rows to this CSV path")
-    p_chk.add_argument("--mode", choices=[
-        "necessity", "contrapositive", "proof-steps", "limit",
-    ])
-    p_chk.add_argument("--config", help="JSON config file; flags override its entries")
-    p_chk.add_argument("--dump-config", action="store_true",
-                       help="print the effective config as JSON and exit")
+    # the mode is read before the flags, so no check flag may be abbreviated
+    check = dict(help="run a verification campaign", allow_abbrev=False)
+    if mode is None:
+        sub.add_parser("check", **check, description=(
+            "Each mode reads its own flags: oporder check --mode M --help lists them."),
+        ).add_argument("--mode", choices=MODES, required=True)
+    else:
+        p_chk = sub.add_parser("check", **check, prog=f"oporder check --mode {mode}")
+        for flag, modes, kwargs in _CHECK_FLAGS:
+            if mode in modes:
+                p_chk.add_argument(flag, **kwargs)
 
     p_s = sub.add_parser("search", help="randomized counterexample hunt")
     p_s.add_argument("--budget", type=_int_at_least(0), default=200)
     p_s.add_argument("--k", type=_int_at_least(3), default=3)
-    p_s.add_argument("--dim", default="2,3,4", help="comma-separated candidate dimensions")
+    p_s.add_argument("--dim", type=_DIMS, default="2,3,4",
+                     help="comma-separated candidate dimensions")
     p_s.add_argument("--seed", type=_int_at_least(0), default=0)
-    p_s.add_argument("--p-grid", dest="p_grid", default="1,1.5,2,4,8")
-    p_s.add_argument("--weights", help="necessity | fixed:<csv>; random fixed if absent")
+    p_s.add_argument("--p-grid", type=_GRID, default="1,1.5,2,4,8")
+    p_s.add_argument("--weights", type=_WEIGHTS,
+                     help="necessity | fixed:<csv>; random fixed if absent")
     p_s.add_argument("--findings", help="write findings JSON to this path")
-    p_s.add_argument("--emit-stats", dest="emit_stats", action="store_true")
+    p_s.add_argument("--emit-stats", action="store_true")
     p_s.add_argument("--field", choices=["real", "complex"], default="real")
     p_s.add_argument("--config", help="JSON config file; flags override its entries")
     p_s.add_argument("--dump-config", action="store_true")
@@ -193,38 +222,27 @@ def _config(args) -> dict:
     return {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
 
 
-def _config_tokens(path: str, args) -> list[str]:
-    """The entries of a JSON config file as ``--flag=value`` tokens, parsed
-    like the flags themselves; a null entry leaves the default, and a
-    switch takes true or false."""
-    try:
-        loaded = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as exc:  # the last: deep nesting
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
+def _config_tokens(entries: dict, args) -> list[str]:
+    """Config entries as ``--flag=value`` tokens, parsed like the flags; a
+    null entry leaves the default, and a switch takes true or false."""
     known = _config(args)
-    unknown = set(loaded) - set(known)
-    if unknown:
+    if unknown := set(entries) - set(known):
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     tokens = []
-    for key, value in loaded.items():
+    for key, value in entries.items():
         switch = isinstance(known[key], bool)
         if value is None or (switch and value is False):
             continue  # the default applies
         flag = "--" + key.replace("_", "-")
-        if switch and value is True:
-            tokens.append(flag)
-        else:
-            # '=' keeps a value that starts with '-' a value; any other
-            # value of a switch is rejected by the parser
-            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+        # '=' keeps a value that starts with '-' a value; any other value of
+        # a switch is rejected by the parser
+        tokens.append(flag if switch and value is True else
+                      f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
     return tokens
 
 
 def _cmd_exponent(args) -> int:
-    t = _csv_floats(args.t)
-    p = _csv_floats(args.p)
+    t, p = args.t.value, args.p.value
     psi = chains.chain_exponent(t, p)
     w = None if args.r is None else chains.necessity_weight_from(t, p, args.r)
     print(f"chain_exponent = {psi:.12g}")
@@ -243,154 +261,125 @@ def _cmd_print_chain(args) -> int:
     return EXIT_OK
 
 
-def _policy(text: str) -> WeightPolicy:
-    try:
-        return WeightPolicy.parse(text)
-    except ValueError as exc:
-        raise UsageError(f"--weights: {exc}") from exc
-
-
-def _cmd_check(cfg: dict) -> int:
-    mode = cfg["mode"]
-    if not mode:
-        raise UsageError("--mode is required (or supply it via --config)")
-    k, n, seed = cfg["k"], cfg["k"] // 2, cfg["seed"]
-    if k == 2 and mode in ("necessity", "contrapositive", "proof-steps"):
-        raise UsageError("chain campaigns need k >= 3")
-    if mode in ("proof-steps", "limit"):
-        for key in ("scalar_fixture", "report"):
-            if cfg[key] is not None:
-                raise UsageError(f"--{key.replace('_', '-')} applies to the necessity and "
-                                 f"contrapositive modes only, not to --mode {mode}")
-    grid = PGrid(values=_csv_floats(cfg["p_grid"]))
-    policy = _policy(cfg["weights"])
-    tol, suite_tol = cfg["tol_rel"], cfg["suite_tol_rel"]
-    if mode == "limit":
-        p2_values = PGrid(values=_csv_floats(cfg["s_grid"])).values
-
-    # every instance's tuple and template, in instance order
-    fixture = cfg["scalar_fixture"]
+def _instances(args, ranges=TEMPLATE_RANGES, unordered: bool = False) -> list:
+    """Each instance's (tuple, template): the --scalar-fixture tuple alone, or
+    instance i's gen_unordered_tuple or gen_suite_tuple(k, dim, [seed, i]),
+    and a template drawn from default_rng([seed, i, 99])."""
+    k, seed, n = args.k, args.seed, args.k // 2
+    fixture = getattr(args, "scalar_fixture", None)
     if fixture is not None:
-        try:
-            tuples = [scalar_tuple(_csv_floats(fixture))]
-        except SpectralError as exc:
-            raise UsageError(
-                f"--scalar-fixture values must be finite and positive: {exc}") from exc
+        tuples = [fixture.value]
         if tuples[0].k != k:
             raise UsageError(f"fixture has {tuples[0].k} scalars but --k is {k}")
-    elif mode == "contrapositive":
-        # entry idx is gen_unordered_tuple(k, dim, [seed, idx])
-        tuples = gen_unordered_tuples(k, [(cfg["dim"], [seed, idx])
-                                          for idx in range(cfg["count"])],
-                                      field_kind=cfg["field"])
+    elif unordered:
+        tuples = gen_unordered_tuples(k, [(args.dim, [seed, idx]) for idx in range(args.count)],
+                                      field_kind=args.field)
     else:
-        tuples = (gen_suite_tuple(k, cfg["dim"], [seed, idx], field_kind=cfg["field"])
-                  for idx in range(cfg["count"]))
-    t = None if cfg["t"] is None else _csv_floats(cfg["t"])
+        tuples = (gen_suite_tuple(k, args.dim, [seed, idx], field_kind=args.field)
+                  for idx in range(args.count))
+    t = args.t and args.t.value
     if t is not None and len(t) != n:
         raise UsageError(f"--t needs {n} values for k={k}, got {len(t)}")
-    # proof-steps draws contracting t values unless they are given
-    ranges = CONTRACTIVE_RANGES if mode == "proof-steps" and t is None else TEMPLATE_RANGES
-    instances = [(tup, ParamTemplate.draw(verify._rng(seed, idx, 99), n, t, cfg["r"], ranges))
-                 for idx, tup in enumerate(tuples)]
+    r = getattr(args, "r", None)  # limit reads no r, and draws one
+    return [(tup, ParamTemplate.draw(verify._rng(seed, idx, 99), n, t, r, ranges))
+            for idx, tup in enumerate(tuples)]
 
-    violations: list[str] = []
-    # rows that were not evaluated: one line each, and how many rows in all
-    unevaluated: list[str] = []
-    unevaluated_rows = 0
-    reports: list[CampaignReport] = []
 
-    if mode in ("necessity", "contrapositive"):
-        reports = [check_hypotheses(tup, template, grid, policy,
-                                    tol_rel=tol, instance_id=str(idx), master_seed=seed,
-                                    instance_index=idx, suite_tol_rel=suite_tol)
-                   for idx, (tup, template) in enumerate(instances)]
-        for idx, ((tup, template), rep) in enumerate(zip(instances, reports)):
-            if mode == "necessity":
-                for row in rep.violations():
-                    (unevaluated if row.error else violations).append(
-                        f"instance {idx}: {row.family} member {row.member} at "
-                        f"p={row.p_vector} margin {row.margin:.6e} "
-                        f"({row.error or row.verdict})"
-                    )
-                unevaluated_rows += len(rep.errors)
-                continue
-            # error rows are never hypothesis failures
-            genuine = ~rep.holds() & (rep.columns["verdict"] != verify.ERROR_CODE)
-            if genuine.any():
-                print(f"instance {idx}: hypothesis-failure found "
-                      f"(margin {_margin_text(rep.columns['margin'][genuine].min())})")
-                continue
-            # nothing failed on the sampled grid; the violation may hide
-            # beyond it, so probe the member cores (including t = 1)
-            implied, core_errors = verify.implied_core_violation(
-                tup, template, grid,
-                master_seed=seed, instance_index=idx, suite_tol_rel=suite_tol,
-            )
-            if implied is not None:
-                print(f"instance {idx}: hypothesis-failure implied "
-                      f"(core margin {_margin_text(implied['core_margin'])} at "
-                      f"t={implied['t']})")
-            elif rep.errors or core_errors:
-                # the failure may hide in the rows that were not evaluated
-                unevaluated.append(f"instance {idx}: no hypothesis violation found, but "
-                                   f"{len(rep.errors)} campaign rows and {core_errors} "
-                                   f"core rows were not evaluated")
-                unevaluated_rows += len(rep.errors) + core_errors
-            else:
-                violations.append(f"instance {idx}: no hypothesis violation found on or "
-                                  f"beyond the sampled grid")
+def _campaigns(args, instances) -> list:
+    """check_hypotheses on each instance; --report gets their rows."""
+    reports = [check_hypotheses(tup, template, args.p_grid.value, args.weights.value,
+                                tol_rel=args.tol_rel, instance_id=str(idx), master_seed=args.seed,
+                                instance_index=idx, suite_tol_rel=args.suite_tol_rel)
+               for idx, (tup, template) in enumerate(instances)]
+    if args.report:
+        merge_reports(reports, _config(args), args.seed, args.suite_tol_rel).write_csv(args.report)
+    return reports
 
-    elif mode == "proof-steps":
-        results = [check_reduction_chain(tup, template, grid, policy=policy,
-                                         suite_tol_rel=suite_tol, master_seed=seed,
-                                         instance_index=idx, instance_id=str(idx))
-                   for idx, (tup, template) in enumerate(instances)]
-        for idx, rep in enumerate(results):
-            if rep.premise_failures:
-                violations.append(f"instance {idx}: premise member failed on the grid")
-            elif rep.premise_errors:
-                # a premise that fails only through error rows is indeterminate
-                unevaluated.append(f"instance {idx}: premise member has "
-                                   f"{rep.premise_errors} rows not evaluated")
-                unevaluated_rows += rep.premise_errors
-            violations.extend(rep.red_flags)
-            for i in np.flatnonzero(~rep.holds().all(axis=1)).tolist():
-                row = rep.rows[i]
-                (unevaluated if row.error else violations).append(
-                    f"instance {idx}: reduction margins "
-                    f"({row.margin_core:.3e}, {row.margin_peel:.3e}, "
-                    f"{row.margin_scalar:.3e}) at p={row.p_vector}"
-                    + (f" [{row.error}]" if row.error else "")
-                )
-            unevaluated_rows += len(rep.errors)
 
-    elif mode == "limit":
-        results = []
-        for tup, template in instances:
-            interior = reduction_scalar_interior(tup, (1.0,) + template.t[1:],
-                                                 (1.0,) * (2 * n), n)
-            results.append(limit_probe(tup.matrices[0], tup.matrices[1], c=max(1.0, interior),
-                                       p2_values=p2_values, tol_rel=tol))
-        for idx, rep in enumerate(results):
-            if rep.error:
-                unevaluated.append(f"instance {idx}: limit core not evaluated [{rep.error}]")
-                unevaluated_rows += 1
-                continue
-            if not rep.monotone_nonincreasing:
-                violations.append(f"instance {idx}: bound sequence is not monotone")
-            if rep.order_consistent != rep.conclusion.ge:
-                violations.append(
-                    f"instance {idx}: limit declaration {rep.order_consistent} "
-                    f"disagrees with direct comparison {rep.conclusion.relation.value}"
-                )
-            print(f"instance {idx}: c={rep.c:.6g} final={rep.sequence[-1]:.8g} "
-                  f"consistent={rep.order_consistent}")
+# Each check mode yields (line, rows): a violation when rows is 0, else a
+# line about that many rows that were not evaluated.
 
-    if cfg["report"] and reports:
-        merged = merge_reports(reports, dict(cfg), seed, suite_tol)
-        merged.write_csv(cfg["report"])
+def _necessity(args):
+    for idx, rep in enumerate(_campaigns(args, _instances(args))):
+        for row in rep.violations():
+            yield (f"instance {idx}: {row.family} member {row.member} at p={row.p_vector} "
+                   f"margin {row.margin:.6e} ({row.error or row.verdict})"), int(bool(row.error))
 
+
+def _contrapositive(args):
+    instances = _instances(args, unordered=True)
+    for idx, ((tup, template), rep) in enumerate(zip(instances, _campaigns(args, instances))):
+        # error rows are never hypothesis failures
+        genuine = ~rep.holds() & (rep.columns["verdict"] != verify.ERROR_CODE)
+        if genuine.any():
+            print(f"instance {idx}: hypothesis-failure found "
+                  f"(margin {_margin_text(rep.columns['margin'][genuine].min())})")
+            continue
+        # nothing failed on the sampled grid; the violation may hide
+        # beyond it, so probe the member cores (including t = 1)
+        implied, core_errors = verify.implied_core_violation(
+            tup, template, args.p_grid.value, master_seed=args.seed, instance_index=idx,
+            suite_tol_rel=args.suite_tol_rel)
+        if implied is not None:
+            print(f"instance {idx}: hypothesis-failure implied (core margin "
+                  f"{_margin_text(implied['core_margin'])} at t={implied['t']})")
+        elif rep.errors or core_errors:
+            # the failure may hide in the rows that were not evaluated
+            rows = len(rep.errors) + core_errors
+            yield (f"instance {idx}: no hypothesis violation found, but {len(rep.errors)} "
+                   f"campaign rows and {core_errors} core rows were not evaluated"), rows
+        else:
+            yield f"instance {idx}: no hypothesis violation found on or beyond the sampled grid", 0
+
+
+def _proof_steps(args):
+    # contracting t values are drawn unless they are given
+    ranges = CONTRACTIVE_RANGES if args.t is None else TEMPLATE_RANGES
+    for idx, (tup, template) in enumerate(_instances(args, ranges)):
+        rep = check_reduction_chain(tup, template, args.p_grid.value, policy=args.weights.value,
+                                    suite_tol_rel=args.suite_tol_rel, master_seed=args.seed,
+                                    instance_index=idx, instance_id=str(idx))
+        if rep.premise_failures:
+            yield f"instance {idx}: premise member failed on the grid", 0
+        elif rep.premise_errors:
+            # a premise that fails only through error rows is indeterminate
+            yield (f"instance {idx}: premise member has {rep.premise_errors} rows "
+                   f"not evaluated"), rep.premise_errors
+        yield from ((flag, 0) for flag in rep.red_flags)
+        for i in np.flatnonzero(~rep.holds().all(axis=1)).tolist():
+            row = rep.rows[i]
+            yield (f"instance {idx}: reduction margins ({row.margin_core:.3e}, "
+                   f"{row.margin_peel:.3e}, {row.margin_scalar:.3e}) at p={row.p_vector}"
+                   + (f" [{row.error}]" if row.error else "")), int(bool(row.error))
+
+
+def _limit(args):
+    n = args.k // 2
+    for idx, (tup, template) in enumerate(_instances(args)):
+        interior = reduction_scalar_interior(tup, (1.0,) + template.t[1:], (1.0,) * (2 * n), n)
+        rep = limit_probe(tup.matrices[0], tup.matrices[1], c=max(1.0, interior),
+                          p2_values=args.s_grid.value.values, tol_rel=args.tol_rel)
+        if rep.error:
+            yield f"instance {idx}: limit core not evaluated [{rep.error}]", 1
+            continue
+        if not rep.monotone_nonincreasing:
+            yield f"instance {idx}: bound sequence is not monotone", 0
+        if rep.order_consistent != rep.conclusion.ge:
+            yield (f"instance {idx}: limit declaration {rep.order_consistent} "
+                   f"disagrees with direct comparison {rep.conclusion.relation.value}"), 0
+        print(f"instance {idx}: c={rep.c:.6g} final={rep.sequence[-1]:.8g} "
+              f"consistent={rep.order_consistent}")
+
+
+_MODE_RUNS = {"necessity": _necessity, "contrapositive": _contrapositive,
+              "proof-steps": _proof_steps, "limit": _limit}
+
+
+def _cmd_check(args) -> int:
+    violations, unevaluated, unevaluated_rows = [], [], 0
+    for line, rows in _MODE_RUNS[args.mode](args):
+        (unevaluated if rows else violations).append(line)
+        unevaluated_rows += rows
     for line in violations:
         print(f"VIOLATION: {line}", file=sys.stderr)
     for line in unevaluated:
@@ -405,25 +394,15 @@ def _cmd_check(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_search(cfg: dict) -> int:
-    dims = _csv_ints(cfg["dim"])
-    if min(dims) < 1:
-        raise UsageError(f"--dim values must be at least 1, got {cfg['dim']}")
-    policy = _policy(cfg["weights"]) if cfg["weights"] else None
-    config = SearchConfig(
-        budget=cfg["budget"],
-        k=cfg["k"],
-        dims=dims,
-        master_seed=cfg["seed"],
-        grid=PGrid(values=_csv_floats(cfg["p_grid"])),
-        policy=policy,
-        field_kind=cfg["field"],
-    )
-    report = search_counterexample(config)
-    if not cfg["emit_stats"]:
+def _cmd_search(args) -> int:
+    report = search_counterexample(SearchConfig(
+        budget=args.budget, k=args.k, dims=args.dim.value, master_seed=args.seed,
+        grid=args.p_grid.value, policy=args.weights and args.weights.value,
+        field_kind=args.field))
+    if not args.emit_stats:
         report.stats.pop("margin_histogram", None)
-    if cfg["findings"]:
-        report.write_json(cfg["findings"])
+    if args.findings:
+        report.write_json(args.findings)
     print(json.dumps({"findings": len(report.findings),
                       "counters": report.stats["counters"]}, indent=2))
     if report.findings:
@@ -434,18 +413,38 @@ def _cmd_search(cfg: dict) -> int:
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
-    # parse_args keeps no state in the parser, so one per process serves every call
-    return build_parser()
+def _parser(mode: str | None = None) -> argparse.ArgumentParser:
+    # parse_args keeps no state in the parser, so one per mode serves every call
+    return build_parser(mode)
+
+
+# reads --mode and --config out of an argv and leaves the rest
+_HEAD = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+_HEAD.add_argument("--mode")
+_HEAD.add_argument("--config")
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Flags, over the entries of a --config file, over the defaults."""
-    args = _parser().parse_args(argv)
-    if getattr(args, "config", None) is None:
+    """Flags, over the entries of a --config file, over the defaults.  A
+    check argv goes to the parser of its mode: --mode's, else the config's."""
+    head, parser, entries = _HEAD.parse_known_args(argv[1:])[0], _parser(), None
+    if head.config is not None:
+        try:
+            entries = json.loads(Path(head.config).read_text())
+        except (OSError, ValueError, RecursionError) as exc:  # the last: deep nesting
+            raise UsageError(f"cannot read config {head.config}: {exc}") from exc
+        if not isinstance(entries, dict):
+            raise UsageError(f"config {head.config} must hold a JSON object")
+    if argv[:1] == ["check"]:
+        mode = head.mode if head.mode is not None or entries is None else entries.get("mode")
+        if mode in MODES:
+            parser = _parser(mode)
+        elif mode is not None:  # the mode-less parser rejects it
+            argv = ["check", f"--mode={mode}"] + argv[1:]
+    args = parser.parse_args(argv)
+    if entries is None:
         return args
-    return _parser().parse_args([args.command] + _config_tokens(args.config, args)
-                                + argv[1:])
+    return parser.parse_args(argv[:1] + _config_tokens(entries, args) + argv[1:])
 
 
 def main(argv=None) -> int:
@@ -455,14 +454,13 @@ def main(argv=None) -> int:
             return _cmd_exponent(args)
         if args.command == "print-chain":
             return _cmd_print_chain(args)
-        cfg = _config(args)
         if args.dump_config:
-            print(json.dumps(cfg, indent=2, sort_keys=True))
+            print(json.dumps(_config(args), indent=2, sort_keys=True))
             return EXIT_OK
-        return _cmd_check(cfg) if args.command == "check" else _cmd_search(cfg)
+        return _cmd_check(args) if args.command == "check" else _cmd_search(args)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code else EXIT_OK
-    except (UsageError, OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.stderr.write(getattr(exc, "usage", ""))
         return EXIT_USAGE

@@ -610,9 +610,12 @@ class CampaignReport:
 
     def write_csv(self, path) -> None:
         """CSV report plus a <path>.json sidecar carrying the full config
-        and master seed needed to reproduce every row."""
+        and master seed needed to reproduce every row.  A path that is not
+        a regular file (a pipe, /dev/stdout) gets no sidecar."""
         path = Path(path)
         path.write_text(self.csv_text())
+        if not path.is_file():
+            return
         sidecar = {
             "config": self.config,
             "master_seed": self.master_seed,

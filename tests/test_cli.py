@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,6 +28,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# the flags each check mode reads, beside --mode, --config and --dump-config,
+# and a value in each flag's domain
+_CHECK_FLAG_VALUES = {
+    "--k": "3", "--dim": "2", "--seed": "0", "--count": "1", "--p-grid": "1,64",
+    "--s-grid": "1,2", "--tol-rel": "0.5", "--suite-tol-rel": "0.5",
+    "--weights": "fixed:0.5,0.5,0.5", "--field": "real", "--t": "0.5", "--r": "1.9",
+    "--scalar-fixture": "1e300,2,3", "--report": "rows.csv",
+}
+_MODE_FLAGS = {
+    "necessity": set(_CHECK_FLAG_VALUES) - {"--s-grid"},
+    "contrapositive": set(_CHECK_FLAG_VALUES) - {"--s-grid"},
+    "proof-steps": set(_CHECK_FLAG_VALUES) - {"--s-grid", "--tol-rel", "--scalar-fixture",
+                                              "--report"},
+    "limit": set(_CHECK_FLAG_VALUES) - {"--p-grid", "--weights", "--suite-tol-rel",
+                                        "--scalar-fixture", "--report", "--r"},
+}
 
 
 def golden_lines(name):
@@ -122,6 +141,13 @@ class TestCheckCommand:
                           "relation,margin,verdict,seconds")
         sidecar = json.loads((tmp_path / "rows.csv.json").read_text())
         assert sidecar["master_seed"] == 42
+        # a report that is not a regular file gets no sidecar
+        link = tmp_path / "null.csv"
+        link.symlink_to(os.devnull)
+        code, _, _ = run(capsys, "check", "--mode", "necessity", "--k", "3", "--dim", "2",
+                         "--count", "1", "--report", str(link))
+        assert code == EXIT_OK
+        assert not (tmp_path / "null.csv.json").exists()
 
     def test_bad_k_exits_2(self, capsys):
         code, _, _ = run(capsys, "check", "--mode", "necessity", "--k", "1")
@@ -324,32 +350,42 @@ class TestCheckCommand:
         assert [_margin_text(v) for v in (-999999.25, 1e6, -0.0035)] == \
             ["-999999.250000", "1.000000e+06", "-0.003500"]
 
-    @pytest.mark.parametrize("mode", ["proof-steps", "limit"])
-    @pytest.mark.parametrize("flag,value", [("--scalar-fixture", "1e300,2,3"),
-                                            ("--report", "rows.csv")])
-    def test_flag_the_mode_ignores_exits_2(self, capsys, tmp_path, mode, flag, value):
-        argv = ("check", "--mode", mode, "--k", "3", "--dim", "2", "--count", "1",
-                "--p-grid", "1")
+    @pytest.mark.parametrize("mode,flag", [
+        (mode, flag) for mode, flags in _MODE_FLAGS.items()
+        for flag in sorted(set(_CHECK_FLAG_VALUES) - flags)])
+    def test_flag_the_mode_ignores_exits_2(self, capsys, tmp_path, monkeypatch, mode, flag):
+        monkeypatch.chdir(tmp_path)
+        value = _CHECK_FLAG_VALUES[flag]
+        argv = ("check", "--mode", mode, "--k", "3", "--dim", "2", "--count", "1")
         code, out, err = run(capsys, *argv, flag, value)
-        assert code == EXIT_USAGE
-        assert err.startswith("error: ") and flag in err and mode in err
-        assert "expectations met" not in out
-        assert not (tmp_path / value).exists()
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: unrecognized arguments: {flag} {value}\n"
+                              f"usage: oporder check --mode {mode} [-h]")
+        key = flag[2:].replace("-", "_")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": mode, "k": 3, "dim": 2, "count": 1, "p_grid": "1",
-                                   flag[2:].replace("-", "_"): value}))
-        code, _, err = run(capsys, "check", "--config", str(cfg))
-        assert code == EXIT_USAGE and flag in err
+        cfg.write_text(json.dumps({"mode": mode, "k": 3, "dim": 2, "count": 1, key: value}))
+        code, out, err = run(capsys, "check", "--config", str(cfg))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: unknown config keys: ['{key}']\n")
+        assert list(tmp_path.iterdir()) == [cfg]  # no report written
 
-    @pytest.mark.parametrize("mode", ["proof-steps", "limit"])
-    def test_dump_config_round_trip_without_campaign_flags(self, capsys, tmp_path, mode):
-        argv = ("check", "--mode", mode, "--k", "3", "--dim", "2", "--count", "1",
-                "--p-grid", "1")
+    @pytest.mark.parametrize("mode", sorted(_MODE_FLAGS))
+    def test_help_lists_only_the_mode_flags(self, capsys, mode):
+        code, out, err = run(capsys, "check", "--mode", mode, "--help")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(f"usage: oporder check --mode {mode} [-h]")
+        assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", out)) == \
+            _MODE_FLAGS[mode] | {"--help", "--mode", "--config", "--dump-config"}
+
+    @pytest.mark.parametrize("mode", sorted(_MODE_FLAGS))
+    def test_dump_config_holds_the_mode_keys_and_round_trips(self, capsys, tmp_path, mode):
+        argv = ("check", "--mode", mode, "--k", "3", "--dim", "2", "--count", "1")
         code, out, _ = run(capsys, *argv, "--dump-config")
         assert code == EXIT_OK
-        cfg = json.loads(out)
-        assert cfg["scalar_fixture"] is None and cfg["report"] is None
+        assert set(json.loads(out)) == {flag[2:].replace("-", "_")
+                                        for flag in _MODE_FLAGS[mode]} | {"mode"}
         (tmp_path / "cfg.json").write_text(out)
+        assert run(capsys, "check", "--config", str(tmp_path / "cfg.json"),
+                   "--dump-config") == (EXIT_OK, out, "")
         direct = run(capsys, *argv)
         via_config = run(capsys, "check", "--config", str(tmp_path / "cfg.json"))
         assert direct == via_config and direct[0] == EXIT_OK
@@ -428,7 +464,6 @@ class TestCheckCommand:
         ("check", "--mode", "necessity", "--k", "3", "--dim", "2", "--count", "1", "--t", "0.5"),
         ("check", "--mode", "contrapositive", "--k", "3", "--dim", "2", "--count", "1",
          "--t", "0.5"),
-        ("check", "--mode", "limit", "--k", "3", "--dim", "2", "--count", "1", "--t", "0.5"),
         ("check", "--mode", "proof-steps", "--k", "3", "--dim", "2", "--count", "1",
          "--t", "0.5"),
         ("exponent", "--t", "0.5", "--p", "1,1"),
@@ -487,7 +522,9 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize("text,message", [
         ('{"mode": "necessity", "config": "other.json"}', "unknown config keys: ['config']"),
-        ('{"dump_config": true, "help": true}', "unknown config keys: ['dump_config', 'help']"),
+        ('{"mode": "limit", "dump_config": true, "help": true}',
+         "unknown config keys: ['dump_config', 'help']"),
+        ('{"dump_config": true}', "the following arguments are required: --mode"),
         ('["mode", "necessity"]', "must hold a JSON object"),
         ('{"mode": ', "cannot read config"),
         ("[" * 100_000 + "]" * 100_000, "cannot read config"),
@@ -499,17 +536,20 @@ class TestCheckCommand:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and message in err
 
-    @pytest.mark.parametrize("argv", [
-        ("check", "--mode", "necessity", "--k", "x"),
-        ("check", "--mode", "necessity", "--bogus"),
-        ("search", "--emit-stats=yes"),
+    @pytest.mark.parametrize("argv,prog", [
+        (("check", "--mode", "necessity", "--k", "x"), "check --mode necessity"),
+        (("check", "--mode", "necessity", "--bogus"), "check --mode necessity"),
+        (("check", "--mode", "limit", "--s-grid", "x"), "check --mode limit"),
+        (("check", "--mode", "nope"), "check"),
+        (("check", "--k", "3"), "check"),
+        (("search", "--emit-stats=yes"), "search"),
     ])
-    def test_parse_error_prints_the_error_then_the_usage(self, capsys, argv):
+    def test_parse_error_prints_the_error_then_the_usage(self, capsys, argv, prog):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE and out == ""
         first, usage = err.split("\n", 1)
         assert first.startswith("error: ")
-        assert usage.startswith(f"usage: oporder {argv[0]} [-h]")
+        assert usage.startswith(f"usage: oporder {prog} [-h]")
 
 
 class TestFixedWeights:
@@ -526,7 +566,8 @@ class TestFixedWeights:
     def test_out_of_domain_fixed_weights_exit_2(self, capsys, argv, weights):
         code, out, err = run(capsys, *argv, "--weights", weights)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err.startswith("error: --weights: fixed weights must be finite and positive")
+        assert err.startswith(
+            "error: argument --weights: fixed weights must be finite and positive")
 
 
 class TestSearchCommand:
@@ -687,7 +728,7 @@ def _fuzz_flags(draw, fields):
     broken = draw(st.sampled_from((None, None, None) + tuple(fields)))
     values = {name: draw(st.sampled_from(bad if name == broken else good))
               for name, (good, bad) in fields.items()}
-    if _reads_as_float(values["weights"]):
+    if _reads_as_float(values.get("weights", "")):
         k = max(int(values["k"]), 2)
         values["weights"] = "fixed:" + ",".join([values["weights"]] * (k - 1))
     return [token for name, value in values.items() for token in (f"--{name}", value)]
@@ -696,10 +737,12 @@ def _fuzz_flags(draw, fields):
 @st.composite
 def _check_argv(draw):
     """``check --mode necessity|contrapositive|proof-steps|limit`` argv with
-    at most one field out of its domain."""
-    modes = ("necessity", "contrapositive", "proof-steps", "limit")
-    return ["check", "--mode", draw(st.sampled_from(modes)),
-            "--seed", str(draw(st.integers(0, 3)))] + _fuzz_flags(draw, _FUZZ_FIELDS)
+    the mode's own flags and at most one field out of its domain."""
+    mode = draw(st.sampled_from(sorted(_MODE_FLAGS)))
+    fields = {name: values for name, values in _FUZZ_FIELDS.items()
+              if f"--{name}" in _MODE_FLAGS[mode]}
+    return ["check", "--mode", mode,
+            "--seed", str(draw(st.integers(0, 3)))] + _fuzz_flags(draw, fields)
 
 
 @st.composite
@@ -784,17 +827,21 @@ class TestExitCodeContract:
 
 @st.composite
 def _valid_argv(draw):
-    """A small, valid ``check`` or ``search`` argv; flags may be omitted."""
+    """A small, valid ``check`` or ``search`` argv; flags may be omitted, and
+    a check mode takes only its own flags."""
     if draw(st.booleans()):
-        argv = ["check", "--mode", draw(st.sampled_from(
-            ("necessity", "contrapositive", "proof-steps", "limit")))]
+        mode = draw(st.sampled_from(sorted(_MODE_FLAGS)))
+        argv = ["check", "--mode", mode]
         fields = {"--k": ("3", "4"), "--dim": ("1", "2"), "--count": ("1", "2"),
                   "--p-grid": ("1", "1,2"), "--s-grid": ("1,10",),
                   "--tol-rel": ("1e-9", "1e-3"), "--suite-tol-rel": ("1e-7",),
                   "--weights": ("necessity", "fixed"),
                   "--field": ("real", "complex"), "--seed": ("0", "5")}
-        if argv[2] in ("necessity", "contrapositive", "limit") and draw(st.booleans()):
-            argv += ["--t", "0.5", "--r", draw(st.sampled_from(("1", "2.5")))]
+        fields = {flag: values for flag, values in fields.items() if flag in _MODE_FLAGS[mode]}
+        if mode != "proof-steps" and draw(st.booleans()):
+            argv += ["--t", "0.5"]
+            if "--r" in _MODE_FLAGS[mode]:
+                argv += ["--r", draw(st.sampled_from(("1", "2.5")))]
             fields.pop("--k")  # one t value is k = 3
     else:
         argv = ["search", "--budget", draw(st.sampled_from(("0", "2", "4")))]
