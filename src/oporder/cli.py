@@ -17,6 +17,7 @@ parsed by mode M's own parser, which declares only the flags M reads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ from .verify import (
     CONTRACTIVE_RANGES,
     SUITE_TOL_REL,
     TEMPLATE_RANGES,
+    Instance,
     ParamTemplate,
     PGrid,
     SearchConfig,
@@ -41,7 +43,6 @@ from .verify import (
     gen_suite_tuple,
     gen_unordered_tuples,
     limit_probe,
-    merge_reports,
     reduction_scalar_interior,
     scalar_tuple,
     search_counterexample,
@@ -132,6 +133,14 @@ _DIMS = _parsed(lambda text: tuple(map(_int_at_least(1), text.split(","))))
 _FIXTURE = _parsed(lambda text: scalar_tuple(text.split(",")))
 
 
+def _limit_t(text: str) -> tuple[float, ...]:
+    """Limit's t values: the limit argument pins t_1 = 1."""
+    t = tuple(map(float, text.split(",")))
+    if t[0] != 1:
+        raise ValueError(f"limit pins t_1 = 1, got {t[0]!r}")
+    return t
+
+
 # every check flag, the modes that read it and its add_argument keywords; a
 # mode's config entries keep this order, in --dump-config and the sidecar
 _CHECK_FLAGS = (
@@ -149,8 +158,10 @@ _CHECK_FLAGS = (
     ("--weights", CHAIN_MODES, dict(type=_WEIGHTS, default="necessity",
                                     help="necessity | fixed:<csv>")),
     ("--field", MODES, dict(choices=["real", "complex"], default="real")),
-    ("--t", MODES, dict(type=_FLOATS,
-                        help="fixed t values (csv); sampled per instance if absent")),
+    ("--t", CHAIN_MODES, dict(type=_FLOATS,
+                              help="fixed t values (csv); sampled per instance if absent")),
+    ("--t", ("limit",), dict(type=_parsed(_limit_t),
+                             help="fixed t values (csv) from t_1 = 1; sampled if absent")),
     ("--r", CHAIN_MODES, dict(type=float)),
     ("--scalar-fixture", CAMPAIGN_MODES, dict(type=_FIXTURE,
                                               help="csv scalars for a 1x1 fixture tuple")),
@@ -285,49 +296,54 @@ def _instances(args, ranges=TEMPLATE_RANGES, unordered: bool = False) -> list:
             for idx, tup in enumerate(tuples)]
 
 
-def _campaigns(args, instances) -> list:
-    """check_hypotheses on each instance; --report gets their rows."""
-    reports = [check_hypotheses(tup, template, args.p_grid.value, args.weights.value,
-                                tol_rel=args.tol_rel, instance_id=str(idx), master_seed=args.seed,
-                                instance_index=idx, suite_tol_rel=args.suite_tol_rel)
-               for idx, (tup, template) in enumerate(instances)]
+def _campaigns(args, instances) -> verify.CampaignReport:
+    """One check_hypotheses call on every instance; --report gets its rows."""
+    report = check_hypotheses(
+        [Instance(tup, template, args.weights.value, idx)
+         for idx, (tup, template) in enumerate(instances)],
+        args.p_grid.value, tol_rel=args.tol_rel, master_seed=args.seed,
+        suite_tol_rel=args.suite_tol_rel)
     if args.report:
-        merge_reports(reports, _config(args), args.seed, args.suite_tol_rel).write_csv(args.report)
-    return reports
+        dataclasses.replace(report, config=_config(args)).write_csv(args.report)
+    return report
 
 
 # Each check mode yields (line, rows): a violation when rows is 0, else a
 # line about that many rows that were not evaluated.
 
 def _necessity(args):
-    for idx, rep in enumerate(_campaigns(args, _instances(args))):
-        for row in rep.violations():
-            yield (f"instance {idx}: {row.family} member {row.member} at p={row.p_vector} "
-                   f"margin {row.margin:.6e} ({row.error or row.verdict})"), int(bool(row.error))
+    for row in _campaigns(args, _instances(args)).violations():
+        yield (f"instance {row.instance_id}: {row.family} member {row.member} at p={row.p_vector} "
+               f"margin {row.margin:.6e} ({row.error or row.verdict})"), int(bool(row.error))
 
 
 def _contrapositive(args):
     instances = _instances(args, unordered=True)
-    for idx, ((tup, template), rep) in enumerate(zip(instances, _campaigns(args, instances))):
-        # error rows are never hypothesis failures
-        genuine = ~rep.holds() & (rep.columns["verdict"] != verify.ERROR_CODE)
-        if genuine.any():
+    rep = _campaigns(args, instances)
+    margins = rep.columns["margin"]
+    # error rows are never hypothesis failures
+    errors = rep.columns["verdict"] == verify.ERROR_CODE
+    genuine = ~rep.holds() & ~errors
+    for idx, rows in rep.instance_rows().items():
+        if genuine[rows].any():
             print(f"instance {idx}: hypothesis-failure found "
-                  f"(margin {_margin_text(rep.columns['margin'][genuine].min())})")
+                  f"(margin {_margin_text(margins[rows][genuine[rows]].min())})")
             continue
         # nothing failed on the sampled grid; the violation may hide
         # beyond it, so probe the member cores (including t = 1)
+        tup, template = instances[idx]
         implied, core_errors = verify.implied_core_violation(
             tup, template, args.p_grid.value, master_seed=args.seed, instance_index=idx,
             suite_tol_rel=args.suite_tol_rel)
+        campaign_errors = int(np.count_nonzero(errors[rows]))
         if implied is not None:
             print(f"instance {idx}: hypothesis-failure implied (core margin "
                   f"{_margin_text(implied['core_margin'])} at t={implied['t']})")
-        elif rep.errors or core_errors:
+        elif campaign_errors or core_errors:
             # the failure may hide in the rows that were not evaluated
-            rows = len(rep.errors) + core_errors
-            yield (f"instance {idx}: no hypothesis violation found, but {len(rep.errors)} "
-                   f"campaign rows and {core_errors} core rows were not evaluated"), rows
+            unevaluated = campaign_errors + core_errors
+            yield (f"instance {idx}: no hypothesis violation found, but {campaign_errors} "
+                   f"campaign rows and {core_errors} core rows were not evaluated"), unevaluated
         else:
             yield f"instance {idx}: no hypothesis violation found on or beyond the sampled grid", 0
 
@@ -356,6 +372,7 @@ def _proof_steps(args):
 def _limit(args):
     n = args.k // 2
     for idx, (tup, template) in enumerate(_instances(args)):
+        # t_1 is pinned to 1: a given --t starts with it, a drawn t_1 is replaced
         interior = reduction_scalar_interior(tup, (1.0,) + template.t[1:], (1.0,) * (2 * n), n)
         rep = limit_probe(tup.matrices[0], tup.matrices[1], c=max(1.0, interior),
                           p2_values=args.s_grid.value.values, tol_rel=args.tol_rel)

@@ -566,6 +566,14 @@ class CampaignReport:
         rows = self.rows
         return [rows[i] for i in np.flatnonzero(~self.holds()).tolist()]
 
+    def instance_rows(self) -> dict[int, slice]:
+        """Each instance's rows, keyed by its index (the instance id), in
+        report order: a report holds each instance's rows in turn."""
+        index = np.array([int(m.instance_id) for m in self.members])[self.columns["member"]]
+        cuts = (np.flatnonzero(np.diff(index)) + 1).tolist()
+        return {int(index[lo]): slice(lo, hi)
+                for lo, hi in zip([0] + cuts, cuts + [len(index)]) if lo < hi}
+
     @property
     def pass_count(self) -> int:
         return int(np.count_nonzero(self.holds()))
@@ -649,27 +657,6 @@ class RowView(Sequence):
         return self._report._iter_rows()
 
 
-def _concat_columns(parts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    return {name: np.concatenate([np.zeros(0, dtype)] + [p[name] for p in parts])
-            for name, dtype in COLUMNS.items()}
-
-
-def merge_reports(reports, config: dict, master_seed: int,
-                  tol_rel: float = SUITE_TOL_REL) -> CampaignReport:
-    """One report holding the rows of ``reports`` in order."""
-    members: list[CampaignMember] = []
-    parts: list[dict[str, np.ndarray]] = []
-    errors: dict[int, str] = {}
-    rows = 0
-    for rep in reports:
-        parts.append({**rep.columns, "member": rep.columns["member"] + len(members)})
-        errors.update((rows + i, text) for i, text in rep.errors.items())
-        rows += len(rep.rows)
-        members.extend(rep.members)
-    return CampaignReport(tuple(members), _concat_columns(parts), errors, config,
-                          master_seed, tol_rel)
-
-
 def _environment(tup: OperatorTuple, template: ParamTemplate,
                  weights=(), slots=None) -> dsl.Environment:
     """The bindings shared by every row: the tuple's matrices, r, the t
@@ -718,38 +705,36 @@ def _batches(total: int, dim: int, early_exit: bool, width: int = 1):
 
 class Instance(NamedTuple):
     """One instance of a campaign: its tuple, parameter template and weight
-    policy, the index that seeds its p-vector sampling, and its id."""
+    policy, and its index, which seeds its p-vector sampling and is its id
+    in the report."""
 
     tup: OperatorTuple
     template: ParamTemplate
     policy: WeightPolicy
     index: int = 0
-    id: str = "0"
 
 
 def check_hypotheses(
-    tup: OperatorTuple,
-    template: ParamTemplate,
+    instances: Sequence[Instance],
     grid: PGrid,
-    policy: WeightPolicy,
     *,
     tol_rel: float = TOL_REL,
-    instance_id: str = "0",
     master_seed: int = 0,
-    instance_index: int = 0,
     members: tuple[tuple[Family, int], ...] | None = None,
     stop_on_violation: bool = False,
     suite_tol_rel: float = SUITE_TOL_REL,
-    batch: Sequence[Instance] = (),
 ) -> CampaignReport:
-    """Evaluate every hypothesis member at every sampled p-vector.
+    """Evaluate every hypothesis member of every instance at every sampled
+    p-vector.
 
     Rows record the verdict of the expected relation together with its
     directional margin; evaluation errors, of either side or of a
     non-positive weight, are recorded per row and never abort the campaign.
 
-    Every member is the slot word pair ``chains.slot_words(k)`` under its
-    own environment, which binds each slot to the member's operator
+    The instances share one k and dim and are scanned in the same
+    ``dsl.evaluate_batch`` calls; each keeps its own p-vectors.  Every
+    member is the slot word pair ``chains.slot_words(k)`` under its own
+    environment, which binds each slot to the member's operator
     (``chains.member_slots``), so members differ in their bindings only.
     Without stop_on_violation, every (instance, member) pair is evaluated
     over the p-vectors in one ``dsl.evaluate_batch`` run per chunk of rows
@@ -757,17 +742,14 @@ def check_hypotheses(
     as the per-row column w, and judged in one stacked comparison.  With
     stop_on_violation the members are taken one at a time, each member's
     environment built when it is reached; the chunks grow from a single
-    row, and the rows end at the first violating one, as in a row-by-row
-    scan.
+    row, and each instance's rows end at its first violating one, as in a
+    row-by-row scan of that instance alone.
 
-    ``batch`` adds further instances of the same k and dim, scanned in the
-    same ``evaluate_batch`` calls as the first: each keeps its own p-vectors
-    and its own doubling scan, and stops at its own violating row.  The
-    report holds the instances' rows in turn, member by member, as
-    ``merge_reports`` of one call per instance does.
+    The report holds the instances' rows in turn, member by member.
     """
-    instances = (Instance(tup, template, policy, instance_index, instance_id), *batch)
-    k, dim = tup.k, tup.dim
+    if not instances:
+        raise ValueError("a campaign needs at least one instance")
+    k, dim = instances[0].tup.k, instances[0].tup.dim
     n = k // 2
     for inst in instances:
         if (inst.tup.k, inst.tup.dim) != (k, dim):
@@ -838,7 +820,7 @@ def check_hypotheses(
             break
     # the instances' rows in turn, member by member; member codes index the
     # members of all
-    members_table = tuple(CampaignMember(inst.id, k, dim, c.family.value, c.member,
+    members_table = tuple(CampaignMember(str(inst.index), k, dim, c.family.value, c.member,
                                          c.direction.value, p_vectors)
                           for inst, (p_vectors, _) in zip(instances, samples)
                           for c in chain_list)
@@ -891,7 +873,7 @@ def _campaign_columns(batches: list[_Batch], chain_list, tol_rel: float):
     the margin is the member's directional one, the verdict is judged at
     the verdict tolerance tol_rel."""
     if not batches:
-        return _concat_columns([]), {}
+        return {name: np.zeros(0, dtype) for name, dtype in COLUMNS.items()}, {}
     counts = [len(b.w) for b in batches]
     member = np.repeat([b.member for b in batches], counts)
     w, ge, le, scale, errs = (np.concatenate(cols) for cols in
@@ -1513,7 +1495,7 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
         config.k, [(dim, [config.master_seed, idx, 10]) for idx, dim in enumerate(dims)],
         field_kind=config.field_kind,
     )
-    instances = [Instance(tup, template, policy, idx, str(idx))
+    instances = [Instance(tup, template, policy, idx)
                  for idx, (tup, (template, policy)) in enumerate(zip(tuples, drawn))]
     grids = [config.grid] * config.budget
     escalations = [0] * config.budget
@@ -1531,11 +1513,8 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
             for first in range(0, len(members), size):
                 group = [instances[idx] for idx in members[first:first + size]]
                 report = check_hypotheses(
-                    group[0].tup, group[0].template, grid, group[0].policy,
-                    master_seed=config.master_seed, instance_index=group[0].index,
-                    instance_id=group[0].id, stop_on_violation=True,
-                    suite_tol_rel=config.suite_tol_rel, batch=group[1:],
-                )
+                    group, grid, master_seed=config.master_seed, stop_on_violation=True,
+                    suite_tol_rel=config.suite_tol_rel)
                 for idx, outcome in _search_outcomes(report).items():
                     nxt = grids[idx].escalate() if outcome[0] == "passed" else None
                     if nxt is None:
@@ -1544,7 +1523,7 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
                         grids[idx] = nxt
                         escalations[idx] += 1
                         pending.append(idx)
-    for idx, (tup, template, policy, _, _) in enumerate(instances):
+    for idx, (tup, template, policy, _) in enumerate(instances):
         counters["instances"] += 1
         outcome, margin = outcomes[idx]
         if outcome == "failed":
@@ -1602,11 +1581,9 @@ def _search_outcomes(report: CampaignReport) -> dict[int, tuple[str, float | Non
     None) when it has error rows and no such violation, else ("passed",
     None)."""
     cols = report.columns
-    index = np.array([int(m.instance_id) for m in report.members])[cols["member"]]
     genuine = ~report.holds() & (cols["verdict"] != ERROR_CODE)
     outcomes = {}
-    for idx in dict.fromkeys(index.tolist()):
-        rows = index == idx
+    for idx, rows in report.instance_rows().items():
         if genuine[rows].any():
             outcomes[idx] = ("failed", float(cols["margin"][rows][genuine[rows].argmax()]))
         elif (cols["verdict"][rows] == ERROR_CODE).any():

@@ -14,6 +14,7 @@ from oporder import chains, dsl
 from oporder.cli import EXIT_OK, main
 from oporder.spectral import TOL_REL, HermitianMatrix, diagonal
 from oporder.verify import (
+    Instance,
     ParamTemplate,
     PGrid,
     SearchConfig,
@@ -135,10 +136,7 @@ class TestCriterion4NecessitySuite:
             rng = np.random.default_rng([9000, i, 99])
             t = tuple(rng.uniform(0.05, 0.95, k // 2))
             template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.1, 2.0))
-            rep = check_hypotheses(
-                tup, template, grid, policy,
-                instance_id=str(i), master_seed=9000, instance_index=i,
-            )
+            rep = check_hypotheses([Instance(tup, template, policy, i)], grid, master_seed=9000)
             rows_total += len(rep.rows)
             for row in rep.rows:
                 assert row.error is None, f"instance {i}: {row.error}"
@@ -158,8 +156,9 @@ class TestCriterion4NecessitySuite:
 class TestCriterion5ContrapositiveFixture:
     def test_scalar_fixture_margin(self):
         rep = check_hypotheses(
-            scalar_tuple([2.0, 1.0, 3.0]), ParamTemplate(t=(0.5,), r=1.0),
-            PGrid(values=(1.0,)), WeightPolicy.fixed([0.5, 0.5]),
+            [Instance(scalar_tuple([2.0, 1.0, 3.0]), ParamTemplate(t=(0.5,), r=1.0),
+                      WeightPolicy.fixed([0.5, 0.5]))],
+            PGrid(values=(1.0,)),
         )
         asc = next(r for r in rep.rows if r.family == "ascending")
         expected = math.sqrt(3.0) - math.sqrt(6.0)

@@ -262,6 +262,30 @@ class TestCheckCommand:
         assert "VIOLATION" not in err
         assert "indeterminate: no finite violation, but 2 rows were not evaluated" in out
 
+    def test_limit_reads_t_from_the_pinned_t1_on(self, capsys):
+        # t_2 = 0.3 sets c; --t 0.5,0.3 printed these lines when t_1 was read
+        # for the length check only
+        code, out, err = run(capsys, "check", "--mode", "limit", "--k", "5", "--dim", "2",
+                             "--count", "2", "--t", "1,0.3")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == ["instance 0: c=1.02444 final=1.0000024 consistent=True",
+                                    "instance 1: c=1.02431 final=1.0000024 consistent=True",
+                                    "all expectations met"]
+        # at k = 3 the pinned t_1 is the only t, so giving it changes nothing
+        argv = ("check", "--mode", "limit", "--k", "3", "--dim", "2", "--count", "2")
+        assert run(capsys, *argv, "--t", "1") == run(capsys, *argv)
+
+    @pytest.mark.parametrize("k,t", [("2", "0"), ("3", "0.5"), ("3", "0.9"), ("5", "0.5,0.3")])
+    def test_limit_t_that_does_not_start_at_1_exits_2(self, capsys, tmp_path, k, t):
+        argv = ("check", "--mode", "limit", "--k", k, "--dim", "2", "--count", "1")
+        code, out, err = run(capsys, *argv, "--t", t)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: argument --t: limit pins t_1 = 1, got "
+                              f"{float(t.split(',')[0])!r}\nusage: oporder check --mode limit")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "limit", "k": int(k), "dim": 2, "count": 1, "t": t}))
+        assert run(capsys, "check", "--config", str(cfg)) == (code, out, err)
+
     @pytest.mark.parametrize("s_grid", ["0", "-1", "nan", "10,1"])
     def test_limit_bad_s_grid_exits_2(self, capsys, s_grid):
         code, out, err = run(capsys, "check", "--mode", "limit", "--k", "3",
@@ -294,6 +318,18 @@ class TestCheckCommand:
         assert "VIOLATION" not in err
         assert "premise member has 22 rows not evaluated" in err
         assert "rows were not evaluated" in out
+
+    def test_contrapositive_error_lines_count_their_own_instance_rows(self, capsys):
+        # instances 2 and 3 show no failure, found or implied, and leave 7
+        # and 8 of their 8 campaign rows not evaluated
+        code, out, err = run(capsys, "check", "--mode", "contrapositive", "--k", "3",
+                             "--dim", "1", "--count", "4", "--p-grid", "50,500")
+        assert code == EXIT_INDETERMINATE
+        assert err.splitlines() == [
+            f"ERROR: instance {idx}: no hypothesis violation found, but {campaign} campaign "
+            f"rows and {core} core rows were not evaluated"
+            for idx, campaign, core in ((2, 7, 6), (3, 8, 8))]
+        assert "but 29 rows were not evaluated" in out
 
     def test_finite_violation_exits_1_beside_error_rows(self, capsys):
         # the ascending member fails at p = (1, 1); p = 1e300 overflows
@@ -839,7 +875,7 @@ def _valid_argv(draw):
                   "--field": ("real", "complex"), "--seed": ("0", "5")}
         fields = {flag: values for flag, values in fields.items() if flag in _MODE_FLAGS[mode]}
         if mode != "proof-steps" and draw(st.booleans()):
-            argv += ["--t", "0.5"]
+            argv += ["--t", "1" if mode == "limit" else "0.5"]  # limit pins t_1 = 1
             if "--r" in _MODE_FLAGS[mode]:
                 argv += ["--r", draw(st.sampled_from(("1", "2.5")))]
             fields.pop("--k")  # one t value is k = 3

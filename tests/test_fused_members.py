@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oporder import chains, dsl, verify
+from oporder import chains, cli, dsl, verify
 from oporder.chains import Direction, Family
 from oporder.spectral import classify_stack, scaled_margins_stack
 from oporder.verify import (
@@ -80,10 +80,7 @@ def _fused(instances, grid, members, tol_rel, monkeypatch):
         return campaign_columns(batches, chain_list, tol)
 
     monkeypatch.setattr(verify, "_campaign_columns", recording)
-    head, *rest = instances
-    report = check_hypotheses(head.tup, head.template, grid, head.policy, tol_rel=tol_rel,
-                              instance_index=head.index, instance_id=head.id,
-                              members=members, batch=rest)
+    report = check_hypotheses(instances, grid, tol_rel=tol_rel, members=members)
     monkeypatch.undo()
     (batches,) = seen
     per_instance = len(report.members) // len(instances)
@@ -104,7 +101,7 @@ def _instances(k, dim, field_kind, unordered, policies, seeds):
             k, dim, [seed, idx], field_kind=field_kind)
         t = tuple(rng.uniform(0.05, 0.95, n).tolist())
         template = ParamTemplate(t=t, r=t[-1] + float(rng.uniform(0.1, 2.0)))
-        out.append(Instance(tup, template, policy, idx, str(idx)))
+        out.append(Instance(tup, template, policy, idx))
     return out
 
 
@@ -197,8 +194,9 @@ class TestEvaluationCalls:
         # dim 2 (cap 2,048 rows) and take two at dim 4 (cap 512 rows)
         calls = self._count(monkeypatch)
         tup = gen_suite_tuple(5, dim, [0, 0])
-        report = check_hypotheses(tup, ParamTemplate(t=(0.3, 0.6), r=1.2),
-                                  PGrid(values=(1.0, 1.5, 2.0, 4.0)), WeightPolicy.necessity())
+        report = check_hypotheses(
+            [Instance(tup, ParamTemplate(t=(0.3, 0.6), r=1.2), WeightPolicy.necessity())],
+            PGrid(values=(1.0, 1.5, 2.0, 4.0)))
         assert len(report.rows) == 1024
         assert calls == expected  # environments per call: one per member
 
@@ -210,6 +208,9 @@ class TestEvaluationCalls:
         t = (rng.uniform(0.05, 0.95),)
         template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.1, 2.0))
         policy = WeightPolicy.fixed(rng.uniform(0.2, 0.95) for _ in range(2))
+        # build the cached member set first, so that only the scan's own
+        # member_slots calls are recorded, whatever ran before this test
+        chains.hypothesis_set(3)
         calls = self._count(monkeypatch)
         reached = []
         member_slots = chains.member_slots
@@ -219,9 +220,17 @@ class TestEvaluationCalls:
             return member_slots(family, member, k)
 
         monkeypatch.setattr(chains, "member_slots", recording)
-        report = check_hypotheses(tup, template, PGrid(values=(1.0, 1.5, 2.0, 4.0)), policy,
-                                  stop_on_violation=True)
+        report = check_hypotheses([Instance(tup, template, policy)],
+                                  PGrid(values=(1.0, 1.5, 2.0, 4.0)), stop_on_violation=True)
         assert reached == [(Family.ASCENDING, 1)]
         assert {row.family for row in report.rows} == {"ascending"}
         assert report.config == {"stopped_early": True}
         assert calls == [1] * 4 and len(report.rows) == 5
+
+    def test_a_check_run_evaluates_its_instances_together(self, monkeypatch, capsys):
+        # 10 instances of 2 members of 16 rows at dim 3: 320 rows fit one call
+        calls = self._count(monkeypatch)
+        code = cli.main(["check", "--mode", "necessity", "--k", "3", "--dim", "3",
+                         "--seed", "42", "--count", "10"])
+        assert (code, capsys.readouterr().out) == (cli.EXIT_OK, "all expectations met\n")
+        assert calls == [20]  # environments per call: one per (instance, member)

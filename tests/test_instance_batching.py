@@ -1,7 +1,7 @@
 """Batching across instances reproduces one-instance work bit for bit.
 
 Multi-instance ``check_hypotheses`` against ``merge_reports`` of one call
-per instance, the many-instance generator against ``gen_unordered_tuple``
+per instance (the oracle below), the many-instance generator against ``gen_unordered_tuple``
 per seed, and the shared full grid product against ``itertools.product``.
 Floats are compared through ``float.hex``, never within a tolerance.
 """
@@ -16,6 +16,7 @@ from oporder import verify
 from oporder.chains import Family
 from oporder.spectral import spectral_decompose
 from oporder.verify import (
+    CampaignReport,
     Instance,
     ParamTemplate,
     PGrid,
@@ -24,7 +25,6 @@ from oporder.verify import (
     gen_suite_tuple,
     gen_unordered_tuple,
     gen_unordered_tuples,
-    merge_reports,
 )
 
 GRID = PGrid(values=(1.0, 1.5, 2.0, 4.0))
@@ -41,7 +41,7 @@ def _instance(generator, k: int, idx: int) -> Instance:
     t = tuple(rng.uniform(0.05, 0.95) for _ in range(n))
     template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.1, 2.0))
     policy = WeightPolicy.fixed(rng.uniform(0.2, 0.95) for _ in range(k - 1))
-    return Instance(tup, template, policy, idx, str(idx))
+    return Instance(tup, template, policy, idx)
 
 
 def _hex(values) -> list:
@@ -56,14 +56,21 @@ def _table(report) -> tuple:
     return members, columns, report.errors
 
 
+def merge_reports(reports) -> CampaignReport:
+    """One report holding the rows of ``reports`` in order."""
+    members, parts, errors, rows = [], [], {}, 0
+    for rep in reports:
+        parts.append({**rep.columns, "member": rep.columns["member"] + len(members)})
+        errors.update((rows + i, text) for i, text in rep.errors.items())
+        rows += len(rep.rows)
+        members.extend(rep.members)
+    columns = {name: np.concatenate([part[name] for part in parts]) for name in verify.COLUMNS}
+    return CampaignReport(tuple(members), columns, errors, {}, 0)
+
+
 def _batched_and_alone(instances, grid, **kwargs):
-    head, *rest = instances
-    batched = check_hypotheses(head.tup, head.template, grid, head.policy,
-                               instance_index=head.index, instance_id=head.id,
-                               batch=rest, **kwargs)
-    alone = [check_hypotheses(inst.tup, inst.template, grid, inst.policy,
-                              instance_index=inst.index, instance_id=inst.id, **kwargs)
-             for inst in instances]
+    batched = check_hypotheses(instances, grid, **kwargs)
+    alone = [check_hypotheses([inst], grid, **kwargs) for inst in instances]
     return batched, alone
 
 
@@ -84,8 +91,10 @@ CASES = {
 def test_batched_campaign_is_the_merge_of_single_calls(case, stop_on_violation):
     instances = [_instance(*spec) for spec in CASES[case]]
     batched, alone = _batched_and_alone(instances, GRID, stop_on_violation=stop_on_violation)
-    merged = merge_reports(alone, {}, 0)
-    assert _table(batched) == _table(merged)
+    assert _table(batched) == _table(merge_reports(alone))
+    bounds = np.cumsum([0] + [len(rep.rows) for rep in alone]).tolist()
+    assert batched.instance_rows() == {
+        inst.index: slice(lo, hi) for inst, lo, hi in zip(instances, bounds, bounds[1:])}
     assert any(rep.errors for rep in alone)
     stopped = [rep.config.get("stopped_early", False) for rep in alone]
     assert batched.config.get("stopped_early", False) is any(stopped)
@@ -102,7 +111,7 @@ def test_batched_campaign_on_subsampled_grids(stop_on_violation):
     members = None if stop_on_violation else ((Family.ASCENDING, 1),)
     batched, alone = _batched_and_alone(instances, WIDE_GRID, members=members,
                                         stop_on_violation=stop_on_violation)
-    assert _table(batched) == _table(merge_reports(alone, {}, 0))
+    assert _table(batched) == _table(merge_reports(alone))
     # each instance scanned its own p rows
     first = [tuple(rep.members[0].p_vectors[:20]) for rep in alone]
     assert len(set(first)) == len(first)
@@ -112,7 +121,9 @@ def test_batched_campaign_checks_shapes():
     three = _instance(gen_unordered_tuple, 3, 1)
     five = _instance(gen_unordered_tuple, 5, 4)
     with pytest.raises(ValueError, match="batched instances need k=3"):
-        check_hypotheses(three.tup, three.template, GRID, three.policy, batch=[five])
+        check_hypotheses([three, five], GRID)
+    with pytest.raises(ValueError, match="at least one instance"):
+        check_hypotheses([], GRID)
 
 
 def _tuple_bits(tup) -> list:

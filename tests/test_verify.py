@@ -19,6 +19,7 @@ from oporder.spectral import (
 from oporder.verify import (
     CampaignReport,
     CampaignRow,
+    Instance,
     OperatorTuple,
     ParamTemplate,
     PGrid,
@@ -263,8 +264,8 @@ class TestCheckHypotheses:
     def test_identity_tuple_all_equal(self):
         tup = OperatorTuple(tuple(identity(3) for _ in range(3)))
         rep = check_hypotheses(
-            tup, ParamTemplate(t=(0.5,), r=1.2), PGrid(values=(1.0, 2.0)),
-            WeightPolicy.fixed([0.5, 0.5]),
+            [Instance(tup, ParamTemplate(t=(0.5,), r=1.2), WeightPolicy.fixed([0.5, 0.5]))],
+            PGrid(values=(1.0, 2.0)),
         )
         assert len(rep.rows) == 8
         for row in rep.rows:
@@ -273,8 +274,9 @@ class TestCheckHypotheses:
 
     def test_ordered_scalar_worked_example(self):
         rep = check_hypotheses(
-            scalar_tuple([1.0, 2.0, 3.0]), ParamTemplate(t=(1.0,), r=2.0),
-            PGrid(values=(1.0,)), WeightPolicy.necessity(),
+            [Instance(scalar_tuple([1.0, 2.0, 3.0]), ParamTemplate(t=(1.0,), r=2.0),
+                      WeightPolicy.necessity())],
+            PGrid(values=(1.0,)),
         )
         asc = next(r for r in rep.rows if r.family == "ascending")
         assert asc.w == pytest.approx(0.5)
@@ -283,8 +285,9 @@ class TestCheckHypotheses:
 
     def test_contrapositive_scalar_fixture(self):
         rep = check_hypotheses(
-            scalar_tuple([2.0, 1.0, 3.0]), ParamTemplate(t=(0.5,), r=1.0),
-            PGrid(values=(1.0,)), WeightPolicy.fixed([0.5, 0.5]),
+            [Instance(scalar_tuple([2.0, 1.0, 3.0]), ParamTemplate(t=(0.5,), r=1.0),
+                      WeightPolicy.fixed([0.5, 0.5]))],
+            PGrid(values=(1.0,)),
         )
         asc = next(r for r in rep.rows if r.family == "ascending")
         assert asc.margin == pytest.approx(3 ** 0.5 - 6 ** 0.5, abs=1e-12)
@@ -295,8 +298,8 @@ class TestCheckHypotheses:
     def test_rows_cover_grid_product(self):
         tup = gen_suite_tuple(3, 2, seed=8)
         rep = check_hypotheses(
-            tup, ParamTemplate(t=(0.4,), r=1.0), PGrid(values=(1.0, 1.5, 2.0)),
-            WeightPolicy.necessity(),
+            [Instance(tup, ParamTemplate(t=(0.4,), r=1.0), WeightPolicy.necessity())],
+            PGrid(values=(1.0, 1.5, 2.0)),
         )
         assert len(rep.rows) == 2 * 9
         assert rep.pass_count == len(rep.rows)
@@ -304,8 +307,8 @@ class TestCheckHypotheses:
     def test_member_filter(self):
         tup = gen_suite_tuple(3, 2, seed=8)
         rep = check_hypotheses(
-            tup, ParamTemplate(t=(0.4,), r=1.0), PGrid(values=(1.0,)),
-            WeightPolicy.necessity(), members=((Family.ASCENDING, 1),),
+            [Instance(tup, ParamTemplate(t=(0.4,), r=1.0), WeightPolicy.necessity())],
+            PGrid(values=(1.0,)), members=((Family.ASCENDING, 1),),
         )
         assert len(rep.rows) == 1
         assert rep.rows[0].family == "ascending"
@@ -314,8 +317,8 @@ class TestCheckHypotheses:
         # fractional grid exponent forces a power of a singular-ish core
         tup = scalar_tuple([1e-4, 1.0, 1.0])
         rep = check_hypotheses(
-            tup, ParamTemplate(t=(0.9,), r=1.5), PGrid(values=(1.5, 64.0)),
-            WeightPolicy.fixed([0.5, 0.5]),
+            [Instance(tup, ParamTemplate(t=(0.9,), r=1.5), WeightPolicy.fixed([0.5, 0.5]))],
+            PGrid(values=(1.5, 64.0)),
         )
         errors = [r for r in rep.rows if r.error is not None]
         assert errors, "expected at least one gated row"
@@ -328,7 +331,7 @@ class TestCheckHypotheses:
         tup = OperatorTuple(tuple(diagonal(diags[i]) for i in (1, 2, 3)))
         template = ParamTemplate(t=(0.6,), r=1.1)
         grid = PGrid(values=(1.0, 2.0))
-        rep = check_hypotheses(tup, template, grid, WeightPolicy.necessity())
+        rep = check_hypotheses([Instance(tup, template, WeightPolicy.necessity())], grid)
         for row in rep.rows:
             family = Family(row.family)
             chain = chains.build_chain(family, row.member, 3)
@@ -350,11 +353,12 @@ class TestCheckHypotheses:
         # every row of instance 0 compares against A3^(r - t1) = 4^1999.5 or
         # A2^(r - t1) = 2^1999.5, which overflow; so do the right sides'
         # outer sandwiches, but the left side's error comes first
-        healthy = verify.Instance(scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=1.5),
-                                  WeightPolicy.fixed([0.5, 0.5]), 1, "1")
-        tup, template = scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=2000.0)
-        rep = check_hypotheses(tup, template, PGrid(values=(1.0, 2.0)),
-                               WeightPolicy.fixed([0.5, 0.5]), batch=[healthy] if batched else ())
+        healthy = Instance(scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=1.5),
+                           WeightPolicy.fixed([0.5, 0.5]), 1)
+        overflowing = Instance(scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=2000.0),
+                               WeightPolicy.fixed([0.5, 0.5]))
+        rep = check_hypotheses([overflowing, healthy] if batched else [overflowing],
+                               PGrid(values=(1.0, 2.0)))
         rows = rep.rows
         assert len(rows) == (16 if batched else 8)
         for row in rows[:8]:
@@ -365,8 +369,9 @@ class TestCheckHypotheses:
     def test_left_side_error_comes_before_the_right_side_error(self):
         # the descending left side A1^(r - t1) = (1e300)^1.4 overflows, and
         # its right side's outer product A1^(r/2) X A1^(r/2) does too
-        rep = check_hypotheses(scalar_tuple([1e300, 2.0, 3.0]), ParamTemplate(t=(0.5,), r=1.9),
-                               PGrid(values=(1.0,)), WeightPolicy.necessity())
+        rep = check_hypotheses([Instance(scalar_tuple([1e300, 2.0, 3.0]),
+                                         ParamTemplate(t=(0.5,), r=1.9), WeightPolicy.necessity())],
+                               PGrid(values=(1.0,)))
         asc, desc = rep.rows
         assert asc.error is None and asc.verdict == "LE" and not asc.holds()
         assert desc.error == "matrix power is not finite" and desc.verdict == "ERROR"
@@ -384,8 +389,8 @@ class TestBatchedCampaign:
         diags = {1: (1e100, 2e100), 2: (1.0, 1.0), 3: (1.0, 1.0)}
         tup = OperatorTuple(tuple(diagonal(diags[i]) for i in (1, 2, 3)))
         template = ParamTemplate(t=(0.5,), r=1.0)
-        rep = check_hypotheses(tup, template, PGrid(values=(1.0, 2.0)),
-                               WeightPolicy.fixed([0.5, 0.5]))
+        rep = check_hypotheses([Instance(tup, template, WeightPolicy.fixed([0.5, 0.5]))],
+                               PGrid(values=(1.0, 2.0)))
         assert len(rep.rows) == 8
         errors = [r for r in rep.rows if r.error is not None]
         assert [(r.family, r.p_vector) for r in errors] == [("ascending", (2.0, 2.0))]
@@ -420,8 +425,8 @@ class TestBatchedCampaign:
         template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.1, 2.0))
         policy = WeightPolicy.fixed(rng.uniform(0.2, 0.95) for _ in range(k - 1))
         grid = PGrid(values=(1.0, 1.5, 2.0, 4.0))
-        full = check_hypotheses(tup, template, grid, policy)
-        cut = check_hypotheses(tup, template, grid, policy, stop_on_violation=True)
+        full = check_hypotheses([Instance(tup, template, policy)], grid)
+        cut = check_hypotheses([Instance(tup, template, policy)], grid, stop_on_violation=True)
         deciding = next((i for i, r in enumerate(full.rows)
                          if r.error is None and not r.holds()), None)
         end = len(full.rows) if deciding is None else deciding + 1
@@ -449,8 +454,8 @@ class TestBatchedCampaign:
             return got
 
         monkeypatch.setattr(verify, "scaled_margins_stack", recording)
-        check_hypotheses(tup, template, PGrid(values=(1.0, 1.5, 2.0, 4.0)),
-                         WeightPolicy.necessity())
+        check_hypotheses([Instance(tup, template, WeightPolicy.necessity())],
+                         PGrid(values=(1.0, 1.5, 2.0, 4.0)))
         assert seen
         skipped = reached = 0
         for lhs, rhs, errors, sizes, (ge, le, scale, got_errors) in seen:
@@ -488,8 +493,8 @@ class TestPrintParseEvaluateRoundTrip:
     def test_complex_field_campaign(self):
         tup = gen_suite_tuple(3, 2, seed=37, field_kind="complex")
         rep = check_hypotheses(
-            tup, ParamTemplate(t=(0.5,), r=1.0), PGrid(values=(1.0, 2.0)),
-            WeightPolicy.necessity(),
+            [Instance(tup, ParamTemplate(t=(0.5,), r=1.0), WeightPolicy.necessity())],
+            PGrid(values=(1.0, 2.0)),
         )
         assert all(r.error is None for r in rep.rows)
         assert all(r.holds() for r in rep.rows)
@@ -857,8 +862,8 @@ class TestCampaignReport:
     def make_report(self):
         tup = gen_suite_tuple(3, 2, seed=23)
         return check_hypotheses(
-            tup, ParamTemplate(t=(0.5,), r=1.0), PGrid(values=(1.0, 2.0)),
-            WeightPolicy.necessity(), instance_id="7",
+            [Instance(tup, ParamTemplate(t=(0.5,), r=1.0), WeightPolicy.necessity(), 7)],
+            PGrid(values=(1.0, 2.0)),
         )
 
     def test_csv_columns_and_sidecar(self, tmp_path):
@@ -879,8 +884,9 @@ class TestCampaignReport:
 
     def test_shorter_report_at_the_same_path_leaves_only_its_bytes(self, tmp_path):
         long_report = check_hypotheses(
-            gen_suite_tuple(3, 2, seed=23), ParamTemplate(t=(0.5,), r=1.0),
-            PGrid(values=(1.0, 1.5, 2.0, 4.0)), WeightPolicy.necessity(), instance_id="7")
+            [Instance(gen_suite_tuple(3, 2, seed=23), ParamTemplate(t=(0.5,), r=1.0),
+                      WeightPolicy.necessity(), 7)],
+            PGrid(values=(1.0, 1.5, 2.0, 4.0)))
         long_report.config = {"purpose": "a longer config than the second one"}
         short_report = self.make_report()
         short_report.config = {}
