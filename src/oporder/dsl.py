@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -40,12 +40,14 @@ from .spectral import (
     SpectralDecomposition,
     SpectralError,
     WordBatch,
+    any_set,
     decompose_stack,
     first_errors,
     flag_errors,
     healthy,
     hermitian_part,
     no_errors,
+    nonfinite_rows,
     power_stack,
 )
 
@@ -473,6 +475,23 @@ class _Group:
     columns: dict = field(default_factory=dict)
 
 
+def _distinct(column: np.ndarray):
+    """(first, inverse) of a column's distinct values, as
+    ``np.unique(column, return_index=True, return_inverse=True)`` returns
+    them: values in ascending order, ``first`` the first row holding each
+    and every NaN one value."""
+    order = column.argsort(kind="stable")
+    ordered = column[order]
+    new = np.empty(len(column), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    if len(column) and ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+        new[ordered.searchsorted(ordered[-1], side="left") + 1:] = False
+    inverse = np.empty(len(column), dtype=np.intp)
+    inverse[order] = np.add.accumulate(new, dtype=np.intp) - 1
+    return order[new], inverse
+
+
 def _fit(errors, m: int):
     """Row errors stretched to m rows (a single row is shared by all)."""
     if errors is None or len(errors) == m:
@@ -485,14 +504,13 @@ def _some(errors):
     return None if errors is None or healthy(errors).all() else errors
 
 
-@dataclass(frozen=True, eq=False)
-class _Part:
+class _Part(NamedTuple):
     """A node's values and errors, one per binding of ``group`` (one shared
     by every row when ``group`` is None); errors is None while no binding
     has failed."""
 
     values: np.ndarray
-    errors: np.ndarray
+    errors: np.ndarray | None
     group: _Group | None
     power_eigenvalues: np.ndarray | None = None  # mu of a power's U diag(mu) U*
 
@@ -521,15 +539,16 @@ class _BatchRun:
             if instance is None:
                 raise ValueError("several environments need an instance column")
             inst = np.asarray(instance, dtype=np.intp).reshape(-1)
-            if not (len(inst) and 0 <= inst.min() and inst.max() < len(envs)):
+            low, high = (inst.min(), inst.max()) if len(inst) else (-1, -1)
+            if not 0 <= low <= high < len(envs):
                 raise ValueError(f"instance column must index the {len(envs)} environments")
             if len({m.dim for e in envs for m in e.matrices.values()}) > 1 \
                     or len({frozenset(e.scalars) for e in envs}) > 1:
                 raise ValueError("environments must bind the same scalar names "
                                  "and one matrix dimension")
             sizes.add(len(inst))
-            if inst.min() == inst.max():
-                envs = (envs[int(inst[0])],)  # one instance: its environment alone
+            if low == high:
+                envs = (envs[int(low)],)  # one instance: its environment alone
             else:
                 columns[_INSTANCE] = inst
         if len(sizes) > 1:
@@ -564,16 +583,14 @@ class _BatchRun:
             last = max(names)
             rest = self.group(names - {last})
             if rest is None:
-                # return_index sorts stably, so first holds first occurrences
-                _, first, inverse = np.unique(self.columns[last], return_index=True,
-                                              return_inverse=True)
+                first, inverse = _distinct(self.columns[last])
             elif len(rest.first) == self.size:
                 # every row is a binding of its own already
                 first, inverse = rest.first, rest.inverse
             else:
-                values, codes = np.unique(self.columns[last], return_inverse=True)
+                values, codes = _distinct(self.columns[last])
                 key = rest.inverse * len(values) + codes
-                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+                first, inverse = _distinct(key)
             got = self._groups[names] = _Group(names, first, inverse)
         return got
 
@@ -608,15 +625,18 @@ class _BatchRun:
         return total
 
     def batches(self, words: tuple) -> tuple[WordBatch, ...]:
-        """One WordBatch per word, from the words' plan."""
+        """One WordBatch per word, from the words' plan.  An overflowed or
+        NaN value is a guarded error row, so numpy's floating-point
+        warnings are silenced once for the whole run."""
         plan = _PLANS.get(words, frozenset(self.columns))
         parts: list[_Part | None] = [None] * len(plan.nodes)
-        self._symbols(plan, parts)
-        for i, node in enumerate(plan.nodes):
-            if parts[i] is None:
-                parts[i] = (self._product(node, parts) if isinstance(node.word, Product)
-                            else self._power(node, parts))
-        return tuple(self.batch(plan.nodes[i], parts[i]) for i in plan.outputs)
+        with np.errstate(all="ignore"):
+            self._symbols(plan, parts)
+            for i, node in enumerate(plan.nodes):
+                if parts[i] is None:
+                    parts[i] = (self._product(node, parts) if isinstance(node.word, Product)
+                                else self._power(node, parts))
+            return tuple(self.batch(plan.nodes[i], parts[i]) for i in plan.outputs)
 
     def aligned(self, part: _Part, group: _Group | None):
         """A part's values and errors per binding of ``group`` (a superset
@@ -658,7 +678,7 @@ class _BatchRun:
         count = len(self.envs)
         vectors = [d.eigenvectors for d in decs]
         dtypes = [np.result_type(*vectors[j:j + count]) for j in range(0, len(decs), count)]
-        return (np.stack([d.eigenvalues for d in decs]), np.stack(vectors), dtypes,
+        return (np.array([d.eigenvalues for d in decs]), np.array(vectors), dtypes,
                 errors(missing), errors(failed))
 
     def _symbols(self, plan: _Plan, parts: list) -> None:
@@ -678,37 +698,42 @@ class _BatchRun:
             group = self.group_of(node)
             m = 1 if group is None else len(group.first)
             slot = plan.slot[node.word.index]
-            inst = self.column(group, _INSTANCE) if self.multi else np.zeros(m, dtype=np.intp)
-            entries = slot * count + inst
+            entries = (slot * count + self.column(group, _INSTANCE) if self.multi
+                       else np.full(m, slot, dtype=np.intp))
             errors = None if missing is None else _some(missing[entries])
             try:
                 alpha = self.exponent(node, group)
             except UnboundNameError as exc:
                 alpha = 1.0
                 errors = flag_errors(_fit(errors, m), np.ones(m, dtype=bool), lambda _: exc)
-            errors = first_errors(errors, None if failed is None else _some(failed[entries]))
-            if errors is not None and not healthy(errors).any():
+            if failed is not None:
+                errors = first_errors(errors, _some(failed[entries]))
+            if errors is not None and not any_set(healthy(errors)):
                 # no binding left to raise
                 parts[i] = _Part(np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)),
                                  errors, group)
                 continue
             pending.setdefault(dtypes[slot], []).append((i, group, entries, alpha, errors))
         for dtype, stacked in pending.items():
-            _, _, node_entries, alphas, node_errors = zip(*stacked)
-            entries = np.concatenate(node_entries)
+            entries = np.concatenate([node_entries for _, _, node_entries, _, _ in stacked])
             vectors = u[entries]
             if vectors.dtype != dtype:  # a real index among complex ones
                 vectors = np.ascontiguousarray(vectors.real)
+            alpha = np.empty(len(entries))
             errors = None
-            if any(e is not None for e in node_errors):
-                errors = np.concatenate([no_errors(len(n)) if e is None else e
-                                         for n, e in zip(node_entries, node_errors)])
-            alpha = np.concatenate([np.broadcast_to(a, (len(n),))
-                                    for a, n in zip(alphas, node_entries)])
+            start = 0
+            for _, _, node_entries, node_alpha, node_errors in stacked:
+                end = start + len(node_entries)
+                alpha[start:end] = node_alpha
+                if node_errors is not None:
+                    if errors is None:
+                        errors = no_errors(len(entries))
+                    errors[start:end] = node_errors
+                start = end
             values, _, errors = power_stack(lam[entries], vectors, alpha, errors)
             start = 0
-            for i, group, rows, _, _ in stacked:
-                end = start + len(rows)
+            for i, group, node_entries, _, _ in stacked:
+                end = start + len(node_entries)
                 parts[i] = _Part(values[start:end],
                                  None if errors is None else _some(errors[start:end]), group)
                 start = end
@@ -716,14 +741,13 @@ class _BatchRun:
     def _product(self, node: _Node, parts: list) -> _Part:
         group = self.group_of(node)
         values, errors = self.aligned(parts[node.args[0]], group)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for arg in node.args[1:]:
-                factor_values, factor_errors = self.aligned(parts[arg], group)
-                values = values @ factor_values
-                errors = first_errors(errors, factor_errors)
-        if not np.isfinite(values).all():
-            errors = flag_errors(errors, ~np.isfinite(values).all(axis=(-2, -1)),
-                                 lambda i: NonFiniteError("product"))
+        for arg in node.args[1:]:
+            factor_values, factor_errors = self.aligned(parts[arg], group)
+            values = values @ factor_values
+            errors = first_errors(errors, factor_errors)
+        bad = nonfinite_rows(values)
+        if bad is not None:
+            errors = flag_errors(errors, bad, lambda i: NonFiniteError("product"))
         return _Part(values, _fit(errors, len(values)), group)
 
     def _power(self, node: _Node, parts: list) -> _Part:
@@ -762,8 +786,7 @@ class _BatchRun:
             errors = _fit(errors, len(values))
             values = np.where(healthy(errors)[:, None, None], values, np.eye(dim))
             errors = errors[inverse]
-        return WordBatch(values[inverse], no_errors(n) if errors is None else errors,
-                         (first, inverse), part.power_eigenvalues)
+        return WordBatch(values[inverse], errors, (first, inverse), part.power_eigenvalues)
 
 
 def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],

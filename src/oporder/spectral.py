@@ -218,8 +218,15 @@ def _cond_estimate(arr: np.ndarray) -> float:
 # None or the exception of each row.  It returns the errors with those of its
 # own guards merged in: a row keeps the first error it met, and a row that
 # entered in error is skipped (its entries are replaced by the identity
-# before any solve).  The scalar functions below are their M = 1 case, so
-# every guard is written once, here.
+# before any solve).  The errors stay None until a guard fails, so a clean
+# stack builds and scans no object array.  The scalar functions below are
+# their M = 1 case, so every guard is written once, here.
+#
+# The per-node primitives (hermitian_part, power_stack) leave numpy's
+# floating-point warnings to their caller: an overflowed or NaN entry is a
+# guarded row, never a warning, so a caller enters np.errstate(all="ignore")
+# once around them (an evaluation run does, and so does matrix_power).  A
+# comparison (margins_stack) enters it once itself.
 
 def no_errors(m: int) -> np.ndarray:
     return np.full(m, None, dtype=object)
@@ -228,6 +235,26 @@ def no_errors(m: int) -> np.ndarray:
 def healthy(errors: np.ndarray) -> np.ndarray:
     """Mask of the rows without an error."""
     return np.equal(errors, None)
+
+
+def failed_rows(errors, m: int) -> np.ndarray:
+    """Mask of the m rows with an error (errors None: no row failed)."""
+    return np.zeros(m, dtype=bool) if errors is None else ~healthy(errors)
+
+
+def any_set(mask: np.ndarray) -> bool:
+    """``mask.any()`` for a boolean mask, by the C-level count rather than
+    the method's Python wrapper (a third of the cost on short masks)."""
+    return np.count_nonzero(mask) > 0
+
+
+def nonfinite_rows(arrs: np.ndarray) -> np.ndarray | None:
+    """Mask of the matrices of a stack with an inf or NaN entry; None when
+    every entry is finite."""
+    finite = np.isfinite(arrs)
+    if np.count_nonzero(finite) == finite.size:
+        return None
+    return ~finite.all(axis=(-2, -1))
 
 
 def first_errors(errors, later):
@@ -243,7 +270,7 @@ def first_errors(errors, later):
 def flag_errors(errors, fails: np.ndarray, make):
     """Give each healthy row where ``fails`` holds the error ``make(row)``;
     ``fails`` has one entry per row."""
-    if not fails.any():
+    if not any_set(fails):
         return errors
     if errors is None:
         errors = no_errors(len(fails))
@@ -262,7 +289,7 @@ def _raise_first(errors) -> None:
 
 
 def _adjoint(arrs: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(arrs):
+    if arrs.dtype.kind == "c":
         return arrs.conj().swapaxes(-1, -2)
     return arrs.swapaxes(-1, -2)
 
@@ -283,9 +310,9 @@ def _solve_stack(solver, arrs: np.ndarray, errors):
     stack, the rows are solved one by one and each failing one becomes an
     EigenSolverError row."""
     dim = arrs.shape[-1]
-    if not np.isfinite(arrs).all():
-        errors = flag_errors(errors, ~np.isfinite(arrs).all(axis=(-2, -1)),
-                             lambda i: NonFiniteError("eigensolver input"))
+    bad = nonfinite_rows(arrs)
+    if bad is not None:
+        errors = flag_errors(errors, bad, lambda i: NonFiniteError("eigensolver input"))
     work = arrs
     if errors is not None:
         ok = healthy(errors)
@@ -325,11 +352,11 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     # (but for the sign of a NaN, which only a row in error holds); a
     # larger d or another BLAS may round differently
     uh = np.ascontiguousarray(_adjoint(u))
-    ortho = np.abs(uh @ u - _eye(dim)).max(axis=(-2, -1))
-    recon = np.abs((u * lam[:, None, :]) @ uh - work).max(axis=(-2, -1))
+    ortho = np.maximum.reduce(np.abs(uh @ u - _eye(dim)), axis=(-2, -1))
+    recon = np.maximum.reduce(np.abs((u * lam[:, None, :]) @ uh - work), axis=(-2, -1))
     bad_ortho = ortho > ORTHO_TOL
-    bad_recon = recon > RECON_RTOL * np.maximum(1.0, np.abs(lam).max(axis=-1))
-    if bad_ortho.any() or bad_recon.any():
+    bad_recon = recon > RECON_RTOL * np.maximum(1.0, np.maximum.reduce(np.abs(lam), axis=-1))
+    if any_set(bad_ortho | bad_recon):
         errors = flag_errors(errors, bad_ortho, lambda i: EigenSolverError(
             dim, ortho[i] / max(ORTHO_TOL, 1e-300)))
         errors = flag_errors(errors, bad_recon, lambda i: EigenSolverError(
@@ -353,6 +380,7 @@ def _gate(lam: np.ndarray):
 # reciprocal, which can differ from pow() in the last bit; every power takes
 # the same paths, so its bits match ``lam ** alpha`` for one exponent
 _SCALAR_POWER_PATHS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
+_SCALAR_POWERS = np.array([value for value, _ in _SCALAR_POWER_PATHS])
 
 
 def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
@@ -363,47 +391,51 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
 
     A fractional or negative exponent fails with NearSingularError where
     lambda_min is at or below the pd gate; a power that overflows fails
-    with NonFiniteError."""
+    with NonFiniteError.  Call under np.errstate(all="ignore")."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim == 0:
         alpha = np.full(len(lam), alpha)
     elif len(lam) != len(alpha):
         lam = np.broadcast_to(lam, (len(alpha),) + lam.shape[1:])
-    fractional = (alpha < 0) | ~np.isfinite(alpha) | (alpha != np.floor(alpha))
-    if fractional.any():
-        low, gate = _gate(lam)
-        errors = flag_errors(errors, low & fractional,
+    # the gate's test: with lambda_min > 0 the spectral norm is lambda_max,
+    # and with lambda_min <= 0 both sides fail it (a NaN fails neither)
+    low = lam[:, 0] <= EPS_PD_REL * np.maximum(1.0, lam[:, -1])
+    if any_set(low):
+        # the gate binds exponents that are not non-negative integers; inf
+        # and NaN leave a NaN remainder
+        gate = _gate(lam)[1]
+        errors = flag_errors(errors, low & ((alpha % 1.0 != 0.0) | (alpha < 0)),
                              lambda i: NearSingularError(float(lam[i, 0]), float(gate[i])))
-    with np.errstate(all="ignore"):
-        powered = lam ** alpha[:, None]
-        for value, fast_path in _SCALAR_POWER_PATHS:
-            rows = alpha == value
-            if rows.any():
+    powered = lam ** alpha[:, None]
+    scalar = np.equal.outer(alpha, _SCALAR_POWERS)
+    if any_set(scalar):
+        for j, (_, fast_path) in enumerate(_SCALAR_POWER_PATHS):
+            rows = scalar[:, j]
+            if any_set(rows):
                 powered[rows] = fast_path(lam[rows])
-        out = (u * powered[:, None, :]) @ np.ascontiguousarray(_adjoint(u))
-        out = 0.5 * (out + _adjoint(out))
-    if not np.isfinite(out).all():
-        errors = flag_errors(errors, ~np.isfinite(out).all(axis=(-2, -1)),
-                             lambda i: NonFiniteError("matrix power"))
+    out = (u * powered[:, None, :]) @ np.ascontiguousarray(_adjoint(u))
+    out = 0.5 * (out + _adjoint(out))
+    bad = nonfinite_rows(out)
+    if bad is not None:
+        errors = flag_errors(errors, bad, lambda i: NonFiniteError("matrix power"))
     return out, powered, errors
 
 
 def _frobenius(arrs: np.ndarray) -> np.ndarray:
     """||X||_F per matrix of a stack, by the ufuncs that
     ``np.linalg.norm(arrs, axis=(-2, -1))`` applies, so with its bits."""
-    squares = (arrs.conj() * arrs).real if np.iscomplexobj(arrs) else arrs * arrs
+    squares = (arrs.conj() * arrs).real if arrs.dtype.kind == "c" else arrs * arrs
     return np.sqrt(np.add.reduce(squares, axis=(-2, -1)))
 
 
 def hermitian_part(arrs: np.ndarray, rtol: float):
     """(0.5 (X + X*), too_far, residual, scale) for a stack: the residual is
     ||X - X*||_F, the scale max(1, ||X||_F), and too_far marks the rows whose
-    residual exceeds rtol * scale."""
+    residual exceeds rtol * scale.  Call under np.errstate(all="ignore")."""
     adj = _adjoint(arrs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.maximum(1.0, _frobenius(arrs))
-        resid = _frobenius(arrs - adj)
-        return 0.5 * (arrs + adj), resid > rtol * scale, resid, scale
+    scale = np.maximum(1.0, _frobenius(arrs))
+    resid = _frobenius(arrs - adj)
+    return 0.5 * (arrs + adj), resid > rtol * scale, resid, scale
 
 
 def margins_stack(p: np.ndarray, q: np.ndarray, errors):
@@ -426,7 +458,9 @@ class WordBatch:
     ``values[i]`` is the Hermitian value of row i, or the identity where
     that row failed; ``errors[i]`` is None or the exception of the first
     node that failed for it in depth-first, left-to-right order, the one
-    ``dsl.evaluate`` raises for the same binding.
+    ``dsl.evaluate`` raises for the same binding.  ``row_errors`` holds the
+    same errors, or None while no row failed: the form the stacked
+    primitives take and return.
 
     ``distinct`` is (first, inverse): the rows ``first`` hold the
     distinct values, and row i holds that of ``values[first[inverse[i]]]``.
@@ -440,7 +474,7 @@ class WordBatch:
     """
 
     values: np.ndarray
-    errors: np.ndarray
+    row_errors: np.ndarray | None
     distinct: tuple[np.ndarray, np.ndarray] = field(repr=False)
     power_eigenvalues: np.ndarray | None = field(default=None, repr=False)
 
@@ -449,13 +483,20 @@ class WordBatch:
         """Healthy rows ``values`` (M, d, d) whose ascending eigenvalues
         (M, d) the caller has checked; they are the batch's spectrum."""
         rows = np.arange(len(values))
-        batch = cls(values, no_errors(len(values)), (rows, rows))
+        batch = cls(values, None, (rows, rows))
         vars(batch)["spectrum"] = (eigenvalues, None)
         return batch
 
+    @cached_property
+    def errors(self) -> np.ndarray:
+        """(N,) object array of each row's error or None."""
+        if self.row_errors is None:
+            return no_errors(len(self.values))
+        return self.row_errors
+
     @property
     def error_mask(self) -> np.ndarray:
-        return ~healthy(self.errors)
+        return failed_rows(self.row_errors, len(self.values))
 
     def error_text(self, i: int) -> str | None:
         err = self.errors[i]
@@ -481,7 +522,7 @@ class WordBatch:
         NaN bound bounds nothing."""
         if self.power_eigenvalues is None:
             return None
-        return np.abs(self.power_eigenvalues).max(axis=1)
+        return np.maximum.reduce(np.abs(self.power_eigenvalues), axis=1)
 
 
 def _norms(batch: WordBatch):
@@ -494,13 +535,13 @@ def _needed_norms(batch: WordBatch, need: np.ndarray):
     """A batch's norms at the rows of ``need`` (0 elsewhere) and their
     errors: each distinct value that a needed row holds is decomposed once,
     all of them through ``batch.spectrum`` when it is known or needed."""
-    if need.all() or "spectrum" in vars(batch):
+    if np.count_nonzero(need) == len(need) or "spectrum" in vars(batch):
         return _norms(batch)
     first, inverse = batch.distinct
     wanted = np.zeros(len(first), dtype=bool)
     wanted[inverse[need]] = True
     norms, errors = np.zeros(len(first)), None
-    if wanted.any():
+    if any_set(wanted):
         lam, _, found = decompose_stack(batch.values[first[wanted]])
         norms[wanted] = spectral_norms(lam)
         if found is not None:
@@ -545,10 +586,8 @@ def scaled_margins_stack(p: WordBatch, q: WordBatch, errors=None):
             norm = np.where(healthy(errors), norm, 1.0)
         scale = np.maximum(scale, norm)
         errors = first_errors(errors, side_errors)
-    finite = np.isfinite(ge) & np.isfinite(le)
-    if not finite.all():
-        errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("comparison margin"))
-    return ge, le, scale, errors
+    return ge, le, scale, flag_errors(errors, ~(np.isfinite(ge) & np.isfinite(le)),
+                                      lambda i: NonFiniteError("comparison margin"))
 
 
 def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
@@ -595,8 +634,9 @@ def matrix_power(h: HermitianMatrix, alpha: float) -> HermitianMatrix:
     NonFiniteError.
     """
     dec = h.decomposition()
-    out, _, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
-                                 float(alpha), None)
+    with np.errstate(all="ignore"):
+        out, _, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
+                                     float(alpha), None)
     _raise_first(errors)
     return HermitianMatrix.trusted(out[0])
 

@@ -35,6 +35,7 @@ from .spectral import (
     WordBatch,
     classify_stack,
     decompose_stack,
+    failed_rows,
     first_errors,
     flag_errors,
     gate_stack,
@@ -44,6 +45,7 @@ from .spectral import (
     margin_holds,
     margins_hold,
     matrix_to_json,
+    no_errors,
     operator_norm,
     positivity_margin,
     require_strictly_positive,
@@ -803,16 +805,18 @@ def check_hypotheses(
                     lhs, rhs, w, w_index[row_code], is_ge[row_code], suite_tol_rel)
                 seconds = (time.perf_counter() - start) / len(which)
                 # error rows are indeterminate, not violations; keep scanning
-                fails = (~holds & healthy(errors) if stop_on_violation
+                fails = (~holds & ~failed_rows(errors, len(which)) if stop_on_violation
                          else np.zeros(len(which), dtype=bool))
                 for slot, (j, code) in enumerate(pairs):
                     first_row, end = slot * size, size
-                    if fails[first_row:first_row + size].any():
-                        end = int(fails[first_row:first_row + size].argmax()) + 1
+                    failing = np.flatnonzero(fails[first_row:first_row + size])
+                    if len(failing):
+                        end = int(failing[0]) + 1
                         stopped.add(j)
                     kept = slice(first_row, first_row + end)
-                    batches[j].append(_Batch(code, lo, w[kept], ge[kept], le[kept],
-                                             scale[kept], errors[kept], seconds))
+                    batches[j].append(_Batch(code, lo, w[kept], ge[kept], le[kept], scale[kept],
+                                             None if errors is None else errors[kept],
+                                             seconds))
             active = [j for j in active if j not in stopped]
             if not active:
                 break
@@ -846,7 +850,7 @@ def _judge_members(lhs: dsl.WordBatch, rhs: dsl.WordBatch, w: np.ndarray, w_inde
     A row whose left or right side fails to evaluate is an error row, with
     the left side's error first.  A weight w <= 0 (from an overflowed
     chain exponent) would make the rhs I, so its row is an error row too."""
-    errors = flag_errors(first_errors(lhs.errors, rhs.errors), w <= 0,
+    errors = flag_errors(first_errors(lhs.row_errors, rhs.row_errors), w <= 0,
                          lambda i: dsl.EvaluationError(
                              f"weight w{int(w_index[i])} = {float(w[i])!r} is not positive"))
     ge, le, scale, errors = scaled_margins_stack(lhs, rhs, errors)
@@ -864,7 +868,7 @@ class _Batch(NamedTuple):
     ge: np.ndarray
     le: np.ndarray
     scale: np.ndarray
-    errors: np.ndarray
+    errors: np.ndarray | None  # None: no row failed
     seconds: float  # per row
 
 
@@ -876,12 +880,16 @@ def _campaign_columns(batches: list[_Batch], chain_list, tol_rel: float):
         return {name: np.zeros(0, dtype) for name, dtype in COLUMNS.items()}, {}
     counts = [len(b.w) for b in batches]
     member = np.repeat([b.member for b in batches], counts)
-    w, ge, le, scale, errs = (np.concatenate(cols) for cols in
-                              zip(*((b.w, b.ge, b.le, b.scale, b.errors) for b in batches)))
+    w, ge, le, scale = (np.concatenate(cols) for cols in
+                        zip(*((b.w, b.ge, b.le, b.scale) for b in batches)))
+    errs = None
+    if any(b.errors is not None for b in batches):
+        errs = np.concatenate([no_errors(len(b.w)) if b.errors is None else b.errors
+                               for b in batches])
     is_ge = np.array([c.direction is Direction.GE for c in chain_list])
     margin = np.where(is_ge[member], ge, le)
     verdict = classify_stack(ge, le, scale, tol_rel)
-    bad = np.flatnonzero(~healthy(errs))
+    bad = np.flatnonzero(failed_rows(errs, len(w)))
     verdict[bad], w[bad], margin[bad], scale[bad] = ERROR_CODE, math.nan, math.nan, 1.0
     columns = {
         "member": member,
@@ -1255,15 +1263,15 @@ def check_reduction_chain(
         _, _, _, errors, holds = _judge_members(lhs, rhs, w[lo:hi], np.ones(hi - lo, np.intp),
                                                    premise.direction is Direction.GE,
                                                    suite_tol_rel)
-        evaluated = healthy(errors)
-        premise_errors += int(np.count_nonzero(~evaluated))
-        premise_failures += int(np.count_nonzero(evaluated & ~holds))
+        failed = failed_rows(errors, hi - lo)
+        premise_errors += int(np.count_nonzero(failed))
+        premise_failures += int(np.count_nonzero(~failed & ~holds))
 
-        margin_core, _, scale_core, errors = scaled_margins_stack(ident, core, core.errors)
-        errors = first_errors(errors, base.errors)
+        margin_core, _, scale_core, errors = scaled_margins_stack(ident, core, core.row_errors)
+        errors = first_errors(errors, base.row_errors)
         bound = ident
         if peeled:
-            bound, errors = peeled[0], first_errors(errors, peeled[0].errors)
+            bound, errors = peeled[0], first_errors(errors, peeled[0].row_errors)
         # the peel comparison decomposes the base's distinct values and
         # merges their errors; lambda_max below reuses that spectrum
         margin_peel, _, scale_peel, errors = scaled_margins_stack(bound, base, errors)
@@ -1275,7 +1283,7 @@ def check_reduction_chain(
                           axis=1)
         errors = flag_errors(errors, ~np.isfinite(values[:, [2, 4, 5]]).all(axis=1),
                              lambda i: NonFiniteError("reduction margin"))
-        bad = np.flatnonzero(~healthy(errors))
+        bad = np.flatnonzero(failed_rows(errors, len(values)))
         values[bad] = (math.nan, 1.0) * 3 + (math.nan,)
         errors_by_row.update((lo + i, str(errors[i])) for i in bad.tolist())
         chunks.append(values)
@@ -1434,8 +1442,8 @@ def implied_core_violation(
                 batch = dsl.evaluate_batch(word, env, _p_columns(p_table[lo:hi]))
                 # ascending cores must stay below I, descending ones above
                 pair = (ident, batch) if chain.direction is Direction.GE else (batch, ident)
-                margins, _, scales, errors = scaled_margins_stack(*pair, batch.errors)
-                failed = ~healthy(errors)
+                margins, _, scales, errors = scaled_margins_stack(*pair, batch.row_errors)
+                failed = failed_rows(errors, len(margins))
                 fails = np.flatnonzero(~failed & ~margins_hold(margins, scales, suite_tol_rel))
                 end = int(fails[0]) + 1 if len(fails) else len(failed)
                 unevaluated += int(np.count_nonzero(failed[:end]))
@@ -1485,11 +1493,11 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
     dims, drawn = [], []
     for idx in range(config.budget):
         rng = _rng(config.master_seed, idx)
-        dims.append(int(rng.choice(np.asarray(config.dims))))
+        # the same draws as rng.choice(dims) and k - 1 scalar uniform calls
+        dims.append(int(config.dims[int(rng.integers(len(config.dims)))]))
         template = ParamTemplate.draw(rng, n)
         policy = config.policy or WeightPolicy.fixed(
-            rng.uniform(*SEARCH_W_RANGE) for _ in range(config.k - 1)
-        )
+            rng.uniform(*SEARCH_W_RANGE, config.k - 1))
         drawn.append((template, policy))
     tuples = gen_unordered_tuples(
         config.k, [(dim, [config.master_seed, idx, 10]) for idx, dim in enumerate(dims)],

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oporder import chains, dsl, verify
 from oporder.chains import (
     Direction,
     Family,
@@ -44,6 +45,7 @@ from util import (
     GOLDEN_DIR,
     error_rows,
     full_spectrum_margins,
+    random_hermitian,
     random_scalar_expr,
     random_spd_array,
     random_word,
@@ -347,6 +349,9 @@ class TestEvaluateBatch:
         rows = {name: rng.choice(self._ROW_VALUES, count) for name in per_row}
         batch = evaluate_batch(word, Environment(scalars=constants, matrices=matrices), rows)
         assert batch.values.shape == (count, 3, 3)
+        first, inverse = _expected_distinct(word, rows, np.zeros(count, dtype=np.intp))
+        assert (batch.distinct[0].tolist(), batch.distinct[1].tolist()) == \
+            (first.tolist(), inverse.tolist())
         for i in range(count):
             scalars = dict(constants, **{name: float(col[i]) for name, col in rows.items()})
             try:
@@ -356,8 +361,7 @@ class TestEvaluateBatch:
                 assert batch.error_text(i) == str(exc)
                 continue
             assert batch.errors[i] is None
-            scale = max(1.0, float(np.abs(want).max()))
-            assert np.abs(batch.values[i] - want).max() <= 1e-12 * scale
+            assert batch.values[i].tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10**9))
@@ -422,6 +426,137 @@ class TestEvaluateBatch:
         assert isinstance(batch.errors[1], NearSingularError)
         assert np.array_equal(batch.values[1], np.eye(2))
         assert np.allclose(batch.values[0], np.diag([0.0, 1.0]))
+
+
+def _free_names(word) -> set[str]:
+    """The scalar names of every exponent of a word."""
+    if isinstance(word, Symbol):
+        return set(word.exponent.free_names())
+    if isinstance(word, Power):
+        return set(word.exponent.free_names()) | _free_names(word.base)
+    return set().union(*(_free_names(f) for f in word.factors))
+
+
+def _expected_distinct(word, rows: dict, instance: np.ndarray):
+    """(first, inverse) of a run's distinct values of a word: its rows
+    grouped by their binding, which is the row's environment when the run
+    binds several and the values of the per-row names the word mentions,
+    in ascending order of (environment, those values in name order)."""
+    names = sorted(_free_names(word) & set(rows))
+    several = len(set(instance.tolist())) > 1
+    keys = [((int(instance[i]),) if several else ())
+            + tuple(float(rows[name][i]) for name in names) for i in range(len(instance))]
+    order = sorted(set(keys))
+    return (np.array([keys.index(key) for key in order]),
+            np.array([order.index(key) for key in keys]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.5, 2.0, np.inf, -np.inf, np.nan]),
+                       max_size=12),
+       integers=st.booleans())
+def test_groups_take_the_first_rows_and_codes_of_np_unique(values, integers):
+    column = np.array(values, dtype=np.float64)
+    if integers:
+        column = np.nan_to_num(column, posinf=7, neginf=-7).astype(np.intp)
+    _, want_first, want_inverse = np.unique(column, return_index=True, return_inverse=True)
+    first, inverse = dsl._distinct(column)
+    assert (first.tolist(), inverse.tolist()) == (want_first.tolist(),
+                                                  want_inverse.reshape(-1).tolist())
+
+
+class TestSlotWordRuns:
+    """Runs of the slot words that campaigns evaluate (``chains.slot_words``),
+    over 1-4 environments of 1-4 rows each, against one evaluation per row.
+    Chosen rows fail at each guard: an unbound matrix or name, the pd gate,
+    an overflowed power or product, a non-Hermitian power base or word value
+    (the parsed words below) and, when judged, a weight w <= 0."""
+
+    _P_VALUES = (1.0, 1.5, 2.0, 4.0, 64.0)
+    _W_VALUES = (0.3, 0.5, 0.9, 0.0, -0.5)
+
+    @staticmethod
+    def _environment(rng, k: int, dim: int, complex_field: bool) -> Environment:
+        n = k // 2
+        matrices = {i: random_hermitian(rng, dim, complex_field) for i in range(1, 2 * n + 2)}
+        kind = rng.choice(["plain", "plain", "singular", "huge", "unbound", "commuting"])
+        slot = int(rng.integers(1, 2 * n + 2))
+        if kind == "singular":    # fails the pd gate at fractional exponents
+            matrices[slot] = random_hermitian(rng, dim, complex_field, (1e-13, 0.5, 1.5, 2.5))
+        elif kind == "huge":      # overflows in large powers and products
+            matrices[slot] = random_hermitian(rng, dim, complex_field, (1.0, 1e60, 1e90, 1e30))
+        elif kind == "unbound":
+            del matrices[slot]
+        elif kind == "commuting":  # makes A1 A2 Hermitian
+            matrices[2] = HermitianMatrix(matrices[1].entries @ matrices[1].entries)
+        t = tuple(float(v) for v in rng.uniform(0.05, 0.95, n))
+        scalars = {"r": t[-1] + float(rng.uniform(0.1, 2.0)),
+                   **{f"t{i}": v for i, v in enumerate(t, 1)}}
+        return Environment(scalars, matrices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), k=st.integers(3, 5), dim=st.integers(1, 4),
+           envs=st.integers(1, 4), complex_field=st.booleans())
+    def test_runs_match_one_evaluation_per_row(self, seed, k, dim, envs, complex_field):
+        rng = np.random.default_rng(seed)
+        n = k // 2
+        environments = [self._environment(rng, k, dim, complex_field) for _ in range(envs)]
+        instance = np.repeat(np.arange(envs), rng.integers(1, 5, envs))
+        if rng.random() < 0.5:
+            instance = rng.permutation(instance)
+        count = len(instance)
+        rows = {f"p{j}": rng.choice(self._P_VALUES, count, p=(0.3, 0.2, 0.2, 0.2, 0.1))
+                for j in range(1, 2 * n + 1)}
+        w = rng.choice(self._W_VALUES, count, p=(0.3, 0.3, 0.2, 0.1, 0.1))
+        if rng.random() < 0.9:
+            rows["w"] = w  # else every rhs row has the unbound name w
+        lhs_word, rhs_word = chains.slot_words(k)
+        words = (rhs_word, lhs_word, parse("(A1 A2)^{p1}"), parse("A2 A1^{p1} A1^{p1}"))
+        batches = evaluate_batch(words, environments, rows, instance)
+
+        def row_env(i: int) -> Environment:
+            env = environments[int(instance[i])]
+            scalars = {**env.scalars, **{name: float(col[i]) for name, col in rows.items()}}
+            return Environment(scalars, env.matrices)
+
+        for word, batch in zip(words, batches):
+            first, inverse = _expected_distinct(word, rows, instance)
+            assert batch.distinct[0].tolist() == first.tolist()
+            assert batch.distinct[1].tolist() == inverse.tolist()
+            # a run builds no row-error array until one of its rows fails
+            assert (batch.row_errors is None) == all(e is None for e in batch.errors)
+            for i in range(count):
+                one = evaluate_batch(word, row_env(i))
+                assert (one.power_eigenvalues is None) == (batch.power_eigenvalues is None)
+                try:
+                    want = evaluate(word, row_env(i)).entries
+                except (SpectralError, EvaluationError) as exc:
+                    assert type(batch.errors[i]) is type(exc)
+                    assert batch.error_text(i) == str(exc)
+                    identity = np.eye(dim, dtype=batch.values.dtype)
+                    assert batch.values[i].tobytes() == identity.tobytes()
+                    continue
+                assert batch.errors[i] is None
+                assert batch.values[i].tobytes() == want.tobytes()
+                if one.power_eigenvalues is not None:
+                    assert batch.power_eigenvalues[inverse[i]].tobytes() == \
+                        one.power_eigenvalues[0].tobytes()
+
+        # the comparison of each row's sides, judged as a campaign does,
+        # against judging each row alone
+        rhs, lhs = batches[:2]
+        w_index = rng.integers(1, k, count)
+        is_ge = bool(rng.random() < 0.5)
+        got = verify._judge_members(lhs, rhs, w, w_index, is_ge, verify.SUITE_TOL_REL)
+        assert (got[3] is None) == all(e is None for e in error_rows(got[3], count))
+        for i in range(count):
+            one_rhs, one_lhs = evaluate_batch((rhs_word, lhs_word), row_env(i))
+            want = verify._judge_members(one_lhs, one_rhs, w[i:i + 1], w_index[i:i + 1],
+                                         is_ge, verify.SUITE_TOL_REL)
+            for column in range(3):  # ge, le, scale
+                assert got[column][i].tobytes() == want[column][0].tobytes()
+            assert error_rows(got[3], count)[i] == error_rows(want[3], 1)[0]
+            assert got[4][i] == want[4][0]
 
 
 def _power_nodes(word) -> set[int]:

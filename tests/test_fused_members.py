@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oporder import chains, cli, dsl, verify
+from oporder import chains, cli, dsl, spectral, verify
 from oporder.chains import Direction, Family
 from oporder.spectral import classify_stack, scaled_margins_stack
 from oporder.verify import (
@@ -234,3 +234,62 @@ class TestEvaluationCalls:
                          "--seed", "42", "--count", "10"])
         assert (code, capsys.readouterr().out) == (cli.EXIT_OK, "all expectations met\n")
         assert calls == [20]  # environments per call: one per (instance, member)
+
+
+class TestCleanRunCost:
+    """What a clean run and the judging of its rows build: the first call
+    of a search round with three environments of one row each (k = 3, seed
+    1), replayed under counters.  A clean row carries no error array, so
+    none is built (``no_errors``) or scanned (``healthy``), and numpy's
+    floating-point state is set per run and per comparison, not per node."""
+
+    @staticmethod
+    def _search_call():
+        found = []
+        evaluate_batch = dsl.evaluate_batch
+
+        def recording(words, env, rows=None, instance=None):
+            if not found and isinstance(env, list) and len(env) == 3 and len(instance) == 3:
+                found.append((words, env, rows, instance))
+            return evaluate_batch(words, env, rows, instance)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dsl, "evaluate_batch", recording)
+            verify.search_counterexample(
+                verify.SearchConfig(budget=10, k=3, dims=(2, 3, 4), master_seed=1))
+        return found[0]
+
+    def test_a_clean_run_enters_errstate_once_and_builds_no_row_errors(self, monkeypatch):
+        words, envs, columns, instance = self._search_call()
+        counts = {}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for module in (dsl, spectral, verify):
+            for name in ("no_errors", "healthy", "decompose_stack", "power_stack"):
+                if hasattr(module, name):
+                    counted(module, name)
+        counted(dsl, "evaluate_batch")
+
+        class CountingErrstate(np.errstate):
+            def __enter__(self):
+                counts["errstate"] = counts.get("errstate", 0) + 1
+                return super().__enter__()
+
+        monkeypatch.setattr(np, "errstate", CountingErrstate)
+        rhs, lhs = dsl.evaluate_batch(words, envs, columns, instance)
+        errors = verify._judge_members(lhs, rhs, columns["w"], np.ones(3, np.intp), True,
+                                       verify.SUITE_TOL_REL)[3]
+        assert (lhs.row_errors, rhs.row_errors, errors) == (None, None, None)
+        # np.errstate once for the run, once for the comparison's margins
+        # and once for margins_hold; two power nodes and the two sides'
+        # spectra decompose, and the symbols and two power nodes raise
+        assert counts == {"evaluate_batch": 1, "errstate": 3, "decompose_stack": 4,
+                          "power_stack": 3}

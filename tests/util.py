@@ -15,6 +15,7 @@ import numpy as np
 
 from oporder.chains import Power, Product, ScalarExpr, Symbol
 from oporder.spectral import (
+    HermitianMatrix,
     NonFiniteError,
     decompose_stack,
     first_errors,
@@ -78,6 +79,19 @@ def random_spd_array(rng: np.random.Generator, dim: int, ridge: float = 0.1) -> 
     g = rng.standard_normal((dim, dim))
     a = g.T @ g + ridge * np.eye(dim)
     return 0.5 * (a + a.T)
+
+
+def random_hermitian(rng: np.random.Generator, dim: int, complex_field: bool,
+                     eigenvalues=None):
+    """A random Hermitian matrix with the given (or random positive)
+    eigenvalues."""
+    g = rng.standard_normal((dim, dim))
+    if complex_field:
+        g = g + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    lam = rng.uniform(0.2, 3.0, dim) if eigenvalues is None else np.asarray(eigenvalues[:dim])
+    arr = (q * lam) @ q.conj().T
+    return HermitianMatrix(0.5 * (arr + arr.conj().T))
 
 
 def ordered_pair_arrays(rng: np.random.Generator, dim: int):
