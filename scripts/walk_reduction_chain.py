@@ -11,6 +11,7 @@ import sys
 from oporder import chains, dsl
 from oporder.verify import (
     CONTRACTIVE_RANGES,
+    REDUCTION_BOUNDS,
     ParamTemplate,
     PGrid,
     _rng,
@@ -47,10 +48,12 @@ def main() -> int:
     print(f"\npremise (first ascending member on the grid): "
           f"{'pass' if rep.premise_pass else 'FAIL'}")
     print("reduction margins per exponent sample (core, peeled, scalar):")
-    for row in rep.rows:
-        print(f"  p={row.p_vector}: {row.margin_core:+.3e} "
-              f"{row.margin_peel:+.3e} {row.margin_scalar:+.3e} "
-              f"(c={row.c_total:.4f})")
+    # each exponent sample's core, peel and scalar rows, which share its c
+    table, bounds = rep.table, len(REDUCTION_BOUNDS)
+    margins = table.columns["margin"].reshape(-1, bounds).tolist()
+    c_totals = table.columns["c_total"][::bounds].tolist()
+    for p, (core, peel, scalar), c in zip(table.checks[0].points, margins, c_totals):
+        print(f"  p={tuple(p)}: {core:+.3e} {peel:+.3e} {scalar:+.3e} (c={c:.4f})")
     if rep.red_flags:
         print("RED FLAGS:")
         for flag in rep.red_flags:
@@ -64,7 +67,7 @@ def main() -> int:
         print(f"  p2={p2:>8g}: bound {value:.8f}")
     print(f"top core eigenvalue {probe.lambda_max_core:.8f}; "
           f"order consistent: {probe.order_consistent}")
-    return 0 if rep.all_hold() and not rep.red_flags else 1
+    return 0 if rep.premise_pass and table.holds().all() and not rep.red_flags else 1
 
 
 if __name__ == "__main__":

@@ -31,6 +31,7 @@ from .chains import Family
 from .spectral import TOL_REL, SpectralError
 from .verify import (
     CONTRACTIVE_RANGES,
+    REDUCTION_BOUNDS,
     SUITE_TOL_REL,
     TEMPLATE_RANGES,
     Instance,
@@ -146,10 +147,15 @@ def _limit_t(text: str) -> tuple[float, ...]:
 _CHECK_FLAGS = (
     ("--k", CHAIN_MODES, dict(type=_int_at_least(3), default=3)),
     ("--k", ("limit",), dict(type=_int_at_least(2), default=3)),
-    ("--dim", MODES, dict(type=_int_at_least(1), default=3)),
+    # a --scalar-fixture run takes its one instance as given
+    ("--dim", CAMPAIGN_MODES, dict(type=_int_at_least(1), default=3,
+                                   help="matrix dimension; not read with --scalar-fixture")),
+    ("--dim", ("proof-steps", "limit"), dict(type=_int_at_least(1), default=3)),
     ("--seed", MODES, dict(type=_int_at_least(0), default=0)),
-    ("--count", MODES, dict(type=_int_at_least(1), default=10,
-                            help="number of generated instances")),
+    ("--count", CAMPAIGN_MODES, dict(type=_int_at_least(1), default=10,
+                                     help="generated instances; not read with --scalar-fixture")),
+    ("--count", ("proof-steps", "limit"), dict(type=_int_at_least(1), default=10,
+                                               help="number of generated instances")),
     ("--p-grid", CHAIN_MODES, dict(type=_GRID, default="1,1.5,2,4")),
     ("--s-grid", ("limit",), dict(type=_GRID, default="1,10,100,1000,10000",
                                   help="exponent samples of the limit sequence")),
@@ -312,22 +318,23 @@ def _campaigns(args, instances) -> verify.CampaignReport:
 # line about that many rows that were not evaluated.
 
 def _necessity(args):
-    for row in _campaigns(args, _instances(args)).violations():
-        yield (f"instance {row.instance_id}: {row.family} member {row.member} at p={row.p_vector} "
+    table = _campaigns(args, _instances(args)).table
+    for i in np.flatnonzero(~table.holds()).tolist():
+        row = table.rows[i]
+        yield (f"instance {row.instance_id}: {row.family} member {row.member} at p={row.point} "
                f"margin {row.margin:.6e} ({row.error or row.verdict})"), int(bool(row.error))
 
 
 def _contrapositive(args):
     instances = _instances(args, unordered=True)
     rep = _campaigns(args, instances)
-    margins = rep.columns["margin"]
+    table = rep.table
     # error rows are never hypothesis failures
-    errors = rep.columns["verdict"] == verify.ERROR_CODE
-    genuine = ~rep.holds() & ~errors
+    margins, failures, errors = table.columns["margin"], table.failures(), table.error_rows
     for idx, rows in rep.instance_rows().items():
-        if genuine[rows].any():
+        if failures[rows].any():
             print(f"instance {idx}: hypothesis-failure found "
-                  f"(margin {_margin_text(margins[rows][genuine[rows]].min())})")
+                  f"(margin {_margin_text(margins[rows][failures[rows]].min())})")
             continue
         # nothing failed on the sampled grid; the violation may hide
         # beyond it, so probe the member cores (including t = 1)
@@ -362,11 +369,15 @@ def _proof_steps(args):
             yield (f"instance {idx}: premise member has {rep.premise_errors} rows "
                    f"not evaluated"), rep.premise_errors
         yield from ((flag, 0) for flag in rep.red_flags)
-        for i in np.flatnonzero(~rep.holds().all(axis=1)).tolist():
-            row = rep.rows[i]
-            yield (f"instance {idx}: reduction margins ({row.margin_core:.3e}, "
-                   f"{row.margin_peel:.3e}, {row.margin_scalar:.3e}) at p={row.p_vector}"
-                   + (f" [{row.error}]" if row.error else "")), int(bool(row.error))
+        # each p-vector's core, peel and scalar rows, which share its error
+        table, bounds = rep.table, len(REDUCTION_BOUNDS)
+        margins = table.columns["margin"].reshape(-1, bounds)
+        for i in np.flatnonzero(~table.holds().reshape(-1, bounds).all(axis=1)).tolist():
+            core, peel, scalar = margins[i].tolist()
+            error = table.errors.get(bounds * i)
+            yield (f"instance {idx}: reduction margins ({core:.3e}, {peel:.3e}, {scalar:.3e}) "
+                   f"at p={tuple(table.checks[0].points[i])}"
+                   + (f" [{error}]" if error else "")), int(bool(error))
 
 
 def _limit(args):

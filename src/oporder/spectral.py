@@ -283,9 +283,13 @@ def flag_errors(errors, fails: np.ndarray, make):
     return errors
 
 
-def _raise_first(errors) -> None:
-    if errors is not None and errors[0] is not None:
-        raise errors[0]
+def raise_first(errors) -> None:
+    """Raise the error of the first row that has one; nothing when no row
+    has one (errors None or all healthy)."""
+    if errors is not None:
+        bad = np.flatnonzero(~healthy(errors))
+        if len(bad):
+            raise errors[bad[0]]
 
 
 def _adjoint(arrs: np.ndarray) -> np.ndarray:
@@ -348,9 +352,10 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     (lam, u), errors, work = _solve_stack(np.linalg.eigh, arrs, errors)
     # a stacked matmul by a contiguous copy of the adjoint runs 3-4x faster
     # than one by the strided view for d = 2-4; so does the product in
-    # power_stack.  The two gave identical bits for d <= 8 with OpenBLAS
-    # (but for the sign of a NaN, which only a row in error holds); a
-    # larger d or another BLAS may round differently
+    # power_stack.  The two gave identical bits for d <= 8 with OpenBLAS,
+    # but for the sign of a zero that a product underflowed to (seen in a
+    # power of a stack that the pd gate rejects) and of a NaN, which only a
+    # row in error holds; a larger d or another BLAS may round differently
     uh = np.ascontiguousarray(_adjoint(u))
     ortho = np.maximum.reduce(np.abs(uh @ u - _eye(dim)), axis=(-2, -1))
     recon = np.maximum.reduce(np.abs((u * lam[:, None, :]) @ uh - work), axis=(-2, -1))
@@ -597,7 +602,7 @@ def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
     dimension and a condition estimate) if LAPACK fails to converge or the
     orthogonality or reconstruction residual is out of tolerance."""
     lam, u, errors = decompose_stack(h.entries[None])
-    _raise_first(errors)
+    raise_first(errors)
     return SpectralDecomposition(eigenvalues=lam[0], eigenvectors=u[0])
 
 
@@ -622,7 +627,7 @@ def gate_stack(lam: np.ndarray, errors):
 
 def require_strictly_positive(h: HermitianMatrix) -> None:
     """Raise NearSingularError unless lambda_min(h) clears the pd gate."""
-    _raise_first(gate_stack(h.decomposition().eigenvalues[None], None))
+    raise_first(gate_stack(h.decomposition().eigenvalues[None], None))
 
 
 def matrix_power(h: HermitianMatrix, alpha: float) -> HermitianMatrix:
@@ -637,7 +642,7 @@ def matrix_power(h: HermitianMatrix, alpha: float) -> HermitianMatrix:
     with np.errstate(all="ignore"):
         out, _, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None],
                                      float(alpha), None)
-    _raise_first(errors)
+    raise_first(errors)
     return HermitianMatrix.trusted(out[0])
 
 
@@ -655,15 +660,11 @@ def congruence(x, h: HermitianMatrix) -> HermitianMatrix:
     return HermitianMatrix(out)
 
 
-def margin_holds(margin: float, scale: float, tol_rel: float) -> bool:
-    """The pass criterion every check shares: a finite margin at or above
-    -tol_rel * scale.  A NaN margin (an evaluation error) fails."""
-    return math.isfinite(margin) and margin >= -tol_rel * scale
-
-
 def margins_hold(margin: np.ndarray, scale: np.ndarray, tol_rel: float) -> np.ndarray:
-    """``margin_holds`` elementwise over arrays of margins and scales; a
-    slack that overflows to inf passes every finite margin, unwarned."""
+    """The pass criterion every check shares, elementwise over margins and
+    scales (arrays or scalars): a finite margin at or above -tol_rel *
+    scale.  A NaN margin (an evaluation error) fails; a slack that
+    overflows to inf passes every finite margin, unwarned."""
     with np.errstate(over="ignore"):
         return np.isfinite(margin) & (margin >= -tol_rel * scale)
 
@@ -676,13 +677,14 @@ def classify_stack(ge: np.ndarray, le: np.ndarray, scale: np.ndarray,
                    tol_rel: float) -> np.ndarray:
     """Each row's relation, as an index into STACK_RELATIONS: GE, LE, both
     (EQ) or neither (INCOMPARABLE) of its margins pass at tol_rel."""
-    return 2 * margins_hold(ge, scale, tol_rel) + margins_hold(le, scale, tol_rel)
+    ge_holds, le_holds = margins_hold(np.array((ge, le)), scale, tol_rel)
+    return 2 * ge_holds + le_holds
 
 
 def directional_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float]:
     """(lambda_min(P - Q), lambda_min(Q - P)) from a single solve."""
     ge, le, errors = margins_stack(p.entries[None], q.entries[None], None)
-    _raise_first(errors)
+    raise_first(errors)
     return float(ge[0]), float(le[0])
 
 
@@ -701,7 +703,7 @@ def loewner_compare(
     sides = [WordBatch.known(h.entries[None], h.decomposition().eigenvalues[None])
              for h in (p, q)]
     ge, le, scale, errors = scaled_margins_stack(*sides)
-    _raise_first(errors)
+    raise_first(errors)
     ge_margin, le_margin, scale = float(ge[0]), float(le[0]), float(scale[0])
     code = int(classify_stack(ge_margin, le_margin, scale, tol_rel))
     # the reported margin per code of STACK_RELATIONS

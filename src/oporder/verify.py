@@ -39,15 +39,13 @@ from .spectral import (
     first_errors,
     flag_errors,
     gate_stack,
-    healthy,
     identity,
     loewner_compare,
-    margin_holds,
     margins_hold,
     matrix_to_json,
-    no_errors,
     operator_norm,
     positivity_margin,
+    raise_first,
     require_strictly_positive,
     scaled_margins_stack,
     spectral_norms,
@@ -81,12 +79,6 @@ def _identity_batch(dim: int) -> WordBatch:
     for arr in (batch.values, batch.errors, batch.spectrum[0]):
         arr.setflags(write=False)
     return batch
-
-
-def _raise_first_row(errors) -> None:
-    """Raise the error of the first row that has one."""
-    if errors is not None and not healthy(errors).all():
-        raise errors[np.flatnonzero(~healthy(errors))[0]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,12 +230,12 @@ def gen_unordered_tuples(
             group = [i for i in todo if instances[i][0] == dim]
             arrs = np.concatenate([_random_spds(rngs[i], dim, k, field_kind) for i in group])
             lam, u, errors = decompose_stack(arrs)
-            _raise_first_row(gate_stack(lam, errors))
+            raise_first(gate_stack(lam, errors))
             upper = np.array([j * k + a for j in range(len(group)) for a in range(1, k)])
             ge, _, scale, errors = scaled_margins_stack(
                 WordBatch.known(arrs[upper], lam[upper]),
                 WordBatch.known(arrs[upper - 1], lam[upper - 1]))
-            _raise_first_row(errors)
+            raise_first(errors)
             ordered = margins_hold(ge, scale, tol_rel).reshape(len(group), k - 1).all(axis=1)
             for j, (i, done) in enumerate(zip(group, ordered.tolist())):
                 if not done:
@@ -294,7 +286,7 @@ def gen_contractive_tuple(
     # the pd gate raises its error
     arrs = 0.5 * (m + m.conj().swapaxes(-1, -2))
     lam, u, errors = decompose_stack(arrs)
-    _raise_first_row(gate_stack(lam, errors))
+    raise_first(gate_stack(lam, errors))
     return OperatorTuple.trusted(
         HermitianMatrix.trusted(arrs[i], SpectralDecomposition(lam[i], u[i])) for i in range(k))
 
@@ -462,54 +454,187 @@ class ParamTemplate:
         return cls(t=t, r=r)
 
 
-@dataclass(frozen=True)
-class CampaignRow:
-    """One campaign row as a record; ``CampaignReport.rows`` builds them
-    from the report's columns when they are read."""
-
-    instance_id: str
-    k: int
-    dim: int
-    family: str
-    member: int
-    p_vector: tuple[float, ...]
-    w: float
-    relation: str
-    margin: float
-    verdict: str
-    seconds: float
-    scale: float = 1.0
-    error: str | None = None
-
-    def holds(self, tol_rel: float = SUITE_TOL_REL) -> bool:
-        """The margin passes at tol_rel; error rows carry a NaN margin and
-        fail.  The verdict column is informational, at verdict tolerance."""
-        return margin_holds(self.margin, self.scale, tol_rel)
-
-
-@dataclass(frozen=True)
-class CampaignMember:
-    """What the rows of one hypothesis member on one instance share: the
-    instance id, the tuple's k and dim, the member and its relation, and
-    the sampled p-vectors that the rows' p_index column points into."""
-
-    instance_id: str
-    k: int
-    dim: int
-    family: str
-    member: int
-    relation: str
-    p_vectors: Sequence[tuple[float, ...]]
-
-
 # verdict column codes: those of classify_stack, then ERROR
 VERDICTS = tuple(rel.value for rel in STACK_RELATIONS) + ("ERROR",)
 ERROR_CODE = len(VERDICTS) - 1
 
-# the per-row columns of a CampaignReport and their types, in the argument
-# order of CampaignReport._record
-COLUMNS = {"member": np.intp, "p_index": np.intp, "w": np.float64, "margin": np.float64,
-           "scale": np.float64, "verdict": np.intp, "seconds": np.float64}
+
+@dataclass(frozen=True)
+class CampaignMember:
+    """The check of one hypothesis member on one instance: the instance id,
+    the tuple's k and dim, the member and its relation, and its points,
+    the instance's sampled p-vectors."""
+
+    instance_id: str
+    k: int
+    dim: int
+    family: str
+    member: int
+    relation: str
+    points: Sequence[tuple[float, ...]]
+
+
+class Comparison(NamedTuple):
+    """The check of one comparison at its points: a reduction bound or a
+    member core at the sampled p-vectors, or a probe's two words at the
+    exponents bound to ``name``."""
+
+    name: str
+    points: Sequence
+
+
+class MarginRow(NamedTuple):
+    """One row of a MarginTable as a record: its check, the point it was
+    sampled at (a p-vector or an exponent), its margin, scale and verdict,
+    its error text (None unless the verdict is ERROR) and the mode's extra
+    columns by name.  Any other attribute reads an extra column (w,
+    seconds, c_total), else a field of the check (a campaign row's
+    instance_id, family, member, ...)."""
+
+    check: object
+    point: object
+    margin: float
+    scale: float
+    verdict: str
+    error: str | None
+    extra: dict
+
+    def __getattr__(self, name):
+        if name in self.extra:
+            return self.extra[name]
+        return getattr(self.check, name)
+
+    @property
+    def p_vector(self) -> tuple[float, ...]:
+        """The point of a row sampled at a p-vector, by the name campaign
+        rows had and the benchmark's reference script reads."""
+        return self.point
+
+
+@dataclass(eq=False)
+class MarginTable:
+    """Margins of checks at sampled points as one columnar table, judged by
+    one rule at tol_rel: a row holds when its margin is finite and at or
+    above -tol_rel * scale (``margins_hold``).
+
+    ``checks`` are what the rows test (CampaignMembers or Comparisons),
+    each with the ``points`` it is sampled at.  ``columns`` maps check,
+    point, margin, scale and verdict, and a mode's extra columns (w and
+    seconds in a campaign, c_total in the reduction), to an array with one
+    entry per row: ``check`` indexes ``checks``, ``point`` that check's
+    points and ``verdict`` VERDICTS.  ``errors`` maps each ERROR row to its
+    error text; such a row has a NaN margin, scale 1 and NaN extra columns
+    but seconds (``judged``).
+    """
+
+    checks: tuple
+    columns: dict[str, np.ndarray]
+    errors: dict[int, str]
+    tol_rel: float
+
+    @classmethod
+    def judged(cls, checks, check, point, margin, scale, verdict, errors, tol_rel,
+               **extra) -> "MarginTable":
+        """A table of the given columns under the ERROR convention: each row
+        with an error in ``errors`` (a row-error array, or None when no row
+        failed) gets a NaN margin and NaN extra columns, scale 1, verdict
+        ERROR and its error text.  ``verdict`` holds classify_stack codes."""
+        columns = {"check": check, "point": point, "margin": margin, "scale": scale,
+                   "verdict": verdict, **extra}
+        bad = np.flatnonzero(failed_rows(errors, len(margin)))
+        if len(bad):
+            fills = dict.fromkeys(("margin", *extra), math.nan)
+            fills.update(scale=1.0, verdict=ERROR_CODE)
+            for name, fill in fills.items():
+                col = columns[name] = columns[name].copy()
+                col[bad] = fill
+        return cls(tuple(checks), columns, {i: str(errors[i]) for i in bad.tolist()}, tol_rel)
+
+    @classmethod
+    def concat(cls, tables: Sequence["MarginTable"]) -> "MarginTable":
+        """The rows of ``tables`` in turn; they share their checks and
+        tol_rel."""
+        if len(tables) == 1:
+            return tables[0]
+        errors, offset = {}, 0
+        for table in tables:
+            errors.update((offset + i, text) for i, text in table.errors.items())
+            offset += len(table)
+        first = tables[0]
+        columns = {name: np.concatenate([t.columns[name] for t in tables])
+                   for name in first.columns}
+        return cls(first.checks, columns, errors, first.tol_rel)
+
+    def take(self, rows: np.ndarray) -> "MarginTable":
+        """The rows at the indices ``rows``, in that order."""
+        errors = {}
+        if self.errors:
+            errors = {new: self.errors[old] for new, old in enumerate(rows.tolist())
+                      if old in self.errors}
+        return MarginTable(self.checks, {name: col[rows] for name, col in self.columns.items()},
+                           errors, self.tol_rel)
+
+    def __len__(self) -> int:
+        return len(self.columns["margin"])
+
+    @property
+    def error_rows(self) -> np.ndarray:
+        """Mask of the ERROR rows."""
+        return self.columns["verdict"] == ERROR_CODE
+
+    def holds(self, tol_rel: float | None = None) -> np.ndarray:
+        """Per-row pass mask at tol_rel (default: the table's); the NaN
+        margin of an ERROR row fails."""
+        tol = self.tol_rel if tol_rel is None else tol_rel
+        return margins_hold(self.columns["margin"], self.columns["scale"], tol)
+
+    def failures(self) -> np.ndarray:
+        """Mask of the rows whose computed, finite margin fails at the
+        table's tol_rel; an ERROR row is never one."""
+        return ~self.holds() & ~self.error_rows
+
+    @property
+    def rows(self) -> "RowView":
+        return RowView(self)
+
+    def _row(self, i: int) -> MarginRow:
+        return self._record(i, [col[i].item() for col in self.columns.values()])
+
+    def _iter_rows(self):
+        for i, values in enumerate(zip(*(col.tolist() for col in self.columns.values()))):
+            yield self._record(i, values)
+
+    def _record(self, i: int, values) -> MarginRow:
+        extra = dict(zip(self.columns, values))
+        check = self.checks[extra.pop("check")]
+        return MarginRow(check, check.points[extra.pop("point")], extra.pop("margin"),
+                         extra.pop("scale"), VERDICTS[extra.pop("verdict")], self.errors.get(i),
+                         extra)
+
+
+class RowView(Sequence):
+    """A MarginTable's rows as records, built when read: row i with the
+    table's ``_row(i)`` and every row in turn with its ``_iter_rows()``."""
+
+    def __init__(self, table: MarginTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"row {index} out of range for {len(self)} rows")
+        return self._table._row(i)
+
+    def __iter__(self):
+        return self._table._iter_rows()
+
 
 _CSV_COLUMNS = ("instance_id", "k", "dim", "family", "member", "p_vector",
                 "w", "relation", "margin", "verdict", "seconds")
@@ -517,105 +642,62 @@ _CSV_COLUMNS = ("instance_id", "k", "dim", "family", "member", "p_vector",
 
 @dataclass(eq=False)
 class CampaignReport:
-    """Campaign rows as one columnar table, judged at the suite slack
-    tol_rel: holds(), violations(), the pass/fail summary and the CLI exit
-    code all use it.
+    """A campaign's margin table, with the config and master seed that
+    reproduce it.  The table's checks are CampaignMembers, its extra
+    columns w and seconds; it is judged at the suite slack, and so are the
+    summary and the CLI exit code.  ``rows`` are the table's rows."""
 
-    ``columns`` maps each name of COLUMNS to an array with one entry per
-    row.  ``member`` indexes ``members``; ``p_index`` indexes that
-    member's p-vectors; ``verdict`` indexes VERDICTS.  ``errors`` maps each
-    ERROR row to its error text; such a row has NaN w and margin and
-    scale 1.
-    """
-
-    members: tuple[CampaignMember, ...]
-    columns: dict[str, np.ndarray]
-    errors: dict[int, str]
+    table: MarginTable
     config: dict
     master_seed: int
-    tol_rel: float = SUITE_TOL_REL
 
     @property
-    def rows(self) -> "RowView":
-        return RowView(self)
-
-    def _row_count(self) -> int:
-        return len(self.columns["margin"])
-
-    def _row(self, i: int) -> CampaignRow:
-        cols = self.columns
-        return self._record(i, *(cols[name][i].item() for name in COLUMNS))
-
-    def _iter_rows(self):
-        cols = self.columns
-        for i, fields in enumerate(zip(*(cols[name].tolist() for name in COLUMNS))):
-            yield self._record(i, *fields)
-
-    def _record(self, i, member, p_index, w, margin, scale, verdict, seconds) -> CampaignRow:
-        m = self.members[member]
-        return CampaignRow(
-            instance_id=m.instance_id, k=m.k, dim=m.dim, family=m.family, member=m.member,
-            p_vector=tuple(m.p_vectors[p_index]), w=w, relation=m.relation, margin=margin,
-            verdict=VERDICTS[verdict], seconds=seconds, scale=scale, error=self.errors.get(i),
-        )
-
-    def holds(self, tol_rel: float | None = None) -> np.ndarray:
-        """Per-row pass mask at tol_rel (default: the report's slack)."""
-        tol = self.tol_rel if tol_rel is None else tol_rel
-        return margins_hold(self.columns["margin"], self.columns["scale"], tol)
-
-    def violations(self) -> list[CampaignRow]:
-        rows = self.rows
-        return [rows[i] for i in np.flatnonzero(~self.holds()).tolist()]
+    def rows(self) -> RowView:
+        return self.table.rows
 
     def instance_rows(self) -> dict[int, slice]:
         """Each instance's rows, keyed by its index (the instance id), in
         report order: a report holds each instance's rows in turn."""
-        index = np.array([int(m.instance_id) for m in self.members])[self.columns["member"]]
+        table = self.table
+        index = np.array([int(m.instance_id) for m in table.checks])[table.columns["check"]]
         cuts = (np.flatnonzero(np.diff(index)) + 1).tolist()
         return {int(index[lo]): slice(lo, hi)
                 for lo, hi in zip([0] + cuts, cuts + [len(index)]) if lo < hi}
 
-    @property
-    def pass_count(self) -> int:
-        return int(np.count_nonzero(self.holds()))
-
-    @property
-    def worst_margin(self) -> float:
-        finite = self.columns["margin"][self.columns["verdict"] != ERROR_CODE]
-        return min(finite.tolist()) if len(finite) else float("nan")
-
     def summary(self) -> dict:
-        passed = self.pass_count
+        table = self.table
+        passed = int(np.count_nonzero(table.holds()))
+        finite = table.columns["margin"][~table.error_rows]
         return {
-            "rows": len(self.rows),
+            "rows": len(table),
             "pass": passed,
-            "fail": len(self.rows) - passed,
-            "worst_margin": self.worst_margin,
+            "fail": len(table) - passed,
+            "worst_margin": min(finite.tolist()) if len(finite) else float("nan"),
         }
 
     def csv_text(self) -> str:
+        members = self.table.checks
         # p-vector texts per p-vector list, shared by the members of an
         # instance; each distinct p value (a float >= 1, see PGrid) is
         # formatted once, and a grid product holds few
         p_texts: dict[int, list[str]] = {}
-        for m in self.members:
-            if id(m.p_vectors) not in p_texts:
-                value_texts = {v: repr(v) for v in set(itertools.chain.from_iterable(m.p_vectors))}
-                p_texts[id(m.p_vectors)] = [";".join(map(value_texts.__getitem__, p_vec))
-                                            for p_vec in m.p_vectors]
-        heads = [f"{m.instance_id},{m.k},{m.dim},{m.family},{m.member}," for m in self.members]
-        member_p_texts = [p_texts[id(m.p_vectors)] for m in self.members]
-        relations = [m.relation for m in self.members]
-        names = ("member", "p_index", "w", "margin", "verdict", "seconds")
-        cols = [self.columns[name].tolist() for name in names]
+        for m in members:
+            if id(m.points) not in p_texts:
+                value_texts = {v: repr(v) for v in set(itertools.chain.from_iterable(m.points))}
+                p_texts[id(m.points)] = [";".join(map(value_texts.__getitem__, p_vec))
+                                         for p_vec in m.points]
+        heads = [f"{m.instance_id},{m.k},{m.dim},{m.family},{m.member}," for m in members]
+        member_p_texts = [p_texts[id(m.points)] for m in members]
+        relations = [m.relation for m in members]
+        names = ("check", "point", "w", "margin", "verdict", "seconds")
+        cols = [self.table.columns[name].tolist() for name in names]
         # w repeats across members and seconds across a batch: format each once
         w_texts = {w: repr(w) for w in set(cols[2])}
         s_texts = {s: f"{s:.6f}" for s in set(cols[5])}
         lines = [",".join(_CSV_COLUMNS)]
-        lines += [f"{heads[member]}{member_p_texts[member][p_index]},{w_texts[w]},"
+        lines += [f"{heads[member]}{member_p_texts[member][point]},{w_texts[w]},"
                   f"{relations[member]},{margin!r},{VERDICTS[verdict]},{s_texts[seconds]}"
-                  for member, p_index, w, margin, verdict, seconds in zip(*cols)]
+                  for member, point, w, margin, verdict, seconds in zip(*cols)]
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path) -> None:
@@ -632,31 +714,6 @@ class CampaignReport:
             "summary": self.summary(),
         }
         Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
-
-
-class RowView(Sequence):
-    """A columnar report's rows as records, built when read: the report
-    counts them with ``_row_count()``, builds row i with ``_row(i)`` and
-    every row in turn with ``_iter_rows()``."""
-
-    def __init__(self, report):
-        self._report = report
-
-    def __len__(self) -> int:
-        return self._report._row_count()
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"row {index} out of range for {len(self)} rows")
-        return self._report._row(i)
-
-    def __iter__(self):
-        return self._report._iter_rows()
 
 
 def _environment(tup: OperatorTuple, template: ParamTemplate,
@@ -781,7 +838,15 @@ def check_hypotheses(
     samples = [_p_samples(grid, n, master_seed, inst.index, 1) for inst in instances]
     weights = [inst.policy.weights(inst.template.t, table, inst.template.r, count=k - 1)
                for inst, (_, table) in zip(instances, samples)]
-    batches: list[list[_Batch]] = [[] for _ in instances]
+    # the checks of the report: the instances' members in turn; check
+    # j * len(chain_list) + code is member code of instance j
+    checks = tuple(CampaignMember(str(inst.index), k, dim, c.family.value, c.member,
+                                  c.direction.value, p_vectors)
+                   for inst, (p_vectors, _) in zip(instances, samples) for c in chain_list)
+    parts: list[MarginTable] = []
+    # per instance: (member code, lo, first row in parts, rows kept) of each chunk
+    kept: list[list[tuple[int, int, int, int]]] = [[] for _ in instances]
+    offset = 0
     stopped: set[int] = set()
     active = list(range(len(instances)))
     codes = range(len(chain_list))
@@ -794,58 +859,52 @@ def check_hypotheses(
                 pairs = [(j, code) for j in active[first:first + per_call] for code in group]
                 start = time.perf_counter()
                 which = np.repeat(np.arange(len(pairs)), size)
-                row_code = np.repeat([code for _, code in pairs], size)
+                check = np.repeat([j * len(chain_list) + code for j, code in pairs], size)
+                row_code = check % len(chain_list)
                 columns = _p_columns(np.concatenate([samples[j][1][lo:hi] for j, _ in pairs]))
                 w = columns["w"] = np.concatenate(
                     [weights[j][lo:hi, w_index[code] - 1] for j, code in pairs])
                 rhs, lhs = dsl.evaluate_batch((rhs_word, lhs_word),
                                               [environment(j, code) for j, code in pairs],
                                               columns, which)
-                ge, le, scale, errors, holds = _judge_members(
-                    lhs, rhs, w, w_index[row_code], is_ge[row_code], suite_tol_rel)
-                seconds = (time.perf_counter() - start) / len(which)
+                table = _judge_members(checks, check, np.tile(np.arange(lo, hi), len(pairs)),
+                                       lhs, rhs, w, w_index[row_code], is_ge[row_code],
+                                       tol_rel, suite_tol_rel)
+                table.columns["seconds"] = np.full(
+                    len(which), (time.perf_counter() - start) / len(which))
                 # error rows are indeterminate, not violations; keep scanning
-                fails = (~holds & ~failed_rows(errors, len(which)) if stop_on_violation
-                         else np.zeros(len(which), dtype=bool))
+                fails = table.failures() if stop_on_violation else None
                 for slot, (j, code) in enumerate(pairs):
-                    first_row, end = slot * size, size
-                    failing = np.flatnonzero(fails[first_row:first_row + size])
-                    if len(failing):
-                        end = int(failing[0]) + 1
-                        stopped.add(j)
-                    kept = slice(first_row, first_row + end)
-                    batches[j].append(_Batch(code, lo, w[kept], ge[kept], le[kept], scale[kept],
-                                             None if errors is None else errors[kept],
-                                             seconds))
+                    end = size
+                    if stop_on_violation:
+                        failing = np.flatnonzero(fails[slot * size:(slot + 1) * size])
+                        if len(failing):
+                            end = int(failing[0]) + 1
+                            stopped.add(j)
+                    kept[j].append((code, lo, offset + slot * size, end))
+                parts.append(table)
+                offset += len(table)
             active = [j for j in active if j not in stopped]
             if not active:
                 break
         if not active:
             break
-    # the instances' rows in turn, member by member; member codes index the
-    # members of all
-    members_table = tuple(CampaignMember(str(inst.index), k, dim, c.family.value, c.member,
-                                         c.direction.value, p_vectors)
-                          for inst, (p_vectors, _) in zip(instances, samples)
-                          for c in chain_list)
-    columns, errors = _campaign_columns(
-        [b._replace(member=b.member + j * len(chain_list))
-         for j, kept in enumerate(batches)
-         for b in sorted(kept, key=operator.attrgetter("member", "lo"))],
-        chain_list * len(instances), tol_rel)
-    return CampaignReport(members_table, columns, errors,
-                          {"stopped_early": True} if stopped else {}, master_seed,
-                          suite_tol_rel)
+    # the instances' rows in turn, member by member
+    order = np.concatenate([np.arange(row, row + end)
+                            for chunks in kept for _, _, row, end in sorted(chunks)])
+    return CampaignReport(MarginTable.concat(parts).take(order),
+                          {"stopped_early": True} if stopped else {}, master_seed)
 
 
-def _judge_members(lhs: dsl.WordBatch, rhs: dsl.WordBatch, w: np.ndarray, w_index,
-                   is_ge, suite_tol_rel: float):
-    """(ge, le, scale, errors, holds) per row of hypothesis members: each
-    row's left side A_outer^(r - t_n) against its right side under its
-    weight w, both evaluated in one run, and whether its directional margin
-    (GE where is_ge, else LE) passes at the suite slack.  ``w_index`` names
-    each row's weight w<w_index>; is_ge holds one entry per row or one for
-    all.
+def _judge_members(checks, check, point, lhs: dsl.WordBatch, rhs: dsl.WordBatch,
+                   w: np.ndarray, w_index, is_ge, tol_rel: float,
+                   suite_tol_rel: float) -> MarginTable:
+    """The margin table, judged at the suite slack, of rows of hypothesis
+    members: each row's left side A_outer^(r - t_n) against its right side
+    under its weight w, both evaluated in one run, with its directional
+    margin (GE where is_ge, else LE) and its verdict at tol_rel.  ``check``
+    and ``point`` are the rows' columns; ``w_index`` names each row's
+    weight w<w_index>; is_ge holds one entry per row or one for all.
 
     A row whose left or right side fails to evaluate is an error row, with
     the left side's error first.  A weight w <= 0 (from an overflowed
@@ -854,50 +913,8 @@ def _judge_members(lhs: dsl.WordBatch, rhs: dsl.WordBatch, w: np.ndarray, w_inde
                          lambda i: dsl.EvaluationError(
                              f"weight w{int(w_index[i])} = {float(w[i])!r} is not positive"))
     ge, le, scale, errors = scaled_margins_stack(lhs, rhs, errors)
-    holds = margins_hold(np.where(is_ge, ge, le), scale, suite_tol_rel)
-    return ge, le, scale, errors, holds
-
-
-class _Batch(NamedTuple):
-    """The rows lo, lo + 1, ... of one member that check_hypotheses kept
-    from one evaluate_batch call."""
-
-    member: int
-    lo: int
-    w: np.ndarray
-    ge: np.ndarray
-    le: np.ndarray
-    scale: np.ndarray
-    errors: np.ndarray | None  # None: no row failed
-    seconds: float  # per row
-
-
-def _campaign_columns(batches: list[_Batch], chain_list, tol_rel: float):
-    """The report columns and error texts of check_hypotheses' batches;
-    the margin is the member's directional one, the verdict is judged at
-    the verdict tolerance tol_rel."""
-    if not batches:
-        return {name: np.zeros(0, dtype) for name, dtype in COLUMNS.items()}, {}
-    counts = [len(b.w) for b in batches]
-    member = np.repeat([b.member for b in batches], counts)
-    w, ge, le, scale = (np.concatenate(cols) for cols in
-                        zip(*((b.w, b.ge, b.le, b.scale) for b in batches)))
-    errs = None
-    if any(b.errors is not None for b in batches):
-        errs = np.concatenate([no_errors(len(b.w)) if b.errors is None else b.errors
-                               for b in batches])
-    is_ge = np.array([c.direction is Direction.GE for c in chain_list])
-    margin = np.where(is_ge[member], ge, le)
-    verdict = classify_stack(ge, le, scale, tol_rel)
-    bad = np.flatnonzero(failed_rows(errs, len(w)))
-    verdict[bad], w[bad], margin[bad], scale[bad] = ERROR_CODE, math.nan, math.nan, 1.0
-    columns = {
-        "member": member,
-        "p_index": np.concatenate([np.arange(b.lo, b.lo + c) for b, c in zip(batches, counts)]),
-        "w": w, "margin": margin, "scale": scale, "verdict": verdict,
-        "seconds": np.repeat([b.seconds for b in batches], counts),
-    }
-    return columns, {i: str(errs[i]) for i in bad.tolist()}
+    return MarginTable.judged(checks, check, point, np.where(is_ge, ge, le), scale,
+                              classify_stack(ge, le, scale, tol_rel), errors, suite_tol_rel, w=w)
 
 
 def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdict]:
@@ -908,31 +925,16 @@ def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdi
     ]
 
 
-@dataclass(frozen=True)
-class ProbeRow:
-    """One exponent of a probe: its verdict, GE margin and scale.  An ERROR
-    row, which failed to evaluate, has a NaN margin, scale 1 and its error."""
-
-    exponent: float
-    verdict: str
-    margin: float
-    scale: float
-    error: str | None = None
-
-
-def _probe_rows(words, env: dsl.Environment, name: str, exponents,
-                tol_rel: float) -> list[ProbeRow]:
-    """One ProbeRow per exponent: the two words evaluated in one run with
-    the exponents bound to ``name``, the first against the second in one
-    stacked comparison classified at tol_rel."""
-    lhs, rhs = dsl.evaluate_batch(words, env, {name: exponents})
+def _probe_table(words, env: dsl.Environment, check: Comparison, lo: int, hi: int,
+                 tol_rel: float) -> MarginTable:
+    """The table, judged and classified at tol_rel, of the check's points
+    lo .. hi - 1: the two words evaluated in one run with the points bound
+    to the check's name, the first against the second in one stacked
+    comparison."""
+    lhs, rhs = dsl.evaluate_batch(words, env, {check.name: check.points[lo:hi]})
     ge, le, scale, errors = scaled_margins_stack(lhs, rhs, first_errors(lhs.errors, rhs.errors))
-    codes = classify_stack(ge, le, scale, tol_rel)
-    return [ProbeRow(x, STACK_RELATIONS[code].value, margin, s) if err is None
-            else ProbeRow(x, "ERROR", math.nan, 1.0, str(err))
-            for x, code, margin, s, err in zip(
-                [float(x) for x in exponents], codes.tolist(), ge.tolist(), scale.tolist(),
-                errors)]
+    return MarginTable.judged((check,), np.zeros(hi - lo, np.intp), np.arange(lo, hi), ge, scale,
+                              classify_stack(ge, le, scale, tol_rel), errors, tol_rel)
 
 
 # The probes' words, with P bound as A1 and Q as A2 and exponent names of
@@ -946,15 +948,12 @@ _CONTRACTION_WORDS = (Symbol(1, ScalarExpr.variable("r") + ScalarExpr.variable("
 
 @dataclass
 class MonotonePowerReport:
-    """Per-exponent outcome of pushing an ordered pair through powers."""
+    """Per-exponent outcome of pushing an ordered pair through powers: one
+    row per exponent a of the Comparison "a", P^a against Q^a.  No table
+    when the precondition fails."""
 
     precondition_ok: bool
-    rows: list[ProbeRow]
-
-    def all_hold(self, tol_rel: float = TOL_REL) -> bool:
-        return self.precondition_ok and all(
-            margin_holds(r.margin, r.scale, tol_rel) for r in self.rows
-        )
+    table: MarginTable | None
 
 
 def probe_loewner_heinz(
@@ -970,17 +969,18 @@ def probe_loewner_heinz(
     allowed to break, which is what the fixed witness pair demonstrates.
     """
     base = loewner_compare(p, q, tol_rel=tol_rel)
-    q_psd = margin_holds(positivity_margin(q), max(1.0, operator_norm(q)), tol_rel)
+    q_psd = margins_hold(positivity_margin(q), max(1.0, operator_norm(q)), tol_rel)
     if not (base.ge and q_psd):
-        return MonotonePowerReport(precondition_ok=False, rows=[])
+        return MonotonePowerReport(precondition_ok=False, table=None)
     env = dsl.Environment(scalars={}, matrices={1: p, 2: q})
-    return MonotonePowerReport(precondition_ok=True,
-                               rows=_probe_rows(_LOEWNER_HEINZ_WORDS, env, "a", alphas, tol_rel))
+    check = Comparison("a", tuple(float(a) for a in alphas))
+    return MonotonePowerReport(precondition_ok=True, table=_probe_table(
+        _LOEWNER_HEINZ_WORDS, env, check, 0, len(check.points), tol_rel))
 
 
 @dataclass
 class ContractionProbeReport:
-    rows: list[ProbeRow]
+    table: MarginTable  # one row per s sampled, of the Comparison "s"
     hypothesis_holds: bool
     conclusion: Verdict                 # Q vs I, expected LE
     implication_status: str  # confirmed|hypothesis_fails|violation_witness|indeterminate
@@ -1025,32 +1025,34 @@ def probe_contraction_criterion(
     for m in (p, q):
         require_strictly_positive(m)
     env = dsl.Environment(scalars={"r": r, "d": delta, "w1": w}, matrices={1: p, 2: q})
+    # the grid's points, then those of the escalation
+    points = [float(s) for s in s_values]
+    while points[-1] * S_GROWTH <= S_CAP:
+        points.append(points[-1] * S_GROWTH)
+    check, grid = Comparison("s", tuple(points)), len(s_values)
 
-    def sample(s_column) -> tuple[list[ProbeRow], int | None]:
-        """The rows of s_column and the index of the first failing s."""
-        rows = _probe_rows(_CONTRACTION_WORDS, env, "s", s_column, tol_rel)
-        return rows, next((i for i, row in enumerate(rows) if row.error is None
-                           and not margin_holds(row.margin, row.scale, tol_rel)), None)
+    def sample(lo: int, hi: int) -> tuple[MarginTable, int | None]:
+        """The table of points lo .. hi - 1 and the index in it of the
+        first failing s."""
+        table = _probe_table(_CONTRACTION_WORDS, env, check, lo, hi, tol_rel)
+        failing = np.flatnonzero(table.failures())
+        return table, int(failing[0]) if len(failing) else None
 
-    rows, first = sample(s_values)
-    grid_error = any(row.error for row in rows)
-    failure_s = None if first is None else rows[first].exponent
+    table, first = sample(0, grid)
+    grid_error = bool(table.error_rows.any())
+    failure_s = None if first is None else check.points[first]
     conclusion = loewner_compare(q, identity(q.dim), tol_rel=tol_rel)
 
     needs_cross = operator_norm(q) > 1.0 + 1e-6
     cross_ok = (failure_s is not None) if needs_cross else None
-    if needs_cross and failure_s is None:
-        escalated = []
-        s = float(s_values[-1]) * S_GROWTH
-        while s <= S_CAP:
-            escalated.append(s)
-            s *= S_GROWTH
-        more, stop = sample(escalated)
+    # with no s left below S_CAP, the escalation ends at once without a failure
+    if needs_cross and failure_s is None and len(points) > grid:
+        more, stop = sample(grid, len(points))
         if stop is not None:
-            more, failure_s, cross_ok = more[:stop + 1], more[stop].exponent, True
-        elif any(row.error for row in more):
+            more, failure_s, cross_ok = more.take(np.arange(stop + 1)), points[grid + stop], True
+        elif more.error_rows.any():
             cross_ok = None
-        rows += more
+        table = MarginTable.concat([table, more])
 
     if first is not None:
         status = "hypothesis_fails"
@@ -1061,7 +1063,7 @@ def probe_contraction_criterion(
     else:
         status = "violation_witness"
     return ContractionProbeReport(
-        rows=rows,
+        table=table,
         hypothesis_holds=first is None and not grid_error,
         conclusion=conclusion,
         implication_status=status,
@@ -1094,77 +1096,30 @@ def reduction_scalar_interior(tup: OperatorTuple, t, p, n: int) -> float:
     return interior(bound)
 
 
-@dataclass(frozen=True)
-class ReductionRow:
-    """One reduction row as a record; ``ReductionReport.rows`` builds them
-    from the report's table when they are read."""
-
-    p_vector: tuple[float, ...]
-    margin_core: float      # I - W
-    scale_core: float
-    margin_peel: float      # peeled bound - base sandwich
-    scale_peel: float
-    margin_scalar: float    # c*I - base sandwich
-    scale_scalar: float
-    c_total: float
-    error: str | None = None
-
-    def holds(self, tol_rel: float = SUITE_TOL_REL) -> tuple[bool, bool, bool]:
-        """(core, peel, scalar) pass flags; error rows carry NaN margins."""
-        return (
-            margin_holds(self.margin_core, self.scale_core, tol_rel),
-            margin_holds(self.margin_peel, self.scale_peel, tol_rel),
-            margin_holds(self.margin_scalar, self.scale_scalar, tol_rel),
-        )
+# the checks of a reduction's table, in the order of each point's rows
+REDUCTION_BOUNDS = ("core", "peel", "scalar")
 
 
 @dataclass(eq=False)
 class ReductionReport:
-    """The reduction rows of one instance as one (N, 7) float table, judged
-    at the suite slack tol_rel.  Its columns are the ReductionRow fields
-    margin_core, scale_core, margin_peel, scale_peel, margin_scalar,
-    scale_scalar and c_total.
-
-    ``p_vectors[i]`` is row i's p-vector; ``errors`` maps each ERROR row to
-    its error text, and such a row has NaN margins and c_total and unit
-    scales.  The premise counts are the premise member's rows whose
-    computed margin failed, and its ERROR rows.
+    """The reduction of one instance: the premise counts, the premise
+    member's rows whose computed margin failed and its ERROR rows, and a
+    margin table judged at the suite slack.  The table's checks are the
+    Comparisons of REDUCTION_BOUNDS at the sampled p-vectors: I - W for the
+    core W, the peeled bound minus the base sandwich, and c*I minus the
+    base sandwich.  It holds the three rows of each p-vector in turn, with
+    the extra column c_total; a p-vector that fails to evaluate gives three
+    ERROR rows with its error text.
     """
 
     instance_id: str
     premise_failures: int
     premise_errors: int
-    p_vectors: Sequence[tuple[float, ...]]
-    table: np.ndarray
-    errors: dict[int, str]
-    tol_rel: float = SUITE_TOL_REL
+    table: MarginTable
 
     @property
     def premise_pass(self) -> bool:
         return not (self.premise_failures or self.premise_errors)
-
-    @property
-    def rows(self) -> RowView:
-        return RowView(self)
-
-    def _row_count(self) -> int:
-        return len(self.table)
-
-    def _row(self, i: int) -> ReductionRow:
-        return self._record(i, self.table[i].tolist())
-
-    def _iter_rows(self):
-        for i, values in enumerate(self.table.tolist()):
-            yield self._record(i, values)
-
-    def _record(self, i: int, values) -> ReductionRow:
-        return ReductionRow(tuple(self.p_vectors[i]), *values, error=self.errors.get(i))
-
-    def holds(self, tol_rel: float | None = None) -> np.ndarray:
-        """(N, 3) pass mask of the core, peel and scalar margins at tol_rel
-        (default: the report's slack)."""
-        tol = self.tol_rel if tol_rel is None else tol_rel
-        return margins_hold(self.table[:, 0:6:2], self.table[:, 1:6:2], tol)
 
     @property
     def red_flags(self) -> list[str]:
@@ -1173,15 +1128,12 @@ class ReductionReport:
         each is a tolerance or schedule bug."""
         if not self.premise_pass:
             return []
-        holds = self.holds()
-        flagged = np.flatnonzero(holds[:, 0] & ~(holds[:, 1] & holds[:, 2])).tolist()
-        rows = self.rows
-        return [f"instance {self.instance_id} p={row.p_vector}: core bound holds but "
-                f"peel={row.margin_peel:.3e} scalar={row.margin_scalar:.3e}"
-                for row in (rows[i] for i in flagged)]
-
-    def all_hold(self, tol_rel: float | None = None) -> bool:
-        return self.premise_pass and not self.red_flags and bool(self.holds(tol_rel).all())
+        holds = self.table.holds().reshape(-1, len(REDUCTION_BOUNDS))
+        margins = self.table.columns["margin"].reshape(-1, len(REDUCTION_BOUNDS))
+        points = self.table.checks[0].points
+        return [f"instance {self.instance_id} p={tuple(points[i])}: core bound holds but "
+                f"peel={margins[i, 1]:.3e} scalar={margins[i, 2]:.3e}"
+                for i in np.flatnonzero(holds[:, 0] & ~(holds[:, 1] & holds[:, 2])).tolist()]
 
 
 def _c_totals(tup: OperatorTuple, t, p_vectors) -> np.ndarray:
@@ -1230,10 +1182,10 @@ def check_reduction_chain(
     bound: the member contains the core and the sandwich, so each of their
     nodes is evaluated once.  The sandwich depends on p1 alone, so its
     spectrum is one decomposition per distinct p1 (``WordBatch.spectrum``),
-    which serves both its norm in the peel comparison and its lambda_max
-    against the scalar bound.  A premise row whose left side fails to
-    evaluate is a premise error row, as in a campaign.
-    Everything is judged at suite_tol_rel.
+    which serves both its norm in the peel comparison and its extreme
+    eigenvalues against the scalar bound.  A premise row whose left side
+    fails to evaluate is a premise error row, as in a campaign.
+    Everything is judged at suite_tol_rel, verdicts included.
     """
     if policy is None:
         policy = WeightPolicy.necessity()
@@ -1251,44 +1203,51 @@ def check_reduction_chain(
     w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
     c_total = _c_totals(tup, template.t, p_vectors)
 
+    premise_check = (CampaignMember(instance_id, k, tup.dim, premise.family.value,
+                                    premise.member, premise.direction.value, p_vectors),)
+    bounds = tuple(Comparison(name, p_vectors) for name in REDUCTION_BOUNDS)
     premise_failures = premise_errors = 0
-    chunks: list[np.ndarray] = []
-    errors_by_row: dict[int, str] = {}
+    parts: list[MarginTable] = []
     for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
         columns = _p_columns(p_table[lo:hi])
         columns["w1"] = w[lo:hi]
         if bound_word is not None:
             columns.update(chains.peeled_bindings(template.t, p_table[lo:hi].T))
         rhs, lhs, core, base, *peeled = dsl.evaluate_batch(words, env, columns)
-        _, _, _, errors, holds = _judge_members(lhs, rhs, w[lo:hi], np.ones(hi - lo, np.intp),
-                                                   premise.direction is Direction.GE,
-                                                   suite_tol_rel)
-        failed = failed_rows(errors, hi - lo)
-        premise_errors += int(np.count_nonzero(failed))
-        premise_failures += int(np.count_nonzero(~failed & ~holds))
+        points = np.arange(lo, hi)
+        judged = _judge_members(premise_check, np.zeros(hi - lo, np.intp), points, lhs, rhs,
+                                w[lo:hi], np.ones(hi - lo, np.intp),
+                                premise.direction is Direction.GE, TOL_REL, suite_tol_rel)
+        premise_errors += int(np.count_nonzero(judged.error_rows))
+        premise_failures += int(np.count_nonzero(judged.failures()))
 
-        margin_core, _, scale_core, errors = scaled_margins_stack(ident, core, core.row_errors)
+        ge_core, le_core, scale_core, errors = scaled_margins_stack(ident, core, core.row_errors)
         errors = first_errors(errors, base.row_errors)
         bound = ident
         if peeled:
             bound, errors = peeled[0], first_errors(errors, peeled[0].row_errors)
         # the peel comparison decomposes the base's distinct values and
         # merges their errors; lambda_max below reuses that spectrum
-        margin_peel, _, scale_peel, errors = scaled_margins_stack(bound, base, errors)
-        # the scalar bound c * I compares against lambda_max(base) directly
+        ge_peel, le_peel, scale_peel, errors = scaled_margins_stack(bound, base, errors)
+        # the scalar bound c * I compares against the base's spectrum directly
         lam = base.spectrum[0]
         c = c_total[lo:hi]
-        values = np.stack([margin_core, scale_core, margin_peel, scale_peel, c - lam[:, -1],
-                           np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam)), c],
-                          axis=1)
-        errors = flag_errors(errors, ~np.isfinite(values[:, [2, 4, 5]]).all(axis=1),
+        # (bounds, points) arrays
+        ge = np.array((ge_core, ge_peel, c - lam[:, -1]))
+        le = np.array((le_core, le_peel, lam[:, 0] - c))
+        scale = np.array((scale_core, scale_peel,
+                          np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam))))
+        errors = flag_errors(errors, ~(np.isfinite(ge[1:]).all(axis=0) & np.isfinite(scale[2])),
                              lambda i: NonFiniteError("reduction margin"))
-        bad = np.flatnonzero(failed_rows(errors, len(values)))
-        values[bad] = (math.nan, 1.0) * 3 + (math.nan,)
-        errors_by_row.update((lo + i, str(errors[i])) for i in bad.tolist())
-        chunks.append(values)
-    return ReductionReport(instance_id, premise_failures, premise_errors, p_vectors,
-                           np.concatenate(chunks), errors_by_row, suite_tol_rel)
+        # each point's rows in turn, one per bound
+        ge, le, scale = ge.T.ravel(), le.T.ravel(), scale.T.ravel()
+        parts.append(MarginTable.judged(
+            bounds, np.arange(len(ge)) % len(bounds), np.repeat(points, len(bounds)),
+            ge, scale, classify_stack(ge, le, scale, suite_tol_rel),
+            None if errors is None else np.repeat(errors, len(bounds)), suite_tol_rel,
+            c_total=np.repeat(c, len(bounds))))
+    return ReductionReport(instance_id, premise_failures, premise_errors,
+                           MarginTable.concat(parts))
 
 
 @dataclass
@@ -1344,7 +1303,7 @@ def limit_probe(
     monotone = all(seq[i + 1] <= seq[i] + 1e-12 * max(1.0, seq[i]) for i in range(len(seq) - 1))
     inferred = min(seq)
     scale = max(1.0, lam)
-    bound_ok = margin_holds(inferred - lam, scale, tol_rel)
+    bound_ok = bool(margins_hold(inferred - lam, scale, tol_rel))
     consistent = not error and (inferred <= 1.0 + 1e-6 or lam <= 1.0 + 1e-6)
     return LimitReport(
         c=c, p2_values=p2s, sequence=seq,
@@ -1432,6 +1391,7 @@ def implied_core_violation(
     ones = (1.0,) * n
     if template.t != ones:
         t_variants.append(ones)
+    cores = (Comparison("core", p_vectors),)
     unevaluated = 0
     for t_vec in t_variants:
         var_template = ParamTemplate(t=t_vec, r=float(t_vec[-1]) + 1.0)
@@ -1442,18 +1402,20 @@ def implied_core_violation(
                 batch = dsl.evaluate_batch(word, env, _p_columns(p_table[lo:hi]))
                 # ascending cores must stay below I, descending ones above
                 pair = (ident, batch) if chain.direction is Direction.GE else (batch, ident)
-                margins, _, scales, errors = scaled_margins_stack(*pair, batch.row_errors)
-                failed = failed_rows(errors, len(margins))
-                fails = np.flatnonzero(~failed & ~margins_hold(margins, scales, suite_tol_rel))
-                end = int(fails[0]) + 1 if len(fails) else len(failed)
-                unevaluated += int(np.count_nonzero(failed[:end]))
+                ge, le, scale, errors = scaled_margins_stack(*pair, batch.row_errors)
+                table = MarginTable.judged(cores, np.zeros(hi - lo, np.intp), np.arange(lo, hi),
+                                           ge, scale, classify_stack(ge, le, scale, suite_tol_rel),
+                                           errors, suite_tol_rel)
+                fails = np.flatnonzero(table.failures())
+                end = int(fails[0]) + 1 if len(fails) else len(table)
+                unevaluated += int(np.count_nonzero(table.error_rows[:end]))
                 if len(fails):
                     return {
                         "family": chain.family.value,
                         "member": chain.member,
                         "t": list(t_vec),
                         "p_vector": list(p_vectors[lo + end - 1]),
-                        "core_margin": float(margins[end - 1]),
+                        "core_margin": float(table.columns["margin"][end - 1]),
                     }, unevaluated
     return None, unevaluated
 
@@ -1588,13 +1550,13 @@ def _search_outcomes(report: CampaignReport) -> dict[int, tuple[str, float | Non
     margin of its first violating row with a computed margin), ("error",
     None) when it has error rows and no such violation, else ("passed",
     None)."""
-    cols = report.columns
-    genuine = ~report.holds() & (cols["verdict"] != ERROR_CODE)
+    table = report.table
+    margins, failures, errors = table.columns["margin"], table.failures(), table.error_rows
     outcomes = {}
     for idx, rows in report.instance_rows().items():
-        if genuine[rows].any():
-            outcomes[idx] = ("failed", float(cols["margin"][rows][genuine[rows].argmax()]))
-        elif (cols["verdict"][rows] == ERROR_CODE).any():
+        if failures[rows].any():
+            outcomes[idx] = ("failed", float(margins[rows][failures[rows].argmax()]))
+        elif errors[rows].any():
             # ill-conditioned beyond the pd gate: indeterminate instance
             outcomes[idx] = ("error", None)
         else:

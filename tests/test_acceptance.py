@@ -50,7 +50,7 @@ class TestCriterion1MonotonePowers:
             rep = probe_loewner_heinz(HermitianMatrix(p_arr), HermitianMatrix(q_arr),
                                       alphas=alphas)
             assert rep.precondition_ok
-            for row in rep.rows:
+            for row in rep.table.rows:
                 assert row.error is None
                 assert row.margin >= -1e-8 * row.scale
                 worst = min(worst, row.margin / row.scale)
@@ -58,7 +58,7 @@ class TestCriterion1MonotonePowers:
         witness_q = HermitianMatrix(np.ones((2, 2)))
         witness = probe_loewner_heinz(witness_p, witness_q, alphas=(2.0,))
         elapsed = time.perf_counter() - start
-        ok = (witness.rows[0].verdict == "INCOMPARABLE") and elapsed < 10.0
+        ok = (witness.table.rows[0].verdict == "INCOMPARABLE") and elapsed < 10.0
         _report(
             "criterion 1: unit-interval power monotonicity on 500 pairs",
             ok, f"worst scaled margin {worst:.2e}, witness fails at 2, {elapsed:.1f}s",
@@ -160,12 +160,12 @@ class TestCriterion5ContrapositiveFixture:
                       WeightPolicy.fixed([0.5, 0.5]))],
             PGrid(values=(1.0,)),
         )
-        asc = next(r for r in rep.rows if r.family == "ascending")
+        i, asc = next((i, r) for i, r in enumerate(rep.rows) if r.family == "ascending")
         expected = math.sqrt(3.0) - math.sqrt(6.0)
         ok = (
-            asc.p_vector == (1.0, 1.0)
+            asc.point == (1.0, 1.0)
             and abs(asc.margin - expected) <= 1e-6
-            and not asc.holds(TOL_REL)
+            and not rep.table.holds(TOL_REL)[i]
         )
         _report(
             "criterion 5: scalar contrapositive fixture violates as computed",
@@ -193,17 +193,11 @@ class TestCriterion6ReductionChain:
             assert rep.premise_pass, f"instance {i} premise failed"
             assert not rep.red_flags, rep.red_flags
             passing += 1
-            for row in rep.rows:
-                assert row.error is None, f"instance {i}: {row.error}"
-                holds = row.holds(1e-7)
-                assert all(holds), (
-                    f"instance {i} p={row.p_vector}: margins "
-                    f"{row.margin_core:.3e} {row.margin_peel:.3e} "
-                    f"{row.margin_scalar:.3e}"
-                )
-                worst = min(worst, row.margin_core / row.scale_core,
-                            row.margin_peel / row.scale_peel,
-                            row.margin_scalar / row.scale_scalar)
+            assert not rep.table.errors, f"instance {i}: {rep.table.errors}"
+            for row, holds in zip(rep.table.rows, rep.table.holds(1e-7).tolist()):
+                assert holds, \
+                    f"instance {i} p={row.point}: {row.check.name} margin {row.margin:.3e}"
+                worst = min(worst, row.margin / row.scale)
             limit_t = (1.0, template.t[1])
             interior = reduction_scalar_interior(tup, limit_t, (1.0,) * 4, 2)
             probe = limit_probe(tup.matrices[0], tup.matrices[1],

@@ -547,16 +547,20 @@ class TestSlotWordRuns:
         rhs, lhs = batches[:2]
         w_index = rng.integers(1, k, count)
         is_ge = bool(rng.random() < 0.5)
-        got = verify._judge_members(lhs, rhs, w, w_index, is_ge, verify.SUITE_TOL_REL)
-        assert (got[3] is None) == all(e is None for e in error_rows(got[3], count))
+
+        def judge(lhs, rhs, w, w_index):
+            rows = np.arange(len(w))
+            return verify._judge_members((None,), np.zeros_like(rows), rows, lhs, rhs, w,
+                                         w_index, is_ge, verify.TOL_REL, verify.SUITE_TOL_REL)
+
+        got = judge(lhs, rhs, w, w_index)
         for i in range(count):
             one_rhs, one_lhs = evaluate_batch((rhs_word, lhs_word), row_env(i))
-            want = verify._judge_members(one_lhs, one_rhs, w[i:i + 1], w_index[i:i + 1],
-                                         is_ge, verify.SUITE_TOL_REL)
-            for column in range(3):  # ge, le, scale
-                assert got[column][i].tobytes() == want[column][0].tobytes()
-            assert error_rows(got[3], count)[i] == error_rows(want[3], 1)[0]
-            assert got[4][i] == want[4][0]
+            want = judge(one_lhs, one_rhs, w[i:i + 1], w_index[i:i + 1])
+            for column in ("margin", "scale", "verdict", "w"):
+                assert got.columns[column][i].tobytes() == want.columns[column][0].tobytes()
+            assert got.errors.get(i) == want.errors.get(0)
+            assert got.failures()[i] == want.failures()[0]
 
 
 def _power_nodes(word) -> set[int]:

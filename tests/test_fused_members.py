@@ -4,8 +4,8 @@
 exhaustive campaign as the slot words of ``chains.slot_words`` under one
 environment per pair.  Here each member's own words from
 ``chains.hypothesis_set`` are evaluated alone, under the instance's
-operators, and compared bit for bit: ge, le, scale and w through
-``float.hex``, error texts as strings.
+operators, and compared bit for bit with what the fused run compared: ge,
+le, scale and w through ``float.hex``, error texts as strings.
 """
 import math
 
@@ -72,23 +72,28 @@ def _per_member(instances, grid, chain_list, tol_rel):
 def _fused(instances, grid, members, tol_rel, monkeypatch):
     """The report of one fused call and, keyed like ``_per_member``, the
     (w, ge, le, scale) of each row before ERROR rows are blanked."""
-    seen = []
-    campaign_columns = verify._campaign_columns
+    calls = []
+    judge, compare = verify._judge_members, verify.scaled_margins_stack
 
-    def recording(batches, chain_list, tol):
-        seen.append(batches)
-        return campaign_columns(batches, chain_list, tol)
+    def recording_judge(checks, check, point, lhs, rhs, w, *args):
+        calls.append([check, point, w])
+        return judge(checks, check, point, lhs, rhs, w, *args)
 
-    monkeypatch.setattr(verify, "_campaign_columns", recording)
+    def recording_compare(*args):
+        got = compare(*args)
+        calls[-1].extend(got[:3])
+        return got
+
+    monkeypatch.setattr(verify, "_judge_members", recording_judge)
+    monkeypatch.setattr(verify, "scaled_margins_stack", recording_compare)
     report = check_hypotheses(instances, grid, tol_rel=tol_rel, members=members)
     monkeypatch.undo()
-    (batches,) = seen
-    per_instance = len(report.members) // len(instances)
+    per_instance = len(report.table.checks) // len(instances)
     raw = {}
-    for b in batches:
-        j, code = divmod(b.member, per_instance)
-        for i, row in enumerate(zip(b.w, b.ge, b.le, b.scale)):
-            raw[j, code, b.lo + i] = row
+    for check, point, *values in calls:
+        for c, i, *row in zip(check.tolist(), point.tolist(), *values):
+            j, code = divmod(c, per_instance)
+            raw[j, code, i] = tuple(row)
     return report, raw
 
 
@@ -155,15 +160,15 @@ def _check_case(case, monkeypatch):
     assert len(report.rows) == len(instances) * len(chain_list) * rows
     keys = [(j, code, i) for j in range(len(instances))
             for code in range(len(chain_list)) for i in range(rows)]
-    cols = report.columns
+    cols = report.table.columns
     for row, key in enumerate(keys):
         w, ge, le, scale, verdict, error = expected[key]
         j, code, i = key
-        member = report.members[cols["member"][row]]
+        member = report.table.checks[cols["check"][row]]
         assert (member.instance_id, member.family, member.member) == (
             str(j), chain_list[code].family.value, chain_list[code].member)
-        assert cols["p_index"][row] == i
-        assert report.errors.get(row) == error
+        assert cols["point"][row] == i
+        assert report.table.errors.get(row) == error
         assert VERDICTS[cols["verdict"][row]] == verdict
         if error is None:
             margin = ge if chain_list[code].direction is Direction.GE else le
@@ -285,11 +290,14 @@ class TestCleanRunCost:
 
         monkeypatch.setattr(np, "errstate", CountingErrstate)
         rhs, lhs = dsl.evaluate_batch(words, envs, columns, instance)
-        errors = verify._judge_members(lhs, rhs, columns["w"], np.ones(3, np.intp), True,
-                                       verify.SUITE_TOL_REL)[3]
-        assert (lhs.row_errors, rhs.row_errors, errors) == (None, None, None)
+        rows = np.arange(3)
+        table = verify._judge_members((None,), rows, rows, lhs, rhs, columns["w"],
+                                      np.ones(3, np.intp), True, verify.TOL_REL,
+                                      verify.SUITE_TOL_REL)
+        assert (lhs.row_errors, rhs.row_errors, table.errors) == (None, None, {})
         # np.errstate once for the run, once for the comparison's margins
-        # and once for margins_hold; two power nodes and the two sides'
-        # spectra decompose, and the symbols and two power nodes raise
+        # and once for the margins_hold of the verdicts; two power nodes and
+        # the two sides' spectra decompose, and the symbols and two power
+        # nodes raise
         assert counts == {"evaluate_batch": 1, "errstate": 3, "decompose_stack": 4,
                           "power_stack": 3}

@@ -50,22 +50,22 @@ def _hex(values) -> list:
 
 def _table(report) -> tuple:
     """Every column but the timing, the member table and the error texts."""
-    members = [(m.instance_id, m.k, m.dim, m.family, m.member, m.relation,
-                tuple(m.p_vectors)) for m in report.members]
-    columns = {name: _hex(col) for name, col in report.columns.items() if name != "seconds"}
-    return members, columns, report.errors
+    table = report.table
+    members = [(m.instance_id, m.k, m.dim, m.family, m.member, m.relation, tuple(m.points))
+               for m in table.checks]
+    columns = {name: _hex(col) for name, col in table.columns.items() if name != "seconds"}
+    return members, columns, table.errors
 
 
 def merge_reports(reports) -> CampaignReport:
     """One report holding the rows of ``reports`` in order."""
-    members, parts, errors, rows = [], [], {}, 0
-    for rep in reports:
-        parts.append({**rep.columns, "member": rep.columns["member"] + len(members)})
-        errors.update((rows + i, text) for i, text in rep.errors.items())
-        rows += len(rep.rows)
-        members.extend(rep.members)
-    columns = {name: np.concatenate([part[name] for part in parts]) for name in verify.COLUMNS}
-    return CampaignReport(tuple(members), columns, errors, {}, 0)
+    members = tuple(m for rep in reports for m in rep.table.checks)
+    offsets = np.cumsum([0] + [len(rep.table.checks) for rep in reports]).tolist()
+    parts = [verify.MarginTable(members, {**rep.table.columns,
+                                          "check": rep.table.columns["check"] + offset},
+                                rep.table.errors, rep.table.tol_rel)
+             for rep, offset in zip(reports, offsets)]
+    return CampaignReport(verify.MarginTable.concat(parts), {}, 0)
 
 
 def _batched_and_alone(instances, grid, **kwargs):
@@ -95,13 +95,14 @@ def test_batched_campaign_is_the_merge_of_single_calls(case, stop_on_violation):
     bounds = np.cumsum([0] + [len(rep.rows) for rep in alone]).tolist()
     assert batched.instance_rows() == {
         inst.index: slice(lo, hi) for inst, lo, hi in zip(instances, bounds, bounds[1:])}
-    assert any(rep.errors for rep in alone)
+    assert any(rep.table.errors for rep in alone)
     stopped = [rep.config.get("stopped_early", False) for rep in alone]
     assert batched.config.get("stopped_early", False) is any(stopped)
     if stop_on_violation:
         # instances stop at different rows, some inside a doubled chunk
         assert len({len(rep.rows) for rep in alone}) == len(alone)
-        assert any(len(rep.rows) > 2 and rep.columns["p_index"][-1] not in (0, 1, 3, 7, 15, 31)
+        assert any(len(rep.rows) > 2
+                   and rep.table.columns["point"][-1] not in (0, 1, 3, 7, 15, 31)
                    for rep in alone)
 
 
@@ -113,7 +114,7 @@ def test_batched_campaign_on_subsampled_grids(stop_on_violation):
                                         stop_on_violation=stop_on_violation)
     assert _table(batched) == _table(merge_reports(alone))
     # each instance scanned its own p rows
-    first = [tuple(rep.members[0].p_vectors[:20]) for rep in alone]
+    first = [tuple(rep.table.checks[0].points[:20]) for rep in alone]
     assert len(set(first)) == len(first)
 
 

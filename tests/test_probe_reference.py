@@ -136,8 +136,9 @@ def _row(*fields) -> str:
 def probe_record(kind: str, rep) -> dict:
     """A probe report as JSON-ready flags and row strings."""
     if kind == "loewner_heinz":
+        rows = [] if rep.table is None else rep.table.rows
         return {"precondition_ok": rep.precondition_ok,
-                "rows": [_row(r.exponent, r.verdict, r.margin, r.scale, r.error) for r in rep.rows]}
+                "rows": [_row(r.point, r.verdict, r.margin, r.scale, r.error) for r in rows]}
     if kind == "contraction":
         return {"hypothesis_holds": rep.hypothesis_holds,
                 "conclusion": _verdict(rep.conclusion),
@@ -145,7 +146,7 @@ def probe_record(kind: str, rep) -> dict:
                 "cross_check_required": rep.cross_check_required,
                 "cross_check_ok": rep.cross_check_ok,
                 "failure_s": _hex(rep.failure_s),
-                "rows": [_row(r.exponent, r.verdict, r.margin) for r in rep.rows]}
+                "rows": [_row(r.point, r.verdict, r.margin) for r in rep.table.rows]}
     return {"c": _hex(rep.c), "p2_values": [_hex(v) for v in rep.p2_values],
             "sequence": [_hex(v) for v in rep.sequence],
             "monotone_nonincreasing": rep.monotone_nonincreasing,
@@ -201,7 +202,7 @@ def test_probe_reports_match_reference(kind):
         if kind == "loewner_heinz":
             assert got == want, name  # bit for bit
         elif kind == "contraction":
-            _check_rows(got.pop("rows"), want.pop("rows"), [r.scale for r in rep.rows])
+            _check_rows(got.pop("rows"), want.pop("rows"), rep.table.columns["scale"].tolist())
             assert got == want, name
         else:
             scale = max(1.0, abs(rep.lambda_max_core), abs(rep.c))

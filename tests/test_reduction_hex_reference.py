@@ -3,8 +3,9 @@
 ``tests/data/reduction_hex_reference.json`` holds, for the proof-steps
 instances k in 3..6, dim in 2..3, seeds 0 and 1 (instance 0 of each) on
 the grids {1, 1.5, 4} and {1, 2, 8}, the premise counts, the error text of
-each ERROR row and every entry of the ``ReductionReport`` table as
-``float.hex``, one line of seven per row.  Everything is compared exactly;
+each ERROR p-vector and, per p-vector, the margins and scales of the
+core, peel and scalar rows of the ``ReductionReport`` table and its
+c_total as ``float.hex``, one line of seven per p-vector.  Everything is compared exactly;
 ``tests/test_reduction_reference.py`` checks the same margins to within
 1e-12 * scale on a smaller set.  Regenerate the file (only when a change
 to the margins is intended) with
@@ -24,7 +25,7 @@ from oporder.verify import (
     check_reduction_chain,
     gen_suite_tuple,
 )
-from util import REPO_ROOT
+from util import REDUCTION_FIELDS, REPO_ROOT, reduction_points
 
 REFERENCE = REPO_ROOT / "tests" / "data" / "reduction_hex_reference.json"
 GRIDS = ((1.0, 1.5, 4.0), (1.0, 2.0, 8.0))
@@ -41,12 +42,13 @@ def reduction_entry(k: int, dim: int, seed: int, grid) -> dict:
     t = (rng.uniform(0.75, 0.95),) + tuple(rng.uniform(0.05, 0.15) for _ in range(n - 1))
     template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
     report = check_reduction_chain(tup, template, PGrid(values=grid), master_seed=seed)
+    points = reduction_points(report)
     return {
         "k": k, "dim": dim, "seed": seed, "grid": list(grid),
         "premise_failures": report.premise_failures,
         "premise_errors": report.premise_errors,
-        "errors": {str(i): text for i, text in sorted(report.errors.items())},
-        "table": [" ".join(float(v).hex() for v in row) for row in report.table.tolist()],
+        "errors": {str(i): point["error"] for i, point in enumerate(points) if point["error"]},
+        "table": [" ".join(point[name].hex() for name in REDUCTION_FIELDS) for point in points],
     }
 
 

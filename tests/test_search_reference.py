@@ -4,8 +4,8 @@
 the exit code, the printed JSON, the findings JSON and, per instance, what
 the reports returned by ``verify.check_hypotheses`` show of it: one entry
 per report that holds the instance's rows (one per grid it was scanned on),
-giving the rows evaluated and the deciding (last) row's member, p_index,
-margin and scale as ``float.hex``, verdict and error text.  ``CONFIGS``
+giving the rows evaluated and the deciding (last) row's member, point
+(its p-vector's index), margin and scale as ``float.hex``, verdict and error text.  ``CONFIGS``
 are searches run through ``search_counterexample`` with a grid capped at
 its single point, which the command line cannot set; for them the file
 holds the report's JSON in place of the printed output and the findings.
@@ -79,21 +79,22 @@ def deciding_rows():
 
     def capture(*args, **kwargs):
         report = original(*args, **kwargs)
-        cols = report.columns
+        table = report.table
+        cols = table.columns
         last: dict[str, tuple[int, int]] = {}  # instance id -> (rows, last row)
-        for i, member in enumerate(cols["member"].tolist()):
-            instance = report.members[member].instance_id
+        for i, check in enumerate(cols["check"].tolist()):
+            instance = table.checks[check].instance_id
             count, _ = last.get(instance, (0, 0))
             last[instance] = (count + 1, i)
         for instance, (count, i) in last.items():
             seen[instance].append([
                 count,
-                report.members[int(cols["member"][i])].member,
-                int(cols["p_index"][i]),
+                table.checks[int(cols["check"][i])].member,
+                int(cols["point"][i]),
                 float(cols["margin"][i]).hex(),
                 float(cols["scale"][i]).hex(),
                 verify.VERDICTS[int(cols["verdict"][i])],
-                report.errors.get(i),
+                table.errors.get(i),
             ])
         return report
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oporder.spectral import (
@@ -22,7 +22,6 @@ from oporder.spectral import (
     directional_margins,
     identity,
     loewner_compare,
-    margin_holds,
     margins_hold,
     margins_stack,
     matrix_from_json,
@@ -255,11 +254,10 @@ class TestLoewnerCompare:
         v = loewner_compare(p, q)
         assert v.relation is Relation.GE and v.margin == 0.5 and v.tol == 1e-9 * 3.0
 
-    def test_margin_holds_boundary_and_nan(self):
-        assert margin_holds(-2e-7, 2.0, 1e-7)
-        assert not margin_holds(-2.1e-7, 2.0, 1e-7)
-        assert not margin_holds(float("nan"), 1.0, 1e-7)
-        assert not margin_holds(float("-inf"), 1.0, 1e-7)
+    def test_margins_hold_boundary_and_nan(self):
+        margins = np.array([-2e-7, -2.1e-7, np.nan, -np.inf])
+        held = margins_hold(margins, np.array([2.0, 2.0, 1.0, 1.0]), 1e-7)
+        assert held.tolist() == [True, False, False, False]
 
 
 class TestStackedGuards:
@@ -369,6 +367,9 @@ class TestContiguousAdjoint:
            complex_field=st.booleans(), magnitude=st.sampled_from([1.0, 1e-3, 1e3, 1e-100]),
            alpha=st.one_of(st.sampled_from([2.0, 0.5, -1.0, 1.0, 3.0]),
                            st.floats(-2.0, 4.0), st.just("per-row")))
+    # every row is a pd-gate rejection, and two entries of the last one
+    # underflow to a zero whose sign the two products disagree on
+    @example(seed=0, dim=3, count=11, complex_field=False, magnitude=1e-100, alpha=3.25)
     def test_power_stack_products(self, seed, dim, count, complex_field, magnitude, alpha):
         lam, u, _ = decompose_stack(self.stack(seed, dim, count, complex_field, magnitude))
         if alpha == "per-row":
@@ -376,7 +377,8 @@ class TestContiguousAdjoint:
         out, mu, _ = power_stack(lam, u, alpha, None)
         want = (u * mu[:, None, :]) @ _strided_adjoint(u)
         want = 0.5 * (want + _strided_adjoint(want))
-        assert out.tobytes() == want.tobytes()
+        # adding 0.0 maps -0.0 to +0.0 and leaves every other bit alone
+        assert (out + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 class TestKnownSides:
@@ -493,7 +495,7 @@ class TestScalars:
             warnings.simplefilter("error")
             held = margins_hold(np.array([-1.0, np.nan]), np.array([1e10, 1e10]), 1e300)
         assert held.tolist() == [True, False]
-        assert margin_holds(-1.0, 1e10, 1e300)
+        assert margins_hold(-1.0, 1e10, 1e300)
 
 
 class TestJsonFormat:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -18,7 +17,6 @@ from oporder.spectral import (
 )
 from oporder.verify import (
     CampaignReport,
-    CampaignRow,
     Instance,
     OperatorTuple,
     ParamTemplate,
@@ -42,7 +40,7 @@ from oporder.verify import (
     search_counterexample,
 )
 from oporder import verify
-from util import full_spectrum_margins, scalar_word_value
+from util import full_spectrum_margins, reduction_points, scalar_word_value
 
 
 class TestOperatorTuple:
@@ -289,11 +287,11 @@ class TestCheckHypotheses:
                       WeightPolicy.fixed([0.5, 0.5]))],
             PGrid(values=(1.0,)),
         )
-        asc = next(r for r in rep.rows if r.family == "ascending")
+        i, asc = next((i, r) for i, r in enumerate(rep.rows) if r.family == "ascending")
         assert asc.margin == pytest.approx(3 ** 0.5 - 6 ** 0.5, abs=1e-12)
-        assert not asc.holds(TOL_REL)
-        report_viols = rep.violations()
-        assert len(report_viols) == 1
+        assert not rep.table.holds(TOL_REL)[i]
+        assert rep.table.failures().tolist() == [True, False]
+        assert rep.summary()["fail"] == 1
 
     def test_rows_cover_grid_product(self):
         tup = gen_suite_tuple(3, 2, seed=8)
@@ -302,7 +300,7 @@ class TestCheckHypotheses:
             PGrid(values=(1.0, 1.5, 2.0)),
         )
         assert len(rep.rows) == 2 * 9
-        assert rep.pass_count == len(rep.rows)
+        assert rep.summary()["pass"] == len(rep.rows)
 
     def test_member_filter(self):
         tup = gen_suite_tuple(3, 2, seed=8)
@@ -373,14 +371,15 @@ class TestCheckHypotheses:
                                          ParamTemplate(t=(0.5,), r=1.9), WeightPolicy.necessity())],
                                PGrid(values=(1.0,)))
         asc, desc = rep.rows
-        assert asc.error is None and asc.verdict == "LE" and not asc.holds()
+        assert asc.error is None and asc.verdict == "LE" and not rep.table.holds()[0]
         assert desc.error == "matrix power is not finite" and desc.verdict == "ERROR"
 
 
-def _row_fields(row: CampaignRow) -> tuple:
+def _row_fields(row) -> tuple:
     """Every column but the timing; floats by repr so NaN compares equal."""
+    extra = {name: v for name, v in row.extra.items() if name != "seconds"}
     return tuple(repr(v) if isinstance(v, float) else v
-                 for f, v in dataclasses.asdict(row).items() if f != "seconds")
+                 for v in (*row[:-1], *extra.values())) + tuple(extra)
 
 
 class TestBatchedCampaign:
@@ -427,8 +426,7 @@ class TestBatchedCampaign:
         grid = PGrid(values=(1.0, 1.5, 2.0, 4.0))
         full = check_hypotheses([Instance(tup, template, policy)], grid)
         cut = check_hypotheses([Instance(tup, template, policy)], grid, stop_on_violation=True)
-        deciding = next((i for i, r in enumerate(full.rows)
-                         if r.error is None and not r.holds()), None)
+        deciding = next(iter(np.flatnonzero(full.table.failures()).tolist()), None)
         end = len(full.rows) if deciding is None else deciding + 1
         assert [_row_fields(r) for r in cut.rows] == [_row_fields(r) for r in full.rows[:end]]
         assert cut.config.get("stopped_early", False) is (deciding is not None)
@@ -497,7 +495,7 @@ class TestPrintParseEvaluateRoundTrip:
             PGrid(values=(1.0, 2.0)),
         )
         assert all(r.error is None for r in rep.rows)
-        assert all(r.holds() for r in rep.rows)
+        assert rep.table.holds().all()
 
 
 class TestCheckConclusion:
@@ -520,27 +518,27 @@ class TestLoewnerHeinzProbe:
             q = gen_ordered_tuple(2, 3, seed=int(rng.integers(1 << 30)))
             rep = probe_loewner_heinz(q.matrices[1], q.matrices[0])
             assert rep.precondition_ok
-            assert rep.all_hold()
+            assert rep.table.holds().all()
 
     def test_witness_pair_fails_at_two(self):
         p = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
         q = HermitianMatrix(np.ones((2, 2)))
         rep = probe_loewner_heinz(p, q, alphas=(2.0,))
         assert rep.precondition_ok
-        assert rep.rows[0].verdict == "INCOMPARABLE"
-        assert rep.rows[0].margin == pytest.approx((3 - math.sqrt(13)) / 2, abs=1e-12)
+        assert rep.table.rows[0].verdict == "INCOMPARABLE"
+        assert rep.table.rows[0].margin == pytest.approx((3 - math.sqrt(13)) / 2, abs=1e-12)
 
     def test_alpha_zero_is_equality(self):
         p = HermitianMatrix(np.array([[2.0, 1.0], [1.0, 1.0]]))
         q = HermitianMatrix(np.ones((2, 2)))
         rep = probe_loewner_heinz(p, q, alphas=(0.0, 1.0))
-        assert rep.rows[0].verdict == "EQ"
-        assert rep.rows[1].verdict in ("GE", "EQ")
+        assert rep.table.rows[0].verdict == "EQ"
+        assert rep.table.rows[1].verdict in ("GE", "EQ")
 
     def test_precondition_violation_skips(self):
         rep = probe_loewner_heinz(identity(2), diagonal([2.0, 2.0]))
         assert not rep.precondition_ok
-        assert rep.rows == []
+        assert rep.table is None
 
 
 class TestContractionProbe:
@@ -584,8 +582,8 @@ class TestContractionProbe:
         rep = probe_contraction_criterion(
             identity(2), diagonal([0.5, 0.01]), r=1.0, delta=0.0, w=0.5
         )
-        assert [row.verdict for row in rep.rows] == ["GE"] * 3 + ["ERROR"] * 4
-        assert all(math.isnan(row.margin) and row.error for row in rep.rows[3:])
+        assert [row.verdict for row in rep.table.rows] == ["GE"] * 3 + ["ERROR"] * 4
+        assert all(math.isnan(row.margin) and row.error for row in rep.table.rows[3:])
         assert rep.failure_s is None
         assert not rep.hypothesis_holds
         assert rep.implication_status == "indeterminate"
@@ -595,8 +593,8 @@ class TestContractionProbe:
         rep = probe_contraction_criterion(
             identity(2), diagonal([2.0, 0.01]), r=1.0, delta=0.0, w=0.5
         )
-        assert rep.rows[0].verdict == "INCOMPARABLE" and rep.rows[0].margin < 0
-        assert "ERROR" in [row.verdict for row in rep.rows]
+        assert rep.table.rows[0].verdict == "INCOMPARABLE" and rep.table.rows[0].margin < 0
+        assert "ERROR" in [row.verdict for row in rep.table.rows]
         assert rep.failure_s == 1.5
         assert rep.implication_status == "hypothesis_fails"
         assert rep.cross_check_required and rep.cross_check_ok
@@ -609,8 +607,8 @@ class TestContractionProbe:
             w=0.5, s_values=(1.5, 2.0),
         )
         assert rep.hypothesis_holds and rep.cross_check_required
-        assert [row.exponent for row in rep.rows][:6] == [1.5, 2.0, 4.0, 8.0, 16.0, 32.0]
-        assert {row.verdict for row in rep.rows[6:]} == {"ERROR"}
+        assert [row.point for row in rep.table.rows][:6] == [1.5, 2.0, 4.0, 8.0, 16.0, 32.0]
+        assert {row.verdict for row in rep.table.rows[6:]} == {"ERROR"}
         assert rep.failure_s is None
         assert rep.cross_check_ok is None
         assert rep.implication_status == "violation_witness"
@@ -622,7 +620,16 @@ class TestContractionProbe:
         )
         assert rep.cross_check_required
         assert rep.failure_s is None
-        assert "ERROR" not in [row.verdict for row in rep.rows]
+        assert "ERROR" not in [row.verdict for row in rep.table.rows]
+        assert rep.cross_check_ok is False
+
+    def test_cross_check_with_no_s_left_to_escalate_to_fails(self):
+        # 6e5 * S_GROWTH exceeds S_CAP, so no s is evaluated past the grid
+        rep = probe_contraction_criterion(
+            HermitianMatrix(4.0 * np.eye(2)), diagonal([1.0 + 2e-6, 0.9]), r=1.0, delta=2.0,
+            w=1.0, s_values=(6e5,))
+        assert rep.cross_check_required and rep.failure_s is None
+        assert [row.point for row in rep.table.rows] == [6e5]
         assert rep.cross_check_ok is False
 
     def test_degenerate_weight_rejected(self):
@@ -643,10 +650,10 @@ class TestReductionChain:
         )
         assert rep.premise_pass
         assert not rep.red_flags
-        for row in rep.rows:
-            assert abs(row.margin_core) <= 1e-10
-            assert abs(row.margin_peel) <= 1e-10
-            assert row.c_total == pytest.approx(1.0)
+        for row in reduction_points(rep):
+            assert abs(row["margin_core"]) <= 1e-10
+            assert abs(row["margin_peel"]) <= 1e-10
+            assert row["c_total"] == pytest.approx(1.0)
 
     def test_contractive_instance_holds(self):
         tup = gen_suite_tuple(5, 3, seed=14)
@@ -655,10 +662,10 @@ class TestReductionChain:
         )
         assert rep.premise_pass
         assert not rep.red_flags
-        assert rep.all_hold()
+        assert rep.table.holds().all()
         # the scalar bound coarsens the peeled bound
-        for row in rep.rows:
-            assert row.margin_scalar >= row.margin_peel - 1e-9
+        for row in reduction_points(rep):
+            assert row["margin_scalar"] >= row["margin_peel"] - 1e-9
 
     def test_single_level_degenerate_bound(self):
         tup = gen_suite_tuple(3, 2, seed=15)
@@ -666,9 +673,9 @@ class TestReductionChain:
             tup, ParamTemplate(t=(0.8,), r=1.2), PGrid(values=(1.0, 2.0))
         )
         assert rep.premise_pass
-        for row in rep.rows:
+        for row in rep.table.rows:
             assert row.c_total == pytest.approx(1.0)
-        assert rep.all_hold()
+        assert rep.table.holds().all()
 
     def test_scalar_interior_hand_value(self):
         # two-level interior: norm(A4)^(t2/p3) * (1/margin(A3))^t1
@@ -695,7 +702,7 @@ class TestReductionChain:
         rep = check_reduction_chain(tup, template, PGrid(values=(1.0, 2.0)),
                                     policy=WeightPolicy.fixed([0.5, 0.5]))
         assert (rep.premise_failures, rep.premise_errors) == (0, 4)
-        assert not rep.premise_pass and not rep.errors
+        assert not rep.premise_pass and not rep.table.errors
 
     def test_one_run_per_chunk_and_the_base_decomposed_once_per_p1(self, monkeypatch):
         from oporder import dsl, spectral
@@ -737,15 +744,16 @@ class TestReductionChain:
         rep = check_reduction_chain(tup, ParamTemplate(t=(t1,), r=r), grid,
                                     policy=WeightPolicy.fixed((w, w)), master_seed=3,
                                     instance_index=1)
-        assert len(rep.rows) == verify.GRID_POINT_CAP
-        assert rep.p_vectors == verify._p_samples(grid, 1, 3, 1, 2)[0]
+        assert len(rep.table) == 3 * verify.GRID_POINT_CAP
+        p_vectors = rep.table.checks[0].points
+        assert p_vectors == verify._p_samples(grid, 1, 3, 1, 2)[0]
 
         def premise_margins(p_vectors):
             # A3^(r-t1) - (A3^(r/2) (A2^(-t1/2) A1^p1 A2^(-t1/2))^p2 A3^(r/2))^w
             p = np.asarray(p_vectors)
             return 0.95 ** (r - t1) - (0.95 ** r * (0.9 ** p[:, 0] * 0.5 ** -t1) ** p[:, 1]) ** w
 
-        margins = premise_margins(rep.p_vectors)
+        margins = premise_margins(p_vectors)
         assert not rep.premise_errors
         assert np.count_nonzero(margins < -1e-9) <= rep.premise_failures \
             <= np.count_nonzero(margins < 1e-9)
@@ -858,6 +866,40 @@ class TestSearch:
         assert "margin_histogram" in payload["stats"]
 
 
+class TestMarginTable:
+    @staticmethod
+    def table():
+        margin = np.array([0.5, -1.0, -2.0])
+        scale = np.array([1.0, 2.0, 3.0])
+        w = np.array([0.1, 0.2, 0.3])
+        errors = np.array([None, ValueError("boom"), None], dtype=object)
+        inputs = [margin, scale, w]
+        table = verify.MarginTable.judged(
+            (verify.Comparison("a", (1.0, 2.0, 4.0)),), np.zeros(3, np.intp), np.arange(3),
+            margin, scale, np.array([2, 0, 0]), errors, 1e-7, w=w)
+        return table, inputs
+
+    def test_judged_blanks_error_rows_and_keeps_its_inputs(self):
+        table, (margin, scale, w) = self.table()
+        assert table.errors == {1: "boom"}
+        assert [repr(v) for v in table.columns["margin"].tolist()] == ["0.5", "nan", "-2.0"]
+        assert [repr(v) for v in table.columns["w"].tolist()] == ["0.1", "nan", "0.3"]
+        assert table.columns["scale"].tolist() == [1.0, 1.0, 3.0]
+        assert [row.verdict for row in table.rows] == ["GE", "ERROR", "INCOMPARABLE"]
+        assert (margin.tolist(), scale.tolist(), w.tolist()) == \
+            ([0.5, -1.0, -2.0], [1.0, 2.0, 3.0], [0.1, 0.2, 0.3])
+        # an ERROR row fails but is never a failure
+        assert table.holds().tolist() == [True, False, False]
+        assert table.failures().tolist() == [False, False, True]
+        assert (table.rows[2].point, table.rows[2].w, table.rows[-1].name) == (4.0, 0.3, "a")
+
+    def test_take_and_concat_keep_each_rows_error_text(self):
+        table, _ = self.table()
+        both = verify.MarginTable.concat([table, table.take(np.array([2, 1]))])
+        assert both.errors == {1: "boom", 4: "boom"}
+        assert [row.point for row in both.rows] == [1.0, 2.0, 4.0, 4.0, 2.0]
+
+
 class TestCampaignReport:
     def make_report(self):
         tup = gen_suite_tuple(3, 2, seed=23)
@@ -935,27 +977,24 @@ class TestCampaignReport:
     def test_summary_uses_suite_slack(self):
         # -1e-8 * scale is INCOMPARABLE at the 1e-9 verdict tolerance but
         # within the 1e-7 suite slack that decides the CLI exit code
-        row = CampaignRow(
-            instance_id="0", k=3, dim=2, family="ascending", member=1,
-            p_vector=(1.0, 1.0), w=0.5, relation=">=", margin=-2e-8,
-            verdict="INCOMPARABLE", seconds=0.0, scale=2.0,
-        )
+        member = verify.CampaignMember("0", 3, 2, "ascending", 1, ">=", [(1.0, 1.0)])
 
-        def report(**kwargs):
-            columns = {"member": [0], "p_index": [0], "w": [0.5], "margin": [-2e-8],
-                       "scale": [2.0], "verdict": [verify.VERDICTS.index("INCOMPARABLE")],
+        def report(tol_rel):
+            columns = {"check": [0], "point": [0], "margin": [-2e-8], "scale": [2.0],
+                       "verdict": [verify.VERDICTS.index("INCOMPARABLE")], "w": [0.5],
                        "seconds": [0.0]}
-            return CampaignReport(
-                (verify.CampaignMember("0", 3, 2, "ascending", 1, ">=", [(1.0, 1.0)]),),
-                {name: np.asarray(col, dtype=verify.COLUMNS[name])
-                 for name, col in columns.items()},
-                {}, {}, 0, **kwargs)
+            table = verify.MarginTable((member,), {name: np.asarray(col)
+                                                   for name, col in columns.items()},
+                                       {}, tol_rel)
+            return CampaignReport(table, {}, 0)
 
-        rep = report()
-        assert rep.violations() == []
+        rep = report(verify.SUITE_TOL_REL)
+        assert not rep.table.failures().any()
         assert rep.summary()["pass"] == 1 and rep.summary()["fail"] == 0
-        strict = report(tol_rel=1e-9)
-        assert strict.violations() == [row]
+        strict = report(1e-9)
+        assert strict.table.failures().tolist() == [True]
+        assert strict.rows[0] == verify.MarginRow(member, (1.0, 1.0), -2e-8, 2.0, "INCOMPARABLE",
+                                                  None, {"w": 0.5, "seconds": 0.0})
         assert strict.summary()["fail"] == 1
 
     def test_summary_counts(self):

@@ -147,3 +147,30 @@ def full_spectrum_margins(p: np.ndarray, q: np.ndarray, errors=None):
     if not finite.all():
         errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("comparison margin"))
     return ge, le, scale, errors
+
+
+# each p-vector's entries of a reduction table, in the order of the frozen
+# reduction references
+REDUCTION_FIELDS = ("margin_core", "scale_core", "margin_peel", "scale_peel",
+                    "margin_scalar", "scale_scalar", "c_total")
+
+
+def reduction_points(report) -> list[dict]:
+    """Each p-vector of a ReductionReport as the references keep it: its
+    REDUCTION_FIELDS, its p-vector and the error text of its rows (None
+    unless they are ERROR rows).  The table holds the core, peel and scalar
+    rows of each p-vector in turn, which share its c_total and error."""
+    table = report.table
+    cols = table.columns
+    assert [check.name for check in table.checks] == ["core", "peel", "scalar"]
+    assert cols["check"].tolist() == [0, 1, 2] * (len(table) // 3)
+    pairs = np.stack([cols["margin"], cols["scale"]], axis=1).reshape(-1, 6).tolist()
+    c_total = cols["c_total"].reshape(-1, 3)
+    assert all(len(set(map(repr, c))) == 1 for c in c_total.tolist())
+    points = []
+    for i, values in enumerate(pairs):
+        errors = [table.errors.get(3 * i + b) for b in range(3)]
+        assert len(set(errors)) == 1
+        points.append(dict(zip(REDUCTION_FIELDS, values + [float(c_total[i, 0])]),
+                           p_vector=tuple(table.checks[0].points[i]), error=errors[0]))
+    return points
