@@ -374,7 +374,7 @@ def _proof_steps(args):
         margins = table.columns["margin"].reshape(-1, bounds)
         for i in np.flatnonzero(~table.holds().reshape(-1, bounds).all(axis=1)).tolist():
             core, peel, scalar = margins[i].tolist()
-            error = table.errors.get(bounds * i)
+            error = table.error_text(bounds * i)
             yield (f"instance {idx}: reduction margins ({core:.3e}, {peel:.3e}, {scalar:.3e}) "
                    f"at p={tuple(table.checks[0].points[i])}"
                    + (f" [{error}]" if error else "")), int(bool(error))

@@ -37,18 +37,15 @@ from .chains import (
 from .spectral import (
     HermitianMatrix,
     NonFiniteError,
-    SpectralDecomposition,
-    SpectralError,
     WordBatch,
-    any_set,
     decompose_stack,
     first_errors,
     flag_errors,
     healthy,
     hermitian_part,
-    no_errors,
     nonfinite_rows,
     power_stack,
+    raise_first,
 )
 
 # A product of symbol powers is generally not Hermitian; intermediate
@@ -567,10 +564,6 @@ class _BatchRun:
         self.columns = columns
         self._groups: dict[frozenset, _Group] = {}
 
-    @property
-    def dim(self) -> int:
-        return self.env.dim if self.env.matrices else 1
-
     def group_of(self, node: _Node) -> _Group | None:
         """The group a node is evaluated on (None: once for every row)."""
         return self.group(node.names) if self.columns else None
@@ -615,20 +608,33 @@ class _BatchRun:
         for name, coeff in node.terms:
             value = None if group is None else self.column(group, name)
             if value is None:
-                try:
-                    value = self.scalars[name]
-                except KeyError:
-                    raise UnboundNameError(f"scalar name {name!r} is not bound") from None
+                value = self.scalars[name]
                 if not hasattr(value, "shape"):
                     value = float(value)
             total = total + coeff * value
         return total
 
+    def check_bindings(self, plan: _Plan) -> None:
+        """Raise the first UnboundNameError of the plan's nodes, in plan
+        order: a symbol's matrix in every environment, then its exponent's
+        names; a power's exponent names."""
+        bound = self.columns.keys() | self.env.scalars.keys()
+        partial = [env for env in self.envs if not plan.slot.keys() <= env.matrices.keys()]
+        for node in plan.nodes:
+            if partial and isinstance(node.word, Symbol):
+                for env in partial:
+                    env.matrix(node.word.index)
+            for name, _ in node.terms:
+                if name not in bound:
+                    raise UnboundNameError(f"scalar name {name!r} is not bound")
+
     def batches(self, words: tuple) -> tuple[WordBatch, ...]:
-        """One WordBatch per word, from the words' plan.  An overflowed or
-        NaN value is a guarded error row, so numpy's floating-point
-        warnings are silenced once for the whole run."""
+        """One WordBatch per word, from the words' plan, once every name it
+        needs is bound.  An overflowed or NaN value is a guarded error row,
+        so numpy's floating-point warnings are silenced once for the whole
+        run."""
         plan = _PLANS.get(words, frozenset(self.columns))
+        self.check_bindings(plan)
         parts: list[_Part | None] = [None] * len(plan.nodes)
         with np.errstate(all="ignore"):
             self._symbols(plan, parts)
@@ -649,90 +655,45 @@ class _BatchRun:
     def _table(self, plan: _Plan):
         """The decompositions of every symbol index of the plan in every
         environment: eigenvalues and eigenvectors stacked with entry
-        ``plan.slot[index] * E + e`` for environment e of E, the dtype each
-        index's eigenvectors stack to across environments, and two
-        entry-error arrays (None: no entry failed).  An environment whose
-        matrix is unbound gets the identity's decomposition and its error in
-        ``missing``; one whose matrix fails to decompose, the identity's and
-        its error in ``failed``."""
-        decs, missing, failed = [], {}, {}
-        for index in plan.slot:
-            for env in self.envs:
-                try:
-                    decs.append(env.matrix(index).decomposition())
-                    continue
-                except UnboundNameError as exc:
-                    missing[len(decs)] = exc
-                except SpectralError as exc:
-                    failed[len(decs)] = exc
-                decs.append(SpectralDecomposition(np.ones(self.dim), np.eye(self.dim)))
-
-        def errors(found: dict):
-            if not found:
-                return None
-            out = no_errors(len(decs))
-            for entry, exc in found.items():
-                out[entry] = exc
-            return out
-
+        ``plan.slot[index] * E + e`` for environment e of E, and the dtype
+        each index's eigenvectors stack to across environments.  A matrix
+        that fails to decompose raises its error."""
+        decs = [env.matrix(index).decomposition() for index in plan.slot for env in self.envs]
         count = len(self.envs)
         vectors = [d.eigenvectors for d in decs]
         dtypes = [np.result_type(*vectors[j:j + count]) for j in range(0, len(decs), count)]
-        return (np.array([d.eigenvalues for d in decs]), np.array(vectors), dtypes,
-                errors(missing), errors(failed))
+        return np.array([d.eigenvalues for d in decs]), np.array(vectors), dtypes
 
     def _symbols(self, plan: _Plan, parts: list) -> None:
         """Every symbol node of the plan, raised in one ``power_stack`` call
-        (one per eigenvector dtype) and sliced back per node.
-
-        A binding fails with its matrix's unbound error, else its
-        exponent's, else its matrix's decomposition error: the order in
-        which ``evaluate`` meets them."""
+        (one per eigenvector dtype) and sliced back per node."""
         if not plan.symbols:
             return
-        lam, u, dtypes, missing, failed = self._table(plan)
+        lam, u, dtypes = self._table(plan)
         count = len(self.envs)
-        pending: dict = {}  # per dtype: (node position, group, table entries, alpha, errors)
+        pending: dict = {}  # per dtype: (node position, group, table entries, alpha)
         for i in plan.symbols:
             node = plan.nodes[i]
             group = self.group_of(node)
-            m = 1 if group is None else len(group.first)
             slot = plan.slot[node.word.index]
             entries = (slot * count + self.column(group, _INSTANCE) if self.multi
-                       else np.full(m, slot, dtype=np.intp))
-            errors = None if missing is None else _some(missing[entries])
-            try:
-                alpha = self.exponent(node, group)
-            except UnboundNameError as exc:
-                alpha = 1.0
-                errors = flag_errors(_fit(errors, m), np.ones(m, dtype=bool), lambda _: exc)
-            if failed is not None:
-                errors = first_errors(errors, _some(failed[entries]))
-            if errors is not None and not any_set(healthy(errors)):
-                # no binding left to raise
-                parts[i] = _Part(np.broadcast_to(np.eye(self.dim), (m, self.dim, self.dim)),
-                                 errors, group)
-                continue
-            pending.setdefault(dtypes[slot], []).append((i, group, entries, alpha, errors))
+                       else np.full(1 if group is None else len(group.first), slot,
+                                    dtype=np.intp))
+            pending.setdefault(dtypes[slot], []).append(
+                (i, group, entries, self.exponent(node, group)))
         for dtype, stacked in pending.items():
-            entries = np.concatenate([node_entries for _, _, node_entries, _, _ in stacked])
+            entries = np.concatenate([node_entries for _, _, node_entries, _ in stacked])
             vectors = u[entries]
             if vectors.dtype != dtype:  # a real index among complex ones
                 vectors = np.ascontiguousarray(vectors.real)
             alpha = np.empty(len(entries))
-            errors = None
             start = 0
-            for _, _, node_entries, node_alpha, node_errors in stacked:
-                end = start + len(node_entries)
-                alpha[start:end] = node_alpha
-                if node_errors is not None:
-                    if errors is None:
-                        errors = no_errors(len(entries))
-                    errors[start:end] = node_errors
-                start = end
-            values, _, errors = power_stack(lam[entries], vectors, alpha, errors)
+            for _, _, node_entries, node_alpha in stacked:
+                alpha[start:start + len(node_entries)] = node_alpha
+                start += len(node_entries)
+            values, _, errors = power_stack(lam[entries], vectors, alpha, None)
             start = 0
-            for i, group, node_entries, _, _ in stacked:
+            for i, group, node_entries, _ in stacked:
                 end = start + len(node_entries)
                 parts[i] = _Part(values[start:end],
                                  None if errors is None else _some(errors[start:end]), group)
@@ -754,16 +715,7 @@ class _BatchRun:
         base = parts[node.args[0]]
         group = self.group_of(node)
         sym, errors = _hermitize(base.values, base.errors, "power base")
-        try:
-            alpha = self.exponent(node, group)
-        except UnboundNameError as exc:
-            # one row per binding of this node, whose names may be more than
-            # its base's; the base's errors come first
-            sym, errors = self.aligned(_Part(sym, errors, base.group), group)
-            m = 1 if group is None else len(group.first)
-            sym = np.broadcast_to(sym, (m,) + sym.shape[1:])
-            return _Part(sym, flag_errors(_fit(errors, m), np.ones(m, dtype=bool),
-                                          lambda i: exc), group)
+        alpha = self.exponent(node, group)
         lam, u, errors = decompose_stack(sym, errors)
         if base.group is not None and base.group is not group:
             idx = base.group.inverse[group.first]
@@ -806,7 +758,10 @@ def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
     node, and every symbol of the run is raised in one stacked power.  A
     binding that fails a guard (pd gate, eigensolver residuals,
     Hermiticity, a non-finite value) becomes an error row without affecting
-    the others.
+    the others.  A matrix or scalar name that the words need and some
+    environment or column leaves unbound raises UnboundNameError before
+    anything is evaluated, and a bound matrix that fails to decompose
+    raises its SpectralError: neither is a row error.
 
     ``word`` may also be a tuple of words, evaluated in one run: a node
     object that several of them contain is evaluated (and a power base
@@ -831,6 +786,5 @@ def evaluate(word: OperatorWord, env: Environment) -> HermitianMatrix:
     negative exponents.
     """
     batch = evaluate_batch(word, env)
-    if batch.errors[0] is not None:
-        raise batch.errors[0]
+    raise_first(batch.row_errors)
     return HermitianMatrix.trusted(batch.values[0])

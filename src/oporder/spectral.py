@@ -344,12 +344,22 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     """Guarded eigendecomposition of a stack of Hermitian matrices.
 
     Returns (eigenvalues (M, d) ascending, eigenvectors (M, d, d), errors).
-    A row fails with NonFiniteError when an entry is inf or NaN, and with
-    EigenSolverError when LAPACK does not converge, when its eigenvectors
-    are not orthonormal within ORTHO_TOL, or when they do not reconstruct
-    the input within RECON_RTOL * max(1, |lambda|max)."""
+    A row fails with NonFiniteError when an entry or an eigenvalue is inf
+    or NaN, and with EigenSolverError when LAPACK does not converge, when
+    its eigenvectors are not orthonormal within ORTHO_TOL, or when they do
+    not reconstruct the input within RECON_RTOL * max(1, |lambda|max).  A
+    row with a non-finite eigenvalue takes the identity's decomposition
+    before its residuals are taken, as an unhealthy row is solved as the
+    identity: their products would meet inf * 0."""
     dim = arrs.shape[-1]
     (lam, u), errors, work = _solve_stack(np.linalg.eigh, arrs, errors)
+    finite = np.isfinite(lam)
+    if np.count_nonzero(finite) != finite.size:
+        bad = ~finite.all(axis=-1)
+        errors = flag_errors(errors, bad, lambda i: NonFiniteError("eigenvalue"))
+        keep = ~bad[:, None]
+        lam, u = np.where(keep, lam, 1.0), np.where(keep[..., None], u, _eye(dim))
+        work = np.where(keep[..., None], work, _eye(dim))
     # a stacked matmul by a contiguous copy of the adjoint runs 3-4x faster
     # than one by the strided view for d = 2-4; so does the product in
     # power_stack.  The two gave identical bits for d <= 8 with OpenBLAS,
@@ -461,11 +471,11 @@ class WordBatch:
     (``known``).  Every comparison side is one.
 
     ``values[i]`` is the Hermitian value of row i, or the identity where
-    that row failed; ``errors[i]`` is None or the exception of the first
-    node that failed for it in depth-first, left-to-right order, the one
-    ``dsl.evaluate`` raises for the same binding.  ``row_errors`` holds the
-    same errors, or None while no row failed: the form the stacked
-    primitives take and return.
+    that row failed.  ``row_errors`` is None while no row failed, else the
+    (N,) row-error array of the stacked primitives: entry i is None or the
+    exception of the first node that failed for row i in depth-first,
+    left-to-right order, the one ``dsl.evaluate`` raises for the same
+    binding.
 
     ``distinct`` is (first, inverse): the rows ``first`` hold the
     distinct values, and row i holds that of ``values[first[inverse[i]]]``.
@@ -491,21 +501,6 @@ class WordBatch:
         batch = cls(values, None, (rows, rows))
         vars(batch)["spectrum"] = (eigenvalues, None)
         return batch
-
-    @cached_property
-    def errors(self) -> np.ndarray:
-        """(N,) object array of each row's error or None."""
-        if self.row_errors is None:
-            return no_errors(len(self.values))
-        return self.row_errors
-
-    @property
-    def error_mask(self) -> np.ndarray:
-        return failed_rows(self.row_errors, len(self.values))
-
-    def error_text(self, i: int) -> str | None:
-        err = self.errors[i]
-        return None if err is None else str(err)
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:

@@ -33,6 +33,7 @@ from .spectral import (
     SpectralDecomposition,
     Verdict,
     WordBatch,
+    any_set,
     classify_stack,
     decompose_stack,
     failed_rows,
@@ -43,6 +44,7 @@ from .spectral import (
     loewner_compare,
     margins_hold,
     matrix_to_json,
+    no_errors,
     operator_norm,
     positivity_margin,
     raise_first,
@@ -76,7 +78,7 @@ def _identity_batch(dim: int) -> WordBatch:
     """I as a comparison side of one row; its spectrum, all ones, is exact.
     Every caller shares it, so its arrays are read-only."""
     batch = WordBatch.known(np.eye(dim)[None], np.ones((1, dim)))
-    for arr in (batch.values, batch.errors, batch.spectrum[0]):
+    for arr in (batch.values, batch.spectrum[0]):
         arr.setflags(write=False)
     return batch
 
@@ -522,14 +524,16 @@ class MarginTable:
     point, margin, scale and verdict, and a mode's extra columns (w and
     seconds in a campaign, c_total in the reduction), to an array with one
     entry per row: ``check`` indexes ``checks``, ``point`` that check's
-    points and ``verdict`` VERDICTS.  ``errors`` maps each ERROR row to its
-    error text; such a row has a NaN margin, scale 1 and NaN extra columns
-    but seconds (``judged``).
+    points and ``verdict`` VERDICTS.  ``errors`` is the row-error array
+    the table was judged with, None while no row failed: entry i is None
+    or the exception of ERROR row i, which has a NaN margin, scale 1 and
+    NaN extra columns but seconds (``judged``).  A row's error text is
+    formatted only when it is read (``error_text``).
     """
 
     checks: tuple
     columns: dict[str, np.ndarray]
-    errors: dict[int, str]
+    errors: np.ndarray | None
     tol_rel: float
 
     @classmethod
@@ -537,8 +541,8 @@ class MarginTable:
                **extra) -> "MarginTable":
         """A table of the given columns under the ERROR convention: each row
         with an error in ``errors`` (a row-error array, or None when no row
-        failed) gets a NaN margin and NaN extra columns, scale 1, verdict
-        ERROR and its error text.  ``verdict`` holds classify_stack codes."""
+        failed) gets a NaN margin and NaN extra columns, scale 1 and verdict
+        ERROR.  ``verdict`` holds classify_stack codes."""
         columns = {"check": check, "point": point, "margin": margin, "scale": scale,
                    "verdict": verdict, **extra}
         bad = np.flatnonzero(failed_rows(errors, len(margin)))
@@ -548,7 +552,7 @@ class MarginTable:
             for name, fill in fills.items():
                 col = columns[name] = columns[name].copy()
                 col[bad] = fill
-        return cls(tuple(checks), columns, {i: str(errors[i]) for i in bad.tolist()}, tol_rel)
+        return cls(tuple(checks), columns, errors if len(bad) else None, tol_rel)
 
     @classmethod
     def concat(cls, tables: Sequence["MarginTable"]) -> "MarginTable":
@@ -556,10 +560,10 @@ class MarginTable:
         tol_rel."""
         if len(tables) == 1:
             return tables[0]
-        errors, offset = {}, 0
-        for table in tables:
-            errors.update((offset + i, text) for i, text in table.errors.items())
-            offset += len(table)
+        errors = None
+        if any(t.errors is not None for t in tables):
+            errors = np.concatenate([no_errors(len(t)) if t.errors is None else t.errors
+                                     for t in tables])
         first = tables[0]
         columns = {name: np.concatenate([t.columns[name] for t in tables])
                    for name in first.columns}
@@ -567,12 +571,11 @@ class MarginTable:
 
     def take(self, rows: np.ndarray) -> "MarginTable":
         """The rows at the indices ``rows``, in that order."""
-        errors = {}
-        if self.errors:
-            errors = {new: self.errors[old] for new, old in enumerate(rows.tolist())
-                      if old in self.errors}
-        return MarginTable(self.checks, {name: col[rows] for name, col in self.columns.items()},
-                           errors, self.tol_rel)
+        columns = {name: col[rows] for name, col in self.columns.items()}
+        errors = self.errors
+        if errors is not None:
+            errors = errors[rows] if any_set(columns["verdict"] == ERROR_CODE) else None
+        return MarginTable(self.checks, columns, errors, self.tol_rel)
 
     def __len__(self) -> int:
         return len(self.columns["margin"])
@@ -581,6 +584,11 @@ class MarginTable:
     def error_rows(self) -> np.ndarray:
         """Mask of the ERROR rows."""
         return self.columns["verdict"] == ERROR_CODE
+
+    def error_text(self, i: int) -> str | None:
+        """The error text of row i; None unless it is an ERROR row."""
+        error = None if self.errors is None else self.errors[i]
+        return None if error is None else str(error)
 
     def holds(self, tol_rel: float | None = None) -> np.ndarray:
         """Per-row pass mask at tol_rel (default: the table's); the NaN
@@ -608,7 +616,7 @@ class MarginTable:
         extra = dict(zip(self.columns, values))
         check = self.checks[extra.pop("check")]
         return MarginRow(check, check.points[extra.pop("point")], extra.pop("margin"),
-                         extra.pop("scale"), VERDICTS[extra.pop("verdict")], self.errors.get(i),
+                         extra.pop("scale"), VERDICTS[extra.pop("verdict")], self.error_text(i),
                          extra)
 
 
@@ -667,11 +675,13 @@ class CampaignReport:
     def summary(self) -> dict:
         table = self.table
         passed = int(np.count_nonzero(table.holds()))
-        finite = table.columns["margin"][~table.error_rows]
+        errors = table.error_rows
+        finite = table.columns["margin"][~errors]
         return {
             "rows": len(table),
             "pass": passed,
             "fail": len(table) - passed,
+            "error": int(np.count_nonzero(errors)),
             "worst_margin": min(finite.tolist()) if len(finite) else float("nan"),
         }
 
@@ -932,7 +942,8 @@ def _probe_table(words, env: dsl.Environment, check: Comparison, lo: int, hi: in
     to the check's name, the first against the second in one stacked
     comparison."""
     lhs, rhs = dsl.evaluate_batch(words, env, {check.name: check.points[lo:hi]})
-    ge, le, scale, errors = scaled_margins_stack(lhs, rhs, first_errors(lhs.errors, rhs.errors))
+    ge, le, scale, errors = scaled_margins_stack(lhs, rhs,
+                                                 first_errors(lhs.row_errors, rhs.row_errors))
     return MarginTable.judged((check,), np.zeros(hi - lo, np.intp), np.arange(lo, hi), ge, scale,
                               classify_stack(ge, le, scale, tol_rel), errors, tol_rel)
 
@@ -1292,8 +1303,8 @@ def limit_probe(
     env = dsl.Environment(scalars={"t1": 1.0, "p1": 1.0}, matrices={1: a1, 2: a2})
     core = dsl.evaluate_batch(chains.reduction_words(3)[0], env)
     lam_stack, errors = core.spectrum
-    failure = first_errors(core.errors, errors)[0]
-    error = None if failure is None else str(failure)
+    errors = first_errors(core.row_errors, errors)
+    error = None if errors is None else str(errors[0])
     lam = math.nan if error else float(lam_stack[0, -1])
     if c is None:
         c = math.nan if error else max(1.0, lam)

@@ -352,15 +352,15 @@ class TestEvaluateBatch:
         first, inverse = _expected_distinct(word, rows, np.zeros(count, dtype=np.intp))
         assert (batch.distinct[0].tolist(), batch.distinct[1].tolist()) == \
             (first.tolist(), inverse.tolist())
+        errors = error_rows(batch.row_errors, count)
         for i in range(count):
             scalars = dict(constants, **{name: float(col[i]) for name, col in rows.items()})
             try:
                 want = evaluate(word, Environment(scalars=scalars, matrices=matrices)).entries
             except (SpectralError, EvaluationError) as exc:
-                assert type(batch.errors[i]) is type(exc)
-                assert batch.error_text(i) == str(exc)
+                assert errors[i] == (type(exc), str(exc))
                 continue
-            assert batch.errors[i] is None
+            assert errors[i] is None
             assert batch.values[i].tobytes() == want.tobytes()
 
     @settings(max_examples=80, deadline=None)
@@ -383,17 +383,27 @@ class TestEvaluateBatch:
         instance = rng.integers(0, len(envs), count)
         per_row = [name for name in ("p1", "p2", "w1") if rng.random() < 0.6] or ["p1"]
         rows = {name: rng.choice(self._ROW_VALUES, count) for name in per_row}
-        batch = evaluate_batch(word, envs, rows, instance)
+        try:
+            batch = evaluate_batch(word, envs, rows, instance)
+        except UnboundNameError as exc:
+            # p1 or p2 without a column: every environment binds the same
+            # names, so each one's rows alone raise the same error
+            for j, env in enumerate(envs):
+                mine = np.flatnonzero(instance == j)
+                if len(mine):
+                    with pytest.raises(UnboundNameError) as alone:
+                        evaluate_batch(word, env, {name: col[mine] for name, col in rows.items()})
+                    assert str(alone.value) == str(exc)
+            return
         assert batch.values.shape == (count, 3, 3)
+        errors = error_rows(batch.row_errors, count)
         for j, env in enumerate(envs):
             mine = np.flatnonzero(instance == j)
             if not len(mine):
                 continue
             alone = evaluate_batch(word, env, {name: col[mine] for name, col in rows.items()})
             assert batch.values[mine].tobytes() == alone.values.tobytes()
-            assert [batch.error_text(i) for i in mine] == \
-                [alone.error_text(i) for i in range(len(mine))]
-            assert [type(batch.errors[i]) for i in mine] == [type(e) for e in alone.errors]
+            assert [errors[i] for i in mine] == error_rows(alone.row_errors, len(mine))
 
     def test_per_row_environments_are_checked(self):
         one = diag_env({"r": 1.0}, {1: [1.0, 2.0]})
@@ -406,12 +416,11 @@ class TestEvaluateBatch:
         with pytest.raises(ValueError, match="same scalar names"):
             evaluate_batch(parse("A1"), [one, diag_env({"r": 1.0}, {1: [1.0]})], instance=[0, 1])
 
-    def test_unbound_exponent_name_fails_every_row(self):
+    def test_unbound_exponent_name_raises(self):
         env = diag_env({}, {1: [1.0, 2.0], 2: [3.0, 1.0]})
         word = parse("A2 (A1 A1)^{p1+p2} A2")
-        batch = evaluate_batch(word, env, {"p1": np.array([1.0, 4.0, 1.0])})
-        assert batch.values.shape == (3, 2, 2)
-        assert all(isinstance(e, UnboundNameError) for e in batch.errors)
+        with pytest.raises(UnboundNameError, match="^scalar name 'p2' is not bound$"):
+            evaluate_batch(word, env, {"p1": np.array([1.0, 4.0, 1.0])})
 
     def test_one_instance_takes_the_single_environment_path(self):
         env = diag_env({"r": 0.5}, {1: [4.0, 9.0]})
@@ -422,8 +431,7 @@ class TestEvaluateBatch:
     def test_error_rows_are_identity_and_masked(self):
         env = diag_env({}, {1: [0.0, 1.0]})
         batch = evaluate_batch(parse("A1^{p1}"), env, {"p1": np.array([2.0, 0.5, 2.0])})
-        assert batch.error_mask.tolist() == [False, True, False]
-        assert isinstance(batch.errors[1], NearSingularError)
+        assert [type(e) for e in batch.row_errors] == [type(None), NearSingularError, type(None)]
         assert np.array_equal(batch.values[1], np.eye(2))
         assert np.allclose(batch.values[0], np.diag([0.0, 1.0]))
 
@@ -451,6 +459,81 @@ def _expected_distinct(word, rows: dict, instance: np.ndarray):
             np.array([order.index(key) for key in keys]))
 
 
+def _symbol_indices(word) -> set[int]:
+    """The matrix indices of a word's symbols."""
+    if isinstance(word, Symbol):
+        return {word.index}
+    if isinstance(word, Power):
+        return _symbol_indices(word.base)
+    return set().union(*(_symbol_indices(f) for f in word.factors))
+
+
+class TestUnboundBindings:
+    """A run that leaves a matrix or a name unbound raises, before it
+    evaluates anything, the error that ``evaluate`` raises under the first
+    environment that lacks the binding; the bindings are checked on every
+    call, also when the plan comes from the cache."""
+
+    _NAMES = ("r", "t1", "t2", "t3", "p1", "p2", "p3", "p4", "w1", "w2")
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), envs=st.integers(1, 3), cached=st.booleans())
+    def test_one_dropped_binding_raises_what_evaluate_raises(self, seed, envs, cached):
+        rng = np.random.default_rng(seed)
+        word = random_word(rng)
+        per_row = [name for name in self._NAMES if rng.random() < 0.3]
+        instance = None
+        count = int(rng.integers(1, 4))
+        if envs > 1:
+            instance = rng.permutation(np.repeat(np.arange(envs), rng.integers(1, 3, envs)))
+            count = len(instance)
+        rows = {name: rng.choice([0.5, 1.0, 2.0], count) for name in per_row}
+        scalars = {name: float(rng.uniform(0.1, 2.0)) for name in self._NAMES
+                   if name not in per_row}
+        full = [Environment(scalars, {i: HermitianMatrix(random_spd_array(rng, 2))
+                                      for i in range(1, 6)}) for _ in range(envs)]
+        drops = [(j, index) for j in range(envs) for index in sorted(_symbol_indices(word))]
+        drops += [(None, name) for name in sorted(_free_names(word)) if name in scalars]
+        j, dropped = drops[int(rng.integers(0, len(drops)))]
+        if j is None:  # a name every environment binds
+            less = [Environment({n: v for n, v in scalars.items() if n != dropped}, e.matrices)
+                    for e in full]
+            j = 0
+        else:
+            less = list(full)
+            less[j] = Environment(scalars, {i: m for i, m in full[j].matrices.items()
+                                            if i != dropped})
+        row = 0 if instance is None else int(np.flatnonzero(instance == j)[0])
+        lacking = Environment({**less[j].scalars,
+                               **{name: float(col[row]) for name, col in rows.items()}},
+                              less[j].matrices)
+        with pytest.raises(UnboundNameError) as want:
+            evaluate(word, lacking)
+
+        def run(environments):
+            return evaluate_batch(word, environments if envs > 1 else environments[0],
+                                  rows, instance)
+
+        if cached:
+            run(full)  # compiles the plan and evaluates every row
+        calls = {"compile": 0, "power": 0, "decompose": 0}
+
+        def counting(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dsl, "_compile", counting("compile", dsl._compile))
+            patch.setattr(dsl, "power_stack", counting("power", dsl.power_stack))
+            patch.setattr(dsl, "decompose_stack", counting("decompose", dsl.decompose_stack))
+            with pytest.raises(UnboundNameError) as got:
+                run(less)
+        assert str(got.value) == str(want.value)
+        assert calls == {"compile": 0 if cached else 1, "power": 0, "decompose": 0}
+
+
 @settings(max_examples=200, deadline=None)
 @given(values=st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.5, 2.0, np.inf, -np.inf, np.nan]),
                        max_size=12),
@@ -468,9 +551,10 @@ def test_groups_take_the_first_rows_and_codes_of_np_unique(values, integers):
 class TestSlotWordRuns:
     """Runs of the slot words that campaigns evaluate (``chains.slot_words``),
     over 1-4 environments of 1-4 rows each, against one evaluation per row.
-    Chosen rows fail at each guard: an unbound matrix or name, the pd gate,
-    an overflowed power or product, a non-Hermitian power base or word value
-    (the parsed words below) and, when judged, a weight w <= 0."""
+    Chosen rows fail at each guard: the pd gate, an overflowed power or
+    product, a non-Hermitian power base or word value (the parsed words
+    below) and, when judged, a weight w <= 0.  Some runs leave one matrix of
+    one environment, or the column w, unbound, and raise instead."""
 
     _P_VALUES = (1.0, 1.5, 2.0, 4.0, 64.0)
     _W_VALUES = (0.3, 0.5, 0.9, 0.0, -0.5)
@@ -479,14 +563,12 @@ class TestSlotWordRuns:
     def _environment(rng, k: int, dim: int, complex_field: bool) -> Environment:
         n = k // 2
         matrices = {i: random_hermitian(rng, dim, complex_field) for i in range(1, 2 * n + 2)}
-        kind = rng.choice(["plain", "plain", "singular", "huge", "unbound", "commuting"])
+        kind = rng.choice(["plain", "plain", "singular", "huge", "commuting"])
         slot = int(rng.integers(1, 2 * n + 2))
         if kind == "singular":    # fails the pd gate at fractional exponents
             matrices[slot] = random_hermitian(rng, dim, complex_field, (1e-13, 0.5, 1.5, 2.5))
         elif kind == "huge":      # overflows in large powers and products
             matrices[slot] = random_hermitian(rng, dim, complex_field, (1.0, 1e60, 1e90, 1e30))
-        elif kind == "unbound":
-            del matrices[slot]
         elif kind == "commuting":  # makes A1 A2 Hermitian
             matrices[2] = HermitianMatrix(matrices[1].entries @ matrices[1].entries)
         t = tuple(float(v) for v in rng.uniform(0.05, 0.95, n))
@@ -508,35 +590,55 @@ class TestSlotWordRuns:
         rows = {f"p{j}": rng.choice(self._P_VALUES, count, p=(0.3, 0.2, 0.2, 0.2, 0.1))
                 for j in range(1, 2 * n + 1)}
         w = rng.choice(self._W_VALUES, count, p=(0.3, 0.3, 0.2, 0.1, 0.1))
-        if rng.random() < 0.9:
+        drop = rng.random()
+        if drop >= 0.1:
             rows["w"] = w  # else every rhs row has the unbound name w
+        if drop >= 0.9:  # one environment without one of its matrices
+            j = int(rng.integers(0, envs))
+            matrices = dict(environments[j].matrices)
+            del matrices[int(rng.integers(1, 2 * n + 2))]
+            environments[j] = Environment(environments[j].scalars, matrices)
         lhs_word, rhs_word = chains.slot_words(k)
         words = (rhs_word, lhs_word, parse("(A1 A2)^{p1}"), parse("A2 A1^{p1} A1^{p1}"))
-        batches = evaluate_batch(words, environments, rows, instance)
 
         def row_env(i: int) -> Environment:
             env = environments[int(instance[i])]
             scalars = {**env.scalars, **{name: float(col[i]) for name, col in rows.items()}}
             return Environment(scalars, env.matrices)
 
+        unbound = set()
+        for i in range(count):
+            for word in words:
+                try:
+                    evaluate_batch(word, row_env(i))
+                except UnboundNameError as exc:
+                    unbound.add(str(exc))
+        if unbound:
+            # one binding is missing, so every row that lacks it raises alike
+            with pytest.raises(UnboundNameError) as raised:
+                evaluate_batch(words, environments, rows, instance)
+            assert {str(raised.value)} == unbound
+            return
+        batches = evaluate_batch(words, environments, rows, instance)
+
         for word, batch in zip(words, batches):
             first, inverse = _expected_distinct(word, rows, instance)
             assert batch.distinct[0].tolist() == first.tolist()
             assert batch.distinct[1].tolist() == inverse.tolist()
+            errors = error_rows(batch.row_errors, count)
             # a run builds no row-error array until one of its rows fails
-            assert (batch.row_errors is None) == all(e is None for e in batch.errors)
+            assert (batch.row_errors is None) == (errors == [None] * count)
             for i in range(count):
                 one = evaluate_batch(word, row_env(i))
                 assert (one.power_eigenvalues is None) == (batch.power_eigenvalues is None)
                 try:
                     want = evaluate(word, row_env(i)).entries
                 except (SpectralError, EvaluationError) as exc:
-                    assert type(batch.errors[i]) is type(exc)
-                    assert batch.error_text(i) == str(exc)
+                    assert errors[i] == (type(exc), str(exc))
                     identity = np.eye(dim, dtype=batch.values.dtype)
                     assert batch.values[i].tobytes() == identity.tobytes()
                     continue
-                assert batch.errors[i] is None
+                assert errors[i] is None
                 assert batch.values[i].tobytes() == want.tobytes()
                 if one.power_eigenvalues is not None:
                     assert batch.power_eigenvalues[inverse[i]].tobytes() == \
@@ -559,7 +661,7 @@ class TestSlotWordRuns:
             want = judge(one_lhs, one_rhs, w[i:i + 1], w_index[i:i + 1])
             for column in ("margin", "scale", "verdict", "w"):
                 assert got.columns[column][i].tobytes() == want.columns[column][0].tobytes()
-            assert got.errors.get(i) == want.errors.get(0)
+            assert got.error_text(i) == want.error_text(0)
             assert got.failures()[i] == want.failures()[0]
 
 
@@ -609,9 +711,7 @@ class TestSeveralWordsPerRun:
         for word, got in zip(words, together):
             alone = evaluate_batch(word, env(), rows, instance)
             assert got.values.tobytes() == alone.values.tobytes()
-            assert [type(e) for e in got.errors] == [type(e) for e in alone.errors]
-            assert [got.error_text(i) for i in range(count)] == \
-                [alone.error_text(i) for i in range(count)]
+            assert error_rows(got.row_errors, count) == error_rows(alone.row_errors, count)
 
     def test_single_word_keeps_its_return_type(self):
         env = diag_env({}, {1: [1.0, 2.0]})
@@ -694,7 +794,7 @@ class TestBatchSpectrum:
             assert lam.tobytes() == want_lam.tobytes()
             assert error_rows(errors, count) == error_rows(want_errors, count)
             for other in (_identity_batch(3), batches[0]):
-                for before in (None, batch.errors, incoming):
+                for before in (None, batch.row_errors, incoming):
                     for got, want in (
                             (scaled_margins_stack(other, batch, before),
                              full_spectrum_margins(other.values, batch.values, before)),
@@ -741,7 +841,7 @@ class TestBatchSpectrum:
         base = parse("A1 A1")
         rows = {"p1": np.array([1.0, 2.0])}
         _, got = evaluate_batch((Power(base, ScalarExpr.variable("p1")), base), env, rows)
-        assert not got.error_mask.any()
+        assert got.row_errors is None
         lam, errors = got.spectrum
         want_lam, _, want_errors = decompose_stack(got.values)
         assert lam.tobytes() == want_lam.tobytes()
@@ -807,7 +907,9 @@ class TestNormBound:
             bound = batch.norm_bound
             first, _ = batch.distinct
             lam, _, errors = decompose_stack(batch.values[first])
-            fine = ~batch.error_mask[first] & np.equal(errors, None)
+            fine = np.equal(errors, None)
+            if batch.row_errors is not None:
+                fine &= np.equal(batch.row_errors[first], None)
             assert np.all(spectral_norms(lam)[fine]
                           <= bound[fine] * (1 + dim * BOUND_SLACK_PER_DIM))
         incoming = no_errors(count)

@@ -54,11 +54,13 @@ def _per_member(instances, grid, chain_list, tol_rel):
             columns = {f"p{i + 1}": table[:, i] for i in range(2 * n)}
             columns[f"w{w_index}"] = w
             rhs, lhs = dsl.evaluate_batch((chain.rhs, chain.lhs), env, columns)
+            sides = [[None] * len(w) if side.row_errors is None else side.row_errors
+                     for side in (lhs, rhs)]
             errors = np.array(
                 [left if left is not None else right if right is not None
                  else dsl.EvaluationError(f"weight w{w_index} = {wv!r} is not positive")
                  if wv <= 0 else None
-                 for left, right, wv in zip(lhs.errors, rhs.errors, w.tolist())],
+                 for left, right, wv in zip(*sides, w.tolist())],
                 dtype=object)
             ge, le, scale, errors = scaled_margins_stack(lhs, rhs, errors)
             verdicts = classify_stack(ge, le, scale, tol_rel)
@@ -168,7 +170,7 @@ def _check_case(case, monkeypatch):
         assert (member.instance_id, member.family, member.member) == (
             str(j), chain_list[code].family.value, chain_list[code].member)
         assert cols["point"][row] == i
-        assert report.table.errors.get(row) == error
+        assert report.table.error_text(row) == error
         assert VERDICTS[cols["verdict"][row]] == verdict
         if error is None:
             margin = ge if chain_list[code].direction is Direction.GE else le
@@ -294,7 +296,7 @@ class TestCleanRunCost:
         table = verify._judge_members((None,), rows, rows, lhs, rhs, columns["w"],
                                       np.ones(3, np.intp), True, verify.TOL_REL,
                                       verify.SUITE_TOL_REL)
-        assert (lhs.row_errors, rhs.row_errors, table.errors) == (None, None, {})
+        assert (lhs.row_errors, rhs.row_errors, table.errors) == (None, None, None)
         # np.errstate once for the run, once for the comparison's margins
         # and once for the margins_hold of the verdicts; two power nodes and
         # the two sides' spectra decompose, and the symbols and two power

@@ -54,7 +54,7 @@ def _table(report) -> tuple:
     members = [(m.instance_id, m.k, m.dim, m.family, m.member, m.relation, tuple(m.points))
                for m in table.checks]
     columns = {name: _hex(col) for name, col in table.columns.items() if name != "seconds"}
-    return members, columns, table.errors
+    return members, columns, [table.error_text(i) for i in range(len(table))]
 
 
 def merge_reports(reports) -> CampaignReport:
@@ -95,7 +95,7 @@ def test_batched_campaign_is_the_merge_of_single_calls(case, stop_on_violation):
     bounds = np.cumsum([0] + [len(rep.rows) for rep in alone]).tolist()
     assert batched.instance_rows() == {
         inst.index: slice(lo, hi) for inst, lo, hi in zip(instances, bounds, bounds[1:])}
-    assert any(rep.table.errors for rep in alone)
+    assert any(rep.table.errors is not None for rep in alone)
     stopped = [rep.config.get("stopped_early", False) for rep in alone]
     assert batched.config.get("stopped_early", False) is any(stopped)
     if stop_on_violation:

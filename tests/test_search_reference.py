@@ -94,7 +94,7 @@ def deciding_rows():
                 float(cols["margin"][i]).hex(),
                 float(cols["scale"][i]).hex(),
                 verify.VERDICTS[int(cols["verdict"][i])],
-                table.errors.get(i),
+                table.error_text(i),
             ])
         return report
 

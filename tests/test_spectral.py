@@ -271,6 +271,22 @@ class TestStackedGuards:
             with pytest.raises(NonFiniteError):
                 spectral_decompose(p)
 
+    def test_infinite_eigenvalue_is_an_error_not_a_verdict(self):
+        # P's eigenvalue 2a overflows: its reconstruction tolerance would be
+        # inf and its residual NaN, so a violated order passed as EQ
+        a = 1e308
+        p = HermitianMatrix(np.array([[a, a], [a, a]]))
+        q = HermitianMatrix(np.array([[a, a], [a, 0.9 * a]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^eigenvalue is not finite$"):
+                loewner_compare(q, p)
+            with pytest.raises(NonFiniteError, match="^eigenvalue is not finite$"):
+                p.decomposition()
+            lam, u, errors = decompose_stack(np.stack([p.entries, np.diag([1.0, 2.0])]))
+        assert error_rows(errors, 2) == [(NonFiniteError, "eigenvalue is not finite"), None]
+        assert lam[1].tolist() == [1.0, 2.0] and np.array_equal(u[1], np.eye(2))
+
     def test_overflowing_power_raises(self):
         with np.errstate(over="ignore"):
             big = diagonal([1e200, 1.0])
@@ -422,8 +438,8 @@ class TestKnownSides:
         lam, errors = ident.spectrum
         assert lam.tolist() == [[1.0, 1.0, 1.0]] and errors is None
         assert lam.tobytes() == decompose_stack(ident.values)[0].tobytes()
-        assert not (ident.values.flags.writeable or lam.flags.writeable
-                    or ident.errors.flags.writeable)
+        assert ident.row_errors is None
+        assert not (ident.values.flags.writeable or lam.flags.writeable)
 
 
 class TestLoewnerHeinzLaw:

@@ -4,8 +4,9 @@
 names and raises all of the run's symbol nodes in one ``power_stack`` call.
 Here each symbol's value per row is rebuilt with one ``power_stack`` call
 per row, at the row's scalar exponent on its environment's decomposition,
-and compared bit for bit, error texts included.  The structural guards
-count the stacked calls of a search-shaped run and of the generator screen.
+and compared bit for bit, error texts included; a run that leaves a name
+unbound raises the first one in plan order.  The structural guards count
+the stacked calls of a search-shaped run and of the generator screen.
 """
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 from oporder import chains, dsl, spectral, verify
 from oporder.chains import ScalarExpr, Symbol
 from oporder.dsl import Environment, UnboundNameError, evaluate_batch
-from oporder.spectral import HermitianMatrix, SpectralError, power_stack
-from util import random_hermitian, random_scalar_expr
+from oporder.spectral import HermitianMatrix, power_stack
+from util import error_rows, random_hermitian, random_scalar_expr
 
 ROW_VALUES = (-0.5, 0.5, 1.0, 1.5, 2.0, 4.0, 8.0)
 SCALARS = ("r", "t1", "t2", "t3", "p1", "p2", "p3", "p4", "w1", "w2")
@@ -24,23 +25,30 @@ SCALARS = ("r", "t1", "t2", "t3", "p1", "p2", "p3", "p4", "w1", "w2")
 
 def _reference(symbol: Symbol, env: Environment, scalars: dict, dtype):
     """(value, error) of one symbol for one row: one power_stack call at the
-    row's scalar exponent, with the errors in the order evaluate meets them.
-    The eigenvectors take ``dtype``: complex when any environment binds the
-    symbol to a complex matrix, as a stack over the environments has it."""
-    try:
-        matrix = env.matrix(symbol.index)
-        try:
-            alpha = symbol.exponent.evaluate(scalars)
-        except KeyError as exc:
-            raise UnboundNameError(f"scalar name {exc.args[0]!r} is not bound") from None
-        dec = matrix.decomposition()
-    except (UnboundNameError, SpectralError) as exc:
-        return None, exc
+    row's scalar exponent.  The eigenvectors take ``dtype``: complex when
+    any environment binds the symbol to a complex matrix, as a stack over
+    the environments has it."""
+    dec = env.matrix(symbol.index).decomposition()
     # power_stack leaves floating-point warnings to its caller, as a run does
     with np.errstate(all="ignore"):
-        values, _, errors = power_stack(dec.eigenvalues[None],
-                                        dec.eigenvectors[None].astype(dtype), alpha, None)
+        values, _, errors = power_stack(dec.eigenvalues[None], dec.eigenvectors[None].astype(dtype),
+                                        symbol.exponent.evaluate(scalars), None)
     return values[0], None if errors is None else errors[0]
+
+
+def _first_unbound(symbols, envs, names) -> UnboundNameError | None:
+    """The error a run of the symbols raises when some binding is missing:
+    symbol by symbol, its matrix in each environment, then its exponent's
+    names in the order ``ScalarExpr.evaluate`` reads them."""
+    for symbol in symbols:
+        for env in envs:
+            if symbol.index not in env.matrices:
+                return UnboundNameError(f"matrix symbol A{symbol.index} is not bound")
+        try:
+            symbol.exponent.evaluate(dict.fromkeys(names, 1.0))
+        except KeyError as exc:
+            return UnboundNameError(f"scalar name {exc.args[0]!r} is not bound")
+    return None
 
 
 @settings(max_examples=120, deadline=None)
@@ -54,7 +62,8 @@ def test_stacked_symbol_power_equals_one_power_per_symbol(seed, dim, envs, field
 
     count = int(rng.integers(1, 8))
     per_row = [name for name in SCALARS if rng.random() < 0.4]
-    # a name that no environment binds makes its symbols unbound-name rows
+    # a name that no environment binds, and a matrix that one leaves
+    # unbound, make the run raise
     bound = [name for name in SCALARS if name not in per_row and rng.random() < 0.9]
     environments = []
     for _ in range(envs):
@@ -72,6 +81,9 @@ def test_stacked_symbol_power_equals_one_power_per_symbol(seed, dim, envs, field
         count = 1  # a run without columns has one row
     rows = {name: rng.choice(ROW_VALUES, count) for name in per_row}
     instance = rng.integers(0, envs, count) if envs > 1 else None
+    # one environment when every row names the same one
+    several = instance is not None and len(set(instance)) > 1
+    used = environments if several else [environments[0 if instance is None else instance[0]]]
     calls = []
 
     def counting(*args):
@@ -80,32 +92,35 @@ def test_stacked_symbol_power_equals_one_power_per_symbol(seed, dim, envs, field
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dsl, "power_stack", counting)
+        unbound = _first_unbound(symbols, used, [*per_row, *bound])
+        if unbound is not None:
+            with pytest.raises(UnboundNameError) as raised:
+                evaluate_batch(symbols, environments if envs > 1 else environments[0],
+                               rows, instance)
+            assert str(raised.value) == str(unbound) and calls == []
+            return
         batches = evaluate_batch(symbols, environments if envs > 1 else environments[0],
                                  rows, instance)
     # no symbol is cached on a fresh environment; one call per field, where
     # a real index takes the real path unless an environment binds it to a
-    # complex matrix, and a symbol with no binding left to raise takes no part
-    assert len(calls) <= (2 if field == "mixed" else 1)
-    for i in range(count):
-        env = environments[0 if instance is None else int(instance[i])]
-        scalars = {**env.scalars, **{name: float(col[i]) for name, col in rows.items()}}
-        for symbol, batch in zip(symbols, batches):
-            # one environment when every row names the same one
-            used = environments if instance is not None and len(set(instance)) > 1 else [env]
-            dtype = np.result_type(*(e.matrices[symbol.index].entries for e in used
-                                     if symbol.index in e.matrices), np.float64)
+    # complex matrix
+    assert len(calls) == (1 if field != "mixed" else len({b.values.dtype for b in batches}))
+    for symbol, batch in zip(symbols, batches):
+        errors = error_rows(batch.row_errors, count)
+        # a run builds no row-error array until one of its rows fails
+        assert (batch.row_errors is None) == (errors == [None] * count)
+        dtype = np.result_type(*(e.matrices[symbol.index].entries for e in used), np.float64)
+        for i in range(count):
+            env = environments[0 if instance is None else int(instance[i])]
+            scalars = {**env.scalars, **{name: float(col[i]) for name, col in rows.items()}}
             want, error = _reference(symbol, env, scalars, dtype)
             if error is not None:
-                assert type(batch.errors[i]) is type(error)
-                assert batch.error_text(i) == str(error)
+                assert errors[i] == (type(error), str(error))
                 assert np.array_equal(batch.values[i], np.eye(dim))
             else:
-                assert batch.errors[i] is None
+                assert errors[i] is None
                 assert batch.values[i].dtype == want.dtype
                 assert batch.values[i].tobytes() == want.tobytes()
-    for batch in batches:
-        # a run builds no row-error array until one of its rows fails
-        assert (batch.row_errors is None) == all(e is None for e in batch.errors)
 
 
 def test_near_singular_matrix_fails_only_its_environment():
@@ -115,23 +130,34 @@ def test_near_singular_matrix_fails_only_its_environment():
     word = Symbol(1, ScalarExpr.variable("p1"))
     batch = evaluate_batch(word, [healthy, singular], {"p1": np.array([0.5, 0.5, 2.0])},
                            instance=[0, 1, 1])
-    assert batch.errors[0] is None and batch.errors[2] is None
-    assert isinstance(batch.errors[1], spectral.NearSingularError)
-    assert batch.error_text(1).startswith("matrix is numerically singular")
+    errors = error_rows(batch.row_errors, 3)
+    assert errors[0] is None and errors[2] is None
+    assert errors[1][0] is spectral.NearSingularError
+    assert errors[1][1].startswith("matrix is numerically singular")
 
 
 def test_unbound_matrix_comes_before_an_unbound_exponent():
-    # the order evaluate meets them in, under one environment or several
+    # the order evaluate meets them in, under one environment or several:
+    # a symbol's matrix in every environment, then its exponent, node by
+    # node with children before parents
     rng = np.random.default_rng(4)
     with_a1 = Environment({}, {1: random_hermitian(rng, 2, False),
                                2: random_hermitian(rng, 2, False)})
     without = Environment({}, {2: random_hermitian(rng, 2, False)})
     word = Symbol(1, ScalarExpr.variable("s"))
-    batch = evaluate_batch(word, [with_a1, without], instance=[0, 1])
-    assert batch.error_text(0) == "scalar name 's' is not bound"
-    assert batch.error_text(1) == "matrix symbol A1 is not bound"
-    with pytest.raises(UnboundNameError, match="matrix symbol A1"):
+    with pytest.raises(UnboundNameError, match="^scalar name 's' is not bound$"):
+        evaluate_batch(word, with_a1)
+    for env, instance in (([with_a1, without], [0, 1]), ([without, with_a1], [1, 0]),
+                          (without, None)):
+        with pytest.raises(UnboundNameError, match="^matrix symbol A1 is not bound$"):
+            evaluate_batch(word, env, instance=instance)
+    with pytest.raises(UnboundNameError, match="^matrix symbol A1 is not bound$"):
         dsl.evaluate(word, without)
+    for text, error in (("A1^{p1} A3", "scalar name 'p1'"), ("A3 A1^{p1}", "matrix symbol A3"),
+                        ("(A2 A3)^{p1}", "matrix symbol A3"),
+                        ("(A2 A2)^{p1} A3", "scalar name 'p1'")):
+        with pytest.raises(UnboundNameError, match=f"^{error} is not bound$"):
+            evaluate_batch(dsl.parse_word(text), with_a1)
 
 
 def test_distinct_word_tuples_never_share_a_plan():

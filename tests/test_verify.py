@@ -40,7 +40,7 @@ from oporder.verify import (
     search_counterexample,
 )
 from oporder import verify
-from util import full_spectrum_margins, reduction_points, scalar_word_value
+from util import error_rows, full_spectrum_margins, reduction_points, scalar_word_value
 
 
 class TestOperatorTuple:
@@ -702,7 +702,7 @@ class TestReductionChain:
         rep = check_reduction_chain(tup, template, PGrid(values=(1.0, 2.0)),
                                     policy=WeightPolicy.fixed([0.5, 0.5]))
         assert (rep.premise_failures, rep.premise_errors) == (0, 4)
-        assert not rep.premise_pass and not rep.table.errors
+        assert not rep.premise_pass and rep.table.errors is None
 
     def test_one_run_per_chunk_and_the_base_decomposed_once_per_p1(self, monkeypatch):
         from oporder import dsl, spectral
@@ -881,7 +881,8 @@ class TestMarginTable:
 
     def test_judged_blanks_error_rows_and_keeps_its_inputs(self):
         table, (margin, scale, w) = self.table()
-        assert table.errors == {1: "boom"}
+        assert error_rows(table.errors, 3) == [None, (ValueError, "boom"), None]
+        assert [table.error_text(i) for i in range(3)] == [None, "boom", None]
         assert [repr(v) for v in table.columns["margin"].tolist()] == ["0.5", "nan", "-2.0"]
         assert [repr(v) for v in table.columns["w"].tolist()] == ["0.1", "nan", "0.3"]
         assert table.columns["scale"].tolist() == [1.0, 1.0, 3.0]
@@ -896,7 +897,14 @@ class TestMarginTable:
     def test_take_and_concat_keep_each_rows_error_text(self):
         table, _ = self.table()
         both = verify.MarginTable.concat([table, table.take(np.array([2, 1]))])
-        assert both.errors == {1: "boom", 4: "boom"}
+        assert [both.error_text(i) for i in range(5)] == [None, "boom", None, None, "boom"]
+        assert [row.error for row in both.rows] == [None, "boom", None, None, "boom"]
+        # a table keeps no row-error array while none of its rows failed
+        clean = table.take(np.array([0, 2]))
+        assert clean.errors is None and [row.error for row in clean.rows] == [None, None]
+        assert verify.MarginTable.concat([clean, clean]).errors is None
+        assert error_rows(verify.MarginTable.concat([clean, table]).errors, 5) == \
+            [None, None, None, (ValueError, "boom"), None]
         assert [row.point for row in both.rows] == [1.0, 2.0, 4.0, 4.0, 2.0]
 
 
@@ -985,7 +993,7 @@ class TestCampaignReport:
                        "seconds": [0.0]}
             table = verify.MarginTable((member,), {name: np.asarray(col)
                                                    for name, col in columns.items()},
-                                       {}, tol_rel)
+                                       None, tol_rel)
             return CampaignReport(table, {}, 0)
 
         rep = report(verify.SUITE_TOL_REL)
@@ -1002,4 +1010,5 @@ class TestCampaignReport:
         summary = rep.summary()
         assert summary["rows"] == len(rep.rows)
         assert summary["pass"] + summary["fail"] == summary["rows"]
+        assert summary["error"] == sum(row.verdict == "ERROR" for row in rep.rows)
         assert summary["worst_margin"] <= max(r.margin for r in rep.rows)

@@ -169,7 +169,7 @@ def reduction_points(report) -> list[dict]:
     assert all(len(set(map(repr, c))) == 1 for c in c_total.tolist())
     points = []
     for i, values in enumerate(pairs):
-        errors = [table.errors.get(3 * i + b) for b in range(3)]
+        errors = [table.error_text(3 * i + b) for b in range(3)]
         assert len(set(errors)) == 1
         points.append(dict(zip(REDUCTION_FIELDS, values + [float(c_total[i, 0])]),
                            p_vector=tuple(table.checks[0].points[i]), error=errors[0]))
