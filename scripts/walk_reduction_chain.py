@@ -12,8 +12,10 @@ from oporder import chains, dsl
 from oporder.verify import (
     CONTRACTIVE_RANGES,
     REDUCTION_BOUNDS,
+    Instance,
     ParamTemplate,
     PGrid,
+    WeightPolicy,
     _rng,
     check_conclusion,
     check_reduction_chain,
@@ -44,7 +46,8 @@ def main() -> int:
 
     print("\nadjacent order:", [v.relation.value for v in check_conclusion(tup)])
 
-    rep = check_reduction_chain(tup, template, grid, master_seed=args.seed)
+    rep = check_reduction_chain(Instance(tup, template, WeightPolicy.necessity()), grid,
+                                master_seed=args.seed)
     print(f"\npremise (first ascending member on the grid): "
           f"{'pass' if rep.premise_pass else 'FAIL'}")
     print("reduction margins per exponent sample (core, peeled, scalar):")

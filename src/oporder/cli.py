@@ -278,10 +278,10 @@ def _cmd_print_chain(args) -> int:
     return EXIT_OK
 
 
-def _instances(args, ranges=TEMPLATE_RANGES, unordered: bool = False) -> list:
-    """Each instance's (tuple, template): the --scalar-fixture tuple alone, or
-    instance i's gen_unordered_tuple or gen_suite_tuple(k, dim, [seed, i]),
-    and a template drawn from default_rng([seed, i, 99])."""
+def _instances(args, ranges=TEMPLATE_RANGES, unordered: bool = False) -> list[Instance]:
+    """Each Instance: the --scalar-fixture tuple alone, or instance i's
+    gen_unordered_tuple or gen_suite_tuple(k, dim, [seed, i]), a template
+    drawn from default_rng([seed, i, 99]) and the --weights policy."""
     k, seed, n = args.k, args.seed, args.k // 2
     fixture = getattr(args, "scalar_fixture", None)
     if fixture is not None:
@@ -298,16 +298,16 @@ def _instances(args, ranges=TEMPLATE_RANGES, unordered: bool = False) -> list:
     if t is not None and len(t) != n:
         raise UsageError(f"--t needs {n} values for k={k}, got {len(t)}")
     r = getattr(args, "r", None)  # limit reads no r, and draws one
-    return [(tup, ParamTemplate.draw(verify._rng(seed, idx, 99), n, t, r, ranges))
+    weights = getattr(args, "weights", None)  # nor any weights
+    return [Instance(tup, ParamTemplate.draw(verify._rng(seed, idx, 99), n, t, r, ranges),
+                     weights and weights.value, idx)
             for idx, tup in enumerate(tuples)]
 
 
 def _campaigns(args, instances) -> verify.CampaignReport:
     """One check_hypotheses call on every instance; --report gets its rows."""
     report = check_hypotheses(
-        [Instance(tup, template, args.weights.value, idx)
-         for idx, (tup, template) in enumerate(instances)],
-        args.p_grid.value, tol_rel=args.tol_rel, master_seed=args.seed,
+        instances, args.p_grid.value, tol_rel=args.tol_rel, master_seed=args.seed,
         suite_tol_rel=args.suite_tol_rel)
     if args.report:
         dataclasses.replace(report, config=_config(args)).write_csv(args.report)
@@ -338,9 +338,8 @@ def _contrapositive(args):
             continue
         # nothing failed on the sampled grid; the violation may hide
         # beyond it, so probe the member cores (including t = 1)
-        tup, template = instances[idx]
         implied, core_errors = verify.implied_core_violation(
-            tup, template, args.p_grid.value, master_seed=args.seed, instance_index=idx,
+            instances[idx], args.p_grid.value, master_seed=args.seed,
             suite_tol_rel=args.suite_tol_rel)
         campaign_errors = int(np.count_nonzero(errors[rows]))
         if implied is not None:
@@ -358,10 +357,10 @@ def _contrapositive(args):
 def _proof_steps(args):
     # contracting t values are drawn unless they are given
     ranges = CONTRACTIVE_RANGES if args.t is None else TEMPLATE_RANGES
-    for idx, (tup, template) in enumerate(_instances(args, ranges)):
-        rep = check_reduction_chain(tup, template, args.p_grid.value, policy=args.weights.value,
-                                    suite_tol_rel=args.suite_tol_rel, master_seed=args.seed,
-                                    instance_index=idx, instance_id=str(idx))
+    for instance in _instances(args, ranges):
+        idx = instance.index
+        rep = check_reduction_chain(instance, args.p_grid.value,
+                                    suite_tol_rel=args.suite_tol_rel, master_seed=args.seed)
         if rep.premise_failures:
             yield f"instance {idx}: premise member failed on the grid", 0
         elif rep.premise_errors:
@@ -382,7 +381,7 @@ def _proof_steps(args):
 
 def _limit(args):
     n = args.k // 2
-    for idx, (tup, template) in enumerate(_instances(args)):
+    for tup, template, _, idx in _instances(args):
         # t_1 is pinned to 1: a given --t starts with it, a drawn t_1 is replaced
         interior = reduction_scalar_interior(tup, (1.0,) + template.t[1:], (1.0,) * (2 * n), n)
         rep = limit_probe(tup.matrices[0], tup.matrices[1], c=max(1.0, interior),

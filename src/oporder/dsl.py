@@ -539,14 +539,17 @@ class _BatchRun:
             low, high = (inst.min(), inst.max()) if len(inst) else (-1, -1)
             if not 0 <= low <= high < len(envs):
                 raise ValueError(f"instance column must index the {len(envs)} environments")
+            # the run binds only the environments some row names, in order
+            named = np.bincount(inst, minlength=len(envs)) > 0
+            if not named.all():
+                envs = tuple(e for e, keep in zip(envs, named.tolist()) if keep)
+                inst = (np.cumsum(named) - 1)[inst]
             if len({m.dim for e in envs for m in e.matrices.values()}) > 1 \
                     or len({frozenset(e.scalars) for e in envs}) > 1:
                 raise ValueError("environments must bind the same scalar names "
                                  "and one matrix dimension")
             sizes.add(len(inst))
-            if low == high:
-                envs = (envs[int(low)],)  # one instance: its environment alone
-            else:
+            if len(envs) > 1:
                 columns[_INSTANCE] = inst
         if len(sizes) > 1:
             raise ValueError(f"binding columns differ in length: {sorted(sizes)}")
@@ -616,8 +619,8 @@ class _BatchRun:
 
     def check_bindings(self, plan: _Plan) -> None:
         """Raise the first UnboundNameError of the plan's nodes, in plan
-        order: a symbol's matrix in every environment, then its exponent's
-        names; a power's exponent names."""
+        order: a symbol's matrix in every environment of the run, then its
+        exponent's names; a power's exponent names."""
         bound = self.columns.keys() | self.env.scalars.keys()
         partial = [env for env in self.envs if not plan.slot.keys() <= env.matrices.keys()]
         for node in plan.nodes:
@@ -752,14 +755,15 @@ def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
     binding (N = 1 without it).  ``env`` may also be a sequence of
     environments binding the same names at one dimension, with
     ``instance`` an (N,) column of indices into it: row i then takes its
-    matrices and its other scalars from ``env[instance[i]]``.  Products
+    matrices and its other scalars from ``env[instance[i]]``, and an
+    environment that no row names takes no part in the run.  Products
     multiply left to right; powers go through the spectral calculus of the
     coerced Hermitian base, stacked over the distinct bindings of each
     node, and every symbol of the run is raised in one stacked power.  A
     binding that fails a guard (pd gate, eigensolver residuals,
     Hermiticity, a non-finite value) becomes an error row without affecting
     the others.  A matrix or scalar name that the words need and some
-    environment or column leaves unbound raises UnboundNameError before
+    named environment or column leaves unbound raises UnboundNameError before
     anything is evaluated, and a bound matrix that fails to decompose
     raises its SpectralError: neither is a row error.
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import chains, dsl
-from .chains import Direction, Family, ScalarExpr, Symbol
+from .chains import Direction, ScalarExpr, Symbol
 from .spectral import (
     STACK_RELATIONS,
     TOL_REL,
@@ -58,6 +58,8 @@ from .spectral import (
 SUITE_TOL_REL = 1e-7
 
 GRID_POINT_CAP = 10_000
+# the factor by which PGrid.escalate extends a grid
+GRID_GROWTH = 2.0
 
 # Rows evaluated together are capped so that one batch holds at most about
 # this many bytes of stacked (d, d) intermediates, whatever the grid size.
@@ -186,27 +188,18 @@ def gen_ordered_tuple(
     return OperatorTuple(tuple(HermitianMatrix(0.5 * (m + m.conj().T)) for m in mats))
 
 
-def gen_unordered_tuple(
-    k: int,
-    dim: int,
-    seed,
-    field_kind: str = "real",
-    max_attempts: int = 200,
-    tol_rel: float = TOL_REL,
-) -> OperatorTuple:
+# candidates an unordered tuple draws before its generator gives up
+UNORDERED_ATTEMPTS = 200
+
+
+def gen_unordered_tuple(k: int, dim: int, seed, field_kind: str = "real") -> OperatorTuple:
     """Strictly positive tuple with at least one adjacent pair that is not
-    GE; regenerates until such a violation exists.  The one-instance case
-    of ``gen_unordered_tuples``."""
-    return gen_unordered_tuples(k, [(dim, seed)], field_kind, max_attempts, tol_rel)[0]
+    GE; regenerates, up to UNORDERED_ATTEMPTS times, until such a violation
+    exists.  The one-instance case of ``gen_unordered_tuples``."""
+    return gen_unordered_tuples(k, [(dim, seed)], field_kind)[0]
 
 
-def gen_unordered_tuples(
-    k: int,
-    instances,
-    field_kind: str = "real",
-    max_attempts: int = 200,
-    tol_rel: float = TOL_REL,
-) -> list[OperatorTuple]:
+def gen_unordered_tuples(k: int, instances, field_kind: str = "real") -> list[OperatorTuple]:
     """``gen_unordered_tuple`` for a sequence of (dim, seed) instances: entry
     i is the tuple that ``gen_unordered_tuple(k, dim_i, seed_i)`` returns.
 
@@ -225,7 +218,7 @@ def gen_unordered_tuples(
     rngs = [np.random.default_rng(seed) for _, seed in instances]
     found: list[OperatorTuple | None] = [None] * len(instances)
     todo = list(range(len(instances)))
-    for _ in range(max_attempts):
+    for _ in range(UNORDERED_ATTEMPTS):
         if not todo:
             break
         for dim in sorted({instances[i][0] for i in todo}):
@@ -238,7 +231,7 @@ def gen_unordered_tuples(
                 WordBatch.known(arrs[upper], lam[upper]),
                 WordBatch.known(arrs[upper - 1], lam[upper - 1]))
             raise_first(errors)
-            ordered = margins_hold(ge, scale, tol_rel).reshape(len(group), k - 1).all(axis=1)
+            ordered = margins_hold(ge, scale, TOL_REL).reshape(len(group), k - 1).all(axis=1)
             for j, (i, done) in enumerate(zip(group, ordered.tolist())):
                 if not done:
                     found[i] = OperatorTuple.trusted(
@@ -247,7 +240,7 @@ def gen_unordered_tuples(
         todo = [i for i in todo if found[i] is None]
     if todo:
         raise RuntimeError(
-            f"no adjacent-order violation found in {max_attempts} attempts "
+            f"no adjacent-order violation found in {UNORDERED_ATTEMPTS} attempts "
             f"(k={k}, dim={instances[todo[0]][0]})"
         )
     return found
@@ -311,10 +304,9 @@ def gen_suite_tuple(k: int, dim: int, seed, field_kind: str = "real") -> Operato
 @dataclass(frozen=True)
 class PGrid:
     """Finite ascending sample of the exponent range [1, inf); escalate()
-    appends the next geometric point until the cap."""
+    appends the last point times GRID_GROWTH until the cap."""
 
     values: tuple[float, ...] = (1.0, 1.5, 2.0, 4.0, 8.0)
-    growth: float = 2.0
     cap: float = 64.0
 
     def __post_init__(self):
@@ -324,39 +316,38 @@ class PGrid:
             raise ValueError(f"grid values must be finite and >= 1, got {vals}")
         if list(vals) != sorted(vals):
             raise ValueError(f"grid values must ascend, got {vals}")
-        if self.growth <= 1.0:
-            raise ValueError(f"growth must exceed 1, got {self.growth}")
 
     def escalate(self) -> "PGrid | None":
-        nxt = self.values[-1] * self.growth
+        nxt = self.values[-1] * GRID_GROWTH
         if nxt > self.cap:
             return None
-        return PGrid(self.values + (nxt,), self.growth, self.cap)
+        return PGrid(self.values + (nxt,), self.cap)
 
-    def product(self, m: int, point_cap: int = GRID_POINT_CAP):
+    def product(self, m: int):
         """The full Cartesian power as (vectors, (N, m) table), built once per
         (values, m) and shared read-only: a tuple of tuples and a
-        non-writeable array.  None when the product exceeds point_cap."""
-        if len(self.values) ** m > point_cap:
+        non-writeable array.  None when the product exceeds GRID_POINT_CAP."""
+        if len(self.values) ** m > GRID_POINT_CAP:
             return None
         return _grid_product(self.values, m)
 
-    def vectors(self, m: int, rng: np.random.Generator | None = None,
-                point_cap: int = GRID_POINT_CAP) -> Sequence[tuple[float, ...]]:
-        """Cartesian power of the grid, Latin-hypercube subsampled once the
-        full product exceeds point_cap."""
-        full = self.product(m, point_cap)
+    def vectors(self, m: int,
+                rng: np.random.Generator | None = None) -> Sequence[tuple[float, ...]]:
+        """Cartesian power of the grid, Latin-hypercube subsampled to
+        GRID_POINT_CAP vectors once the full product exceeds it."""
+        full = self.product(m)
         if full is not None:
             return full[0]
         if rng is None:
             raise ValueError("subsampling a large grid product needs an rng")
+        cap = GRID_POINT_CAP
         cols = []
         for _ in range(m):
-            strata = (rng.permutation(point_cap) + rng.random(point_cap)) / point_cap
+            strata = (rng.permutation(cap) + rng.random(cap)) / cap
             idx = np.minimum((strata * len(self.values)).astype(int),
                              len(self.values) - 1)
             cols.append(np.asarray(self.values)[idx])
-        return [tuple(float(c[i]) for c in cols) for i in range(point_cap)]
+        return [tuple(float(c[i]) for c in cols) for i in range(cap)]
 
 
 # a full product holds at most GRID_POINT_CAP vectors; keep the few grids a
@@ -726,14 +717,12 @@ class CampaignReport:
         Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-def _environment(tup: OperatorTuple, template: ParamTemplate,
-                 weights=(), slots=None) -> dsl.Environment:
-    """The bindings shared by every row: the tuple's matrices, r, the t
-    values and any weights that do not vary with p.  Symbol s binds A_s, or
-    A_slots[s-1] when ``slots`` is given (``chains.member_slots``)."""
+def _environment(tup: OperatorTuple, template: ParamTemplate, slots=None) -> dsl.Environment:
+    """The bindings shared by every row: the tuple's matrices, r and the t
+    values.  Symbol s binds A_s, or A_slots[s-1] when ``slots`` is given
+    (``chains.member_slots``)."""
     scalars = {"r": template.r}
     scalars.update((f"t{i}", tv) for i, tv in enumerate(template.t, 1))
-    scalars.update((f"w{i}", float(wv)) for i, wv in enumerate(weights, 1))
     indices = range(1, tup.k + 1) if slots is None else slots
     matrices = {s: tup.matrices[i - 1] for s, i in enumerate(indices, 1)}
     return dsl.Environment(scalars=scalars, matrices=matrices)
@@ -789,7 +778,6 @@ def check_hypotheses(
     *,
     tol_rel: float = TOL_REL,
     master_seed: int = 0,
-    members: tuple[tuple[Family, int], ...] | None = None,
     stop_on_violation: bool = False,
     suite_tol_rel: float = SUITE_TOL_REL,
 ) -> CampaignReport:
@@ -827,9 +815,6 @@ def check_hypotheses(
         if inst.template.n != n:
             raise ValueError(f"template has {inst.template.n} t-values, tuple needs {n}")
     chain_list = chains.hypothesis_set(k)
-    if members is not None:
-        wanted = set(members)
-        chain_list = [c for c in chain_list if (c.family, c.member) in wanted]
     lhs_word, rhs_word = chains.slot_words(k)
     w_index = np.array([chains.weight_index(c.family, c.member, n) for c in chain_list],
                        dtype=np.intp)
@@ -1165,15 +1150,11 @@ def _c_totals(tup: OperatorTuple, t, p_vectors) -> np.ndarray:
 
 
 def check_reduction_chain(
-    tup: OperatorTuple,
-    template: ParamTemplate,
+    instance: Instance,
     grid: PGrid,
     *,
-    policy: WeightPolicy | None = None,
     suite_tol_rel: float = SUITE_TOL_REL,
     master_seed: int = 0,
-    instance_index: int = 0,
-    instance_id: str = "0",
 ) -> ReductionReport:
     """Replicate the three-step reduction behind the order proof on one
     instance, per p-sample:
@@ -1186,7 +1167,8 @@ def check_reduction_chain(
     Implications run (a) => (b) => (c) pointwise, so any sample where (a)
     holds but (b) or (c) fails is flagged as a tolerance or schedule bug.
     The premise is that the instance passes the first ascending member,
-    under the supplied weight policy, on the same sampled rows.
+    under its weight policy, on the same sampled rows.  The report's id is
+    the instance index, as in a campaign.
 
     Each chunk of rows is one ``dsl.evaluate_batch`` run of the member's
     right and left sides, its core, the innermost sandwich and the peeled
@@ -1198,8 +1180,7 @@ def check_reduction_chain(
     fails to evaluate is a premise error row, as in a campaign.
     Everything is judged at suite_tol_rel, verdicts included.
     """
-    if policy is None:
-        policy = WeightPolicy.necessity()
+    tup, template, policy, index = instance
     k = tup.k
     n = k // 2
     if template.n != n:
@@ -1210,10 +1191,11 @@ def check_reduction_chain(
         + ((bound_word,) if bound_word is not None else ())
     env = _environment(tup, template)
     ident = _identity_batch(tup.dim)
-    p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 2)
+    p_vectors, p_table = _p_samples(grid, n, master_seed, index, 2)
     w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
     c_total = _c_totals(tup, template.t, p_vectors)
 
+    instance_id = str(index)
     premise_check = (CampaignMember(instance_id, k, tup.dim, premise.family.value,
                                     premise.member, premise.direction.value, p_vectors),)
     bounds = tuple(Comparison(name, p_vectors) for name in REDUCTION_BOUNDS)
@@ -1342,18 +1324,17 @@ class SearchConfig:
     grid: PGrid = PGrid()
     policy: WeightPolicy | None = None   # None: fresh random fixed weights per instance
     field_kind: str = "real"
-    suite_tol_rel: float = SUITE_TOL_REL
 
     def to_json(self) -> dict:
         return {
             "budget": self.budget, "k": self.k, "dims": list(self.dims),
             "master_seed": self.master_seed,
             "grid": list(self.grid.values),
-            "grid_growth": self.grid.growth, "grid_cap": self.grid.cap,
+            "grid_growth": GRID_GROWTH, "grid_cap": self.grid.cap,
             "policy": self.policy.describe() if self.policy else "fixed-random",
             "t_range": list(TEMPLATE_RANGES[1]), "r_gap": list(TEMPLATE_RANGES[2]),
             "w_range": list(SEARCH_W_RANGE), "field": self.field_kind,
-            "suite_tol_rel": self.suite_tol_rel,
+            "suite_tol_rel": SUITE_TOL_REL,
         }
 
 
@@ -1377,8 +1358,7 @@ class SearchReport:
 
 
 def implied_core_violation(
-    tup: OperatorTuple, template: ParamTemplate, grid: PGrid,
-    master_seed: int = 0, instance_index: int = 0,
+    instance: Instance, grid: PGrid, *, master_seed: int = 0,
     suite_tol_rel: float = SUITE_TOL_REL,
 ) -> tuple[dict | None, int]:
     """Check the bracketed core of every member against the identity, at
@@ -1392,12 +1372,14 @@ def implied_core_violation(
     when the capped grid did not.
 
     Returns the first violated core, or None, and the number of core rows
-    up to it that could not be evaluated (never violations).
+    up to it that could not be evaluated (never violations).  A core reads
+    the t values and the p-vector only, so its environment binds the t
+    values and the tuple's matrices.
     """
-    k = tup.k
-    n = k // 2
+    tup, template = instance.tup, instance.template
+    n = tup.k // 2
     ident = _identity_batch(tup.dim)
-    p_vectors, p_table = _p_samples(grid, n, master_seed, instance_index, 3)
+    p_vectors, p_table = _p_samples(grid, n, master_seed, instance.index, 3)
     t_variants = [template.t]
     ones = (1.0,) * n
     if template.t != ones:
@@ -1405,9 +1387,9 @@ def implied_core_violation(
     cores = (Comparison("core", p_vectors),)
     unevaluated = 0
     for t_vec in t_variants:
-        var_template = ParamTemplate(t=t_vec, r=float(t_vec[-1]) + 1.0)
-        env = _environment(tup, var_template, (0.5,) * (k - 1))
-        for chain in chains.hypothesis_set(k):
+        env = dsl.Environment(scalars={f"t{i}": tv for i, tv in enumerate(t_vec, 1)},
+                              matrices=dict(enumerate(tup.matrices, 1)))
+        for chain in chains.hypothesis_set(tup.k):
             word = chains.hypothesis_core(chain)
             for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=True):
                 batch = dsl.evaluate_batch(word, env, _p_columns(p_table[lo:hi]))
@@ -1494,8 +1476,7 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
             for first in range(0, len(members), size):
                 group = [instances[idx] for idx in members[first:first + size]]
                 report = check_hypotheses(
-                    group, grid, master_seed=config.master_seed, stop_on_violation=True,
-                    suite_tol_rel=config.suite_tol_rel)
+                    group, grid, master_seed=config.master_seed, stop_on_violation=True)
                 for idx, outcome in _search_outcomes(report).items():
                     nxt = grids[idx].escalate() if outcome[0] == "passed" else None
                     if nxt is None:
@@ -1504,7 +1485,8 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
                         grids[idx] = nxt
                         escalations[idx] += 1
                         pending.append(idx)
-    for idx, (tup, template, policy, _) in enumerate(instances):
+    for instance in instances:
+        tup, template, policy, idx = instance
         counters["instances"] += 1
         outcome, margin = outcomes[idx]
         if outcome == "failed":
@@ -1518,11 +1500,7 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
         grid = grids[idx]
         # the generator only returns tuples whose adjacent conclusion fails
         conclusion = check_conclusion(tup)
-        implied, _ = implied_core_violation(
-            tup, template, grid,
-            master_seed=config.master_seed, instance_index=idx,
-            suite_tol_rel=config.suite_tol_rel,
-        )
+        implied, _ = implied_core_violation(instance, grid, master_seed=config.master_seed)
         if implied is not None:
             counters["implied_hypothesis_failure"] += 1
             continue
@@ -1538,15 +1516,14 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
             "conclusion_margins": [v.margin for v in conclusion],
             "matrices": tup.to_json(),
         })
-    hist_counts, hist_edges = np.histogram(
-        np.asarray(worst_margins) if worst_margins else np.zeros(0),
-        bins=np.linspace(-3.0, 0.5, 36),
-    )
+    # the end bins are open-ended: a margin beyond them counts in the nearer one
+    edges = np.linspace(-3.0, 0.5, 36)
+    counts, _ = np.histogram(np.clip(worst_margins, edges[0], edges[-1]), bins=edges)
     stats = {
         "counters": counters,
         "margin_histogram": {
-            "edges": [float(e) for e in hist_edges],
-            "counts": [int(c) for c in hist_counts],
+            "edges": [float(e) for e in edges],
+            "counts": [int(c) for c in counts],
         },
         "worst_margin": min(worst_margins) if worst_margins else None,
     }

@@ -186,10 +186,8 @@ class TestCriterion6ReductionChain:
             rng = np.random.default_rng([5100, i, 99])
             t = (rng.uniform(0.75, 0.95), rng.uniform(0.05, 0.15))
             template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
-            rep = check_reduction_chain(
-                tup, template, grid,
-                master_seed=5100, instance_index=i, instance_id=str(i),
-            )
+            rep = check_reduction_chain(Instance(tup, template, WeightPolicy.necessity(), i),
+                                        grid, master_seed=5100)
             assert rep.premise_pass, f"instance {i} premise failed"
             assert not rep.red_flags, rep.red_flags
             passing += 1

@@ -521,9 +521,9 @@ class TestCheckCommand:
         templates = []
         original = cli.check_reduction_chain
 
-        def spy(tup, template, *args, **kwargs):
-            templates.append(template)
-            return original(tup, template, *args, **kwargs)
+        def spy(instance, *args, **kwargs):
+            templates.append(instance.template)
+            return original(instance, *args, **kwargs)
 
         monkeypatch.setattr(cli, "check_reduction_chain", spy)
         code, _, _ = run(capsys, "check", "--mode", "proof-steps", "--k", "3",

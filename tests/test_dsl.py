@@ -428,6 +428,30 @@ class TestEvaluateBatch:
         batch = evaluate_batch(parse("A1^{r}"), [other, env], instance=[1])
         assert np.array_equal(batch.values[0], np.diag([2.0, 3.0]))
 
+    @pytest.mark.parametrize("instance", [[0, 2], [2, 0], [2, 2, 0]])
+    def test_environments_no_row_names_take_no_part(self, instance):
+        word = parse("A1^{p1+r}")
+        first = diag_env({"r": 0.5}, {1: [4.0, 9.0]})
+        lacking = diag_env({"r": 1.0}, {2: [1.0, 2.0]})
+        last = diag_env({"r": 0.25}, {1: [2.0, 3.0]})
+        envs = [first, lacking, last]
+        p1 = np.array([1.0, 2.0, 0.5][:len(instance)])
+        batch = evaluate_batch(word, envs, {"p1": p1}, instance)
+        for i, j in enumerate(instance):
+            alone = evaluate_batch(word, envs[j], {"p1": p1[i:i + 1]})
+            assert batch.values[i].tobytes() == alone.values[0].tobytes()
+        assert batch.row_errors is None
+
+    def test_a_named_environment_lacking_a_matrix_raises(self):
+        word = parse("A1^{p1+r}")
+        full = diag_env({"r": 0.5}, {1: [4.0, 9.0]})
+        lacking = diag_env({"r": 1.0}, {2: [1.0, 2.0]})
+        with pytest.raises(UnboundNameError) as want:
+            evaluate(word, Environment({"r": 1.0, "p1": 2.0}, lacking.matrices))
+        with pytest.raises(UnboundNameError) as got:
+            evaluate_batch(word, [full, lacking, full], {"p1": np.array([1.0, 2.0])}, [0, 1])
+        assert str(got.value) == str(want.value) == "matrix symbol A1 is not bound"
+
     def test_error_rows_are_identity_and_masked(self):
         env = diag_env({}, {1: [0.0, 1.0]})
         batch = evaluate_batch(parse("A1^{p1}"), env, {"p1": np.array([2.0, 0.5, 2.0])})

@@ -71,7 +71,7 @@ def _per_member(instances, grid, chain_list, tol_rel):
     return out
 
 
-def _fused(instances, grid, members, tol_rel, monkeypatch):
+def _fused(instances, grid, tol_rel, monkeypatch):
     """The report of one fused call and, keyed like ``_per_member``, the
     (w, ge, le, scale) of each row before ERROR rows are blanked."""
     calls = []
@@ -88,7 +88,7 @@ def _fused(instances, grid, members, tol_rel, monkeypatch):
 
     monkeypatch.setattr(verify, "_judge_members", recording_judge)
     monkeypatch.setattr(verify, "scaled_margins_stack", recording_compare)
-    report = check_hypotheses(instances, grid, tol_rel=tol_rel, members=members)
+    report = check_hypotheses(instances, grid, tol_rel=tol_rel)
     monkeypatch.undo()
     per_instance = len(report.table.checks) // len(instances)
     raw = {}
@@ -120,16 +120,12 @@ def _campaigns(draw):
     weight = st.one_of(st.just(WeightPolicy.necessity()), st.lists(
         st.sampled_from((0.1, 0.3, 0.5, 0.9)), min_size=k - 1, max_size=k - 1
     ).map(WeightPolicy.fixed))
-    chain_list = chains.hypothesis_set(k)
-    members = draw(st.one_of(st.none(), st.lists(
-        st.sampled_from([(c.family, c.member) for c in chain_list]),
-        min_size=1, unique=True).map(tuple)))
     return dict(k=k, dim=draw(st.integers(1, 3)),
                 field_kind=draw(st.sampled_from(("real", "complex"))),
                 unordered=draw(st.booleans()),
                 policies=[draw(weight) for _ in range(count)],
                 seeds=[draw(st.integers(0, 50)) for _ in range(count)],
-                grid=PGrid(values=grid), members=members)
+                grid=PGrid(values=grid))
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,21 +134,19 @@ def _campaigns(draw):
 # chain exponent, whose weight 0 is an error row
 @example(case=dict(k=5, dim=2, field_kind="real", unordered=False,
                    policies=[WeightPolicy.necessity(), WeightPolicy.fixed([0.1, 0.3, 0.5, 0.9])],
-                   seeds=[0, 1], grid=PGrid(values=(1.0, 1e300)), members=None))
+                   seeds=[0, 1], grid=PGrid(values=(1.0, 1e300))))
 def test_fused_members_equal_per_member_evaluation(case):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _check_case(case, monkeypatch)
 
 
 def _check_case(case, monkeypatch):
-    grid, members, k = case["grid"], case["members"], case["k"]
+    grid, k = case["grid"], case["k"]
     instances = _instances(k, case["dim"], case["field_kind"], case["unordered"],
                            case["policies"], case["seeds"])
     chain_list = chains.hypothesis_set(k)
-    if members is not None:
-        chain_list = [c for c in chain_list if (c.family, c.member) in set(members)]
     tol_rel = verify.TOL_REL
-    report, raw = _fused(instances, grid, members, tol_rel, monkeypatch)
+    report, raw = _fused(instances, grid, tol_rel, monkeypatch)
     expected = _per_member(instances, grid, chain_list, tol_rel)
     assert sorted(raw) == sorted(expected)
     for key, (w, ge, le, scale, verdict, error) in expected.items():

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oporder import verify
-from oporder.chains import Family
 from oporder.spectral import spectral_decompose
 from oporder.verify import (
     CampaignReport,
@@ -109,9 +108,7 @@ def test_batched_campaign_is_the_merge_of_single_calls(case, stop_on_violation):
 @pytest.mark.parametrize("stop_on_violation", [False, True])
 def test_batched_campaign_on_subsampled_grids(stop_on_violation):
     instances = [_instance(gen_unordered_tuple, 5, idx) for idx in (4, 5, 6)]
-    members = None if stop_on_violation else ((Family.ASCENDING, 1),)
-    batched, alone = _batched_and_alone(instances, WIDE_GRID, members=members,
-                                        stop_on_violation=stop_on_violation)
+    batched, alone = _batched_and_alone(instances, WIDE_GRID, stop_on_violation=stop_on_violation)
     assert _table(batched) == _table(merge_reports(alone))
     # each instance scanned its own p rows
     first = [tuple(rep.table.checks[0].points[:20]) for rep in alone]
@@ -162,12 +159,13 @@ def test_batched_generator_regenerates_rejected_candidates():
     assert regenerated > 0
 
 
-def test_generator_gives_up_per_instance():
+def test_generator_gives_up_per_instance(monkeypatch):
     # seed 4's first candidate is accepted, seed 0's is rejected
     specs = [(1, 4), (1, 0)]
     assert len(gen_unordered_tuples(2, specs)) == 2
+    monkeypatch.setattr(verify, "UNORDERED_ATTEMPTS", 1)
     with pytest.raises(RuntimeError, match=r"in 1 attempts \(k=2, dim=1\)"):
-        gen_unordered_tuples(2, specs, max_attempts=1)
+        gen_unordered_tuples(2, specs)
 
 
 class TestGridProduct:

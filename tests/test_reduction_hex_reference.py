@@ -19,8 +19,10 @@ from functools import lru_cache
 import pytest
 
 from oporder.verify import (
+    Instance,
     ParamTemplate,
     PGrid,
+    WeightPolicy,
     _rng,
     check_reduction_chain,
     gen_suite_tuple,
@@ -41,7 +43,8 @@ def reduction_entry(k: int, dim: int, seed: int, grid) -> dict:
     rng = _rng(seed, 0, 99)
     t = (rng.uniform(0.75, 0.95),) + tuple(rng.uniform(0.05, 0.15) for _ in range(n - 1))
     template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
-    report = check_reduction_chain(tup, template, PGrid(values=grid), master_seed=seed)
+    report = check_reduction_chain(Instance(tup, template, WeightPolicy.necessity()),
+                                   PGrid(values=grid), master_seed=seed)
     points = reduction_points(report)
     return {
         "k": k, "dim": dim, "seed": seed, "grid": list(grid),

@@ -16,8 +16,10 @@ from functools import lru_cache
 import pytest
 
 from oporder.verify import (
+    Instance,
     ParamTemplate,
     PGrid,
+    WeightPolicy,
     _rng,
     check_reduction_chain,
     gen_suite_tuple,
@@ -42,7 +44,8 @@ def reduction_rows(k: int, dim: int, seed: int):
     rng = _rng(seed, 0, 99)
     t = (rng.uniform(0.75, 0.95),) + tuple(rng.uniform(0.05, 0.15) for _ in range(n - 1))
     template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
-    return reduction_points(check_reduction_chain(tup, template, GRID, master_seed=seed))
+    instance = Instance(tup, template, WeightPolicy.necessity())
+    return reduction_points(check_reduction_chain(instance, GRID, master_seed=seed))
 
 
 @lru_cache(maxsize=None)

@@ -164,6 +164,17 @@ def test_reference_covers_every_reachable_outcome():
     assert "conclusion_held" not in counters
 
 
+def test_margin_histogram_counts_every_failed_instance():
+    # the end bins are open-ended, so a margin below -3 is counted too
+    stats = [run["findings"]["stats"] for run in reference()["runs"]]
+    stats += [run["report"]["stats"] for run in reference()["configs"]]
+    for stat in stats:
+        counters = stat["counters"]
+        assert sum(stat["margin_histogram"]["counts"]) == \
+            counters["hypothesis_failed"] + counters["hypothesis_failed_after_escalation"]
+    assert any(stat["worst_margin"] < -3 for stat in stats)
+
+
 def write_reference(out) -> None:
     json.dump({"regenerate": __doc__.strip().splitlines()[-1].strip(),
                "runs": [run_search(argv) for argv in RUNS],

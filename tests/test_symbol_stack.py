@@ -81,9 +81,9 @@ def test_stacked_symbol_power_equals_one_power_per_symbol(seed, dim, envs, field
         count = 1  # a run without columns has one row
     rows = {name: rng.choice(ROW_VALUES, count) for name in per_row}
     instance = rng.integers(0, envs, count) if envs > 1 else None
-    # one environment when every row names the same one
-    several = instance is not None and len(set(instance)) > 1
-    used = environments if several else [environments[0 if instance is None else instance[0]]]
+    # a run binds only the environments some row names, in their order
+    used = environments if instance is None else \
+        [environments[j] for j in sorted(set(instance.tolist()))]
     calls = []
 
     def counting(*args):

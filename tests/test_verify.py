@@ -43,6 +43,10 @@ from oporder import verify
 from util import error_rows, full_spectrum_margins, reduction_points, scalar_word_value
 
 
+def _necessity(tup, template) -> Instance:
+    return Instance(tup, template, WeightPolicy.necessity())
+
+
 class TestOperatorTuple:
     def test_rejects_singletons(self):
         with pytest.raises(ValueError):
@@ -164,7 +168,7 @@ class TestPGrid:
             PGrid(values=(2.0, 1.0))
 
     def test_escalation_caps(self):
-        grid = PGrid(values=(1.0, 2.0), growth=2.0, cap=8.0)
+        grid = PGrid(values=(1.0, 2.0), cap=8.0)
         values = []
         while grid is not None:
             values.append(grid.values[-1])
@@ -177,13 +181,14 @@ class TestPGrid:
         assert len(vectors) == 4
         assert vectors[0] == (1.0, 1.0)
 
-    def test_latin_hypercube_subsample(self):
+    def test_latin_hypercube_subsample(self, monkeypatch):
+        monkeypatch.setattr(verify, "GRID_POINT_CAP", 500)
         grid = PGrid(values=(1.0, 1.5, 2.0, 4.0, 8.0))
         rng = np.random.default_rng(0)
-        vectors = grid.vectors(6, rng=rng, point_cap=500)
+        vectors = grid.vectors(6, rng=rng)
         assert len(vectors) == 500
         assert all(len(v) == 6 for v in vectors)
-        again = grid.vectors(6, rng=np.random.default_rng(0), point_cap=500)
+        again = grid.vectors(6, rng=np.random.default_rng(0))
         assert vectors == again
 
 
@@ -301,15 +306,6 @@ class TestCheckHypotheses:
         )
         assert len(rep.rows) == 2 * 9
         assert rep.summary()["pass"] == len(rep.rows)
-
-    def test_member_filter(self):
-        tup = gen_suite_tuple(3, 2, seed=8)
-        rep = check_hypotheses(
-            [Instance(tup, ParamTemplate(t=(0.4,), r=1.0), WeightPolicy.necessity())],
-            PGrid(values=(1.0,)), members=((Family.ASCENDING, 1),),
-        )
-        assert len(rep.rows) == 1
-        assert rep.rows[0].family == "ascending"
 
     def test_error_rows_recorded_not_fatal(self):
         # fractional grid exponent forces a power of a singular-ish core
@@ -646,8 +642,7 @@ class TestReductionChain:
     def test_identity_tuple_degenerates_to_equalities(self):
         tup = OperatorTuple(tuple(identity(2) for _ in range(5)))
         rep = check_reduction_chain(
-            tup, ParamTemplate(t=(0.5, 0.5), r=1.0), PGrid(values=(1.0, 2.0))
-        )
+            _necessity(tup, ParamTemplate(t=(0.5, 0.5), r=1.0)), PGrid(values=(1.0, 2.0)))
         assert rep.premise_pass
         assert not rep.red_flags
         for row in reduction_points(rep):
@@ -658,8 +653,7 @@ class TestReductionChain:
     def test_contractive_instance_holds(self):
         tup = gen_suite_tuple(5, 3, seed=14)
         rep = check_reduction_chain(
-            tup, ParamTemplate(t=(0.85, 0.1), r=0.7), PGrid(values=(1.0, 2.0, 4.0))
-        )
+            _necessity(tup, ParamTemplate(t=(0.85, 0.1), r=0.7)), PGrid(values=(1.0, 2.0, 4.0)))
         assert rep.premise_pass
         assert not rep.red_flags
         assert rep.table.holds().all()
@@ -670,8 +664,7 @@ class TestReductionChain:
     def test_single_level_degenerate_bound(self):
         tup = gen_suite_tuple(3, 2, seed=15)
         rep = check_reduction_chain(
-            tup, ParamTemplate(t=(0.8,), r=1.2), PGrid(values=(1.0, 2.0))
-        )
+            _necessity(tup, ParamTemplate(t=(0.8,), r=1.2)), PGrid(values=(1.0, 2.0)))
         assert rep.premise_pass
         for row in rep.table.rows:
             assert row.c_total == pytest.approx(1.0)
@@ -699,8 +692,8 @@ class TestReductionChain:
         # the premise's left side A3^(r - t1) = 4^1999.5 overflows on every
         # row; the reduction's own words do not contain it
         tup, template = scalar_tuple([2.0, 3.0, 4.0]), ParamTemplate(t=(0.5,), r=2000.0)
-        rep = check_reduction_chain(tup, template, PGrid(values=(1.0, 2.0)),
-                                    policy=WeightPolicy.fixed([0.5, 0.5]))
+        rep = check_reduction_chain(Instance(tup, template, WeightPolicy.fixed([0.5, 0.5])),
+                                    PGrid(values=(1.0, 2.0)))
         assert (rep.premise_failures, rep.premise_errors) == (0, 4)
         assert not rep.premise_pass and rep.table.errors is None
 
@@ -723,7 +716,7 @@ class TestReductionChain:
         monkeypatch.setattr(dsl, "evaluate_batch", counting_evaluate)
         for module in (dsl, spectral):
             monkeypatch.setattr(module, "decompose_stack", counting_decompose)
-        check_reduction_chain(tup, template, PGrid(values=(1.0, 1.5, 4.0)))
+        check_reduction_chain(_necessity(tup, template), PGrid(values=(1.0, 1.5, 4.0)))
         # 81 rows in one run: its five powers decompose 3, 9, 27 and 81
         # distinct bases and the peeled bound's 3; the comparisons decompose
         # the left side, the 9 distinct peeled bounds and the base
@@ -741,9 +734,9 @@ class TestReductionChain:
         tup = scalar_tuple([0.9, 0.5, 0.95])
         t1, r, w = 0.8, 1.2, 0.5
         grid = PGrid(values=tuple(np.geomspace(1.0, 8.0, 101).tolist()))
-        rep = check_reduction_chain(tup, ParamTemplate(t=(t1,), r=r), grid,
-                                    policy=WeightPolicy.fixed((w, w)), master_seed=3,
-                                    instance_index=1)
+        rep = check_reduction_chain(
+            Instance(tup, ParamTemplate(t=(t1,), r=r), WeightPolicy.fixed((w, w)), 1), grid,
+            master_seed=3)
         assert len(rep.table) == 3 * verify.GRID_POINT_CAP
         p_vectors = rep.table.checks[0].points
         assert p_vectors == verify._p_samples(grid, 1, 3, 1, 2)[0]
@@ -765,7 +758,7 @@ class TestReductionChain:
         # force an impossible scalar bound by shrinking the interior
         tup = gen_suite_tuple(5, 2, seed=16)
         rep = check_reduction_chain(
-            tup, ParamTemplate(t=(0.85, 0.1), r=0.7), PGrid(values=(1.0,)),
+            _necessity(tup, ParamTemplate(t=(0.85, 0.1), r=0.7)), PGrid(values=(1.0,)),
             suite_tol_rel=1e-7,
         )
         assert not rep.red_flags  # sanity: healthy instance has none
@@ -828,14 +821,15 @@ class TestImpliedCoreViolation:
         tup = scalar_tuple([0.7, 0.5, 2.0])
         template = ParamTemplate(t=(0.3,), r=1.0)
         grid = PGrid(values=(1.0, 2.0, 4.0))
-        hit, unevaluated = implied_core_violation(tup, template, grid)
+        hit, unevaluated = implied_core_violation(_necessity(tup, template), grid)
         assert hit is not None and unevaluated == 0
         assert hit["t"] == [1.0]
 
     def test_ordered_tuple_clean(self):
         tup = gen_suite_tuple(3, 2, seed=19)
         template = ParamTemplate(t=(0.5,), r=1.0)
-        assert implied_core_violation(tup, template, PGrid(values=(1.0, 2.0))) == (None, 0)
+        assert implied_core_violation(_necessity(tup, template),
+                                      PGrid(values=(1.0, 2.0))) == (None, 0)
 
 
 class TestSearch:
