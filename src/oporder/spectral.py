@@ -14,6 +14,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Tolerance policy.  Comparisons use tol_rel * max(1, |P|, |Q|) with the
 # spectral norm; fractional and negative powers are gated by eps_pd.
@@ -35,7 +36,9 @@ _NORM_SAFE = 2.0 ** 500
 
 
 class SpectralError(Exception):
-    """Base class for failures raised by this module."""
+    """Base class for failures raised by this module.  The row errors below
+    keep their fields as arguments and format their message only when it
+    is read: most of them are counted, never printed."""
 
 
 class DimensionMismatchError(SpectralError):
@@ -55,21 +58,23 @@ class NearSingularError(SpectralError):
     """
 
     def __init__(self, lam_min: float, gate: float):
-        super().__init__(
-            f"matrix is numerically singular for the requested power: "
-            f"lambda_min={lam_min:.6e} <= gate={gate:.6e}"
-        )
+        super().__init__(lam_min, gate)
         self.lam_min = lam_min
         self.gate = gate
+
+    def __str__(self):
+        return (f"matrix is numerically singular for the requested power: "
+                f"lambda_min={self.lam_min:.6e} <= gate={self.gate:.6e}")
 
 
 class EigenSolverError(SpectralError):
     def __init__(self, dim: int, cond_estimate: float):
-        super().__init__(
-            f"eigensolver failed to converge (dim={dim}, cond~{cond_estimate:.3e})"
-        )
+        super().__init__(dim, cond_estimate)
         self.dim = dim
         self.cond_estimate = cond_estimate
+
+    def __str__(self):
+        return f"eigensolver failed to converge (dim={self.dim}, cond~{self.cond_estimate:.3e})"
 
 
 class NonFiniteError(SpectralError):
@@ -78,8 +83,11 @@ class NonFiniteError(SpectralError):
     whose eigensolvers can return finite garbage for them."""
 
     def __init__(self, what: str):
-        super().__init__(f"{what} is not finite")
+        super().__init__(what)
         self.what = what
+
+    def __str__(self):
+        return f"{self.what} is not finite"
 
 
 class Relation(Enum):
@@ -222,11 +230,11 @@ def _cond_estimate(arr: np.ndarray) -> float:
 # stack builds and scans no object array.  The scalar functions below are
 # their M = 1 case, so every guard is written once, here.
 #
-# The per-node primitives (hermitian_part, power_stack) leave numpy's
-# floating-point warnings to their caller: an overflowed or NaN entry is a
-# guarded row, never a warning, so a caller enters np.errstate(all="ignore")
-# once around them (an evaluation run does, and so does matrix_power).  A
-# comparison (margins_stack) enters it once itself.
+# The primitives leave numpy's floating-point warnings to their caller: an
+# overflowed or NaN entry is a guarded row, never a warning, so a caller
+# enters np.errstate(all="ignore") once around them (an evaluation run does,
+# and so do a comparison, matrix_power and spectral_decompose).  The
+# eigensolvers stay correct outside it (see _direct).
 
 def no_errors(m: int) -> np.ndarray:
     return np.full(m, None, dtype=object)
@@ -255,6 +263,15 @@ def nonfinite_rows(arrs: np.ndarray) -> np.ndarray | None:
     if np.count_nonzero(finite) == finite.size:
         return None
     return ~finite.all(axis=(-2, -1))
+
+
+def concat_errors(parts, sizes):
+    """The row errors of consecutive stacks in turn, part i of sizes[i]
+    rows; None when every part is None."""
+    if all(part is None for part in parts):
+        return None
+    return np.concatenate([no_errors(size) if part is None else part
+                           for part, size in zip(parts, sizes)])
 
 
 def first_errors(errors, later):
@@ -305,6 +322,45 @@ def _eye(dim: int) -> np.ndarray:
     return eye
 
 
+# LAPACK's stacked eigensolvers are numpy gufuncs; called directly they skip
+# np.linalg's wrapper (its checks, casts and np.errstate cost more than the
+# solve of a few small matrices) and give the same bits.  A solve that does
+# not converge leaves NaN eigenvalues and sets numpy's invalid flag, where
+# np.linalg raises LinAlgError; so a stack with a non-finite eigenvalue, or
+# whose flags raise under the caller's np.errstate or warning filters, is
+# solved again through np.linalg.  Evaluation runs and comparisons call
+# them under np.errstate(all="ignore"), so a failed solve there warns
+# nothing on its way back; elsewhere (the tuple generators' screens) it may
+# warn, and its row is still an error row.
+_EIGH_SIGNATURES = {"d": "d->dd", "D": "D->dD"}
+_EIGVALSH_SIGNATURES = {"d": "d->d", "D": "D->d"}
+
+
+def _direct(gufunc: str, signatures: dict, fallback: str, arrs: np.ndarray):
+    """``np.linalg.<fallback>(arrs)``, by the gufunc ``gufunc`` of
+    numpy.linalg._umath_linalg where its eigenvalues come out finite."""
+    signature = signatures.get(arrs.dtype.char)
+    # both are looked up when called, as np.linalg looks up its gufuncs
+    if signature is not None:
+        try:
+            out = getattr(_umath_linalg, gufunc)(arrs, signature=signature)
+        except (FloatingPointError, RuntimeWarning):
+            pass
+        else:
+            finite = np.isfinite(out[0] if isinstance(out, tuple) else out)
+            if np.count_nonzero(finite) == finite.size:
+                return out
+    return getattr(np.linalg, fallback)(arrs)
+
+
+def _eigh(arrs: np.ndarray):
+    return _direct("eigh_lo", _EIGH_SIGNATURES, "eigh", arrs)
+
+
+def _eigvalsh(arrs: np.ndarray):
+    return _direct("eigvalsh_lo", _EIGVALSH_SIGNATURES, "eigvalsh", arrs)
+
+
 def _solve_stack(solver, arrs: np.ndarray, errors):
     """Run a stacked LAPACK solver on the healthy rows; returns (result,
     errors, the stack that was solved).
@@ -352,7 +408,7 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     before its residuals are taken, as an unhealthy row is solved as the
     identity: their products would meet inf * 0."""
     dim = arrs.shape[-1]
-    (lam, u), errors, work = _solve_stack(np.linalg.eigh, arrs, errors)
+    (lam, u), errors, work = _solve_stack(_eigh, arrs, errors)
     finite = np.isfinite(lam)
     if np.count_nonzero(finite) != finite.size:
         bad = ~finite.all(axis=-1)
@@ -455,12 +511,11 @@ def hermitian_part(arrs: np.ndarray, rtol: float):
 
 def margins_stack(p: np.ndarray, q: np.ndarray, errors):
     """(lambda_min(P - Q), lambda_min(Q - P), errors) per row from one
-    eigvalsh solve of the (broadcast) difference."""
+    eigvalsh solve of the (broadcast) difference.  Call under
+    np.errstate(all="ignore")."""
     if p.shape[-1] != q.shape[-1]:
         raise DimensionMismatchError(f"cannot compare dims {p.shape[-1]} and {q.shape[-1]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = p - q
-    evs, errors, _ = _solve_stack(np.linalg.eigvalsh, diff, errors)
+    evs, errors, _ = _solve_stack(_eigvalsh, p - q, errors)
     return evs[:, 0], -evs[:, -1], errors
 
 
@@ -501,6 +556,35 @@ class WordBatch:
         batch = cls(values, None, (rows, rows))
         vars(batch)["spectrum"] = (eigenvalues, None)
         return batch
+
+    @classmethod
+    def stack(cls, batches, rows: int) -> "WordBatch":
+        """The rows of ``batches`` in turn as one batch, each batch of
+        ``rows`` rows or of one row that stands for ``rows`` equal ones; its
+        distinct values are theirs.  It has a norm bound when each batch has
+        one or a known spectrum, whose exact norms bound its values."""
+        values, errors, firsts, inverses = [], [], [], []
+        distinct = 0
+        for j, batch in enumerate(batches):
+            first, inverse = batch.distinct
+            batch_values, batch_errors = batch.values, batch.row_errors
+            if len(batch_values) != rows:
+                batch_values = np.repeat(batch_values, rows, axis=0)
+                inverse = np.zeros(rows, np.intp)
+                if batch_errors is not None:
+                    batch_errors = np.repeat(batch_errors, rows)
+            values.append(batch_values)
+            errors.append(batch_errors)
+            firsts.append(first + j * rows)
+            inverses.append(inverse + distinct)
+            distinct += len(first)
+        stacked = cls(np.concatenate(values), concat_errors(errors, [rows] * len(errors)),
+                      (np.concatenate(firsts), np.concatenate(inverses)))
+        if all(batch.norm_bound is not None or "spectrum" in vars(batch) for batch in batches):
+            vars(stacked)["norm_bound"] = np.concatenate([
+                spectral_norms(batch.spectrum[0][batch.distinct[0]])
+                if batch.norm_bound is None else batch.norm_bound for batch in batches])
+        return stacked
 
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -564,22 +648,23 @@ def scaled_margins_stack(p: WordBatch, q: WordBatch, errors=None):
     norm is taken in full and q's is spared.  Errors merge p's before q's,
     and a row in error counts each norm as 1.  A margin that comes out
     non-finite fails with NonFiniteError."""
-    ge, le, errors = margins_stack(p.values, q.values, errors)
     sides = (p, q)
     # the side a bound may spare decompositions: q's when both have one
     gated = next((j for j in (1, 0) if sides[j].norm_bound is not None), None)
-    norms = [None if j == gated else _norms(side) for j, side in enumerate(sides)]
-    if gated is not None:
-        side = sides[gated]
-        other, other_errors = norms[1 - gated]
-        reach = np.maximum(1.0, other) / (1.0 + side.values.shape[-1] * BOUND_SLACK_PER_DIM)
-        # a NaN bound or norm compares False, so its row is decomposed
-        need = ~(side.norm_bound[side.distinct[1]] < reach)
-        if other_errors is not None:
-            need |= ~healthy(other_errors)
-        if errors is not None:
-            need &= healthy(errors)
-        norms[gated] = _needed_norms(side, need)
+    with np.errstate(all="ignore"):
+        ge, le, errors = margins_stack(p.values, q.values, errors)
+        norms = [None if j == gated else _norms(side) for j, side in enumerate(sides)]
+        if gated is not None:
+            side = sides[gated]
+            other, other_errors = norms[1 - gated]
+            reach = np.maximum(1.0, other) / (1.0 + side.values.shape[-1] * BOUND_SLACK_PER_DIM)
+            # a NaN bound or norm compares False, so its row is decomposed
+            need = ~(side.norm_bound[side.distinct[1]] < reach)
+            if other_errors is not None:
+                need |= ~healthy(other_errors)
+            if errors is not None:
+                need &= healthy(errors)
+            norms[gated] = _needed_norms(side, need)
     scale = np.ones(len(ge))
     for norm, side_errors in norms:
         if errors is not None:
@@ -596,7 +681,8 @@ def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:
     Raises NonFiniteError for non-finite entries and EigenSolverError (with
     dimension and a condition estimate) if LAPACK fails to converge or the
     orthogonality or reconstruction residual is out of tolerance."""
-    lam, u, errors = decompose_stack(h.entries[None])
+    with np.errstate(all="ignore"):
+        lam, u, errors = decompose_stack(h.entries[None])
     raise_first(errors)
     return SpectralDecomposition(eigenvalues=lam[0], eigenvectors=u[0])
 
@@ -678,7 +764,8 @@ def classify_stack(ge: np.ndarray, le: np.ndarray, scale: np.ndarray,
 
 def directional_margins(p: HermitianMatrix, q: HermitianMatrix) -> tuple[float, float]:
     """(lambda_min(P - Q), lambda_min(Q - P)) from a single solve."""
-    ge, le, errors = margins_stack(p.entries[None], q.entries[None], None)
+    with np.errstate(all="ignore"):
+        ge, le, errors = margins_stack(p.entries[None], q.entries[None], None)
     raise_first(errors)
     return float(ge[0]), float(le[0])
 

@@ -35,6 +35,7 @@ from .spectral import (
     WordBatch,
     any_set,
     classify_stack,
+    concat_errors,
     decompose_stack,
     failed_rows,
     first_errors,
@@ -44,7 +45,6 @@ from .spectral import (
     loewner_compare,
     margins_hold,
     matrix_to_json,
-    no_errors,
     operator_norm,
     positivity_margin,
     raise_first,
@@ -551,14 +551,12 @@ class MarginTable:
         tol_rel."""
         if len(tables) == 1:
             return tables[0]
-        errors = None
-        if any(t.errors is not None for t in tables):
-            errors = np.concatenate([no_errors(len(t)) if t.errors is None else t.errors
-                                     for t in tables])
         first = tables[0]
         columns = {name: np.concatenate([t.columns[name] for t in tables])
                    for name in first.columns}
-        return cls(first.checks, columns, errors, first.tol_rel)
+        return cls(first.checks, columns,
+                   concat_errors([t.errors for t in tables], [len(t) for t in tables]),
+                   first.tol_rel)
 
     def take(self, rows: np.ndarray) -> "MarginTable":
         """The rows at the indices ``rows``, in that order."""
@@ -902,14 +900,19 @@ def _judge_members(checks, check, point, lhs: dsl.WordBatch, rhs: dsl.WordBatch,
     weight w<w_index>; is_ge holds one entry per row or one for all.
 
     A row whose left or right side fails to evaluate is an error row, with
-    the left side's error first.  A weight w <= 0 (from an overflowed
-    chain exponent) would make the rhs I, so its row is an error row too."""
-    errors = flag_errors(first_errors(lhs.row_errors, rhs.row_errors), w <= 0,
-                         lambda i: dsl.EvaluationError(
-                             f"weight w{int(w_index[i])} = {float(w[i])!r} is not positive"))
-    ge, le, scale, errors = scaled_margins_stack(lhs, rhs, errors)
+    the left side's error first (``_member_errors``)."""
+    ge, le, scale, errors = scaled_margins_stack(lhs, rhs, _member_errors(lhs, rhs, w, w_index))
     return MarginTable.judged(checks, check, point, np.where(is_ge, ge, le), scale,
                               classify_stack(ge, le, scale, tol_rel), errors, suite_tol_rel, w=w)
+
+
+def _member_errors(lhs: dsl.WordBatch, rhs: dsl.WordBatch, w: np.ndarray, w_index):
+    """The row errors of member rows before their comparison: the left
+    side's, then the right side's, then a weight w <= 0 (from an overflowed
+    chain exponent), which would make the rhs I."""
+    return flag_errors(first_errors(lhs.row_errors, rhs.row_errors), w <= 0,
+                       lambda i: dsl.EvaluationError(
+                           f"weight w{int(w_index[i])} = {float(w[i])!r} is not positive"))
 
 
 def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdict]:
@@ -1074,22 +1077,40 @@ def reduction_scalar_interior(tup: OperatorTuple, t, p, n: int) -> float:
     bound word under its binding with every A^e replaced by its norm (a
     sandwich factor by |A|^(2e) for e > 0, (1/lambda_min(A))^(-2e) for
     e < 0) and the outermost power 1/p_2 left off.  Equals 1 when n = 1."""
-    _, bound = chains.reduction_words(2 * n)
-    if bound is None:
-        return 1.0
-    scalars = {f"t{i}": tv for i, tv in enumerate(t, 1)}
-    scalars.update(chains.peeled_bindings(t, tuple(float(v) for v in p)))
+    return _scalar_interior(tup, t, n)(p)
 
-    def interior(sandwich: chains.Power) -> float:
+
+def _scalar_interior(tup: OperatorTuple, t, n: int):
+    """``reduction_scalar_interior(tup, t, ., n)`` as a function of p: the
+    bound's sandwiches, the t bindings and each factor's norm and
+    lambda_min are read once, and each p takes the same float arithmetic."""
+    # the bound's sandwiches from the innermost out: (the index of the inner
+    # symbol, None around a sandwich; the inner word's exponent; the wrap)
+    layers = []
+    _, sandwich = chains.reduction_words(2 * n)
+    while sandwich is not None:
         wrap, inner, _ = sandwich.base.factors
-        s = interior(inner) if isinstance(inner, chains.Power) \
-            else operator_norm(tup.matrices[inner.index - 1])
-        s = s ** inner.exponent.evaluate(scalars)
-        e = 2.0 * wrap.exponent.evaluate(scalars)
-        m = tup.matrices[wrap.index - 1]
-        return s * (operator_norm(m) ** e if e > 0 else (1.0 / positivity_margin(m)) ** -e)
+        nested = isinstance(inner, chains.Power)
+        layers.append((None if nested else inner.index, inner.exponent, wrap))
+        sandwich = inner if nested else None
+    layers.reverse()
+    used = {i for inner, _, wrap in layers for i in (inner, wrap.index) if i is not None}
+    norms = {i: operator_norm(tup.matrices[i - 1]) for i in used}
+    lam_min = {i: positivity_margin(tup.matrices[i - 1]) for i in used}
+    t_names = {f"t{i}": tv for i, tv in enumerate(t, 1)}
 
-    return interior(bound)
+    def interior(p) -> float:
+        scalars = dict(t_names, **chains.peeled_bindings(t, tuple(float(v) for v in p)))
+        s = 1.0
+        for inner, exponent, wrap in layers:
+            if inner is not None:
+                s = norms[inner]
+            s = s ** exponent.evaluate(scalars)
+            e = 2.0 * wrap.exponent.evaluate(scalars)
+            s = s * (norms[wrap.index] ** e if e > 0 else (1.0 / lam_min[wrap.index]) ** -e)
+        return s
+
+    return interior
 
 
 # the checks of a reduction's table, in the order of each point's rows
@@ -1138,14 +1159,11 @@ def _c_totals(tup: OperatorTuple, t, p_vectors) -> np.ndarray:
     n = len(t)
     if n == 1:
         return np.ones(len(p_vectors))  # the interior is 1
+    interior = _scalar_interior(tup, t, n)
     codes: dict[tuple, int] = {}
-    firsts, inverse = [], []
-    for p in p_vectors:
-        code = codes.setdefault(tuple(p[1:2 * n - 1]), len(codes))
-        if code == len(firsts):
-            firsts.append(p)
-        inverse.append(code)
-    c = [reduction_scalar_interior(tup, t, p, n) ** (1.0 / p[1]) for p in firsts]
+    inverse = [codes.setdefault(tuple(p[1:2 * n - 1]), len(codes)) for p in p_vectors]
+    # the interior reads p_2 .. p_(2n-1) only, so p_1 is a placeholder
+    c = [interior((math.nan,) + prefix) ** (1.0 / prefix[0]) for prefix in codes]
     return np.asarray(c, dtype=np.float64)[inverse]
 
 
@@ -1173,12 +1191,18 @@ def check_reduction_chain(
     Each chunk of rows is one ``dsl.evaluate_batch`` run of the member's
     right and left sides, its core, the innermost sandwich and the peeled
     bound: the member contains the core and the sandwich, so each of their
-    nodes is evaluated once.  The sandwich depends on p1 alone, so its
-    spectrum is one decomposition per distinct p1 (``WordBatch.spectrum``),
-    which serves both its norm in the peel comparison and its extreme
-    eigenvalues against the scalar bound.  A premise row whose left side
-    fails to evaluate is a premise error row, as in a campaign.
-    Everything is judged at suite_tol_rel, verdicts included.
+    nodes is evaluated once.  The chunk is judged in one stacked
+    comparison of three segments: the premise (its right side against its
+    left), the core (against I) and the peel (the bound against the
+    sandwich).  The premise's and the core's margins swap back, so that
+    every side with a norm bound (a power's) is p: only the needed ones
+    are decomposed, and errors merge as in three separate comparisons.
+    The sandwich depends on p1 alone, so its spectrum is one decomposition
+    per distinct p1, which serves both its norm in the peel and its
+    extreme eigenvalues against the scalar bound.  A premise row whose
+    left side fails to evaluate is a premise error row, as in a campaign;
+    the premise is only counted.  Everything is judged at suite_tol_rel,
+    verdicts included.
     """
     tup, template, policy, index = instance
     k = tup.k
@@ -1195,51 +1219,53 @@ def check_reduction_chain(
     w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
     c_total = _c_totals(tup, template.t, p_vectors)
 
-    instance_id = str(index)
-    premise_check = (CampaignMember(instance_id, k, tup.dim, premise.family.value,
-                                    premise.member, premise.direction.value, p_vectors),)
     bounds = tuple(Comparison(name, p_vectors) for name in REDUCTION_BOUNDS)
     premise_failures = premise_errors = 0
     parts: list[MarginTable] = []
     for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
+        size = hi - lo
         columns = _p_columns(p_table[lo:hi])
         columns["w1"] = w[lo:hi]
         if bound_word is not None:
             columns.update(chains.peeled_bindings(template.t, p_table[lo:hi].T))
         rhs, lhs, core, base, *peeled = dsl.evaluate_batch(words, env, columns)
-        points = np.arange(lo, hi)
-        judged = _judge_members(premise_check, np.zeros(hi - lo, np.intp), points, lhs, rhs,
-                                w[lo:hi], np.ones(hi - lo, np.intp),
-                                premise.direction is Direction.GE, TOL_REL, suite_tol_rel)
-        premise_errors += int(np.count_nonzero(judged.error_rows))
-        premise_failures += int(np.count_nonzero(judged.failures()))
-
-        ge_core, le_core, scale_core, errors = scaled_margins_stack(ident, core, core.row_errors)
-        errors = first_errors(errors, base.row_errors)
-        bound = ident
-        if peeled:
-            bound, errors = peeled[0], first_errors(errors, peeled[0].row_errors)
-        # the peel comparison decomposes the base's distinct values and
-        # merges their errors; lambda_max below reuses that spectrum
-        ge_peel, le_peel, scale_peel, errors = scaled_margins_stack(bound, base, errors)
-        # the scalar bound c * I compares against the base's spectrum directly
-        lam = base.spectrum[0]
+        bound = peeled[0] if peeled else ident
+        # the premise, the core and the peel as three segments of one
+        # comparison, each with its powers as p
+        sides = WordBatch.stack((lhs, ident, base), size)
+        ge, le, scale, errors = scaled_margins_stack(
+            WordBatch.stack((rhs, core, bound), size), sides,
+            concat_errors((_member_errors(lhs, rhs, w[lo:hi], np.ones(size, np.intp)),
+                           core.row_errors, first_errors(base.row_errors, bound.row_errors)),
+                          (size,) * 3))
+        ge, le, scale = (col.reshape(3, size) for col in (ge, le, scale))
+        failed = failed_rows(errors, 3 * size).reshape(3, size)
+        premise_errors += int(np.count_nonzero(failed[0]))
+        # the premise's margin, left side against right
+        margin = le[0] if premise.direction is Direction.GE else ge[0]
+        premise_failures += int(np.count_nonzero(
+            ~failed[0] & ~margins_hold(margin, scale[0], suite_tol_rel)))
+        if errors is not None:
+            errors = first_errors(errors[size:2 * size], errors[2 * size:])
+        # the sandwich's spectrum, taken in that pass, also gives its
+        # extreme eigenvalues against the scalar bound c * I
+        lam = sides.spectrum[0][2 * size:]
         c = c_total[lo:hi]
-        # (bounds, points) arrays
-        ge = np.array((ge_core, ge_peel, c - lam[:, -1]))
-        le = np.array((le_core, le_peel, lam[:, 0] - c))
-        scale = np.array((scale_core, scale_peel,
+        # (bounds, points) arrays; the core's margins swap back to I - core
+        ge, le = np.array((le[1], ge[2], c - lam[:, -1])), np.array((ge[1], le[2], lam[:, 0] - c))
+        scale = np.array((scale[1], scale[2],
                           np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam))))
         errors = flag_errors(errors, ~(np.isfinite(ge[1:]).all(axis=0) & np.isfinite(scale[2])),
                              lambda i: NonFiniteError("reduction margin"))
         # each point's rows in turn, one per bound
         ge, le, scale = ge.T.ravel(), le.T.ravel(), scale.T.ravel()
+        points = np.arange(lo, hi)
         parts.append(MarginTable.judged(
             bounds, np.arange(len(ge)) % len(bounds), np.repeat(points, len(bounds)),
             ge, scale, classify_stack(ge, le, scale, suite_tol_rel),
             None if errors is None else np.repeat(errors, len(bounds)), suite_tol_rel,
             c_total=np.repeat(c, len(bounds))))
-    return ReductionReport(instance_id, premise_failures, premise_errors,
+    return ReductionReport(str(index), premise_failures, premise_errors,
                            MarginTable.concat(parts))
 
 

@@ -291,9 +291,52 @@ class TestCleanRunCost:
                                       np.ones(3, np.intp), True, verify.TOL_REL,
                                       verify.SUITE_TOL_REL)
         assert (lhs.row_errors, rhs.row_errors, table.errors) == (None, None, None)
-        # np.errstate once for the run, once for the comparison's margins
-        # and once for the margins_hold of the verdicts; two power nodes and
-        # the two sides' spectra decompose, and the symbols and two power
-        # nodes raise
+        # np.errstate once for the run, once for the comparison (its margins
+        # and norms) and once for the margins_hold of the verdicts; two
+        # power nodes and the two sides' spectra decompose, and the symbols
+        # and two power nodes raise
         assert counts == {"evaluate_batch": 1, "errstate": 3, "decompose_stack": 4,
                           "power_stack": 3}
+
+
+class TestReductionCalls:
+    """What one reduction chunk costs in comparisons and LAPACK solves: a
+    proof-steps instance of k = 5, dim 2 on the grid {1, 1.5, 4}, whose 81
+    rows are one chunk, replayed under counters."""
+
+    def test_one_comparison_and_one_margin_eigensolve_per_chunk(self, monkeypatch):
+        tup = gen_suite_tuple(5, 2, seed=[0, 0])
+        instance = Instance(tup, ParamTemplate(t=(0.85, 0.1), r=0.7), WeightPolicy.necessity())
+        counts = {}
+        solved = {"_eigh": [], "_eigvalsh": []}
+
+        def counted(module, name, sizes=None):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                if sizes is not None:
+                    sizes.append(len(args[0]))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for name, sizes in solved.items():
+            counted(spectral, name, sizes)
+        counted(verify, "scaled_margins_stack")
+        counted(dsl, "evaluate_batch")
+        for name in ("eigh", "eigvalsh"):
+            counted(np.linalg, name)
+        report = verify.check_reduction_chain(instance, PGrid(values=(1.0, 1.5, 4.0)))
+        assert len(report.table) == 3 * 81
+        # one run and one stacked comparison of the premise, core and peel
+        # rows: one eigvalsh solve of their 243 differences.  The run's
+        # powers decompose 3, 9, 27 and 81 distinct bases and the peeled
+        # bound's 3; the comparison decomposes the left side, I and the 3
+        # distinct sandwiches in one stack and the 9 peeled bounds in
+        # another.  Every solve is a direct LAPACK call: np.linalg's
+        # wrappers are not called
+        assert counts == {"evaluate_batch": 1, "scaled_margins_stack": 1, "_eigvalsh": 1,
+                          "_eigh": 7}
+        assert solved["_eigvalsh"] == [243]
+        assert sorted(solved["_eigh"]) == [3, 3, 5, 9, 9, 27, 81]

@@ -1,10 +1,13 @@
 import math
+import pickle
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from oporder.spectral import (
     RECON_RTOL,
@@ -294,16 +297,10 @@ class TestStackedGuards:
             matrix_power(big, 2.0)
 
     def test_lapack_failure_is_confined_to_its_row(self, monkeypatch):
-        real = np.linalg.eigvalsh
-
-        def failing(arr):
-            if np.any(np.asarray(arr)[..., 0, 0] == 7.0):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(arr)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        fail_lapack_on_sevens(monkeypatch, "eigvalsh_lo")
         p = np.stack([2.0 * np.eye(2), np.diag([7.0, 1.0]), 3.0 * np.eye(2)])
-        ge, le, errors = margins_stack(p, np.zeros((1, 2, 2)), None)
+        with np.errstate(all="ignore"):
+            ge, le, errors = margins_stack(p, np.zeros((1, 2, 2)), None)
         assert isinstance(errors[1], EigenSolverError)
         assert errors[0] is None and errors[2] is None
         assert (ge[0], le[0], ge[2], le[2]) == (2.0, -2.0, 3.0, -3.0)
@@ -331,6 +328,95 @@ class TestStackedGuards:
         assert isinstance(errors[1], NearSingularError)
         assert np.allclose(out[0], np.diag([1e-26, 1.0]))
         assert mu[[0, 2]].tolist() == [[1e-13 * 1e-13, 1.0], [1e-13, 1.0]]
+
+
+def fail_lapack_on_sevens(monkeypatch, gufunc: str) -> None:
+    """Make LAPACK's gufunc ``gufunc`` fail on each matrix whose top-left
+    entry is 7 as a solve that does not converge fails: NaN eigenvalues
+    and numpy's invalid flag, which np.linalg turns into LinAlgError."""
+    real = getattr(_umath_linalg, gufunc)
+
+    def failing(arrs, **kwargs):
+        out = real(arrs, **kwargs)
+        bad = np.asarray(arrs)[..., 0, 0] == 7.0
+        if np.any(bad):
+            (out[0] if isinstance(out, tuple) else out)[bad] = np.nan
+            np.sqrt(np.array(-1.0))  # raises the invalid flag
+        return out
+
+    monkeypatch.setattr(_umath_linalg, gufunc, failing)
+
+
+def random_hermitian_stack(seed, dim, count, complex_field):
+    rng = np.random.default_rng(seed)
+    arrs = rng.standard_normal((count, dim, dim))
+    if complex_field:
+        arrs = arrs + 1j * rng.standard_normal((count, dim, dim))
+    return arrs + _strided_adjoint(arrs)
+
+
+class TestErrorTexts:
+    """The row errors keep their fields as their arguments and format the
+    same message when it is read."""
+
+    @pytest.mark.parametrize("error, args, text", [
+        (NearSingularError(3.271772e-20, 1e-10), (3.271772e-20, 1e-10),
+         "matrix is numerically singular for the requested power: "
+         "lambda_min=3.271772e-20 <= gate=1.000000e-10"),
+        (EigenSolverError(3, 1.5e17), (3, 1.5e17),
+         "eigensolver failed to converge (dim=3, cond~1.500e+17)"),
+        (NonFiniteError("matrix power"), ("matrix power",), "matrix power is not finite"),
+    ])
+    def test_text_is_formatted_when_read(self, error, args, text):
+        assert error.args == args
+        assert str(error) == text
+        again = pickle.loads(pickle.dumps(error))
+        assert (type(again), str(again), vars(again)) == (type(error), text, vars(error))
+        with pytest.raises(type(error), match=f"^{re.escape(text)}$"):
+            raise error
+
+
+class TestDirectEigensolvers:
+    """The stacked primitives call LAPACK's gufuncs without np.linalg's
+    wrapper, with its bits, and fall back to it where a solve fails."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10**9), dim=st.integers(1, 4), count=st.integers(1, 300),
+           complex_field=st.booleans())
+    def test_same_bits_as_linalg(self, seed, dim, count, complex_field):
+        arrs = random_hermitian_stack(seed, dim, count, complex_field)
+        lam, u = spectral._eigh(arrs)
+        want_lam, want_u = np.linalg.eigh(arrs)
+        assert (lam.dtype, u.dtype) == (want_lam.dtype, want_u.dtype)
+        assert lam.tobytes() == want_lam.tobytes() and u.tobytes() == want_u.tobytes()
+        evs = spectral._eigvalsh(arrs)
+        assert evs.dtype == want_lam.dtype
+        assert evs.tobytes() == np.linalg.eigvalsh(arrs).tobytes()
+
+    @pytest.mark.parametrize("warnings_as_errors", [False, True])
+    def test_unsolvable_row_is_the_same_eigensolver_error(self, monkeypatch, warnings_as_errors):
+        # a failed solve goes back through np.linalg, whose LinAlgError
+        # makes the failing row an EigenSolverError row; outside an errstate
+        # that ignores the invalid flag, a RuntimeWarning raised as an error
+        # takes the same way, and no warning escapes
+        arrs = random_hermitian_stack(5, 3, 6, False)
+        arrs[2, 0, 0] = 7.0
+        clean = decompose_stack(arrs)
+        fail_lapack_on_sevens(monkeypatch, "eigh_lo")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if warnings_as_errors:
+                lam, u, errors = decompose_stack(arrs)
+            else:
+                with np.errstate(all="ignore"):
+                    lam, u, errors = decompose_stack(arrs)
+        want = EigenSolverError(3, spectral._cond_estimate(arrs[2]))
+        assert error_rows(errors, 6) == [None, None, (EigenSolverError, str(want)),
+                                         None, None, None]
+        healthy = np.arange(6) != 2
+        assert lam[healthy].tobytes() == clean[0][healthy].tobytes()
+        assert u[healthy].tobytes() == clean[1][healthy].tobytes()
+        assert lam[2].tolist() == [1.0, 1.0, 1.0]
 
 
 def _strided_adjoint(arrs):

@@ -718,15 +718,14 @@ class TestReductionChain:
             monkeypatch.setattr(module, "decompose_stack", counting_decompose)
         check_reduction_chain(_necessity(tup, template), PGrid(values=(1.0, 1.5, 4.0)))
         # 81 rows in one run: its five powers decompose 3, 9, 27 and 81
-        # distinct bases and the peeled bound's 3; the comparisons decompose
-        # the left side, the 9 distinct peeled bounds and the base
-        # sandwich's 3 distinct values, once for both its norm and its
-        # lambda_max.  The identity's spectrum is known.  The 81 cores and
+        # distinct bases and the peeled bound's 3.  The one comparison
+        # decomposes the left side, I and the base sandwich's 3 distinct
+        # values in one stack (once for both its norm and its lambda_max),
+        # and the 9 distinct peeled bounds in another.  The 81 cores and
         # the 81 right sides are powers whose norm bounds stay below the
-        # identity's and the left side's norms, so no comparison decomposes
-        # them
+        # identity's and the left side's norms, so it decomposes none of them
         assert calls["evaluate_batch"] == 1
-        assert sorted(calls["decompose_stack"]) == [1, 3, 3, 3, 9, 9, 27, 81]
+        assert sorted(calls["decompose_stack"]) == [3, 3, 5, 9, 9, 27, 81]
 
     def test_subsampled_premise_is_judged_on_the_reduction_rows(self):
         # 101 ** 2 grid points exceed GRID_POINT_CAP, so the rows are a
