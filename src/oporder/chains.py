@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Union
 
 import numpy as np
@@ -158,25 +158,36 @@ def _dyadic(x: float) -> tuple[int, int]:
     return m, d.bit_length() - 1
 
 
-def chain_exponents(t, p_table) -> np.ndarray:
-    """Aggregate exponent psi of the fully nested chain word, one per row of
-    an (N, 2n) table of p-vectors.
+def by_contents(maxsize: int):
+    """Decorator for a function of one array: its results for read-only
+    arrays (a shared grid product, or a slice of one) are cached by the
+    array's dtype, shape and bytes, at most ``maxsize`` of them, the least
+    recently used dropped first.  A writeable array, usually built for one
+    call, is computed afresh.  A cached result is shared, so its arrays are
+    read-only."""
+    def decorate(compute):
+        @lru_cache(maxsize=maxsize)
+        def cached(dtype: str, shape: tuple, data: bytes):
+            return compute(np.frombuffer(data, dtype=dtype).reshape(shape))
 
-    Defined by the recurrence b_0 = 1, b_j = (b_(j-1) * p_(2j-1) - t_j) *
-    p_(2j) + t_j, returning b_n.  Each level is computed for every row at
-    once in exact arithmetic: object arrays of Python integers over one
-    power of two per level, so the all-ones telescoping case returns
-    exactly 1.0.  Each b_n is then rounded once to the nearest float
-    (CPython's int / int division rounds correctly, as ``float(Fraction)``
-    does); beyond the float range it is inf.
-    """
-    t = tuple(float(v) for v in t)
-    table = np.asarray(p_table, dtype=np.float64)
-    n = len(t)
-    if table.ndim != 2 or table.shape[1] != 2 * n:
-        raise ValueError(f"need twice as many p as t values, got {table.shape[-1]} and {n}")
-    if any(not 0.0 <= v <= 1.0 for v in t):
-        raise ValueError(f"every t must lie in [0, 1], got {t}")
+        @wraps(compute)
+        def call(table: np.ndarray):
+            if table.flags.writeable:
+                return compute(table)
+            return cached(table.dtype.str, table.shape, table.tobytes())
+
+        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
+        return call
+    return decorate
+
+
+@by_contents(maxsize=32)
+def _chain_terms(table: np.ndarray):
+    """The p-dependent terms of the expanded chain exponent of each row of
+    an (N, 2n) p-table: (S_1, (S_3 - S_2, .., S_(2n+1) - S_2n), bs), object
+    columns of Python integers over the one power of two 2**bs, where S_m =
+    p_m * .. * p_2n and S_(2n+1) = 1.  Raises ValueError unless every p is
+    finite and >= 1."""
     bad = ~(np.isfinite(table) & (table >= 1.0))
     if bad.any():
         first = tuple(table[bad.any(axis=1)][0].tolist())
@@ -187,15 +198,53 @@ def chain_exponents(t, p_table) -> np.ndarray:
     ps = max((s for _, s in exact), default=0)
     p_int = np.array([m << (ps - s) for m, s in exact], dtype=object)
     p_int = p_int[codes.reshape(table.shape)]
-    # b over 2**bs; x = b * p_(2j-1) - t_j over 2**xs, then b' = x * p_(2j)
-    # + t_j, each sum taken over the larger power of two
-    b, bs = np.ones(len(table), dtype=object), 0
-    for j, tj in enumerate(t):
-        tm, ts = _dyadic(tj)
-        xs = max(bs + ps, ts)
-        x = ((b * p_int[:, 2 * j]) << (xs - bs - ps)) - (tm << (xs - ts))
-        bs = max(xs + ps, ts)
-        b = ((x * p_int[:, 2 * j + 1]) << (bs - xs - ps)) + (tm << (bs - ts))
+    # suffix = p_(m+1) * .. * p_2n over 2**((2n - m) * ps), m = 2n .. 1; at
+    # m = 2j, S_(2j+1) - S_2j = suffix * (1 - p_2j), taken over 2**(2n * ps)
+    width = table.shape[1]
+    suffix = np.ones(len(table), dtype=object)
+    diffs = []
+    for m in range(width, 0, -1):
+        scaled = suffix * p_int[:, m - 1]
+        if m % 2 == 0:
+            diffs.append(((suffix << ps) - scaled) << ((m - 1) * ps))
+        suffix = scaled
+    diffs = tuple(reversed(diffs))
+    for column in (suffix, *diffs):
+        column.setflags(write=False)
+    return suffix, diffs, width * ps
+
+
+def chain_exponents(t, p_table) -> np.ndarray:
+    """Aggregate exponent psi of the fully nested chain word, one per row of
+    an (N, 2n) table of p-vectors.
+
+    Defined by the recurrence b_0 = 1, b_j = (b_(j-1) * p_(2j-1) - t_j) *
+    p_(2j) + t_j, returning b_n, and computed in its expanded form b_n =
+    S_1 + sum_j t_j * (S_(2j+1) - S_2j), where S_m = p_m * .. * p_2n and
+    S_(2n+1) = 1.  The sum is exact: object columns of Python integers over
+    one power of two, so the all-ones telescoping case returns exactly 1.0.
+    Each b_n is then rounded once to the nearest float (CPython's int / int
+    division rounds correctly, as ``float(Fraction)`` does); beyond the
+    float range it is inf.  The S terms depend on the table alone and are
+    cached for a read-only table (``by_contents``), so the instances that
+    share a grid product pay only their t_j multiples.
+    """
+    t = tuple(float(v) for v in t)
+    table = np.asarray(p_table, dtype=np.float64)
+    n = len(t)
+    if table.ndim != 2 or table.shape[1] != 2 * n:
+        raise ValueError(f"need twice as many p as t values, got {table.shape[-1]} and {n}")
+    if any(not 0.0 <= v <= 1.0 for v in t):
+        raise ValueError(f"every t must lie in [0, 1], got {t}")
+    head, diffs, bs = _chain_terms(table)
+    # every t_j as an integer over the one power of two 2**ts
+    dyadic = [_dyadic(v) for v in t]
+    ts = max(s for _, s in dyadic)
+    b = head << ts
+    for (tm, s), diff in zip(dyadic, diffs):
+        if tm:
+            b = b + diff * (tm << (ts - s))
+    bs += ts
     try:
         return (b / (1 << bs)).astype(np.float64)
     except OverflowError:

@@ -182,10 +182,12 @@ _CHECK_FLAGS = (
 
 def build_parser(mode: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser; its ``check`` takes the flags of ``mode``,
-    or only --mode when no mode is known, and then rejects every argv."""
+    or only --mode when no mode is known, and then rejects every argv.
+    ``commands`` maps each command to its own parser."""
     parser = _Parser(prog="oporder",
                      description="Numerical laboratory for operator-order chain inequalities.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_exp = sub.add_parser(
         "exponent", help="aggregate chain exponent and the necessity weight for given t, p, r")
@@ -453,8 +455,9 @@ _HEAD.add_argument("--config")
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Flags, over the entries of a --config file, over the defaults.  A
-    check argv goes to the parser of its mode: --mode's, else the config's."""
-    head, parser, entries = _HEAD.parse_known_args(argv[1:])[0], _parser(), None
+    check argv goes straight to the check parser of its mode: --mode's, else
+    the config's, or the mode-less one."""
+    head, entries = _HEAD.parse_known_args(argv[1:])[0], None
     if head.config is not None:
         try:
             entries = json.loads(Path(head.config).read_text())
@@ -464,14 +467,18 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             raise UsageError(f"config {head.config} must hold a JSON object")
     if argv[:1] == ["check"]:
         mode = head.mode if head.mode is not None or entries is None else entries.get("mode")
-        if mode in MODES:
-            parser = _parser(mode)
-        elif mode is not None:  # the mode-less parser rejects it
+        if mode is not None and mode not in MODES:  # the mode-less parser rejects it
             argv = ["check", f"--mode={mode}"] + argv[1:]
-    args = parser.parse_args(argv)
-    if entries is None:
-        return args
-    return parser.parse_args(argv[:1] + _config_tokens(entries, args) + argv[1:])
+        # the check parser takes what the root parser would hand it over
+        parser, lead = _parser(mode if mode in MODES else None).commands["check"], []
+    else:
+        parser, lead = _parser(), argv[:1]
+    args = parser.parse_args(lead + argv[1:])
+    if entries is not None:
+        args = parser.parse_args(lead + _config_tokens(entries, args) + argv[1:])
+    if not lead:
+        args.command = "check"
+    return args
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -489,6 +490,28 @@ def _distinct(column: np.ndarray):
     return order[new], inverse
 
 
+def _refine(first: np.ndarray, inverse: np.ndarray, column: np.ndarray):
+    """(first, inverse) of rows grouped as ``first`` and ``inverse`` give
+    and then by ``column``."""
+    if len(first) == len(column):
+        return first, inverse  # every row is a binding of its own already
+    values, codes = _distinct(column)
+    return _distinct(inverse * len(values) + codes)
+
+
+@lru_cache(maxsize=32)
+def _shared_grouping(columns: tuple[bytes, ...]):
+    """(first, inverse) of rows grouped by float64 columns, given by their
+    bytes, in turn, with read-only arrays: the grouping of shared columns,
+    found once."""
+    column = np.frombuffer(columns[-1])
+    first, inverse = (_refine(*_shared_grouping(columns[:-1]), column) if len(columns) > 1
+                      else _distinct(column))
+    for arr in (first, inverse):
+        arr.setflags(write=False)
+    return first, inverse
+
+
 def _fit(errors, m: int):
     """Row errors stretched to m rows (a single row is shared by all)."""
     if errors is None or len(errors) == m:
@@ -565,29 +588,41 @@ class _BatchRun:
             self.env_columns = {name: np.array([e.scalars[name] for e in envs], dtype=np.float64)
                                 for name in self.env.scalars if name not in columns}
         self.columns = columns
+        # the read-only columns of a one-environment run, which are grouped
+        # through _shared_grouping
+        self.shared = frozenset() if self.multi else frozenset(
+            name for name, col in columns.items() if not col.flags.writeable)
         self._groups: dict[frozenset, _Group] = {}
+        self._bytes: dict[str, bytes] = {}
 
     def group_of(self, node: _Node) -> _Group | None:
         """The group a node is evaluated on (None: once for every row)."""
         return self.group(node.names) if self.columns else None
 
     def group(self, names: frozenset) -> _Group | None:
+        """The group of ``names``: its rows refined by the names in sorted
+        order.  In a one-environment run, names whose columns are all
+        read-only, as the p-columns sliced from a shared grid product are,
+        take their grouping from ``_shared_grouping``, so the runs on one
+        grid group its rows once."""
         if not names:
             return None
         got = self._groups.get(names)
         if got is None:
-            last = max(names)
-            rest = self.group(names - {last})
-            if rest is None:
-                first, inverse = _distinct(self.columns[last])
-            elif len(rest.first) == self.size:
-                # every row is a binding of its own already
-                first, inverse = rest.first, rest.inverse
+            if names <= self.shared:
+                first, inverse = _shared_grouping(tuple(map(self._column_bytes, sorted(names))))
             else:
-                values, codes = _distinct(self.columns[last])
-                key = rest.inverse * len(values) + codes
-                first, inverse = _distinct(key)
+                last = max(names)
+                rest = self.group(names - {last})
+                first, inverse = (_distinct(self.columns[last]) if rest is None
+                                  else _refine(rest.first, rest.inverse, self.columns[last]))
             got = self._groups[names] = _Group(names, first, inverse)
+        return got
+
+    def _column_bytes(self, name: str) -> bytes:
+        got = self._bytes.get(name)
+        if got is None:
+            got = self._bytes[name] = self.columns[name].tobytes()
         return got
 
     def column(self, group: _Group, name: str):

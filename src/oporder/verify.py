@@ -33,6 +33,8 @@ from .spectral import (
     SpectralDecomposition,
     Verdict,
     WordBatch,
+    _eigvalsh,
+    _eye,
     any_set,
     classify_stack,
     concat_errors,
@@ -246,6 +248,14 @@ def gen_unordered_tuples(k: int, instances, field_kind: str = "real") -> list[Op
     return found
 
 
+@lru_cache(maxsize=None)
+def _centers(lo: float, hi: float, k: int) -> np.ndarray:
+    """k evenly spaced spectral centers from lo to hi, shared read-only."""
+    centers = np.linspace(lo, hi, k)
+    centers.setflags(write=False)
+    return centers
+
+
 def gen_contractive_tuple(
     k: int,
     dim: int,
@@ -266,7 +276,7 @@ def gen_contractive_tuple(
         raise ValueError(f"band {band} with wobble {wobble} must sit inside (0, 1)")
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    centers = np.linspace(lo, hi, k)
+    centers = _centers(lo, hi, k)
     gap = centers[1] - centers[0]
     if not wobble < gap / 2:
         raise ValueError(f"wobble {wobble} must be below half the center gap {gap:.4f}")
@@ -274,8 +284,8 @@ def gen_contractive_tuple(
     # the k perturbations in the order of k single draws, normalized and
     # decomposed as stacks; each step equals its per-matrix form bit for bit
     s = _random_spds(rng, dim, k, field_kind, 0.0)
-    s = s / np.maximum(np.linalg.eigvalsh(s)[:, -1], 1e-12)[:, None, None]
-    m = centers[:, None, None] * np.eye(dim) + wobble * s
+    s = s / np.maximum(_eigvalsh(s)[:, -1], 1e-12)[:, None, None]
+    m = centers[:, None, None] * _eye(dim) + wobble * s
     # one checked decomposition of the symmetrized stack, kept on each
     # matrix for later powers; the first matrix that fails to decompose or
     # the pd gate raises its error
@@ -303,8 +313,9 @@ def gen_suite_tuple(k: int, dim: int, seed, field_kind: str = "real") -> Operato
 
 @dataclass(frozen=True)
 class PGrid:
-    """Finite ascending sample of the exponent range [1, inf); escalate()
-    appends the last point times GRID_GROWTH until the cap."""
+    """Finite, strictly ascending sample of the exponent range [1, inf), so
+    that no point is sampled twice; escalate() appends the last point times
+    GRID_GROWTH until the cap."""
 
     values: tuple[float, ...] = (1.0, 1.5, 2.0, 4.0, 8.0)
     cap: float = 64.0
@@ -314,8 +325,8 @@ class PGrid:
         object.__setattr__(self, "values", vals)
         if not vals or any(not (1.0 <= v < math.inf) for v in vals):
             raise ValueError(f"grid values must be finite and >= 1, got {vals}")
-        if list(vals) != sorted(vals):
-            raise ValueError(f"grid values must ascend, got {vals}")
+        if any(a >= b for a, b in zip(vals, vals[1:])):
+            raise ValueError(f"grid values must ascend strictly, got {vals}")
 
     def escalate(self) -> "PGrid | None":
         nxt = self.values[-1] * GRID_GROWTH
@@ -1077,37 +1088,63 @@ def reduction_scalar_interior(tup: OperatorTuple, t, p, n: int) -> float:
     bound word under its binding with every A^e replaced by its norm (a
     sandwich factor by |A|^(2e) for e > 0, (1/lambda_min(A))^(-2e) for
     e < 0) and the outermost power 1/p_2 left off.  Equals 1 when n = 1."""
-    return _scalar_interior(tup, t, n)(p)
+    return _scalar_interior(tup, t, n)(chains.peeled_bindings(t, tuple(float(v) for v in p)))
 
 
-def _scalar_interior(tup: OperatorTuple, t, n: int):
-    """``reduction_scalar_interior(tup, t, ., n)`` as a function of p: the
-    bound's sandwiches, the t bindings and each factor's norm and
-    lambda_min are read once, and each p takes the same float arithmetic."""
-    # the bound's sandwiches from the innermost out: (the index of the inner
-    # symbol, None around a sandwich; the inner word's exponent; the wrap)
+def _compiled(expr: ScalarExpr) -> tuple[float, tuple[tuple[str, float], ...]]:
+    """An exponent as the float (const, terms) that ``ScalarExpr.evaluate``
+    reads it as."""
+    return float(expr.const), tuple((name, float(c)) for name, c in expr.terms)
+
+
+def _value(compiled, scalars) -> float:
+    """A compiled exponent under ``scalars``, by the operations of
+    ``ScalarExpr.evaluate``."""
+    total, terms = compiled
+    for name, coeff in terms:
+        total = total + coeff * scalars[name]
+    return total
+
+
+@lru_cache(maxsize=None)
+def _interior_layers(n: int) -> tuple:
+    """The peeled bound's sandwiches for n levels, from the innermost out:
+    (the index of the inner symbol, None around a sandwich; the inner
+    word's exponent; the wrap's index; the wrap's exponent), each exponent
+    compiled (``_compiled``).  Empty for n = 1, whose bound is I."""
     layers = []
     _, sandwich = chains.reduction_words(2 * n)
     while sandwich is not None:
         wrap, inner, _ = sandwich.base.factors
         nested = isinstance(inner, chains.Power)
-        layers.append((None if nested else inner.index, inner.exponent, wrap))
+        layers.append((None if nested else inner.index, _compiled(inner.exponent),
+                       wrap.index, _compiled(wrap.exponent)))
         sandwich = inner if nested else None
-    layers.reverse()
-    used = {i for inner, _, wrap in layers for i in (inner, wrap.index) if i is not None}
-    norms = {i: operator_norm(tup.matrices[i - 1]) for i in used}
-    lam_min = {i: positivity_margin(tup.matrices[i - 1]) for i in used}
-    t_names = {f"t{i}": tv for i, tv in enumerate(t, 1)}
+    return tuple(reversed(layers))
 
-    def interior(p) -> float:
-        scalars = dict(t_names, **chains.peeled_bindings(t, tuple(float(v) for v in p)))
+
+def _scalar_interior(tup: OperatorTuple, t, n: int):
+    """``reduction_scalar_interior(tup, t, ., n)`` as a function of the
+    bound's binding (``chains.peeled_bindings``).  The wraps' exponents
+    read t alone, so each wrap's factor, a norm or 1/lambda_min to a power,
+    is taken once; each binding then raises the inner norms to its q values
+    with the same float arithmetic."""
+    layers = _interior_layers(n)
+    t_names = {f"t{i}": float(tv) for i, tv in enumerate(t, 1)}
+    norms, factors = {}, []
+    for inner, _, wrap, wrap_exponent in layers:
+        if inner is not None:
+            norms[inner] = operator_norm(tup.matrices[inner - 1])
+        e = 2.0 * _value(wrap_exponent, t_names)
+        factors.append(operator_norm(tup.matrices[wrap - 1]) ** e if e > 0
+                       else (1.0 / positivity_margin(tup.matrices[wrap - 1])) ** -e)
+
+    def interior(q) -> float:
         s = 1.0
-        for inner, exponent, wrap in layers:
+        for (inner, exponent, _, _), factor in zip(layers, factors):
             if inner is not None:
                 s = norms[inner]
-            s = s ** exponent.evaluate(scalars)
-            e = 2.0 * wrap.exponent.evaluate(scalars)
-            s = s * (norms[wrap.index] ** e if e > 0 else (1.0 / lam_min[wrap.index]) ** -e)
+            s = s ** _value(exponent, q) * factor
         return s
 
     return interior
@@ -1153,17 +1190,29 @@ class ReductionReport:
                 for i in np.flatnonzero(holds[:, 0] & ~(holds[:, 1] & holds[:, 2])).tolist()]
 
 
-def _c_totals(tup: OperatorTuple, t, p_vectors) -> np.ndarray:
-    """The scalar bound c = interior^(1/p_2) per row.  It depends on p_2 ..
-    p_(2n-1) only, so it is computed once per distinct such prefix."""
+@chains.by_contents(maxsize=32)
+def _prefix_codes(prefixes: np.ndarray):
+    """The distinct rows of a table of (p_2 .. p_(2n-1)) prefixes, each as
+    a tuple of floats, and the code of each row's prefix among them."""
+    codes: dict[tuple, int] = {}
+    inverse = np.array([codes.setdefault(prefix, len(codes)) for prefix in
+                        map(tuple, prefixes.tolist())], dtype=np.intp)
+    inverse.setflags(write=False)
+    return tuple(codes), inverse
+
+
+def _c_totals(tup: OperatorTuple, t, p_table: np.ndarray) -> np.ndarray:
+    """The scalar bound c = interior^(1/p_2) per row of an (N, 2n) p-table.
+    It depends on p_2 .. p_(2n-1) only, so it is computed once per distinct
+    such prefix; the prefixes of a shared grid product are found once."""
     n = len(t)
     if n == 1:
-        return np.ones(len(p_vectors))  # the interior is 1
+        return np.ones(len(p_table))  # the interior is 1
     interior = _scalar_interior(tup, t, n)
-    codes: dict[tuple, int] = {}
-    inverse = [codes.setdefault(tuple(p[1:2 * n - 1]), len(codes)) for p in p_vectors]
-    # the interior reads p_2 .. p_(2n-1) only, so p_1 is a placeholder
-    c = [interior((math.nan,) + prefix) ** (1.0 / prefix[0]) for prefix in codes]
+    prefixes, inverse = _prefix_codes(p_table[:, 1:2 * n - 1])
+    # the binding reads p_2 .. p_(2n-1) only, so p_1 is a placeholder
+    c = [interior(chains.peeled_bindings(t, (math.nan,) + prefix)) ** (1.0 / prefix[0])
+         for prefix in prefixes]
     return np.asarray(c, dtype=np.float64)[inverse]
 
 
@@ -1217,7 +1266,7 @@ def check_reduction_chain(
     ident = _identity_batch(tup.dim)
     p_vectors, p_table = _p_samples(grid, n, master_seed, index, 2)
     w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
-    c_total = _c_totals(tup, template.t, p_vectors)
+    c_total = _c_totals(tup, template.t, p_table)
 
     bounds = tuple(Comparison(name, p_vectors) for name in REDUCTION_BOUNDS)
     premise_failures = premise_errors = 0

@@ -160,6 +160,21 @@ class TestCheckCommand:
         assert "error:" in err and "finite" in err
         assert "Traceback" not in err and "VIOLATION" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check", "--mode", "necessity", "--k", "3", "--dim", "2", "--count", "1",
+         "--p-grid", "1,1.5,1.5"),
+        ("check", "--mode", "proof-steps", "--k", "3", "--dim", "2", "--count", "1",
+         "--p-grid", "1,1,2"),
+        ("check", "--mode", "limit", "--k", "3", "--dim", "2", "--count", "1", "--s-grid", "1,1"),
+        ("search", "--budget", "1", "--p-grid", "1,1.5,1.5"),
+    ])
+    def test_repeated_grid_value_exits_2(self, capsys, argv):
+        # each point of a grid is sampled once: a repeat would be evaluated
+        # and counted twice
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: argument --") and "must ascend strictly" in err
+
     def test_dim_zero_exits_2(self, capsys):
         code, _, err = run(capsys, "check", "--mode", "necessity", "--k", "3",
                            "--dim", "0", "--count", "1")
@@ -286,7 +301,7 @@ class TestCheckCommand:
         cfg.write_text(json.dumps({"mode": "limit", "k": int(k), "dim": 2, "count": 1, "t": t}))
         assert run(capsys, "check", "--config", str(cfg)) == (code, out, err)
 
-    @pytest.mark.parametrize("s_grid", ["0", "-1", "nan", "10,1"])
+    @pytest.mark.parametrize("s_grid", ["0", "-1", "nan", "10,1", "1,1"])
     def test_limit_bad_s_grid_exits_2(self, capsys, s_grid):
         code, out, err = run(capsys, "check", "--mode", "limit", "--k", "3",
                              "--dim", "2", "--count", "1", "--s-grid", s_grid)
@@ -733,12 +748,12 @@ _FUZZ_FIELDS = {
     "dim": (("1", "2", "3"), ("0",)),
     "count": (("1", "2"), ("0",)),
     "p-grid": (("1", "1,2", "1,1.5,4", "1,1e300", "1e300"),
-               ("4,1", "0.5,1", "1,nan", "1,inf", "x")),
+               ("4,1", "1,1.5,1.5", "0.5,1", "1,nan", "1,inf", "x")),
     "tol-rel": (("1e-12", "1e-7", "1e-2", "1e300"), ("0", "-1e-7", "nan", "inf", "x")),
     "suite-tol-rel": (("1e-12", "1e-7", "1e-2", "1e300"), ("0", "-1e-7", "nan", "inf", "x")),
     "weights": (("necessity", "0.01", "0.5", "0.9", "1e300"),
                 ("fixed:x", "fixed:0.5", "bogus", "0", "-1", "inf", "nan")),
-    "s-grid": (("1", "1,10,100", "1,1e300", "1e300"), ("0", "10,1", "1,nan", "x")),
+    "s-grid": (("1", "1,10,100", "1,1e300", "1e300"), ("0", "10,1", "1,1", "1,nan", "x")),
 }
 
 

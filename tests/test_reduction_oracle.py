@@ -24,8 +24,6 @@ from oporder.spectral import (
     classify_stack,
     first_errors,
     flag_errors,
-    operator_norm,
-    positivity_margin,
     scaled_margins_stack,
     spectral_norms,
 )
@@ -38,27 +36,7 @@ from oporder.verify import (
     WeightPolicy,
     check_reduction_chain,
 )
-
-
-def walked_interior(tup: OperatorTuple, t, p, n: int) -> float:
-    """The reduction's scalar interior by a walk of the peeled bound word,
-    each factor's norm or lambda_min read where it is reached."""
-    _, bound = chains.reduction_words(2 * n)
-    if bound is None:
-        return 1.0
-    scalars = {f"t{i}": tv for i, tv in enumerate(t, 1)}
-    scalars.update(chains.peeled_bindings(t, tuple(float(v) for v in p)))
-
-    def interior(sandwich: chains.Power) -> float:
-        wrap, inner, _ = sandwich.base.factors
-        s = interior(inner) if isinstance(inner, chains.Power) \
-            else operator_norm(tup.matrices[inner.index - 1])
-        s = s ** inner.exponent.evaluate(scalars)
-        e = 2.0 * wrap.exponent.evaluate(scalars)
-        m = tup.matrices[wrap.index - 1]
-        return s * (operator_norm(m) ** e if e > 0 else (1.0 / positivity_margin(m)) ** -e)
-
-    return interior(bound)
+from util import walk_c_totals
 
 
 def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
@@ -74,8 +52,7 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
     ident = verify._identity_batch(tup.dim)
     p_vectors, p_table = verify._p_samples(grid, n, 0, index, 2)
     w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
-    c_total = np.array([walked_interior(tup, template.t, p, n) ** (1.0 / p[1])
-                        for p in p_vectors])
+    c_total = walk_c_totals(tup, template.t, p_vectors)
     check = verify.CampaignMember("0", k, tup.dim, premise.family.value, premise.member,
                                   premise.direction.value, p_vectors)
     failures = errors_count = 0

@@ -167,6 +167,12 @@ class TestPGrid:
         with pytest.raises(ValueError):
             PGrid(values=(2.0, 1.0))
 
+    @pytest.mark.parametrize("values", [(1.0, 1.5, 1.5), (1.0, 1.0), (2.0, 2.0, 4.0)])
+    def test_repeated_values_are_rejected(self, values):
+        # a repeated point would be sampled, evaluated and counted twice
+        with pytest.raises(ValueError, match="must ascend strictly"):
+            PGrid(values=values)
+
     def test_escalation_caps(self):
         grid = PGrid(values=(1.0, 2.0), cap=8.0)
         values = []

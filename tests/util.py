@@ -3,7 +3,10 @@ a full-spectrum reference for comparisons.
 
 The scalar word evaluator here is deliberately a separate implementation
 from the package's evaluator: on diagonal matrices every operation acts
-entrywise, so it serves as the oracle for the matrix path.
+entrywise, so it serves as the oracle for the matrix path.  The chain
+exponent's level recurrence and the scalar bound's word walk are the
+package's earlier forms of ``chain_exponents`` and ``_c_totals``, kept as
+the oracles of their cached forms.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from oporder import chains
 from oporder.chains import Power, Product, ScalarExpr, Symbol
 from oporder.spectral import (
     HermitianMatrix,
@@ -22,6 +26,8 @@ from oporder.spectral import (
     flag_errors,
     healthy,
     margins_stack,
+    operator_norm,
+    positivity_margin,
     spectral_norms,
 )
 
@@ -174,3 +180,70 @@ def reduction_points(report) -> list[dict]:
         points.append(dict(zip(REDUCTION_FIELDS, values + [float(c_total[i, 0])]),
                            p_vector=tuple(table.checks[0].points[i]), error=errors[0]))
     return points
+
+
+def _dyadic(x: float) -> tuple[int, int]:
+    """x as (m, s) with x = m / 2**s exactly."""
+    m, d = float(x).as_integer_ratio()
+    return m, d.bit_length() - 1
+
+
+def level_chain_exponents(t, p_table) -> np.ndarray:
+    """Oracle for ``chain_exponents``: the recurrence b_0 = 1, b_j =
+    (b_(j-1) * p_(2j-1) - t_j) * p_(2j) + t_j level by level, for every row
+    at once, in Python integers over one power of two per level; each b_n
+    rounded once to the nearest float, inf beyond the float range."""
+    table = np.asarray(p_table, dtype=np.float64)
+    values, codes = np.unique(table, return_inverse=True)
+    exact = [_dyadic(v) for v in values.tolist()]
+    ps = max((s for _, s in exact), default=0)
+    p_int = np.array([m << (ps - s) for m, s in exact], dtype=object)
+    p_int = p_int[codes.reshape(table.shape)]
+    # b over 2**bs; x = b * p_(2j-1) - t_j over 2**xs, then b' = x * p_(2j)
+    # + t_j, each sum taken over the larger power of two
+    b, bs = np.ones(len(table), dtype=object), 0
+    for j, tj in enumerate(t):
+        tm, ts = _dyadic(tj)
+        xs = max(bs + ps, ts)
+        x = ((b * p_int[:, 2 * j]) << (xs - bs - ps)) - (tm << (xs - ts))
+        bs = max(xs + ps, ts)
+        b = ((x * p_int[:, 2 * j + 1]) << (bs - xs - ps)) + (tm << (bs - ts))
+    out = np.empty(len(table))
+    for i, m in enumerate(b.tolist()):
+        try:
+            out[i] = m / (1 << bs)
+        except OverflowError:
+            out[i] = math.inf
+    return out
+
+
+def walk_scalar_interior(tup, t, p, n: int) -> float:
+    """Oracle for ``reduction_scalar_interior``: a walk of the peeled bound
+    word, each exponent evaluated by ``ScalarExpr.evaluate`` under the t
+    values and ``peeled_bindings(t, p)``, each factor's norm or lambda_min
+    read where it is reached: |A|^(2e) for a wrap with e > 0,
+    (1/lambda_min(A))^(-2e) otherwise."""
+    _, bound = chains.reduction_words(2 * n)
+    if bound is None:
+        return 1.0
+    scalars = {f"t{i}": tv for i, tv in enumerate(t, 1)}
+    scalars.update(chains.peeled_bindings(t, tuple(float(v) for v in p)))
+
+    def interior(sandwich: Power) -> float:
+        wrap, inner, _ = sandwich.base.factors
+        s = interior(inner) if isinstance(inner, Power) \
+            else operator_norm(tup.matrices[inner.index - 1])
+        s = s ** inner.exponent.evaluate(scalars)
+        e = 2.0 * wrap.exponent.evaluate(scalars)
+        m = tup.matrices[wrap.index - 1]
+        return s * (operator_norm(m) ** e if e > 0 else (1.0 / positivity_margin(m)) ** -e)
+
+    return interior(bound)
+
+
+def walk_c_totals(tup, t, p_vectors) -> np.ndarray:
+    """Oracle for ``verify._c_totals``: walk_scalar_interior(p) ** (1/p_2)
+    for every p-vector on its own (1 for n = 1, where the interior is 1)."""
+    n = len(t)
+    return np.array([walk_scalar_interior(tup, t, p, n) ** (1.0 / p[1]) for p in p_vectors],
+                    dtype=np.float64)
