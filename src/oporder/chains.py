@@ -10,7 +10,7 @@ evaluation lives in the DSL and the verifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -38,10 +38,12 @@ class ScalarExpr:
     q2..q(2n-1) in the reduction's peeled bound and a, s and d in the
     probes' words (``verify``); that is exactly the set of
     exponent shapes the words use, so no general symbolic algebra is needed.
+    Every evaluation reads ``floats``, (const, terms) as floats.
     """
 
     terms: tuple[tuple[str, Fraction], ...] = ()
     const: Fraction = Fraction(0)
+    floats: tuple = field(init=False, repr=False, compare=False)
 
     @staticmethod
     def variable(name: str, coeff=1) -> "ScalarExpr":
@@ -61,6 +63,8 @@ class ScalarExpr:
         normal = tuple(sorted((n, c) for n, c in merged.items() if c != 0))
         object.__setattr__(self, "terms", normal)
         object.__setattr__(self, "const", Fraction(self.const))
+        floats = float(self.const), tuple((n, float(c)) for n, c in normal)
+        object.__setattr__(self, "floats", floats)
 
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
         return ScalarExpr(terms=self.terms + other.terms, const=self.const + other.const)
@@ -79,12 +83,12 @@ class ScalarExpr:
     def evaluate(self, bindings):
         """Value under ``bindings``.  A bound value may also be a numpy
         array, which evaluates elementwise with the same arithmetic."""
-        total = float(self.const)
-        for name, coeff in self.terms:
+        total, terms = self.floats
+        for name, coeff in terms:
             value = bindings[name]
             if not hasattr(value, "shape"):
                 value = float(value)
-            total = total + float(coeff) * value
+            total = total + coeff * value
         return total
 
     def render(self) -> str:

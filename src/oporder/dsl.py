@@ -373,14 +373,13 @@ _INSTANCE = "#instance"
 class _Node:
     """One node of a compiled plan.  ``args`` are the plan positions of a
     product's factors or of a power's base, ``names`` the per-row names its
-    subtree depends on, and ``const`` and ``terms`` the float coefficients
-    of a symbol's or a power's exponent."""
+    subtree depends on, and ``exponent`` a symbol's or a power's exponent
+    (None for a product)."""
 
     word: OperatorWord
     args: tuple[int, ...]
     names: frozenset
-    const: float = 0.0
-    terms: tuple[tuple[str, float], ...] = ()
+    exponent: ScalarExpr | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,11 +422,7 @@ def _compile(words: tuple, row_names: frozenset) -> _Plan:
             names = nodes[args[0]].names | names_of(exponent)
         else:
             raise TypeError(f"not an evaluable node: {word!r}")
-        if exponent is None:
-            nodes.append(_Node(word, args, names))
-        else:
-            nodes.append(_Node(word, args, names, float(exponent.const),
-                               tuple((n, float(c)) for n, c in exponent.terms)))
+        nodes.append(_Node(word, args, names, exponent))
         position[id(word)] = len(nodes) - 1
         return len(nodes) - 1
 
@@ -640,10 +635,10 @@ class _BatchRun:
         return got
 
     def exponent(self, node: _Node, group: _Group | None):
-        """A node's exponent per binding of ``group``, by the operations of
-        ``ScalarExpr.evaluate``."""
-        total = node.const
-        for name, coeff in node.terms:
+        """A node's exponent per binding of ``group``, from its float form by
+        the operations of ``ScalarExpr.evaluate``."""
+        total, terms = node.exponent.floats
+        for name, coeff in terms:
             value = None if group is None else self.column(group, name)
             if value is None:
                 value = self.scalars[name]
@@ -662,7 +657,7 @@ class _BatchRun:
             if partial and isinstance(node.word, Symbol):
                 for env in partial:
                     env.matrix(node.word.index)
-            for name, _ in node.terms:
+            for name, _ in () if node.exponent is None else node.exponent.terms:
                 if name not in bound:
                     raise UnboundNameError(f"scalar name {name!r} is not bound")
 

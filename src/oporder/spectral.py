@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -440,10 +440,17 @@ def spectral_norms(lam: np.ndarray):
     return np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
 
 
+def _scale(*norms):
+    """max(1, norms ...) elementwise: the floor under the norm of the pd gate,
+    of a comparison's scale and its reach and of a scalar comparison."""
+    return reduce(np.maximum, norms, 1.0)
+
+
 def _gate(lam: np.ndarray):
     """(fails, gate) per row of ascending eigenvalues: the strict-positivity
-    gate EPS_PD_REL * max(1, |H|) and whether lambda_min sits at or below it."""
-    gate = EPS_PD_REL * np.maximum(1.0, spectral_norms(lam))
+    gate EPS_PD_REL * max(1, |H|), the only form of it, and whether
+    lambda_min sits at or below it."""
+    gate = EPS_PD_REL * _scale(spectral_norms(lam))
     return lam[..., 0] <= gate, gate
 
 
@@ -468,13 +475,10 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
         alpha = np.full(len(lam), alpha)
     elif len(lam) != len(alpha):
         lam = np.broadcast_to(lam, (len(alpha),) + lam.shape[1:])
-    # the gate's test: with lambda_min > 0 the spectral norm is lambda_max,
-    # and with lambda_min <= 0 both sides fail it (a NaN fails neither)
-    low = lam[:, 0] <= EPS_PD_REL * np.maximum(1.0, lam[:, -1])
+    low, gate = _gate(lam)
     if any_set(low):
         # the gate binds exponents that are not non-negative integers; inf
         # and NaN leave a NaN remainder
-        gate = _gate(lam)[1]
         errors = flag_errors(errors, low & ((alpha % 1.0 != 0.0) | (alpha < 0)),
                              lambda i: NearSingularError(float(lam[i, 0]), float(gate[i])))
     powered = lam ** alpha[:, None]
@@ -657,7 +661,7 @@ def scaled_margins_stack(p: WordBatch, q: WordBatch, errors=None):
         if gated is not None:
             side = sides[gated]
             other, other_errors = norms[1 - gated]
-            reach = np.maximum(1.0, other) / (1.0 + side.values.shape[-1] * BOUND_SLACK_PER_DIM)
+            reach = _scale(other) / (1.0 + side.values.shape[-1] * BOUND_SLACK_PER_DIM)
             # a NaN bound or norm compares False, so its row is decomposed
             need = ~(side.norm_bound[side.distinct[1]] < reach)
             if other_errors is not None:
@@ -665,14 +669,20 @@ def scaled_margins_stack(p: WordBatch, q: WordBatch, errors=None):
             if errors is not None:
                 need &= healthy(errors)
             norms[gated] = _needed_norms(side, need)
-    scale = np.ones(len(ge))
+    side_norms = []
     for norm, side_errors in norms:
         if errors is not None:
             norm = np.where(healthy(errors), norm, 1.0)
-        scale = np.maximum(scale, norm)
+        side_norms.append(norm)
         errors = first_errors(errors, side_errors)
-    return ge, le, scale, flag_errors(errors, ~(np.isfinite(ge) & np.isfinite(le)),
-                                      lambda i: NonFiniteError("comparison margin"))
+    return ge, le, _scale(*side_norms), flag_errors(errors, ~(np.isfinite(ge) & np.isfinite(le)),
+                                                    lambda i: NonFiniteError("comparison margin"))
+
+
+def scalar_margins(c, lam: np.ndarray):
+    """(lambda_min(c*I - H), lambda_min(H - c*I), max(1, |c|, |H|)) of c*I
+    against values H of ascending eigenvalues lam (last axis), elementwise."""
+    return c - lam[..., -1], lam[..., 0] - c, _scale(np.abs(c), spectral_norms(lam))
 
 
 def spectral_decompose(h: HermitianMatrix) -> SpectralDecomposition:

@@ -51,8 +51,8 @@ from .spectral import (
     positivity_margin,
     raise_first,
     require_strictly_positive,
+    scalar_margins,
     scaled_margins_stack,
-    spectral_norms,
 )
 
 # Slack used by suite-level expectations (necessity, reduction chain);
@@ -404,14 +404,16 @@ class WeightPolicy:
             return "fixed:" + ",".join(repr(v) for v in self.values)
         return self.kind
 
+    def require(self, count: int) -> None:
+        """Raise ValueError unless the policy gives ``count`` weights."""
+        if self.kind == "fixed" and len(self.values) != count:
+            raise ValueError(f"fixed policy carries {len(self.values)} weights, need {count}")
+
     def weights(self, t, p_table, r: float, count: int) -> np.ndarray:
         """The (N, count) weights w1 .. w_count for each row of an (N, 2n)
         p-table."""
+        self.require(count)
         if self.kind == "fixed":
-            if len(self.values) != count:
-                raise ValueError(
-                    f"fixed policy carries {len(self.values)} weights, need {count}"
-                )
             return np.tile(np.asarray(self.values, dtype=np.float64), (len(p_table), 1))
         w = chains.necessity_weights(t, p_table, r)
         return np.repeat(w[:, None], count, axis=1)
@@ -979,7 +981,7 @@ def probe_loewner_heinz(
     allowed to break, which is what the fixed witness pair demonstrates.
     """
     base = loewner_compare(p, q, tol_rel=tol_rel)
-    q_psd = margins_hold(positivity_margin(q), max(1.0, operator_norm(q)), tol_rel)
+    q_psd = margins_hold(*scalar_margins(0.0, q.decomposition().eigenvalues)[1:], tol_rel)
     if not (base.ge and q_psd):
         return MonotonePowerReport(precondition_ok=False, table=None)
     env = dsl.Environment(scalars={}, matrices={1: p, 2: q})
@@ -1002,6 +1004,8 @@ class ContractionProbeReport:
 # the contraction probe's escalation past its s grid: factor and cap
 S_GROWTH = 2.0
 S_CAP = 1e6
+# a norm or bound beyond this is declared above 1: the probes' resolution
+DECLARED_ABOVE_ONE = 1.0 + 1e-6
 
 
 def probe_contraction_criterion(
@@ -1018,7 +1022,7 @@ def probe_contraction_criterion(
     every s > 1 forces Q <= I.
 
     The hypothesis is sampled on the s grid in one evaluation run.  When Q
-    has an eigenvalue above 1 + 1e-6 the hypothesis must eventually fail
+    has an eigenvalue above DECLARED_ABOVE_ONE the hypothesis must eventually fail
     because Q^s grows geometrically, so without a failing s on the grid,
     s_last * S_GROWTH^j up to S_CAP are evaluated in one more run and kept
     up to the first failing s (none is a cross-check failure).  An ERROR
@@ -1053,7 +1057,7 @@ def probe_contraction_criterion(
     failure_s = None if first is None else check.points[first]
     conclusion = loewner_compare(q, identity(q.dim), tol_rel=tol_rel)
 
-    needs_cross = operator_norm(q) > 1.0 + 1e-6
+    needs_cross = operator_norm(q) > DECLARED_ABOVE_ONE
     cross_ok = (failure_s is not None) if needs_cross else None
     # with no s left below S_CAP, the escalation ends at once without a failure
     if needs_cross and failure_s is None and len(points) > grid:
@@ -1091,34 +1095,19 @@ def reduction_scalar_interior(tup: OperatorTuple, t, p, n: int) -> float:
     return _scalar_interior(tup, t, n)(chains.peeled_bindings(t, tuple(float(v) for v in p)))
 
 
-def _compiled(expr: ScalarExpr) -> tuple[float, tuple[tuple[str, float], ...]]:
-    """An exponent as the float (const, terms) that ``ScalarExpr.evaluate``
-    reads it as."""
-    return float(expr.const), tuple((name, float(c)) for name, c in expr.terms)
-
-
-def _value(compiled, scalars) -> float:
-    """A compiled exponent under ``scalars``, by the operations of
-    ``ScalarExpr.evaluate``."""
-    total, terms = compiled
-    for name, coeff in terms:
-        total = total + coeff * scalars[name]
-    return total
-
-
 @lru_cache(maxsize=None)
 def _interior_layers(n: int) -> tuple:
     """The peeled bound's sandwiches for n levels, from the innermost out:
     (the index of the inner symbol, None around a sandwich; the inner
-    word's exponent; the wrap's index; the wrap's exponent), each exponent
-    compiled (``_compiled``).  Empty for n = 1, whose bound is I."""
+    word's exponent; the wrap's index; the wrap's exponent).  Empty for
+    n = 1, whose bound is I."""
     layers = []
     _, sandwich = chains.reduction_words(2 * n)
     while sandwich is not None:
         wrap, inner, _ = sandwich.base.factors
         nested = isinstance(inner, chains.Power)
-        layers.append((None if nested else inner.index, _compiled(inner.exponent),
-                       wrap.index, _compiled(wrap.exponent)))
+        layers.append((None if nested else inner.index, inner.exponent,
+                       wrap.index, wrap.exponent))
         sandwich = inner if nested else None
     return tuple(reversed(layers))
 
@@ -1135,7 +1124,7 @@ def _scalar_interior(tup: OperatorTuple, t, n: int):
     for inner, _, wrap, wrap_exponent in layers:
         if inner is not None:
             norms[inner] = operator_norm(tup.matrices[inner - 1])
-        e = 2.0 * _value(wrap_exponent, t_names)
+        e = 2.0 * wrap_exponent.evaluate(t_names)
         factors.append(operator_norm(tup.matrices[wrap - 1]) ** e if e > 0
                        else (1.0 / positivity_margin(tup.matrices[wrap - 1])) ** -e)
 
@@ -1144,7 +1133,7 @@ def _scalar_interior(tup: OperatorTuple, t, n: int):
         for (inner, exponent, _, _), factor in zip(layers, factors):
             if inner is not None:
                 s = norms[inner]
-            s = s ** _value(exponent, q) * factor
+            s = s ** exponent.evaluate(q) * factor
         return s
 
     return interior
@@ -1298,12 +1287,10 @@ def check_reduction_chain(
             errors = first_errors(errors[size:2 * size], errors[2 * size:])
         # the sandwich's spectrum, taken in that pass, also gives its
         # extreme eigenvalues against the scalar bound c * I
-        lam = sides.spectrum[0][2 * size:]
         c = c_total[lo:hi]
-        # (bounds, points) arrays; the core's margins swap back to I - core
-        ge, le = np.array((le[1], ge[2], c - lam[:, -1])), np.array((ge[1], le[2], lam[:, 0] - c))
-        scale = np.array((scale[1], scale[2],
-                          np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam))))
+        # (bounds, points) arrays: the core (swapped back to I - core), peel, scalar
+        ge, le, scale = map(np.array, zip((le[1], ge[1], scale[1]), (ge[2], le[2], scale[2]),
+                                          scalar_margins(c, sides.spectrum[0][2 * size:])))
         errors = flag_errors(errors, ~(np.isfinite(ge[1:]).all(axis=0) & np.isfinite(scale[2])),
                              lambda i: NonFiniteError("reduction margin"))
         # each point's rows in turn, one per bound
@@ -1348,8 +1335,8 @@ def limit_probe(
     The core is the reduction's base sandwich (``chains.reduction_words(3)``)
     at t1 = p1 = 1.  c defaults to max(1, lambda_max(core)), the sharpest
     constant for which the bound family is valid on the sampled points; a
-    given c must be a nonnegative number.  The declaration threshold
-    1 + 1e-6 matches the probe's resolution, not a proof.
+    given c must be a nonnegative number.  The bound b is compared with the
+    core as b*I (``scalar_margins``), and the order declared by DECLARED_ABOVE_ONE.
 
     A core that fails to evaluate or to decompose gives an ERROR outcome:
     ``error`` holds its text, lambda_max_core is NaN (and so is c unless
@@ -1370,9 +1357,9 @@ def limit_probe(
     seq = tuple(c ** (1.0 / v) for v in p2s)
     monotone = all(seq[i + 1] <= seq[i] + 1e-12 * max(1.0, seq[i]) for i in range(len(seq) - 1))
     inferred = min(seq)
-    scale = max(1.0, lam)
-    bound_ok = bool(margins_hold(inferred - lam, scale, tol_rel))
-    consistent = not error and (inferred <= 1.0 + 1e-6 or lam <= 1.0 + 1e-6)
+    margin, _, scale = scalar_margins(inferred, lam_stack[0])
+    bound_ok = not error and bool(margins_hold(margin, scale, tol_rel))
+    consistent = not error and (inferred <= DECLARED_ABOVE_ONE or lam <= DECLARED_ABOVE_ONE)
     return LimitReport(
         c=c, p2_values=p2s, sequence=seq,
         monotone_nonincreasing=monotone,
@@ -1399,6 +1386,10 @@ class SearchConfig:
     grid: PGrid = PGrid()
     policy: WeightPolicy | None = None   # None: fresh random fixed weights per instance
     field_kind: str = "real"
+
+    def __post_init__(self):
+        if self.policy is not None:  # before any instance is drawn
+            self.policy.require(self.k - 1)
 
     def to_json(self) -> dict:
         return {

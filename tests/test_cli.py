@@ -620,6 +620,14 @@ class TestFixedWeights:
         assert err.startswith(
             "error: argument --weights: fixed weights must be finite and positive")
 
+    @pytest.mark.parametrize("budget", ["0", "2"])
+    def test_search_weights_of_another_k_exit_2(self, capsys, budget):
+        # the count is checked before any instance, so a zero budget too
+        code, out, err = run(capsys, "search", "--budget", budget, "--k", "3", "--dim", "1",
+                             "--weights", "fixed:0.5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: fixed policy carries 1 weights, need 2\n"
+
 
 class TestSearchCommand:
     def test_zero_budget_empty_findings(self, capsys, tmp_path):
@@ -775,38 +783,46 @@ def _reads_as_float(text):
 
 
 def _fuzz_flags(draw, fields):
-    """``--field value`` pairs with at most one field out of its domain."""
+    """``--field value`` pairs with at most one field out of its domain, and
+    the name of that field (None when every value is in its domain)."""
     broken = draw(st.sampled_from((None, None, None) + tuple(fields)))
     values = {name: draw(st.sampled_from(bad if name == broken else good))
               for name, (good, bad) in fields.items()}
     if _reads_as_float(values.get("weights", "")):
         k = max(int(values["k"]), 2)
         values["weights"] = "fixed:" + ",".join([values["weights"]] * (k - 1))
-    return [token for name, value in values.items() for token in (f"--{name}", value)]
+    return [token for name, value in values.items() for token in (f"--{name}", value)], broken
 
 
 @st.composite
 def _check_argv(draw):
     """``check --mode necessity|contrapositive|proof-steps|limit`` argv with
-    the mode's own flags and at most one field out of its domain."""
+    the mode's own flags and at most one field out of its domain, and the
+    name of that field."""
     mode = draw(st.sampled_from(sorted(_MODE_FLAGS)))
     fields = {name: values for name, values in _FUZZ_FIELDS.items()
               if f"--{name}" in _MODE_FLAGS[mode]}
-    return ["check", "--mode", mode,
-            "--seed", str(draw(st.integers(0, 3)))] + _fuzz_flags(draw, fields)
+    if mode == "limit":  # a limit pair is k = 2
+        fields["k"] = (fields["k"][0] + ("2",), ("1",))
+    flags, broken = _fuzz_flags(draw, fields)
+    return ["check", "--mode", mode, "--seed", str(draw(st.integers(0, 3)))] + flags, broken
 
 
 @st.composite
 def _search_argv(draw):
     """``search`` argv on a small grid with at most one field out of its
-    domain."""
-    return ["search", "--p-grid", "1,2",
-            "--seed", str(draw(st.integers(0, 3)))] + _fuzz_flags(draw, _SEARCH_FUZZ_FIELDS)
+    domain, and the name of that field."""
+    flags, broken = _fuzz_flags(draw, _SEARCH_FUZZ_FIELDS)
+    return ["search", "--p-grid", "1,2", "--seed", str(draw(st.integers(0, 3)))] + flags, broken
 
 
-def _assert_exit_code_contract(code, out, err, command="check"):
+def _assert_exit_code_contract(code, out, err, command="check", usage=None):
+    """The exit code matches the printed outcome; with ``usage`` known (a
+    value out of its domain or not), exit 2 exactly when it is True."""
     assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_INDETERMINATE)
     assert "Traceback" not in out + err
+    if usage is not None:
+        assert (code == EXIT_USAGE) == usage, (code, out, err)
     if command == "search" and code != EXIT_USAGE:
         # a JSON summary, and exit 1 exactly when it holds findings
         assert (code == EXIT_VIOLATION) == (json.loads(out)["findings"] > 0)
@@ -837,13 +853,28 @@ def _json_number(text):
 def _config_entries(draw, argv_strategy):
     """The fields of an argv that ``argv_strategy`` draws as the entries of
     a config, each a string, except up to three written as a number, a
-    boolean or null."""
-    argv = draw(argv_strategy)
+    boolean or null; and whether a value is out of its domain (None when
+    that is not known).  A null entry takes its default, in its domain but
+    for the mode (and fixed weights drawn for another k than a null k's
+    default); a boolean is never a value; a number drawn for a text that
+    reads as none is never a mode or weights, and may be anything else."""
+    argv, broken = draw(argv_strategy)
     entries = {flag[2:].replace("-", "_"): value
                for flag, value in zip(argv[1::2], argv[2::2])}
+    broken, unknown = set() if broken is None else {broken.replace("-", "_")}, False
     for key in draw(st.sets(st.sampled_from(sorted(entries)), max_size=3)):
-        entries[key] = draw(_json_number(entries[key]) | st.booleans() | st.none())
-    return entries
+        text = entries[key]
+        value = entries[key] = draw(_json_number(text) | st.booleans() | st.none())
+        if value is None and key != "mode":
+            broken.discard(key)
+            if key == "k" and text != "3" and str(entries.get("weights")).startswith("fixed:"):
+                broken.add("weights")  # drawn for another k than the default 3
+        elif value is None or isinstance(value, bool) or key in ("mode", "weights"):
+            broken.add(key)  # no mode or weights text reads as a number
+        elif not _reads_as_float(text):
+            broken.discard(key)
+            unknown = True
+    return entries, True if broken else None if unknown else False
 
 
 def _with_config(argv, entries):
@@ -856,24 +887,30 @@ def _with_config(argv, entries):
 
 class TestExitCodeContract:
     @settings(max_examples=50, deadline=None)
-    @given(argv=_check_argv())
-    def test_exit_code_matches_printed_outcome(self, argv):
-        _assert_exit_code_contract(*_captured_main(argv))
+    @given(drawn=_check_argv())
+    def test_exit_code_matches_printed_outcome(self, drawn):
+        argv, broken = drawn
+        _assert_exit_code_contract(*_captured_main(argv), usage=broken is not None)
 
     @settings(max_examples=50, deadline=None)
-    @given(entries=_config_entries(_check_argv()))
-    def test_config_file_entries_keep_the_contract(self, entries):
-        _assert_exit_code_contract(*_with_config(["check"], entries))
+    @given(drawn=_config_entries(_check_argv()))
+    def test_config_file_entries_keep_the_contract(self, drawn):
+        entries, usage = drawn
+        _assert_exit_code_contract(*_with_config(["check"], entries), usage=usage)
 
     @settings(max_examples=30, deadline=None)
-    @given(argv=_search_argv())
-    def test_search_exit_code_matches_printed_outcome(self, argv):
-        _assert_exit_code_contract(*_captured_main(argv), command="search")
+    @given(drawn=_search_argv())
+    def test_search_exit_code_matches_printed_outcome(self, drawn):
+        argv, broken = drawn
+        _assert_exit_code_contract(*_captured_main(argv), command="search",
+                                   usage=broken is not None)
 
     @settings(max_examples=30, deadline=None)
-    @given(entries=_config_entries(_search_argv()))
-    def test_search_config_file_entries_keep_the_contract(self, entries):
-        _assert_exit_code_contract(*_with_config(["search"], entries), command="search")
+    @given(drawn=_config_entries(_search_argv()))
+    def test_search_config_file_entries_keep_the_contract(self, drawn):
+        entries, usage = drawn
+        _assert_exit_code_contract(*_with_config(["search"], entries), command="search",
+                                   usage=usage)
 
 
 @st.composite

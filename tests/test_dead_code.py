@@ -1,11 +1,14 @@
 """Dead code in the package, found with the standard library's ``ast``.
 
-Two rules over every module of ``src/oporder``: each imported name is used
-in the module that imports it (``__init__`` re-exports by ``__all__``), and
-each private module-level name (one leading underscore) is referenced
-somewhere in the package besides its definition.  A name counts as used
-when it is read as a name, as an attribute or in an import, or inside a
-string annotation.
+Three rules over every module of ``src/oporder``: each imported name is
+used in the module that imports it (``__init__`` re-exports by
+``__all__``); each private module-level name (one leading underscore) is
+referenced somewhere in the package besides its definition; and each
+public module-level function and class, and each public method of such a
+class, is referenced in the package or in ``perfbench/``, or is named in
+TEST_ONLY_API.  A name counts as used when it is read as a name, as an
+attribute or in an import, or inside a string annotation; in
+``perfbench/`` also as a string, since its hooks name what they wrap.
 """
 import ast
 from collections import Counter
@@ -13,11 +16,20 @@ from collections import Counter
 from util import REPO_ROOT
 
 PACKAGE = REPO_ROOT / "src" / "oporder"
+BENCHMARK = REPO_ROOT / "perfbench"
+
+# public names that only the tests call: the ordered family and its
+# deltas, the two probes, and helpers to build, read, parse and rebuild
+TEST_ONLY_API = frozenset({
+    "gen_ordered_tuple", "OperatorTuple.deltas", "probe_loewner_heinz",
+    "probe_contraction_criterion", "diagonal", "matrix_from_json", "parse_lines",
+    "SpectralDecomposition.reconstruct",
+})
 
 
-def _modules() -> dict[str, ast.Module]:
+def _modules(directory=PACKAGE) -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text(), str(path))
-            for path in sorted(PACKAGE.glob("*.py"))}
+            for path in sorted(directory.glob("*.py"))}
 
 
 def _annotation_names(tree: ast.AST):
@@ -99,6 +111,34 @@ def unreferenced_private_names(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _public_definitions(tree: ast.Module):
+    """Public module-level functions and classes, and the public methods of
+    those classes as ``Class.method``, with their lines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.lineno
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def _strings(tree: ast.AST) -> Counter:
+    return Counter(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def unreferenced_public_names(modules: dict[str, ast.Module],
+                              benchmark: dict[str, ast.Module]) -> list[str]:
+    """Public definitions read nowhere in ``modules`` or ``benchmark``
+    (there also as strings), by their last name, as "module:line: name"."""
+    uses = sum((_uses(tree) for tree in modules.values()), Counter())
+    for tree in benchmark.values():
+        uses += _uses(tree) + _strings(tree)
+    return [f"{name}:{line}: {defined}" for name, tree in modules.items()
+            for defined, line in _public_definitions(tree)
+            if not uses[defined.rpartition(".")[2]]]
+
+
 def test_every_import_is_used():
     assert unused_imports(_modules()) == []
 
@@ -107,8 +147,19 @@ def test_every_private_module_level_name_is_referenced():
     assert unreferenced_private_names(_modules()) == []
 
 
+def test_every_public_name_is_referenced_or_test_only_api():
+    # equal, so that a name which gains a caller leaves the list too
+    found = unreferenced_public_names(_modules(), _modules(BENCHMARK))
+    assert {entry.rpartition(" ")[2] for entry in found} == TEST_ONLY_API
+
+
 def test_the_checks_find_what_they_look_for():
     tree = ast.parse("import os\nfrom x import a, b as c\n_dead = 1\n_live = 2\n"
-                     "def f(v: 'a') -> None:\n    return _live\n")
+                     "def f(v: 'a') -> None:\n    return _live\n"
+                     "class K:\n    def used(self):\n        return self.used\n"
+                     "    def hooked(self):\n        pass\n    def dead(self):\n        pass\n")
     assert unused_imports({"m.py": tree}) == ["m.py:1: os", "m.py:2: c"]
     assert unreferenced_private_names({"m.py": tree}) == ["m.py:3: _dead"]
+    bench = ast.parse("HOOKS = (('m', 'hooked'),)\n")
+    assert unreferenced_public_names({"m.py": tree}, {"b.py": bench}) == [
+        "m.py:5: f", "m.py:7: K", "m.py:12: K.dead"]

@@ -6,7 +6,10 @@ from the package's evaluator: on diagonal matrices every operation acts
 entrywise, so it serves as the oracle for the matrix path.  The chain
 exponent's level recurrence and the scalar bound's word walk are the
 package's earlier forms of ``chain_exponents`` and ``_c_totals``, kept as
-the oracles of their cached forms.
+the oracles of their cached forms.  So are the forms the tolerance rules
+had where they were written out by hand: power_stack's inline gate test,
+the three scalar comparisons that ``spectral.scalar_margins`` replaced and
+an exponent's float value taken from its Fractions.
 """
 from __future__ import annotations
 
@@ -19,12 +22,15 @@ import numpy as np
 from oporder import chains
 from oporder.chains import Power, Product, ScalarExpr, Symbol
 from oporder.spectral import (
+    EPS_PD_REL,
     HermitianMatrix,
+    NearSingularError,
     NonFiniteError,
     decompose_stack,
     first_errors,
     flag_errors,
     healthy,
+    margins_hold,
     margins_stack,
     operator_norm,
     positivity_margin,
@@ -247,3 +253,51 @@ def walk_c_totals(tup, t, p_vectors) -> np.ndarray:
     n = len(t)
     return np.array([walk_scalar_interior(tup, t, p, n) ** (1.0 / p[1]) for p in p_vectors],
                     dtype=np.float64)
+
+
+def inline_gate(lam: np.ndarray):
+    """Oracle for ``spectral._gate`` on (N, d) ascending eigenvalues: the
+    test power_stack wrote inline, lambda_min <= EPS_PD_REL * max(1,
+    lambda_max), and the gate value EPS_PD_REL * max(1, |H|)."""
+    return (lam[:, 0] <= EPS_PD_REL * np.maximum(1.0, lam[:, -1]),
+            EPS_PD_REL * np.maximum(1.0, spectral_norms(lam)))
+
+
+def inline_gate_errors(lam: np.ndarray, alpha: np.ndarray, errors):
+    """Oracle for the gate errors of ``power_stack``: ``errors`` with a
+    NearSingularError on each row the inline test fails whose exponent is
+    not a non-negative integer (an earlier error stays)."""
+    low, gate = inline_gate(lam)
+    return flag_errors(errors, low & ((alpha % 1.0 != 0.0) | (alpha < 0)),
+                       lambda i: NearSingularError(float(lam[i, 0]), float(gate[i])))
+
+
+def reduction_scalar_row(c: np.ndarray, lam: np.ndarray):
+    """Oracle for ``scalar_margins`` as the reduction wrote its scalar row:
+    (c - lambda_max, lambda_min - c, max(max(1, |c|), |H|))."""
+    return (c - lam[:, -1], lam[:, 0] - c,
+            np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam)))
+
+
+def limit_bound_holds(inferred: float, lam_max: float, tol_rel: float) -> bool:
+    """Oracle for ``limit_probe``'s bound test as it was written: the
+    inferred bound at or above lambda_max(core) within tol_rel * max(1,
+    lambda_max)."""
+    return bool(margins_hold(inferred - lam_max, max(1.0, lam_max), tol_rel))
+
+
+def loewner_heinz_q_psd(lam: np.ndarray, tol_rel: float) -> bool:
+    """Oracle for the Loewner-Heinz probe's precondition Q >= 0 as it was
+    written, from Q's ascending eigenvalues: lambda_min within tol_rel *
+    max(1, |Q|) of 0."""
+    norm = max(abs(float(lam[0])), abs(float(lam[-1])))
+    return bool(margins_hold(float(lam[0]), max(1.0, norm), tol_rel))
+
+
+def fraction_value(expr: ScalarExpr, bindings) -> float:
+    """Oracle for ``ScalarExpr.evaluate`` on float bindings: the constant
+    and each coefficient converted from its Fraction where it is read."""
+    total = float(expr.const)
+    for name, coeff in expr.terms:
+        total = total + float(coeff) * float(bindings[name])
+    return total
