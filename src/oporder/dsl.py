@@ -17,7 +17,7 @@ A3^{r/2})^{w1}``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from types import MappingProxyType
@@ -39,7 +39,7 @@ from .spectral import (
     HermitianMatrix,
     NonFiniteError,
     WordBatch,
-    decompose_stack,
+    eigensystem_stack,
     first_errors,
     flag_errors,
     healthy,
@@ -455,17 +455,27 @@ class _PlanCache:
 _PLANS = _PlanCache(64)
 
 
+class Keyed(NamedTuple):
+    """A per-row column that is a function of another per-row column, its
+    key: rows that agree on the key agree on it, so a run groups it as it
+    groups the key (``evaluate_batch``)."""
+
+    values: np.ndarray
+    key: str
+
+
 @dataclass(frozen=True, eq=False)
 class _Group:
     """The distinct bindings of some per-row names: rows that agree on them
     share one evaluation.  ``first[m]`` is a row carrying binding m,
-    ``inverse[i]`` the binding of row i; ``columns`` holds the names'
-    values per binding as far as they have been read."""
+    ``inverse[i]`` the binding of row i.  A ``shared`` group, one of read-
+    only columns, is held in a row schedule (``_schedule``) with read-only
+    arrays, and every run on those columns reads it; the values its names
+    take are kept by each run."""
 
-    names: frozenset
     first: np.ndarray
     inverse: np.ndarray
-    columns: dict = field(default_factory=dict)
+    shared: bool = False
 
 
 def _distinct(column: np.ndarray):
@@ -488,23 +498,44 @@ def _distinct(column: np.ndarray):
 def _refine(first: np.ndarray, inverse: np.ndarray, column: np.ndarray):
     """(first, inverse) of rows grouped as ``first`` and ``inverse`` give
     and then by ``column``."""
-    if len(first) == len(column):
-        return first, inverse  # every row is a binding of its own already
     values, codes = _distinct(column)
     return _distinct(inverse * len(values) + codes)
 
 
+def _refined(rest: _Group | None, column: np.ndarray, shared: bool) -> _Group:
+    """The group of rows grouped as ``rest`` (None: all rows as one) and
+    then by ``column``, with read-only arrays when ``shared``; ``rest``
+    itself when each of its rows is a binding of its own already."""
+    if rest is not None and len(rest.first) == len(column):
+        return rest
+    group = _Group(*(_distinct(column) if rest is None
+                     else _refine(rest.first, rest.inverse, column)), shared)
+    if shared:
+        group.first.setflags(write=False)
+        group.inverse.setflags(write=False)
+    return group
+
+
 @lru_cache(maxsize=32)
-def _shared_grouping(columns: tuple[bytes, ...]):
-    """(first, inverse) of rows grouped by float64 columns, given by their
-    bytes, in turn, with read-only arrays: the grouping of shared columns,
-    found once."""
-    column = np.frombuffer(columns[-1])
-    first, inverse = (_refine(*_shared_grouping(columns[:-1]), column) if len(columns) > 1
-                      else _distinct(column))
-    for arr in (first, inverse):
-        arr.setflags(write=False)
-    return first, inverse
+def _schedule(signature: tuple) -> dict:
+    """A row schedule: the shared groups, by names, of the runs whose
+    read-only columns and keys ``signature`` gives, as those runs find
+    them; a shared group depends on nothing else."""
+    return {}
+
+
+def _alignment(child: _Group, parent: _Group) -> np.ndarray:
+    """The binding of ``child`` that each binding of ``parent``, a group of
+    more names, carries."""
+    return child.inverse[parent.first]
+
+
+@lru_cache(maxsize=64)
+def _shared_alignment(child: _Group, parent: _Group) -> np.ndarray:
+    """``_alignment`` of two shared groups, read-only and found once."""
+    idx = _alignment(child, parent)
+    idx.setflags(write=False)
+    return idx
 
 
 def _fit(errors, m: int):
@@ -542,11 +573,16 @@ class _BatchRun:
     evaluated once per (instance, prefix).  Every symbol node is raised in
     one stacked power, through the cached decompositions of the bound
     matrices; a power decomposes its base once per binding of the base and
-    raises it to each of its own exponents.
+    raises it to each of its own exponents.  In a one-environment run the
+    groups of read-only columns, and of columns keyed to them, come from a
+    row schedule that the runs on the same columns share (``_schedule``),
+    and so do the indices that align them.
     """
 
-    def __init__(self, env, rows: Mapping[str, np.ndarray], instance=None):
-        columns = {name: np.asarray(col, dtype=np.float64).reshape(-1)
+    def __init__(self, env, rows: Mapping[str, np.ndarray | Keyed], instance=None):
+        keys = {name: col.key for name, col in rows.items() if isinstance(col, Keyed)}
+        columns = {name: np.asarray(col.values if name in keys else col,
+                                    dtype=np.float64).reshape(-1)
                    for name, col in rows.items()}
         sizes = {len(col) for col in columns.values()}
         envs = (env,) if isinstance(env, Environment) else tuple(env)
@@ -583,12 +619,29 @@ class _BatchRun:
             self.env_columns = {name: np.array([e.scalars[name] for e in envs], dtype=np.float64)
                                 for name in self.env.scalars if name not in columns}
         self.columns = columns
-        # the read-only columns of a one-environment run, which are grouped
-        # through _shared_grouping
+        # the read-only unkeyed columns of a one-environment run, whose
+        # groups are shared
         self.shared = frozenset() if self.multi else frozenset(
-            name for name, col in columns.items() if not col.flags.writeable)
-        self._groups: dict[frozenset, _Group] = {}
-        self._bytes: dict[str, bytes] = {}
+            name for name, col in columns.items()
+            if not col.flags.writeable and name not in keys)
+        self._values: dict[tuple[_Group, str], np.ndarray] = {}
+        for name, key in keys.items():
+            if key not in columns or key in keys:
+                raise ValueError(f"column {name!r} is keyed to {key!r}, "
+                                 f"which is not an unkeyed column of the run")
+        self.keys = keys
+        # the shared groups of the runs with these read-only columns and keys
+        self.schedule = _schedule((tuple((name, columns[name].tobytes())
+                                         for name in sorted(self.shared)),
+                                   tuple(sorted(keys.items()))))
+        self._groups: dict[frozenset, _Group] = dict(self.schedule)
+        for name, key in keys.items():
+            # one gather and compare, bit for bit, on the key's grouping
+            group = self.group(frozenset({key}))
+            bits = columns[name].view(np.int64)
+            if np.count_nonzero(bits[group.first][group.inverse] != bits):
+                raise ValueError(f"column {name!r} is not constant on the grouping "
+                                 f"of its key {key!r}")
 
     def group_of(self, node: _Node) -> _Group | None:
         """The group a node is evaluated on (None: once for every row)."""
@@ -596,43 +649,51 @@ class _BatchRun:
 
     def group(self, names: frozenset) -> _Group | None:
         """The group of ``names``: its rows refined by the names in sorted
-        order.  In a one-environment run, names whose columns are all
-        read-only, as the p-columns sliced from a shared grid product are,
-        take their grouping from ``_shared_grouping``, so the runs on one
-        grid group its rows once."""
+        order, a keyed name standing for its key.  In a one-environment
+        run, the group of names whose columns are all read-only, as the
+        p-columns sliced from a shared grid product are, is shared: kept in
+        the run's row schedule, so the runs on one grid group its rows
+        once."""
         if not names:
             return None
         got = self._groups.get(names)
         if got is None:
-            if names <= self.shared:
-                first, inverse = _shared_grouping(tuple(map(self._column_bytes, sorted(names))))
+            keyed = frozenset(self.keys.get(name, name) for name in names) \
+                if self.keys else names
+            if keyed != names:
+                got = self.group(keyed)
             else:
                 last = max(names)
-                rest = self.group(names - {last})
-                first, inverse = (_distinct(self.columns[last]) if rest is None
-                                  else _refine(rest.first, rest.inverse, self.columns[last]))
-            got = self._groups[names] = _Group(names, first, inverse)
-        return got
-
-    def _column_bytes(self, name: str) -> bytes:
-        got = self._bytes.get(name)
-        if got is None:
-            got = self._bytes[name] = self.columns[name].tobytes()
+                got = _refined(self.group(names - {last}), self.columns[last],
+                               names <= self.shared)
+            self._groups[names] = got
+            if got.shared:
+                self.schedule[names] = got
         return got
 
     def column(self, group: _Group, name: str):
         """The values of a per-row or per-instance name, one per binding of
-        ``group``; None for a name the environment binds for every row."""
-        got = group.columns.get(name)
+        ``group`` (a group of that name, or of the instance); None for a
+        name the environment binds for every row."""
+        got = self._values.get((group, name))
         if got is None:
-            if name in group.names:
+            if name in self.columns:
                 got = self.columns[name][group.first]
-            elif name in self.env_columns and _INSTANCE in group.names:
+            elif name in self.env_columns:
                 got = self.env_columns[name][self.column(group, _INSTANCE)]
             else:
                 return None
-            group.columns[name] = got
+            self._values[group, name] = got
         return got
+
+    def alignment(self, child: _Group | None, parent: _Group | None):
+        """The binding of ``child`` that each binding of ``parent``, a group
+        of more names, carries; None when no gather is needed."""
+        if child is None or child is parent:
+            return None
+        if child.shared and parent.shared:
+            return _shared_alignment(child, parent)
+        return _alignment(child, parent)
 
     def exponent(self, node: _Node, group: _Group | None):
         """A node's exponent per binding of ``group``, from its float form by
@@ -680,9 +741,9 @@ class _BatchRun:
     def aligned(self, part: _Part, group: _Group | None):
         """A part's values and errors per binding of ``group`` (a superset
         of the part's names)."""
-        if part.group is None or part.group is group:
+        idx = self.alignment(part.group, group)
+        if idx is None:
             return part.values, part.errors
-        idx = part.group.inverse[group.first]
         return part.values[idx], None if part.errors is None else part.errors[idx]
 
     def _table(self, plan: _Plan):
@@ -749,12 +810,12 @@ class _BatchRun:
         group = self.group_of(node)
         sym, errors = _hermitize(base.values, base.errors, "power base")
         alpha = self.exponent(node, group)
-        lam, u, errors = decompose_stack(sym, errors)
-        if base.group is not None and base.group is not group:
-            idx = base.group.inverse[group.first]
-            lam, u = lam[idx], u[idx]
+        lam, u, errors, uh, norms = eigensystem_stack(sym, errors)
+        idx = self.alignment(base.group, group)
+        if idx is not None:
+            lam, u, uh, norms = lam[idx], u[idx], uh[idx], norms[idx]
             errors = None if errors is None else errors[idx]
-        values, mu, errors = power_stack(lam, u, alpha, errors)
+        values, mu, errors = power_stack(lam, u, alpha, errors, uh, norms)
         return _Part(values, _fit(errors, len(values)), group, mu)
 
     def batch(self, node: _Node, part: _Part) -> WordBatch:
@@ -776,14 +837,17 @@ class _BatchRun:
 
 def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
                    env: Environment | Sequence[Environment],
-                   rows: Mapping[str, np.ndarray] | None = None,
+                   rows: Mapping[str, np.ndarray | Keyed] | None = None,
                    instance=None) -> WordBatch | tuple[WordBatch, ...]:
     """Evaluate a word under N bindings at once.
 
     ``env`` binds the matrices and the scalars shared by every row;
     ``rows`` maps further scalar names to (N,) columns, one entry per
-    binding (N = 1 without it).  ``env`` may also be a sequence of
-    environments binding the same names at one dimension, with
+    binding (N = 1 without it).  A column may be given as ``Keyed(values,
+    key)``, a function of the column ``key``: it is grouped as that column
+    is, and one that is not constant on the key's grouping, bit for bit,
+    raises ValueError before anything is evaluated.  ``env`` may also be a
+    sequence of environments binding the same names at one dimension, with
     ``instance`` an (N,) column of indices into it: row i then takes its
     matrices and its other scalars from ``env[instance[i]]``, and an
     environment that no row names takes no part in the run.  Products

@@ -407,6 +407,15 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     row with a non-finite eigenvalue takes the identity's decomposition
     before its residuals are taken, as an unhealthy row is solved as the
     identity: their products would meet inf * 0."""
+    lam, u, errors, _, _ = eigensystem_stack(arrs, errors)
+    return lam, u, errors
+
+
+def eigensystem_stack(arrs: np.ndarray, errors=None):
+    """``decompose_stack``'s (eigenvalues, eigenvectors, errors), with the
+    contiguous adjoints U* (M, d, d) and the norms max|lambda| (M,) that its
+    residuals are taken with, and that ``power_stack`` can rebuild and gate
+    with."""
     dim = arrs.shape[-1]
     (lam, u), errors, work = _solve_stack(_eigh, arrs, errors)
     finite = np.isfinite(lam)
@@ -425,14 +434,17 @@ def decompose_stack(arrs: np.ndarray, errors=None):
     uh = np.ascontiguousarray(_adjoint(u))
     ortho = np.maximum.reduce(np.abs(uh @ u - _eye(dim)), axis=(-2, -1))
     recon = np.maximum.reduce(np.abs((u * lam[:, None, :]) @ uh - work), axis=(-2, -1))
+    # of an ascending spectrum, max|lambda| is spectral_norms' max(|lambda_0|,
+    # |lambda_(d-1)|), bit for bit
+    norms = np.maximum.reduce(np.abs(lam), axis=-1)
     bad_ortho = ortho > ORTHO_TOL
-    bad_recon = recon > RECON_RTOL * np.maximum(1.0, np.maximum.reduce(np.abs(lam), axis=-1))
+    bad_recon = recon > RECON_RTOL * np.maximum(1.0, norms)
     if any_set(bad_ortho | bad_recon):
         errors = flag_errors(errors, bad_ortho, lambda i: EigenSolverError(
             dim, ortho[i] / max(ORTHO_TOL, 1e-300)))
         errors = flag_errors(errors, bad_recon, lambda i: EigenSolverError(
             dim, _cond_estimate(arrs[i])))
-    return lam, u, errors
+    return lam, u, errors, uh, norms
 
 
 def spectral_norms(lam: np.ndarray):
@@ -446,11 +458,12 @@ def _scale(*norms):
     return reduce(np.maximum, norms, 1.0)
 
 
-def _gate(lam: np.ndarray):
+def _gate(lam: np.ndarray, norms=None):
     """(fails, gate) per row of ascending eigenvalues: the strict-positivity
     gate EPS_PD_REL * max(1, |H|), the only form of it, and whether
-    lambda_min sits at or below it."""
-    gate = EPS_PD_REL * _scale(spectral_norms(lam))
+    lambda_min sits at or below it.  ``norms``, when given, are the rows'
+    |H| (``spectral_norms``)."""
+    gate = EPS_PD_REL * _scale(spectral_norms(lam) if norms is None else norms)
     return lam[..., 0] <= gate, gate
 
 
@@ -461,11 +474,14 @@ _SCALAR_POWER_PATHS = ((2.0, np.square), (0.5, np.sqrt), (-1.0, np.reciprocal))
 _SCALAR_POWERS = np.array([value for value, _ in _SCALAR_POWER_PATHS])
 
 
-def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
+def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors, uh=None, norms=None):
     """Real powers rebuilt on the eigenvectors: row m is U diag(lam^alpha)
     U*, symmetrized.  ``alpha`` is one exponent for every row or an (M,)
-    array; lam, u and errors broadcast against it.  Returns (the powers,
-    the eigenvalues lam^alpha they were rebuilt from, errors).
+    array; lam, u and errors broadcast against it, and so do ``uh``, the
+    contiguous U*, and ``norms``, max|lam| per row, which
+    ``eigensystem_stack`` hands over (both are computed when None).
+    Returns (the powers, the eigenvalues lam^alpha they were rebuilt from,
+    errors).
 
     A fractional or negative exponent fails with NearSingularError where
     lambda_min is at or below the pd gate; a power that overflows fails
@@ -475,7 +491,9 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
         alpha = np.full(len(lam), alpha)
     elif len(lam) != len(alpha):
         lam = np.broadcast_to(lam, (len(alpha),) + lam.shape[1:])
-    low, gate = _gate(lam)
+        if norms is not None:
+            norms = np.broadcast_to(norms, (len(alpha),))
+    low, gate = _gate(lam, norms)
     if any_set(low):
         # the gate binds exponents that are not non-negative integers; inf
         # and NaN leave a NaN remainder
@@ -488,7 +506,7 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors):
             rows = scalar[:, j]
             if any_set(rows):
                 powered[rows] = fast_path(lam[rows])
-    out = (u * powered[:, None, :]) @ np.ascontiguousarray(_adjoint(u))
+    out = (u * powered[:, None, :]) @ (np.ascontiguousarray(_adjoint(u)) if uh is None else uh)
     out = 0.5 * (out + _adjoint(out))
     bad = nonfinite_rows(out)
     if bad is not None:

@@ -1229,12 +1229,15 @@ def check_reduction_chain(
     Each chunk of rows is one ``dsl.evaluate_batch`` run of the member's
     right and left sides, its core, the innermost sandwich and the peeled
     bound: the member contains the core and the sandwich, so each of their
-    nodes is evaluated once.  The chunk is judged in one stacked
-    comparison of three segments: the premise (its right side against its
-    left), the core (against I) and the peel (the bound against the
-    sandwich).  The premise's and the core's margins swap back, so that
-    every side with a norm bound (a power's) is p: only the needed ones
-    are decomposed, and errors merge as in three separate comparisons.
+    nodes is evaluated once.  The bound's q_j, a function of p_j, is
+    keyed to it (``dsl.Keyed``), so a run on a shared grid product finds
+    all of its groups in the grid's row schedule.  The chunk is judged in
+    one stacked comparison of three segments: the premise (its right side
+    against its left), the core (against I) and the peel (the bound
+    against the sandwich).  The premise's and the core's margins swap
+    back, so that every side with a norm bound (a power's) is p: only the
+    needed ones are decomposed, and errors merge as in three separate
+    comparisons.
     The sandwich depends on p1 alone, so its spectrum is one decomposition
     per distinct p1, which serves both its norm in the peel and its
     extreme eigenvalues against the scalar bound.  A premise row whose
@@ -1265,7 +1268,9 @@ def check_reduction_chain(
         columns = _p_columns(p_table[lo:hi])
         columns["w1"] = w[lo:hi]
         if bound_word is not None:
-            columns.update(chains.peeled_bindings(template.t, p_table[lo:hi].T))
+            # q_j is a function of p_j alone, so the run groups it as p_j
+            columns.update({name: dsl.Keyed(q, f"p{name[1:]}") for name, q in
+                            chains.peeled_bindings(template.t, p_table[lo:hi].T).items()})
         rhs, lhs, core, base, *peeled = dsl.evaluate_batch(words, env, columns)
         bound = peeled[0] if peeled else ident
         # the premise, the core and the peel as three segments of one

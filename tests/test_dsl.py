@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oporder import chains, dsl, verify
@@ -18,6 +18,7 @@ from oporder.chains import (
 from oporder.dsl import (
     Environment,
     EvaluationError,
+    Keyed,
     NonHermitianResultError,
     ParseError,
     UnboundNameError,
@@ -43,6 +44,7 @@ from oporder.spectral import (
 from oporder.verify import _identity_batch
 from util import (
     GOLDEN_DIR,
+    count_decompositions,
     error_rows,
     full_spectrum_margins,
     random_hermitian,
@@ -555,7 +557,7 @@ class TestUnboundBindings:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dsl, "_compile", counting("compile", dsl._compile))
             patch.setattr(dsl, "power_stack", counting("power", dsl.power_stack))
-            patch.setattr(dsl, "decompose_stack", counting("decompose", dsl.decompose_stack))
+            patch.setattr(dsl, "eigensystem_stack", counting("decompose", dsl.eigensystem_stack))
             with pytest.raises(UnboundNameError) as got:
                 run(less)
         assert str(got.value) == str(want.value)
@@ -574,6 +576,109 @@ def test_groups_take_the_first_rows_and_codes_of_np_unique(values, integers):
     first, inverse = dsl._distinct(column)
     assert (first.tolist(), inverse.tolist()) == (want_first.tolist(),
                                                   want_inverse.reshape(-1).tolist())
+
+
+# functions of a key column: one to one, or mapping two key values to one
+_KEY_FUNCTIONS = (lambda x: 1.0 / x, lambda x: 0.7 / x, lambda x: x - 1.0,
+                  lambda x: x * x, lambda x: 0.0 * x + 0.5)
+
+
+class TestKeyedColumns:
+    """A column keyed to another (``dsl.Keyed``) is grouped as its key is.
+    A keyed run gives the values and row errors of the unkeyed run bit for
+    bit, and its distinct values are theirs: the same rows share one, each
+    held first by the same row.  The bindings come in the key's order, and
+    a keyed column that maps two key values to one splits a binding, which
+    then lies within one of the unkeyed run.  A keyed column that is not
+    constant on its key's grouping, bit for bit, raises ValueError before
+    anything is evaluated."""
+
+    _KEY_VALUES = (-0.5, 0.5, 1.0, 1.5, 2.0, 4.0)
+    # the names of random_scalar_expr
+    _NAMES = ("r", "t1", "t2", "t3", "p1", "p2", "p3", "p4", "w1", "w2")
+
+    def case(self, seed: int, envs: int, read_only: bool):
+        """(words, environment(s), key columns p1 and p2, keyed columns as
+        name -> (values, key), instance column): names keyed at random
+        to p1 or p2, the other names bound by the environments, whose
+        matrices trip the pd gate and overflow on some rows."""
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 13))
+        keys = {name: rng.choice(self._KEY_VALUES, count) for name in ("p1", "p2")}
+        for col in keys.values():
+            col.setflags(write=not read_only)
+        keyed = {}
+        for name in ("r", "t1", "t2", "p3", "p4", "w1"):
+            if rng.random() < 0.6:
+                key = ("p1", "p2")[int(rng.integers(0, 2))]
+                function = _KEY_FUNCTIONS[int(rng.integers(0, len(_KEY_FUNCTIONS)))]
+                keyed[name] = (function(keys[key]), key)
+        scalars = {name: float(rng.uniform(0.1, 2.0)) for name in self._NAMES
+                   if name not in keys and name not in keyed}
+        environments = [Environment(scalars, {
+            1: HermitianMatrix(random_spd_array(rng, 3)),
+            2: HermitianMatrix(random_spd_array(rng, 3, ridge=0.5)),
+            3: _rotated(rng, (1e-13, 0.5, 1.5)),   # trips the pd gate
+            4: _rotated(rng, (1.0, 1e30, 1e60)),   # overflows at large powers
+        }) for _ in range(envs)]
+        instance = rng.integers(0, envs, count) if envs > 1 else None
+        words = tuple(random_palindrome(rng) for _ in range(int(rng.integers(1, 4))))
+        return words, environments if envs > 1 else environments[0], keys, keyed, instance
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10**9), envs=st.integers(1, 2), read_only=st.booleans())
+    def test_a_keyed_run_equals_the_unkeyed_run(self, seed, envs, read_only):
+        words, env, keys, keyed, instance = self.case(seed, envs, read_only)
+        plain = evaluate_batch(words, env, {**keys, **{name: values for name, (values, _)
+                                                       in keyed.items()}}, instance)
+        got = evaluate_batch(words, env, {**keys, **{name: Keyed(values, key) for name, (values, key)
+                                                     in keyed.items()}}, instance)
+        count = len(keys["p1"])
+        one_to_one = all(len(np.unique(values)) == len(np.unique(keys[key]))
+                         for values, key in keyed.values())
+        for a, b in zip(got, plain):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert error_rows(a.row_errors, count) == error_rows(b.row_errors, count)
+            (first, inverse), (plain_first, plain_inverse) = a.distinct, b.distinct
+            # each row's binding is held first by one row, within one
+            # binding of the unkeyed run; by the same row when no keyed
+            # column maps two key values to one
+            assert plain_inverse[first[inverse]].tolist() == plain_inverse.tolist()
+            if one_to_one:
+                assert first[inverse].tolist() == plain_first[plain_inverse].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**9), envs=st.integers(1, 2), read_only=st.booleans(),
+           signed_zero=st.booleans())
+    def test_a_column_not_constant_on_its_keys_grouping_raises_first(
+            self, seed, envs, read_only, signed_zero):
+        words, env, keys, keyed, instance = self.case(seed, envs, read_only)
+        col = keys["p1"]
+        shared = [i for i in range(len(col)) if np.count_nonzero(col == col[i]) > 1]
+        assume(shared)
+        # one row of a key value that another row holds too breaks its
+        # binding: by one ulp, or by the sign of a zero, which compares equal
+        values = np.zeros(len(col)) if signed_zero else 1.0 / col
+        values[shared[-1]] = -0.0 if signed_zero else np.nextafter(values[shared[-1]], np.inf)
+        rows = {**keys, **{name: Keyed(v, key) for name, (v, key) in keyed.items()},
+                "w2": Keyed(values, "p1")}
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_compile", "eigensystem_stack", "power_stack"):
+                patch.setattr(dsl, name, lambda *args, name=name: calls.append(name))
+            with pytest.raises(ValueError, match="^column 'w2' is not constant on the "
+                                                 "grouping of its key 'p1'$"):
+                evaluate_batch(words, env, rows, instance)
+        assert calls == []
+
+    def test_a_key_must_be_an_unkeyed_column(self):
+        env = diag_env({}, {1: [1.0, 2.0]})
+        word = Symbol(1, ScalarExpr.variable("q"))
+        p = np.array([1.0, 2.0])
+        for rows in ({"q": Keyed(1.0 / p, "p1")},
+                     {"p1": p, "p2": Keyed(p, "p1"), "q": Keyed(p, "p2")}):
+            with pytest.raises(ValueError, match="which is not an unkeyed column of the run"):
+                evaluate_batch(word, env, rows)
 
 
 class TestSlotWordRuns:
@@ -749,7 +854,7 @@ class TestSeveralWordsPerRun:
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_shared_powers_are_decomposed_once(self, k, monkeypatch):
-        from oporder import chains, dsl
+        from oporder import chains
 
         member = chains.hypothesis_set(k)[0]
         core = chains.hypothesis_core(member)
@@ -761,12 +866,7 @@ class TestSeveralWordsPerRun:
         scalars = {"r": 1.5, "w1": 0.5, **{f"t{i}": 0.5 for i in range(1, k // 2 + 1)}}
         rows = {f"p{j}": np.array([1.0, 2.0, 4.0]) for j in range(1, 2 * (k // 2) + 1)}
         calls = []
-
-        def counting(arrs, errors=None):
-            calls.append(len(arrs))
-            return decompose_stack(arrs, errors)
-
-        monkeypatch.setattr(dsl, "decompose_stack", counting)
+        count_decompositions(monkeypatch, calls)
         evaluate_batch((member.rhs, core, base), Environment(scalars, matrices), rows)
         # one stacked eigh per power of the member; the core and the base,
         # nodes of the member, add none
@@ -964,18 +1064,13 @@ class TestNormBound:
     def test_decomposed_where_the_bound_reaches_the_scale(self, monkeypatch, c, decomposed):
         # c * I raised to 2 and 3: norms c^2 and c^3 against the identity's
         # 1; at c = 1 they equal the scale and are decomposed all the same
-        from oporder import dsl, spectral
-
         env = diag_env({}, {1: [c, c]})
         batch = evaluate_batch(Power(Symbol(1, ScalarExpr.number(1)), ScalarExpr.variable("x")),
                                env, {"x": np.array([2.0, 3.0, 2.0])})
         assert batch.norm_bound.tolist() == [c ** 2, c ** 3]
         ident = _identity_batch(2)
         calls = []
-        for module in (dsl, spectral):
-            monkeypatch.setattr(module, "decompose_stack",
-                                lambda arrs, errors=None: calls.append(len(arrs))
-                                or decompose_stack(arrs, errors))
+        count_decompositions(monkeypatch, calls)
         _, _, scale, errors = scaled_margins_stack(ident, batch)
         assert calls == decomposed and errors is None
         assert scale.tolist() == [max(1.0, c ** 2), max(1.0, c ** 3), max(1.0, c ** 2)]

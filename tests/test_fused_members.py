@@ -277,6 +277,7 @@ class TestCleanRunCost:
             for name in ("no_errors", "healthy", "decompose_stack", "power_stack"):
                 if hasattr(module, name):
                     counted(module, name)
+        counted(dsl, "eigensystem_stack")  # a power node's decomposition
         counted(dsl, "evaluate_batch")
 
         class CountingErrstate(np.errstate):
@@ -295,8 +296,8 @@ class TestCleanRunCost:
         # and norms) and once for the margins_hold of the verdicts; two
         # power nodes and the two sides' spectra decompose, and the symbols
         # and two power nodes raise
-        assert counts == {"evaluate_batch": 1, "errstate": 3, "decompose_stack": 4,
-                          "power_stack": 3}
+        assert counts == {"evaluate_batch": 1, "errstate": 3, "eigensystem_stack": 2,
+                          "decompose_stack": 2, "power_stack": 3}
 
 
 class TestReductionCalls:

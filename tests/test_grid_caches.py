@@ -1,6 +1,7 @@
 """The per-grid caches: the exact terms of the chain exponent, the scalar
-bound's prefix codes and the row groupings of an evaluation run are found
-once per grid product and shared by the instances on it.
+bound's prefix codes and the row schedule of an evaluation run (its row
+groupings and the indices that align them) are found once per grid
+product and shared by the instances on it.
 
 Each cached form equals its uncached oracle in ``util`` bit for bit, on the
 shared (read-only) grid product and on a subsampled (writeable) table, two
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oporder import chains, dsl, verify
+from oporder import chains, cli, dsl, verify
 from oporder.chains import Power, ScalarExpr, Symbol, chain_exponents
 from oporder.verify import (
     PGrid,
@@ -31,10 +32,17 @@ def _hexes(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _scheduled_run(words: tuple, env, rows: dict):
+    """The batches of one evaluation run and the row schedule it read."""
+    run = dsl._BatchRun(env, rows)
+    return run.batches(words), run.schedule
+
+
 def _clear_caches() -> None:
     chains._chain_terms.cache_clear()
     verify._prefix_codes.cache_clear()
-    dsl._shared_grouping.cache_clear()
+    dsl._schedule.cache_clear()
+    dsl._shared_alignment.cache_clear()
 
 
 # t values with both ends of [0, 1]; p values: 1, short and long dyadics,
@@ -144,25 +152,27 @@ class TestCacheEntries:
         _clear_caches()
         word = Power(Symbol(1, ScalarExpr.variable("p1")), ScalarExpr.variable("p2"))
         env = dsl.Environment(scalars={}, matrices={1: gen_ordered_tuple(2, 2, 0).matrices[0]})
-        sizes = []
-        for table in self._tables():
-            dsl.evaluate_batch(word, env, {"p1": table[:, 0], "p2": table[:, 1]})
-            sizes.append(dsl._shared_grouping.cache_info().currsize)
+        schedules = [_scheduled_run((word,), env, {"p1": table[:, 0], "p2": table[:, 1]})[1]
+                     for table in self._tables()]
+        assert dsl._schedule.cache_info().currsize == 2
         # {p1} and {p1, p2} per grid, though both grids group p1 alike
-        assert sizes == [2, 4]
+        p1 = frozenset({"p1"})
+        assert [set(schedule) for schedule in schedules] == [{p1, frozenset({"p1", "p2"})}] * 2
+        assert schedules[0][p1] is not schedules[1][p1]
+        assert schedules[0][p1].inverse.tolist() == schedules[1][p1].inverse.tolist()
 
     def test_writeable_tables_are_not_cached(self):
         _clear_caches()
         table = self._tables()[0].copy()
         chains.necessity_weights((0.5, 0.5), table, 1.0)
         verify._prefix_codes(table[:, 1:3])
-        dsl.evaluate_batch(Symbol(1, ScalarExpr.variable("p1")),
-                           dsl.Environment(scalars={}, matrices={
-                               1: gen_ordered_tuple(2, 2, 0).matrices[0]}),
-                           {"p1": table[:, 0]})
+        _, schedule = _scheduled_run((Symbol(1, ScalarExpr.variable("p1")),),
+                                     dsl.Environment(scalars={}, matrices={
+                                         1: gen_ordered_tuple(2, 2, 0).matrices[0]}),
+                                     {"p1": table[:, 0]})
         assert chains._chain_terms.cache_info().currsize == 0
         assert verify._prefix_codes.cache_info().currsize == 0
-        assert dsl._shared_grouping.cache_info().currsize == 0
+        assert schedule == {}
 
     def test_cached_arrays_are_read_only(self):
         _clear_caches()
@@ -185,9 +195,61 @@ class TestCacheEntries:
         words = chains.reduction_words(5)[:1] + (chains.hypothesis_core(
             chains.hypothesis_set(3)[0]),)
         table = self._tables()[1]
-        shared = dsl.evaluate_batch(words, env, verify._p_columns(table[:, :2]))
-        fresh = dsl.evaluate_batch(words, env, verify._p_columns(table[:, :2].copy()))
-        assert dsl._shared_grouping.cache_info().currsize > 0
+        shared, schedule = _scheduled_run(words, env, verify._p_columns(table[:, :2]))
+        fresh, unshared = _scheduled_run(words, env, verify._p_columns(table[:, :2].copy()))
+        assert schedule and unshared == {}
         for a, b in zip(shared, fresh):
             assert a.values.tobytes() == b.values.tobytes()
             assert [x.tolist() for x in a.distinct] == [x.tolist() for x in b.distinct]
+
+
+def _report_bits(report) -> tuple:
+    """Everything a ReductionReport holds, with each column's bytes."""
+    table = report.table
+    return (report.instance_id, report.premise_failures, report.premise_errors,
+            [check.name for check in table.checks], table.tol_rel,
+            {name: col.tobytes() for name, col in table.columns.items()},
+            [table.error_text(i) for i in range(len(table))])
+
+
+class TestProofStepsSchedule:
+    """After one proof-steps instance on a grid, an instance on the same
+    grid finds its row schedule cached: its run groups no rows and
+    computes no alignment index, the peeled bound's q columns grouped
+    through their keys' groupings, and its report is that of a run with
+    every cache cold, bit for bit."""
+
+    @staticmethod
+    def proof_steps(seed: int, dim: int, reductions: list) -> None:
+        """Run ``check --mode proof-steps`` on one k=5 instance of the
+        benchmark's grid, recording each (instance, grid, options, report)."""
+        real = cli.check_reduction_chain
+
+        def recording(instance, grid, **options):
+            report = real(instance, grid, **options)
+            reductions.append((instance, grid, options, report))
+            return report
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "check_reduction_chain", recording)
+            cli.main(["check", "--mode", "proof-steps", "--k", "5", "--dim", str(dim),
+                      "--p-grid", "1,1.5,4", "--seed", str(seed), "--count", "1"])
+
+    def test_a_second_instance_groups_nothing_afresh(self, capsys):
+        _clear_caches()
+        self.proof_steps(0, 2, [])
+        calls = {"_distinct": 0, "_refine": 0, "_alignment": 0}
+        reductions = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name in calls:
+                def counting(*args, name=name, real=getattr(dsl, name)):
+                    calls[name] += 1
+                    return real(*args)
+                patch.setattr(dsl, name, counting)
+            self.proof_steps(1, 3, reductions)
+        assert calls == {"_distinct": 0, "_refine": 0, "_alignment": 0}
+        (instance, grid, options, warm), = reductions
+        _clear_caches()
+        cold = verify.check_reduction_chain(instance, grid, **options)
+        assert _report_bits(warm) == _report_bits(cold)
+        capsys.readouterr()

@@ -23,6 +23,7 @@ from oporder.spectral import (
     decompose_stack,
     diagonal,
     directional_margins,
+    eigensystem_stack,
     identity,
     loewner_compare,
     margins_hold,
@@ -481,6 +482,73 @@ class TestContiguousAdjoint:
         want = 0.5 * (want + _strided_adjoint(want))
         # adding 0.0 maps -0.0 to +0.0 and leaves every other bit alone
         assert (out + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+class TestHandedAdjoint:
+    """A power node hands ``power_stack`` the contiguous U* and the
+    max|lambda| per row that its decomposition took
+    (``eigensystem_stack``): the powers, their eigenvalues and their row
+    errors are those of the plain call, bit for bit, on rows at the pd
+    gate, overflowing or non-finite too, and for one row raised to N
+    exponents."""
+
+    @staticmethod
+    def stack(seed, dim, count, complex_field, magnitude, low):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((count, dim, dim))
+        if complex_field:
+            g = g + 1j * rng.standard_normal((count, dim, dim))
+        q, _ = np.linalg.qr(g)
+        lam = rng.uniform(0.5, 4.0, (count, dim)) * magnitude
+        # some rows' smallest eigenvalue at or below the gate, or the largest
+        # in magnitude
+        gated = rng.random(count) < 0.5
+        lam[gated, 0] = low
+        arrs = (q * lam[:, None, :]) @ _strided_adjoint(q)
+        arrs = 0.5 * (arrs + _strided_adjoint(arrs))
+        if count > 1 and rng.random() < 0.3:
+            arrs[-1, 0, 0] = np.inf  # a row that fails its decomposition
+        return arrs
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 10**9), dim=st.integers(1, 4), count=st.integers(1, 12),
+           complex_field=st.booleans(), magnitude=st.sampled_from([1.0, 1e-3, 1e3, 1e200]),
+           low=st.sampled_from([1e-13, 0.0, -0.0, -1e-3, -10.0, 1e-300, 1.0]),
+           alpha=st.one_of(st.sampled_from([2.0, 0.5, -1.0, 1.0, 3.0, 0.0]),
+                           st.floats(-2.0, 4.0), st.just("per-row")),
+           one_row=st.booleans())
+    # one row at the gate raised to three fractional exponents: its gate
+    # is one number, read for each of the three rows' error texts
+    @example(seed=0, dim=2, count=1, complex_field=False, magnitude=1.0, low=1e-13,
+             alpha="per-row", one_row=True)
+    # rows whose most negative eigenvalue is their largest in magnitude
+    @example(seed=1, dim=3, count=6, complex_field=True, magnitude=1.0, low=-10.0,
+             alpha=0.5, one_row=False)
+    def test_power_stack_with_the_decompositions_adjoint_and_norms(
+            self, seed, dim, count, complex_field, magnitude, low, alpha, one_row):
+        arrs = self.stack(seed, dim, count, complex_field, magnitude, low)
+        lam, u, errors, uh, norms = eigensystem_stack(arrs)
+        plain_lam, plain_u, plain_errors = decompose_stack(arrs)
+        assert (lam.tobytes(), u.tobytes()) == (plain_lam.tobytes(), plain_u.tobytes())
+        assert error_rows(errors, count) == error_rows(plain_errors, count)
+        assert uh.tobytes() == np.ascontiguousarray(_strided_adjoint(u)).tobytes()
+        assert norms.tobytes() == spectral.spectral_norms(lam).tobytes()
+        rows = count
+        if one_row:
+            lam, u, uh, norms = lam[:1], u[:1], uh[:1], norms[:1]
+            errors = None if errors is None else errors[:1]
+            rows = 3
+        if alpha == "per-row":
+            alpha = np.random.default_rng(seed).choice([2.0, 0.5, -1.0, 0.3, -0.7, 1.5], rows)
+            if one_row:
+                alpha[:] = (0.5, -0.7, 0.3)
+        with np.errstate(all="ignore"):
+            want = power_stack(lam, u, alpha, errors)
+            got = power_stack(lam, u, alpha, errors, uh, norms)
+        rows = len(want[0])
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert error_rows(got[2], rows) == error_rows(want[2], rows)
 
 
 class TestKnownSides:

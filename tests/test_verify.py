@@ -40,7 +40,13 @@ from oporder.verify import (
     search_counterexample,
 )
 from oporder import verify
-from util import error_rows, full_spectrum_margins, reduction_points, scalar_word_value
+from util import (
+    count_decompositions,
+    error_rows,
+    full_spectrum_margins,
+    reduction_points,
+    scalar_word_value,
+)
 
 
 def _necessity(tup, template) -> Instance:
@@ -434,22 +440,19 @@ class TestBatchedCampaign:
         assert cut.config.get("stopped_early", False) is (deciding is not None)
 
     def test_right_sides_decomposed_only_where_their_bound_reaches_the_scale(self, monkeypatch):
-        from oporder import dsl, spectral
+        from oporder import spectral
 
         # an unordered tuple: some right sides outgrow their left side
         tup = gen_unordered_tuple(5, 3, [0, 1])
         template = ParamTemplate(t=(0.5, 0.3), r=1.2)
-        decompose, compare = spectral.decompose_stack, verify.scaled_margins_stack
+        compare = verify.scaled_margins_stack
         seen = []
 
         def recording(lhs, rhs, errors):
             sizes = []
-            for module in (dsl, spectral):
-                monkeypatch.setattr(module, "decompose_stack", lambda arrs, errs=None:
-                                    sizes.append(len(arrs)) or decompose(arrs, errs))
-            got = compare(lhs, rhs, errors)
-            for module in (dsl, spectral):
-                monkeypatch.setattr(module, "decompose_stack", decompose)
+            with pytest.MonkeyPatch.context() as patch:
+                count_decompositions(patch, sizes)
+                got = compare(lhs, rhs, errors)
             seen.append((lhs, rhs, errors, sizes, got))
             return got
 
@@ -704,24 +707,19 @@ class TestReductionChain:
         assert not rep.premise_pass and rep.table.errors is None
 
     def test_one_run_per_chunk_and_the_base_decomposed_once_per_p1(self, monkeypatch):
-        from oporder import dsl, spectral
+        from oporder import dsl
 
         tup = gen_suite_tuple(5, 2, seed=[0, 0])
         template = ParamTemplate(t=(0.85, 0.1), r=0.7)
         calls = {"evaluate_batch": 0, "decompose_stack": []}
-        evaluate_batch, decompose_stack = dsl.evaluate_batch, spectral.decompose_stack
+        evaluate_batch = dsl.evaluate_batch
 
         def counting_evaluate(*args, **kwargs):
             calls["evaluate_batch"] += 1
             return evaluate_batch(*args, **kwargs)
 
-        def counting_decompose(arrs, errors=None):
-            calls["decompose_stack"].append(len(arrs))
-            return decompose_stack(arrs, errors)
-
         monkeypatch.setattr(dsl, "evaluate_batch", counting_evaluate)
-        for module in (dsl, spectral):
-            monkeypatch.setattr(module, "decompose_stack", counting_decompose)
+        count_decompositions(monkeypatch, calls["decompose_stack"])
         check_reduction_chain(_necessity(tup, template), PGrid(values=(1.0, 1.5, 4.0)))
         # 81 rows in one run: its five powers decompose 3, 9, 27 and 81
         # distinct bases and the peeled bound's 3.  The one comparison

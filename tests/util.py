@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oporder import chains
+from oporder import chains, dsl, spectral
 from oporder.chains import Power, Product, ScalarExpr, Symbol
 from oporder.spectral import (
     EPS_PD_REL,
@@ -128,6 +128,18 @@ def power_iteration_norm(arr: np.ndarray, iterations: int = 2000) -> float:
         v = w / norm
         lam = norm
     return float(lam)
+
+
+def count_decompositions(monkeypatch, sizes: list) -> None:
+    """Append the stack size of every decomposition that evaluation runs and
+    comparisons make to ``sizes``: a power node's, through
+    ``dsl.eigensystem_stack``, and every other, through
+    ``spectral.decompose_stack``."""
+    eigensystem, decompose = spectral.eigensystem_stack, spectral.decompose_stack
+    monkeypatch.setattr(dsl, "eigensystem_stack", lambda arrs, errors=None:
+                        sizes.append(len(arrs)) or eigensystem(arrs, errors))
+    monkeypatch.setattr(spectral, "decompose_stack", lambda arrs, errors=None:
+                        sizes.append(len(arrs)) or decompose(arrs, errors))
 
 
 def error_rows(errors, count: int) -> list:
