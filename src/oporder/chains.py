@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, wraps
-from typing import Union
+from functools import lru_cache
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -162,36 +162,52 @@ def _dyadic(x: float) -> tuple[int, int]:
     return m, d.bit_length() - 1
 
 
-def by_contents(maxsize: int):
-    """Decorator for a function of one array: its results for read-only
-    arrays (a shared grid product, or a slice of one) are cached by the
-    array's dtype, shape and bytes, at most ``maxsize`` of them, the least
-    recently used dropped first.  A writeable array, usually built for one
-    call, is computed afresh.  A cached result is shared, so its arrays are
-    read-only."""
-    def decorate(compute):
-        @lru_cache(maxsize=maxsize)
-        def cached(dtype: str, shape: tuple, data: bytes):
-            return compute(np.frombuffer(data, dtype=dtype).reshape(shape))
-
-        @wraps(compute)
-        def call(table: np.ndarray):
-            if table.flags.writeable:
-                return compute(table)
-            return cached(table.dtype.str, table.shape, table.tobytes())
-
-        call.cache_clear, call.cache_info = cached.cache_clear, cached.cache_info
-        return call
-    return decorate
-
-
-@by_contents(maxsize=32)
-def _chain_terms(table: np.ndarray):
+class ChainTerms(NamedTuple):
     """The p-dependent terms of the expanded chain exponent of each row of
-    an (N, 2n) p-table: (S_1, (S_3 - S_2, .., S_(2n+1) - S_2n), bs), object
-    columns of Python integers over the one power of two 2**bs, where S_m =
-    p_m * .. * p_2n and S_(2n+1) = 1.  Raises ValueError unless every p is
-    finite and >= 1."""
+    an (N, 2n) p-table (``chain_terms``): (S_1, (S_3 - S_2, .., S_(2n+1) -
+    S_2n)), read-only object columns of Python integers over the one power
+    of two 2**(2n * ps), where S_m = p_m * .. * p_2n and S_(2n+1) = 1."""
+
+    head: np.ndarray
+    diffs: tuple[np.ndarray, ...]
+    ps: int
+
+    def exponents(self, t) -> np.ndarray:
+        """``chain_exponents`` at t of the rows these terms were taken of:
+        the instances that share a p-table pay only their t_j multiples."""
+        t = tuple(float(v) for v in t)
+        if len(self.diffs) != len(t):
+            raise ValueError(f"need twice as many p as t values, "
+                             f"got {2 * len(self.diffs)} and {len(t)}")
+        if any(not 0.0 <= v <= 1.0 for v in t):
+            raise ValueError(f"every t must lie in [0, 1], got {t}")
+        # every t_j as an integer over the one power of two 2**ts
+        dyadic = [_dyadic(v) for v in t]
+        ts = max(s for _, s in dyadic)
+        b = self.head << ts
+        for (tm, s), diff in zip(dyadic, self.diffs):
+            if tm:
+                b = b + diff * (tm << (ts - s))
+        bs = 2 * len(self.diffs) * self.ps + ts
+        try:
+            return (b / (1 << bs)).astype(np.float64)
+        except OverflowError:
+            pass
+        out = np.empty(len(b))
+        for i, m in enumerate(b.tolist()):
+            try:
+                out[i] = m / (1 << bs)
+            except OverflowError:
+                out[i] = math.inf  # b_n >= 1 whenever p >= 1 and t lies in [0, 1]
+        return out
+
+
+def chain_terms(p_table: np.ndarray) -> ChainTerms:
+    """The ``ChainTerms`` of an (N, 2n) p-table.  Raises ValueError unless
+    every p is finite and >= 1."""
+    table = np.asarray(p_table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] % 2:
+        raise ValueError(f"a p-table has one row of 2n p per vector, got shape {table.shape}")
     bad = ~(np.isfinite(table) & (table >= 1.0))
     if bad.any():
         first = tuple(table[bad.any(axis=1)][0].tolist())
@@ -215,7 +231,7 @@ def _chain_terms(table: np.ndarray):
     diffs = tuple(reversed(diffs))
     for column in (suffix, *diffs):
         column.setflags(write=False)
-    return suffix, diffs, width * ps
+    return ChainTerms(suffix, diffs, ps)
 
 
 def chain_exponents(t, p_table) -> np.ndarray:
@@ -229,45 +245,19 @@ def chain_exponents(t, p_table) -> np.ndarray:
     one power of two, so the all-ones telescoping case returns exactly 1.0.
     Each b_n is then rounded once to the nearest float (CPython's int / int
     division rounds correctly, as ``float(Fraction)`` does); beyond the
-    float range it is inf.  The S terms depend on the table alone and are
-    cached for a read-only table (``by_contents``), so the instances that
-    share a grid product pay only their t_j multiples.
+    float range it is inf.  The S terms depend on the table alone
+    (``chain_terms``), so a grid's plan takes them once for every instance.
     """
-    t = tuple(float(v) for v in t)
-    table = np.asarray(p_table, dtype=np.float64)
-    n = len(t)
-    if table.ndim != 2 or table.shape[1] != 2 * n:
-        raise ValueError(f"need twice as many p as t values, got {table.shape[-1]} and {n}")
-    if any(not 0.0 <= v <= 1.0 for v in t):
-        raise ValueError(f"every t must lie in [0, 1], got {t}")
-    head, diffs, bs = _chain_terms(table)
-    # every t_j as an integer over the one power of two 2**ts
-    dyadic = [_dyadic(v) for v in t]
-    ts = max(s for _, s in dyadic)
-    b = head << ts
-    for (tm, s), diff in zip(dyadic, diffs):
-        if tm:
-            b = b + diff * (tm << (ts - s))
-    bs += ts
-    try:
-        return (b / (1 << bs)).astype(np.float64)
-    except OverflowError:
-        pass
-    out = np.empty(len(table))
-    for i, m in enumerate(b.tolist()):
-        try:
-            out[i] = m / (1 << bs)
-        except OverflowError:
-            out[i] = math.inf  # b_n >= 1 whenever p >= 1 and t lies in [0, 1]
-    return out
+    return chain_terms(p_table).exponents(t)
 
 
-def necessity_weights(t, p_table, r: float) -> np.ndarray:
-    """Weight (r - t_n) / (psi - t_n + r) per row of an (N, 2n) p-table, at
-    which the hypothesis family is expected to be equivalent to the operator
-    order; float64 arithmetic, the same IEEE operations as on one float."""
+def necessity_weights(t, terms: ChainTerms, r: float) -> np.ndarray:
+    """Weight (r - t_n) / (psi - t_n + r) per row of the p-table whose
+    ``chain_terms`` are ``terms``, at which the hypothesis family is
+    expected to be equivalent to the operator order; float64 arithmetic,
+    the same IEEE operations as on one float."""
     t = tuple(t)
-    psi = chain_exponents(t, p_table)
+    psi = terms.exponents(t)
     t_n = float(t[-1])
     if not (math.isfinite(r) and r > t_n):
         raise ValueError(f"r must be finite and exceed t_n = {t_n}, got r = {r}")
@@ -285,7 +275,7 @@ def chain_exponent(t, p) -> float:
 
 def necessity_weight_from(t, p, r: float) -> float:
     """``necessity_weights`` of one p-vector."""
-    return float(necessity_weights(t, [tuple(p)], r)[0])
+    return float(necessity_weights(t, chain_terms([tuple(p)]), r)[0])
 
 
 def _levels(k: int) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence, Union
@@ -455,23 +454,14 @@ class _PlanCache:
 _PLANS = _PlanCache(64)
 
 
-class Keyed(NamedTuple):
-    """A per-row column that is a function of another per-row column, its
-    key: rows that agree on the key agree on it, so a run groups it as it
-    groups the key (``evaluate_batch``)."""
-
-    values: np.ndarray
-    key: str
-
-
 @dataclass(frozen=True, eq=False)
 class _Group:
     """The distinct bindings of some per-row names: rows that agree on them
     share one evaluation.  ``first[m]`` is a row carrying binding m,
-    ``inverse[i]`` the binding of row i.  A ``shared`` group, one of read-
-    only columns, is held in a row schedule (``_schedule``) with read-only
-    arrays, and every run on those columns reads it; the values its names
-    take are kept by each run."""
+    ``inverse[i]`` the binding of row i.  A ``shared`` group, one of grid
+    columns, is held in a row schedule with read-only arrays, and every run
+    on the schedule reads it; the values its names take are kept by each
+    run."""
 
     first: np.ndarray
     inverse: np.ndarray
@@ -516,26 +506,30 @@ def _refined(rest: _Group | None, column: np.ndarray, shared: bool) -> _Group:
     return group
 
 
-@lru_cache(maxsize=32)
-def _schedule(signature: tuple) -> dict:
-    """A row schedule: the shared groups, by names, of the runs whose
-    read-only columns and keys ``signature`` gives, as those runs find
-    them; a shared group depends on nothing else."""
-    return {}
-
-
 def _alignment(child: _Group, parent: _Group) -> np.ndarray:
     """The binding of ``child`` that each binding of ``parent``, a group of
     more names, carries."""
     return child.inverse[parent.first]
 
 
-@lru_cache(maxsize=64)
-def _shared_alignment(child: _Group, parent: _Group) -> np.ndarray:
-    """``_alignment`` of two shared groups, read-only and found once."""
-    idx = _alignment(child, parent)
-    idx.setflags(write=False)
-    return idx
+class RowSchedule:
+    """The grid columns of some rows, and what the evaluation runs given
+    them (``evaluate_batch(..., schedule=)``) find once for every later
+    run, read-only: the groups of names whose columns are all grid columns
+    and the indices that align two such groups.  ``keys`` declares the
+    names a run may bind per row as functions of one grid column, its key,
+    and so groups as it groups the key."""
+
+    def __init__(self, columns: Mapping[str, np.ndarray],
+                 keys: Mapping[str, str] | None = None):
+        self.columns = MappingProxyType(dict(columns))
+        self.keys = MappingProxyType(dict(keys or {}))
+        for name, key in self.keys.items():
+            if key not in self.columns or name in self.columns:
+                raise ValueError(f"{name!r} is keyed to {key!r}: a key must be a grid "
+                                 f"column, and a keyed name must not be one")
+        self.groups: dict[frozenset, _Group] = {}
+        self.alignments: dict[tuple[_Group, _Group], np.ndarray] = {}
 
 
 def _fit(errors, m: int):
@@ -573,17 +567,21 @@ class _BatchRun:
     evaluated once per (instance, prefix).  Every symbol node is raised in
     one stacked power, through the cached decompositions of the bound
     matrices; a power decomposes its base once per binding of the base and
-    raises it to each of its own exponents.  In a one-environment run the
-    groups of read-only columns, and of columns keyed to them, come from a
-    row schedule that the runs on the same columns share (``_schedule``),
-    and so do the indices that align them.
+    raises it to each of its own exponents.  The groups of grid columns,
+    and of names keyed to them, come from the run's row schedule, which the
+    runs on the same grid share, and so do the indices that align them.
     """
 
-    def __init__(self, env, rows: Mapping[str, np.ndarray | Keyed], instance=None):
-        keys = {name: col.key for name, col in rows.items() if isinstance(col, Keyed)}
-        columns = {name: np.asarray(col.values if name in keys else col,
-                                    dtype=np.float64).reshape(-1)
+    def __init__(self, env, rows: Mapping[str, np.ndarray], instance=None,
+                 schedule: RowSchedule | None = None):
+        columns = {name: np.asarray(col, dtype=np.float64).reshape(-1)
                    for name, col in rows.items()}
+        self.schedule = schedule = schedule or RowSchedule({})
+        clash = columns.keys() & schedule.columns.keys()
+        if clash:
+            raise ValueError(f"columns {sorted(clash)} are grid columns of the schedule")
+        self.keys = {name: key for name, key in schedule.keys.items() if name in columns}
+        columns.update(schedule.columns)
         sizes = {len(col) for col in columns.values()}
         envs = (env,) if isinstance(env, Environment) else tuple(env)
         if instance is not None or len(envs) > 1:
@@ -619,23 +617,9 @@ class _BatchRun:
             self.env_columns = {name: np.array([e.scalars[name] for e in envs], dtype=np.float64)
                                 for name in self.env.scalars if name not in columns}
         self.columns = columns
-        # the read-only unkeyed columns of a one-environment run, whose
-        # groups are shared
-        self.shared = frozenset() if self.multi else frozenset(
-            name for name, col in columns.items()
-            if not col.flags.writeable and name not in keys)
         self._values: dict[tuple[_Group, str], np.ndarray] = {}
-        for name, key in keys.items():
-            if key not in columns or key in keys:
-                raise ValueError(f"column {name!r} is keyed to {key!r}, "
-                                 f"which is not an unkeyed column of the run")
-        self.keys = keys
-        # the shared groups of the runs with these read-only columns and keys
-        self.schedule = _schedule((tuple((name, columns[name].tobytes())
-                                         for name in sorted(self.shared)),
-                                   tuple(sorted(keys.items()))))
-        self._groups: dict[frozenset, _Group] = dict(self.schedule)
-        for name, key in keys.items():
+        self._groups: dict[frozenset, _Group] = dict(schedule.groups)
+        for name, key in self.keys.items():
             # one gather and compare, bit for bit, on the key's grouping
             group = self.group(frozenset({key}))
             bits = columns[name].view(np.int64)
@@ -649,11 +633,9 @@ class _BatchRun:
 
     def group(self, names: frozenset) -> _Group | None:
         """The group of ``names``: its rows refined by the names in sorted
-        order, a keyed name standing for its key.  In a one-environment
-        run, the group of names whose columns are all read-only, as the
-        p-columns sliced from a shared grid product are, is shared: kept in
-        the run's row schedule, so the runs on one grid group its rows
-        once."""
+        order, a keyed name standing for its key.  The group of grid
+        columns alone is shared: kept in the run's row schedule, so the
+        runs on one grid group its rows once."""
         if not names:
             return None
         got = self._groups.get(names)
@@ -665,10 +647,10 @@ class _BatchRun:
             else:
                 last = max(names)
                 got = _refined(self.group(names - {last}), self.columns[last],
-                               names <= self.shared)
+                               names <= self.schedule.columns.keys())
             self._groups[names] = got
             if got.shared:
-                self.schedule[names] = got
+                self.schedule.groups[names] = got
         return got
 
     def column(self, group: _Group, name: str):
@@ -691,9 +673,13 @@ class _BatchRun:
         of more names, carries; None when no gather is needed."""
         if child is None or child is parent:
             return None
-        if child.shared and parent.shared:
-            return _shared_alignment(child, parent)
-        return _alignment(child, parent)
+        if not (child.shared and parent.shared):
+            return _alignment(child, parent)
+        got = self.schedule.alignments.get((child, parent))
+        if got is None:
+            got = self.schedule.alignments[child, parent] = _alignment(child, parent)
+            got.setflags(write=False)
+        return got
 
     def exponent(self, node: _Node, group: _Group | None):
         """A node's exponent per binding of ``group``, from its float form by
@@ -837,20 +823,23 @@ class _BatchRun:
 
 def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
                    env: Environment | Sequence[Environment],
-                   rows: Mapping[str, np.ndarray | Keyed] | None = None,
-                   instance=None) -> WordBatch | tuple[WordBatch, ...]:
+                   rows: Mapping[str, np.ndarray] | None = None,
+                   instance=None, schedule: RowSchedule | None = None
+                   ) -> WordBatch | tuple[WordBatch, ...]:
     """Evaluate a word under N bindings at once.
 
     ``env`` binds the matrices and the scalars shared by every row;
     ``rows`` maps further scalar names to (N,) columns, one entry per
-    binding (N = 1 without it).  A column may be given as ``Keyed(values,
-    key)``, a function of the column ``key``: it is grouped as that column
-    is, and one that is not constant on the key's grouping, bit for bit,
-    raises ValueError before anything is evaluated.  ``env`` may also be a
-    sequence of environments binding the same names at one dimension, with
-    ``instance`` an (N,) column of indices into it: row i then takes its
-    matrices and its other scalars from ``env[instance[i]]``, and an
-    environment that no row names takes no part in the run.  Products
+    binding (N = 1 without it).  A ``schedule`` binds its grid columns
+    too, and the runs given the same schedule share the groupings of its
+    rows (``RowSchedule``); a column that the schedule keys to a grid
+    column is grouped as that column is, and one that is not constant on
+    the key's grouping, bit for bit, raises ValueError before anything is
+    evaluated.  ``env`` may also be a sequence of environments binding the
+    same names at one dimension, with ``instance`` an (N,) column of
+    indices into it: row i then takes its matrices and its other scalars
+    from ``env[instance[i]]``, and an environment that no row names takes
+    no part in the run.  Products
     multiply left to right; powers go through the spectral calculus of the
     coerced Hermitian base, stacked over the distinct bindings of each
     node, and every symbol of the run is raised in one stacked power.  A
@@ -870,7 +859,7 @@ def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
     Every batch knows its distinct values, so a comparison against it
     decomposes each of them once (``WordBatch.spectrum``).
     """
-    run = _BatchRun(env, rows or {}, instance)
+    run = _BatchRun(env, rows or {}, instance, schedule)
     if isinstance(word, tuple):
         return run.batches(word)
     return run.batches((word,))[0]

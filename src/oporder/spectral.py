@@ -580,28 +580,36 @@ class WordBatch:
         return batch
 
     @classmethod
-    def stack(cls, batches, rows: int) -> "WordBatch":
+    def stack(cls, batches, rows: int, groupings: dict) -> "WordBatch":
         """The rows of ``batches`` in turn as one batch, each batch of
         ``rows`` rows or of one row that stands for ``rows`` equal ones; its
-        distinct values are theirs.  It has a norm bound when each batch has
-        one or a known spectrum, whose exact norms bound its values."""
-        values, errors, firsts, inverses = [], [], [], []
-        distinct = 0
-        for j, batch in enumerate(batches):
-            first, inverse = batch.distinct
-            batch_values, batch_errors = batch.values, batch.row_errors
-            if len(batch_values) != rows:
-                batch_values = np.repeat(batch_values, rows, axis=0)
-                inverse = np.zeros(rows, np.intp)
-                if batch_errors is not None:
-                    batch_errors = np.repeat(batch_errors, rows)
-            values.append(batch_values)
-            errors.append(batch_errors)
-            firsts.append(first + j * rows)
-            inverses.append(inverse + distinct)
-            distinct += len(first)
+        distinct values are theirs.  Their stacked (first, inverse) is kept
+        in ``groupings`` for batches of the same groupings: a batch of one
+        distinct value has the one there is, any other is known by the
+        arrays of its grouping, which a shared grouping keeps.  It has a
+        norm bound when each batch has one or a known spectrum, whose exact
+        norms bound its values."""
+        key = (rows,) + tuple(None if len(batch.distinct[0]) == 1 else id(batch.distinct[0])
+                              for batch in batches)
+        got = groupings.get(key)
+        if got is None:
+            firsts, inverses, count = [], [], 0
+            for j, batch in enumerate(batches):
+                first, inverse = batch.distinct
+                firsts.append(first + j * rows)
+                inverses.append(np.broadcast_to(inverse, rows) + count)
+                count += len(first)
+            distinct = np.concatenate(firsts), np.concatenate(inverses)
+            for arr in distinct:
+                arr.setflags(write=False)
+            # held with its groupings, so that no id in its key is reused
+            got = groupings[key] = (tuple(batch.distinct for batch in batches), distinct)
+        values = [np.broadcast_to(batch.values, (rows, *batch.values.shape[1:]))
+                  for batch in batches]
+        errors = [None if batch.row_errors is None else np.broadcast_to(batch.row_errors, rows)
+                  for batch in batches]
         stacked = cls(np.concatenate(values), concat_errors(errors, [rows] * len(errors)),
-                      (np.concatenate(firsts), np.concatenate(inverses)))
+                      got[1])
         if all(batch.norm_bound is not None or "spectrum" in vars(batch) for batch in batches):
             vars(stacked)["norm_bound"] = np.concatenate([
                 spectral_norms(batch.spectrum[0][batch.distinct[0]])

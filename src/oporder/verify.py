@@ -15,9 +15,9 @@ import math
 import operator
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -82,7 +82,7 @@ def _identity_batch(dim: int) -> WordBatch:
     """I as a comparison side of one row; its spectrum, all ones, is exact.
     Every caller shares it, so its arrays are read-only."""
     batch = WordBatch.known(np.eye(dim)[None], np.ones((1, dim)))
-    for arr in (batch.values, batch.spectrum[0]):
+    for arr in (batch.values, batch.spectrum[0], *batch.distinct):
         arr.setflags(write=False)
     return batch
 
@@ -334,23 +334,18 @@ class PGrid:
             return None
         return PGrid(self.values + (nxt,), self.cap)
 
-    def product(self, m: int):
-        """The full Cartesian power as (vectors, (N, m) table), built once per
-        (values, m) and shared read-only: a tuple of tuples and a
-        non-writeable array.  None when the product exceeds GRID_POINT_CAP."""
-        if len(self.values) ** m > GRID_POINT_CAP:
+    def plan(self, n: int) -> "GridPlan | None":
+        """The plan of the full Cartesian power of 2n grid values, built
+        once per (values, n) and shared.  None when the product exceeds
+        GRID_POINT_CAP."""
+        if len(self.values) ** (2 * n) > GRID_POINT_CAP:
             return None
-        return _grid_product(self.values, m)
+        return _grid_plan(self.values, n)
 
-    def vectors(self, m: int,
-                rng: np.random.Generator | None = None) -> Sequence[tuple[float, ...]]:
-        """Cartesian power of the grid, Latin-hypercube subsampled to
-        GRID_POINT_CAP vectors once the full product exceeds it."""
-        full = self.product(m)
-        if full is not None:
-            return full[0]
-        if rng is None:
-            raise ValueError("subsampling a large grid product needs an rng")
+    def subsample(self, m: int, rng: np.random.Generator) -> list[tuple[float, ...]]:
+        """GRID_POINT_CAP vectors of the grid's m-th Cartesian power, drawn
+        by Latin-hypercube sampling, for a product too large to sample in
+        full."""
         cap = GRID_POINT_CAP
         cols = []
         for _ in range(m):
@@ -361,14 +356,45 @@ class PGrid:
         return [tuple(float(c[i]) for c in cols) for i in range(cap)]
 
 
+@dataclass(frozen=True, eq=False)
+class GridPlan:
+    """What depends on some sampled p-vectors alone, found once and shared
+    read-only by the instances sampled on them: the vectors, their (N, 2n)
+    table, its exact chain-exponent terms, the row schedule of the
+    evaluation runs on each chunk of rows, and the reduction's stacked
+    groupings (``WordBatch.stack``).  ``PGrid.plan`` caches a full
+    product's plan; a subsample's serves one instance."""
+
+    vectors: Sequence[tuple[float, ...]]
+    stacks: dict = field(default_factory=dict, init=False, repr=False)
+    _schedules: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        table = np.array(self.vectors, dtype=np.float64)
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def chain_terms(self) -> chains.ChainTerms:
+        return chains.chain_terms(self.table)
+
+    def schedule(self, lo: int, hi: int) -> dsl.RowSchedule:
+        """The row schedule of rows lo:hi: their p-columns, with the peeled
+        bound's q_j keyed to p_j (``chains.peeled_bindings``)."""
+        got = self._schedules.get((lo, hi))
+        if got is None:
+            width = self.table.shape[1]
+            got = self._schedules[lo, hi] = dsl.RowSchedule(
+                _p_columns(self.table[lo:hi]), {f"q{j}": f"p{j}" for j in range(2, width)})
+        return got
+
+
 # a full product holds at most GRID_POINT_CAP vectors; keep the few grids a
 # process escalates through, not every grid it ever sampled
 @lru_cache(maxsize=32)
-def _grid_product(values: tuple[float, ...], m: int):
-    vectors = tuple(itertools.product(values, repeat=m))
-    table = np.asarray(vectors, dtype=np.float64).reshape(len(vectors), m)
-    table.setflags(write=False)
-    return vectors, table
+def _grid_plan(values: tuple[float, ...], n: int) -> GridPlan:
+    return GridPlan(tuple(itertools.product(values, repeat=2 * n)))
 
 
 @dataclass(frozen=True)
@@ -409,13 +435,13 @@ class WeightPolicy:
         if self.kind == "fixed" and len(self.values) != count:
             raise ValueError(f"fixed policy carries {len(self.values)} weights, need {count}")
 
-    def weights(self, t, p_table, r: float, count: int) -> np.ndarray:
-        """The (N, count) weights w1 .. w_count for each row of an (N, 2n)
-        p-table."""
+    def weights(self, t, plan: GridPlan, r: float, count: int) -> np.ndarray:
+        """The (N, count) weights w1 .. w_count for each row of a plan's
+        (N, 2n) p-table."""
         self.require(count)
         if self.kind == "fixed":
-            return np.tile(np.asarray(self.values, dtype=np.float64), (len(p_table), 1))
-        w = chains.necessity_weights(t, p_table, r)
+            return np.tile(np.asarray(self.values, dtype=np.float64), (len(plan.table), 1))
+        w = chains.necessity_weights(t, plan.chain_terms, r)
         return np.repeat(w[:, None], count, axis=1)
 
 
@@ -740,14 +766,13 @@ def _environment(tup: OperatorTuple, template: ParamTemplate, slots=None) -> dsl
 
 
 def _p_samples(grid: PGrid, n: int, master_seed: int, instance_index: int,
-               stream: int) -> tuple[Sequence[tuple[float, ...]], np.ndarray]:
-    """The grid's 2n-vectors and their (N, 2n) table: the shared full
-    product, or a subsample drawn from the rng that ``stream`` picks."""
-    full = grid.product(2 * n)
-    if full is not None:
-        return full
-    p_vectors = grid.vectors(2 * n, rng=_rng(master_seed, instance_index, stream))
-    return p_vectors, np.asarray(p_vectors, dtype=np.float64).reshape(len(p_vectors), 2 * n)
+               stream: int) -> GridPlan:
+    """The plan of the grid's 2n-vectors: the shared full product's, or
+    that of a subsample drawn from the rng that ``stream`` picks."""
+    plan = grid.plan(n)
+    if plan is not None:
+        return plan
+    return GridPlan(grid.subsample(2 * n, _rng(master_seed, instance_index, stream)))
 
 
 def _p_columns(p_table: np.ndarray) -> dict[str, np.ndarray]:
@@ -841,14 +866,14 @@ def check_hypotheses(
                 slots=chains.member_slots(chain.family, chain.member, k))
         return got
 
-    samples = [_p_samples(grid, n, master_seed, inst.index, 1) for inst in instances]
-    weights = [inst.policy.weights(inst.template.t, table, inst.template.r, count=k - 1)
-               for inst, (_, table) in zip(instances, samples)]
+    plans = [_p_samples(grid, n, master_seed, inst.index, 1) for inst in instances]
+    weights = [inst.policy.weights(inst.template.t, plan, inst.template.r, count=k - 1)
+               for inst, plan in zip(instances, plans)]
     # the checks of the report: the instances' members in turn; check
     # j * len(chain_list) + code is member code of instance j
     checks = tuple(CampaignMember(str(inst.index), k, dim, c.family.value, c.member,
-                                  c.direction.value, p_vectors)
-                   for inst, (p_vectors, _) in zip(instances, samples) for c in chain_list)
+                                  c.direction.value, plan.vectors)
+                   for inst, plan in zip(instances, plans) for c in chain_list)
     parts: list[MarginTable] = []
     # per instance: (member code, lo, first row in parts, rows kept) of each chunk
     kept: list[list[tuple[int, int, int, int]]] = [[] for _ in instances]
@@ -858,7 +883,7 @@ def check_hypotheses(
     codes = range(len(chain_list))
     # a scan that stops at its first violating row takes one member at a time
     for group in ([[c] for c in codes] if stop_on_violation else [codes]):
-        for lo, hi in _batches(len(samples[0][0]), dim, stop_on_violation, len(group)):
+        for lo, hi in _batches(len(plans[0].table), dim, stop_on_violation, len(group)):
             size = hi - lo
             per_call = max(1, _batch_rows(dim) // (size * len(group)))
             for first in range(0, len(active), per_call):
@@ -867,7 +892,7 @@ def check_hypotheses(
                 which = np.repeat(np.arange(len(pairs)), size)
                 check = np.repeat([j * len(chain_list) + code for j, code in pairs], size)
                 row_code = check % len(chain_list)
-                columns = _p_columns(np.concatenate([samples[j][1][lo:hi] for j, _ in pairs]))
+                columns = _p_columns(np.concatenate([plans[j].table[lo:hi] for j, _ in pairs]))
                 w = columns["w"] = np.concatenate(
                     [weights[j][lo:hi, w_index[code] - 1] for j, code in pairs])
                 rhs, lhs = dsl.evaluate_batch((rhs_word, lhs_word),
@@ -1179,30 +1204,11 @@ class ReductionReport:
                 for i in np.flatnonzero(holds[:, 0] & ~(holds[:, 1] & holds[:, 2])).tolist()]
 
 
-@chains.by_contents(maxsize=32)
-def _prefix_codes(prefixes: np.ndarray):
-    """The distinct rows of a table of (p_2 .. p_(2n-1)) prefixes, each as
-    a tuple of floats, and the code of each row's prefix among them."""
-    codes: dict[tuple, int] = {}
-    inverse = np.array([codes.setdefault(prefix, len(codes)) for prefix in
-                        map(tuple, prefixes.tolist())], dtype=np.intp)
-    inverse.setflags(write=False)
-    return tuple(codes), inverse
-
-
 def _c_totals(tup: OperatorTuple, t, p_table: np.ndarray) -> np.ndarray:
-    """The scalar bound c = interior^(1/p_2) per row of an (N, 2n) p-table.
-    It depends on p_2 .. p_(2n-1) only, so it is computed once per distinct
-    such prefix; the prefixes of a shared grid product are found once."""
-    n = len(t)
-    if n == 1:
-        return np.ones(len(p_table))  # the interior is 1
-    interior = _scalar_interior(tup, t, n)
-    prefixes, inverse = _prefix_codes(p_table[:, 1:2 * n - 1])
-    # the binding reads p_2 .. p_(2n-1) only, so p_1 is a placeholder
-    c = [interior(chains.peeled_bindings(t, (math.nan,) + prefix)) ** (1.0 / prefix[0])
-         for prefix in prefixes]
-    return np.asarray(c, dtype=np.float64)[inverse]
+    """The scalar bound c = interior^(1/p_2) per row of an (N, 2n) p-table."""
+    interior = _scalar_interior(tup, t, len(t))
+    return np.array([interior(chains.peeled_bindings(t, p)) ** (1.0 / p[1])
+                     for p in p_table.tolist()], dtype=np.float64)
 
 
 def check_reduction_chain(
@@ -1229,15 +1235,14 @@ def check_reduction_chain(
     Each chunk of rows is one ``dsl.evaluate_batch`` run of the member's
     right and left sides, its core, the innermost sandwich and the peeled
     bound: the member contains the core and the sandwich, so each of their
-    nodes is evaluated once.  The bound's q_j, a function of p_j, is
-    keyed to it (``dsl.Keyed``), so a run on a shared grid product finds
-    all of its groups in the grid's row schedule.  The chunk is judged in
-    one stacked comparison of three segments: the premise (its right side
-    against its left), the core (against I) and the peel (the bound
-    against the sandwich).  The premise's and the core's margins swap
-    back, so that every side with a norm bound (a power's) is p: only the
-    needed ones are decomposed, and errors merge as in three separate
-    comparisons.
+    nodes is evaluated once; on a shared grid product it finds all of its
+    groups in the plan's row schedule, and the comparison's stacked
+    groupings in the plan.  The chunk is judged in one stacked comparison
+    of three segments: the premise (its right side against its left), the
+    core (against I) and the peel (the bound against the sandwich).  The
+    premise's and the core's margins swap back, so that every side with a
+    norm bound (a power's) is p: only the needed ones are decomposed, and
+    errors merge as in three separate comparisons.
     The sandwich depends on p1 alone, so its spectrum is one decomposition
     per distinct p1, which serves both its norm in the peel and its
     extreme eigenvalues against the scalar bound.  A premise row whose
@@ -1256,28 +1261,25 @@ def check_reduction_chain(
         + ((bound_word,) if bound_word is not None else ())
     env = _environment(tup, template)
     ident = _identity_batch(tup.dim)
-    p_vectors, p_table = _p_samples(grid, n, master_seed, index, 2)
-    w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
-    c_total = _c_totals(tup, template.t, p_table)
+    plan = _p_samples(grid, n, master_seed, index, 2)
+    w = policy.weights(template.t, plan, template.r, count=k - 1)[:, 0]
 
-    bounds = tuple(Comparison(name, p_vectors) for name in REDUCTION_BOUNDS)
+    bounds = tuple(Comparison(name, plan.vectors) for name in REDUCTION_BOUNDS)
     premise_failures = premise_errors = 0
     parts: list[MarginTable] = []
-    for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=False):
+    for lo, hi in _batches(len(plan.table), tup.dim, early_exit=False):
         size = hi - lo
-        columns = _p_columns(p_table[lo:hi])
-        columns["w1"] = w[lo:hi]
+        rows = {"w1": w[lo:hi]}
         if bound_word is not None:
-            # q_j is a function of p_j alone, so the run groups it as p_j
-            columns.update({name: dsl.Keyed(q, f"p{name[1:]}") for name, q in
-                            chains.peeled_bindings(template.t, p_table[lo:hi].T).items()})
-        rhs, lhs, core, base, *peeled = dsl.evaluate_batch(words, env, columns)
+            rows.update(chains.peeled_bindings(template.t, plan.table[lo:hi].T))
+        rhs, lhs, core, base, *peeled = dsl.evaluate_batch(
+            words, env, rows, schedule=plan.schedule(lo, hi))
         bound = peeled[0] if peeled else ident
         # the premise, the core and the peel as three segments of one
         # comparison, each with its powers as p
-        sides = WordBatch.stack((lhs, ident, base), size)
+        sides = WordBatch.stack((lhs, ident, base), size, plan.stacks)
         ge, le, scale, errors = scaled_margins_stack(
-            WordBatch.stack((rhs, core, bound), size), sides,
+            WordBatch.stack((rhs, core, bound), size, plan.stacks), sides,
             concat_errors((_member_errors(lhs, rhs, w[lo:hi], np.ones(size, np.intp)),
                            core.row_errors, first_errors(base.row_errors, bound.row_errors)),
                           (size,) * 3))
@@ -1291,8 +1293,12 @@ def check_reduction_chain(
         if errors is not None:
             errors = first_errors(errors[size:2 * size], errors[2 * size:])
         # the sandwich's spectrum, taken in that pass, also gives its
-        # extreme eigenvalues against the scalar bound c * I
-        c = c_total[lo:hi]
+        # extreme eigenvalues against the scalar bound c * I; c reads what
+        # the peeled bound reads, once per binding (for n = 1, c is 1)
+        c = np.ones(size)
+        if peeled:
+            first, inverse = bound.distinct
+            c = _c_totals(tup, template.t, plan.table[lo:hi][first])[inverse]
         # (bounds, points) arrays: the core (swapped back to I - core), peel, scalar
         ge, le, scale = map(np.array, zip((le[1], ge[1], scale[1]), (ge[2], le[2], scale[2]),
                                           scalar_margins(c, sides.spectrum[0][2 * size:])))
@@ -1450,20 +1456,20 @@ def implied_core_violation(
     tup, template = instance.tup, instance.template
     n = tup.k // 2
     ident = _identity_batch(tup.dim)
-    p_vectors, p_table = _p_samples(grid, n, master_seed, instance.index, 3)
+    plan = _p_samples(grid, n, master_seed, instance.index, 3)
     t_variants = [template.t]
     ones = (1.0,) * n
     if template.t != ones:
         t_variants.append(ones)
-    cores = (Comparison("core", p_vectors),)
+    cores = (Comparison("core", plan.vectors),)
     unevaluated = 0
     for t_vec in t_variants:
         env = dsl.Environment(scalars={f"t{i}": tv for i, tv in enumerate(t_vec, 1)},
                               matrices=dict(enumerate(tup.matrices, 1)))
         for chain in chains.hypothesis_set(tup.k):
             word = chains.hypothesis_core(chain)
-            for lo, hi in _batches(len(p_vectors), tup.dim, early_exit=True):
-                batch = dsl.evaluate_batch(word, env, _p_columns(p_table[lo:hi]))
+            for lo, hi in _batches(len(plan.table), tup.dim, early_exit=True):
+                batch = dsl.evaluate_batch(word, env, schedule=plan.schedule(lo, hi))
                 # ascending cores must stay below I, descending ones above
                 pair = (ident, batch) if chain.direction is Direction.GE else (batch, ident)
                 ge, le, scale, errors = scaled_margins_stack(*pair, batch.row_errors)
@@ -1478,7 +1484,7 @@ def implied_core_violation(
                         "family": chain.family.value,
                         "member": chain.member,
                         "t": list(t_vec),
-                        "p_vector": list(p_vectors[lo + end - 1]),
+                        "p_vector": list(plan.vectors[lo + end - 1]),
                         "core_margin": float(table.columns["margin"][end - 1]),
                     }, unevaluated
     return None, unevaluated

@@ -20,6 +20,7 @@ from oporder.chains import (
     build_chain,
     chain_exponent,
     chain_exponents,
+    chain_terms,
     descending_index,
     hypothesis_core,
     hypothesis_set,
@@ -166,7 +167,7 @@ class TestWeightColumns:
     def test_columns_match_one_row_case_and_exact_oracle_bit_for_bit(self, case):
         t, table, r = case
         psi = chain_exponents(t, table)
-        w = necessity_weights(t, table, r)
+        w = necessity_weights(t, chain_terms(table), r)
         assert psi.shape == w.shape == (len(table),)
         for i, p in enumerate(table):
             exact = fraction_chain_exponent(t, p)
@@ -193,7 +194,7 @@ class TestWeightColumns:
         t = (0.3, 0.7)
         psi = chain_exponents(t, [(1.0,) * 4, (1e300,) * 4])
         assert psi.tolist() == [1.0, math.inf]
-        assert necessity_weights(t, [(1e300,) * 4], 1.5).tolist() == [0.0]
+        assert necessity_weights(t, chain_terms([(1e300,) * 4]), 1.5).tolist() == [0.0]
 
     @pytest.mark.parametrize("table", [[(1.0, 0.5)], [(1.0, math.inf)], [(1.0, math.nan)],
                                        [(1.0, 1.0, 1.0)]])

@@ -18,9 +18,9 @@ from oporder.chains import (
 from oporder.dsl import (
     Environment,
     EvaluationError,
-    Keyed,
     NonHermitianResultError,
     ParseError,
+    RowSchedule,
     UnboundNameError,
     WordBatch,
     evaluate,
@@ -584,11 +584,12 @@ _KEY_FUNCTIONS = (lambda x: 1.0 / x, lambda x: 0.7 / x, lambda x: x - 1.0,
 
 
 class TestKeyedColumns:
-    """A column keyed to another (``dsl.Keyed``) is grouped as its key is.
-    A keyed run gives the values and row errors of the unkeyed run bit for
-    bit, and its distinct values are theirs: the same rows share one, each
-    held first by the same row.  The bindings come in the key's order, and
-    a keyed column that maps two key values to one splits a binding, which
+    """A column that a row schedule keys to one of its grid columns
+    (``dsl.RowSchedule``) is grouped as its key is.  A keyed run gives the
+    values and row errors of the run without a schedule bit for bit, and
+    its distinct values are theirs: the same rows share one, each held
+    first by the same row.  The bindings come in the key's order, and a
+    keyed column that maps two key values to one splits a binding, which
     then lies within one of the unkeyed run.  A keyed column that is not
     constant on its key's grouping, bit for bit, raises ValueError before
     anything is evaluated."""
@@ -597,16 +598,14 @@ class TestKeyedColumns:
     # the names of random_scalar_expr
     _NAMES = ("r", "t1", "t2", "t3", "p1", "p2", "p3", "p4", "w1", "w2")
 
-    def case(self, seed: int, envs: int, read_only: bool):
-        """(words, environment(s), key columns p1 and p2, keyed columns as
+    def case(self, seed: int, envs: int):
+        """(words, environment(s), grid columns p1 and p2, keyed columns as
         name -> (values, key), instance column): names keyed at random
         to p1 or p2, the other names bound by the environments, whose
         matrices trip the pd gate and overflow on some rows."""
         rng = np.random.default_rng(seed)
         count = int(rng.integers(1, 13))
         keys = {name: rng.choice(self._KEY_VALUES, count) for name in ("p1", "p2")}
-        for col in keys.values():
-            col.setflags(write=not read_only)
         keyed = {}
         for name in ("r", "t1", "t2", "p3", "p4", "w1"):
             if rng.random() < 0.6:
@@ -626,16 +625,16 @@ class TestKeyedColumns:
         return words, environments if envs > 1 else environments[0], keys, keyed, instance
 
     @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 10**9), envs=st.integers(1, 2), read_only=st.booleans())
-    def test_a_keyed_run_equals_the_unkeyed_run(self, seed, envs, read_only):
-        words, env, keys, keyed, instance = self.case(seed, envs, read_only)
-        plain = evaluate_batch(words, env, {**keys, **{name: values for name, (values, _)
-                                                       in keyed.items()}}, instance)
-        got = evaluate_batch(words, env, {**keys, **{name: Keyed(values, key) for name, (values, key)
-                                                     in keyed.items()}}, instance)
+    @given(seed=st.integers(0, 10**9), envs=st.integers(1, 2))
+    def test_a_keyed_run_equals_the_unkeyed_run(self, seed, envs):
+        words, env, keys, keyed, instance = self.case(seed, envs)
+        values = {name: column for name, (column, _) in keyed.items()}
+        plain = evaluate_batch(words, env, {**keys, **values}, instance)
+        schedule = RowSchedule(keys, {name: key for name, (_, key) in keyed.items()})
+        got = evaluate_batch(words, env, values, instance, schedule)
         count = len(keys["p1"])
-        one_to_one = all(len(np.unique(values)) == len(np.unique(keys[key]))
-                         for values, key in keyed.values())
+        one_to_one = all(len(np.unique(column)) == len(np.unique(keys[key]))
+                         for column, key in keyed.values())
         for a, b in zip(got, plain):
             assert a.values.tobytes() == b.values.tobytes()
             assert error_rows(a.row_errors, count) == error_rows(b.row_errors, count)
@@ -648,11 +647,10 @@ class TestKeyedColumns:
                 assert first[inverse].tolist() == plain_first[plain_inverse].tolist()
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10**9), envs=st.integers(1, 2), read_only=st.booleans(),
-           signed_zero=st.booleans())
+    @given(seed=st.integers(0, 10**9), envs=st.integers(1, 2), signed_zero=st.booleans())
     def test_a_column_not_constant_on_its_keys_grouping_raises_first(
-            self, seed, envs, read_only, signed_zero):
-        words, env, keys, keyed, instance = self.case(seed, envs, read_only)
+            self, seed, envs, signed_zero):
+        words, env, keys, keyed, instance = self.case(seed, envs)
         col = keys["p1"]
         shared = [i for i in range(len(col)) if np.count_nonzero(col == col[i]) > 1]
         assume(shared)
@@ -660,25 +658,29 @@ class TestKeyedColumns:
         # binding: by one ulp, or by the sign of a zero, which compares equal
         values = np.zeros(len(col)) if signed_zero else 1.0 / col
         values[shared[-1]] = -0.0 if signed_zero else np.nextafter(values[shared[-1]], np.inf)
-        rows = {**keys, **{name: Keyed(v, key) for name, (v, key) in keyed.items()},
-                "w2": Keyed(values, "p1")}
+        rows = {**{name: column for name, (column, _) in keyed.items()}, "w2": values}
+        schedule = RowSchedule(keys, {**{name: key for name, (_, key) in keyed.items()},
+                                      "w2": "p1"})
         calls = []
         with pytest.MonkeyPatch.context() as patch:
             for name in ("_compile", "eigensystem_stack", "power_stack"):
                 patch.setattr(dsl, name, lambda *args, name=name: calls.append(name))
             with pytest.raises(ValueError, match="^column 'w2' is not constant on the "
                                                  "grouping of its key 'p1'$"):
-                evaluate_batch(words, env, rows, instance)
+                evaluate_batch(words, env, rows, instance, schedule)
         assert calls == []
 
     def test_a_key_must_be_an_unkeyed_column(self):
-        env = diag_env({}, {1: [1.0, 2.0]})
-        word = Symbol(1, ScalarExpr.variable("q"))
         p = np.array([1.0, 2.0])
-        for rows in ({"q": Keyed(1.0 / p, "p1")},
-                     {"p1": p, "p2": Keyed(p, "p1"), "q": Keyed(p, "p2")}):
-            with pytest.raises(ValueError, match="which is not an unkeyed column of the run"):
-                evaluate_batch(word, env, rows)
+        for columns, keys in (({}, {"q": "p1"}), ({"p1": p}, {"p1": "p1"}),
+                              ({"p1": p}, {"p2": "p1", "q": "p2"})):
+            with pytest.raises(ValueError, match="a key must be a grid column"):
+                RowSchedule(columns, keys)
+        # a run binds a grid column from its schedule alone
+        env = diag_env({}, {1: [1.0, 2.0]})
+        with pytest.raises(ValueError, match=r"columns \['p1'\] are grid columns"):
+            evaluate_batch(Symbol(1, ScalarExpr.variable("p1")), env, {"p1": p},
+                           schedule=RowSchedule({"p1": p}))
 
 
 class TestSlotWordRuns:

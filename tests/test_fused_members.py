@@ -44,8 +44,9 @@ def _per_member(instances, grid, chain_list, tol_rel):
     out = {}
     for j, inst in enumerate(instances):
         k, n = inst.tup.k, inst.template.n
-        _, table = verify._p_samples(grid, n, 0, inst.index, 1)
-        weights = inst.policy.weights(inst.template.t, table, inst.template.r, count=k - 1)
+        plan = verify._p_samples(grid, n, 0, inst.index, 1)
+        table = plan.table
+        weights = inst.policy.weights(inst.template.t, plan, inst.template.r, count=k - 1)
         scalars = {"r": inst.template.r, **{f"t{i}": v for i, v in enumerate(inst.template.t, 1)}}
         env = dsl.Environment(scalars, {i: m for i, m in enumerate(inst.tup.matrices, 1)})
         for code, chain in enumerate(chain_list):
@@ -152,7 +153,7 @@ def _check_case(case, monkeypatch):
     for key, (w, ge, le, scale, verdict, error) in expected.items():
         assert tuple(map(_hex, raw[key])) == (_hex(w), _hex(ge), _hex(le), _hex(scale))
     # the report's rows: instance by instance, member by member, p in order
-    rows = len(grid.product(k // 2 * 2)[0])
+    rows = len(grid.plan(k // 2).vectors)
     assert len(report.rows) == len(instances) * len(chain_list) * rows
     keys = [(j, code, i) for j in range(len(instances))
             for code in range(len(chain_list)) for i in range(rows)]

@@ -1,13 +1,18 @@
-"""The per-grid caches: the exact terms of the chain exponent, the scalar
-bound's prefix codes and the row schedule of an evaluation run (its row
-groupings and the indices that align them) are found once per grid
-product and shared by the instances on it.
+"""The grid plan: everything that depends on the sampled p-vectors alone,
+found once per grid product and n (``PGrid.plan``) and shared by the
+instances sampled on it.  It holds the exact terms of the chain exponent
+and, per chunk of rows, the row schedule of the evaluation runs on them
+(their row groupings and the indices that align them) and the reduction's
+stacked groupings.  The reduction's scalar bound is computed once per
+grouping of the peeled bound.
 
-Each cached form equals its uncached oracle in ``util`` bit for bit, on the
-shared (read-only) grid product and on a subsampled (writeable) table, two
-grids of one shape never share a cache entry, and every shared array is
-read-only.  The tests clear the caches they count, so they hold in a fresh
-process as well as after any other test.
+Each cached form equals its uncached oracle bit for bit, on the plan of a
+full grid product and on that of a subsample: the chain exponent equals
+``util``'s level recurrence, the scalar bound ``util``'s word walk, and a
+run on a schedule the same run without one.  Two grids of one shape never
+share a plan, a subsample's plan is never cached, and every array a plan
+shares is read-only.  The tests clear the plan cache where they count, so
+they hold in a fresh process as well as after any other test.
 """
 from __future__ import annotations
 
@@ -20,7 +25,9 @@ from hypothesis import strategies as st
 
 from oporder import chains, cli, dsl, verify
 from oporder.chains import Power, ScalarExpr, Symbol, chain_exponents
+from oporder.spectral import WordBatch
 from oporder.verify import (
+    GridPlan,
     PGrid,
     gen_ordered_tuple,
     reduction_scalar_interior,
@@ -30,19 +37,6 @@ from util import level_chain_exponents, walk_c_totals, walk_scalar_interior
 
 def _hexes(values) -> list[str]:
     return [float(v).hex() for v in values]
-
-
-def _scheduled_run(words: tuple, env, rows: dict):
-    """The batches of one evaluation run and the row schedule it read."""
-    run = dsl._BatchRun(env, rows)
-    return run.batches(words), run.schedule
-
-
-def _clear_caches() -> None:
-    chains._chain_terms.cache_clear()
-    verify._prefix_codes.cache_clear()
-    dsl._schedule.cache_clear()
-    dsl._shared_alignment.cache_clear()
 
 
 # t values with both ends of [0, 1]; p values: 1, short and long dyadics,
@@ -72,25 +66,25 @@ class TestChainExponentOracle:
     @example(case=((0.0,), (1.0, 1.0 + 2.0 ** -52, 1e300), [0, 4, 8]))
     def test_expanded_form_equals_the_level_recurrence_bit_for_bit(self, case):
         t, values, rows = case
-        _, table = PGrid(values=values).product(2 * len(t))
-        expected = level_chain_exponents(t, table)
-        # the shared product, through the cache, twice
-        assert _hexes(chain_exponents(t, table)) == _hexes(expected)
-        assert _hexes(chain_exponents(t, table)) == _hexes(expected)
-        # a subsampled table is writeable and computed afresh
-        subsample = table[rows]
-        assert subsample.flags.writeable
-        assert _hexes(chain_exponents(t, subsample)) == _hexes(expected[rows])
+        plan = PGrid(values=values).plan(len(t))
+        expected = level_chain_exponents(t, plan.table)
+        # the plan's terms, twice, and a table's own
+        assert _hexes(plan.chain_terms.exponents(t)) == _hexes(expected)
+        assert _hexes(plan.chain_terms.exponents(t)) == _hexes(expected)
+        assert _hexes(chain_exponents(t, plan.table)) == _hexes(expected)
+        # a subsample's plan
+        subsample = GridPlan([plan.vectors[i] for i in rows])
+        assert _hexes(subsample.chain_terms.exponents(t)) == _hexes(expected[rows])
         if values[-1] == 1e300 and len(t) == 1:
-            assert math.inf in chain_exponents(t, table).tolist()
+            assert math.inf in plan.chain_terms.exponents(t).tolist()
 
     def test_latin_hypercube_subsample_equals_the_level_recurrence(self, monkeypatch):
         monkeypatch.setattr(verify, "GRID_POINT_CAP", 300)
         t = (0.9, 0.0, 1.0)
-        table = np.asarray(PGrid(values=(1.0, 1.1, 2.0, 1e300)).vectors(
-            6, rng=np.random.default_rng(0)))
-        assert len(table) == 300
-        assert _hexes(chain_exponents(t, table)) == _hexes(level_chain_exponents(t, table))
+        plan = verify._p_samples(PGrid(values=(1.0, 1.1, 2.0, 1e300)), 3, 0, 0, 1)
+        assert len(plan.table) == 300
+        assert _hexes(plan.chain_terms.exponents(t)) == \
+            _hexes(level_chain_exponents(t, plan.table))
 
 
 @st.composite
@@ -113,94 +107,125 @@ class TestCompiledScalarBound:
     @given(case=interior_cases())
     def test_c_totals_equal_the_word_walk_bit_for_bit(self, case):
         tup, t, values = case
-        vectors, table = PGrid(values=values).product(2 * len(t))
-        expected = _hexes(walk_c_totals(tup, t, vectors))
-        # the shared product, through the prefix cache, then a fresh copy
-        assert _hexes(verify._c_totals(tup, t, table)) == expected
-        assert _hexes(verify._c_totals(tup, t, table.copy())) == expected
-        p = vectors[-1]
+        plan = PGrid(values=values).plan(len(t))
+        expected = _hexes(walk_c_totals(tup, t, plan.vectors))
+        assert _hexes(verify._c_totals(tup, t, plan.table)) == expected
+        p = plan.vectors[-1]
         assert reduction_scalar_interior(tup, t, p, len(t)).hex() == \
             walk_scalar_interior(tup, t, p, len(t)).hex()
+
+
+def _reduction(seed: int, plan: GridPlan):
+    """One k=5 reduction instance's words, environment and per-row columns
+    (w1 and the q_j) for rows 0:9 of ``plan``."""
+    tup = gen_ordered_tuple(5, 2, seed, field_kind="complex")
+    template = verify.ParamTemplate(t=(0.5, 0.25), r=1.5)
+    premise = chains.hypothesis_set(5)[0]
+    words = (premise.rhs, premise.lhs, chains.hypothesis_core(premise)) \
+        + chains.reduction_words(5)
+    env = verify._environment(tup, template)
+    rows = {"w1": np.full(9, 0.5),
+            **chains.peeled_bindings(template.t, plan.table[:9].T)}
+    return words, env, rows
 
 
 class TestCacheEntries:
     GRIDS = ((1.0, 2.0, 4.0), (1.0, 2.0, 8.0))
 
-    def _tables(self):
-        tables = [PGrid(values=values).product(4)[1] for values in self.GRIDS]
-        assert tables[0].shape == tables[1].shape
-        assert not any(table.flags.writeable for table in tables)
-        return tables
+    def _plans(self):
+        plans = [PGrid(values=values).plan(2) for values in self.GRIDS]
+        assert plans[0].table.shape == plans[1].table.shape
+        return plans
 
     def test_two_grids_of_one_shape_never_share_an_entry(self):
-        _clear_caches()
-        tables = self._tables()
-        terms = [chains._chain_terms(table) for table in tables]
-        codes = [verify._prefix_codes(table[:, 1:3]) for table in tables]
-        assert chains._chain_terms.cache_info().currsize == 2
-        assert verify._prefix_codes.cache_info().currsize == 2
-        assert terms[0][0].tolist() != terms[1][0].tolist()
-        assert codes[0][0] != codes[1][0]
-        # equal contents share the entry, whichever array holds them
-        for table, got in zip(tables, terms):
-            copy = table.copy()
-            copy.setflags(write=False)
-            assert chains._chain_terms(copy) is got
-        assert chains._chain_terms.cache_info().currsize == 2
+        verify._grid_plan.cache_clear()
+        plans = self._plans()
+        assert verify._grid_plan.cache_info().currsize == 2
+        assert plans[0] is not plans[1]
+        assert plans[0].chain_terms.head.tolist() != plans[1].chain_terms.head.tolist()
+        # one plan per (values, n), whichever grid object asks
+        for values, plan in zip(self.GRIDS, plans):
+            assert PGrid(values=values, cap=8.0).plan(2) is plan
+            assert plan.chain_terms is plan.chain_terms
+            assert plan.schedule(0, 9) is plan.schedule(0, 9)
+        assert PGrid(values=self.GRIDS[0]).plan(1) is not plans[0]
+        assert verify._grid_plan.cache_info().currsize == 3
 
     def test_each_grid_groups_its_rows_in_entries_of_its_own(self):
-        _clear_caches()
+        verify._grid_plan.cache_clear()
+        schedules = [plan.schedule(0, 81) for plan in self._plans()]
         word = Power(Symbol(1, ScalarExpr.variable("p1")), ScalarExpr.variable("p2"))
         env = dsl.Environment(scalars={}, matrices={1: gen_ordered_tuple(2, 2, 0).matrices[0]})
-        schedules = [_scheduled_run((word,), env, {"p1": table[:, 0], "p2": table[:, 1]})[1]
-                     for table in self._tables()]
-        assert dsl._schedule.cache_info().currsize == 2
+        for schedule in schedules:
+            dsl.evaluate_batch(word, env, schedule=schedule)
         # {p1} and {p1, p2} per grid, though both grids group p1 alike
         p1 = frozenset({"p1"})
-        assert [set(schedule) for schedule in schedules] == [{p1, frozenset({"p1", "p2"})}] * 2
-        assert schedules[0][p1] is not schedules[1][p1]
-        assert schedules[0][p1].inverse.tolist() == schedules[1][p1].inverse.tolist()
+        assert [set(schedule.groups) for schedule in schedules] == \
+            [{p1, frozenset({"p1", "p2"})}] * 2
+        assert schedules[0].groups[p1] is not schedules[1].groups[p1]
+        assert schedules[0].groups[p1].inverse.tolist() == \
+            schedules[1].groups[p1].inverse.tolist()
 
-    def test_writeable_tables_are_not_cached(self):
-        _clear_caches()
-        table = self._tables()[0].copy()
-        chains.necessity_weights((0.5, 0.5), table, 1.0)
-        verify._prefix_codes(table[:, 1:3])
-        _, schedule = _scheduled_run((Symbol(1, ScalarExpr.variable("p1")),),
-                                     dsl.Environment(scalars={}, matrices={
-                                         1: gen_ordered_tuple(2, 2, 0).matrices[0]}),
-                                     {"p1": table[:, 0]})
-        assert chains._chain_terms.cache_info().currsize == 0
-        assert verify._prefix_codes.cache_info().currsize == 0
-        assert schedule == {}
+    def test_a_subsamples_plan_is_never_cached(self, monkeypatch):
+        verify._grid_plan.cache_clear()
+        monkeypatch.setattr(verify, "GRID_POINT_CAP", 50)
+        grid = PGrid(values=self.GRIDS[0])
+        assert grid.plan(2) is None
+        plans = [verify._p_samples(grid, 2, 0, 3, 1) for _ in range(2)]
+        assert plans[0] is not plans[1]
+        assert plans[0].table.tobytes() == plans[1].table.tobytes()
+        assert verify._grid_plan.cache_info().currsize == 0
 
     def test_cached_arrays_are_read_only(self):
-        _clear_caches()
-        table = self._tables()[0]
-        head, diffs, _ = chains._chain_terms(table)
-        _, inverse = verify._prefix_codes(table[:, 1:3])
-        word = Power(Symbol(1, ScalarExpr.variable("p1")), ScalarExpr.variable("p2"))
-        env = dsl.Environment(scalars={}, matrices={1: gen_ordered_tuple(2, 2, 0).matrices[0]})
-        batch = dsl.evaluate_batch(word, env, {"p1": table[:, 0], "p2": table[:, 1]})
-        shared = [head, *diffs, inverse, *batch.distinct, verify._centers(0.8, 0.97, 5)]
+        plan = self._plans()[1]
+        words, env, rows = _reduction(3, plan)
+        schedule = plan.schedule(0, 9)
+        rhs, lhs, core, base, bound = dsl.evaluate_batch(words, env, rows, schedule=schedule)
+        ident = verify._identity_batch(2)
+        stacks = [WordBatch.stack(batches, 9, plan.stacks)
+                  for batches in ((lhs, ident, base), (rhs, core, bound))]
+        terms = plan.chain_terms
+        shared = [plan.table, terms.head, *terms.diffs,
+                  *schedule.columns.values(), *schedule.alignments.values(),
+                  *(arr for group in schedule.groups.values()
+                    for arr in (group.first, group.inverse)),
+                  *(arr for stack in stacks for arr in stack.distinct),
+                  ident.values, ident.spectrum[0], *ident.distinct,
+                  verify._centers(0.8, 0.97, 5)]
+        assert schedule.groups and schedule.alignments
         for arr in shared:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
 
     def test_shared_groupings_give_the_bits_of_fresh_ones(self):
-        _clear_caches()
-        tup = gen_ordered_tuple(3, 2, 5, field_kind="complex")
-        env = verify._environment(tup, verify.ParamTemplate(t=(0.5,), r=1.5))
-        words = chains.reduction_words(5)[:1] + (chains.hypothesis_core(
-            chains.hypothesis_set(3)[0]),)
-        table = self._tables()[1]
-        shared, schedule = _scheduled_run(words, env, verify._p_columns(table[:, :2]))
-        fresh, unshared = _scheduled_run(words, env, verify._p_columns(table[:, :2].copy()))
-        assert schedule and unshared == {}
-        for a, b in zip(shared, fresh):
-            assert a.values.tobytes() == b.values.tobytes()
-            assert [x.tolist() for x in a.distinct] == [x.tolist() for x in b.distinct]
+        for plan in (self._plans()[1], GridPlan(self._plans()[1].vectors[::7])):
+            words, env, rows = _reduction(5, plan)
+            schedule = plan.schedule(0, 9)
+            runs = [dsl.evaluate_batch(words, env, rows, schedule=schedule) for _ in range(2)]
+            fresh = dsl.evaluate_batch(words, env, {**rows, **verify._p_columns(plan.table[:9])})
+            assert schedule.groups
+            # each row's binding held first by the same row; a keyed q_j
+            # binds in its key's order, not its own
+            for run in runs:
+                for a, b in zip(run, fresh):
+                    assert a.values.tobytes() == b.values.tobytes()
+                    (first, inverse), (fresh_first, fresh_inverse) = a.distinct, b.distinct
+                    assert first[inverse].tolist() == fresh_first[fresh_inverse].tolist()
+
+    def test_stacked_groupings_give_each_row_its_value(self):
+        plan = self._plans()[0]
+        words, env, rows = _reduction(7, plan)
+        ident = verify._identity_batch(2)
+        for _ in range(2):
+            rhs, lhs, core, base, bound = dsl.evaluate_batch(
+                words, env, rows, schedule=plan.schedule(0, 9))
+            for batches in ((lhs, ident, base), (rhs, core, bound)):
+                stack = WordBatch.stack(batches, 9, plan.stacks)
+                first, inverse = stack.distinct
+                assert stack.values[first][inverse].tobytes() == stack.values.tobytes()
+                assert len(first) == sum(len(batch.distinct[0]) for batch in batches)
+                assert stack.distinct is WordBatch.stack(batches, 9, plan.stacks).distinct
 
 
 def _report_bits(report) -> tuple:
@@ -214,10 +239,11 @@ def _report_bits(report) -> tuple:
 
 class TestProofStepsSchedule:
     """After one proof-steps instance on a grid, an instance on the same
-    grid finds its row schedule cached: its run groups no rows and
-    computes no alignment index, the peeled bound's q columns grouped
-    through their keys' groupings, and its report is that of a run with
-    every cache cold, bit for bit."""
+    grid finds its plan cached: its run groups no rows and computes no
+    alignment index, the peeled bound's q columns grouped through their
+    keys' groupings; it builds no stacked grouping and repeats no identity
+    matrix; and its report is that of a run with a cold plan, bit for
+    bit."""
 
     @staticmethod
     def proof_steps(seed: int, dim: int, reductions: list) -> None:
@@ -236,20 +262,33 @@ class TestProofStepsSchedule:
                       "--p-grid", "1,1.5,4", "--seed", str(seed), "--count", "1"])
 
     def test_a_second_instance_groups_nothing_afresh(self, capsys):
-        _clear_caches()
+        verify._grid_plan.cache_clear()
         self.proof_steps(0, 2, [])
-        calls = {"_distinct": 0, "_refine": 0, "_alignment": 0}
+        plan = PGrid(values=(1.0, 1.5, 4.0)).plan(2)
+        stacks = dict(plan.stacks)
+        assert len(stacks) == 2
+        calls = {"_distinct": 0, "_refine": 0, "_alignment": 0, "matrix repeats": 0}
         reductions = []
+        real_repeat = np.repeat
+
+        def repeat(a, *args, **kwargs):
+            calls["matrix repeats"] += np.ndim(a) == 3
+            return real_repeat(a, *args, **kwargs)
+
         with pytest.MonkeyPatch.context() as patch:
-            for name in calls:
+            for name in ("_distinct", "_refine", "_alignment"):
                 def counting(*args, name=name, real=getattr(dsl, name)):
                     calls[name] += 1
                     return real(*args)
                 patch.setattr(dsl, name, counting)
+            patch.setattr(np, "repeat", repeat)
             self.proof_steps(1, 3, reductions)
-        assert calls == {"_distinct": 0, "_refine": 0, "_alignment": 0}
+        assert calls == dict.fromkeys(calls, 0)
+        # no stacked grouping built: the plan holds the same two
+        assert plan.stacks.keys() == stacks.keys()
+        assert all(plan.stacks[key] is got for key, got in stacks.items())
         (instance, grid, options, warm), = reductions
-        _clear_caches()
+        verify._grid_plan.cache_clear()
         cold = verify.check_reduction_chain(instance, grid, **options)
         assert _report_bits(warm) == _report_bits(cold)
         capsys.readouterr()

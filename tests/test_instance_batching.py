@@ -171,29 +171,28 @@ def test_generator_gives_up_per_instance(monkeypatch):
 class TestGridProduct:
     def test_full_product_is_cached_and_read_only(self):
         grid = PGrid(values=(1.0, 1.5, 2.0))
-        vectors, table = grid.product(4)
+        plan = grid.plan(2)
+        vectors, table = plan.vectors, plan.table
         assert vectors == tuple(itertools.product(grid.values, repeat=4))
         assert table.tolist() == [list(v) for v in vectors]
         assert isinstance(vectors, tuple)
-        again = PGrid(values=(1.0, 1.5, 2.0)).product(4)
-        assert again[0] is vectors and again[1] is table
-        assert grid.vectors(4) is vectors
+        assert PGrid(values=(1.0, 1.5, 2.0)).plan(2) is plan
         with pytest.raises(ValueError):
             table[0, 0] = 5.0
         with pytest.raises(TypeError):
             vectors[0] = (5.0,) * 4
 
     def test_subsampled_product_is_not_cached(self):
-        assert WIDE_GRID.product(4) is None
-        vectors, table = verify._p_samples(WIDE_GRID, 2, 0, 3, 1)
-        assert len(vectors) == verify.GRID_POINT_CAP == len(table)
-        again, _ = verify._p_samples(WIDE_GRID, 2, 0, 3, 1)
-        assert list(vectors) == list(again) and vectors is not again
+        assert WIDE_GRID.plan(2) is None
+        plan = verify._p_samples(WIDE_GRID, 2, 0, 3, 1)
+        assert len(plan.vectors) == verify.GRID_POINT_CAP == len(plan.table)
+        again = verify._p_samples(WIDE_GRID, 2, 0, 3, 1)
+        assert list(plan.vectors) == list(again.vectors) and plan is not again
 
     def test_full_product_draws_no_rng(self, monkeypatch):
         def refuse(*parts):
             raise AssertionError("a full grid product needs no rng")
 
         monkeypatch.setattr(verify, "_rng", refuse)
-        vectors, _ = verify._p_samples(GRID, 1, 0, 0, 1)
-        assert len(vectors) == 16
+        plan = verify._p_samples(GRID, 1, 0, 0, 1)
+        assert len(plan.vectors) == 16

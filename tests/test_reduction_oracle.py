@@ -50,8 +50,9 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
         + ((bound_word,) if bound_word is not None else ())
     env = verify._environment(tup, template)
     ident = verify._identity_batch(tup.dim)
-    p_vectors, p_table = verify._p_samples(grid, n, 0, index, 2)
-    w = policy.weights(template.t, p_table, template.r, count=k - 1)[:, 0]
+    plan = verify._p_samples(grid, n, 0, index, 2)
+    p_vectors, p_table = plan.vectors, plan.table
+    w = policy.weights(template.t, plan, template.r, count=k - 1)[:, 0]
     c_total = walk_c_totals(tup, template.t, p_vectors)
     check = verify.CampaignMember("0", k, tup.dim, premise.family.value, premise.member,
                                   premise.direction.value, p_vectors)

@@ -176,9 +176,13 @@ def test_margin_histogram_counts_every_failed_instance():
 
 
 def write_reference(out) -> None:
-    json.dump({"regenerate": __doc__.strip().splitlines()[-1].strip(),
-               "runs": [run_search(argv) for argv in RUNS],
-               "configs": [run_config(fields) for fields in CONFIGS]}, out, indent=1)
+    """The reference file, each run's instances in ascending order, so that
+    regenerating an unchanged search rewrites it byte for byte."""
+    entries = {"runs": [run_search(argv) for argv in RUNS],
+               "configs": [run_config(fields) for fields in CONFIGS]}
+    for entry in entries["runs"] + entries["configs"]:
+        entry["instances"] = dict(sorted(entry["instances"].items(), key=lambda kv: int(kv[0])))
+    json.dump({"regenerate": __doc__.strip().splitlines()[-1].strip(), **entries}, out, indent=1)
     out.write("\n")
 
 

@@ -17,6 +17,7 @@ from oporder.spectral import (
 )
 from oporder.verify import (
     CampaignReport,
+    GridPlan,
     Instance,
     OperatorTuple,
     ParamTemplate,
@@ -189,7 +190,7 @@ class TestPGrid:
 
     def test_full_product(self):
         grid = PGrid(values=(1.0, 2.0))
-        vectors = grid.vectors(2)
+        vectors = grid.plan(1).vectors
         assert len(vectors) == 4
         assert vectors[0] == (1.0, 1.0)
 
@@ -197,10 +198,11 @@ class TestPGrid:
         monkeypatch.setattr(verify, "GRID_POINT_CAP", 500)
         grid = PGrid(values=(1.0, 1.5, 2.0, 4.0, 8.0))
         rng = np.random.default_rng(0)
-        vectors = grid.vectors(6, rng=rng)
+        assert grid.plan(3) is None
+        vectors = grid.subsample(6, rng)
         assert len(vectors) == 500
         assert all(len(v) == 6 for v in vectors)
-        again = grid.vectors(6, rng=np.random.default_rng(0))
+        again = grid.subsample(6, np.random.default_rng(0))
         assert vectors == again
 
 
@@ -267,10 +269,10 @@ class TestWeightPolicy:
 
     def test_fixed_length_checked(self):
         with pytest.raises(ValueError):
-            WeightPolicy.fixed([0.5]).weights((0.5,), [(1.0, 1.0)], 1.0, count=2)
+            WeightPolicy.fixed([0.5]).weights((0.5,), GridPlan([(1.0, 1.0)]), 1.0, count=2)
 
     def test_necessity_weights_equal(self):
-        w = WeightPolicy.necessity().weights((1.0,), [(1.0, 1.0)], 2.0, count=2)
+        w = WeightPolicy.necessity().weights((1.0,), GridPlan([(1.0, 1.0)]), 2.0, count=2)
         assert w.shape == (1, 2)
         assert tuple(w[0]) == pytest.approx((0.5, 0.5))
 
@@ -742,7 +744,7 @@ class TestReductionChain:
             master_seed=3)
         assert len(rep.table) == 3 * verify.GRID_POINT_CAP
         p_vectors = rep.table.checks[0].points
-        assert p_vectors == verify._p_samples(grid, 1, 3, 1, 2)[0]
+        assert p_vectors == verify._p_samples(grid, 1, 3, 1, 2).vectors
 
         def premise_margins(p_vectors):
             # A3^(r-t1) - (A3^(r/2) (A2^(-t1/2) A1^p1 A2^(-t1/2))^p2 A3^(r/2))^w
@@ -754,7 +756,7 @@ class TestReductionChain:
         assert np.count_nonzero(margins < -1e-9) <= rep.premise_failures \
             <= np.count_nonzero(margins < 1e-9)
         # the premise's own stream of samples would count differently
-        other = premise_margins(verify._p_samples(grid, 1, 3, 1, 1)[0])
+        other = premise_margins(verify._p_samples(grid, 1, 3, 1, 1).vectors)
         assert np.count_nonzero(other < 0) != rep.premise_failures
 
     def test_red_flag_on_tampered_tolerance(self):
