@@ -522,7 +522,8 @@ class RowSchedule:
 
     def __init__(self, columns: Mapping[str, np.ndarray],
                  keys: Mapping[str, str] | None = None):
-        self.columns = MappingProxyType(dict(columns))
+        self.columns = MappingProxyType({name: np.asarray(col, dtype=np.float64).reshape(-1)
+                                         for name, col in columns.items()})
         self.keys = MappingProxyType(dict(keys or {}))
         for name, key in self.keys.items():
             if key not in self.columns or name in self.columns:
