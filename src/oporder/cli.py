@@ -130,7 +130,7 @@ _tolerance.__name__ = "float"  # argparse names the type of a malformed value
 _FLOATS = _parsed(lambda text: tuple(map(float, text.split(","))))
 _GRID = _parsed(lambda text: PGrid(values=text.split(",")))
 _WEIGHTS = _parsed(WeightPolicy.parse)
-_DIMS = _parsed(lambda text: tuple(map(_int_at_least(1), text.split(","))))
+_DIMS = _parsed(lambda text: SearchConfig(dims=tuple(map(_int_at_least(1), text.split(",")))).dims)
 _FIXTURE = _parsed(lambda text: scalar_tuple(text.split(",")))
 
 

@@ -14,10 +14,10 @@ import json
 import math
 import operator
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -437,10 +437,11 @@ class WeightPolicy:
 
     def weights(self, t, plan: GridPlan, r: float, count: int) -> np.ndarray:
         """The (N, count) weights w1 .. w_count for each row of a plan's
-        (N, 2n) p-table."""
+        (N, 2n) p-table, read-only (a fixed policy's row is broadcast)."""
         self.require(count)
         if self.kind == "fixed":
-            return np.tile(np.asarray(self.values, dtype=np.float64), (len(plan.table), 1))
+            return np.broadcast_to(np.asarray(self.values, dtype=np.float64),
+                                   (len(plan.table), len(self.values)))
         w = chains.necessity_weights(t, plan.chain_terms, r)
         return np.repeat(w[:, None], count, axis=1)
 
@@ -507,12 +508,21 @@ class CampaignMember:
 
 
 class Comparison(NamedTuple):
-    """The check of one comparison at its points: a reduction bound or a
-    member core at the sampled p-vectors, or a probe's two words at the
-    exponents bound to ``name``."""
+    """The check of one comparison at its points, as ``run`` makes it: left
+    word against right (None is I), the margin of ``relation``
+    (lambda_min(left - right) for GE, else lambda_min(right - left)) and the
+    verdict of left against right, with the right side as p of
+    ``scaled_margins_stack`` under ``swap``.  A row takes the left side's
+    error, then the right's, then, with ``weight`` (a per-row column and its
+    name), one where the weight is not positive."""
 
     name: str
-    points: Sequence
+    points: Sequence = ()
+    left: object = None
+    right: object = None
+    relation: Direction = Direction.GE
+    swap: bool = False
+    weight: tuple[str, str] | None = None
 
 
 class MarginRow(NamedTuple):
@@ -784,15 +794,15 @@ def _batch_rows(dim: int) -> int:
     return max(1, BATCH_BYTES // (_ROW_BYTES_PER_ENTRY * dim * dim))
 
 
-def _batches(total: int, dim: int, early_exit: bool, width: int = 1):
-    """(lo, hi) row ranges to evaluate together: as many as BATCH_BYTES
-    allows when each row stands for ``width`` evaluated rows, or, when the
-    caller stops at its first failing row, doubling ranges of 1, 1, 2, 4,
-    ... rows under the same cap."""
+def _batches(total: int, dim: int, early_exit: bool, width: int = 1, start: int = 0):
+    """(lo, hi) row ranges of rows start .. total - 1 to evaluate together:
+    as many as BATCH_BYTES allows when each row stands for ``width``
+    evaluated rows, or, when the caller stops at its first failing row,
+    doubling ranges of 1, 1, 2, 4, ... rows under the same cap."""
     cap = max(1, _batch_rows(dim) // width)
-    lo = 0
+    lo = start
     while lo < total:
-        step = min(cap, max(1, lo)) if early_exit else cap
+        step = min(cap, max(1, lo - start)) if early_exit else cap
         yield lo, min(total, lo + step)
         lo += step
 
@@ -806,6 +816,141 @@ class Instance(NamedTuple):
     template: ParamTemplate
     policy: WeightPolicy
     index: int = 0
+
+
+class Subject(NamedTuple):
+    """An instance as ``run`` samples it: its points; ``env(c)``, taken when
+    comparison c is reached (comparisons given one environment share its
+    rows); ``rows(c, lo, hi)``, the columns of points lo .. hi - 1; and the
+    plan whose p-columns it binds too, by its row schedule in a lone run."""
+
+    points: Sequence
+    env: Callable
+    rows: Callable
+    plan: GridPlan | None = None
+
+
+def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
+        early_exit: bool = False, tol_rel: float = TOL_REL, pass_tol_rel: float | None = None,
+        checks=None, start: int = 0, record=(), timed: bool = False,
+        finish=None) -> MarginTable:
+    """The margins of the comparisons on the subjects (as many points each)
+    from point ``start`` on, verdicts at tol_rel, judged at pass_tol_rel (default
+    tol_rel): each subject's rows in turn, comparison by comparison, as check
+    j * len(comparisons) + c of ``checks`` (default: the comparisons at the
+    subjects' points).  Per chunk of points under BATCH_BYTES, every pair's
+    words are evaluated in one ``dsl.evaluate_batch`` run and compared in one
+    ``scaled_margins_stack``, a segment (``WordBatch.stack``) per distinct
+    sides.  With early_exit the comparisons are taken one at a time, chunks
+    grow 1, 1, 2, 4, ... points and each subject ends at its first failing
+    row.  ``record`` names per-row columns kept, ``timed`` adds each row's
+    share of its run's seconds, and ``finish(cols, value, sides)``, given each
+    word's batch and the stacked (p, q), may rewrite a run's columns (check,
+    point, ge and le of left against right, margin, scale, errors)."""
+    count = len(comparisons)
+    checks = checks or tuple(c._replace(points=s.points) for s in subjects for c in comparisons)
+    env = cache(lambda j, c: subjects[j].env(c))
+
+    def chunk(pairs, lo: int, hi: int) -> MarginTable:
+        started, size = time.perf_counter(), hi - lo
+        # a block of rows per distinct environment, a segment per distinct sides
+        blocks, segments, words, block_of, seg_of = {}, {}, {}, [], []
+        for j, c in pairs:
+            comp = comparisons[c]
+            block_of.append(blocks.setdefault(id(env(j, c)), (len(blocks), j, c))[0])
+            seg_of.append(segments.setdefault((id(comp.left), id(comp.right), comp.swap),
+                                              (len(segments), comp))[0])
+            words.update((id(w), w) for w in (comp.right, comp.left) if w is not None)
+        bound = [(env(j, c), subjects[j].plan, subjects[j].rows(c, lo, hi))
+                 for _, j, c in blocks.values()]
+        (first_env, plan, columns), rows = bound[0], len(bound) * size
+        if len(bound) == 1:
+            values = dsl.evaluate_batch(tuple(words.values()), first_env, columns, None, **(
+                {} if plan is None else {"schedule": plan.schedule(lo, hi)}))
+        else:
+            columns = {name: np.concatenate([b[2][name] for b in bound]) for name in columns}
+            if plan is not None:  # the subjects of a run have plans or none
+                columns |= _p_columns(np.concatenate([p.table[lo:hi] for _, p, _ in bound]))
+            values = dsl.evaluate_batch(tuple(words.values()), [e for e, _, _ in bound], columns,
+                                        np.repeat(np.arange(len(bound)), size))
+            plan = None
+        values = dict(zip(words, values))
+        ident = _identity_batch(first_env.dim)
+
+        def value(word) -> WordBatch:
+            return ident if word is None else values[id(word)]
+
+        def rows_of(starts) -> np.ndarray | None:  # the blocks at starts (None: all, in order)
+            return None if starts == list(range(len(starts))) else (
+                np.array(starts)[:, None] * size + np.arange(size)).ravel()
+
+        pq, errors = [], []
+        for s, comp in segments.values():
+            left, right = value(comp.left), value(comp.right)
+            pq.append((right, left) if comp.swap else (left, right))
+            errors.append(first_errors(left.row_errors, right.row_errors))
+            # a weight w <= 0 (from an overflowed chain exponent) would make its side I
+            weighted = [(b, comparisons[c].weight) for b, t, (_, c) in zip(block_of, seg_of, pairs)
+                        if t == s and comparisons[c].weight is not None]
+            if weighted:
+                w, names = np.full(rows, np.inf), {}
+                for b, (col, names[b]) in weighted:
+                    w[b * size:(b + 1) * size] = columns[col][b * size:(b + 1) * size]
+                errors[-1] = flag_errors(errors[-1], w <= 0, lambda i, w=w, names=names: (
+                    dsl.EvaluationError(f"weight {names[i // size]} = {float(w[i])!r} "
+                                        "is not positive")))
+        p, q = (pq[0][i] if len(pq) == 1 else WordBatch.stack(
+            [side[i] for side in pq], rows, {} if plan is None else plan.stacks) for i in (0, 1))
+        ge, le, scale, errors = scaled_margins_stack(p, q, concat_errors(errors, [rows] * len(pq)))
+        if any(comp.swap for _, comp in segments.values()):  # left against right
+            swap = np.repeat([comp.swap for _, comp in segments.values()], rows)
+            ge, le = np.where(swap, le, ge), np.where(swap, ge, le)
+        index = rows_of([t * len(bound) + b for t, b in zip(seg_of, block_of)])
+        if index is not None:  # the pairs' rows in turn
+            ge, le, scale = ge[index], le[index], scale[index]
+            errors = None if errors is None else errors[index]
+        index = rows_of(block_of)
+        is_ge = [comparisons[c].relation is Direction.GE for _, c in pairs]
+        cols = dict(check=np.repeat([j * count + c for j, c in pairs], size),
+                    point=np.concatenate([np.arange(lo, hi)] * len(pairs)), ge=ge, le=le,
+                    margin=ge if all(is_ge) else np.where(np.repeat(is_ge, size), ge, le),
+                    scale=scale, errors=errors,
+                    **{name: columns[name] if index is None else columns[name][index]
+                       for name in record})
+        if finish is not None:
+            cols = finish(cols, value, (p, q))
+        verdict = classify_stack(cols.pop("ge"), cols.pop("le"), cols["scale"], tol_rel)
+        table = MarginTable.judged(
+            checks, cols.pop("check"), cols.pop("point"), cols.pop("margin"), cols.pop("scale"),
+            verdict, cols.pop("errors"), tol_rel if pass_tol_rel is None else pass_tol_rel, **cols)
+        if timed:
+            table.columns["seconds"] = np.full(
+                len(table), (time.perf_counter() - started) / len(table))
+        return table
+
+    parts, keep, stopped = [], [], set()
+    active = list(range(len(subjects)))
+    groups = [[c] for c in range(count)] if early_exit else [range(count)]
+    for group in itertools.takewhile(lambda _: active, groups):
+        width = len({id(env(active[0], c)) for c in group})
+        dim = env(active[0], group[0]).dim
+        chunks = _batches(len(subjects[0].points), dim, early_exit, width, start)
+        for lo, hi in itertools.takewhile(lambda _: active, chunks):
+            per_call = max(1, _batch_rows(dim) // ((hi - lo) * width))
+            for first in range(0, len(active), per_call):
+                pairs = [(j, c) for j in active[first:first + per_call] for c in group]
+                parts.append(chunk(pairs, lo, hi))
+                if early_exit:
+                    # each pair's rows up to its first failing one; error
+                    # rows are indeterminate, not violations
+                    fails = parts[-1].failures().reshape(len(pairs), -1)
+                    keep.append((np.cumsum(fails, axis=1) - fails == 0).ravel())
+                    stopped.update(j for (j, _), stop in zip(pairs, fails.any(axis=1)) if stop)
+            active = [j for j in active if j not in stopped]
+    table = MarginTable.concat(parts)
+    rows = np.flatnonzero(np.concatenate(keep)) if early_exit else np.arange(len(table))
+    order = rows[np.argsort(table.columns["check"][rows], kind="stable")]
+    return table if np.array_equal(order, np.arange(len(table))) else table.take(order)
 
 
 def check_hypotheses(
@@ -824,21 +969,14 @@ def check_hypotheses(
     directional margin; evaluation errors, of either side or of a
     non-positive weight, are recorded per row and never abort the campaign.
 
-    The instances share one k and dim and are scanned in the same
-    ``dsl.evaluate_batch`` calls; each keeps its own p-vectors.  Every
-    member is the slot word pair ``chains.slot_words(k)`` under its own
-    environment, which binds each slot to the member's operator
-    (``chains.member_slots``), so members differ in their bindings only.
-    Without stop_on_violation, every (instance, member) pair is evaluated
-    over the p-vectors in one ``dsl.evaluate_batch`` run per chunk of rows
-    under BATCH_BYTES, one environment per pair and the member's weight
-    as the per-row column w, and judged in one stacked comparison.  With
-    stop_on_violation the members are taken one at a time, each member's
-    environment built when it is reached; the chunks grow from a single
-    row, and each instance's rows end at its first violating one, as in a
-    row-by-row scan of that instance alone.
-
-    The report holds the instances' rows in turn, member by member.
+    The instances share one k and dim and are scanned in one ``run``, each
+    on its own p-vectors.  Every member compares the slot words
+    ``chains.slot_words(k)`` under its own environment, which binds each
+    slot to the member's operator (``chains.member_slots``), with its
+    weight as the per-row column w: members differ in their bindings only.
+    With stop_on_violation (the run's early exit) each instance's rows end
+    at its first violating one.  The report holds the instances' rows in
+    turn, member by member.
     """
     if not instances:
         raise ValueError("a campaign needs at least one instance")
@@ -852,105 +990,26 @@ def check_hypotheses(
             raise ValueError(f"template has {inst.template.n} t-values, tuple needs {n}")
     chain_list = chains.hypothesis_set(k)
     lhs_word, rhs_word = chains.slot_words(k)
-    w_index = np.array([chains.weight_index(c.family, c.member, n) for c in chain_list],
-                       dtype=np.intp)
-    is_ge = np.array([c.direction is Direction.GE for c in chain_list])
-    envs: dict[tuple[int, int], dsl.Environment] = {}
-
-    def environment(j: int, code: int) -> dsl.Environment:
-        got = envs.get((j, code))
-        if got is None:
-            chain = chain_list[code]
-            got = envs[j, code] = _environment(
-                instances[j].tup, instances[j].template,
-                slots=chains.member_slots(chain.family, chain.member, k))
-        return got
-
+    w_index = [chains.weight_index(c.family, c.member, n) for c in chain_list]
+    members = tuple(Comparison(c.family.value, (), lhs_word, rhs_word, c.direction,
+                               weight=("w", f"w{i}")) for c, i in zip(chain_list, w_index))
     plans = [_p_samples(grid, n, master_seed, inst.index, 1) for inst in instances]
-    weights = [inst.policy.weights(inst.template.t, plan, inst.template.r, count=k - 1)
-               for inst, plan in zip(instances, plans)]
-    # the checks of the report: the instances' members in turn; check
-    # j * len(chain_list) + code is member code of instance j
+
+    def subject(inst: Instance, plan: GridPlan) -> Subject:
+        weights = inst.policy.weights(inst.template.t, plan, inst.template.r, count=k - 1)
+        return Subject(plan.vectors, lambda c: _environment(
+            inst.tup, inst.template, chains.member_slots(chain_list[c].family,
+                                                         chain_list[c].member, k)),
+            lambda c, lo, hi: {"w": weights[lo:hi, w_index[c] - 1]}, plan)
+
     checks = tuple(CampaignMember(str(inst.index), k, dim, c.family.value, c.member,
                                   c.direction.value, plan.vectors)
                    for inst, plan in zip(instances, plans) for c in chain_list)
-    parts: list[MarginTable] = []
-    # per instance: (member code, lo, first row in parts, rows kept) of each chunk
-    kept: list[list[tuple[int, int, int, int]]] = [[] for _ in instances]
-    offset = 0
-    stopped: set[int] = set()
-    active = list(range(len(instances)))
-    codes = range(len(chain_list))
-    # a scan that stops at its first violating row takes one member at a time
-    for group in ([[c] for c in codes] if stop_on_violation else [codes]):
-        for lo, hi in _batches(len(plans[0].table), dim, stop_on_violation, len(group)):
-            size = hi - lo
-            per_call = max(1, _batch_rows(dim) // (size * len(group)))
-            for first in range(0, len(active), per_call):
-                pairs = [(j, code) for j in active[first:first + per_call] for code in group]
-                start = time.perf_counter()
-                which = np.repeat(np.arange(len(pairs)), size)
-                check = np.repeat([j * len(chain_list) + code for j, code in pairs], size)
-                row_code = check % len(chain_list)
-                columns = _p_columns(np.concatenate([plans[j].table[lo:hi] for j, _ in pairs]))
-                w = columns["w"] = np.concatenate(
-                    [weights[j][lo:hi, w_index[code] - 1] for j, code in pairs])
-                rhs, lhs = dsl.evaluate_batch((rhs_word, lhs_word),
-                                              [environment(j, code) for j, code in pairs],
-                                              columns, which)
-                table = _judge_members(checks, check, np.tile(np.arange(lo, hi), len(pairs)),
-                                       lhs, rhs, w, w_index[row_code], is_ge[row_code],
-                                       tol_rel, suite_tol_rel)
-                table.columns["seconds"] = np.full(
-                    len(which), (time.perf_counter() - start) / len(which))
-                # error rows are indeterminate, not violations; keep scanning
-                fails = table.failures() if stop_on_violation else None
-                for slot, (j, code) in enumerate(pairs):
-                    end = size
-                    if stop_on_violation:
-                        failing = np.flatnonzero(fails[slot * size:(slot + 1) * size])
-                        if len(failing):
-                            end = int(failing[0]) + 1
-                            stopped.add(j)
-                    kept[j].append((code, lo, offset + slot * size, end))
-                parts.append(table)
-                offset += len(table)
-            active = [j for j in active if j not in stopped]
-            if not active:
-                break
-        if not active:
-            break
-    # the instances' rows in turn, member by member
-    order = np.concatenate([np.arange(row, row + end)
-                            for chunks in kept for _, _, row, end in sorted(chunks)])
-    return CampaignReport(MarginTable.concat(parts).take(order),
-                          {"stopped_early": True} if stopped else {}, master_seed)
-
-
-def _judge_members(checks, check, point, lhs: dsl.WordBatch, rhs: dsl.WordBatch,
-                   w: np.ndarray, w_index, is_ge, tol_rel: float,
-                   suite_tol_rel: float) -> MarginTable:
-    """The margin table, judged at the suite slack, of rows of hypothesis
-    members: each row's left side A_outer^(r - t_n) against its right side
-    under its weight w, both evaluated in one run, with its directional
-    margin (GE where is_ge, else LE) and its verdict at tol_rel.  ``check``
-    and ``point`` are the rows' columns; ``w_index`` names each row's
-    weight w<w_index>; is_ge holds one entry per row or one for all.
-
-    A row whose left or right side fails to evaluate is an error row, with
-    the left side's error first (``_member_errors``)."""
-    ge, le, scale, errors = scaled_margins_stack(lhs, rhs, _member_errors(lhs, rhs, w, w_index))
-    return MarginTable.judged(checks, check, point, np.where(is_ge, ge, le), scale,
-                              classify_stack(ge, le, scale, tol_rel), errors, suite_tol_rel, w=w)
-
-
-def _member_errors(lhs: dsl.WordBatch, rhs: dsl.WordBatch, w: np.ndarray, w_index):
-    """The row errors of member rows before their comparison: the left
-    side's, then the right side's, then a weight w <= 0 (from an overflowed
-    chain exponent), which would make the rhs I."""
-    return flag_errors(first_errors(lhs.row_errors, rhs.row_errors), w <= 0,
-                       lambda i: dsl.EvaluationError(
-                           f"weight w{int(w_index[i])} = {float(w[i])!r} is not positive"))
+    table = run(members, [subject(inst, plan) for inst, plan in zip(instances, plans)],
+                early_exit=stop_on_violation, tol_rel=tol_rel, pass_tol_rel=suite_tol_rel,
+                checks=checks, record=("w",), timed=True)
+    stopped = stop_on_violation and any_set(table.failures())
+    return CampaignReport(table, {"stopped_early": True} if stopped else {}, master_seed)
 
 
 def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdict]:
@@ -959,19 +1018,6 @@ def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdi
         loewner_compare(tup.matrices[i + 1], tup.matrices[i], tol_rel=tol_rel)
         for i in range(tup.k - 1)
     ]
-
-
-def _probe_table(words, env: dsl.Environment, check: Comparison, lo: int, hi: int,
-                 tol_rel: float) -> MarginTable:
-    """The table, judged and classified at tol_rel, of the check's points
-    lo .. hi - 1: the two words evaluated in one run with the points bound
-    to the check's name, the first against the second in one stacked
-    comparison."""
-    lhs, rhs = dsl.evaluate_batch(words, env, {check.name: check.points[lo:hi]})
-    ge, le, scale, errors = scaled_margins_stack(lhs, rhs,
-                                                 first_errors(lhs.row_errors, rhs.row_errors))
-    return MarginTable.judged((check,), np.zeros(hi - lo, np.intp), np.arange(lo, hi), ge, scale,
-                              classify_stack(ge, le, scale, tol_rel), errors, tol_rel)
 
 
 # The probes' words, with P bound as A1 and Q as A2 and exponent names of
@@ -1010,9 +1056,10 @@ def probe_loewner_heinz(
     if not (base.ge and q_psd):
         return MonotonePowerReport(precondition_ok=False, table=None)
     env = dsl.Environment(scalars={}, matrices={1: p, 2: q})
-    check = Comparison("a", tuple(float(a) for a in alphas))
-    return MonotonePowerReport(precondition_ok=True, table=_probe_table(
-        _LOEWNER_HEINZ_WORDS, env, check, 0, len(check.points), tol_rel))
+    alphas = tuple(float(a) for a in alphas)
+    return MonotonePowerReport(precondition_ok=True, table=run(
+        [Comparison("a", alphas, *_LOEWNER_HEINZ_WORDS)],
+        [Subject(alphas, lambda c: env, lambda c, lo, hi: {"a": alphas[lo:hi]})], tol_rel=tol_rel))
 
 
 @dataclass
@@ -1046,11 +1093,11 @@ def probe_contraction_criterion(
     """Probe the implication: P^(r+delta) >= (P^(r/2) Q^s P^(r/2))^w for
     every s > 1 forces Q <= I.
 
-    The hypothesis is sampled on the s grid in one evaluation run.  When Q
-    has an eigenvalue above DECLARED_ABOVE_ONE the hypothesis must eventually fail
+    The hypothesis is sampled on the s grid in one ``run``.  When Q has an
+    eigenvalue above DECLARED_ABOVE_ONE the hypothesis must eventually fail
     because Q^s grows geometrically, so without a failing s on the grid,
-    s_last * S_GROWTH^j up to S_CAP are evaluated in one more run and kept
-    up to the first failing s (none is a cross-check failure).  An ERROR
+    s_last * S_GROWTH^j up to S_CAP are evaluated up to the first failing s
+    (none is a cross-check failure).  An ERROR
     row is never a failing s; with none, one on the grid makes the status
     "indeterminate" and one escalated leaves the cross-check undecided
     (None).  w = 0 makes the hypothesis vacuous and is rejected.
@@ -1068,48 +1115,30 @@ def probe_contraction_criterion(
     points = [float(s) for s in s_values]
     while points[-1] * S_GROWTH <= S_CAP:
         points.append(points[-1] * S_GROWTH)
-    check, grid = Comparison("s", tuple(points)), len(s_values)
-
-    def sample(lo: int, hi: int) -> tuple[MarginTable, int | None]:
-        """The table of points lo .. hi - 1 and the index in it of the
-        first failing s."""
-        table = _probe_table(_CONTRACTION_WORDS, env, check, lo, hi, tol_rel)
-        failing = np.flatnonzero(table.failures())
-        return table, int(failing[0]) if len(failing) else None
-
-    table, first = sample(0, grid)
+    check, grid = Comparison("s", tuple(points), *_CONTRACTION_WORDS), len(s_values)
+    subject = Subject(check.points, lambda c: env, lambda c, lo, hi: {"s": check.points[lo:hi]})
+    table = run([check], [subject._replace(points=check.points[:grid])], checks=(check,),
+                tol_rel=tol_rel)
     grid_error = bool(table.error_rows.any())
-    failure_s = None if first is None else check.points[first]
+    failure_s = first = next((row.point for row, bad in zip(table.rows, table.failures()) if bad),
+                             None)
     conclusion = loewner_compare(q, identity(q.dim), tol_rel=tol_rel)
 
     needs_cross = operator_norm(q) > DECLARED_ABOVE_ONE
     cross_ok = (failure_s is not None) if needs_cross else None
-    # with no s left below S_CAP, the escalation ends at once without a failure
+    # with no s left below S_CAP, the escalation ends at once without a
+    # failure; it stops at its first failing s
     if needs_cross and failure_s is None and len(points) > grid:
-        more, stop = sample(grid, len(points))
-        if stop is not None:
-            more, failure_s, cross_ok = more.take(np.arange(stop + 1)), points[grid + stop], True
-        elif more.error_rows.any():
-            cross_ok = None
+        more = run([check], [subject], checks=(check,), start=grid, early_exit=True,
+                   tol_rel=tol_rel)
+        failure_s = more.rows[-1].point if any_set(more.failures()) else None
+        cross_ok = True if failure_s is not None else None if more.error_rows.any() else False
         table = MarginTable.concat([table, more])
 
-    if first is not None:
-        status = "hypothesis_fails"
-    elif grid_error:
-        status = "indeterminate"
-    elif conclusion.le:
-        status = "confirmed"
-    else:
-        status = "violation_witness"
-    return ContractionProbeReport(
-        table=table,
-        hypothesis_holds=first is None and not grid_error,
-        conclusion=conclusion,
-        implication_status=status,
-        cross_check_required=needs_cross,
-        cross_check_ok=cross_ok,
-        failure_s=failure_s,
-    )
+    status = ("hypothesis_fails" if first is not None else "indeterminate" if grid_error
+              else "confirmed" if conclusion.le else "violation_witness")
+    return ContractionProbeReport(table, first is None and not grid_error, conclusion, status,
+                                  needs_cross, cross_ok, failure_s)
 
 
 def reduction_scalar_interior(tup: OperatorTuple, t, p, n: int) -> float:
@@ -1229,26 +1258,16 @@ def check_reduction_chain(
     Implications run (a) => (b) => (c) pointwise, so any sample where (a)
     holds but (b) or (c) fails is flagged as a tolerance or schedule bug.
     The premise is that the instance passes the first ascending member,
-    under its weight policy, on the same sampled rows.  The report's id is
-    the instance index, as in a campaign.
+    under its weight policy, on the same sampled rows; it is only counted,
+    and a row whose left side fails to evaluate is a premise error row, as
+    in a campaign.  The report's id is the instance index.
 
-    Each chunk of rows is one ``dsl.evaluate_batch`` run of the member's
-    right and left sides, its core, the innermost sandwich and the peeled
-    bound: the member contains the core and the sandwich, so each of their
-    nodes is evaluated once; on a shared grid product it finds all of its
-    groups in the plan's row schedule, and the comparison's stacked
-    groupings in the plan.  The chunk is judged in one stacked comparison
-    of three segments: the premise (its right side against its left), the
-    core (against I) and the peel (the bound against the sandwich).  The
-    premise's and the core's margins swap back, so that every side with a
-    norm bound (a power's) is p: only the needed ones are decomposed, and
-    errors merge as in three separate comparisons.
-    The sandwich depends on p1 alone, so its spectrum is one decomposition
-    per distinct p1, which serves both its norm in the peel and its
-    extreme eigenvalues against the scalar bound.  A premise row whose
-    left side fails to evaluate is a premise error row, as in a campaign;
-    the premise is only counted.  Everything is judged at suite_tol_rel,
-    verdicts included.
+    The premise, the core and the peel are the comparisons of one ``run``,
+    each with its powers as p; the member contains the core and the
+    sandwich, so their nodes are evaluated once.  The sandwich's spectrum
+    from the comparison, one decomposition per distinct p1, also gives its
+    extreme eigenvalues against the scalar bound.  Everything is judged at
+    suite_tol_rel, verdicts included.
     """
     tup, template, policy, index = instance
     k = tup.k
@@ -1257,63 +1276,52 @@ def check_reduction_chain(
         raise ValueError(f"template has {template.n} t-values, tuple needs {n}")
     premise = chains.hypothesis_set(k)[0]
     base_word, bound_word = chains.reduction_words(k)
-    words = (premise.rhs, premise.lhs, chains.hypothesis_core(premise), base_word) \
-        + ((bound_word,) if bound_word is not None else ())
     env = _environment(tup, template)
-    ident = _identity_batch(tup.dim)
     plan = _p_samples(grid, n, master_seed, index, 2)
     w = policy.weights(template.t, plan, template.r, count=k - 1)[:, 0]
 
-    bounds = tuple(Comparison(name, plan.vectors) for name in REDUCTION_BOUNDS)
-    premise_failures = premise_errors = 0
-    parts: list[MarginTable] = []
-    for lo, hi in _batches(len(plan.table), tup.dim, early_exit=False):
-        size = hi - lo
-        rows = {"w1": w[lo:hi]}
-        if bound_word is not None:
-            rows.update(chains.peeled_bindings(template.t, plan.table[lo:hi].T))
-        rhs, lhs, core, base, *peeled = dsl.evaluate_batch(
-            words, env, rows, schedule=plan.schedule(lo, hi))
-        bound = peeled[0] if peeled else ident
-        # the premise, the core and the peel as three segments of one
-        # comparison, each with its powers as p
-        sides = WordBatch.stack((lhs, ident, base), size, plan.stacks)
-        ge, le, scale, errors = scaled_margins_stack(
-            WordBatch.stack((rhs, core, bound), size, plan.stacks), sides,
-            concat_errors((_member_errors(lhs, rhs, w[lo:hi], np.ones(size, np.intp)),
-                           core.row_errors, first_errors(base.row_errors, bound.row_errors)),
-                          (size,) * 3))
-        ge, le, scale = (col.reshape(3, size) for col in (ge, le, scale))
-        failed = failed_rows(errors, 3 * size).reshape(3, size)
-        premise_errors += int(np.count_nonzero(failed[0]))
-        # the premise's margin, left side against right
-        margin = le[0] if premise.direction is Direction.GE else ge[0]
-        premise_failures += int(np.count_nonzero(
-            ~failed[0] & ~margins_hold(margin, scale[0], suite_tol_rel)))
+    # the premise (left side against right), the core (I against it) and
+    # the peel (the bound against the sandwich)
+    comparisons = (
+        Comparison("premise", (), premise.lhs, premise.rhs, premise.direction, swap=True,
+                   weight=("w1", "w1")),
+        Comparison("core", (), None, chains.hypothesis_core(premise), swap=True),
+        Comparison("peel", (), bound_word, base_word),
+    )
+    premise_counts = [0, 0]
+
+    def finish(cols: dict, value, sides) -> dict:
+        # count the premise rows; a point's core, peel and scalar rows take its first error
+        size, errors = len(cols["margin"]) // 3, cols["errors"]
+        failed = failed_rows(errors, 3 * size)[:size]
+        premise_counts[0] += int(np.count_nonzero(
+            ~failed & ~margins_hold(cols["margin"][:size], cols["scale"][:size], suite_tol_rel)))
+        premise_counts[1] += int(np.count_nonzero(failed))
         if errors is not None:
             errors = first_errors(errors[size:2 * size], errors[2 * size:])
-        # the sandwich's spectrum, taken in that pass, also gives its
-        # extreme eigenvalues against the scalar bound c * I; c reads what
-        # the peeled bound reads, once per binding (for n = 1, c is 1)
+        # the scalar bound c * I against the sandwich's spectrum from the comparison;
+        # c reads what the peeled bound reads, once per binding (for n = 1, c is 1)
         c = np.ones(size)
-        if peeled:
-            first, inverse = bound.distinct
-            c = _c_totals(tup, template.t, plan.table[lo:hi][first])[inverse]
-        # (bounds, points) arrays: the core (swapped back to I - core), peel, scalar
-        ge, le, scale = map(np.array, zip((le[1], ge[1], scale[1]), (ge[2], le[2], scale[2]),
-                                          scalar_margins(c, sides.spectrum[0][2 * size:])))
-        errors = flag_errors(errors, ~(np.isfinite(ge[1:]).all(axis=0) & np.isfinite(scale[2])),
-                             lambda i: NonFiniteError("reduction margin"))
-        # each point's rows in turn, one per bound
-        ge, le, scale = ge.T.ravel(), le.T.ravel(), scale.T.ravel()
-        points = np.arange(lo, hi)
-        parts.append(MarginTable.judged(
-            bounds, np.arange(len(ge)) % len(bounds), np.repeat(points, len(bounds)),
-            ge, scale, classify_stack(ge, le, scale, suite_tol_rel),
-            None if errors is None else np.repeat(errors, len(bounds)), suite_tol_rel,
-            c_total=np.repeat(c, len(bounds))))
-    return ReductionReport(str(index), premise_failures, premise_errors,
-                           MarginTable.concat(parts))
+        if bound_word is not None:
+            first, inverse = value(bound_word).distinct
+            c = _c_totals(tup, template.t, plan.table[cols["point"][first]])[inverse]
+        ge, le, scale = (np.concatenate((cols[name][size:], scalar)) for name, scalar in
+                         zip(("ge", "le", "scale"),
+                             scalar_margins(c, sides[1].spectrum[0][2 * size:])))
+        finite = np.isfinite(ge[size:]).reshape(2, -1).all(axis=0) & np.isfinite(scale[2 * size:])
+        errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("reduction margin"))
+        # the run's check and point columns are those of the bounds' rows
+        return cols | dict(ge=ge, le=le, margin=ge, scale=scale, c_total=np.concatenate((c,) * 3),
+                           errors=None if errors is None else np.concatenate((errors,) * 3))
+
+    table = run(comparisons, [Subject(plan.vectors, lambda c: env, lambda c, lo, hi: {
+        "w1": w[lo:hi], **({} if bound_word is None else
+                           chains.peeled_bindings(template.t, plan.table[lo:hi].T))}, plan)],
+                tol_rel=suite_tol_rel, finish=finish,
+                checks=tuple(Comparison(name, plan.vectors) for name in REDUCTION_BOUNDS))
+    # each point's rows in turn, one per bound
+    return ReductionReport(str(index), *premise_counts,
+                           table.take(np.arange(len(table)).reshape(3, -1).T.ravel()))
 
 
 @dataclass
@@ -1399,6 +1407,8 @@ class SearchConfig:
     field_kind: str = "real"
 
     def __post_init__(self):
+        if len(set(self.dims)) < len(self.dims):  # a repeat would weight its draws
+            raise ValueError(f"dims must not repeat, got {list(self.dims)}")
         if self.policy is not None:  # before any instance is drawn
             self.policy.require(self.k - 1)
 
@@ -1455,38 +1465,25 @@ def implied_core_violation(
     """
     tup, template = instance.tup, instance.template
     n = tup.k // 2
-    ident = _identity_batch(tup.dim)
     plan = _p_samples(grid, n, master_seed, instance.index, 3)
-    t_variants = [template.t]
-    ones = (1.0,) * n
-    if template.t != ones:
-        t_variants.append(ones)
-    cores = (Comparison("core", plan.vectors),)
+    t_variants = [template.t] + ([(1.0,) * n] if template.t != (1.0,) * n else [])
+    chain_set = chains.hypothesis_set(tup.k)
+    # ascending cores must stay below I, descending ones above
+    core = chains.hypothesis_core
+    cores = tuple(Comparison("core", (), None, core(c)) if c.direction is Direction.GE
+                  else Comparison("core", (), core(c)) for c in chain_set)
     unevaluated = 0
     for t_vec in t_variants:
         env = dsl.Environment(scalars={f"t{i}": tv for i, tv in enumerate(t_vec, 1)},
                               matrices=dict(enumerate(tup.matrices, 1)))
-        for chain in chains.hypothesis_set(tup.k):
-            word = chains.hypothesis_core(chain)
-            for lo, hi in _batches(len(plan.table), tup.dim, early_exit=True):
-                batch = dsl.evaluate_batch(word, env, schedule=plan.schedule(lo, hi))
-                # ascending cores must stay below I, descending ones above
-                pair = (ident, batch) if chain.direction is Direction.GE else (batch, ident)
-                ge, le, scale, errors = scaled_margins_stack(*pair, batch.row_errors)
-                table = MarginTable.judged(cores, np.zeros(hi - lo, np.intp), np.arange(lo, hi),
-                                           ge, scale, classify_stack(ge, le, scale, suite_tol_rel),
-                                           errors, suite_tol_rel)
-                fails = np.flatnonzero(table.failures())
-                end = int(fails[0]) + 1 if len(fails) else len(table)
-                unevaluated += int(np.count_nonzero(table.error_rows[:end]))
-                if len(fails):
-                    return {
-                        "family": chain.family.value,
-                        "member": chain.member,
-                        "t": list(t_vec),
-                        "p_vector": list(plan.vectors[lo + end - 1]),
-                        "core_margin": float(table.columns["margin"][end - 1]),
-                    }, unevaluated
+        # the rows up to the first failing one
+        table = run(cores, [Subject(plan.vectors, lambda c: env, lambda c, lo, hi: {}, plan)],
+                    early_exit=True, tol_rel=suite_tol_rel)
+        unevaluated += int(np.count_nonzero(table.error_rows))
+        if any_set(table.failures()):
+            chain, row = chain_set[table.columns["check"][-1]], table.rows[-1]
+            return {"family": chain.family.value, "member": chain.member, "t": list(t_vec),
+                    "p_vector": list(row.point), "core_margin": row.margin}, unevaluated
     return None, unevaluated
 
 

@@ -769,7 +769,7 @@ _FUZZ_FIELDS = {
 _SEARCH_FUZZ_FIELDS = {
     "k": (("3", "4", "5"), ("2", "0")),
     "budget": (("0", "2", "4"), ("-1",)),
-    "dim": (("1", "2", "1,3"), ("0", "2,0", "x")),
+    "dim": (("1", "2", "1,3"), ("0", "2,0", "x", "2,2")),
     "weights": _FUZZ_FIELDS["weights"],
 }
 

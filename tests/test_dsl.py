@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oporder import chains, dsl, verify
+from oporder import chains, dsl
 from oporder.chains import (
     Direction,
     Family,
@@ -47,6 +47,7 @@ from util import (
     count_decompositions,
     error_rows,
     full_spectrum_margins,
+    judge_members,
     random_hermitian,
     random_scalar_expr,
     random_spd_array,
@@ -786,9 +787,7 @@ class TestSlotWordRuns:
         is_ge = bool(rng.random() < 0.5)
 
         def judge(lhs, rhs, w, w_index):
-            rows = np.arange(len(w))
-            return verify._judge_members((None,), np.zeros_like(rows), rows, lhs, rhs, w,
-                                         w_index, is_ge, verify.TOL_REL, verify.SUITE_TOL_REL)
+            return judge_members(lhs, rhs, w, w_index, is_ge)
 
         got = judge(lhs, rhs, w, w_index)
         for i in range(count):

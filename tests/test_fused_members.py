@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from oporder import chains, cli, dsl, spectral, verify
 from oporder.chains import Direction, Family
-from oporder.spectral import classify_stack, scaled_margins_stack
+from oporder.spectral import HermitianMatrix, classify_stack, scaled_margins_stack
 from oporder.verify import (
     ERROR_CODE,
     VERDICTS,
@@ -74,21 +74,23 @@ def _per_member(instances, grid, chain_list, tol_rel):
 
 def _fused(instances, grid, tol_rel, monkeypatch):
     """The report of one fused call and, keyed like ``_per_member``, the
-    (w, ge, le, scale) of each row before ERROR rows are blanked."""
+    (w, ge, le, scale) of each row before ERROR rows are blanked: what each
+    of the runner's comparisons returned, with the check, point and w
+    columns its table was then judged with."""
     calls = []
-    judge, compare = verify._judge_members, verify.scaled_margins_stack
-
-    def recording_judge(checks, check, point, lhs, rhs, w, *args):
-        calls.append([check, point, w])
-        return judge(checks, check, point, lhs, rhs, w, *args)
+    judged, compare = verify.MarginTable.judged, verify.scaled_margins_stack
 
     def recording_compare(*args):
         got = compare(*args)
-        calls[-1].extend(got[:3])
+        calls.append(list(got[:3]))
         return got
 
-    monkeypatch.setattr(verify, "_judge_members", recording_judge)
+    def recording_judged(checks, check, point, *args, w, **extra):
+        calls[-1][:0] = [check, point, w]
+        return judged(checks, check, point, *args, w=w, **extra)
+
     monkeypatch.setattr(verify, "scaled_margins_stack", recording_compare)
+    monkeypatch.setattr(verify.MarginTable, "judged", recording_judged)
     report = check_hypotheses(instances, grid, tol_rel=tol_rel)
     monkeypatch.undo()
     per_instance = len(report.table.checks) // len(instances)
@@ -250,10 +252,10 @@ class TestCleanRunCost:
         found = []
         evaluate_batch = dsl.evaluate_batch
 
-        def recording(words, env, rows=None, instance=None):
+        def recording(words, env, rows=None, instance=None, **kwargs):
             if not found and isinstance(env, list) and len(env) == 3 and len(instance) == 3:
                 found.append((words, env, rows, instance))
-            return evaluate_batch(words, env, rows, instance)
+            return evaluate_batch(words, env, rows, instance, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dsl, "evaluate_batch", recording)
@@ -287,12 +289,17 @@ class TestCleanRunCost:
                 return super().__enter__()
 
         monkeypatch.setattr(np, "errstate", CountingErrstate)
-        rhs, lhs = dsl.evaluate_batch(words, envs, columns, instance)
-        rows = np.arange(3)
-        table = verify._judge_members((None,), rows, rows, lhs, rhs, columns["w"],
-                                      np.ones(3, np.intp), True, verify.TOL_REL,
-                                      verify.SUITE_TOL_REL)
-        assert (lhs.row_errors, rhs.row_errors, table.errors) == (None, None, None)
+        # the call replayed through the runner: one subject of one row per
+        # environment, the member's slot words compared as a campaign does
+        rhs_word, lhs_word = words
+        member = verify.Comparison("member", (), lhs_word, rhs_word, weight=("w", "w1"))
+        subjects = [verify.Subject((None,), lambda c, env=env: env,
+                                   lambda c, lo, hi, i=i: {name: col[i:i + 1]
+                                                           for name, col in columns.items()})
+                    for i, env in enumerate(envs)]
+        assert instance.tolist() == [0, 1, 2]
+        table = verify.run([member], subjects, pass_tol_rel=verify.SUITE_TOL_REL)
+        assert len(table) == 3 and table.errors is None
         # np.errstate once for the run, once for the comparison (its margins
         # and norms) and once for the margins_hold of the verdicts; two
         # power nodes and the two sides' spectra decompose, and the symbols
@@ -342,3 +349,54 @@ class TestReductionCalls:
                           "_eigh": 7}
         assert solved["_eigvalsh"] == [243]
         assert sorted(solved["_eigh"]) == [3, 3, 5, 9, 9, 27, 81]
+
+
+class TestCoreAndProbeCalls:
+    """What the core certificate and the contraction probe cost in runs: per
+    chunk of the comparison runner, one ``dsl.evaluate_batch`` run of the
+    chunk's words and one ``scaled_margins_stack`` of its rows, recorded as
+    (words evaluated, rows) and rows compared."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        calls = []
+        evaluate_batch, compare = dsl.evaluate_batch, verify.scaled_margins_stack
+
+        def evaluating(words, *args, **kwargs):
+            got = evaluate_batch(words, *args, **kwargs)
+            calls.append(("evaluate", len(words), len(got[0].values)))
+            return got
+
+        def comparing(p, q, *args):
+            calls.append(("compare", max(len(p.values), len(q.values))))
+            return compare(p, q, *args)
+
+        monkeypatch.setattr(dsl, "evaluate_batch", evaluating)
+        monkeypatch.setattr(verify, "scaled_margins_stack", comparing)
+        return calls
+
+    @staticmethod
+    def _chunks(words, sizes) -> list:
+        return [call for rows in sizes for call in (("evaluate", words, rows), ("compare", rows))]
+
+    def test_the_core_certificate_runs_one_chunk_at_a_time(self, monkeypatch):
+        # k = 3 has two members and t = 0.5 a second t-variant, t = 1; no
+        # core of this ordered tuple fails, so each (variant, member) scans
+        # its 16 points in early-exit chunks of 1, 1, 2, 4 and 8
+        instance = Instance(gen_suite_tuple(3, 2, [0, 0]), ParamTemplate(t=(0.5,), r=1.0),
+                            WeightPolicy.fixed([0.5, 0.5]))
+        calls = self._record(monkeypatch)
+        assert verify.implied_core_violation(instance, PGrid(values=(1.0, 1.5, 2.0, 4.0))) \
+            == (None, 0)
+        assert calls == self._chunks(1, [1, 1, 2, 4, 8] * 4)
+
+    def test_the_contraction_probe_escalates_in_early_exit_chunks(self, monkeypatch):
+        # the grid's two s in one chunk; Q's norm 1.001 needs the cross-check,
+        # whose s = 4, 8, ... take chunks of 1, 1, 2, 4 and 8 up to the first
+        # failing s, 1024, the 9th
+        calls = self._record(monkeypatch)
+        rep = verify.probe_contraction_criterion(
+            HermitianMatrix(4.0 * np.eye(2)), HermitianMatrix(np.diag([1.001, 0.5])),
+            r=1.0, delta=0.5, w=1.0, s_values=(1.5, 2.0))
+        assert (rep.failure_s, rep.cross_check_ok, len(rep.table)) == (1024.0, True, 11)
+        assert calls == self._chunks(2, [2, 1, 1, 2, 4, 8])

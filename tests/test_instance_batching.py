@@ -1,9 +1,11 @@
 """Batching across instances reproduces one-instance work bit for bit.
 
 Multi-instance ``check_hypotheses`` against ``merge_reports`` of one call
-per instance (the oracle below), the many-instance generator against ``gen_unordered_tuple``
-per seed, and the shared full grid product against ``itertools.product``.
-Floats are compared through ``float.hex``, never within a tolerance.
+per instance (the oracle below), the comparison runner against its runs of
+one instance and one comparison joined in order, the many-instance
+generator against ``gen_unordered_tuple`` per seed, and the shared full
+grid product against ``itertools.product``.  Floats are compared through
+``float.hex``, never within a tolerance.
 """
 import itertools
 
@@ -12,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oporder import verify
-from oporder.spectral import spectral_decompose
+from oporder import chains, verify
+from oporder.spectral import HermitianMatrix, spectral_decompose
 from oporder.verify import (
     CampaignReport,
+    Comparison,
     Instance,
+    OperatorTuple,
     ParamTemplate,
     PGrid,
+    Subject,
     WeightPolicy,
     check_hypotheses,
     gen_suite_tuple,
@@ -122,6 +127,86 @@ def test_batched_campaign_checks_shapes():
         check_hypotheses([three, five], GRID)
     with pytest.raises(ValueError, match="at least one instance"):
         check_hypotheses([], GRID)
+
+
+def _subject(tup, template, policy, grid, index) -> Subject:
+    """An instance as the runner samples it: its operators and template,
+    and per row its p-vector (through its plan) and weights w1 .. w(k-1)."""
+    plan = verify._p_samples(grid, template.n, 0, index, 1)
+    weights = policy.weights(template.t, plan, template.r, count=tup.k - 1)
+    env = verify._environment(tup, template)
+    return Subject(plan.vectors, lambda c: env, lambda c, lo, hi: {
+        f"w{i + 1}": weights[lo:hi, i] for i in range(tup.k - 1)}, plan)
+
+
+@st.composite
+def _runner_cases(draw):
+    """1-3 instances of one k (3-5) and dim (1-3), real or complex, whose
+    matrices G*G + ridge I may be near-singular (ridge down to 1e-13, G of
+    rank one), on a small grid; and 1-3 comparisons of the family's words:
+    members under their weights and cores against I, either side as p."""
+    k, dim, complex_field = draw(st.integers(3, 5)), draw(st.integers(1, 3)), draw(st.booleans())
+    n = k // 2
+    values = draw(st.sets(st.sampled_from((1.0, 1.5, 2.0, 4.0)), min_size=1,
+                          max_size=4 if n == 1 else 2))
+    grid = PGrid(values=tuple(sorted(values)))
+    subjects = []
+    for index in range(draw(st.integers(1, 3))):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mats = []
+        for _ in range(k):
+            g = rng.standard_normal((dim, dim))
+            if complex_field:
+                g = g + 1j * rng.standard_normal((dim, dim))
+            if draw(st.booleans()):
+                g[1:] = 0.0  # rank one
+            a = g.conj().T @ g + draw(st.sampled_from((1e-13, 1e-3, 0.1))) * np.eye(dim)
+            mats.append(HermitianMatrix(0.5 * (a + a.conj().T)))
+        t = tuple(draw(st.floats(0.05, 0.95)) for _ in range(n))
+        template = ParamTemplate(t=t, r=t[-1] + draw(st.floats(0.1, 2.0)))
+        policy = draw(st.sampled_from((WeightPolicy.necessity(),
+                                       WeightPolicy.fixed([0.5] * (k - 1)))))
+        subjects.append(_subject(OperatorTuple.trusted(mats), template, policy, grid, index))
+    chain_list = chains.hypothesis_set(k)
+    comparisons = []
+    for code in draw(st.lists(st.integers(0, len(chain_list) - 1), min_size=1, max_size=3,
+                              unique=True)):
+        chain, swap = chain_list[code], draw(st.booleans())
+        if draw(st.booleans()):
+            w = f"w{chains.weight_index(chain.family, chain.member, n)}"
+            comparisons.append(Comparison(w, (), chain.lhs, chain.rhs, chain.direction, swap,
+                                          (w, w)))
+        else:
+            core = chains.hypothesis_core(chain)
+            sides = (None, core) if draw(st.booleans()) else (core, None)
+            comparisons.append(Comparison("core", (), *sides, chain.direction, swap))
+    return comparisons, subjects
+
+
+def _rows(table, check=None) -> list:
+    """Each row's check, point, verdict, margin and scale (``float.hex``)
+    and error text; ``check`` replaces the check of a one-pair run."""
+    cols = table.columns
+    return [(int(cols["check"][i]) if check is None else check, int(cols["point"][i]),
+             int(cols["verdict"][i]), float(cols["margin"][i]).hex(),
+             float(cols["scale"][i]).hex(), table.error_text(i)) for i in range(len(table))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_runner_cases(), early_exit=st.booleans())
+def test_runner_is_the_join_of_one_pair_runs(case, early_exit):
+    comparisons, subjects = case
+    kwargs = dict(early_exit=early_exit, pass_tol_rel=verify.SUITE_TOL_REL)
+    batched = verify.run(comparisons, subjects, **kwargs)
+    want = []
+    for j, subject in enumerate(subjects):
+        for c, comparison in enumerate(comparisons):
+            alone = verify.run([comparison], [subject], **kwargs)
+            want += _rows(alone, j * len(comparisons) + c)
+            # with early exit an instance ends at its first failing row
+            if early_exit and alone.failures().any():
+                break
+    assert _rows(batched) == want
 
 
 def _tuple_bits(tup) -> list:

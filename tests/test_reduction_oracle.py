@@ -3,9 +3,9 @@
 ``check_reduction_chain`` judges each chunk's premise, core and peel rows
 in one ``scaled_margins_stack`` call.  The oracle here makes the three
 calls one after another, as the reduction first did: the premise member
-through the campaign's ``_judge_members``, the core as I against the core,
-then the peel as the peeled bound against the innermost sandwich with the
-errors so far, and the scalar bound from the sandwich's own spectrum and
+judged as a campaign judges it (``judge_members``), the core as I against
+the core, then the peel as the peeled bound against the innermost
+sandwich with the errors so far, and the scalar bound from the sandwich's own spectrum and
 a walk of the peeled bound word per row.  The reduction's table (margins,
 scales, verdicts, error texts and c_total) and its premise counts must
 equal the oracle's bit for bit, on tuples with near-singular matrices so
@@ -36,7 +36,7 @@ from oporder.verify import (
     WeightPolicy,
     check_reduction_chain,
 )
-from util import walk_c_totals
+from util import judge_members, walk_c_totals
 
 
 def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
@@ -54,8 +54,6 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
     p_vectors, p_table = plan.vectors, plan.table
     w = policy.weights(template.t, plan, template.r, count=k - 1)[:, 0]
     c_total = walk_c_totals(tup, template.t, p_vectors)
-    check = verify.CampaignMember("0", k, tup.dim, premise.family.value, premise.member,
-                                  premise.direction.value, p_vectors)
     failures = errors_count = 0
     columns = {name: [] for name in ("margin", "scale", "verdict", "c_total")}
     texts = []
@@ -66,10 +64,8 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
         if bound_word is not None:
             rows.update(chains.peeled_bindings(template.t, p_table[lo:hi].T))
         rhs, lhs, core, base, *peeled = dsl.evaluate_batch(words, env, rows)
-        judged = verify._judge_members(
-            (check,), np.zeros(size, np.intp), np.arange(lo, hi), lhs, rhs, w[lo:hi],
-            np.ones(size, np.intp), premise.direction is Direction.GE, verify.TOL_REL,
-            suite_tol_rel)
+        judged = judge_members(lhs, rhs, w[lo:hi], np.ones(size, np.intp),
+                               premise.direction is Direction.GE, verify.TOL_REL, suite_tol_rel)
         errors_count += int(np.count_nonzero(judged.error_rows))
         failures += int(np.count_nonzero(judged.failures()))
 

@@ -9,7 +9,9 @@ package's earlier forms of ``chain_exponents`` and ``_c_totals``, kept as
 the oracles of their cached forms.  So are the forms the tolerance rules
 had where they were written out by hand: power_stack's inline gate test,
 the three scalar comparisons that ``spectral.scalar_margins`` replaced and
-an exponent's float value taken from its Fractions.
+an exponent's float value taken from its Fractions.  ``judge_members`` is
+the campaign's judging of member rows as it was written before
+``verify.run`` took it over.
 """
 from __future__ import annotations
 
@@ -23,9 +25,11 @@ from oporder import chains, dsl, spectral
 from oporder.chains import Power, Product, ScalarExpr, Symbol
 from oporder.spectral import (
     EPS_PD_REL,
+    TOL_REL,
     HermitianMatrix,
     NearSingularError,
     NonFiniteError,
+    classify_stack,
     decompose_stack,
     first_errors,
     flag_errors,
@@ -34,8 +38,10 @@ from oporder.spectral import (
     margins_stack,
     operator_norm,
     positivity_margin,
+    scaled_margins_stack,
     spectral_norms,
 )
+from oporder.verify import SUITE_TOL_REL, MarginTable
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = REPO_ROOT / "golden" / "v1"
@@ -147,6 +153,22 @@ def error_rows(errors, count: int) -> list:
     if errors is None:
         return [None] * count
     return [None if e is None else (type(e), str(e)) for e in errors]
+
+
+def judge_members(lhs, rhs, w: np.ndarray, w_index, is_ge, tol_rel: float = TOL_REL,
+                  suite_tol_rel: float = SUITE_TOL_REL):
+    """Member rows judged from their two sides alone, as a campaign judges
+    them: the left side's row error, then the right side's, then a weight
+    w <= 0 (w<w_index>); the directional margin (GE where is_ge) of one
+    ``scaled_margins_stack``, verdicts at tol_rel, and a table judged at
+    suite_tol_rel with the column w."""
+    errors = flag_errors(first_errors(lhs.row_errors, rhs.row_errors), w <= 0,
+                         lambda i: dsl.EvaluationError(
+                             f"weight w{int(w_index[i])} = {float(w[i])!r} is not positive"))
+    ge, le, scale, errors = scaled_margins_stack(lhs, rhs, errors)
+    rows = np.arange(len(ge))
+    return MarginTable.judged((None,), np.zeros_like(rows), rows, np.where(is_ge, ge, le), scale,
+                              classify_stack(ge, le, scale, tol_rel), errors, suite_tol_rel, w=w)
 
 
 def full_spectrum_margins(p: np.ndarray, q: np.ndarray, errors=None):
