@@ -15,9 +15,9 @@ import math
 import operator
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, reduce
 from pathlib import Path
 from typing import NamedTuple
 
@@ -361,9 +361,10 @@ class GridPlan:
     """What depends on some sampled p-vectors alone, found once and shared
     read-only by the instances sampled on them: the vectors, their (N, 2n)
     table, its exact chain-exponent terms, the row schedule of the
-    evaluation runs on each chunk of rows, and the reduction's stacked
-    groupings (``WordBatch.stack``).  ``PGrid.plan`` caches a full
-    product's plan; a subsample's serves one instance."""
+    evaluation runs on each chunk of rows, the reduction's stacked
+    groupings (``WordBatch.stack``) and its bounds' distinct prefixes.
+    ``PGrid.plan`` caches a full product's plan; a subsample's serves one
+    instance."""
 
     vectors: Sequence[tuple[float, ...]]
     stacks: dict = field(default_factory=dict, init=False, repr=False)
@@ -378,6 +379,15 @@ class GridPlan:
     @cached_property
     def chain_terms(self) -> chains.ChainTerms:
         return chains.chain_terms(self.table)
+
+    @cached_property
+    def bound_prefixes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, inverse) of the rows' p_2 .. p_(2n-1), which the
+        reduction's bounds read: row i has the prefix of row first[inverse[i]]."""
+        found = np.unique(self.table[:, 1:-1], axis=0, return_index=True, return_inverse=True)
+        for arr in found[1:]:
+            arr.setflags(write=False)
+        return found[1], found[2].reshape(-1)
 
     def schedule(self, lo: int, hi: int) -> dsl.RowSchedule:
         """The row schedule of rows lo:hi: their p-columns, with the peeled
@@ -514,7 +524,10 @@ class Comparison(NamedTuple):
     verdict of left against right, with the right side as p of
     ``scaled_margins_stack`` under ``swap``.  A row takes the left side's
     error, then the right's, then, with ``weight`` (a per-row column and its
-    name), one where the weight is not positive."""
+    name), one where the weight is not positive.  A left side that names a
+    per-row column c is c*I (no swap or weight), judged against the right
+    word's spectrum by ``scalar_margins``: a row takes that word's error,
+    then its spectrum's, then a non-finite "reduction margin" error."""
 
     name: str
     points: Sequence = ()
@@ -561,13 +574,13 @@ class MarginTable:
 
     ``checks`` are what the rows test (CampaignMembers or Comparisons),
     each with the ``points`` it is sampled at.  ``columns`` maps check,
-    point, margin, scale and verdict, and a mode's extra columns (w and
-    seconds in a campaign, c_total in the reduction), to an array with one
-    entry per row: ``check`` indexes ``checks``, ``point`` that check's
-    points and ``verdict`` VERDICTS.  ``errors`` is the row-error array
-    the table was judged with, None while no row failed: entry i is None
-    or the exception of ERROR row i, which has a NaN margin, scale 1 and
-    NaN extra columns but seconds (``judged``).  A row's error text is
+    point, margin, scale and verdict, and the extra columns (a run's w and
+    seconds, the reduction's c_total), to an array with one entry per row:
+    ``check`` indexes ``checks``, ``point`` that check's points and
+    ``verdict`` VERDICTS.  ``errors`` is the row-error array the table was
+    judged with, None while no row failed: entry i is None or the
+    exception of ERROR row i, which has a NaN margin, scale 1 and NaN
+    extra columns but seconds (``judged``).  A row's error text is
     formatted only when it is read (``error_text``).
     """
 
@@ -596,24 +609,14 @@ class MarginTable:
 
     @classmethod
     def concat(cls, tables: Sequence["MarginTable"]) -> "MarginTable":
-        """The rows of ``tables`` in turn; they share their checks and
-        tol_rel."""
-        if len(tables) == 1:
-            return tables[0]
-        first = tables[0]
-        columns = {name: np.concatenate([t.columns[name] for t in tables])
-                   for name in first.columns}
-        return cls(first.checks, columns,
+        """The rows of ``tables`` in turn, each table's checks after those
+        of the tables before it; they share their columns and tol_rel."""
+        parts = [{**t.columns, "check": t.columns["check"] + offset} for t, offset
+                 in zip(tables, itertools.accumulate([0] + [len(t.checks) for t in tables]))]
+        return cls(tuple(itertools.chain.from_iterable(t.checks for t in tables)),
+                   {name: np.concatenate([part[name] for part in parts]) for name in parts[0]},
                    concat_errors([t.errors for t in tables], [len(t) for t in tables]),
-                   first.tol_rel)
-
-    def take(self, rows: np.ndarray) -> "MarginTable":
-        """The rows at the indices ``rows``, in that order."""
-        columns = {name: col[rows] for name, col in self.columns.items()}
-        errors = self.errors
-        if errors is not None:
-            errors = errors[rows] if any_set(columns["verdict"] == ERROR_CODE) else None
-        return MarginTable(self.checks, columns, errors, self.tol_rel)
+                   tables[0].tol_rel)
 
     def __len__(self) -> int:
         return len(self.columns["margin"])
@@ -669,14 +672,9 @@ class RowView(Sequence):
         return len(self._table)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(f"row {index} out of range for {len(self)} rows")
-        return self._table._row(i)
+        rows = range(len(self))[index]  # a negative index counts from the end
+        return [self._table._row(i) for i in rows] if isinstance(index, slice) \
+            else self._table._row(rows)
 
     def __iter__(self):
         return self._table._iter_rows()
@@ -794,15 +792,15 @@ def _batch_rows(dim: int) -> int:
     return max(1, BATCH_BYTES // (_ROW_BYTES_PER_ENTRY * dim * dim))
 
 
-def _batches(total: int, dim: int, early_exit: bool, width: int = 1, start: int = 0):
-    """(lo, hi) row ranges of rows start .. total - 1 to evaluate together:
-    as many as BATCH_BYTES allows when each row stands for ``width``
-    evaluated rows, or, when the caller stops at its first failing row,
-    doubling ranges of 1, 1, 2, 4, ... rows under the same cap."""
+def _batches(total: int, dim: int, early_exit: bool, width: int = 1):
+    """(lo, hi) row ranges of rows 0 .. total - 1 to evaluate together: as
+    many as BATCH_BYTES allows when each row stands for ``width`` evaluated
+    rows, or, when the caller stops at its first failing row, doubling
+    ranges of 1, 1, 2, 4, ... rows under the same cap."""
     cap = max(1, _batch_rows(dim) // width)
-    lo = start
+    lo = 0
     while lo < total:
-        step = min(cap, max(1, lo - start)) if early_exit else cap
+        step = min(cap, max(1, lo)) if early_exit else cap
         yield lo, min(total, lo + step)
         lo += step
 
@@ -821,8 +819,8 @@ class Instance(NamedTuple):
 class Subject(NamedTuple):
     """An instance as ``run`` samples it: its points; ``env(c)``, taken when
     comparison c is reached (comparisons given one environment share its
-    rows); ``rows(c, lo, hi)``, the columns of points lo .. hi - 1; and the
-    plan whose p-columns it binds too, by its row schedule in a lone run."""
+    rows); ``rows(c, lo, hi)``, the per-row columns (weights, c) of points
+    lo .. hi - 1; and the plan whose p-columns it binds too."""
 
     points: Sequence
     env: Callable
@@ -831,36 +829,37 @@ class Subject(NamedTuple):
 
 
 def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
-        early_exit: bool = False, tol_rel: float = TOL_REL, pass_tol_rel: float | None = None,
-        checks=None, start: int = 0, record=(), timed: bool = False,
-        finish=None) -> MarginTable:
+        early_exit: bool = False, tol_rel: float = TOL_REL,
+        pass_tol_rel: float | None = None) -> MarginTable:
     """The margins of the comparisons on the subjects (as many points each)
-    from point ``start`` on, verdicts at tol_rel, judged at pass_tol_rel (default
-    tol_rel): each subject's rows in turn, comparison by comparison, as check
-    j * len(comparisons) + c of ``checks`` (default: the comparisons at the
-    subjects' points).  Per chunk of points under BATCH_BYTES, every pair's
-    words are evaluated in one ``dsl.evaluate_batch`` run and compared in one
+    in one table, verdicts at tol_rel, judged at pass_tol_rel (default
+    tol_rel): each subject's rows in turn, comparison by comparison, as
+    check j * len(comparisons) + c at the subject's points.  Per chunk of
+    points under BATCH_BYTES, the pairs' words are evaluated in one
+    ``dsl.evaluate_batch`` run and their matrix sides compared in one
     ``scaled_margins_stack``, a segment (``WordBatch.stack``) per distinct
-    sides.  With early_exit the comparisons are taken one at a time, chunks
-    grow 1, 1, 2, 4, ... points and each subject ends at its first failing
-    row.  ``record`` names per-row columns kept, ``timed`` adds each row's
-    share of its run's seconds, and ``finish(cols, value, sides)``, given each
-    word's batch and the stacked (p, q), may rewrite a run's columns (check,
-    point, ge and le of left against right, margin, scale, errors)."""
-    count = len(comparisons)
-    checks = checks or tuple(c._replace(points=s.points) for s in subjects for c in comparisons)
+    sides; c*I reads its word's spectrum off that stacked q side when it
+    can.  The raw columns are judged once, at the end, with w (NaN without
+    a weight) in a weighted run and seconds (each row's share of its
+    chunk's time).  With early_exit the comparisons go one at a time,
+    chunks grow 1, 1, 2, 4, ... points and a subject ends at its first
+    failing row."""
+    count, weighted = len(comparisons), any(comp.weight is not None for comp in comparisons)
+    pass_tol = tol_rel if pass_tol_rel is None else pass_tol_rel
     env = cache(lambda j, c: subjects[j].env(c))
 
-    def chunk(pairs, lo: int, hi: int) -> MarginTable:
-        started, size = time.perf_counter(), hi - lo
-        # a block of rows per distinct environment, a segment per distinct sides
+    def chunk(pairs, lo: int, hi: int) -> list:
+        """Each pair's ge and le (of left against right), scale, errors and w."""
+        size = hi - lo
+        # a block of rows per distinct environment, a segment per distinct matrix sides
         blocks, segments, words, block_of, seg_of = {}, {}, {}, [], []
         for j, c in pairs:
             comp = comparisons[c]
             block_of.append(blocks.setdefault(id(env(j, c)), (len(blocks), j, c))[0])
-            seg_of.append(segments.setdefault((id(comp.left), id(comp.right), comp.swap),
-                                              (len(segments), comp))[0])
-            words.update((id(w), w) for w in (comp.right, comp.left) if w is not None)
+            seg_of.append(None if isinstance(comp.left, str) else segments.setdefault(
+                (id(comp.left), id(comp.right), comp.swap), (len(segments), comp))[0])
+            words.update((id(w), w) for w in (comp.right, comp.left)
+                         if not isinstance(w, (str, type(None))))
         bound = [(env(j, c), subjects[j].plan, subjects[j].rows(c, lo, hi))
                  for _, j, c in blocks.values()]
         (first_env, plan, columns), rows = bound[0], len(bound) * size
@@ -874,83 +873,97 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
             values = dsl.evaluate_batch(tuple(words.values()), [e for e, _, _ in bound], columns,
                                         np.repeat(np.arange(len(bound)), size))
             plan = None
-        values = dict(zip(words, values))
-        ident = _identity_batch(first_env.dim)
+        # each side's batch by the id of its word, None's the identity
+        values = {id(None): _identity_batch(first_env.dim), **dict(zip(words, values))}
 
-        def value(word) -> WordBatch:
-            return ident if word is None else values[id(word)]
+        def block(b: int) -> slice:  # row block b of a side
+            return slice(b * size, (b + 1) * size)
 
-        def rows_of(starts) -> np.ndarray | None:  # the blocks at starts (None: all, in order)
-            return None if starts == list(range(len(starts))) else (
-                np.array(starts)[:, None] * size + np.arange(size)).ravel()
-
+        weights = [np.full(size, np.nan) if comparisons[c].weight is None
+                   else columns[comparisons[c].weight[0]][block(b)]
+                   for (_, c), b in zip(pairs, block_of)]
         pq, errors = [], []
-        for s, comp in segments.values():
-            left, right = value(comp.left), value(comp.right)
+        for _, comp in segments.values():
+            left, right = values[id(comp.left)], values[id(comp.right)]
             pq.append((right, left) if comp.swap else (left, right))
             errors.append(first_errors(left.row_errors, right.row_errors))
+        for (_, c), b, s, w in zip(pairs, block_of, seg_of, weights):
             # a weight w <= 0 (from an overflowed chain exponent) would make its side I
-            weighted = [(b, comparisons[c].weight) for b, t, (_, c) in zip(block_of, seg_of, pairs)
-                        if t == s and comparisons[c].weight is not None]
-            if weighted:
-                w, names = np.full(rows, np.inf), {}
-                for b, (col, names[b]) in weighted:
-                    w[b * size:(b + 1) * size] = columns[col][b * size:(b + 1) * size]
-                errors[-1] = flag_errors(errors[-1], w <= 0, lambda i, w=w, names=names: (
-                    dsl.EvaluationError(f"weight {names[i // size]} = {float(w[i])!r} "
-                                        "is not positive")))
-        p, q = (pq[0][i] if len(pq) == 1 else WordBatch.stack(
-            [side[i] for side in pq], rows, {} if plan is None else plan.stacks) for i in (0, 1))
-        ge, le, scale, errors = scaled_margins_stack(p, q, concat_errors(errors, [rows] * len(pq)))
-        if any(comp.swap for _, comp in segments.values()):  # left against right
-            swap = np.repeat([comp.swap for _, comp in segments.values()], rows)
-            ge, le = np.where(swap, le, ge), np.where(swap, ge, le)
-        index = rows_of([t * len(bound) + b for t, b in zip(seg_of, block_of)])
-        if index is not None:  # the pairs' rows in turn
-            ge, le, scale = ge[index], le[index], scale[index]
-            errors = None if errors is None else errors[index]
-        index = rows_of(block_of)
-        is_ge = [comparisons[c].relation is Direction.GE for _, c in pairs]
-        cols = dict(check=np.repeat([j * count + c for j, c in pairs], size),
-                    point=np.concatenate([np.arange(lo, hi)] * len(pairs)), ge=ge, le=le,
-                    margin=ge if all(is_ge) else np.where(np.repeat(is_ge, size), ge, le),
-                    scale=scale, errors=errors,
-                    **{name: columns[name] if index is None else columns[name][index]
-                       for name in record})
-        if finish is not None:
-            cols = finish(cols, value, (p, q))
-        verdict = classify_stack(cols.pop("ge"), cols.pop("le"), cols["scale"], tol_rel)
-        table = MarginTable.judged(
-            checks, cols.pop("check"), cols.pop("point"), cols.pop("margin"), cols.pop("scale"),
-            verdict, cols.pop("errors"), tol_rel if pass_tol_rel is None else pass_tol_rel, **cols)
-        if timed:
-            table.columns["seconds"] = np.full(
-                len(table), (time.perf_counter() - started) / len(table))
-        return table
+            if s is not None and comparisons[c].weight is not None and any_set(w <= 0):
+                bad = np.zeros(rows, dtype=bool)
+                bad[block(b)] = w <= 0
+                errors[s] = flag_errors(errors[s], bad, lambda i, w=w, c=c: dsl.EvaluationError(
+                    f"weight {comparisons[c].weight[1]} = {float(w[i % size])!r} is not positive"))
+        if pq:
+            p, q = (pq[0][i] if len(pq) == 1 else WordBatch.stack(
+                [side[i] for side in pq], rows, {} if plan is None else plan.stacks)
+                for i in (0, 1))
+            ge, le, scale, errs = scaled_margins_stack(p, q, concat_errors(errors,
+                                                                           [rows] * len(pq)))
+            if any(comp.swap for _, comp in segments.values()):  # left against right
+                swap = np.repeat([comp.swap for _, comp in segments.values()], rows)
+                ge, le = np.where(swap, le, ge), np.where(swap, ge, le)
+        out = []
+        for (_, c), b, s, w in zip(pairs, block_of, seg_of, weights):
+            comp = comparisons[c]
+            if s is not None:
+                at = block(s * len(bound) + b)
+                got = ge[at], le[at], scale[at], None if errs is None else errs[at]
+            else:
+                # c*I: its word's spectrum off the stacked q side when it is
+                # one there, so that each value is decomposed once
+                right = values[id(comp.right)]
+                t = next((t for t, (_, side) in enumerate(pq) if side is right), None)
+                side, at = (right, block(b)) if t is None else (q, block(t * len(bound) + b))
+                lam, side_errors = side.spectrum
+                got = scalar_margins(columns[comp.left][block(b)], lam[at])
+                side_errors = first_errors(side.row_errors, side_errors)
+                got += (flag_errors(None if side_errors is None else side_errors[at],
+                                    ~np.isfinite(got).all(axis=0),
+                                    lambda i: NonFiniteError("reduction margin")),)
+            out.append((*got, w))
+        return out
 
-    parts, keep, stopped = [], [], set()
+    # per pair and chunk: its check, points, raw columns and the rows' seconds
+    pieces, stopped = [], set()
     active = list(range(len(subjects)))
     groups = [[c] for c in range(count)] if early_exit else [range(count)]
     for group in itertools.takewhile(lambda _: active, groups):
         width = len({id(env(active[0], c)) for c in group})
         dim = env(active[0], group[0]).dim
-        chunks = _batches(len(subjects[0].points), dim, early_exit, width, start)
+        chunks = _batches(len(subjects[0].points), dim, early_exit, width)
         for lo, hi in itertools.takewhile(lambda _: active, chunks):
-            per_call = max(1, _batch_rows(dim) // ((hi - lo) * width))
+            per_call, points = max(1, _batch_rows(dim) // ((hi - lo) * width)), np.arange(lo, hi)
             for first in range(0, len(active), per_call):
                 pairs = [(j, c) for j in active[first:first + per_call] for c in group]
-                parts.append(chunk(pairs, lo, hi))
-                if early_exit:
-                    # each pair's rows up to its first failing one; error
-                    # rows are indeterminate, not violations
-                    fails = parts[-1].failures().reshape(len(pairs), -1)
-                    keep.append((np.cumsum(fails, axis=1) - fails == 0).ravel())
-                    stopped.update(j for (j, _), stop in zip(pairs, fails.any(axis=1)) if stop)
+                started = time.perf_counter()
+                cols = chunk(pairs, lo, hi)
+                seconds = (time.perf_counter() - started) / (len(pairs) * (hi - lo))
+                for (j, c), (ge, le, scale, errors, w) in zip(pairs, cols):
+                    margin = ge if comparisons[c].relation is Direction.GE else le
+                    # with early exit, the rows up to the first failing one;
+                    # error rows are indeterminate, not violations
+                    fails = np.flatnonzero(~margins_hold(margin, scale, pass_tol)
+                                           & ~failed_rows(errors, hi - lo)) if early_exit else ()
+                    at = slice(int(fails[0]) + 1 if len(fails) else None)
+                    if len(fails):
+                        stopped.add(j)
+                    pieces.append((j * count + c, points[at], ge[at], le[at], margin[at],
+                                   scale[at], None if errors is None else errors[at], w[at],
+                                   seconds))
             active = [j for j in active if j not in stopped]
-    table = MarginTable.concat(parts)
-    rows = np.flatnonzero(np.concatenate(keep)) if early_exit else np.arange(len(table))
-    order = rows[np.argsort(table.columns["check"][rows], kind="stable")]
-    return table if np.array_equal(order, np.arange(len(table))) else table.take(order)
+    # each check's rows in turn, in point order
+    pieces.sort(key=operator.itemgetter(0))
+    check, point, ge, le, margin, scale, errors, w, seconds = zip(*pieces)
+    sizes = [len(col) for col in point]
+    ge, le, margin, scale = (np.concatenate(col) for col in (ge, le, margin, scale))
+    table = MarginTable.judged(
+        tuple(Comparison(c.name, s.points, *c[2:]) for s in subjects for c in comparisons),
+        np.repeat(check, sizes), np.concatenate(point), margin, scale,
+        classify_stack(ge, le, scale, tol_rel), concat_errors(errors, sizes), pass_tol,
+        **({"w": np.concatenate(w)} if weighted else {}))
+    table.columns["seconds"] = np.repeat(seconds, sizes)
+    return table
 
 
 def check_hypotheses(
@@ -975,8 +988,8 @@ def check_hypotheses(
     slot to the member's operator (``chains.member_slots``), with its
     weight as the per-row column w: members differ in their bindings only.
     With stop_on_violation (the run's early exit) each instance's rows end
-    at its first violating one.  The report holds the instances' rows in
-    turn, member by member.
+    at its first violating one.  The report is the run's table, each
+    instance's rows in turn, member by member, with CampaignMember checks.
     """
     if not instances:
         raise ValueError("a campaign needs at least one instance")
@@ -1002,12 +1015,12 @@ def check_hypotheses(
                                                          chain_list[c].member, k)),
             lambda c, lo, hi: {"w": weights[lo:hi, w_index[c] - 1]}, plan)
 
-    checks = tuple(CampaignMember(str(inst.index), k, dim, c.family.value, c.member,
-                                  c.direction.value, plan.vectors)
-                   for inst, plan in zip(instances, plans) for c in chain_list)
     table = run(members, [subject(inst, plan) for inst, plan in zip(instances, plans)],
-                early_exit=stop_on_violation, tol_rel=tol_rel, pass_tol_rel=suite_tol_rel,
-                checks=checks, record=("w",), timed=True)
+                early_exit=stop_on_violation, tol_rel=tol_rel, pass_tol_rel=suite_tol_rel)
+    # the run's checks are the members at each instance's points, in this order
+    table = replace(table, checks=tuple(
+        CampaignMember(str(inst.index), k, dim, c.family.value, c.member, c.direction.value,
+                       plan.vectors) for inst, plan in zip(instances, plans) for c in chain_list))
     stopped = stop_on_violation and any_set(table.failures())
     return CampaignReport(table, {"stopped_early": True} if stopped else {}, master_seed)
 
@@ -1051,12 +1064,14 @@ def probe_loewner_heinz(
     Exponents inside [0, 1] are expected to stay GE; exponents beyond 1 are
     allowed to break, which is what the fixed witness pair demonstrates.
     """
+    alphas = tuple(float(a) for a in alphas)
+    if not alphas:
+        raise ValueError("alphas is empty: need at least one exponent")
     base = loewner_compare(p, q, tol_rel=tol_rel)
     q_psd = margins_hold(*scalar_margins(0.0, q.decomposition().eigenvalues)[1:], tol_rel)
     if not (base.ge and q_psd):
         return MonotonePowerReport(precondition_ok=False, table=None)
     env = dsl.Environment(scalars={}, matrices={1: p, 2: q})
-    alphas = tuple(float(a) for a in alphas)
     return MonotonePowerReport(precondition_ok=True, table=run(
         [Comparison("a", alphas, *_LOEWNER_HEINZ_WORDS)],
         [Subject(alphas, lambda c: env, lambda c, lo, hi: {"a": alphas[lo:hi]})], tol_rel=tol_rel))
@@ -1097,28 +1112,33 @@ def probe_contraction_criterion(
     eigenvalue above DECLARED_ABOVE_ONE the hypothesis must eventually fail
     because Q^s grows geometrically, so without a failing s on the grid,
     s_last * S_GROWTH^j up to S_CAP are evaluated up to the first failing s
-    (none is a cross-check failure).  An ERROR
-    row is never a failing s; with none, one on the grid makes the status
-    "indeterminate" and one escalated leaves the cross-check undecided
-    (None).  w = 0 makes the hypothesis vacuous and is rejected.
+    (none is a cross-check failure), in an early-exit run of their own;
+    the table holds the grid's rows, then those of the escalation.  An
+    ERROR row is never a failing s; with none, one on the grid makes the
+    status "indeterminate" and one escalated leaves the cross-check
+    undecided (None).  w = 0 makes the hypothesis vacuous and is rejected.
     """
+    if not s_values or any(s <= 1.0 for s in s_values):
+        raise ValueError(f"s_values must hold at least one s, each above 1, got {tuple(s_values)}")
     if not (r > 0 and r + delta > 0):
         raise ValueError(f"need r > 0 and r + delta > 0, got r={r}, delta={delta}")
     if not 0.0 < w <= 1.0:
         raise ValueError(f"w must lie in (0, 1], got {w}")
-    if any(s <= 1.0 for s in s_values):
-        raise ValueError(f"every s must exceed 1, got {tuple(s_values)}")
     for m in (p, q):
         require_strictly_positive(m)
     env = dsl.Environment(scalars={"r": r, "d": delta, "w1": w}, matrices={1: p, 2: q})
+
+    def sample(points: tuple, early_exit: bool = False) -> MarginTable:
+        return run([Comparison("s", (), *_CONTRACTION_WORDS)], [Subject(
+            points, lambda c: env, lambda c, lo, hi: {"s": points[lo:hi]})],
+            early_exit=early_exit, tol_rel=tol_rel)
+
     # the grid's points, then those of the escalation
     points = [float(s) for s in s_values]
     while points[-1] * S_GROWTH <= S_CAP:
         points.append(points[-1] * S_GROWTH)
-    check, grid = Comparison("s", tuple(points), *_CONTRACTION_WORDS), len(s_values)
-    subject = Subject(check.points, lambda c: env, lambda c, lo, hi: {"s": check.points[lo:hi]})
-    table = run([check], [subject._replace(points=check.points[:grid])], checks=(check,),
-                tol_rel=tol_rel)
+    escalation = tuple(points[len(s_values):])
+    table = sample(tuple(points[:len(s_values)]))
     grid_error = bool(table.error_rows.any())
     failure_s = first = next((row.point for row, bad in zip(table.rows, table.failures()) if bad),
                              None)
@@ -1128,9 +1148,8 @@ def probe_contraction_criterion(
     cross_ok = (failure_s is not None) if needs_cross else None
     # with no s left below S_CAP, the escalation ends at once without a
     # failure; it stops at its first failing s
-    if needs_cross and failure_s is None and len(points) > grid:
-        more = run([check], [subject], checks=(check,), start=grid, early_exit=True,
-                   tol_rel=tol_rel)
+    if needs_cross and failure_s is None and escalation:
+        more = sample(escalation, early_exit=True)
         failure_s = more.rows[-1].point if any_set(more.failures()) else None
         cross_ok = True if failure_s is not None else None if more.error_rows.any() else False
         table = MarginTable.concat([table, more])
@@ -1233,11 +1252,12 @@ class ReductionReport:
                 for i in np.flatnonzero(holds[:, 0] & ~(holds[:, 1] & holds[:, 2])).tolist()]
 
 
-def _c_totals(tup: OperatorTuple, t, p_table: np.ndarray) -> np.ndarray:
-    """The scalar bound c = interior^(1/p_2) per row of an (N, 2n) p-table."""
-    interior = _scalar_interior(tup, t, len(t))
+def _c_totals(tup: OperatorTuple, t, plan: GridPlan) -> np.ndarray:
+    """The scalar bound c = interior^(1/p_2) per row of a plan, computed once
+    per distinct p_2 .. p_(2n-1), all it reads (``bound_prefixes``)."""
+    interior, (first, inverse) = _scalar_interior(tup, t, len(t)), plan.bound_prefixes
     return np.array([interior(chains.peeled_bindings(t, p)) ** (1.0 / p[1])
-                     for p in p_table.tolist()], dtype=np.float64)
+                     for p in plan.table[first].tolist()], dtype=np.float64)[inverse]
 
 
 def check_reduction_chain(
@@ -1262,16 +1282,16 @@ def check_reduction_chain(
     and a row whose left side fails to evaluate is a premise error row, as
     in a campaign.  The report's id is the instance index.
 
-    The premise, the core and the peel are the comparisons of one ``run``,
-    each with its powers as p; the member contains the core and the
-    sandwich, so their nodes are evaluated once.  The sandwich's spectrum
-    from the comparison, one decomposition per distinct p1, also gives its
-    extreme eigenvalues against the scalar bound.  Everything is judged at
-    suite_tol_rel, verdicts included.
+    The premise, the core, the peel and the scalar bound c*I are the
+    comparisons of one ``run``, each matrix side with its powers as p; the
+    member contains the core and the sandwich, so their nodes are
+    evaluated once, and c*I takes the sandwich's spectrum from the peel's
+    comparison.  c is computed once per distinct p_2 .. p_(2n-1), all it
+    reads.  Each point's core, peel and scalar rows take its first error.
+    Everything is judged at suite_tol_rel, verdicts included.
     """
     tup, template, policy, index = instance
-    k = tup.k
-    n = k // 2
+    k, n = tup.k, tup.k // 2
     if template.n != n:
         raise ValueError(f"template has {template.n} t-values, tuple needs {n}")
     premise = chains.hypothesis_set(k)[0]
@@ -1279,49 +1299,33 @@ def check_reduction_chain(
     env = _environment(tup, template)
     plan = _p_samples(grid, n, master_seed, index, 2)
     w = policy.weights(template.t, plan, template.r, count=k - 1)[:, 0]
+    c = _c_totals(tup, template.t, plan)
 
-    # the premise (left side against right), the core (I against it) and
-    # the peel (the bound against the sandwich)
+    # the premise (left side against right), the core (I against it), the
+    # peel (the bound against the sandwich) and the scalar bound (c*I against it)
     comparisons = (
         Comparison("premise", (), premise.lhs, premise.rhs, premise.direction, swap=True,
                    weight=("w1", "w1")),
         Comparison("core", (), None, chains.hypothesis_core(premise), swap=True),
         Comparison("peel", (), bound_word, base_word),
+        Comparison("scalar", (), "c", base_word),
     )
-    premise_counts = [0, 0]
-
-    def finish(cols: dict, value, sides) -> dict:
-        # count the premise rows; a point's core, peel and scalar rows take its first error
-        size, errors = len(cols["margin"]) // 3, cols["errors"]
-        failed = failed_rows(errors, 3 * size)[:size]
-        premise_counts[0] += int(np.count_nonzero(
-            ~failed & ~margins_hold(cols["margin"][:size], cols["scale"][:size], suite_tol_rel)))
-        premise_counts[1] += int(np.count_nonzero(failed))
-        if errors is not None:
-            errors = first_errors(errors[size:2 * size], errors[2 * size:])
-        # the scalar bound c * I against the sandwich's spectrum from the comparison;
-        # c reads what the peeled bound reads, once per binding (for n = 1, c is 1)
-        c = np.ones(size)
-        if bound_word is not None:
-            first, inverse = value(bound_word).distinct
-            c = _c_totals(tup, template.t, plan.table[cols["point"][first]])[inverse]
-        ge, le, scale = (np.concatenate((cols[name][size:], scalar)) for name, scalar in
-                         zip(("ge", "le", "scale"),
-                             scalar_margins(c, sides[1].spectrum[0][2 * size:])))
-        finite = np.isfinite(ge[size:]).reshape(2, -1).all(axis=0) & np.isfinite(scale[2 * size:])
-        errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("reduction margin"))
-        # the run's check and point columns are those of the bounds' rows
-        return cols | dict(ge=ge, le=le, margin=ge, scale=scale, c_total=np.concatenate((c,) * 3),
-                           errors=None if errors is None else np.concatenate((errors,) * 3))
-
-    table = run(comparisons, [Subject(plan.vectors, lambda c: env, lambda c, lo, hi: {
-        "w1": w[lo:hi], **({} if bound_word is None else
-                           chains.peeled_bindings(template.t, plan.table[lo:hi].T))}, plan)],
-                tol_rel=suite_tol_rel, finish=finish,
-                checks=tuple(Comparison(name, plan.vectors) for name in REDUCTION_BOUNDS))
-    # each point's rows in turn, one per bound
-    return ReductionReport(str(index), *premise_counts,
-                           table.take(np.arange(len(table)).reshape(3, -1).T.ravel()))
+    table = run(comparisons, [Subject(plan.vectors, lambda _: env, lambda _, lo, hi: {
+        "w1": w[lo:hi], "c": c[lo:hi],
+        **({} if bound_word is None else chains.peeled_bindings(template.t, plan.table[lo:hi].T))},
+        plan)], tol_rel=suite_tol_rel)
+    # the premise's rows, then those of each bound; each point's rows in
+    # turn, one per bound, with the point's first error
+    size = len(plan.vectors)
+    rows, failed = np.arange(size, 4 * size).reshape(3, -1).T.ravel(), table.error_rows[:size]
+    errors = None if table.errors is None else np.repeat(
+        reduce(first_errors, table.errors[size:].reshape(3, -1)), 3)
+    return ReductionReport(
+        str(index), int(np.count_nonzero(~table.holds()[:size] & ~failed)),
+        int(np.count_nonzero(failed)),
+        MarginTable.judged(table.checks[1:], rows // size - 1, rows % size,
+                           *(table.columns[name][rows] for name in ("margin", "scale", "verdict")),
+                           errors, suite_tol_rel, c_total=np.repeat(c, 3)))
 
 
 @dataclass
@@ -1363,6 +1367,9 @@ def limit_probe(
     """
     if c is not None and not float(c) >= 0:
         raise ValueError(f"bound constant must be nonnegative, got {c}")
+    p2s = tuple(float(v) for v in p2_values)
+    if not p2s:
+        raise ValueError("p2_values is empty: need at least one p2")
     env = dsl.Environment(scalars={"t1": 1.0, "p1": 1.0}, matrices={1: a1, 2: a2})
     core = dsl.evaluate_batch(chains.reduction_words(3)[0], env)
     lam_stack, errors = core.spectrum
@@ -1372,7 +1379,6 @@ def limit_probe(
     if c is None:
         c = math.nan if error else max(1.0, lam)
     c = float(c)
-    p2s = tuple(float(v) for v in p2_values)
     seq = tuple(c ** (1.0 / v) for v in p2s)
     monotone = all(seq[i + 1] <= seq[i] + 1e-12 * max(1.0, seq[i]) for i in range(len(seq) - 1))
     inferred = min(seq)
@@ -1380,16 +1386,10 @@ def limit_probe(
     bound_ok = not error and bool(margins_hold(margin, scale, tol_rel))
     consistent = not error and (inferred <= DECLARED_ABOVE_ONE or lam <= DECLARED_ABOVE_ONE)
     return LimitReport(
-        c=c, p2_values=p2s, sequence=seq,
-        monotone_nonincreasing=monotone,
-        final_gap=seq[-1] - 1.0,
-        lambda_max_core=lam,
-        inferred_bound=inferred,
-        bound_consistent=bound_ok,
-        order_consistent=consistent,
-        conclusion=loewner_compare(a2, a1, tol_rel=tol_rel),
-        error=error,
-    )
+        c=c, p2_values=p2s, sequence=seq, monotone_nonincreasing=monotone,
+        final_gap=seq[-1] - 1.0, lambda_max_core=lam, inferred_bound=inferred,
+        bound_consistent=bound_ok, order_consistent=consistent,
+        conclusion=loewner_compare(a2, a1, tol_rel=tol_rel), error=error)
 
 
 # the range of search's random fixed weights
@@ -1509,14 +1509,9 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
     instances one by one.
     """
     findings: list[dict] = []
-    counters = {
-        "instances": 0,
-        "hypothesis_failed": 0,
-        "hypothesis_failed_after_escalation": 0,
-        "evaluation_error": 0,
-        "implied_hypothesis_failure": 0,
-        "emitted": 0,
-    }
+    counters = dict.fromkeys(("instances", "hypothesis_failed",
+                              "hypothesis_failed_after_escalation", "evaluation_error",
+                              "implied_hypothesis_failure", "emitted"), 0)
     worst_margins: list[float] = []
     n = config.k // 2
     dims, drawn = [], []

@@ -74,31 +74,30 @@ def _per_member(instances, grid, chain_list, tol_rel):
 
 def _fused(instances, grid, tol_rel, monkeypatch):
     """The report of one fused call and, keyed like ``_per_member``, the
-    (w, ge, le, scale) of each row before ERROR rows are blanked: what each
-    of the runner's comparisons returned, with the check, point and w
+    (w, ge, le, scale) of each row before ERROR rows are blanked: the
+    runner's columns as it classified them, with the check, point and w
     columns its table was then judged with."""
-    calls = []
-    judged, compare = verify.MarginTable.judged, verify.scaled_margins_stack
+    calls = {}
+    judged, classify = verify.MarginTable.judged, verify.classify_stack
 
-    def recording_compare(*args):
-        got = compare(*args)
-        calls.append(list(got[:3]))
-        return got
+    def recording_classify(ge, le, scale, tol):
+        calls.update(ge=ge, le=le, scale=scale)
+        return classify(ge, le, scale, tol)
 
     def recording_judged(checks, check, point, *args, w, **extra):
-        calls[-1][:0] = [check, point, w]
+        calls.update(check=check, point=point, w=w)
         return judged(checks, check, point, *args, w=w, **extra)
 
-    monkeypatch.setattr(verify, "scaled_margins_stack", recording_compare)
+    monkeypatch.setattr(verify, "classify_stack", recording_classify)
     monkeypatch.setattr(verify.MarginTable, "judged", recording_judged)
     report = check_hypotheses(instances, grid, tol_rel=tol_rel)
     monkeypatch.undo()
     per_instance = len(report.table.checks) // len(instances)
     raw = {}
-    for check, point, *values in calls:
-        for c, i, *row in zip(check.tolist(), point.tolist(), *values):
-            j, code = divmod(c, per_instance)
-            raw[j, code, i] = tuple(row)
+    for c, i, *row in zip(*(calls[name].tolist()
+                            for name in ("check", "point", "w", "ge", "le", "scale"))):
+        j, code = divmod(c, per_instance)
+        raw[j, code, i] = tuple(row)
     return report, raw
 
 
@@ -400,3 +399,32 @@ class TestCoreAndProbeCalls:
             r=1.0, delta=0.5, w=1.0, s_values=(1.5, 2.0))
         assert (rep.failure_s, rep.cross_check_ok, len(rep.table)) == (1024.0, True, 11)
         assert calls == self._chunks(2, [2, 1, 1, 2, 4, 8])
+
+
+class TestTablesPerRun:
+    """What a run builds in tables: one, judged once at its end, however
+    many chunks it evaluates."""
+
+    def test_a_run_builds_one_table_however_many_chunks(self, monkeypatch):
+        # the core certificate's two runs, one per t-variant, each scan 2
+        # members in early-exit chunks of 1, 1, 2, 4 and 8 points
+        instance = Instance(gen_suite_tuple(3, 2, [0, 0]), ParamTemplate(t=(0.5,), r=1.0),
+                            WeightPolicy.fixed([0.5, 0.5]))
+        chunks, tables = [], []
+        evaluate_batch, init = dsl.evaluate_batch, verify.MarginTable.__init__
+
+        def evaluating(words, *args, **kwargs):
+            got = evaluate_batch(words, *args, **kwargs)
+            chunks.append(len(got[0].values))
+            return got
+
+        def building(table, *args, **kwargs):
+            tables.append(table)
+            init(table, *args, **kwargs)
+
+        monkeypatch.setattr(dsl, "evaluate_batch", evaluating)
+        monkeypatch.setattr(verify.MarginTable, "__init__", building)
+        assert verify.implied_core_violation(instance, PGrid(values=(1.0, 1.5, 2.0, 4.0))) \
+            == (None, 0)
+        assert chunks == [1, 1, 2, 4, 8] * 4
+        assert len(tables) == 2

@@ -2,9 +2,9 @@
 found once per grid product and n (``PGrid.plan``) and shared by the
 instances sampled on it.  It holds the exact terms of the chain exponent
 and, per chunk of rows, the row schedule of the evaluation runs on them
-(their row groupings and the indices that align them) and the reduction's
-stacked groupings.  The reduction's scalar bound is computed once per
-grouping of the peeled bound.
+(their row groupings and the indices that align them), the reduction's
+stacked groupings and its bounds' distinct prefixes p_2 .. p_(2n-1).  The
+reduction's scalar bound is computed once per distinct prefix.
 
 Each cached form equals its uncached oracle bit for bit, on the plan of a
 full grid product and on that of a subsample: the chain exponent equals
@@ -109,10 +109,29 @@ class TestCompiledScalarBound:
         tup, t, values = case
         plan = PGrid(values=values).plan(len(t))
         expected = _hexes(walk_c_totals(tup, t, plan.vectors))
-        assert _hexes(verify._c_totals(tup, t, plan.table)) == expected
+        assert _hexes(verify._c_totals(tup, t, plan)) == expected
         p = plan.vectors[-1]
         assert reduction_scalar_interior(tup, t, p, len(t)).hex() == \
             walk_scalar_interior(tup, t, p, len(t)).hex()
+
+    def test_c_is_computed_once_per_distinct_prefix(self, monkeypatch):
+        rows = []
+        scalar_interior = verify._scalar_interior
+
+        def counting(tup, t, n):
+            interior = scalar_interior(tup, t, n)
+            return lambda q: rows.append(q) or interior(q)
+
+        monkeypatch.setattr(verify, "_scalar_interior", counting)
+        instance = verify.Instance(verify.gen_suite_tuple(5, 2, [0, 0]),
+                                   verify.ParamTemplate(t=(0.85, 0.1), r=0.7),
+                                   verify.WeightPolicy.necessity())
+        report = verify.check_reduction_chain(instance, PGrid(values=(1.0, 1.5, 4.0)))
+        # 81 p-vectors, 9 distinct (p2, p3)
+        assert len(rows) == 9 and len(report.table) == 3 * 81
+        first, inverse = PGrid(values=(1.0, 1.5, 4.0)).plan(2).bound_prefixes
+        table = PGrid(values=(1.0, 1.5, 4.0)).plan(2).table
+        assert table[first][inverse][:, 1:3].tobytes() == table[:, 1:3].tobytes()
 
 
 def _reduction(seed: int, plan: GridPlan):
@@ -191,7 +210,7 @@ class TestCacheEntries:
                     for arr in (group.first, group.inverse)),
                   *(arr for stack in stacks for arr in stack.distinct),
                   ident.values, ident.spectrum[0], *ident.distinct,
-                  verify._centers(0.8, 0.97, 5)]
+                  *plan.bound_prefixes, verify._centers(0.8, 0.97, 5)]
         assert schedule.groups and schedule.alignments
         for arr in shared:
             assert not arr.flags.writeable

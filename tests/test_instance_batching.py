@@ -8,13 +8,15 @@ grid product against ``itertools.product``.  Floats are compared through
 ``float.hex``, never within a tolerance.
 """
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oporder import chains, verify
+from oporder.chains import Direction
 from oporder.spectral import HermitianMatrix, spectral_decompose
 from oporder.verify import (
     CampaignReport,
@@ -63,13 +65,7 @@ def _table(report) -> tuple:
 
 def merge_reports(reports) -> CampaignReport:
     """One report holding the rows of ``reports`` in order."""
-    members = tuple(m for rep in reports for m in rep.table.checks)
-    offsets = np.cumsum([0] + [len(rep.table.checks) for rep in reports]).tolist()
-    parts = [verify.MarginTable(members, {**rep.table.columns,
-                                          "check": rep.table.columns["check"] + offset},
-                                rep.table.errors, rep.table.tol_rel)
-             for rep, offset in zip(reports, offsets)]
-    return CampaignReport(verify.MarginTable.concat(parts), {}, 0)
+    return CampaignReport(verify.MarginTable.concat([rep.table for rep in reports]), {}, 0)
 
 
 def _batched_and_alone(instances, grid, **kwargs):
@@ -129,22 +125,30 @@ def test_batched_campaign_checks_shapes():
         check_hypotheses([], GRID)
 
 
-def _subject(tup, template, policy, grid, index) -> Subject:
+def _subject(tup, template, policy, grid, index, c) -> Subject:
     """An instance as the runner samples it: its operators and template,
-    and per row its p-vector (through its plan) and weights w1 .. w(k-1)."""
+    and per row its p-vector (through its plan), weights w1 .. w(k-1) and
+    the scalar c of a c*I side."""
     plan = verify._p_samples(grid, template.n, 0, index, 1)
     weights = policy.weights(template.t, plan, template.r, count=tup.k - 1)
     env = verify._environment(tup, template)
-    return Subject(plan.vectors, lambda c: env, lambda c, lo, hi: {
-        f"w{i + 1}": weights[lo:hi, i] for i in range(tup.k - 1)}, plan)
+    return Subject(plan.vectors, lambda _: env, lambda _, lo, hi: {
+        "c": c[lo:hi], **{f"w{i + 1}": weights[lo:hi, i] for i in range(tup.k - 1)}}, plan)
+
+
+# the scalars of a c*I side: inf makes its margins non-finite, an error row
+_C_VALUES = (0.1, 0.5, 1.0, 2.0, 10.0, math.inf)
 
 
 @st.composite
 def _runner_cases(draw):
     """1-3 instances of one k (3-5) and dim (1-3), real or complex, whose
     matrices G*G + ridge I may be near-singular (ridge down to 1e-13, G of
-    rank one), on a small grid; and 1-3 comparisons of the family's words:
-    members under their weights and cores against I, either side as p."""
+    rank one), on a small grid; and in any order 1-3 comparisons of the
+    family's words, members under their weights and cores against I,
+    either side as p, and up to 2 of c*I against a member side or a core,
+    half of them the q side of one of those comparisons, whose spectrum
+    the run then shares."""
     k, dim, complex_field = draw(st.integers(3, 5)), draw(st.integers(1, 3)), draw(st.booleans())
     n = k // 2
     values = draw(st.sets(st.sampled_from((1.0, 1.5, 2.0, 4.0)), min_size=1,
@@ -166,11 +170,11 @@ def _runner_cases(draw):
         template = ParamTemplate(t=t, r=t[-1] + draw(st.floats(0.1, 2.0)))
         policy = draw(st.sampled_from((WeightPolicy.necessity(),
                                        WeightPolicy.fixed([0.5] * (k - 1)))))
-        subjects.append(_subject(OperatorTuple.trusted(mats), template, policy, grid, index))
+        c = rng.choice(_C_VALUES, size=len(grid.plan(n).vectors))
+        subjects.append(_subject(OperatorTuple.trusted(mats), template, policy, grid, index, c))
     chain_list = chains.hypothesis_set(k)
     comparisons = []
-    for code in draw(st.lists(st.integers(0, len(chain_list) - 1), min_size=1, max_size=3,
-                              unique=True)):
+    for code in draw(st.lists(st.integers(0, len(chain_list) - 1), min_size=1, max_size=3)):
         chain, swap = chain_list[code], draw(st.booleans())
         if draw(st.booleans()):
             w = f"w{chains.weight_index(chain.family, chain.member, n)}"
@@ -180,6 +184,14 @@ def _runner_cases(draw):
             core = chains.hypothesis_core(chain)
             sides = (None, core) if draw(st.booleans()) else (core, None)
             comparisons.append(Comparison("core", (), *sides, chain.direction, swap))
+    q_sides = [side for side in (comp.left if comp.swap else comp.right for comp in comparisons)
+               if side is not None]
+    for code in draw(st.lists(st.integers(0, len(chain_list) - 1), max_size=2)):
+        chain = chain_list[code]
+        side = draw(st.sampled_from(q_sides)) if q_sides and draw(st.booleans()) \
+            else draw(st.sampled_from((chain.lhs, chain.rhs, chains.hypothesis_core(chain))))
+        comparisons.append(Comparison("c", (), "c", side, draw(st.sampled_from(Direction))))
+    return draw(st.permutations(comparisons)), subjects
     return comparisons, subjects
 
 
@@ -192,21 +204,39 @@ def _rows(table, check=None) -> list:
              float(cols["scale"][i]).hex(), table.error_text(i)) for i in range(len(table))]
 
 
+def _shared_side_case():
+    """Both members of an ordered k = 3 instance, each under its weight,
+    then c*I against the second member's right side: the q side of the
+    chunk's second segment."""
+    chain_list = chains.hypothesis_set(3)
+    members = []
+    for chain in chain_list:
+        w = f"w{chains.weight_index(chain.family, chain.member, 1)}"
+        members.append(Comparison(w, (), chain.lhs, chain.rhs, chain.direction, weight=(w, w)))
+    subject = _subject(gen_suite_tuple(3, 2, [7, 0]), ParamTemplate(t=(0.5,), r=1.2),
+                       WeightPolicy.fixed([0.5, 0.5]), GRID, 0, np.full(16, 1.5))
+    return members + [Comparison("c", (), "c", chain_list[1].rhs)], [subject]
+
+
 @settings(max_examples=40, deadline=None)
-@given(case=_runner_cases(), early_exit=st.booleans())
-def test_runner_is_the_join_of_one_pair_runs(case, early_exit):
+@given(case=_runner_cases())
+@example(case=_shared_side_case())
+def test_runner_is_the_join_of_one_pair_runs(case):
     comparisons, subjects = case
-    kwargs = dict(early_exit=early_exit, pass_tol_rel=verify.SUITE_TOL_REL)
-    batched = verify.run(comparisons, subjects, **kwargs)
-    want = []
-    for j, subject in enumerate(subjects):
-        for c, comparison in enumerate(comparisons):
-            alone = verify.run([comparison], [subject], **kwargs)
-            want += _rows(alone, j * len(comparisons) + c)
-            # with early exit an instance ends at its first failing row
-            if early_exit and alone.failures().any():
-                break
-    assert _rows(batched) == want
+    # without early exit a chunk compares every comparison, so that c*I
+    # reads a shared side's spectrum off the stacked q side
+    for early_exit in (False, True):
+        kwargs = dict(early_exit=early_exit, pass_tol_rel=verify.SUITE_TOL_REL)
+        batched = verify.run(comparisons, subjects, **kwargs)
+        want = []
+        for j, subject in enumerate(subjects):
+            for c, comparison in enumerate(comparisons):
+                alone = verify.run([comparison], [subject], **kwargs)
+                want += _rows(alone, j * len(comparisons) + c)
+                # with early exit an instance ends at its first failing row
+                if early_exit and alone.failures().any():
+                    break
+        assert _rows(batched) == want
 
 
 def _tuple_bits(tup) -> list:

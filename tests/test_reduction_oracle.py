@@ -1,7 +1,8 @@
 """The reduction's stacked comparison against three separate ones.
 
 ``check_reduction_chain`` judges each chunk's premise, core and peel rows
-in one ``scaled_margins_stack`` call.  The oracle here makes the three
+in one ``scaled_margins_stack`` call, and its scalar bound as a c*I
+comparison read off that call's stacked q side.  The oracle here makes the three
 calls one after another, as the reduction first did: the premise member
 judged as a campaign judges it (``judge_members``), the core as I against
 the core, then the peel as the peeled bound against the innermost

@@ -547,6 +547,10 @@ class TestLoewnerHeinzProbe:
         assert not rep.precondition_ok
         assert rep.table is None
 
+    def test_empty_exponent_list_rejected(self):
+        with pytest.raises(ValueError, match="alphas is empty"):
+            probe_loewner_heinz(diagonal([2.0, 2.0]), identity(2), alphas=())
+
 
 class TestContractionProbe:
     def test_contraction_confirmed(self):
@@ -647,6 +651,10 @@ class TestContractionProbe:
         with pytest.raises(ValueError):
             probe_contraction_criterion(identity(2), identity(2), 1.0, 0.0, 0.5,
                                         s_values=(1.0, 2.0))
+
+    def test_empty_s_grid_rejected(self):
+        with pytest.raises(ValueError, match="s_values must hold at least one s"):
+            probe_contraction_criterion(identity(2), identity(2), 1.0, 0.0, 0.5, s_values=())
 
 
 class TestReductionChain:
@@ -819,6 +827,10 @@ class TestLimitProbe:
         with pytest.raises(ValueError, match="bound constant"):
             limit_probe(identity(2), identity(2), c=c)
 
+    def test_empty_p2_list_rejected(self):
+        with pytest.raises(ValueError, match="p2_values is empty"):
+            limit_probe(identity(2), identity(2), p2_values=())
+
 
 class TestImpliedCoreViolation:
     def test_blind_instance_caught_at_unit_t(self):
@@ -893,18 +905,22 @@ class TestMarginTable:
         assert table.failures().tolist() == [False, False, True]
         assert (table.rows[2].point, table.rows[2].w, table.rows[-1].name) == (4.0, 0.3, "a")
 
-    def test_take_and_concat_keep_each_rows_error_text(self):
+    def test_concat_keeps_each_rows_check_and_error_text(self):
         table, _ = self.table()
-        both = verify.MarginTable.concat([table, table.take(np.array([2, 1]))])
-        assert [both.error_text(i) for i in range(5)] == [None, "boom", None, None, "boom"]
-        assert [row.error for row in both.rows] == [None, "boom", None, None, "boom"]
+        clean = verify.MarginTable.judged(
+            (verify.Comparison("b", (8.0, 16.0)),), np.zeros(2, np.intp), np.array([1, 0]),
+            np.array([0.5, 0.25]), np.ones(2), np.array([2, 2]), None, 1e-7,
+            w=np.array([0.4, 0.5]))
+        both = verify.MarginTable.concat([table, clean])
+        assert [both.error_text(i) for i in range(5)] == [None, "boom", None, None, None]
+        assert [row.error for row in both.rows] == [None, "boom", None, None, None]
+        # each table's checks come after those of the tables before it
+        assert [row.name for row in both.rows] == ["a"] * 3 + ["b"] * 2
+        assert [row.point for row in both.rows] == [1.0, 2.0, 4.0, 16.0, 8.0]
         # a table keeps no row-error array while none of its rows failed
-        clean = table.take(np.array([0, 2]))
-        assert clean.errors is None and [row.error for row in clean.rows] == [None, None]
-        assert verify.MarginTable.concat([clean, clean]).errors is None
+        assert clean.errors is None and verify.MarginTable.concat([clean, clean]).errors is None
         assert error_rows(verify.MarginTable.concat([clean, table]).errors, 5) == \
             [None, None, None, (ValueError, "boom"), None]
-        assert [row.point for row in both.rows] == [1.0, 2.0, 4.0, 4.0, 2.0]
 
 
 class TestCampaignReport:

@@ -8,10 +8,12 @@ exponent's level recurrence and the scalar bound's word walk are the
 package's earlier forms of ``chain_exponents`` and ``_c_totals``, kept as
 the oracles of their cached forms.  So are the forms the tolerance rules
 had where they were written out by hand: power_stack's inline gate test,
-the three scalar comparisons that ``spectral.scalar_margins`` replaced and
-an exponent's float value taken from its Fractions.  ``judge_members`` is
-the campaign's judging of member rows as it was written before
-``verify.run`` took it over.
+the three scalar comparisons that ``spectral.scalar_margins`` replaced
+(among them the reduction's scalar row, now a c*I comparison of
+``verify.run``) and an exponent's float value taken from its Fractions.
+``judge_members`` is the campaign's judging of member rows as it was
+written before ``verify.run`` took it over.  ``reduction_points`` reads a
+ReductionReport's table point by point, as the references keep it.
 """
 from __future__ import annotations
 
@@ -307,8 +309,9 @@ def inline_gate_errors(lam: np.ndarray, alpha: np.ndarray, errors):
 
 
 def reduction_scalar_row(c: np.ndarray, lam: np.ndarray):
-    """Oracle for ``scalar_margins`` as the reduction wrote its scalar row:
-    (c - lambda_max, lambda_min - c, max(max(1, |c|), |H|))."""
+    """Oracle for ``scalar_margins`` as the reduction wrote its scalar row
+    before it became the runner's c*I comparison: (c - lambda_max,
+    lambda_min - c, max(max(1, |c|), |H|))."""
     return (c - lam[:, -1], lam[:, 0] - c,
             np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam)))
 
