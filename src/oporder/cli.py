@@ -329,21 +329,16 @@ def _necessity(args):
 
 def _contrapositive(args):
     instances = _instances(args, unordered=True)
-    rep = _campaigns(args, instances)
-    table = rep.table
     # error rows are never hypothesis failures
-    margins, failures, errors = table.columns["margin"], table.failures(), table.error_rows
-    for idx, rows in rep.instance_rows().items():
-        if failures[rows].any():
-            print(f"instance {idx}: hypothesis-failure found "
-                  f"(margin {_margin_text(margins[rows][failures[rows]].min())})")
+    for idx, (margin, campaign_errors) in _campaigns(args, instances).outcomes().items():
+        if margin is not None:
+            print(f"instance {idx}: hypothesis-failure found (margin {_margin_text(margin)})")
             continue
         # nothing failed on the sampled grid; the violation may hide
         # beyond it, so probe the member cores (including t = 1)
         implied, core_errors = verify.implied_core_violation(
             instances[idx], args.p_grid.value, master_seed=args.seed,
             suite_tol_rel=args.suite_tol_rel)
-        campaign_errors = int(np.count_nonzero(errors[rows]))
         if implied is not None:
             print(f"instance {idx}: hypothesis-failure implied (core margin "
                   f"{_margin_text(implied['core_margin'])} at t={implied['t']})")

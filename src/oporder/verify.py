@@ -521,20 +521,19 @@ class Comparison(NamedTuple):
     """The check of one comparison at its points, as ``run`` makes it: left
     word against right (None is I), the margin of ``relation``
     (lambda_min(left - right) for GE, else lambda_min(right - left)) and the
-    verdict of left against right, with the right side as p of
-    ``scaled_margins_stack`` under ``swap``.  A row takes the left side's
-    error, then the right's, then, with ``weight`` (a per-row column and its
-    name), one where the weight is not positive.  A left side that names a
-    per-row column c is c*I (no swap or weight), judged against the right
-    word's spectrum by ``scalar_margins``: a row takes that word's error,
-    then its spectrum's, then a non-finite "reduction margin" error."""
+    verdict of left against right, with the left side as p of
+    ``scaled_margins_stack``.  A row takes the left side's error, then the
+    right's, then, with ``weight`` (a per-row column and its name), one
+    where the weight is not positive.  A left side that names a per-row
+    column c is c*I (no weight), judged against the right word's spectrum
+    by ``scalar_margins``: a row takes that word's error, then its
+    spectrum's, then a non-finite "reduction margin" error."""
 
     name: str
     points: Sequence = ()
     left: object = None
     right: object = None
     relation: Direction = Direction.GE
-    swap: bool = False
     weight: tuple[str, str] | None = None
 
 
@@ -631,11 +630,10 @@ class MarginTable:
         error = None if self.errors is None else self.errors[i]
         return None if error is None else str(error)
 
-    def holds(self, tol_rel: float | None = None) -> np.ndarray:
-        """Per-row pass mask at tol_rel (default: the table's); the NaN
-        margin of an ERROR row fails."""
-        tol = self.tol_rel if tol_rel is None else tol_rel
-        return margins_hold(self.columns["margin"], self.columns["scale"], tol)
+    def holds(self) -> np.ndarray:
+        """Per-row pass mask at the table's tol_rel; the NaN margin of an
+        ERROR row fails."""
+        return margins_hold(self.columns["margin"], self.columns["scale"], self.tol_rel)
 
     def failures(self) -> np.ndarray:
         """Mask of the rows whose computed, finite margin fails at the
@@ -699,14 +697,20 @@ class CampaignReport:
     def rows(self) -> RowView:
         return self.table.rows
 
-    def instance_rows(self) -> dict[int, slice]:
-        """Each instance's rows, keyed by its index (the instance id), in
-        report order: a report holds each instance's rows in turn."""
+    def outcomes(self) -> dict[int, tuple[float | None, int]]:
+        """What each instance's rows showed, keyed by its index (the
+        instance id), in report order: the smallest margin among its rows
+        that fail with a computed margin (None when none does) and its
+        number of ERROR rows.  A report holds each instance's rows in turn."""
         table = self.table
         index = np.array([int(m.instance_id) for m in table.checks])[table.columns["check"]]
-        cuts = (np.flatnonzero(np.diff(index)) + 1).tolist()
-        return {int(index[lo]): slice(lo, hi)
-                for lo, hi in zip([0] + cuts, cuts + [len(index)]) if lo < hi}
+        starts = np.flatnonzero(np.diff(index, prepend=-1))
+        worst = np.minimum.reduceat(np.where(table.failures(), table.columns["margin"], np.inf),
+                                    starts)
+        errors = np.add.reduceat(table.error_rows.astype(np.intp), starts)
+        return {idx: (margin if margin < math.inf else None, count)
+                for idx, margin, count in zip(index[starts].tolist(), worst.tolist(),
+                                              errors.tolist())}
 
     def summary(self) -> dict:
         table = self.table
@@ -857,7 +861,7 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
             comp = comparisons[c]
             block_of.append(blocks.setdefault(id(env(j, c)), (len(blocks), j, c))[0])
             seg_of.append(None if isinstance(comp.left, str) else segments.setdefault(
-                (id(comp.left), id(comp.right), comp.swap), (len(segments), comp))[0])
+                (id(comp.left), id(comp.right)), (len(segments), comp))[0])
             words.update((id(w), w) for w in (comp.right, comp.left)
                          if not isinstance(w, (str, type(None))))
         bound = [(env(j, c), subjects[j].plan, subjects[j].rows(c, lo, hi))
@@ -882,11 +886,8 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
         weights = [np.full(size, np.nan) if comparisons[c].weight is None
                    else columns[comparisons[c].weight[0]][block(b)]
                    for (_, c), b in zip(pairs, block_of)]
-        pq, errors = [], []
-        for _, comp in segments.values():
-            left, right = values[id(comp.left)], values[id(comp.right)]
-            pq.append((right, left) if comp.swap else (left, right))
-            errors.append(first_errors(left.row_errors, right.row_errors))
+        pq = [(values[id(comp.left)], values[id(comp.right)]) for _, comp in segments.values()]
+        errors = [first_errors(left.row_errors, right.row_errors) for left, right in pq]
         for (_, c), b, s, w in zip(pairs, block_of, seg_of, weights):
             # a weight w <= 0 (from an overflowed chain exponent) would make its side I
             if s is not None and comparisons[c].weight is not None and any_set(w <= 0):
@@ -900,9 +901,6 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
                 for i in (0, 1))
             ge, le, scale, errs = scaled_margins_stack(p, q, concat_errors(errors,
                                                                            [rows] * len(pq)))
-            if any(comp.swap for _, comp in segments.values()):  # left against right
-                swap = np.repeat([comp.swap for _, comp in segments.values()], rows)
-                ge, le = np.where(swap, le, ge), np.where(swap, ge, le)
         out = []
         for (_, c), b, s, w in zip(pairs, block_of, seg_of, weights):
             comp = comparisons[c]
@@ -1301,12 +1299,12 @@ def check_reduction_chain(
     w = policy.weights(template.t, plan, template.r, count=k - 1)[:, 0]
     c = _c_totals(tup, template.t, plan)
 
-    # the premise (left side against right), the core (I against it), the
-    # peel (the bound against the sandwich) and the scalar bound (c*I against it)
+    # the premise (right side against left, so that the power-valued sides
+    # are p), the core (it against I), the peel (the bound against the
+    # sandwich) and the scalar bound (c*I against it)
     comparisons = (
-        Comparison("premise", (), premise.lhs, premise.rhs, premise.direction, swap=True,
-                   weight=("w1", "w1")),
-        Comparison("core", (), None, chains.hypothesis_core(premise), swap=True),
+        Comparison("premise", (), premise.rhs, premise.lhs, Direction.LE, weight=("w1", "w1")),
+        Comparison("core", (), chains.hypothesis_core(premise), None, Direction.LE),
         Comparison("peel", (), bound_word, base_word),
         Comparison("scalar", (), "c", base_word),
     )
@@ -1358,8 +1356,9 @@ def limit_probe(
     The core is the reduction's base sandwich (``chains.reduction_words(3)``)
     at t1 = p1 = 1.  c defaults to max(1, lambda_max(core)), the sharpest
     constant for which the bound family is valid on the sampled points; a
-    given c must be a nonnegative number.  The bound b is compared with the
-    core as b*I (``scalar_margins``), and the order declared by DECLARED_ABOVE_ONE.
+    given c must be a nonnegative number, and each p2 finite and >= 1, as
+    on a PGrid.  The bound b is compared with the core as b*I
+    (``scalar_margins``), and the order declared by DECLARED_ABOVE_ONE.
 
     A core that fails to evaluate or to decompose gives an ERROR outcome:
     ``error`` holds its text, lambda_max_core is NaN (and so is c unless
@@ -1370,6 +1369,8 @@ def limit_probe(
     p2s = tuple(float(v) for v in p2_values)
     if not p2s:
         raise ValueError("p2_values is empty: need at least one p2")
+    if any(not (1.0 <= v < math.inf) for v in p2s):
+        raise ValueError(f"p2_values must be finite and >= 1, got {p2s}")
     env = dsl.Environment(scalars={"t1": 1.0, "p1": 1.0}, matrices={1: a1, 2: a2})
     core = dsl.evaluate_batch(chains.reduction_words(3)[0], env)
     lam_stack, errors = core.spectrum
@@ -1531,9 +1532,10 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
                  for idx, (tup, (template, policy)) in enumerate(zip(tuples, drawn))]
     grids = [config.grid] * config.budget
     escalations = [0] * config.budget
-    # per instance: ("failed", margin of its violating row), ("error", None)
-    # or ("passed", None) once its grid cannot escalate further
-    outcomes: list[tuple[str, float | None]] = [("passed", None)] * config.budget
+    # per instance: the margin of its violating row (None without one) and
+    # its number of error rows, once it failed, had error rows or its grid
+    # could not escalate further
+    outcomes: list[tuple[float | None, int]] = [(None, 0)] * config.budget
     pending = list(range(config.budget))
     while pending:
         groups: dict[tuple[int, PGrid], list[int]] = {}
@@ -1546,8 +1548,9 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
                 group = [instances[idx] for idx in members[first:first + size]]
                 report = check_hypotheses(
                     group, grid, master_seed=config.master_seed, stop_on_violation=True)
-                for idx, outcome in _search_outcomes(report).items():
-                    nxt = grids[idx].escalate() if outcome[0] == "passed" else None
+                for idx, outcome in report.outcomes().items():
+                    # an instance that neither failed nor had error rows escalates
+                    nxt = grids[idx].escalate() if outcome == (None, 0) else None
                     if nxt is None:
                         outcomes[idx] = outcome
                     else:
@@ -1557,13 +1560,14 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
     for instance in instances:
         tup, template, policy, idx = instance
         counters["instances"] += 1
-        outcome, margin = outcomes[idx]
-        if outcome == "failed":
+        margin, errors = outcomes[idx]
+        if margin is not None:
             key = "hypothesis_failed_after_escalation" if escalations[idx] else "hypothesis_failed"
             counters[key] += 1
             worst_margins.append(margin)
             continue
-        if outcome == "error":
+        if errors:
+            # ill-conditioned beyond the pd gate: indeterminate instance
             counters["evaluation_error"] += 1
             continue
         grid = grids[idx]
@@ -1600,22 +1604,3 @@ def search_counterexample(config: SearchConfig) -> SearchReport:
         findings=findings, stats=stats,
         config=config.to_json(), master_seed=config.master_seed,
     )
-
-
-def _search_outcomes(report: CampaignReport) -> dict[int, tuple[str, float | None]]:
-    """Per instance of a search campaign report, by index: ("failed", the
-    margin of its first violating row with a computed margin), ("error",
-    None) when it has error rows and no such violation, else ("passed",
-    None)."""
-    table = report.table
-    margins, failures, errors = table.columns["margin"], table.failures(), table.error_rows
-    outcomes = {}
-    for idx, rows in report.instance_rows().items():
-        if failures[rows].any():
-            outcomes[idx] = ("failed", float(margins[rows][failures[rows].argmax()]))
-        elif errors[rows].any():
-            # ill-conditioned beyond the pd gate: indeterminate instance
-            outcomes[idx] = ("error", None)
-        else:
-            outcomes[idx] = ("passed", None)
-    return outcomes

@@ -12,7 +12,7 @@ import pytest
 
 from oporder import chains, dsl
 from oporder.cli import EXIT_OK, main
-from oporder.spectral import TOL_REL, HermitianMatrix, diagonal
+from oporder.spectral import TOL_REL, HermitianMatrix, diagonal, margins_hold
 from oporder.verify import (
     Instance,
     ParamTemplate,
@@ -165,7 +165,8 @@ class TestCriterion5ContrapositiveFixture:
         ok = (
             asc.point == (1.0, 1.0)
             and abs(asc.margin - expected) <= 1e-6
-            and not rep.table.holds(TOL_REL)[i]
+            and not margins_hold(rep.table.columns["margin"], rep.table.columns["scale"],
+                                 TOL_REL)[i]
         )
         _report(
             "criterion 5: scalar contrapositive fixture violates as computed",
@@ -193,7 +194,8 @@ class TestCriterion6ReductionChain:
             passing += 1
             assert rep.table.errors is None, \
                 f"instance {i}: {[row.error for row in rep.rows if row.error]}"
-            for row, holds in zip(rep.table.rows, rep.table.holds(1e-7).tolist()):
+            passes = margins_hold(rep.table.columns["margin"], rep.table.columns["scale"], 1e-7)
+            for row, holds in zip(rep.table.rows, passes.tolist()):
                 assert holds, \
                     f"instance {i} p={row.point}: {row.check.name} margin {row.margin:.3e}"
                 worst = min(worst, row.margin / row.scale)

@@ -3,9 +3,10 @@
 Multi-instance ``check_hypotheses`` against ``merge_reports`` of one call
 per instance (the oracle below), the comparison runner against its runs of
 one instance and one comparison joined in order, the many-instance
-generator against ``gen_unordered_tuple`` per seed, and the shared full
-grid product against ``itertools.product``.  Floats are compared through
-``float.hex``, never within a tolerance.
+generator against ``gen_unordered_tuple`` per seed, the shared full grid
+product against ``itertools.product``, and a report's per-instance
+``outcomes()`` against a loop over its rows.  Floats are compared through
+``float.hex`` or exactly, never within a tolerance.
 """
 import itertools
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from oporder import chains, verify
 from oporder.chains import Direction
-from oporder.spectral import HermitianMatrix, spectral_decompose
+from oporder.spectral import HermitianMatrix, margins_hold, spectral_decompose
 from oporder.verify import (
     CampaignReport,
     Comparison,
@@ -92,9 +93,8 @@ def test_batched_campaign_is_the_merge_of_single_calls(case, stop_on_violation):
     instances = [_instance(*spec) for spec in CASES[case]]
     batched, alone = _batched_and_alone(instances, GRID, stop_on_violation=stop_on_violation)
     assert _table(batched) == _table(merge_reports(alone))
-    bounds = np.cumsum([0] + [len(rep.rows) for rep in alone]).tolist()
-    assert batched.instance_rows() == {
-        inst.index: slice(lo, hi) for inst, lo, hi in zip(instances, bounds, bounds[1:])}
+    assert list(batched.outcomes().items()) == [
+        item for rep in alone for item in rep.outcomes().items()]
     assert any(rep.table.errors is not None for rep in alone)
     stopped = [rep.config.get("stopped_early", False) for rep in alone]
     assert batched.config.get("stopped_early", False) is any(stopped)
@@ -125,6 +125,100 @@ def test_batched_campaign_checks_shapes():
         check_hypotheses([], GRID)
 
 
+def _outcomes_row_by_row(report) -> list:
+    """``report.outcomes()`` from a loop over its rows: per instance, in
+    report order, the smallest margin of a computed row that fails at the
+    table's slack and the number of ERROR rows."""
+    outcomes, tol = {}, report.table.tol_rel
+    for row in report.rows:
+        margin, errors = outcomes.get(int(row.instance_id), (None, 0))
+        if row.verdict == "ERROR":
+            errors += 1
+        elif not margins_hold(np.array(row.margin), np.array(row.scale), tol):
+            margin = row.margin if margin is None else min(margin, row.margin)
+        outcomes[int(row.instance_id)] = (margin, errors)
+    return list(outcomes.items())
+
+
+# k = 3 scalar instances of each kind: (values, t, r), with weights 1/2
+_OUTCOME_KINDS = {
+    "failing": ((2.0, 1.0, 3.0), 0.5, 1.0),          # the ascending member fails
+    "error-only": ((1e300, 1e300, 1e300), 1.0, 2.5),  # A^(r - t1) overflows on every row
+    "failing with errors": ((1e300, 2.0, 3.0), 0.5, 1.9),
+    "passing": ((1.0, 2.0, 3.0), 0.5, 1.0),
+}
+
+
+def _kind_instance(kind: str, index: int) -> Instance:
+    values, t, r = _OUTCOME_KINDS[kind]
+    return Instance(verify.scalar_tuple(values), ParamTemplate(t=(t,), r=r),
+                    WeightPolicy.fixed([0.5, 0.5]), index)
+
+
+@st.composite
+def _outcome_campaigns(draw):
+    """1-5 instances of k = 3 and dim 1 or 2 on a small grid: ordered or
+    unordered tuples, which mostly pass or fail, some scaled by 1e300 so
+    that powers above 1 overflow into ERROR rows, or instances of the kinds
+    above at dim 1."""
+    dim = draw(st.integers(1, 2))
+    grid = PGrid(values=tuple(sorted(draw(st.sets(st.sampled_from((1.0, 1.5, 2.0, 4.0)),
+                                                  min_size=1)))))
+    instances = []
+    for index in range(draw(st.integers(1, 5))):
+        if dim == 1 and draw(st.booleans()):
+            instances.append(_kind_instance(draw(st.sampled_from(sorted(_OUTCOME_KINDS))), index))
+            continue
+        seed = [draw(st.integers(0, 10**6)), index]
+        tup = draw(st.sampled_from((gen_suite_tuple, gen_unordered_tuple)))(3, dim, seed)
+        if draw(st.booleans()):
+            tup = OperatorTuple.trusted([HermitianMatrix(1e300 * m.entries) for m in tup.matrices])
+        t = draw(st.floats(0.05, 0.95))
+        instances.append(Instance(tup, ParamTemplate(t=(t,), r=t + draw(st.floats(0.1, 2.0))),
+                                  WeightPolicy.fixed([draw(st.floats(0.2, 0.95))] * 2), index))
+    return instances, grid
+
+
+_MIXED = ([_kind_instance(kind, i) for i, kind in enumerate(
+    ("failing", "error-only", "passing", "failing with errors"))], PGrid(values=(1.0, 2.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_outcome_campaigns())
+@example(case=_MIXED)
+@example(case=([_instance(gen_unordered_tuple, 3, 1), _instance(gen_suite_tuple, 3, 0)], GRID))
+def test_outcomes_are_those_of_a_row_loop(case):
+    instances, grid = case
+    for stop_on_violation in (False, True):
+        report = check_hypotheses(instances, grid, stop_on_violation=stop_on_violation)
+        assert list(report.outcomes().items()) == _outcomes_row_by_row(report)
+
+
+@pytest.mark.parametrize("stop_on_violation", [False, True])
+def test_outcomes_tell_failing_error_only_and_passing_instances_apart(stop_on_violation):
+    report = check_hypotheses(*_MIXED, stop_on_violation=stop_on_violation)
+    outcomes = report.outcomes()
+    assert list(outcomes) == [0, 1, 2, 3]
+    (failing, _), error_only, passing, (mixed, mixed_errors) = outcomes.values()
+    assert failing < 0 and mixed < 0
+    # with early exit the mixed instance ends at its first row, which
+    # fails, before any of its ERROR rows
+    assert (mixed_errors == 0) is stop_on_violation
+    assert error_only == (None, len(report.table.checks[2].points) * 2)
+    assert passing == (None, 0)
+
+
+def test_outcomes_take_the_smallest_failing_margin():
+    # the unordered instance fails on many rows of the full campaign, its
+    # first failing row not the smallest
+    report = check_hypotheses([_instance(gen_unordered_tuple, 3, 1)], GRID)
+    table = report.table
+    failing = table.columns["margin"][table.failures()]
+    assert len(failing) > 1 and failing[0] != failing.min()
+    assert report.outcomes() == {1: (float(failing.min()),
+                                     int(np.count_nonzero(table.error_rows)))}
+
+
 def _subject(tup, template, policy, grid, index, c) -> Subject:
     """An instance as the runner samples it: its operators and template,
     and per row its p-vector (through its plan), weights w1 .. w(k-1) and
@@ -138,6 +232,7 @@ def _subject(tup, template, policy, grid, index, c) -> Subject:
 
 # the scalars of a c*I side: inf makes its margins non-finite, an error row
 _C_VALUES = (0.1, 0.5, 1.0, 2.0, 10.0, math.inf)
+_MIRROR = {Direction.GE: Direction.LE, Direction.LE: Direction.GE}
 
 
 @st.composite
@@ -145,10 +240,10 @@ def _runner_cases(draw):
     """1-3 instances of one k (3-5) and dim (1-3), real or complex, whose
     matrices G*G + ridge I may be near-singular (ridge down to 1e-13, G of
     rank one), on a small grid; and in any order 1-3 comparisons of the
-    family's words, members under their weights and cores against I,
-    either side as p, and up to 2 of c*I against a member side or a core,
-    half of them the q side of one of those comparisons, whose spectrum
-    the run then shares."""
+    family's words, members under their weights, as they read or mirrored,
+    and cores against I or I against them (the left side is p), and up to
+    2 of c*I against a member side or a core, half of them the q side of
+    one of those comparisons, whose spectrum the run then shares."""
     k, dim, complex_field = draw(st.integers(3, 5)), draw(st.integers(1, 3)), draw(st.booleans())
     n = k // 2
     values = draw(st.sets(st.sampled_from((1.0, 1.5, 2.0, 4.0)), min_size=1,
@@ -175,17 +270,18 @@ def _runner_cases(draw):
     chain_list = chains.hypothesis_set(k)
     comparisons = []
     for code in draw(st.lists(st.integers(0, len(chain_list) - 1), min_size=1, max_size=3)):
-        chain, swap = chain_list[code], draw(st.booleans())
+        chain = chain_list[code]
         if draw(st.booleans()):
             w = f"w{chains.weight_index(chain.family, chain.member, n)}"
-            comparisons.append(Comparison(w, (), chain.lhs, chain.rhs, chain.direction, swap,
-                                          (w, w)))
+            # the member as it reads, or mirrored, its right side as p
+            sides = (chain.lhs, chain.rhs, chain.direction) if draw(st.booleans()) \
+                else (chain.rhs, chain.lhs, _MIRROR[chain.direction])
+            comparisons.append(Comparison(w, (), *sides, (w, w)))
         else:
             core = chains.hypothesis_core(chain)
             sides = (None, core) if draw(st.booleans()) else (core, None)
-            comparisons.append(Comparison("core", (), *sides, chain.direction, swap))
-    q_sides = [side for side in (comp.left if comp.swap else comp.right for comp in comparisons)
-               if side is not None]
+            comparisons.append(Comparison("core", (), *sides, chain.direction))
+    q_sides = [comp.right for comp in comparisons if comp.right is not None]
     for code in draw(st.lists(st.integers(0, len(chain_list) - 1), max_size=2)):
         chain = chain_list[code]
         side = draw(st.sampled_from(q_sides)) if q_sides and draw(st.booleans()) \

@@ -4,8 +4,8 @@
 in one ``scaled_margins_stack`` call, and its scalar bound as a c*I
 comparison read off that call's stacked q side.  The oracle here makes the three
 calls one after another, as the reduction first did: the premise member
-judged as a campaign judges it (``judge_members``), the core as I against
-the core, then the peel as the peeled bound against the innermost
+judged as a campaign judges it (``judge_members``), the core against I,
+then the peel as the peeled bound against the innermost
 sandwich with the errors so far, and the scalar bound from the sandwich's own spectrum and
 a walk of the peeled bound word per row.  The reduction's table (margins,
 scales, verdicts, error texts and c_total) and its premise counts must
@@ -70,7 +70,8 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
         errors_count += int(np.count_nonzero(judged.error_rows))
         failures += int(np.count_nonzero(judged.failures()))
 
-        ge_core, le_core, scale_core, errors = scaled_margins_stack(ident, core, core.row_errors)
+        # the core W against I, whose margin is lambda_min(I - W)
+        le_core, ge_core, scale_core, errors = scaled_margins_stack(ident, core, core.row_errors)
         errors = first_errors(errors, base.row_errors)
         bound = ident
         if peeled:
@@ -80,6 +81,7 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
         c = c_total[lo:hi]
         ge = np.array((ge_core, ge_peel, c - lam[:, -1])).T
         le = np.array((le_core, le_peel, lam[:, 0] - c)).T
+        margin = np.array((le_core, ge_peel, c - lam[:, -1])).T
         scale = np.array((scale_core, scale_peel,
                           np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam)))).T
         finite = np.isfinite(ge[:, 1:]).all(axis=1) & np.isfinite(scale[:, 2])
@@ -90,8 +92,8 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
             error = None if errors is None else errors[i]
             texts.append(None if error is None else str(error))
             if error is not None:
-                ge[i], scale[i], verdict[i], cs[i] = np.nan, 1.0, ERROR_CODE, np.nan
-        for name, col in zip(columns, (ge, scale, verdict, cs)):
+                margin[i], scale[i], verdict[i], cs[i] = np.nan, 1.0, ERROR_CODE, np.nan
+        for name, col in zip(columns, (margin, scale, verdict, cs)):
             columns[name].append(col)
     columns = {name: np.concatenate(cols) for name, cols in columns.items()}
     return failures, errors_count, columns, texts

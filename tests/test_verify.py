@@ -13,6 +13,7 @@ from oporder.spectral import (
     Relation,
     diagonal,
     identity,
+    margins_hold,
     operator_norm,
 )
 from oporder.verify import (
@@ -308,7 +309,8 @@ class TestCheckHypotheses:
         )
         i, asc = next((i, r) for i, r in enumerate(rep.rows) if r.family == "ascending")
         assert asc.margin == pytest.approx(3 ** 0.5 - 6 ** 0.5, abs=1e-12)
-        assert not rep.table.holds(TOL_REL)[i]
+        assert not margins_hold(rep.table.columns["margin"], rep.table.columns["scale"],
+                                TOL_REL)[i]
         assert rep.table.failures().tolist() == [True, False]
         assert rep.summary()["fail"] == 1
 
@@ -830,6 +832,12 @@ class TestLimitProbe:
     def test_empty_p2_list_rejected(self):
         with pytest.raises(ValueError, match="p2_values is empty"):
             limit_probe(identity(2), identity(2), p2_values=())
+
+    @pytest.mark.parametrize("p2", [0.0, -1.0, 0.5, float("nan"), float("inf")])
+    def test_p2_outside_the_grid_domain_rejected(self, p2):
+        # the domain --s-grid enforces through PGrid: finite and >= 1
+        with pytest.raises(ValueError, match="p2_values must be finite and >= 1"):
+            limit_probe(identity(2), identity(2), p2_values=(1.0, p2))
 
 
 class TestImpliedCoreViolation:
