@@ -11,7 +11,7 @@ import sys
 from oporder import chains, dsl
 from oporder.verify import (
     CONTRACTIVE_RANGES,
-    REDUCTION_BOUNDS,
+    GridPlan,
     Instance,
     ParamTemplate,
     PGrid,
@@ -21,7 +21,7 @@ from oporder.verify import (
     check_reduction_chain,
     gen_suite_tuple,
     limit_probe,
-    reduction_scalar_interior,
+    scalar_bounds,
 )
 
 
@@ -51,11 +51,10 @@ def main() -> int:
     print(f"\npremise (first ascending member on the grid): "
           f"{'pass' if rep.premise_pass else 'FAIL'}")
     print("reduction margins per exponent sample (core, peeled, scalar):")
-    # each exponent sample's core, peel and scalar rows, which share its c
-    table, bounds = rep.table, len(REDUCTION_BOUNDS)
-    margins = table.columns["margin"].reshape(-1, bounds).tolist()
-    c_totals = table.columns["c_total"][::bounds].tolist()
-    for p, (core, peel, scalar), c in zip(table.checks[0].points, margins, c_totals):
+    # each exponent sample's core, peel and scalar rows, the checks after the premise
+    table = rep.table
+    margins = rep.by_check(table.columns["margin"])[1:].T.tolist()
+    for p, (core, peel, scalar), c in zip(table.checks[0].points, margins, rep.c_total.tolist()):
         print(f"  p={tuple(p)}: {core:+.3e} {peel:+.3e} {scalar:+.3e} (c={c:.4f})")
     if rep.red_flags:
         print("RED FLAGS:")
@@ -63,7 +62,7 @@ def main() -> int:
             print(f"  {flag}")
 
     limit_t = (1.0,) + template.t[1:]
-    interior = reduction_scalar_interior(tup, limit_t, (1.0,) * (2 * n), n)
+    interior, = scalar_bounds(tup, limit_t, GridPlan(((1.0,) * (2 * n),)))
     probe = limit_probe(tup.matrices[0], tup.matrices[1], c=max(1.0, interior))
     print(f"\nlimit sequence (c={probe.c:.6f}):")
     for p2, value in zip(probe.p2_values, probe.sequence):

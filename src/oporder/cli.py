@@ -31,9 +31,9 @@ from .chains import Family
 from .spectral import TOL_REL, SpectralError
 from .verify import (
     CONTRACTIVE_RANGES,
-    REDUCTION_BOUNDS,
     SUITE_TOL_REL,
     TEMPLATE_RANGES,
+    GridPlan,
     Instance,
     ParamTemplate,
     PGrid,
@@ -44,7 +44,7 @@ from .verify import (
     gen_suite_tuple,
     gen_unordered_tuples,
     limit_probe,
-    reduction_scalar_interior,
+    scalar_bounds,
     scalar_tuple,
     search_counterexample,
 )
@@ -365,22 +365,24 @@ def _proof_steps(args):
             yield (f"instance {idx}: premise member has {rep.premise_errors} rows "
                    f"not evaluated"), rep.premise_errors
         yield from ((flag, 0) for flag in rep.red_flags)
-        # each p-vector's core, peel and scalar rows, which share its error
-        table, bounds = rep.table, len(REDUCTION_BOUNDS)
-        margins = table.columns["margin"].reshape(-1, bounds)
-        for i in np.flatnonzero(~table.holds().reshape(-1, bounds).all(axis=1)).tolist():
-            core, peel, scalar = margins[i].tolist()
-            error = table.error_text(bounds * i)
+        # each p-vector's core, peel and scalar rows, the checks after the premise
+        table, size = rep.table, len(rep.c_total)
+        margins, holds, failures, errors = (rep.by_check(col)[1:] for col in (
+            table.columns["margin"], table.holds(), table.failures(), table.error_rows))
+        for i in np.flatnonzero(~holds.all(axis=0)).tolist():
+            core, peel, scalar = margins[:, i].tolist()
+            error = next(filter(None, (table.error_text(b * size + i) for b in (1, 2, 3))), None)
             yield (f"instance {idx}: reduction margins ({core:.3e}, {peel:.3e}, {scalar:.3e}) "
                    f"at p={tuple(table.checks[0].points[i])}"
-                   + (f" [{error}]" if error else "")), int(bool(error))
+                   + (f" [{error}]" if error else "")), \
+                0 if failures[:, i].any() else int(np.count_nonzero(errors[:, i]))
 
 
 def _limit(args):
     n = args.k // 2
     for tup, template, _, idx in _instances(args):
         # t_1 is pinned to 1: a given --t starts with it, a drawn t_1 is replaced
-        interior = reduction_scalar_interior(tup, (1.0,) + template.t[1:], (1.0,) * (2 * n), n)
+        interior, = scalar_bounds(tup, (1.0,) + template.t[1:], GridPlan(((1.0,) * (2 * n),)))
         rep = limit_probe(tup.matrices[0], tup.matrices[1], c=max(1.0, interior),
                           p2_values=args.s_grid.value.values, tol_rel=args.tol_rel)
         if rep.error:

@@ -17,7 +17,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -542,8 +542,8 @@ class MarginRow(NamedTuple):
     sampled at (a p-vector or an exponent), its margin, scale and verdict,
     its error text (None unless the verdict is ERROR) and the mode's extra
     columns by name.  Any other attribute reads an extra column (w,
-    seconds, c_total), else a field of the check (a campaign row's
-    instance_id, family, member, ...)."""
+    seconds), else a field of the check (a campaign row's instance_id,
+    family, member, ...)."""
 
     check: object
     point: object
@@ -574,13 +574,13 @@ class MarginTable:
     ``checks`` are what the rows test (CampaignMembers or Comparisons),
     each with the ``points`` it is sampled at.  ``columns`` maps check,
     point, margin, scale and verdict, and the extra columns (a run's w and
-    seconds, the reduction's c_total), to an array with one entry per row:
-    ``check`` indexes ``checks``, ``point`` that check's points and
-    ``verdict`` VERDICTS.  ``errors`` is the row-error array the table was
-    judged with, None while no row failed: entry i is None or the
-    exception of ERROR row i, which has a NaN margin, scale 1 and NaN
-    extra columns but seconds (``judged``).  A row's error text is
-    formatted only when it is read (``error_text``).
+    seconds), to an array with one entry per row: ``check`` indexes
+    ``checks``, ``point`` that check's points and ``verdict`` VERDICTS.
+    ``errors`` is the row-error array the table was judged with, None
+    while no row failed: entry i is None or the exception of ERROR row i,
+    which has a NaN margin, scale 1 and NaN extra columns but seconds
+    (``judged``).  A row's error text is formatted only when it is read
+    (``error_text``).
     """
 
     checks: tuple
@@ -1158,14 +1158,6 @@ def probe_contraction_criterion(
                                   needs_cross, cross_ok, failure_s)
 
 
-def reduction_scalar_interior(tup: OperatorTuple, t, p, n: int) -> float:
-    """Scalar interior of the coarsest bound, independent of p_2: the peeled
-    bound word under its binding with every A^e replaced by its norm (a
-    sandwich factor by |A|^(2e) for e > 0, (1/lambda_min(A))^(-2e) for
-    e < 0) and the outermost power 1/p_2 left off.  Equals 1 when n = 1."""
-    return _scalar_interior(tup, t, n)(chains.peeled_bindings(t, tuple(float(v) for v in p)))
-
-
 @lru_cache(maxsize=None)
 def _interior_layers(n: int) -> tuple:
     """The peeled bound's sandwiches for n levels, from the innermost out:
@@ -1183,13 +1175,18 @@ def _interior_layers(n: int) -> tuple:
     return tuple(reversed(layers))
 
 
-def _scalar_interior(tup: OperatorTuple, t, n: int):
-    """``reduction_scalar_interior(tup, t, ., n)`` as a function of the
-    bound's binding (``chains.peeled_bindings``).  The wraps' exponents
-    read t alone, so each wrap's factor, a norm or 1/lambda_min to a power,
-    is taken once; each binding then raises the inner norms to its q values
-    with the same float arithmetic."""
-    layers = _interior_layers(n)
+def scalar_bounds(tup: OperatorTuple, t, plan: GridPlan) -> np.ndarray:
+    """The reduction's scalar bound c = interior^(1/p_2) at each row of a
+    plan.  The interior is the peeled bound word under its binding
+    (``chains.peeled_bindings``) with every A^e replaced by its norm (a
+    sandwich factor by |A|^(2e) for e > 0, (1/lambda_min(A))^(-2e) for
+    e < 0) and the outermost power 1/p_2 left off; it equals 1 when n = 1,
+    and c equals it at p_2 = 1.  The wraps' exponents read t alone, so
+    each wrap's factor, a norm or 1/lambda_min to a power, is taken once;
+    c is computed once per distinct p_2 .. p_(2n-1), all it reads
+    (``bound_prefixes``), raising the inner norms to the binding's q values
+    with float arithmetic."""
+    layers = _interior_layers(len(t))
     t_names = {f"t{i}": float(tv) for i, tv in enumerate(t, 1)}
     norms, factors = {}, []
     for inner, _, wrap, wrap_exponent in layers:
@@ -1198,38 +1195,48 @@ def _scalar_interior(tup: OperatorTuple, t, n: int):
         e = 2.0 * wrap_exponent.evaluate(t_names)
         factors.append(operator_norm(tup.matrices[wrap - 1]) ** e if e > 0
                        else (1.0 / positivity_margin(tup.matrices[wrap - 1])) ** -e)
-
-    def interior(q) -> float:
-        s = 1.0
+    first, inverse = plan.bound_prefixes
+    c = []
+    for p in plan.table[first].tolist():
+        q, s = chains.peeled_bindings(t, p), 1.0
         for (inner, exponent, _, _), factor in zip(layers, factors):
             if inner is not None:
                 s = norms[inner]
             s = s ** exponent.evaluate(q) * factor
-        return s
-
-    return interior
-
-
-# the checks of a reduction's table, in the order of each point's rows
-REDUCTION_BOUNDS = ("core", "peel", "scalar")
+        c.append(s ** (1.0 / p[1]))
+    return np.array(c, dtype=np.float64)[inverse]
 
 
 @dataclass(eq=False)
 class ReductionReport:
-    """The reduction of one instance: the premise counts, the premise
-    member's rows whose computed margin failed and its ERROR rows, and a
-    margin table judged at the suite slack.  The table's checks are the
-    Comparisons of REDUCTION_BOUNDS at the sampled p-vectors: I - W for the
-    core W, the peeled bound minus the base sandwich, and c*I minus the
-    base sandwich.  It holds the three rows of each p-vector in turn, with
-    the extra column c_total; a p-vector that fails to evaluate gives three
-    ERROR rows with its error text.
+    """The reduction of one instance: its run's margin table, judged at the
+    suite slack, and c_total, the scalar bound c at each sampled p-vector.
+    The table's checks are the Comparisons premise (the first ascending
+    member), core (I - W for the core W), peel (the peeled bound minus the
+    base sandwich) and scalar (c*I minus the base sandwich), each check's
+    rows in point order.  Each row keeps its own verdict and error: a row
+    that fails to evaluate is an ERROR row, and the other rows of its point
+    are judged on their own.
     """
 
     instance_id: str
-    premise_failures: int
-    premise_errors: int
     table: MarginTable
+    c_total: np.ndarray
+
+    def by_check(self, column: np.ndarray) -> np.ndarray:
+        """A per-row column of the table as (4, N): the rows of the premise,
+        core, peel and scalar checks."""
+        return column.reshape(4, -1)
+
+    @property
+    def premise_failures(self) -> int:
+        """The premise rows whose computed margin fails."""
+        return int(np.count_nonzero(self.by_check(self.table.failures())[0]))
+
+    @property
+    def premise_errors(self) -> int:
+        """The premise rows that are ERROR rows."""
+        return int(np.count_nonzero(self.by_check(self.table.error_rows)[0]))
 
     @property
     def premise_pass(self) -> bool:
@@ -1237,25 +1244,19 @@ class ReductionReport:
 
     @property
     def red_flags(self) -> list[str]:
-        """Rows, on a passing premise, where the core bound holds but the
-        peeled or scalar bound does not: (a) => (b) => (c) pointwise, so
-        each is a tolerance or schedule bug."""
+        """Points, on a passing premise, where the core row holds but the
+        peel or scalar row fails with a computed margin: (a) => (b) => (c)
+        pointwise, so each is a tolerance or schedule bug.  An ERROR row is
+        never one."""
         if not self.premise_pass:
             return []
-        holds = self.table.holds().reshape(-1, len(REDUCTION_BOUNDS))
-        margins = self.table.columns["margin"].reshape(-1, len(REDUCTION_BOUNDS))
+        _, core, *_ = self.by_check(self.table.holds())
+        _, _, peel, scalar = self.by_check(self.table.failures())
+        margins = self.by_check(self.table.columns["margin"])
         points = self.table.checks[0].points
         return [f"instance {self.instance_id} p={tuple(points[i])}: core bound holds but "
-                f"peel={margins[i, 1]:.3e} scalar={margins[i, 2]:.3e}"
-                for i in np.flatnonzero(holds[:, 0] & ~(holds[:, 1] & holds[:, 2])).tolist()]
-
-
-def _c_totals(tup: OperatorTuple, t, plan: GridPlan) -> np.ndarray:
-    """The scalar bound c = interior^(1/p_2) per row of a plan, computed once
-    per distinct p_2 .. p_(2n-1), all it reads (``bound_prefixes``)."""
-    interior, (first, inverse) = _scalar_interior(tup, t, len(t)), plan.bound_prefixes
-    return np.array([interior(chains.peeled_bindings(t, p)) ** (1.0 / p[1])
-                     for p in plan.table[first].tolist()], dtype=np.float64)[inverse]
+                f"peel={margins[2, i]:.3e} scalar={margins[3, i]:.3e}"
+                for i in np.flatnonzero(core & (peel | scalar)).tolist()]
 
 
 def check_reduction_chain(
@@ -1285,8 +1286,12 @@ def check_reduction_chain(
     member contains the core and the sandwich, so their nodes are
     evaluated once, and c*I takes the sandwich's spectrum from the peel's
     comparison.  c is computed once per distinct p_2 .. p_(2n-1), all it
-    reads.  Each point's core, peel and scalar rows take its first error.
-    Everything is judged at suite_tol_rel, verdicts included.
+    reads (``scalar_bounds``).  The report is the run's table, each row
+    with its own verdict and error: the core row takes the core word's
+    errors, the peel row the bound's and then the sandwich's, each then its
+    comparison's; the scalar row the sandwich's, then its spectrum's, then
+    a non-finite margin's.  Everything is judged at suite_tol_rel,
+    verdicts included.
     """
     tup, template, policy, index = instance
     k, n = tup.k, tup.k // 2
@@ -1297,7 +1302,7 @@ def check_reduction_chain(
     env = _environment(tup, template)
     plan = _p_samples(grid, n, master_seed, index, 2)
     w = policy.weights(template.t, plan, template.r, count=k - 1)[:, 0]
-    c = _c_totals(tup, template.t, plan)
+    c = scalar_bounds(tup, template.t, plan)
 
     # the premise (right side against left, so that the power-valued sides
     # are p), the core (it against I), the peel (the bound against the
@@ -1312,18 +1317,7 @@ def check_reduction_chain(
         "w1": w[lo:hi], "c": c[lo:hi],
         **({} if bound_word is None else chains.peeled_bindings(template.t, plan.table[lo:hi].T))},
         plan)], tol_rel=suite_tol_rel)
-    # the premise's rows, then those of each bound; each point's rows in
-    # turn, one per bound, with the point's first error
-    size = len(plan.vectors)
-    rows, failed = np.arange(size, 4 * size).reshape(3, -1).T.ravel(), table.error_rows[:size]
-    errors = None if table.errors is None else np.repeat(
-        reduce(first_errors, table.errors[size:].reshape(3, -1)), 3)
-    return ReductionReport(
-        str(index), int(np.count_nonzero(~table.holds()[:size] & ~failed)),
-        int(np.count_nonzero(failed)),
-        MarginTable.judged(table.checks[1:], rows // size - 1, rows % size,
-                           *(table.columns[name][rows] for name in ("margin", "scale", "verdict")),
-                           errors, suite_tol_rel, c_total=np.repeat(c, 3)))
+    return ReductionReport(str(index), table, c)
 
 
 @dataclass

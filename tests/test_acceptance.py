@@ -14,6 +14,7 @@ from oporder import chains, dsl
 from oporder.cli import EXIT_OK, main
 from oporder.spectral import TOL_REL, HermitianMatrix, diagonal, margins_hold
 from oporder.verify import (
+    GridPlan,
     Instance,
     ParamTemplate,
     PGrid,
@@ -25,7 +26,7 @@ from oporder.verify import (
     limit_probe,
     probe_contraction_criterion,
     probe_loewner_heinz,
-    reduction_scalar_interior,
+    scalar_bounds,
     scalar_tuple,
     search_counterexample,
 )
@@ -193,14 +194,16 @@ class TestCriterion6ReductionChain:
             assert not rep.red_flags, rep.red_flags
             passing += 1
             assert rep.table.errors is None, \
-                f"instance {i}: {[row.error for row in rep.rows if row.error]}"
+                f"instance {i}: {[row.error for row in rep.table.rows if row.error]}"
+            # the reduction's rows, after the premise's
+            size = len(rep.c_total)
             passes = margins_hold(rep.table.columns["margin"], rep.table.columns["scale"], 1e-7)
-            for row, holds in zip(rep.table.rows, passes.tolist()):
+            for row, holds in zip(rep.table.rows[size:], passes[size:].tolist()):
                 assert holds, \
                     f"instance {i} p={row.point}: {row.check.name} margin {row.margin:.3e}"
                 worst = min(worst, row.margin / row.scale)
             limit_t = (1.0, template.t[1])
-            interior = reduction_scalar_interior(tup, limit_t, (1.0,) * 4, 2)
+            interior, = scalar_bounds(tup, limit_t, GridPlan(((1.0,) * 4,)))
             probe = limit_probe(tup.matrices[0], tup.matrices[1],
                                 c=max(1.0, interior))
             limit_ok &= probe.monotone_nonincreasing

@@ -8,11 +8,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oporder import cli
+from oporder import cli, dsl
 from oporder.cli import (
     EXIT_INDETERMINATE,
     EXIT_OK,
@@ -21,6 +22,7 @@ from oporder.cli import (
     _margin_text,
     main,
 )
+from oporder.verify import SUITE_TOL_REL, Comparison, MarginTable, ReductionReport
 from util import GOLDEN_DIR, REPO_ROOT
 
 
@@ -601,6 +603,66 @@ class TestCheckCommand:
         first, usage = err.split("\n", 1)
         assert first.startswith("error: ")
         assert usage.startswith(f"usage: oporder {prog} [-h]")
+
+
+def _reduction_report(margins, errors: dict) -> ReductionReport:
+    """A reduction of two points, p = (1, 1) and (1, 2), whose premise rows
+    hold: ``margins`` lists its core, peel and scalar rows' margins (scale
+    1, each check's rows in point order) and ``errors`` maps the index of
+    one of those rows to the error text of an ERROR row."""
+    points, size = [(1.0, 1.0), (1.0, 2.0)], 8
+    row_errors = np.full(size, None, dtype=object)
+    for row, text in errors.items():
+        row_errors[2 + row] = dsl.EvaluationError(text)
+    table = MarginTable.judged(
+        [Comparison(name, points) for name in ("premise", "core", "peel", "scalar")],
+        np.repeat(np.arange(4), 2), np.tile(np.arange(2), 4),
+        np.array([0.5, 0.5, *margins]), np.ones(size), np.zeros(size, np.intp),
+        row_errors if errors else None, SUITE_TOL_REL)
+    return ReductionReport("0", table, np.ones(2))
+
+
+class TestProofStepsReaders:
+    """How ``check --mode proof-steps`` and ``ReductionReport.red_flags``
+    read a reduction's rows: a point prints a VIOLATION line when one of its
+    core, peel and scalar rows fails with a computed margin, else an ERROR
+    line counting its ERROR rows; a red flag is a holding core row beside a
+    computed peel or scalar failure."""
+
+    @staticmethod
+    def proof_steps(capsys, monkeypatch, report):
+        monkeypatch.setattr(cli, "check_reduction_chain", lambda *args, **kwargs: report)
+        return run(capsys, "check", "--mode", "proof-steps", "--k", "3", "--dim", "2",
+                   "--count", "1", "--p-grid", "1,2")
+
+    def test_a_computed_peel_failure_beside_an_error_core_row_is_a_violation(
+            self, capsys, monkeypatch):
+        report = _reduction_report([0.5, 0.5, -0.1, 0.5, 0.5, 0.5], {0: "core failed"})
+        code, out, err = self.proof_steps(capsys, monkeypatch, report)
+        assert code == EXIT_VIOLATION and out == ""
+        assert err.splitlines() == ["VIOLATION: instance 0: reduction margins "
+                                    "(nan, -1.000e-01, 5.000e-01) at p=(1.0, 1.0) [core failed]"]
+        assert report.red_flags == []
+
+    def test_a_point_failing_only_through_error_rows_is_indeterminate(
+            self, capsys, monkeypatch):
+        report = _reduction_report([0.5] * 6, {1: "core failed", 3: "peel failed"})
+        code, out, err = self.proof_steps(capsys, monkeypatch, report)
+        assert code == EXIT_INDETERMINATE
+        assert err.splitlines() == ["ERROR: instance 0: reduction margins "
+                                    "(nan, nan, 5.000e-01) at p=(1.0, 2.0) [core failed]"]
+        assert out == "indeterminate: no finite violation, but 2 rows were not evaluated\n"
+
+    def test_an_error_peel_row_under_a_holding_core_is_no_red_flag(self, capsys, monkeypatch):
+        report = _reduction_report([0.5] * 6, {2: "peel failed"})
+        assert report.red_flags == []
+        code, _, err = self.proof_steps(capsys, monkeypatch, report)
+        assert code == EXIT_INDETERMINATE
+        assert err.splitlines() == ["ERROR: instance 0: reduction margins "
+                                    "(5.000e-01, nan, 5.000e-01) at p=(1.0, 1.0) [peel failed]"]
+        # a computed failure there is one
+        assert _reduction_report([0.5, 0.5, -0.1, 0.5, 0.5, 0.5], {}).red_flags == [
+            "instance 0 p=(1.0, 1.0): core bound holds but peel=-1.000e-01 scalar=5.000e-01"]
 
 
 class TestFixedWeights:

@@ -336,7 +336,7 @@ class TestReductionCalls:
         for name in ("eigh", "eigvalsh"):
             counted(np.linalg, name)
         report = verify.check_reduction_chain(instance, PGrid(values=(1.0, 1.5, 4.0)))
-        assert len(report.table) == 3 * 81
+        assert len(report.table) == 4 * 81
         # one run and one stacked comparison of the premise, core and peel
         # rows: one eigvalsh solve of their 243 differences.  The run's
         # powers decompose 3, 9, 27 and 81 distinct bases and the peeled

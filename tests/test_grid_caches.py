@@ -26,12 +26,7 @@ from hypothesis import strategies as st
 from oporder import chains, cli, dsl, verify
 from oporder.chains import Power, ScalarExpr, Symbol, chain_exponents
 from oporder.spectral import WordBatch
-from oporder.verify import (
-    GridPlan,
-    PGrid,
-    gen_ordered_tuple,
-    reduction_scalar_interior,
-)
+from oporder.verify import GridPlan, PGrid, gen_ordered_tuple
 from util import level_chain_exponents, walk_c_totals, walk_scalar_interior
 
 
@@ -109,26 +104,29 @@ class TestCompiledScalarBound:
         tup, t, values = case
         plan = PGrid(values=values).plan(len(t))
         expected = _hexes(walk_c_totals(tup, t, plan.vectors))
-        assert _hexes(verify._c_totals(tup, t, plan)) == expected
-        p = plan.vectors[-1]
-        assert reduction_scalar_interior(tup, t, p, len(t)).hex() == \
-            walk_scalar_interior(tup, t, p, len(t)).hex()
+        assert _hexes(verify.scalar_bounds(tup, t, plan)) == expected
+        # at p_2 = 1, c is the interior itself, as the limit mode reads it
+        p = plan.vectors[-1][:1] + (1.0,) + plan.vectors[-1][2:]
+        interior, = verify.scalar_bounds(tup, t, GridPlan((p,)))
+        assert interior.hex() == walk_scalar_interior(tup, t, p, len(t)).hex()
 
     def test_c_is_computed_once_per_distinct_prefix(self, monkeypatch):
         rows = []
-        scalar_interior = verify._scalar_interior
+        peeled_bindings = chains.peeled_bindings
 
-        def counting(tup, t, n):
-            interior = scalar_interior(tup, t, n)
-            return lambda q: rows.append(q) or interior(q)
+        def counting(t, p):
+            # one p-vector's interior, not the bound's columns of a chunk
+            if not isinstance(p, np.ndarray):
+                rows.append(p)
+            return peeled_bindings(t, p)
 
-        monkeypatch.setattr(verify, "_scalar_interior", counting)
+        monkeypatch.setattr(chains, "peeled_bindings", counting)
         instance = verify.Instance(verify.gen_suite_tuple(5, 2, [0, 0]),
                                    verify.ParamTemplate(t=(0.85, 0.1), r=0.7),
                                    verify.WeightPolicy.necessity())
         report = verify.check_reduction_chain(instance, PGrid(values=(1.0, 1.5, 4.0)))
         # 81 p-vectors, 9 distinct (p2, p3)
-        assert len(rows) == 9 and len(report.table) == 3 * 81
+        assert len(rows) == 9 and len(report.table) == 4 * 81
         first, inverse = PGrid(values=(1.0, 1.5, 4.0)).plan(2).bound_prefixes
         table = PGrid(values=(1.0, 1.5, 4.0)).plan(2).table
         assert table[first][inverse][:, 1:3].tobytes() == table[:, 1:3].tobytes()
@@ -248,11 +246,12 @@ class TestCacheEntries:
 
 
 def _report_bits(report) -> tuple:
-    """Everything a ReductionReport holds, with each column's bytes."""
+    """Everything a ReductionReport holds, with each column's bytes but
+    those of seconds, which time the run."""
     table = report.table
-    return (report.instance_id, report.premise_failures, report.premise_errors,
+    return (report.instance_id, report.c_total.tobytes(),
             [check.name for check in table.checks], table.tol_rel,
-            {name: col.tobytes() for name, col in table.columns.items()},
+            {name: col.tobytes() for name, col in table.columns.items() if name != "seconds"},
             [table.error_text(i) for i in range(len(table))])
 
 

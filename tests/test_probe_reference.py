@@ -35,12 +35,13 @@ import pytest
 from oporder.cli import main
 from oporder.spectral import HermitianMatrix, diagonal, identity
 from oporder.verify import (
+    GridPlan,
     gen_ordered_tuple,
     gen_suite_tuple,
     limit_probe,
     probe_contraction_criterion,
     probe_loewner_heinz,
-    reduction_scalar_interior,
+    scalar_bounds,
 )
 from util import REPO_ROOT, ordered_pair_arrays
 
@@ -104,7 +105,7 @@ def probe_calls():
         tup = gen_suite_tuple(5, (2, 3)[i % 2], seed=[5100, i])
         rng = np.random.default_rng([5100, i, 99])
         t = (rng.uniform(0.75, 0.95), rng.uniform(0.05, 0.15))
-        interior = reduction_scalar_interior(tup, (1.0, t[1]), (1.0,) * 4, 2)
+        interior, = scalar_bounds(tup, (1.0, t[1]), GridPlan(((1.0,) * 4,)))
         calls.append((f"criterion6 instance {i}", "limit",
                       lambda m=tup.matrices, c=max(1.0, interior): limit_probe(m[0], m[1], c=c)))
     calls.append(("fixed constant 4", "limit",

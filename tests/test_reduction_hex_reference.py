@@ -2,10 +2,13 @@
 
 ``tests/data/reduction_hex_reference.json`` holds, for the proof-steps
 instances k in 3..6, dim in 2..3, seeds 0 and 1 (instance 0 of each) on
-the grids {1, 1.5, 4} and {1, 2, 8}, the premise counts, the error text of
-each ERROR p-vector and, per p-vector, the margins and scales of the
-core, peel and scalar rows of the ``ReductionReport`` table and its
-c_total as ``float.hex``, one line of seven per p-vector.  Everything is compared exactly;
+the grids {1, 1.5, 4} and {1, 2, 8}, the premise counts, the first error
+text of each p-vector with an ERROR row and, per p-vector, the margins
+and scales of its core, peel and scalar rows of the ``ReductionReport``
+table and its c_total as ``float.hex``, one line of seven per p-vector.
+Each row keeps its own margin, NaN only on an ERROR row: at p-index 727
+of the k = 6 instances on {1, 1.5, 4} the core row is ERROR and the peel
+and scalar rows are decided.  Everything is compared exactly;
 ``tests/test_reduction_reference.py`` checks the same margins to within
 1e-12 * scale on a smaller set.  Regenerate the file (only when a change
 to the margins is intended) with
@@ -35,16 +38,21 @@ SHAPES = [(k, dim, seed, grid) for k in (3, 4, 5, 6) for dim in (2, 3) for seed 
           for grid in GRIDS]
 
 
-def reduction_entry(k: int, dim: int, seed: int, grid) -> dict:
-    """What the reference keeps of ``check --mode proof-steps --k K --dim D
-    --seed S --count 1 --p-grid G``: the same tuple, template and p-samples."""
+def reduction_instance(k: int, dim: int, seed: int, grid) -> tuple[Instance, PGrid]:
+    """Instance 0 and the grid of ``check --mode proof-steps --k K --dim D
+    --seed S --count 1 --p-grid G``: the same tuple and template."""
     n = k // 2
     tup = gen_suite_tuple(k, dim, [seed, 0])
     rng = _rng(seed, 0, 99)
     t = (rng.uniform(0.75, 0.95),) + tuple(rng.uniform(0.05, 0.15) for _ in range(n - 1))
     template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.3, 1.2))
-    report = check_reduction_chain(Instance(tup, template, WeightPolicy.necessity()),
-                                   PGrid(values=grid), master_seed=seed)
+    return Instance(tup, template, WeightPolicy.necessity()), PGrid(values=grid)
+
+
+def reduction_entry(k: int, dim: int, seed: int, grid) -> dict:
+    """What the reference keeps of that run's instance 0, on the same
+    p-samples."""
+    report = check_reduction_chain(*reduction_instance(k, dim, seed, grid), master_seed=seed)
     points = reduction_points(report)
     return {
         "k": k, "dim": dim, "seed": seed, "grid": list(grid),

@@ -1,14 +1,17 @@
-"""The reduction's stacked comparison against three separate ones.
+"""The reduction's stacked comparison against separate ones.
 
 ``check_reduction_chain`` judges each chunk's premise, core and peel rows
 in one ``scaled_margins_stack`` call, and its scalar bound as a c*I
-comparison read off that call's stacked q side.  The oracle here makes the three
-calls one after another, as the reduction first did: the premise member
-judged as a campaign judges it (``judge_members``), the core against I,
-then the peel as the peeled bound against the innermost
-sandwich with the errors so far, and the scalar bound from the sandwich's own spectrum and
-a walk of the peeled bound word per row.  The reduction's table (margins,
-scales, verdicts, error texts and c_total) and its premise counts must
+comparison read off that call's stacked q side.  The oracle here makes the
+calls one after another: the premise member judged as a campaign judges it
+(``judge_members``, its right side against its left), the core against I,
+the peel as the peeled bound against the innermost sandwich, and the
+scalar bound from the sandwich's own spectrum and a walk of the peeled
+bound word per point.  Each row keeps its own errors: the core row the
+core word's, the peel row the bound's, then the sandwich's, then its
+comparison's, and the scalar row the sandwich's, then its spectrum's, then
+"reduction margin is not finite".  The reduction's table (every column but
+seconds, and every error text), its premise counts and its c_total must
 equal the oracle's bit for bit, on tuples with near-singular matrices so
 that ERROR rows occur.
 """
@@ -18,13 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oporder import chains, dsl, verify
-from oporder.chains import Direction
 from oporder.spectral import (
     HermitianMatrix,
     NonFiniteError,
     classify_stack,
     first_errors,
     flag_errors,
+    margins_hold,
     scaled_margins_stack,
     spectral_norms,
 )
@@ -37,12 +40,27 @@ from oporder.verify import (
     WeightPolicy,
     check_reduction_chain,
 )
+from test_reduction_hex_reference import reduction_instance
 from util import judge_members, walk_c_totals
 
 
+def _judged(ge, le, margin, scale, errors, tol_rel):
+    """(margin, scale, verdict, error texts) of rows under the ERROR
+    convention: a row with an error has a NaN margin, scale 1 and verdict
+    ERROR."""
+    verdict = classify_stack(ge, le, scale, tol_rel)
+    texts = [None] * len(ge) if errors is None else \
+        [None if e is None else str(e) for e in errors]
+    bad = [i for i, text in enumerate(texts) if text is not None]
+    margin, scale = margin.copy(), scale.copy()
+    margin[bad], scale[bad], verdict[bad] = np.nan, 1.0, ERROR_CODE
+    return margin, scale, verdict, texts
+
+
 def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
-    """(premise failures, premise errors, {column: (N, 3) array}, error
-    texts per point) of the reduction, from three comparisons per chunk."""
+    """({column: (4, N) array}, error texts per row, c_total) of the
+    reduction's table, from separate comparisons per chunk: the premise,
+    core, peel and scalar rows, each check's in point order."""
     tup, template, policy, index = instance
     k, n = tup.k, tup.k // 2
     premise = chains.hypothesis_set(k)[0]
@@ -55,9 +73,8 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
     p_vectors, p_table = plan.vectors, plan.table
     w = policy.weights(template.t, plan, template.r, count=k - 1)[:, 0]
     c_total = walk_c_totals(tup, template.t, p_vectors)
-    failures = errors_count = 0
-    columns = {name: [] for name in ("margin", "scale", "verdict", "c_total")}
-    texts = []
+    columns = {name: [[] for _ in range(4)] for name in ("margin", "scale", "verdict", "w")}
+    texts = [[] for _ in range(4)]
     for lo, hi in verify._batches(len(p_vectors), tup.dim, early_exit=False):
         size = hi - lo
         rows = {f"p{j + 1}": p_table[lo:hi, j] for j in range(2 * n)}
@@ -65,38 +82,58 @@ def oracle(instance: Instance, grid: PGrid, suite_tol_rel: float):
         if bound_word is not None:
             rows.update(chains.peeled_bindings(template.t, p_table[lo:hi].T))
         rhs, lhs, core, base, *peeled = dsl.evaluate_batch(words, env, rows)
-        judged = judge_members(lhs, rhs, w[lo:hi], np.ones(size, np.intp),
-                               premise.direction is Direction.GE, verify.TOL_REL, suite_tol_rel)
-        errors_count += int(np.count_nonzero(judged.error_rows))
-        failures += int(np.count_nonzero(judged.failures()))
+        # the premise as the reduction compares it: its right side against
+        # its left, LE
+        judged = judge_members(rhs, lhs, w[lo:hi], np.ones(size, np.intp), False,
+                               suite_tol_rel, suite_tol_rel)
+        got = [(judged.columns["margin"], judged.columns["scale"], judged.columns["verdict"],
+                [judged.error_text(i) for i in range(size)])]
 
         # the core W against I, whose margin is lambda_min(I - W)
         le_core, ge_core, scale_core, errors = scaled_margins_stack(ident, core, core.row_errors)
-        errors = first_errors(errors, base.row_errors)
-        bound = ident
-        if peeled:
-            bound, errors = peeled[0], first_errors(errors, peeled[0].row_errors)
-        ge_peel, le_peel, scale_peel, errors = scaled_margins_stack(bound, base, errors)
-        lam = base.spectrum[0]
+        got.append(_judged(ge_core, le_core, le_core, scale_core, errors, suite_tol_rel))
+        # the peeled bound (I for n = 1) against the sandwich
+        bound = peeled[0] if peeled else ident
+        ge_peel, le_peel, scale_peel, errors = scaled_margins_stack(
+            bound, base, first_errors(bound.row_errors, base.row_errors))
+        got.append(_judged(ge_peel, le_peel, ge_peel, scale_peel, errors, suite_tol_rel))
+        # c*I against the sandwich's spectrum
+        lam, errors = base.spectrum
         c = c_total[lo:hi]
-        ge = np.array((ge_core, ge_peel, c - lam[:, -1])).T
-        le = np.array((le_core, le_peel, lam[:, 0] - c)).T
-        margin = np.array((le_core, ge_peel, c - lam[:, -1])).T
-        scale = np.array((scale_core, scale_peel,
-                          np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam)))).T
-        finite = np.isfinite(ge[:, 1:]).all(axis=1) & np.isfinite(scale[:, 2])
-        errors = flag_errors(errors, ~finite, lambda i: NonFiniteError("reduction margin"))
-        verdict = classify_stack(ge, le, scale, suite_tol_rel)
-        cs = np.repeat(c[:, None], 3, axis=1)
-        for i in range(size):
-            error = None if errors is None else errors[i]
-            texts.append(None if error is None else str(error))
-            if error is not None:
-                margin[i], scale[i], verdict[i], cs[i] = np.nan, 1.0, ERROR_CODE, np.nan
-        for name, col in zip(columns, (margin, scale, verdict, cs)):
-            columns[name].append(col)
-    columns = {name: np.concatenate(cols) for name, cols in columns.items()}
-    return failures, errors_count, columns, texts
+        ge, le = c - lam[:, -1], lam[:, 0] - c
+        scale = np.maximum(np.maximum(1.0, np.abs(c)), spectral_norms(lam))
+        errors = flag_errors(first_errors(base.row_errors, errors),
+                             ~(np.isfinite(ge) & np.isfinite(le) & np.isfinite(scale)),
+                             lambda i: NonFiniteError("reduction margin"))
+        got.append(_judged(ge, le, ge, scale, errors, suite_tol_rel))
+
+        for check, (margin, scale, verdict, text) in enumerate(got):
+            for name, col in zip(("margin", "scale", "verdict"), (margin, scale, verdict)):
+                columns[name][check].append(col)
+            columns["w"][check].append(judged.columns["w"] if check == 0
+                                       else np.full(size, np.nan))
+            texts[check] += text
+    columns = {name: np.array([np.concatenate(col) for col in cols])
+               for name, cols in columns.items()}
+    return columns, [text for check in texts for text in check], c_total
+
+
+def assert_table_is_the_oracle(report, instance, grid, suite_tol_rel):
+    want, texts, c_total = oracle(instance, grid, suite_tol_rel)
+    table = report.table
+    size = len(c_total)
+    assert [check.name for check in table.checks] == ["premise", "core", "peel", "scalar"]
+    assert table.columns["check"].tolist() == np.repeat(np.arange(4), size).tolist()
+    assert table.columns["point"].tolist() == np.tile(np.arange(size), 4).tolist()
+    for name, col in want.items():
+        assert table.columns[name].tobytes() == col.ravel().tobytes(), name
+    assert [table.error_text(i) for i in range(len(table))] == texts
+    assert report.c_total.tobytes() == c_total.tobytes()
+    errors = want["verdict"][0] == ERROR_CODE
+    failures = ~margins_hold(want["margin"][0], want["scale"][0], suite_tol_rel) & ~errors
+    assert (report.premise_failures, report.premise_errors) == \
+        (int(np.count_nonzero(failures)), int(np.count_nonzero(errors)))
+    return want, texts
 
 
 @st.composite
@@ -137,7 +174,7 @@ class TestStackedReduction:
     @settings(max_examples=120, deadline=None)
     @given(case=instances(), small_chunks=st.booleans(),
            suite_tol_rel=st.sampled_from((verify.SUITE_TOL_REL, 1e-3)))
-    def test_table_equals_three_separate_comparisons(self, case, small_chunks, suite_tol_rel):
+    def test_table_equals_separate_comparisons(self, case, small_chunks, suite_tol_rel):
         instance, grid = case
         with pytest.MonkeyPatch.context() as patch:
             if small_chunks:
@@ -145,17 +182,11 @@ class TestStackedReduction:
                 patch.setattr(verify, "BATCH_BYTES",
                               5 * verify._ROW_BYTES_PER_ENTRY * instance.tup.dim ** 2)
             report = check_reduction_chain(instance, grid, suite_tol_rel=suite_tol_rel)
-            failures, errors, want, texts = oracle(instance, grid, suite_tol_rel)
-        assert (report.premise_failures, report.premise_errors) == (failures, errors)
-        table = report.table
-        for name, col in want.items():
-            assert table.columns[name].tobytes() == col.ravel().tobytes(), name
-        assert [table.error_text(i) for i in range(len(table))] == \
-            [text for text in texts for _ in range(3)]
+            assert_table_is_the_oracle(report, instance, grid, suite_tol_rel)
 
     def test_draws_reach_error_rows(self):
         # a k = 5 tuple whose A2 sits at the pd gate: its power -t1/2 fails
-        # on every row, so every point is an ERROR row, as in the oracle
+        # on every row, so every reduction row is an ERROR row, as in the oracle
         rng = np.random.default_rng(0)
         mats = [HermitianMatrix(np.diag(rng.uniform(0.5, 1.0, 2))) for _ in range(5)]
         mats[1] = HermitianMatrix(np.diag([1e-13, 1.0]))
@@ -163,7 +194,19 @@ class TestStackedReduction:
                             WeightPolicy.necessity())
         grid = PGrid(values=(1.0, 2.0))
         report = check_reduction_chain(instance, grid)
-        failures, errors, want, texts = oracle(instance, grid, verify.SUITE_TOL_REL)
-        assert report.table.error_rows.all() and all(texts)
-        assert (report.premise_failures, report.premise_errors) == (failures, errors)
-        assert [report.table.error_text(i) for i in range(0, len(report.table), 3)] == texts
+        _, texts = assert_table_is_the_oracle(report, instance, grid, verify.SUITE_TOL_REL)
+        assert report.table.error_rows[16:].all() and all(texts[16:])
+
+    def test_an_error_core_row_leaves_the_peel_and_scalar_rows_decided(self):
+        # the hex reference's k = 6 instance: at p-index 727 the core's
+        # power fails the pd gate, while the peeled bound and the sandwich,
+        # which do not contain it, evaluate
+        instance, grid = reduction_instance(6, 2, 0, (1.0, 1.5, 4.0))
+        report = check_reduction_chain(instance, grid, master_seed=0)
+        want, texts = assert_table_is_the_oracle(report, instance, grid, verify.SUITE_TOL_REL)
+        size = len(report.c_total)
+        assert want["verdict"][1, 727] == ERROR_CODE
+        assert texts[size + 727].startswith("matrix is numerically singular")
+        assert (want["verdict"][2:, 727] != ERROR_CODE).all()
+        assert report.table.holds()[[2 * size + 727, 3 * size + 727]].all()
+        assert report.table.error_text(2 * size + 727) is None

@@ -37,7 +37,7 @@ from oporder.verify import (
     limit_probe,
     probe_contraction_criterion,
     probe_loewner_heinz,
-    reduction_scalar_interior,
+    scalar_bounds,
     scalar_tuple,
     search_counterexample,
 )
@@ -687,26 +687,26 @@ class TestReductionChain:
         rep = check_reduction_chain(
             _necessity(tup, ParamTemplate(t=(0.8,), r=1.2)), PGrid(values=(1.0, 2.0)))
         assert rep.premise_pass
-        for row in rep.table.rows:
-            assert row.c_total == pytest.approx(1.0)
+        assert rep.c_total.tolist() == pytest.approx([1.0] * len(rep.c_total))
         assert rep.table.holds().all()
 
-    def test_scalar_interior_hand_value(self):
-        # two-level interior: norm(A4)^(t2/p3) * (1/margin(A3))^t1
+    def test_scalar_bound_hand_value(self):
+        # two-level interior norm(A4)^(t2/p3) * (1/margin(A3))^t1, to 1/p2
         tup = scalar_tuple([0.5, 0.6, 0.7, 0.8, 0.9])
-        got = reduction_scalar_interior(tup, (0.8, 0.3), (1.0, 2.0, 2.0, 4.0), 2)
-        expected = (0.8 ** (0.3 / 2.0)) * ((1 / 0.7) ** 0.8)
+        got, = scalar_bounds(tup, (0.8, 0.3), GridPlan(((1.0, 2.0, 2.0, 4.0),)))
+        expected = ((0.8 ** (0.3 / 2.0)) * ((1 / 0.7) ** 0.8)) ** (1 / 2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_scalar_interior_three_level_hand_value(self):
+    def test_scalar_bound_three_level_hand_value(self):
         # diag(lo, hi): norm hi, margin lo; layer 3 flips positive (a norm
         # factor), layers 4 and 2 negative (reciprocal-margin factors)
         spectra = [(0.4, 0.5), (0.5, 0.6), (0.6, 0.7), (0.7, 0.8), (0.8, 0.9),
                    (0.9, 0.95), (0.95, 0.99)]
         tup = OperatorTuple(tuple(diagonal(s) for s in spectra))
-        got = reduction_scalar_interior(tup, (0.8, 0.3, 0.6), (1.0, 2.0, 3.0, 4.0, 5.0, 1.0), 3)
+        got, = scalar_bounds(tup, (0.8, 0.3, 0.6),
+                             GridPlan(((1.0, 2.0, 3.0, 4.0, 5.0, 1.0),)))
         inner = (0.95 ** (0.6 / 5.0) * (1 / 0.8) ** 0.3) ** (1 / 4.0)
-        expected = (inner * 0.8 ** 0.3) ** (1 / 3.0) * (1 / 0.6) ** 0.8
+        expected = ((inner * 0.8 ** 0.3) ** (1 / 3.0) * (1 / 0.6) ** 0.8) ** (1 / 2.0)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_left_side_that_fails_to_evaluate_gives_premise_error_rows(self):
@@ -716,7 +716,8 @@ class TestReductionChain:
         rep = check_reduction_chain(Instance(tup, template, WeightPolicy.fixed([0.5, 0.5])),
                                     PGrid(values=(1.0, 2.0)))
         assert (rep.premise_failures, rep.premise_errors) == (0, 4)
-        assert not rep.premise_pass and rep.table.errors is None
+        assert not rep.premise_pass
+        assert rep.table.error_rows.tolist() == [True] * 4 + [False] * 12
 
     def test_one_run_per_chunk_and_the_base_decomposed_once_per_p1(self, monkeypatch):
         from oporder import dsl
@@ -752,7 +753,7 @@ class TestReductionChain:
         rep = check_reduction_chain(
             Instance(tup, ParamTemplate(t=(t1,), r=r), WeightPolicy.fixed((w, w)), 1), grid,
             master_seed=3)
-        assert len(rep.table) == 3 * verify.GRID_POINT_CAP
+        assert len(rep.table) == 4 * verify.GRID_POINT_CAP
         p_vectors = rep.table.checks[0].points
         assert p_vectors == verify._p_samples(grid, 1, 3, 1, 2).vectors
 

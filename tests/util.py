@@ -5,7 +5,7 @@ The scalar word evaluator here is deliberately a separate implementation
 from the package's evaluator: on diagonal matrices every operation acts
 entrywise, so it serves as the oracle for the matrix path.  The chain
 exponent's level recurrence and the scalar bound's word walk are the
-package's earlier forms of ``chain_exponents`` and ``_c_totals``, kept as
+package's earlier forms of ``chain_exponents`` and ``scalar_bounds``, kept as
 the oracles of their cached forms.  So are the forms the tolerance rules
 had where they were written out by hand: power_stack's inline gate test,
 the three scalar comparisons that ``spectral.scalar_margins`` replaced
@@ -204,23 +204,24 @@ REDUCTION_FIELDS = ("margin_core", "scale_core", "margin_peel", "scale_peel",
 
 
 def reduction_points(report) -> list[dict]:
-    """Each p-vector of a ReductionReport as the references keep it: its
-    REDUCTION_FIELDS, its p-vector and the error text of its rows (None
-    unless they are ERROR rows).  The table holds the core, peel and scalar
-    rows of each p-vector in turn, which share its c_total and error."""
-    table = report.table
+    """Each p-vector of a ReductionReport as the references keep it: the
+    margins and scales of its core, peel and scalar rows and its c_total
+    (REDUCTION_FIELDS), its p-vector and its first error, the error text
+    of the first of those rows that is an ERROR row (None when none is).
+    The table holds the premise, core, peel and scalar rows, each check's
+    in point order; a row that is not an ERROR row keeps its margin."""
+    table, size = report.table, len(report.c_total)
     cols = table.columns
-    assert [check.name for check in table.checks] == ["core", "peel", "scalar"]
-    assert cols["check"].tolist() == [0, 1, 2] * (len(table) // 3)
-    pairs = np.stack([cols["margin"], cols["scale"]], axis=1).reshape(-1, 6).tolist()
-    c_total = cols["c_total"].reshape(-1, 3)
-    assert all(len(set(map(repr, c))) == 1 for c in c_total.tolist())
+    assert [check.name for check in table.checks] == ["premise", "core", "peel", "scalar"]
+    assert cols["check"].tolist() == np.repeat(np.arange(4), size).tolist()
+    assert cols["point"].tolist() == np.tile(np.arange(size), 4).tolist()
+    pairs = np.stack([cols["margin"], cols["scale"]]).reshape(2, 4, size)[:, 1:]
     points = []
-    for i, values in enumerate(pairs):
-        errors = [table.error_text(3 * i + b) for b in range(3)]
-        assert len(set(errors)) == 1
-        points.append(dict(zip(REDUCTION_FIELDS, values + [float(c_total[i, 0])]),
-                           p_vector=tuple(table.checks[0].points[i]), error=errors[0]))
+    for i, values in enumerate(pairs.transpose(2, 1, 0).reshape(size, 6).tolist()):
+        errors = [table.error_text(b * size + i) for b in (1, 2, 3)]
+        points.append(dict(zip(REDUCTION_FIELDS, values + [float(report.c_total[i])]),
+                           p_vector=tuple(table.checks[0].points[i]),
+                           error=next(filter(None, errors), None)))
     return points
 
 
@@ -260,7 +261,7 @@ def level_chain_exponents(t, p_table) -> np.ndarray:
 
 
 def walk_scalar_interior(tup, t, p, n: int) -> float:
-    """Oracle for ``reduction_scalar_interior``: a walk of the peeled bound
+    """Oracle for the interior of ``scalar_bounds``: a walk of the peeled bound
     word, each exponent evaluated by ``ScalarExpr.evaluate`` under the t
     values and ``peeled_bindings(t, p)``, each factor's norm or lambda_min
     read where it is reached: |A|^(2e) for a wrap with e > 0,
@@ -284,7 +285,7 @@ def walk_scalar_interior(tup, t, p, n: int) -> float:
 
 
 def walk_c_totals(tup, t, p_vectors) -> np.ndarray:
-    """Oracle for ``verify._c_totals``: walk_scalar_interior(p) ** (1/p_2)
+    """Oracle for ``verify.scalar_bounds``: walk_scalar_interior(p) ** (1/p_2)
     for every p-vector on its own (1 for n = 1, where the interior is 1)."""
     n = len(t)
     return np.array([walk_scalar_interior(tup, t, p, n) ** (1.0 / p[1]) for p in p_vectors],
