@@ -452,8 +452,11 @@ _HEAD.add_argument("--config")
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """Flags, over the entries of a --config file, over the defaults.  A
-    check argv goes straight to the check parser of its mode: --mode's, else
-    the config's, or the mode-less one."""
+    command's argv goes straight to the command's own parser, which takes
+    what the root parser would hand it over; a check argv to the check
+    parser of its mode: --mode's, else the config's, or the mode-less one.
+    Any other argv goes to the root parser, which rejects it or prints its
+    help."""
     head, entries = _HEAD.parse_known_args(argv[1:])[0], None
     if head.config is not None:
         try:
@@ -462,19 +465,21 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             raise UsageError(f"cannot read config {head.config}: {exc}") from exc
         if not isinstance(entries, dict):
             raise UsageError(f"config {head.config} must hold a JSON object")
+    commands = _parser().commands
     if argv[:1] == ["check"]:
         mode = head.mode if head.mode is not None or entries is None else entries.get("mode")
         if mode is not None and mode not in MODES:  # the mode-less parser rejects it
             argv = ["check", f"--mode={mode}"] + argv[1:]
-        # the check parser takes what the root parser would hand it over
-        parser, lead = _parser(mode if mode in MODES else None).commands["check"], []
+        commands = _parser(mode if mode in MODES else None).commands
+    if argv[:1] and argv[0] in commands:
+        parser, lead = commands[argv[0]], []
     else:
         parser, lead = _parser(), argv[:1]
     args = parser.parse_args(lead + argv[1:])
     if entries is not None:
         args = parser.parse_args(lead + _config_tokens(entries, args) + argv[1:])
     if not lead:
-        args.command = "check"
+        args.command = argv[0]
     return args
 
 

@@ -16,6 +16,7 @@ A3^{r/2})^{w1}``.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,6 +359,8 @@ def _hermitize(values, errors, what: str):
     """Symmetrize a stack, failing the rows whose Hermiticity residual
     exceeds HERMITIZE_RTOL * max(1, ||X||_F)."""
     sym, too_far, resid, scale = hermitian_part(values, HERMITIZE_RTOL)
+    if too_far is None:
+        return sym, errors
     return sym, flag_errors(errors, too_far,
                             lambda i: _not_hermitian(what, resid[i], scale[i]))
 
@@ -385,15 +388,17 @@ class _Node:
 class _Plan:
     """A tuple of words compiled for one set of per-row names: their
     distinct nodes (by identity) with children before parents, the node of
-    each word, the symbol nodes, and the position of each matrix index the
-    symbols raise (``slot``, in order of first use).  The plan holds its
-    words, so the node ids it is cached under stay theirs."""
+    each word, the symbol nodes, the position of each matrix index the
+    symbols raise (``slot``, in order of first use) and every name their
+    exponents read.  The plan holds its words, so the node ids it is
+    cached under stay theirs."""
 
     words: tuple
     nodes: tuple[_Node, ...]
     outputs: tuple[int, ...]
     symbols: tuple[int, ...]
     slot: dict
+    names: frozenset
 
 
 def _compile(words: tuple, row_names: frozenset) -> _Plan:
@@ -429,7 +434,9 @@ def _compile(words: tuple, row_names: frozenset) -> _Plan:
     symbols = tuple(i for i, node in enumerate(nodes) if isinstance(node.word, Symbol))
     indices = dict.fromkeys(nodes[i].word.index for i in symbols)
     return _Plan(words, tuple(nodes), outputs, symbols,
-                 {index: j for j, index in enumerate(indices)})
+                 {index: j for j, index in enumerate(indices)},
+                 frozenset().union(*(node.exponent.free_names() for node in nodes
+                                     if node.exponent is not None)))
 
 
 class _PlanCache:
@@ -589,15 +596,17 @@ class _BatchRun:
             if instance is None:
                 raise ValueError("several environments need an instance column")
             inst = np.asarray(instance, dtype=np.intp).reshape(-1)
-            low, high = (inst.min(), inst.max()) if len(inst) else (-1, -1)
+            low, high = (np.minimum.reduce(inst), np.maximum.reduce(inst)) if len(inst) \
+                else (-1, -1)
             if not 0 <= low <= high < len(envs):
                 raise ValueError(f"instance column must index the {len(envs)} environments")
             # the run binds only the environments some row names, in order
             named = np.bincount(inst, minlength=len(envs)) > 0
-            if not named.all():
+            if np.count_nonzero(named) < len(named):
                 envs = tuple(e for e, keep in zip(envs, named.tolist()) if keep)
                 inst = (np.cumsum(named) - 1)[inst]
-            if len({m.dim for e in envs for m in e.matrices.values()}) > 1 \
+            # each environment's matrices share one dimension already
+            if len({m.dim for e in envs for m in itertools.islice(e.matrices.values(), 1)}) > 1 \
                     or len({frozenset(e.scalars) for e in envs}) > 1:
                 raise ValueError("environments must bind the same scalar names "
                                  "and one matrix dimension")
@@ -701,6 +710,8 @@ class _BatchRun:
         exponent's names; a power's exponent names."""
         bound = self.columns.keys() | self.env.scalars.keys()
         partial = [env for env in self.envs if not plan.slot.keys() <= env.matrices.keys()]
+        if not partial and plan.names <= bound:
+            return
         for node in plan.nodes:
             if partial and isinstance(node.word, Symbol):
                 for env in partial:
@@ -736,14 +747,16 @@ class _BatchRun:
     def _table(self, plan: _Plan):
         """The decompositions of every symbol index of the plan in every
         environment: eigenvalues and eigenvectors stacked with entry
-        ``plan.slot[index] * E + e`` for environment e of E, and the dtype
-        each index's eigenvectors stack to across environments.  A matrix
-        that fails to decompose raises its error."""
+        ``plan.slot[index] * E + e`` for environment e of E, and, when some
+        eigenvectors are complex, the dtype each index's eigenvectors stack
+        to across environments (None when all are real).  A matrix that
+        fails to decompose raises its error."""
         decs = [env.matrix(index).decomposition() for index in plan.slot for env in self.envs]
-        count = len(self.envs)
         vectors = [d.eigenvectors for d in decs]
-        dtypes = [np.result_type(*vectors[j:j + count]) for j in range(0, len(decs), count)]
-        return np.array([d.eigenvalues for d in decs]), np.array(vectors), dtypes
+        u, dtypes, count = np.array(vectors), None, len(self.envs)
+        if u.dtype.kind == "c":
+            dtypes = [np.result_type(*vectors[j:j + count]) for j in range(0, len(decs), count)]
+        return np.array([d.eigenvalues for d in decs]), u, dtypes
 
     def _symbols(self, plan: _Plan, parts: list) -> None:
         """Every symbol node of the plan, raised in one ``power_stack`` call
@@ -760,12 +773,12 @@ class _BatchRun:
             entries = (slot * count + self.column(group, _INSTANCE) if self.multi
                        else np.full(1 if group is None else len(group.first), slot,
                                     dtype=np.intp))
-            pending.setdefault(dtypes[slot], []).append(
+            pending.setdefault(None if dtypes is None else dtypes[slot], []).append(
                 (i, group, entries, self.exponent(node, group)))
         for dtype, stacked in pending.items():
             entries = np.concatenate([node_entries for _, _, node_entries, _ in stacked])
             vectors = u[entries]
-            if vectors.dtype != dtype:  # a real index among complex ones
+            if dtype is not None and vectors.dtype != dtype:  # a real index among complex ones
                 vectors = np.ascontiguousarray(vectors.real)
             alpha = np.empty(len(entries))
             start = 0

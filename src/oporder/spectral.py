@@ -245,11 +245,6 @@ def healthy(errors: np.ndarray) -> np.ndarray:
     return np.equal(errors, None)
 
 
-def failed_rows(errors, m: int) -> np.ndarray:
-    """Mask of the m rows with an error (errors None: no row failed)."""
-    return np.zeros(m, dtype=bool) if errors is None else ~healthy(errors)
-
-
 def any_set(mask: np.ndarray) -> bool:
     """``mask.any()`` for a boolean mask, by the C-level count rather than
     the method's Python wrapper (a third of the cost on short masks)."""
@@ -337,8 +332,10 @@ _EIGVALSH_SIGNATURES = {"d": "d->d", "D": "D->d"}
 
 
 def _direct(gufunc: str, signatures: dict, fallback: str, arrs: np.ndarray):
-    """``np.linalg.<fallback>(arrs)``, by the gufunc ``gufunc`` of
-    numpy.linalg._umath_linalg where its eigenvalues come out finite."""
+    """(``np.linalg.<fallback>(arrs)``, whether its eigenvalues are known to
+    be finite): by the gufunc ``gufunc`` of numpy.linalg._umath_linalg
+    where they come out finite (True), else by np.linalg, whose eigenvalues
+    may not be (False)."""
     signature = signatures.get(arrs.dtype.char)
     # both are looked up when called, as np.linalg looks up its gufuncs
     if signature is not None:
@@ -349,8 +346,8 @@ def _direct(gufunc: str, signatures: dict, fallback: str, arrs: np.ndarray):
         else:
             finite = np.isfinite(out[0] if isinstance(out, tuple) else out)
             if np.count_nonzero(finite) == finite.size:
-                return out
-    return getattr(np.linalg, fallback)(arrs)
+                return out, True
+    return getattr(np.linalg, fallback)(arrs), False
 
 
 def _eigh(arrs: np.ndarray):
@@ -363,7 +360,8 @@ def _eigvalsh(arrs: np.ndarray):
 
 def _solve_stack(solver, arrs: np.ndarray, errors):
     """Run a stacked LAPACK solver on the healthy rows; returns (result,
-    errors, the stack that was solved).
+    errors, the stack that was solved, whether the result's eigenvalues
+    are known to be finite: ``_direct``'s flag for the stack).
 
     Rows with non-finite entries become NonFiniteError rows, and every
     unhealthy row is solved as the identity.  If LAPACK still fails on the
@@ -379,21 +377,21 @@ def _solve_stack(solver, arrs: np.ndarray, errors):
         if not ok.all():
             work = np.where(ok[:, None, None], arrs, _eye(dim))
     try:
-        return solver(work), errors, work
+        return (*solver(work), errors, work)
     except np.linalg.LinAlgError:
         pass
-    ident = solver(_eye(dim))
+    ident, _ = solver(_eye(dim))
     parts = []
     for i, arr in enumerate(work):
         try:
-            parts.append(solver(arr))
+            parts.append(solver(arr)[0])
         except np.linalg.LinAlgError:
             errors = flag_errors(errors, np.arange(len(work)) == i,
                                  lambda j: EigenSolverError(dim, _cond_estimate(arrs[j])))
             parts.append(ident)
     if isinstance(ident, np.ndarray):
-        return np.stack(parts), errors, work
-    return tuple(np.stack(p) for p in zip(*parts)), errors, work
+        return np.stack(parts), False, errors, work
+    return tuple(np.stack(p) for p in zip(*parts)), False, errors, work
 
 
 def decompose_stack(arrs: np.ndarray, errors=None):
@@ -417,10 +415,9 @@ def eigensystem_stack(arrs: np.ndarray, errors=None):
     residuals are taken with, and that ``power_stack`` can rebuild and gate
     with."""
     dim = arrs.shape[-1]
-    (lam, u), errors, work = _solve_stack(_eigh, arrs, errors)
-    finite = np.isfinite(lam)
-    if np.count_nonzero(finite) != finite.size:
-        bad = ~finite.all(axis=-1)
+    (lam, u), finite, errors, work = _solve_stack(_eigh, arrs, errors)
+    # the direct solve has tested its eigenvalues; np.linalg's may be inf or NaN
+    if not finite and any_set(bad := ~np.isfinite(lam).all(axis=-1)):
         errors = flag_errors(errors, bad, lambda i: NonFiniteError("eigenvalue"))
         keep = ~bad[:, None]
         lam, u = np.where(keep, lam, 1.0), np.where(keep[..., None], u, _eye(dim))
@@ -432,18 +429,21 @@ def eigensystem_stack(arrs: np.ndarray, errors=None):
     # power of a stack that the pd gate rejects) and of a NaN, which only a
     # row in error holds; a larger d or another BLAS may round differently
     uh = np.ascontiguousarray(_adjoint(u))
-    ortho = np.maximum.reduce(np.abs(uh @ u - _eye(dim)), axis=(-2, -1))
-    recon = np.maximum.reduce(np.abs((u * lam[:, None, :]) @ uh - work), axis=(-2, -1))
+    ortho = np.abs(uh @ u - _eye(dim))
+    recon = np.abs((u * lam[:, None, :]) @ uh - work)
     # of an ascending spectrum, max|lambda| is spectral_norms' max(|lambda_0|,
     # |lambda_(d-1)|), bit for bit
     norms = np.maximum.reduce(np.abs(lam), axis=-1)
-    bad_ortho = ortho > ORTHO_TOL
-    bad_recon = recon > RECON_RTOL * np.maximum(1.0, norms)
-    if any_set(bad_ortho | bad_recon):
-        errors = flag_errors(errors, bad_ortho, lambda i: EigenSolverError(
+    # a row fails with a residual entry above ORTHO_TOL, or above RECON_RTOL
+    # times max(1, |lambda|max) >= 1: while no entry is above either
+    # tolerance, no row fails and neither is taken per row
+    if any_set(ortho > ORTHO_TOL) or any_set(recon > RECON_RTOL):
+        ortho = np.maximum.reduce(ortho, axis=(-2, -1))
+        recon = np.maximum.reduce(recon, axis=(-2, -1))
+        errors = flag_errors(errors, ortho > ORTHO_TOL, lambda i: EigenSolverError(
             dim, ortho[i] / max(ORTHO_TOL, 1e-300)))
-        errors = flag_errors(errors, bad_recon, lambda i: EigenSolverError(
-            dim, _cond_estimate(arrs[i])))
+        errors = flag_errors(errors, recon > RECON_RTOL * np.maximum(1.0, norms),
+                             lambda i: EigenSolverError(dim, _cond_estimate(arrs[i])))
     return lam, u, errors, uh, norms
 
 
@@ -502,10 +502,9 @@ def power_stack(lam: np.ndarray, u: np.ndarray, alpha, errors, uh=None, norms=No
     powered = lam ** alpha[:, None]
     scalar = np.equal.outer(alpha, _SCALAR_POWERS)
     if any_set(scalar):
-        for j, (_, fast_path) in enumerate(_SCALAR_POWER_PATHS):
+        for j in np.flatnonzero(np.logical_or.reduce(scalar)).tolist():
             rows = scalar[:, j]
-            if any_set(rows):
-                powered[rows] = fast_path(lam[rows])
+            powered[rows] = _SCALAR_POWER_PATHS[j][1](lam[rows])
     out = (u * powered[:, None, :]) @ (np.ascontiguousarray(_adjoint(u)) if uh is None else uh)
     out = 0.5 * (out + _adjoint(out))
     bad = nonfinite_rows(out)
@@ -524,11 +523,17 @@ def _frobenius(arrs: np.ndarray) -> np.ndarray:
 def hermitian_part(arrs: np.ndarray, rtol: float):
     """(0.5 (X + X*), too_far, residual, scale) for a stack: the residual is
     ||X - X*||_F, the scale max(1, ||X||_F), and too_far marks the rows whose
-    residual exceeds rtol * scale.  Call under np.errstate(all="ignore")."""
+    residual exceeds rtol * scale.  The scale is at least 1, so a residual
+    at or below rtol is within it: while no row's is above, too_far and the
+    scale are None and the scale is not computed.  Call under
+    np.errstate(all="ignore")."""
     adj = _adjoint(arrs)
-    scale = np.maximum(1.0, _frobenius(arrs))
     resid = _frobenius(arrs - adj)
-    return 0.5 * (arrs + adj), resid > rtol * scale, resid, scale
+    sym = 0.5 * (arrs + adj)
+    if not any_set(resid > rtol):
+        return sym, None, resid, None
+    scale = np.maximum(1.0, _frobenius(arrs))
+    return sym, resid > rtol * scale, resid, scale
 
 
 def margins_stack(p: np.ndarray, q: np.ndarray, errors):
@@ -537,7 +542,7 @@ def margins_stack(p: np.ndarray, q: np.ndarray, errors):
     np.errstate(all="ignore")."""
     if p.shape[-1] != q.shape[-1]:
         raise DimensionMismatchError(f"cannot compare dims {p.shape[-1]} and {q.shape[-1]}")
-    evs, errors, _ = _solve_stack(_eigvalsh, p - q, errors)
+    evs, _, errors, _ = _solve_stack(_eigvalsh, p - q, errors)
     return evs[:, 0], -evs[:, -1], errors
 
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from pathlib import Path
@@ -39,10 +38,10 @@ from .spectral import (
     classify_stack,
     concat_errors,
     decompose_stack,
-    failed_rows,
     first_errors,
     flag_errors,
     gate_stack,
+    healthy,
     identity,
     loewner_compare,
     margins_hold,
@@ -284,7 +283,8 @@ def gen_contractive_tuple(
     # the k perturbations in the order of k single draws, normalized and
     # decomposed as stacks; each step equals its per-matrix form bit for bit
     s = _random_spds(rng, dim, k, field_kind, 0.0)
-    s = s / np.maximum(_eigvalsh(s)[:, -1], 1e-12)[:, None, None]
+    evs, _ = _eigvalsh(s)
+    s = s / np.maximum(evs[:, -1], 1e-12)[:, None, None]
     m = centers[:, None, None] * _eye(dim) + wobble * s
     # one checked decomposition of the symmetrized stack, kept on each
     # matrix for later powers; the first matrix that fails to decompose or
@@ -502,8 +502,7 @@ VERDICTS = tuple(rel.value for rel in STACK_RELATIONS) + ("ERROR",)
 ERROR_CODE = len(VERDICTS) - 1
 
 
-@dataclass(frozen=True)
-class CampaignMember:
+class CampaignMember(NamedTuple):
     """The check of one hypothesis member on one instance: the instance id,
     the tuple's k and dim, the member and its relation, and its points,
     the instance's sampled p-vectors."""
@@ -597,7 +596,7 @@ class MarginTable:
         ERROR.  ``verdict`` holds classify_stack codes."""
         columns = {"check": check, "point": point, "margin": margin, "scale": scale,
                    "verdict": verdict, **extra}
-        bad = np.flatnonzero(failed_rows(errors, len(margin)))
+        bad = () if errors is None else np.flatnonzero(~healthy(errors))
         if len(bad):
             fills = dict.fromkeys(("margin", *extra), math.nan)
             fills.update(scale=1.0, verdict=ERROR_CODE)
@@ -704,13 +703,19 @@ class CampaignReport:
         number of ERROR rows.  A report holds each instance's rows in turn."""
         table = self.table
         index = np.array([int(m.instance_id) for m in table.checks])[table.columns["check"]]
-        starts = np.flatnonzero(np.diff(index, prepend=-1))
-        worst = np.minimum.reduceat(np.where(table.failures(), table.columns["margin"], np.inf),
-                                    starts)
-        errors = np.add.reduceat(table.error_rows.astype(np.intp), starts)
+        new = np.empty(len(index), dtype=bool)
+        new[:1] = True
+        np.not_equal(index[1:], index[:-1], out=new[1:])
+        starts = np.flatnonzero(new)
+        # a row that holds counts inf, and an ERROR row's NaN margin is
+        # passed over by fmin (every other margin is finite); an instance
+        # without a failing row gets inf, or NaN when all its rows are ERROR
+        worst = np.fmin.reduceat(np.where(table.holds(), np.inf, table.columns["margin"]),
+                                 starts)
+        errors = [0] * len(starts) if table.errors is None else \
+            np.add.reduceat(table.error_rows, starts, dtype=np.intp).tolist()
         return {idx: (margin if margin < math.inf else None, count)
-                for idx, margin, count in zip(index[starts].tolist(), worst.tolist(),
-                                              errors.tolist())}
+                for idx, margin, count in zip(index[starts].tolist(), worst.tolist(), errors)}
 
     def summary(self) -> dict:
         table = self.table
@@ -851,23 +856,36 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
     count, weighted = len(comparisons), any(comp.weight is not None for comp in comparisons)
     pass_tol = tol_rel if pass_tol_rel is None else pass_tol_rel
     env = cache(lambda j, c: subjects[j].env(c))
+    ge_checks = np.array([comp.relation is Direction.GE for comp in comparisons])
+
+    def take(cols: list, index) -> list:  # the rows ``index`` of columns, None kept
+        return [None if col is None else col[index] for col in cols]
 
     def chunk(pairs, lo: int, hi: int) -> list:
-        """Each pair's ge and le (of left against right), scale, errors and w."""
+        """The pairs' ge and le (of left against right), scale, errors and w
+        (None in a run without weights), pair by pair: pair i's at rows
+        i * (hi - lo) .. (i + 1) * (hi - lo) - 1."""
         size = hi - lo
-        # a block of rows per distinct environment, a segment per distinct matrix sides
-        blocks, segments, words, block_of, seg_of = {}, {}, {}, [], []
-        for j, c in pairs:
+        # a block of rows per distinct environment, a segment per distinct
+        # matrix sides; each pair's rows are a block of one segment's, or
+        # (c*I) one after the segments
+        blocks, segments, words = {}, {}, {}
+        block_of = [blocks.setdefault(id(env(j, c)), (len(blocks), j, c))[0] for j, c in pairs]
+        # each comparison's segment, None for c*I, and its words in order of first use
+        seg_at = dict.fromkeys(c for _, c in pairs)
+        for c in seg_at:
             comp = comparisons[c]
-            block_of.append(blocks.setdefault(id(env(j, c)), (len(blocks), j, c))[0])
-            seg_of.append(None if isinstance(comp.left, str) else segments.setdefault(
-                (id(comp.left), id(comp.right)), (len(segments), comp))[0])
+            if not isinstance(comp.left, str):
+                seg_at[c] = segments.setdefault((id(comp.left), id(comp.right)),
+                                                (len(segments), comp))[0]
             words.update((id(w), w) for w in (comp.right, comp.left)
                          if not isinstance(w, (str, type(None))))
+        seg_of = [seg_at[c] for _, c in pairs]
         bound = [(env(j, c), subjects[j].plan, subjects[j].rows(c, lo, hi))
                  for _, j, c in blocks.values()]
-        (first_env, plan, columns), rows = bound[0], len(bound) * size
-        if len(bound) == 1:
+        (first_env, plan, columns), width = bound[0], len(bound)
+        rows = width * size
+        if width == 1:
             values = dsl.evaluate_batch(tuple(words.values()), first_env, columns, None, **(
                 {} if plan is None else {"schedule": plan.schedule(lo, hi)}))
         else:
@@ -875,7 +893,7 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
             if plan is not None:  # the subjects of a run have plans or none
                 columns |= _p_columns(np.concatenate([p.table[lo:hi] for _, p, _ in bound]))
             values = dsl.evaluate_batch(tuple(words.values()), [e for e, _, _ in bound], columns,
-                                        np.repeat(np.arange(len(bound)), size))
+                                        np.arange(width).repeat(size))
             plan = None
         # each side's batch by the id of its word, None's the identity
         values = {id(None): _identity_batch(first_env.dim), **dict(zip(words, values))}
@@ -883,47 +901,64 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
         def block(b: int) -> slice:  # row block b of a side
             return slice(b * size, (b + 1) * size)
 
-        weights = [np.full(size, np.nan) if comparisons[c].weight is None
-                   else columns[comparisons[c].weight[0]][block(b)]
-                   for (_, c), b in zip(pairs, block_of)]
+        # the row block of each pair among the comparison's and then the c*I rows
+        matrix_blocks = len(segments) * width
+        at, scalar_pairs = [], []
+        for k, (b, s) in enumerate(zip(block_of, seg_of)):
+            if s is None:
+                scalar_pairs.append(k)
+                at.append(matrix_blocks + len(scalar_pairs) - 1)
+            else:
+                at.append(s * width + b)
+        w = None
+        if weighted:
+            w = np.concatenate([np.full(size, np.nan) if comparisons[c].weight is None
+                                else columns[comparisons[c].weight[0]][block(b)]
+                                for (_, c), b in zip(pairs, block_of)])
         pq = [(values[id(comp.left)], values[id(comp.right)]) for _, comp in segments.values()]
-        errors = [first_errors(left.row_errors, right.row_errors) for left, right in pq]
-        for (_, c), b, s, w in zip(pairs, block_of, seg_of, weights):
-            # a weight w <= 0 (from an overflowed chain exponent) would make its side I
-            if s is not None and comparisons[c].weight is not None and any_set(w <= 0):
-                bad = np.zeros(rows, dtype=bool)
-                bad[block(b)] = w <= 0
-                errors[s] = flag_errors(errors[s], bad, lambda i, w=w, c=c: dsl.EvaluationError(
-                    f"weight {comparisons[c].weight[1]} = {float(w[i % size])!r} is not positive"))
+        errors = concat_errors([first_errors(left.row_errors, right.row_errors)
+                                for left, right in pq], [rows] * len(pq))
+        # a weight w <= 0 (from an overflowed chain exponent) would make its
+        # side I; a pair without a weight (c*I among them) has a NaN w
+        if weighted and any_set(w <= 0):
+            for k, (_, c) in enumerate(pairs):
+                pair_w = w[block(k)]
+                if any_set(pair_w <= 0):
+                    bad = np.zeros(len(pq) * rows, dtype=bool)
+                    bad[block(at[k])] = pair_w <= 0
+                    errors = flag_errors(errors, bad, lambda i, w=pair_w, c=c: dsl.EvaluationError(
+                        f"weight {comparisons[c].weight[1]} = {float(w[i % size])!r} "
+                        f"is not positive"))
+        cols = []
         if pq:
             p, q = (pq[0][i] if len(pq) == 1 else WordBatch.stack(
                 [side[i] for side in pq], rows, {} if plan is None else plan.stacks)
                 for i in (0, 1))
-            ge, le, scale, errs = scaled_margins_stack(p, q, concat_errors(errors,
-                                                                           [rows] * len(pq)))
-        out = []
-        for (_, c), b, s, w in zip(pairs, block_of, seg_of, weights):
-            comp = comparisons[c]
-            if s is not None:
-                at = block(s * len(bound) + b)
-                got = ge[at], le[at], scale[at], None if errs is None else errs[at]
-            else:
-                # c*I: its word's spectrum off the stacked q side when it is
-                # one there, so that each value is decomposed once
-                right = values[id(comp.right)]
-                t = next((t for t, (_, side) in enumerate(pq) if side is right), None)
-                side, at = (right, block(b)) if t is None else (q, block(t * len(bound) + b))
-                lam, side_errors = side.spectrum
-                got = scalar_margins(columns[comp.left][block(b)], lam[at])
-                side_errors = first_errors(side.row_errors, side_errors)
-                got += (flag_errors(None if side_errors is None else side_errors[at],
-                                    ~np.isfinite(got).all(axis=0),
-                                    lambda i: NonFiniteError("reduction margin")),)
-            out.append((*got, w))
-        return out
+            cols.append(scaled_margins_stack(p, q, errors))
+        for k in scalar_pairs:
+            # c*I: its word's spectrum off the stacked q side when it is one
+            # there, so that each value is decomposed once
+            comp, b = comparisons[pairs[k][1]], block_of[k]
+            right = values[id(comp.right)]
+            t = next((t for t, (_, side) in enumerate(pq) if side is right), None)
+            side, rows_at = (right, block(b)) if t is None else (q, block(t * width + b))
+            lam, side_errors = side.spectrum
+            got = scalar_margins(columns[comp.left][block(b)], lam[rows_at])
+            side_errors = first_errors(side.row_errors, side_errors)
+            cols.append(got + (flag_errors(None if side_errors is None else side_errors[rows_at],
+                                           ~np.isfinite(got).all(axis=0),
+                                           lambda i: NonFiniteError("reduction margin")),))
+        cols = list(cols[0]) if len(cols) == 1 else (
+            [np.concatenate(col) for col in list(zip(*cols))[:3]]
+            + [concat_errors([col[3] for col in cols], [len(col[0]) for col in cols])])
+        if at != list(range(matrix_blocks + len(scalar_pairs))):
+            # some pair's rows are not where its place in the pairs puts them
+            cols = take(cols, (np.array(at)[:, None] * size + np.arange(size)).reshape(-1))
+        return cols + [w]
 
-    # per pair and chunk: its check, points, raw columns and the rows' seconds
-    pieces, stopped = [], set()
+    # per chunk: the check, point, ge, le, scale, w and errors of its kept
+    # rows, and its seconds per row
+    parts, seconds, stopped = [], [], set()
     active = list(range(len(subjects)))
     groups = [[c] for c in range(count)] if early_exit else [range(count)]
     for group in itertools.takewhile(lambda _: active, groups):
@@ -931,36 +966,47 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
         dim = env(active[0], group[0]).dim
         chunks = _batches(len(subjects[0].points), dim, early_exit, width)
         for lo, hi in itertools.takewhile(lambda _: active, chunks):
-            per_call, points = max(1, _batch_rows(dim) // ((hi - lo) * width)), np.arange(lo, hi)
+            size = hi - lo
+            per_call = max(1, _batch_rows(dim) // (size * width))
             for first in range(0, len(active), per_call):
                 pairs = [(j, c) for j in active[first:first + per_call] for c in group]
                 started = time.perf_counter()
-                cols = chunk(pairs, lo, hi)
-                seconds = (time.perf_counter() - started) / (len(pairs) * (hi - lo))
-                for (j, c), (ge, le, scale, errors, w) in zip(pairs, cols):
-                    margin = ge if comparisons[c].relation is Direction.GE else le
-                    # with early exit, the rows up to the first failing one;
-                    # error rows are indeterminate, not violations
-                    fails = np.flatnonzero(~margins_hold(margin, scale, pass_tol)
-                                           & ~failed_rows(errors, hi - lo)) if early_exit else ()
-                    at = slice(int(fails[0]) + 1 if len(fails) else None)
-                    if len(fails):
-                        stopped.add(j)
-                    pieces.append((j * count + c, points[at], ge[at], le[at], margin[at],
-                                   scale[at], None if errors is None else errors[at], w[at],
-                                   seconds))
+                ge, le, scale, errors, w = chunk(pairs, lo, hi)
+                seconds.append((time.perf_counter() - started) / len(ge))
+                rows = [np.array([j * count + c for j, c in pairs]).repeat(size),
+                        np.arange(len(ge)) % size + lo, ge, le, scale, w, errors]
+                if early_exit:
+                    # the rows of each pair up to its first failing one (an
+                    # early-exit group is one comparison); error rows are
+                    # indeterminate, not violations
+                    fails = ~margins_hold(ge if ge_checks[group[0]] else le, scale, pass_tol)
+                    if errors is not None:
+                        fails &= healthy(errors)
+                    if any_set(fails):
+                        fails = fails.reshape(len(pairs), size)
+                        failed = np.logical_or.reduce(fails, axis=1)
+                        stopped.update(j for (j, _), hit in zip(pairs, failed.tolist()) if hit)
+                        if size > 1:  # a chunk of one row keeps it
+                            rows = take(rows, ((np.arange(size) <= fails.argmax(axis=1)[:, None])
+                                               | ~failed[:, None]).reshape(-1))
+                parts.append(rows)
             active = [j for j in active if j not in stopped]
-    # each check's rows in turn, in point order
-    pieces.sort(key=operator.itemgetter(0))
-    check, point, ge, le, margin, scale, errors, w, seconds = zip(*pieces)
-    sizes = [len(col) for col in point]
-    ge, le, margin, scale = (np.concatenate(col) for col in (ge, le, margin, scale))
+    # each check's rows in turn, in point order: a check's chunks come in
+    # point order, so a stable sort by check keeps them so
+    *cols, errors = zip(*parts)
+    sizes = [len(col) for col in cols[0]]
+    cols = [None if col[0] is None else np.concatenate(col) for col in cols]
+    cols += [concat_errors(errors, sizes), np.repeat(seconds, sizes)]
+    if len(parts) > 1:
+        cols = take(cols, cols[0].argsort(kind="stable"))
+    check, point, ge, le, scale, w, errors, seconds = cols
     table = MarginTable.judged(
-        tuple(Comparison(c.name, s.points, *c[2:]) for s in subjects for c in comparisons),
-        np.repeat(check, sizes), np.concatenate(point), margin, scale,
-        classify_stack(ge, le, scale, tol_rel), concat_errors(errors, sizes), pass_tol,
-        **({"w": np.concatenate(w)} if weighted else {}))
-    table.columns["seconds"] = np.repeat(seconds, sizes)
+        tuple(Comparison(c.name, s.points, c.left, c.right, c.relation, c.weight)
+              for s in subjects for c in comparisons),
+        check, point, np.where(ge_checks[check % count], ge, le), scale,
+        classify_stack(ge, le, scale, tol_rel), errors, pass_tol,
+        **({"w": w} if weighted else {}))
+    table.columns["seconds"] = seconds
     return table
 
 
@@ -999,28 +1045,41 @@ def check_hypotheses(
                              f"got k={inst.tup.k} and dim={inst.tup.dim}")
         if inst.template.n != n:
             raise ValueError(f"template has {inst.template.n} t-values, tuple needs {n}")
-    chain_list = chains.hypothesis_set(k)
-    lhs_word, rhs_word = chains.slot_words(k)
-    w_index = [chains.weight_index(c.family, c.member, n) for c in chain_list]
-    members = tuple(Comparison(c.family.value, (), lhs_word, rhs_word, c.direction,
-                               weight=("w", f"w{i}")) for c, i in zip(chain_list, w_index))
+    members, slots, w_columns, fields = _campaign_members(k)
     plans = [_p_samples(grid, n, master_seed, inst.index, 1) for inst in instances]
 
     def subject(inst: Instance, plan: GridPlan) -> Subject:
         weights = inst.policy.weights(inst.template.t, plan, inst.template.r, count=k - 1)
-        return Subject(plan.vectors, lambda c: _environment(
-            inst.tup, inst.template, chains.member_slots(chain_list[c].family,
-                                                         chain_list[c].member, k)),
-            lambda c, lo, hi: {"w": weights[lo:hi, w_index[c] - 1]}, plan)
+        return Subject(plan.vectors,
+                       lambda c: _environment(inst.tup, inst.template, slots[c]),
+                       lambda c, lo, hi: {"w": weights[lo:hi, w_columns[c]]}, plan)
 
     table = run(members, [subject(inst, plan) for inst, plan in zip(instances, plans)],
                 early_exit=stop_on_violation, tol_rel=tol_rel, pass_tol_rel=suite_tol_rel)
     # the run's checks are the members at each instance's points, in this order
-    table = replace(table, checks=tuple(
-        CampaignMember(str(inst.index), k, dim, c.family.value, c.member, c.direction.value,
-                       plan.vectors) for inst, plan in zip(instances, plans) for c in chain_list))
+    checks = tuple(CampaignMember(str(inst.index), k, dim, *member, plan.vectors)
+                   for inst, plan in zip(instances, plans) for member in fields)
+    table = MarginTable(checks, table.columns, table.errors, table.tol_rel)
     stopped = stop_on_violation and any_set(table.failures())
     return CampaignReport(table, {"stopped_early": True} if stopped else {}, master_seed)
+
+
+@lru_cache(maxsize=None)
+def _campaign_members(k: int) -> tuple:
+    """The hypothesis members of size k as a campaign checks them, built
+    once: each member's comparison of the slot words (``chains.slot_words``)
+    with its weight as the per-row column w, its operator at each slot
+    (``chains.member_slots``), the column of its weight among a policy's
+    weights, and its family, number and relation as its CampaignMember
+    reads them."""
+    chain_list, n = chains.hypothesis_set(k), k // 2
+    lhs_word, rhs_word = chains.slot_words(k)
+    w_index = [chains.weight_index(c.family, c.member, n) for c in chain_list]
+    return (tuple(Comparison(c.family.value, (), lhs_word, rhs_word, c.direction,
+                             weight=("w", f"w{i}")) for c, i in zip(chain_list, w_index)),
+            tuple(chains.member_slots(c.family, c.member, k) for c in chain_list),
+            tuple(i - 1 for i in w_index),
+            tuple((c.family.value, c.member, c.direction.value) for c in chain_list))
 
 
 def check_conclusion(tup: OperatorTuple, tol_rel: float = TOL_REL) -> list[Verdict]:

@@ -211,21 +211,19 @@ class TestEvaluationCalls:
         t = (rng.uniform(0.05, 0.95),)
         template = ParamTemplate(t=t, r=t[-1] + rng.uniform(0.1, 2.0))
         policy = WeightPolicy.fixed(rng.uniform(0.2, 0.95) for _ in range(2))
-        # build the cached member set first, so that only the scan's own
-        # member_slots calls are recorded, whatever ran before this test
-        chains.hypothesis_set(3)
         calls = self._count(monkeypatch)
         reached = []
-        member_slots = chains.member_slots
+        environment = verify._environment
 
-        def recording(family, member, k):
-            reached.append((family, member))
-            return member_slots(family, member, k)
+        def recording(tup, template, slots=None):
+            reached.append(slots)
+            return environment(tup, template, slots)
 
-        monkeypatch.setattr(chains, "member_slots", recording)
+        monkeypatch.setattr(verify, "_environment", recording)
         report = check_hypotheses([Instance(tup, template, policy)],
                                   PGrid(values=(1.0, 1.5, 2.0, 4.0)), stop_on_violation=True)
-        assert reached == [(Family.ASCENDING, 1)]
+        # only member 1's environment is built
+        assert reached == [chains.member_slots(Family.ASCENDING, 1, 3)]
         assert {row.family for row in report.rows} == {"ascending"}
         assert report.config == {"stopped_early": True}
         assert calls == [1] * 4 and len(report.rows) == 5
@@ -248,22 +246,30 @@ class TestCleanRunCost:
 
     @staticmethod
     def _search_call():
-        found = []
-        evaluate_batch = dsl.evaluate_batch
+        """The evaluation run's words, environments, columns and instance
+        column, and the campaign call that made it: (instances, grid,
+        keywords) of its ``check_hypotheses``."""
+        found, campaigns = [], []
+        evaluate_batch, check_hypotheses = dsl.evaluate_batch, verify.check_hypotheses
+
+        def campaign(instances, grid, **kwargs):
+            campaigns.append((instances, grid, kwargs))
+            return check_hypotheses(instances, grid, **kwargs)
 
         def recording(words, env, rows=None, instance=None, **kwargs):
             if not found and isinstance(env, list) and len(env) == 3 and len(instance) == 3:
-                found.append((words, env, rows, instance))
+                found.append((words, env, rows, instance, campaigns[-1]))
             return evaluate_batch(words, env, rows, instance, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dsl, "evaluate_batch", recording)
+            patch.setattr(verify, "check_hypotheses", campaign)
             verify.search_counterexample(
                 verify.SearchConfig(budget=10, k=3, dims=(2, 3, 4), master_seed=1))
         return found[0]
 
     def test_a_clean_run_enters_errstate_once_and_builds_no_row_errors(self, monkeypatch):
-        words, envs, columns, instance = self._search_call()
+        words, envs, columns, instance, _ = self._search_call()
         counts = {}
 
         def counted(module, name):
@@ -305,6 +311,62 @@ class TestCleanRunCost:
         # and two power nodes raise
         assert counts == {"evaluate_batch": 1, "errstate": 3, "eigensystem_stack": 2,
                           "decompose_stack": 2, "power_stack": 3}
+
+
+class TestSearchCallCost:
+    """What a search-shaped campaign call costs: the ``check_hypotheses``
+    call behind ``TestCleanRunCost._search_call``, three k = 3 instances of
+    one dim decided by their first row, replayed under counters.  It pays
+    for one evaluation run, one comparison and one judged table, and its
+    stacked primitives run once per node and per side."""
+
+    def test_one_run_one_comparison_one_table(self, monkeypatch):
+        *_, (instances, grid, kwargs) = TestCleanRunCost._search_call()
+        counts, members = {}, []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        counted(dsl, "evaluate_batch")
+        counted(verify, "scaled_margins_stack")
+        # a power node decomposes through dsl's name, a side's spectrum
+        # through decompose_stack's
+        counted(dsl, "eigensystem_stack")
+        counted(spectral, "eigensystem_stack")
+        counted(dsl, "power_stack")
+        counted(dsl, "hermitian_part")
+        judged, run = verify.MarginTable.judged.__func__, verify.run
+
+        def judging(cls, *args, **kwargs):
+            counts["judged"] = counts.get("judged", 0) + 1
+            return judged(cls, *args, **kwargs)
+
+        def running(comparisons, subjects, **kwargs):
+            members.append(comparisons)
+            return run(comparisons, subjects, **kwargs)
+
+        monkeypatch.setattr(verify.MarginTable, "judged", classmethod(judging))
+        monkeypatch.setattr(verify, "run", running)
+        report = verify.check_hypotheses(instances, grid, **kwargs)
+        assert [idx for idx, (margin, errors) in report.outcomes().items()
+                if margin is not None and not errors] == [5, 6, 7]
+        assert len(report.table) == 3 and report.config == {"stopped_early": True}
+        # the symbols in one stacked power and the two power nodes; two
+        # power bases made hermitian and decomposed, and the two sides'
+        # spectra decomposed for the comparison's scale
+        assert counts == {"evaluate_batch": 1, "scaled_margins_stack": 1, "judged": 1,
+                          "eigensystem_stack": 4, "power_stack": 3, "hermitian_part": 2}
+        # the member comparisons are built once per k: a second call hands
+        # the run the very same objects
+        verify.check_hypotheses(instances, grid, **kwargs)
+        assert len(members) == 2 and members[0] is members[1]
+        assert all(a is b for a, b in zip(*members))
 
 
 class TestReductionCalls:

@@ -386,11 +386,13 @@ class TestDirectEigensolvers:
            complex_field=st.booleans())
     def test_same_bits_as_linalg(self, seed, dim, count, complex_field):
         arrs = random_hermitian_stack(seed, dim, count, complex_field)
-        lam, u = spectral._eigh(arrs)
+        (lam, u), finite = spectral._eigh(arrs)
         want_lam, want_u = np.linalg.eigh(arrs)
         assert (lam.dtype, u.dtype) == (want_lam.dtype, want_u.dtype)
         assert lam.tobytes() == want_lam.tobytes() and u.tobytes() == want_u.tobytes()
-        evs = spectral._eigvalsh(arrs)
+        evs, evs_finite = spectral._eigvalsh(arrs)
+        # the direct solve served both, and tested their eigenvalues
+        assert finite is evs_finite is True
         assert evs.dtype == want_lam.dtype
         assert evs.tobytes() == np.linalg.eigvalsh(arrs).tobytes()
 

@@ -8,9 +8,12 @@ exponent's level recurrence and the scalar bound's word walk are the
 package's earlier forms of ``chain_exponents`` and ``scalar_bounds``, kept as
 the oracles of their cached forms.  So are the forms the tolerance rules
 had where they were written out by hand: power_stack's inline gate test,
-the three scalar comparisons that ``spectral.scalar_margins`` replaced
-(among them the reduction's scalar row, now a c*I comparison of
-``verify.run``) and an exponent's float value taken from its Fractions.
+the guards of an evaluation run and a decomposition with every residual
+taken (Hermiticity, non-finite eigenvalues, orthogonality and
+reconstruction), the three scalar comparisons that
+``spectral.scalar_margins`` replaced (among them the reduction's scalar
+row, now a c*I comparison of ``verify.run``) and an exponent's float value
+taken from its Fractions.
 ``judge_members`` is the campaign's judging of member rows as it was
 written before ``verify.run`` took it over.  ``reduction_points`` reads a
 ReductionReport's table point by point, as the references keep it.
@@ -307,6 +310,54 @@ def inline_gate_errors(lam: np.ndarray, alpha: np.ndarray, errors):
     low, gate = inline_gate(lam)
     return flag_errors(errors, low & ((alpha % 1.0 != 0.0) | (alpha < 0)),
                        lambda i: NearSingularError(float(lam[i, 0]), float(gate[i])))
+
+
+def hermiticity_errors(values: np.ndarray, rtol: float, what: str):
+    """Oracle for the Hermiticity guard of an evaluation run
+    (``spectral.hermitian_part`` under ``dsl._hermitize``) as it was
+    written, every residual and scale taken: a NonHermitianResultError on
+    each row whose residual ||X - X*||_F exceeds rtol * max(1, ||X||_F)."""
+    adjoint = values.conj().swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.linalg.norm(values, axis=(-2, -1)))
+    resid = np.linalg.norm(values - adjoint, axis=(-2, -1))
+    return flag_errors(None, resid > rtol * scale,
+                       lambda i: dsl._not_hermitian(what, resid[i], scale[i]))
+
+
+def eigensystem_residuals(arrs: np.ndarray):
+    """What the guards of ``spectral.eigensystem_stack`` test, as they were
+    written, every residual taken per row, from np.linalg.eigh's
+    decomposition of a stack of finite rows (the bits of the direct solve):
+    the mask of the rows with a non-finite eigenvalue, whose decomposition
+    and input then become the identity's; the orthogonality residual
+    max|U*U - I|, the reconstruction residual max|U diag(lambda) U* - A|
+    and the reconstruction scale max(1, max|lambda|) of each row."""
+    dim = arrs.shape[-1]
+    lam, u = np.linalg.eigh(arrs)
+    bad = ~np.isfinite(lam).all(axis=-1)
+    keep = ~bad[:, None]
+    lam, u = np.where(keep, lam, 1.0), np.where(keep[..., None], u, np.eye(dim))
+    work = np.where(keep[..., None], arrs, np.eye(dim))
+    uh = u.conj().swapaxes(-1, -2)
+    return (bad, np.abs(uh @ u - np.eye(dim)).max(axis=(-2, -1)),
+            np.abs((u * lam[:, None, :]) @ uh - work).max(axis=(-2, -1)),
+            np.maximum(1.0, np.abs(lam).max(axis=-1)))
+
+
+def eigensystem_errors(arrs: np.ndarray):
+    """Oracle for the row errors of ``spectral.eigensystem_stack`` on a
+    stack of finite rows (``eigensystem_residuals``): a NonFiniteError on
+    each row with a non-finite eigenvalue, then an EigenSolverError on each
+    other row whose orthogonality residual exceeds ORTHO_TOL, then on each
+    whose reconstruction residual exceeds RECON_RTOL times its scale.  The
+    tolerances are read when it is called."""
+    dim = arrs.shape[-1]
+    bad, ortho, recon, scale = eigensystem_residuals(arrs)
+    errors = flag_errors(None, bad, lambda i: NonFiniteError("eigenvalue"))
+    errors = flag_errors(errors, ortho > spectral.ORTHO_TOL, lambda i: spectral.EigenSolverError(
+        dim, ortho[i] / max(spectral.ORTHO_TOL, 1e-300)))
+    return flag_errors(errors, recon > spectral.RECON_RTOL * scale,
+                       lambda i: spectral.EigenSolverError(dim, spectral._cond_estimate(arrs[i])))
 
 
 def reduction_scalar_row(c: np.ndarray, lam: np.ndarray):
