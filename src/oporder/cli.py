@@ -215,7 +215,8 @@ def build_parser(mode: str | None = None) -> argparse.ArgumentParser:
             if mode in modes:
                 p_chk.add_argument(flag, **kwargs)
 
-    p_s = sub.add_parser("search", help="randomized counterexample hunt")
+    # --config is read before the flags, so no search flag may be abbreviated
+    p_s = sub.add_parser("search", help="randomized counterexample hunt", allow_abbrev=False)
     p_s.add_argument("--budget", type=_int_at_least(0), default=200)
     p_s.add_argument("--k", type=_int_at_least(3), default=3)
     p_s.add_argument("--dim", type=_DIMS, default="2,3,4",

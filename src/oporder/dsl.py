@@ -525,7 +525,10 @@ class RowSchedule:
     run, read-only: the groups of names whose columns are all grid columns
     and the indices that align two such groups.  ``keys`` declares the
     names a run may bind per row as functions of one grid column, its key,
-    and so groups as it groups the key."""
+    and so groups as it groups the key.  A run of several environments
+    may take the rows once per environment, in blocks: its groups of the
+    instance and grid columns are then tiled from the schedule's, which
+    are of one block whatever the number of blocks."""
 
     def __init__(self, columns: Mapping[str, np.ndarray],
                  keys: Mapping[str, str] | None = None):
@@ -536,8 +539,21 @@ class RowSchedule:
             if key not in self.columns or name in self.columns:
                 raise ValueError(f"{name!r} is keyed to {key!r}: a key must be a grid "
                                  f"column, and a keyed name must not be one")
+        self.size = len(next(iter(self.columns.values()), ()))
         self.groups: dict[frozenset, _Group] = {}
         self.alignments: dict[tuple[_Group, _Group], np.ndarray] = {}
+
+    def group(self, names: frozenset) -> _Group | None:
+        """The group of grid columns ``names`` on the schedule's rows,
+        refined by the names in sorted order (None: no names)."""
+        if not names:
+            return None
+        got = self.groups.get(names)
+        if got is None:
+            last = max(names)
+            got = self.groups[names] = _refined(self.group(names - {last}),
+                                                self.columns[last], True)
+        return got
 
 
 def _fit(errors, m: int):
@@ -577,7 +593,9 @@ class _BatchRun:
     matrices; a power decomposes its base once per binding of the base and
     raises it to each of its own exponents.  The groups of grid columns,
     and of names keyed to them, come from the run's row schedule, which the
-    runs on the same grid share, and so do the indices that align them.
+    runs on the same grid share, and so do the indices that align them; a
+    run that takes the schedule's rows in a block per environment tiles
+    its groups of the instance and grid columns from the schedule's.
     """
 
     def __init__(self, env, rows: Mapping[str, np.ndarray], instance=None,
@@ -589,9 +607,8 @@ class _BatchRun:
         if clash:
             raise ValueError(f"columns {sorted(clash)} are grid columns of the schedule")
         self.keys = {name: key for name, key in schedule.keys.items() if name in columns}
-        columns.update(schedule.columns)
-        sizes = {len(col) for col in columns.values()}
         envs = (env,) if isinstance(env, Environment) else tuple(env)
+        inst = None
         if instance is not None or len(envs) > 1:
             if instance is None:
                 raise ValueError("several environments need an instance column")
@@ -610,6 +627,18 @@ class _BatchRun:
                     or len({frozenset(e.scalars) for e in envs}) > 1:
                 raise ValueError("environments must bind the same scalar names "
                                  "and one matrix dimension")
+        # the schedule's rows, or a block of them per environment, block b
+        # under environment b
+        self.blocks = 1
+        if len(envs) > 1 and schedule.columns and len(inst) != schedule.size:
+            self.blocks = len(inst) // max(1, schedule.size)
+            if not np.array_equal(inst, np.arange(self.blocks).repeat(schedule.size)):
+                raise ValueError(f"an instance column longer than the schedule's "
+                                 f"{schedule.size} rows must number blocks of them in turn")
+        columns.update(schedule.columns if self.blocks == 1 else
+                       {name: np.tile(col, self.blocks) for name, col in schedule.columns.items()})
+        sizes = {len(col) for col in columns.values()}
+        if inst is not None:
             sizes.add(len(inst))
             if len(envs) > 1:
                 columns[_INSTANCE] = inst
@@ -628,7 +657,11 @@ class _BatchRun:
                                 for name in self.env.scalars if name not in columns}
         self.columns = columns
         self._values: dict[tuple[_Group, str], np.ndarray] = {}
-        self._groups: dict[frozenset, _Group] = dict(schedule.groups)
+        # the names whose groups come from the schedule
+        self.grid = frozenset(schedule.columns) | (
+            {_INSTANCE} if self.blocks > 1 else frozenset())
+        self._groups: dict[frozenset, _Group] = {}
+        self._tiles: dict[tuple[_Group | None, bool], _Group] = {}
         for name, key in self.keys.items():
             # one gather and compare, bit for bit, on the key's grouping
             group = self.group(frozenset({key}))
@@ -644,8 +677,9 @@ class _BatchRun:
     def group(self, names: frozenset) -> _Group | None:
         """The group of ``names``: its rows refined by the names in sorted
         order, a keyed name standing for its key.  The group of grid
-        columns alone is shared: kept in the run's row schedule, so the
-        runs on one grid group its rows once."""
+        columns alone comes from the run's row schedule, so the runs on one
+        grid group its rows once, and so, tiled, does that of the instance
+        and grid columns of a run in blocks."""
         if not names:
             return None
         got = self._groups.get(names)
@@ -654,13 +688,34 @@ class _BatchRun:
                 if self.keys else names
             if keyed != names:
                 got = self.group(keyed)
+            elif names <= self.grid:
+                got = self.schedule.group(names - {_INSTANCE})
+                if self.blocks > 1:
+                    got = self._tiled(got, _INSTANCE in names)
             else:
                 last = max(names)
-                got = _refined(self.group(names - {last}), self.columns[last],
-                               names <= self.schedule.columns.keys())
+                got = _refined(self.group(names - {last}), self.columns[last], False)
             self._groups[names] = got
-            if got.shared:
-                self.schedule.groups[names] = got
+        return got
+
+    def _tiled(self, group: _Group | None, by_instance: bool) -> _Group:
+        """The group of the run's blocks of rows by the names of ``group``,
+        a schedule's group (None: of no names), and, ``by_instance``, by
+        the instance before them: what refining the run's own columns
+        gives, bit for bit, since every block holds the schedule's rows in
+        their order."""
+        got = self._tiles.get((group, by_instance))
+        if got is None:
+            n = self.schedule.size
+            first, inverse = ((np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp))
+                              if group is None else (group.first, group.inverse))
+            if by_instance:
+                block = np.arange(self.blocks)[:, None]
+                first, inverse = ((block * n + first).reshape(-1),
+                                  (block * len(first) + inverse).reshape(-1))
+            else:
+                inverse = np.tile(inverse, self.blocks)
+            got = self._tiles[group, by_instance] = _Group(first, inverse)
         return got
 
     def column(self, group: _Group, name: str):
@@ -853,7 +908,10 @@ def evaluate_batch(word: OperatorWord | tuple[OperatorWord, ...],
     same names at one dimension, with ``instance`` an (N,) column of
     indices into it: row i then takes its matrices and its other scalars
     from ``env[instance[i]]``, and an environment that no row names takes
-    no part in the run.  Products
+    no part in the run.  A schedule of fewer than N rows then binds them
+    in blocks, one per environment: ``instance`` must number the blocks of
+    its rows in turn, 0 on the first block, 1 on the second and so on, and
+    the run tiles the groupings the schedule holds of one block.  Products
     multiply left to right; powers go through the spectral calculus of the
     coerced Hermitian base, stacked over the distinct bindings of each
     node, and every symbol of the run is raised in one stacked power.  A

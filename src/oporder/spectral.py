@@ -431,9 +431,8 @@ def eigensystem_stack(arrs: np.ndarray, errors=None):
     uh = np.ascontiguousarray(_adjoint(u))
     ortho = np.abs(uh @ u - _eye(dim))
     recon = np.abs((u * lam[:, None, :]) @ uh - work)
-    # of an ascending spectrum, max|lambda| is spectral_norms' max(|lambda_0|,
-    # |lambda_(d-1)|), bit for bit
-    norms = np.maximum.reduce(np.abs(lam), axis=-1)
+    # max|lambda| of an ascending spectrum, from its two ends
+    norms = spectral_norms(lam)
     # a row fails with a residual entry above ORTHO_TOL, or above RECON_RTOL
     # times max(1, |lambda|max) >= 1: while no entry is above either
     # tolerance, no row fails and neither is taken per row

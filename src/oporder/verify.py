@@ -64,11 +64,15 @@ GRID_GROWTH = 2.0
 
 # Rows evaluated together are capped so that one batch holds at most about
 # this many bytes of stacked (d, d) intermediates, whatever the grid size.
-BATCH_BYTES = 2 << 20
-# peak bytes per row and matrix entry while a campaign's largest call
+BATCH_BYTES = 4 << 20
+# peak bytes per row and matrix entry while a campaign's largest chunk
 # evaluates the slot words of all members, one environment per (instance,
-# member) pair, and compares them (tracemalloc, k = 5 and 7, dims 2-4):
-# 83-157 for real matrices and 161-237 for complex ones
+# member) pair, and compares them (tracemalloc, grid schedule built or
+# found): at k = 5 and 7, dims 2-4, 85-129 for real matrices and 162-207
+# for complex ones, a peak of at most 3.4 MB.  A row also carries entries
+# that do not grow with d^2 and grow with k, so the budget is exceeded at
+# dim 1 (218-346 at k = 5 and 7, peaks up to 5.7 MB) and at k = 9 (233
+# real and 356 complex at dim 2, up to 579 and 9.5 MB at dim 1)
 _ROW_BYTES_PER_ENTRY = 256
 
 
@@ -390,13 +394,11 @@ class GridPlan:
         return found[1], found[2].reshape(-1)
 
     def schedule(self, lo: int, hi: int) -> dsl.RowSchedule:
-        """The row schedule of rows lo:hi: their p-columns, with the peeled
-        bound's q_j keyed to p_j (``chains.peeled_bindings``)."""
+        """The row schedule of rows lo:hi (``_schedule``), which a run of
+        several environments takes once per environment."""
         got = self._schedules.get((lo, hi))
         if got is None:
-            width = self.table.shape[1]
-            got = self._schedules[lo, hi] = dsl.RowSchedule(
-                _p_columns(self.table[lo:hi]), {f"q{j}": f"p{j}" for j in range(2, width)})
+            got = self._schedules[lo, hi] = _schedule(self.table[lo:hi])
         return got
 
 
@@ -796,6 +798,13 @@ def _p_columns(p_table: np.ndarray) -> dict[str, np.ndarray]:
     return {f"p{j + 1}": p_table[:, j] for j in range(p_table.shape[1])}
 
 
+def _schedule(p_table: np.ndarray) -> dsl.RowSchedule:
+    """The row schedule of rows of p-vectors: their p-columns, with the
+    peeled bound's q_j keyed to p_j (``chains.peeled_bindings``)."""
+    return dsl.RowSchedule(_p_columns(p_table),
+                           {f"q{j}": f"p{j}" for j in range(2, p_table.shape[1])})
+
+
 def _batch_rows(dim: int) -> int:
     """Rows one evaluation holds under BATCH_BYTES."""
     return max(1, BATCH_BYTES // (_ROW_BYTES_PER_ENTRY * dim * dim))
@@ -884,17 +893,22 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
         bound = [(env(j, c), subjects[j].plan, subjects[j].rows(c, lo, hi))
                  for _, j, c in blocks.values()]
         (first_env, plan, columns), width = bound[0], len(bound)
-        rows = width * size
-        if width == 1:
-            values = dsl.evaluate_batch(tuple(words.values()), first_env, columns, None, **(
-                {} if plan is None else {"schedule": plan.schedule(lo, hi)}))
-        else:
+        rows, instance, stacks, schedule = width * size, None, {}, None
+        if width > 1:
             columns = {name: np.concatenate([b[2][name] for b in bound]) for name in columns}
-            if plan is not None:  # the subjects of a run have plans or none
-                columns |= _p_columns(np.concatenate([p.table[lo:hi] for _, p, _ in bound]))
-            values = dsl.evaluate_batch(tuple(words.values()), [e for e, _, _ in bound], columns,
-                                        np.arange(width).repeat(size))
-            plan = None
+            instance = np.arange(width).repeat(size)
+        if plan is not None and all(p is plan for _, p, _ in bound):
+            # a block of the plan's rows per environment; the stacked
+            # groupings, held by the ids of a run's own arrays, are kept
+            # only for a lone environment's
+            schedule = plan.schedule(lo, hi)
+            if width == 1:
+                stacks = plan.stacks
+        elif plan is not None:  # the subjects of a run have plans or none
+            # subjects on plans of their own: a schedule of this chunk alone
+            schedule = _schedule(np.concatenate([p.table[lo:hi] for _, p, _ in bound]))
+        values = dsl.evaluate_batch(tuple(words.values()), [e for e, _, _ in bound], columns,
+                                    instance, schedule)
         # each side's batch by the id of its word, None's the identity
         values = {id(None): _identity_batch(first_env.dim), **dict(zip(words, values))}
 
@@ -932,7 +946,7 @@ def run(comparisons: Sequence[Comparison], subjects: Sequence[Subject], *,
         cols = []
         if pq:
             p, q = (pq[0][i] if len(pq) == 1 else WordBatch.stack(
-                [side[i] for side in pq], rows, {} if plan is None else plan.stacks)
+                [side[i] for side in pq], rows, stacks)
                 for i in (0, 1))
             cols.append(scaled_margins_stack(p, q, errors))
         for k in scalar_pairs:

@@ -742,6 +742,16 @@ class TestSearchCommand:
         code, _, _ = run(capsys, "search", "--tol-rel", "1e-3", "--budget", "1")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--conf", "--budg"])
+    def test_abbreviated_flag_exits_2(self, capsys, tmp_path, flag):
+        # the config file is read before the flags: an abbreviation of
+        # --config would be ignored, so no flag may be abbreviated
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"budget": 7}')
+        code, out, err = run(capsys, "search", flag, str(cfg), "--dump-config")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: unrecognized arguments: {flag} {cfg}")
+
     @pytest.mark.parametrize("entry", [
         '"seed": 1.5',
         '"seed": -1',

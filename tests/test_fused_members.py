@@ -191,10 +191,11 @@ class TestEvaluationCalls:
         monkeypatch.setattr(dsl, "evaluate_batch", counting)
         return calls
 
-    @pytest.mark.parametrize("dim,expected", [(2, [4]), (4, [4, 4])])
+    @pytest.mark.parametrize("dim,expected", [(2, [4]), (4, [4]), (5, [4, 4])])
     def test_one_run_for_all_members_under_the_byte_cap(self, monkeypatch, dim, expected):
         # k = 5 has 4 members of 4^4 = 256 rows: 1,024 rows fit one call at
-        # dim 2 (cap 2,048 rows) and take two at dim 4 (cap 512 rows)
+        # dims 2 and 4 (caps 4,096 and 1,024 rows) and take two at dim 5
+        # (cap 655 rows)
         calls = self._count(monkeypatch)
         tup = gen_suite_tuple(5, dim, [0, 0])
         report = check_hypotheses(
@@ -246,7 +247,8 @@ class TestCleanRunCost:
 
     @staticmethod
     def _search_call():
-        """The evaluation run's words, environments, columns and instance
+        """The evaluation run's words, environments, columns (its own and,
+        a block per environment, its schedule's grid columns) and instance
         column, and the campaign call that made it: (instances, grid,
         keywords) of its ``check_hypotheses``."""
         found, campaigns = [], []
@@ -256,10 +258,12 @@ class TestCleanRunCost:
             campaigns.append((instances, grid, kwargs))
             return check_hypotheses(instances, grid, **kwargs)
 
-        def recording(words, env, rows=None, instance=None, **kwargs):
-            if not found and isinstance(env, list) and len(env) == 3 and len(instance) == 3:
-                found.append((words, env, rows, instance, campaigns[-1]))
-            return evaluate_batch(words, env, rows, instance, **kwargs)
+        def recording(words, env, rows=None, instance=None, schedule=None):
+            if not found and len(env) == 3 and len(instance) == 3:
+                grid = {name: np.tile(col, len(instance) // schedule.size)
+                        for name, col in schedule.columns.items()}
+                found.append((words, env, {**rows, **grid}, instance, campaigns[-1]))
+            return evaluate_batch(words, env, rows, instance, schedule)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dsl, "evaluate_batch", recording)

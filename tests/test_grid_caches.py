@@ -2,9 +2,10 @@
 found once per grid product and n (``PGrid.plan``) and shared by the
 instances sampled on it.  It holds the exact terms of the chain exponent
 and, per chunk of rows, the row schedule of the evaluation runs on them
-(their row groupings and the indices that align them), the reduction's
-stacked groupings and its bounds' distinct prefixes p_2 .. p_(2n-1).  The
-reduction's scalar bound is computed once per distinct prefix.
+(their row groupings and the indices that align them), which runs of
+several environments tile, the reduction's stacked groupings and its
+bounds' distinct prefixes p_2 .. p_(2n-1).  The reduction's scalar bound
+is computed once per distinct prefix.
 
 Each cached form equals its uncached oracle bit for bit, on the plan of a
 full grid product and on that of a subsample: the chain exponent equals
@@ -310,3 +311,130 @@ class TestProofStepsSchedule:
         cold = verify.check_reduction_chain(instance, grid, **options)
         assert _report_bits(warm) == _report_bits(cold)
         capsys.readouterr()
+
+
+def _table_bits(table) -> tuple:
+    """Everything a MarginTable holds, with each column's bytes but those
+    of seconds, which time the run."""
+    return (table.checks, table.tol_rel,
+            {name: col.tobytes() for name, col in table.columns.items() if name != "seconds"},
+            [table.error_text(i) for i in range(len(table))])
+
+
+def _error_texts(batch: WordBatch) -> list:
+    errors = () if batch.row_errors is None else batch.row_errors.tolist()
+    return [None if error is None else str(error) for error in errors]
+
+
+@st.composite
+def campaign_chunks(draw):
+    """A chunk of a campaign run of 1-3 instances of one k (3-5) and dim
+    (1-3), real or complex, on a grid of one or two values (1e300 makes
+    powers and the necessity weight overflow): every (instance, member)
+    environment with its weights, the rows lo:hi of the grid product, and
+    whether each instance samples a subsample of its own instead."""
+    k, dim = draw(st.integers(3, 5)), draw(st.integers(1, 3))
+    field = draw(st.sampled_from(("real", "complex")))
+    values = tuple(sorted(draw(st.sets(st.sampled_from((1.0, 1.5, 4.0, 1e300)),
+                                       min_size=1, max_size=2))))
+    plan = PGrid(values=values).plan(k // 2)
+    lo = draw(st.integers(0, len(plan.vectors) - 1))
+    hi = draw(st.integers(lo + 1, len(plan.vectors)))
+    instances = []
+    for index in range(draw(st.integers(1, 3))):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        tup = verify.gen_suite_tuple(k, dim, [index, int(rng.integers(2 ** 16))], field_kind=field)
+        t = tuple(rng.uniform(0.05, 0.95, k // 2).tolist())
+        instances.append(verify.Instance(tup, verify.ParamTemplate(t=t, r=t[-1] + 0.5),
+                                         verify.WeightPolicy.necessity(), index))
+    return instances, plan, lo, hi, draw(st.booleans())
+
+
+class TestCampaignSchedule:
+    """A campaign chunk binds one environment per (instance, member) pair
+    and evaluates them in one run on the row schedule of its grid plan,
+    a block of the chunk's rows per environment: the run tiles its groups
+    of the instance and p-columns from the schedule's groups of one block
+    (``GridPlan.schedule(lo, hi)``), so the plan holds one schedule per
+    chunk of rows whatever the number of environments.  Instances on
+    subsamples of their own take a schedule of the chunk alone
+    (``verify._schedule``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=campaign_chunks())
+    @example(case=(
+        [verify.Instance(verify.gen_suite_tuple(5, 2, [j, 0]),
+                         verify.ParamTemplate(t=(0.3, 0.6), r=1.1),
+                         verify.WeightPolicy.necessity(), j) for j in range(2)],
+        PGrid(values=(1.0, 1e300)).plan(2), 0, 16, False))
+    def test_a_shared_schedule_gives_the_bits_of_a_run_without_one(self, case):
+        instances, plan, lo, hi, subsampled = case
+        k = instances[0].tup.k
+        members, slots, w_columns, _ = verify._campaign_members(k)
+        rows = np.arange(lo, hi)
+        envs, tables, w = [], [], []
+        for inst in instances:
+            # a subsample holds the chunk's rows in an order of its own
+            own = GridPlan([plan.vectors[i] for i in rows[::-1]]) if subsampled else plan
+            weights = inst.policy.weights(inst.template.t, own, inst.template.r, count=k - 1)
+            for c in range(len(members)):
+                envs.append(verify._environment(inst.tup, inst.template, slots[c]))
+                tables.append(own.table[:hi - lo] if subsampled else own.table[lo:hi])
+                w.append(weights[:hi - lo, w_columns[c]] if subsampled
+                         else weights[lo:hi, w_columns[c]])
+        words = chains.slot_words(k)[::-1]
+        width, w = len(envs), np.concatenate(w)
+        instance = np.arange(width).repeat(hi - lo)
+        fresh = dsl.evaluate_batch(words, envs, {"w": w, **verify._p_columns(
+            np.concatenate(tables))}, instance)
+        if subsampled:
+            schedules = [verify._schedule(np.concatenate(tables))]
+        else:
+            schedules = [plan.schedule(lo, hi)] * 2
+            assert plan.schedule(lo, hi) is schedules[0]
+            assert schedules[0].size == hi - lo
+        for schedule in schedules:
+            for a, b in zip(dsl.evaluate_batch(words, envs, {"w": w}, instance, schedule), fresh):
+                assert a.values.tobytes() == b.values.tobytes()
+                assert _error_texts(a) == _error_texts(b)
+                assert [arr.tolist() for arr in a.distinct] == \
+                    [arr.tolist() for arr in b.distinct]
+            for names, group in schedule.groups.items():
+                assert dsl._INSTANCE not in names
+                assert len(group.inverse) == schedule.size
+                assert not (group.first.flags.writeable or group.inverse.flags.writeable)
+
+    def test_blocks_must_be_numbered_in_turn(self):
+        word = Symbol(1, ScalarExpr.variable("p1"))
+        envs = [dsl.Environment(scalars={}, matrices={1: gen_ordered_tuple(2, 2, seed).matrices[0]})
+                for seed in (0, 1)]
+        schedule = dsl.RowSchedule({"p1": np.array([1.0, 2.0])})
+        for instance in ([1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1]):
+            with pytest.raises(ValueError, match="must number blocks of them in turn"):
+                dsl.evaluate_batch(word, envs, instance=instance, schedule=schedule)
+
+    def test_a_second_campaign_call_groups_nothing_afresh(self):
+        # k = 5 at dim 2: 4 members of 256 rows, one chunk of 1,024 rows,
+        # or of 2,048 rows for two instances (cap 4,096 rows)
+        verify._grid_plan.cache_clear()
+        grid = PGrid(values=(1.0, 1.5, 2.0, 4.0))
+        first, second, third = (
+            verify.Instance(verify.gen_suite_tuple(5, 2, [seed, 0]),
+                            verify.ParamTemplate(t=(0.3, 0.6), r=1.2),
+                            verify.WeightPolicy.necessity(), seed) for seed in (0, 1, 2))
+        verify.check_hypotheses([first], grid)
+        calls = dict.fromkeys(("_distinct", "_refine"), 0)
+        with pytest.MonkeyPatch.context() as patch:
+            for name in calls:
+                def counting(*args, name=name, real=getattr(dsl, name)):
+                    calls[name] += 1
+                    return real(*args)
+                patch.setattr(dsl, name, counting)
+            # the same plan and chunk, at the same width and at twice it
+            warm = [verify.check_hypotheses(batch, grid) for batch in ([second], [second, third])]
+        assert calls == dict.fromkeys(calls, 0)
+        # one schedule of one block of rows serves both widths
+        assert list(grid.plan(2)._schedules) == [(0, 256)]
+        verify._grid_plan.cache_clear()
+        cold = [verify.check_hypotheses(batch, grid) for batch in ([second], [second, third])]
+        assert [_table_bits(r.table) for r in warm] == [_table_bits(r.table) for r in cold]
